@@ -108,19 +108,7 @@ func (c runCfg) argv(worker int) []string {
 }
 
 func (c runCfg) buildGraph() (*graph.Graph, error) {
-	gcfg := gen.Config{Seed: c.seed}
-	n := 1 << c.scale
-	switch c.kind {
-	case "rmat":
-		return gen.RMAT(c.scale, c.edgeFactor, gen.DefaultRMAT(), gcfg), nil
-	case "random":
-		return gen.Uniform(n, c.edgeFactor*n, gcfg), nil
-	case "grid":
-		side := 1 << (c.scale / 2)
-		return gen.Grid(side, side, gcfg), nil
-	default:
-		return nil, fmt.Errorf("unknown kind %q", c.kind)
-	}
+	return gen.ByKind(c.kind, c.scale, c.edgeFactor, gen.Config{Seed: c.seed})
 }
 
 func (c runCfg) options() core.Options {
@@ -143,15 +131,11 @@ func runWorker(cfg runCfg, proc int) error {
 	}
 	fmt.Printf("ADDR %s\n", w.Addr())
 
-	sc := bufio.NewScanner(os.Stdin)
-	if !sc.Scan() {
-		return fmt.Errorf("stdin closed before the peer list arrived: %v", sc.Err())
+	line, err := readLine(bufio.NewReader(os.Stdin), "PEERS")
+	if err != nil {
+		return fmt.Errorf("waiting for the peer list: %w", err)
 	}
-	line := sc.Text()
-	if !strings.HasPrefix(line, "PEERS ") {
-		return fmt.Errorf("expected PEERS line, got %q", line)
-	}
-	addrs := strings.Split(strings.TrimPrefix(line, "PEERS "), ",")
+	addrs := strings.Split(line, ",")
 
 	res, err := w.Run(addrs)
 	if err != nil {
@@ -172,27 +156,34 @@ func runWorker(cfg runCfg, proc int) error {
 	return nil
 }
 
+// readLine reads the next handshake line from r and strips the given
+// prefix. A line has no length limit: a worker's RESULT carries its whole
+// slice of the distance vector and passes bufio.Scanner's 64 KiB token cap
+// at a few thousand vertices per process.
+func readLine(r *bufio.Reader, prefix string) (string, error) {
+	line, err := r.ReadString('\n')
+	if err == io.EOF {
+		return "", fmt.Errorf("stream closed before a %s line arrived", prefix)
+	}
+	if err != nil {
+		return "", err
+	}
+	line = strings.TrimRight(line, "\r\n")
+	if !strings.HasPrefix(line, prefix+" ") {
+		if len(line) > 80 {
+			line = line[:80] + "..."
+		}
+		return "", fmt.Errorf("expected %s line, got %q", prefix, line)
+	}
+	return strings.TrimPrefix(line, prefix+" "), nil
+}
+
 // workerProc is the launcher's handle on one child.
 type workerProc struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
-	lines  *bufio.Scanner
+	stdout *bufio.Reader
 	result *core.WorkerResult
-}
-
-// expect reads the child's next stdout line and strips the given prefix.
-func (w *workerProc) expect(prefix string) (string, error) {
-	if !w.lines.Scan() {
-		if err := w.lines.Err(); err != nil {
-			return "", err
-		}
-		return "", fmt.Errorf("worker exited before sending %s", prefix)
-	}
-	line := w.lines.Text()
-	if !strings.HasPrefix(line, prefix+" ") {
-		return "", fmt.Errorf("expected %s line, got %q", prefix, line)
-	}
-	return strings.TrimPrefix(line, prefix+" "), nil
 }
 
 // runLauncher is the parent side: spawn, handshake, merge, validate.
@@ -233,13 +224,13 @@ func runLauncher(cfg runCfg, verify bool, timeout time.Duration) error {
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("spawning worker %d: %w", p, err)
 		}
-		workers[p] = &workerProc{cmd: cmd, stdin: stdin, lines: bufio.NewScanner(stdout)}
+		workers[p] = &workerProc{cmd: cmd, stdin: stdin, stdout: bufio.NewReader(stdout)}
 	}
 
 	// Collect every worker's listen address, then publish the full list.
 	addrs := make([]string, procs)
 	for p, w := range workers {
-		addr, err := w.expect("ADDR")
+		addr, err := readLine(w.stdout, "ADDR")
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", p, err)
 		}
@@ -256,7 +247,7 @@ func runLauncher(cfg runCfg, verify bool, timeout time.Duration) error {
 	// processes finish, but each child's own stream is ordered, so reading
 	// them sequentially here cannot deadlock — only wait.
 	for p, w := range workers {
-		payload, err := w.expect("RESULT")
+		payload, err := readLine(w.stdout, "RESULT")
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", p, err)
 		}

@@ -47,6 +47,9 @@ func TestLaunchSmoke(t *testing.T) {
 	}{
 		{"rmat-4proc", []string{"-kind", "rmat", "-scale", "9", "-ppn", "4", "-pepp", "2"}},
 		{"grid-4proc", []string{"-kind", "grid", "-scale", "8", "-ppn", "4", "-pepp", "1"}},
+		// 4,096 vertices per worker: each RESULT line is ~100 KiB, past
+		// the 64 KiB a bufio.Scanner accepts.
+		{"random-scale14-4proc", []string{"-kind", "random", "-scale", "14", "-ppn", "4", "-pepp", "2"}},
 	}
 	for _, tc := range cases {
 		tc := tc

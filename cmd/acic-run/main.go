@@ -250,19 +250,7 @@ func loadGraph(input string, vertices int, kind string, scale, edgeFactor int, s
 		defer f.Close()
 		return graph.ReadCSV(f, vertices)
 	}
-	cfg := gen.Config{Seed: seed}
-	n := 1 << scale
-	switch kind {
-	case "rmat":
-		return gen.RMAT(scale, edgeFactor, gen.DefaultRMAT(), cfg), nil
-	case "random":
-		return gen.Uniform(n, edgeFactor*n, cfg), nil
-	case "grid":
-		side := 1 << (scale / 2)
-		return gen.Grid(side, side, cfg), nil
-	default:
-		return nil, fmt.Errorf("unknown kind %q", kind)
-	}
+	return gen.ByKind(kind, scale, edgeFactor, gen.Config{Seed: seed})
 }
 
 func parseMode(s string) (tram.Mode, error) {

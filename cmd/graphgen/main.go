@@ -65,18 +65,13 @@ func makeGraph(kind string, scale, edgeFactor int, seed uint64, maxWeight float6
 		return nil, fmt.Errorf("edgefactor must be positive")
 	}
 	cfg := gen.Config{Seed: seed, MaxWeight: maxWeight}
-	n := 1 << scale
-	switch kind {
-	case "rmat":
-		return gen.RMAT(scale, edgeFactor, gen.DefaultRMAT(), cfg), nil
-	case "random":
-		return gen.Uniform(n, edgeFactor*n, cfg), nil
-	case "grid":
-		side := 1 << (scale / 2)
-		return gen.Grid(side, side, cfg), nil
-	case "erdos":
+	if kind == "erdos" {
+		n := 1 << scale
 		return gen.ErdosRenyi(n, edgeFactor*n, cfg), nil
-	default:
-		return nil, fmt.Errorf("unknown kind %q (want rmat, random, grid or erdos)", kind)
 	}
+	g, err := gen.ByKind(kind, scale, edgeFactor, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%w (want rmat, random, grid or erdos)", err)
+	}
+	return g, nil
 }

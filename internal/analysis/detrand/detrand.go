@@ -34,6 +34,7 @@ const Directive = "allow-wallclock"
 var Packages = map[string]bool{
 	"acic/internal/arena":     true,
 	"acic/internal/runtime":   true,
+	"acic/internal/machine":   true,
 	"acic/internal/netsim":    true,
 	"acic/internal/relnet":    true,
 	"acic/internal/tram":      true,

@@ -106,16 +106,13 @@ func (c Config) NumVertices() int { return 1 << c.Scale }
 // structures and edge weights for each trial").
 func (c Config) MakeGraph(kind GraphKind, trial int) (*graph.Graph, error) {
 	seed := c.Seed + uint64(trial)*0x9e3779b9
-	cfg := gen.Config{Seed: seed}
-	switch kind {
-	case Random:
-		return gen.Uniform(c.NumVertices(), c.EdgeFactor*c.NumVertices(), cfg), nil
-	case RMAT:
-		return gen.RMAT(c.Scale, c.EdgeFactor, gen.DefaultRMAT(), cfg), nil
-	case Road:
-		side := 1 << (c.Scale / 2)
-		return gen.Grid(side, side, cfg), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown graph kind %q", kind)
+	name := string(kind)
+	if kind == Road {
+		name = "grid"
 	}
+	g, err := gen.ByKind(name, c.Scale, c.EdgeFactor, gen.Config{Seed: seed})
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	return g, nil
 }

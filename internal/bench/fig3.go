@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"acic/internal/collect"
+	"acic/internal/machine"
 	"acic/internal/netsim"
 	"acic/internal/runtime"
 )
@@ -37,8 +38,8 @@ type workHandler struct {
 
 	withReductions bool
 	cycleDelay     time.Duration
-	reductions     int64 // root only
-	stopped        atomic.Bool
+	reductions     int64        // root only
+	stopped        *atomic.Bool // set when the window closes; shared by all PEs
 
 	// Handlers are small heap objects allocated back-to-back at Start, so
 	// without padding two PEs' method counters can land on one cache line
@@ -93,33 +94,32 @@ func (h *workHandler) OnReduction(pe *runtime.PE, epoch int64, value any) {
 
 // fig3Run executes one window and returns total methods and reductions.
 func (c Config) fig3Run(pes int, window time.Duration, withReductions bool, cycleDelay time.Duration) (methods, reductions int64, err error) {
-	rt, err := runtime.New(runtime.Config{
-		Topo:    netsim.SingleNode(pes),
-		Latency: c.Latency,
-		Combine: func(a, b any) any { return a.(int64) + b.(int64) },
-	})
+	var stopped atomic.Bool
+	run, err := machine.Run(
+		machine.Config{Config: runtime.Config{
+			Topo:    netsim.SingleNode(pes),
+			Latency: c.Latency,
+			Combine: func(a, b any) any { return a.(int64) + b.(int64) },
+		}},
+		func(pe *runtime.PE) *workHandler {
+			return &workHandler{methodDuration: 10 * time.Microsecond, withReductions: withReductions, cycleDelay: cycleDelay, stopped: &stopped}
+		},
+		func(rt *runtime.Runtime) {
+			if withReductions {
+				rt.Inject(0, fig3Cycle{epoch: 0})
+			}
+			time.AfterFunc(window, func() {
+				stopped.Store(true)
+				rt.RequestExit()
+			})
+		})
 	if err != nil {
 		return 0, 0, err
 	}
-	handlers := make([]*workHandler, pes)
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		h := &workHandler{methodDuration: 10 * time.Microsecond, withReductions: withReductions, cycleDelay: cycleDelay}
-		handlers[pe.Index()] = h
-		return h
-	})
-	if withReductions {
-		rt.Inject(0, fig3Cycle{epoch: 0})
-	}
-	timer := time.AfterFunc(window, func() {
-		handlers[0].stopped.Store(true)
-		rt.RequestExit()
-	})
-	defer timer.Stop()
-	rt.Wait()
-	for _, h := range handlers {
+	for _, h := range run.Handlers {
 		methods += h.methods
 	}
-	return methods, handlers[0].reductions, nil
+	return methods, run.Handlers[0].reductions, nil
 }
 
 // Fig3ReductionOverhead measures the per-reduction work loss across PE

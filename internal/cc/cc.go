@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"acic/internal/graph"
+	"acic/internal/machine"
 	"acic/internal/netsim"
 	"acic/internal/partition"
 	"acic/internal/runtime"
@@ -118,7 +119,6 @@ type sharedState struct {
 	und  *graph.Graph // undirected view: original plus reversed edges
 	part *partition.OneD
 	tm   *tram.Manager[labelUpdate]
-	rt   *runtime.Runtime
 }
 
 type peState struct {
@@ -281,17 +281,23 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 		pe.Broadcast(epoch, ctrl)
 		return
 	}
-	rt := st.shared.rt
+	rt := pe.Runtime()
 	time.AfterFunc(delay, func() { rt.Inject(0, cycleMsg{epoch: epoch, ctrl: ctrl}) })
 }
 
 // Run computes weakly connected components of g.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
-	topo := opts.Topo
-	if topo == (netsim.Topology{}) {
-		topo = netsim.SingleNode(4)
+	cfg := machine.Config{
+		Config: runtime.Config{
+			Topo:    opts.Topo,
+			Latency: opts.Latency,
+			Jitter:  opts.Jitter,
+			Combine: combineReduce,
+		},
+		Clock: opts.Clock,
 	}
-	if err := topo.Validate(); err != nil {
+	topo, err := cfg.Validate()
+	if err != nil {
 		return nil, err
 	}
 	params := opts.Params
@@ -318,47 +324,44 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		part: partition.NewOneD(g.NumVertices(), topo.TotalPEs()),
 		tm:   tm,
 	}
-	rt, err := runtime.New(runtime.Config{
-		Topo:    topo,
-		Latency: opts.Latency,
-		Combine: combineReduce,
-		Jitter:  opts.Jitter,
-	})
+	run, err := machine.Run(cfg,
+		func(pe *runtime.PE) *peState {
+			lo, hi := sh.part.Range(pe.Index())
+			st := &peState{
+				shared:       sh,
+				params:       params,
+				base:         lo,
+				labels:       make([]int32, hi-lo),
+				inFront:      make([]bool, hi-lo),
+				prevEqualSum: -1,
+			}
+			for i := range st.labels {
+				st.labels[i] = lo + int32(i)
+			}
+			return st
+		},
+		func(rt *runtime.Runtime) {
+			for i := 0; i < topo.TotalPEs(); i++ {
+				rt.Inject(i, startMsg{})
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	sh.rt = rt
-	states := make([]*peState, topo.TotalPEs())
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		lo, hi := sh.part.Range(pe.Index())
-		st := &peState{
-			shared:       sh,
-			params:       params,
-			base:         lo,
-			labels:       make([]int32, hi-lo),
-			inFront:      make([]bool, hi-lo),
-			prevEqualSum: -1,
-		}
-		for i := range st.labels {
-			st.labels[i] = lo + int32(i)
-		}
-		states[pe.Index()] = st
-		return st
-	})
 
-	clk := simclock.Default(opts.Clock)
-	start := clk.Now()
-	for i := 0; i < topo.TotalPEs(); i++ {
-		rt.Inject(i, startMsg{})
+	root := run.Handlers[0]
+	res := &Result{
+		Labels: make([]int32, g.NumVertices()),
+		Stats: Stats{
+			Elapsed:     run.Elapsed,
+			Reductions:  root.reductions,
+			ChangeTrace: root.changeTrace,
+			TramStats:   tm.Stats(),
+			Network:     run.Network,
+			Audit:       run.Audit,
+		},
 	}
-	rt.Wait()
-	elapsed := clk.Since(start)
-
-	res := &Result{Labels: make([]int32, g.NumVertices()), Stats: Stats{Elapsed: elapsed}}
-	root := states[0]
-	res.Stats.Reductions = root.reductions
-	res.Stats.ChangeTrace = root.changeTrace
-	for peIdx, st := range states {
+	for peIdx, st := range run.Handlers {
 		lo, hi := sh.part.Range(peIdx)
 		copy(res.Labels[lo:hi], st.labels)
 		res.Stats.UpdatesCreated += st.created
@@ -370,9 +373,6 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		seen[l] = struct{}{}
 	}
 	res.Stats.Components = len(seen)
-	res.Stats.TramStats = tm.Stats()
-	res.Stats.Network = rt.NetworkStats()
-	res.Stats.Audit = rt.Audit()
 	return res, nil
 }
 

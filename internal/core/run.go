@@ -4,26 +4,48 @@ import (
 	"fmt"
 	"math"
 
-	"acic/internal/fabric"
 	"acic/internal/graph"
-	"acic/internal/netsim"
+	"acic/internal/machine"
 	"acic/internal/partition"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
-	"acic/internal/sockfab"
 	"acic/internal/tram"
 	"acic/internal/wire"
 )
 
-// Run executes ACIC on g from source and returns the distance vector and
-// run statistics. It builds the whole simulated machine — network, runtime,
-// tramlib — runs to termination, and tears it down.
-func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
-	topo := opts.Topo
-	if topo == (netsim.Topology{}) {
-		topo = netsim.SingleNode(4)
+// setup is what Run and a Worker share: the validated machine description,
+// the defaulted parameters, the claimed Scratch and the state every PE
+// handler points at. The two differ only in the fabric they put under it
+// and the PE span they host.
+type setup struct {
+	cfg    machine.Config
+	params Params
+	source int32
+	sc     *Scratch
+	sh     *sharedState
+}
+
+// newSetup validates the run and builds everything up to, but not
+// including, the machine. tcp selects a real transport (Run's
+// TransportTCP, or a Worker) and registers the wire codec for it. On
+// success the Scratch is claimed; the caller releases it after the run.
+func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error) {
+	cfg := machine.Config{
+		Config: runtime.Config{
+			Topo:        opts.Topo,
+			Latency:     opts.Latency,
+			Jitter:      opts.Jitter,
+			Fault:       opts.Fault,
+			Reliability: opts.Reliability,
+			Trace:       opts.Trace,
+			Metrics:     opts.Metrics,
+		},
+		Clock: opts.Clock,
 	}
-	if err := topo.Validate(); err != nil {
+	if tcp {
+		cfg.Codec = wire.NewCodec()
+	}
+	topo, err := cfg.Validate()
+	if err != nil {
 		return nil, err
 	}
 	if source < 0 || source >= g.NumVertices() {
@@ -44,7 +66,6 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 	if err := sc.acquire(); err != nil {
 		return nil, err
 	}
-	defer sc.release()
 	sc.prepare(scratchKey{
 		pes:         topo.TotalPEs(),
 		bucketCount: params.BucketCount,
@@ -54,6 +75,7 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 
 	tm, err := tram.NewWithArena[Update](topo, params.TramMode, params.TramCapacity, opts.Metrics, sc.pools.ar)
 	if err != nil {
+		sc.release()
 		return nil, err
 	}
 	var part Partition = partition.NewOneD(g.NumVertices(), topo.TotalPEs())
@@ -71,85 +93,75 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		bucketCount: params.BucketCount,
 		bucketWidth: params.BucketWidth,
 	}
-
-	var newFab func(deliver func(dst int, payload any)) (fabric.Fabric, error)
-	if opts.Transport == TransportTCP {
-		// Real sockets impose their own timing and already deliver
-		// in order exactly once, so the simulation-only knobs have no
-		// meaning here; rejecting them beats silently ignoring them.
-		switch {
-		case opts.Latency != (netsim.LatencyModel{}):
-			return nil, fmt.Errorf("core: TransportTCP models no latency; Options.Latency must be zero")
-		case opts.Jitter != nil:
-			return nil, fmt.Errorf("core: TransportTCP cannot inject jitter; Options.Jitter must be nil")
-		case !opts.Fault.Empty():
-			return nil, fmt.Errorf("core: TransportTCP cannot inject faults; Options.Fault must be empty")
-		case opts.Reliability != nil:
-			return nil, fmt.Errorf("core: TransportTCP is already reliable; Options.Reliability must be nil")
-		}
-		codec := wire.NewCodec()
-		runtime.RegisterWire(codec)
-		registerCoreWire(codec, sh)
-		newFab = func(deliver func(dst int, payload any)) (fabric.Fabric, error) {
-			return sockfab.NewMesh(sockfab.MeshConfig{
-				NumProcs: topo.TotalProcs(),
-				NumPEs:   topo.TotalPEs(),
-				Owner:    topo.ProcessOf,
-				Codec:    codec,
-			}, deliver)
-		}
+	cfg.Combine = sh.combineReduce
+	if tcp {
+		runtime.RegisterWire(cfg.Codec)
+		registerCoreWire(cfg.Codec, sh)
 	}
+	return &setup{cfg: cfg, params: params, source: int32(source), sc: sc, sh: sh}, nil
+}
 
-	rt, err := runtime.New(runtime.Config{
-		Topo:        topo,
-		Latency:     opts.Latency,
-		NewFabric:   newFab,
-		Combine:     sh.combineReduce,
-		Trace:       opts.Trace,
-		Jitter:      opts.Jitter,
-		Fault:       opts.Fault,
-		Reliability: opts.Reliability,
-		Metrics:     opts.Metrics,
-	})
+// run executes the machine to termination. Each process seeds only what it
+// hosts: the source relaxation if the source vertex's owner lives here,
+// and the reduction-cycle start for every hosted PE. The cycle's
+// reductions and broadcasts then flow across the fabric like any other
+// message.
+func (s *setup) run() (*machine.Result[*peState], error) {
+	return machine.Run(s.cfg,
+		func(pe *runtime.PE) *peState {
+			// Handlers are built before any PE goroutine starts, so this
+			// is the one point where the runtime exists and nothing reads
+			// sh.rt yet (the root's paced reduction timer does, later).
+			s.sh.rt = pe.Runtime()
+			return newPEState(s.sh, pe, s.params, s.sc.slot(pe.Index()))
+		},
+		func(rt *runtime.Runtime) {
+			span := rt.HostedSpan()
+			if owner := s.sh.part.Owner(s.source); owner >= span.Lo && owner < span.Hi {
+				rt.Inject(owner, seedMsg{source: s.source})
+			}
+			for i := span.Lo; i < span.Hi; i++ {
+				rt.Inject(i, startMsg{})
+			}
+		})
+}
+
+// Run executes ACIC on g from source and returns the distance vector and
+// run statistics. It builds the whole machine — fabric, runtime, tramlib —
+// runs to termination, and tears it down.
+func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
+	s, err := newSetup(g, source, opts, opts.Transport == TransportTCP)
 	if err != nil {
 		return nil, err
 	}
-	sh.rt = rt
-
-	states := make([]*peState, topo.TotalPEs())
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		st := newPEState(sh, pe, params, sc.slot(pe.Index()))
-		states[pe.Index()] = st
-		return st
-	})
-
-	clk := simclock.Default(opts.Clock)
-	start := clk.Now()
-	// Seed the source relaxation, then pull every PE into the continuous
-	// reduction cycle.
-	rt.Inject(sh.part.Owner(int32(source)), seedMsg{source: int32(source)})
-	for i := 0; i < topo.TotalPEs(); i++ {
-		rt.Inject(i, startMsg{})
+	defer s.sc.release()
+	run, err := s.run()
+	if err != nil {
+		return nil, err
 	}
-	rt.Wait()
-	elapsed := clk.Since(start)
 
 	res := &Result{
 		Dist:   make([]float64, g.NumVertices()),
 		Parent: make([]int32, g.NumVertices()),
-		Stats:  Stats{Elapsed: elapsed},
+		Stats: Stats{
+			Elapsed:   run.Elapsed,
+			TramStats: s.sh.tm.Stats(),
+			Network:   run.Network,
+			Audit:     run.Audit,
+		},
 	}
 	for i := range res.Dist {
 		res.Dist[i] = math.Inf(1)
 		res.Parent[i] = -1
 	}
-	root := states[0]
+	root := run.Handlers[0]
 	res.Stats.Reductions = root.reductions
 	res.Stats.HistTrace = root.histTrace
 	res.Stats.AuditTrace = root.auditTrace
-	for peIdx, st := range states {
+	res.Stats.FinalizedEarly = root.finalizedEarly
+	for peIdx, st := range run.Handlers {
 		for local, d := range st.dist {
-			gv := sh.part.GlobalOf(peIdx, local)
+			gv := s.sh.part.GlobalOf(peIdx, local)
 			res.Dist[gv] = d
 			res.Parent[gv] = st.parent[local]
 		}
@@ -158,9 +170,5 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		res.Stats.UpdatesRejected += st.rejected
 		res.Stats.Relaxations += st.relaxations
 	}
-	res.Stats.FinalizedEarly = root.finalizedEarly
-	res.Stats.TramStats = tm.Stats()
-	res.Stats.Network = rt.NetworkStats()
-	res.Stats.Audit = rt.Audit()
 	return res, nil
 }

@@ -1,16 +1,9 @@
 package core
 
 import (
-	"fmt"
-
-	"acic/internal/fabric"
 	"acic/internal/graph"
-	"acic/internal/netsim"
-	"acic/internal/partition"
 	"acic/internal/runtime"
 	"acic/internal/sockfab"
-	"acic/internal/tram"
-	"acic/internal/wire"
 )
 
 // Worker hosts one OS process's share of a multi-process ACIC run. Where
@@ -25,17 +18,7 @@ import (
 // listener), exchange Addr with the peers out of band, then Run with the
 // full address list.
 type Worker struct {
-	g      *graph.Graph
-	source int
-	topo   netsim.Topology
-	params Params
-	opts   Options
-	proc   int
-	lo, hi int
-
-	sc   *Scratch
-	sh   *sharedState
-	node *sockfab.Node
+	*setup
 }
 
 // WorkerResult is one process's slice of the run: the distances and
@@ -55,104 +38,32 @@ type WorkerResult struct {
 // worker is listening but not yet connected; its Addr must reach every
 // peer before Run.
 func NewWorker(g *graph.Graph, source int, opts Options, proc int) (*Worker, error) {
-	topo := opts.Topo
-	if topo == (netsim.Topology{}) {
-		topo = netsim.SingleNode(4)
-	}
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	if proc < 0 || proc >= topo.TotalProcs() {
-		return nil, fmt.Errorf("core: worker proc %d out of range [0,%d)", proc, topo.TotalProcs())
-	}
-	if source < 0 || source >= g.NumVertices() {
-		return nil, fmt.Errorf("core: source %d out of range [0,%d)", source, g.NumVertices())
-	}
-	params, err := opts.Params.withDefaults(g.NumVertices())
+	s, err := newSetup(g, source, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	// A worker is always a real transport; the simulation knobs are as
-	// meaningless here as under Run's TransportTCP.
-	switch {
-	case opts.Latency != (netsim.LatencyModel{}):
-		return nil, fmt.Errorf("core: workers run over TCP and model no latency; Options.Latency must be zero")
-	case opts.Jitter != nil:
-		return nil, fmt.Errorf("core: workers run over TCP and cannot inject jitter; Options.Jitter must be nil")
-	case !opts.Fault.Empty():
-		return nil, fmt.Errorf("core: workers run over TCP and cannot inject faults; Options.Fault must be empty")
-	case opts.Reliability != nil:
-		return nil, fmt.Errorf("core: TCP is already reliable; Options.Reliability must be nil")
-	}
-
-	sc := opts.Scratch
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	if err := sc.acquire(); err != nil {
-		return nil, err
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			sc.release()
-		}
-	}()
-	sc.prepare(scratchKey{
-		pes:         topo.TotalPEs(),
-		bucketCount: params.BucketCount,
-		tramCap:     params.TramCapacity,
-		width:       params.BucketWidth,
-	})
-
-	tm, err := tram.NewWithArena[Update](topo, params.TramMode, params.TramCapacity, opts.Metrics, sc.pools.ar)
-	if err != nil {
-		return nil, err
-	}
-	var part Partition = partition.NewOneD(g.NumVertices(), topo.TotalPEs())
-	if params.OverDecomposition > 1 {
-		part = partition.NewChunked(g.NumVertices(), topo.TotalPEs(), params.OverDecomposition)
-	}
-	sh := &sharedState{
-		g:           g,
-		part:        part,
-		tm:          tm,
-		tr:          opts.Trace,
-		met:         newCoreMetrics(opts.Metrics),
-		ar:          sc.pools.ar,
-		pools:       sc.pools,
-		bucketCount: params.BucketCount,
-		bucketWidth: params.BucketWidth,
-	}
-	codec := wire.NewCodec()
-	runtime.RegisterWire(codec)
-	registerCoreWire(codec, sh)
-
+	topo := s.cfg.Topo
 	node, err := sockfab.NewNode(sockfab.NodeConfig{
 		Proc:     proc,
 		NumProcs: topo.TotalProcs(),
 		NumPEs:   topo.TotalPEs(),
 		Owner:    topo.ProcessOf,
-		Codec:    codec,
+		Codec:    s.cfg.Codec,
 	})
+	if err == nil {
+		_, err = node.Listen("127.0.0.1:0")
+	}
 	if err != nil {
+		s.sc.release()
 		return nil, err
 	}
-	if _, err := node.Listen("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-
-	lo, hi := topo.PEsOfProcess(proc)
-	ok = true
-	return &Worker{
-		g: g, source: source, topo: topo, params: params, opts: opts,
-		proc: proc, lo: lo, hi: hi,
-		sc: sc, sh: sh, node: node,
-	}, nil
+	s.cfg.Node = node
+	s.cfg.Span.Lo, s.cfg.Span.Hi = topo.PEsOfProcess(proc)
+	return &Worker{s}, nil
 }
 
 // Addr returns the worker's transport listen address.
-func (w *Worker) Addr() string { return w.node.Addr() }
+func (w *Worker) Addr() string { return w.cfg.Node.Addr() }
 
 // Run connects to the peers (addrs is the full per-process address list,
 // indexed by proc), executes the run to termination, and returns this
@@ -160,59 +71,25 @@ func (w *Worker) Addr() string { return w.node.Addr() }
 // Worker runs once.
 func (w *Worker) Run(addrs []string) (*WorkerResult, error) {
 	defer w.sc.release()
-	if len(addrs) != w.topo.TotalProcs() {
-		return nil, fmt.Errorf("core: got %d peer addresses for %d processes", len(addrs), w.topo.TotalProcs())
-	}
-	if err := w.node.Connect(addrs); err != nil {
+	if err := w.cfg.Node.Connect(addrs); err != nil {
 		return nil, err
 	}
-
-	rt, err := runtime.New(runtime.Config{
-		Topo: w.topo,
-		Span: runtime.Span{Lo: w.lo, Hi: w.hi},
-		NewFabric: func(deliver func(dst int, payload any)) (fabric.Fabric, error) {
-			w.node.Start(deliver)
-			return w.node, nil
-		},
-		Combine: w.sh.combineReduce,
-		Trace:   w.opts.Trace,
-		Metrics: w.opts.Metrics,
-	})
+	run, err := w.run()
 	if err != nil {
 		return nil, err
 	}
-	w.sh.rt = rt
-
-	states := make([]*peState, w.topo.TotalPEs())
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		st := newPEState(w.sh, pe, w.params, w.sc.slot(pe.Index()))
-		states[pe.Index()] = st
-		return st
-	})
-
-	// Each process seeds only what it hosts: the source relaxation if the
-	// source vertex's owner lives here, and the reduction-cycle start for
-	// every hosted PE. The cycle's reductions and broadcasts then flow
-	// across the fabric like any other message.
-	if owner := w.sh.part.Owner(int32(w.source)); owner >= w.lo && owner < w.hi {
-		rt.Inject(owner, seedMsg{source: int32(w.source)})
-	}
-	for i := w.lo; i < w.hi; i++ {
-		rt.Inject(i, startMsg{})
-	}
-	rt.Wait()
-
-	res := &WorkerResult{Lo: w.lo, Hi: w.hi, Audit: rt.Audit()}
-	for pe := w.lo; pe < w.hi; pe++ {
-		st := states[pe]
+	span := w.cfg.Span
+	res := &WorkerResult{Lo: span.Lo, Hi: span.Hi, Audit: run.Audit}
+	for pe := span.Lo; pe < span.Hi; pe++ {
+		st := run.Handlers[pe]
 		for local, d := range st.dist {
 			res.Vertices = append(res.Vertices, w.sh.part.GlobalOf(pe, local))
 			res.Dist = append(res.Dist, d)
 			res.Parent = append(res.Parent, st.parent[local])
 		}
 	}
-	if w.lo == 0 {
-		res.Reductions = states[0].reductions
+	if span.Lo == 0 {
+		res.Reductions = run.Handlers[0].reductions
 	}
 	return res, nil
 }

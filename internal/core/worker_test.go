@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"acic/internal/gen"
+	"acic/internal/graph"
 	"acic/internal/netsim"
 	"acic/internal/seq"
 )
@@ -20,34 +21,7 @@ func TestWorkersMatchDijkstra(t *testing.T) {
 	g := gen.RMAT(10, 8, gen.DefaultRMAT(), gen.Config{Seed: 11})
 	const source = 0
 
-	procs := topo.TotalProcs()
-	workers := make([]*Worker, procs)
-	addrs := make([]string, procs)
-	for p := 0; p < procs; p++ {
-		w, err := NewWorker(g, source, Options{Topo: topo}, p)
-		if err != nil {
-			t.Fatalf("worker %d: %v", p, err)
-		}
-		workers[p] = w
-		addrs[p] = w.Addr()
-	}
-
-	results := make([]*WorkerResult, procs)
-	errs := make([]error, procs)
-	var wg sync.WaitGroup
-	for p, w := range workers {
-		wg.Add(1)
-		go func(p int, w *Worker) {
-			defer wg.Done()
-			results[p], errs[p] = w.Run(addrs)
-		}(p, w)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d run: %v", p, err)
-		}
-	}
+	results := runWorkers(t, g, source, Options{Topo: topo})
 
 	dist := make([]float64, g.NumVertices())
 	parent := make([]int32, g.NumVertices())
@@ -103,6 +77,79 @@ func TestWorkersMatchDijkstra(t *testing.T) {
 		if parent[v] < 0 {
 			t.Fatalf("reachable vertex %d has no parent", v)
 		}
+	}
+}
+
+// runWorkers runs one Worker per topology process, all in this test
+// process, and returns their partial results indexed by proc.
+func runWorkers(t *testing.T, g *graph.Graph, source int, opts Options) []*WorkerResult {
+	t.Helper()
+	procs := opts.Topo.TotalProcs()
+	workers := make([]*Worker, procs)
+	addrs := make([]string, procs)
+	for p := 0; p < procs; p++ {
+		w, err := NewWorker(g, source, opts, p)
+		if err != nil {
+			t.Fatalf("worker %d: %v", p, err)
+		}
+		workers[p] = w
+		addrs[p] = w.Addr()
+	}
+
+	results := make([]*WorkerResult, procs)
+	errs := make([]error, procs)
+	var wg sync.WaitGroup
+	for p, w := range workers {
+		wg.Add(1)
+		go func(p int, w *Worker) {
+			defer wg.Done()
+			results[p], errs[p] = w.Run(addrs)
+		}(p, w)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d run: %v", p, err)
+		}
+	}
+	return results
+}
+
+// TestWorkersMatchMeshRun pins that Run's in-process TCP mesh and a
+// two-Worker launch are one machine under two fabrics: same graph, source
+// and options give bit-identical distances and parents (random float
+// weights make the shortest-path tree unique), and every ledger closes
+// exactly.
+func TestWorkersMatchMeshRun(t *testing.T) {
+	topo := netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2}
+	g := gen.Uniform(1<<10, 8<<10, gen.Config{Seed: 23})
+	const source = 5
+
+	mesh, err := Run(g, source, Options{Topo: topo, Transport: TransportTCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if un := mesh.Stats.Audit.Unaccounted(); un != 0 || mesh.Stats.Audit.NetQueue != 0 {
+		t.Errorf("mesh ledger not exact: %d unaccounted, %d queued", un, mesh.Stats.Audit.NetQueue)
+	}
+
+	covered := 0
+	for p, res := range runWorkers(t, g, source, Options{Topo: topo}) {
+		if un := res.Audit.Unaccounted(); un != 0 || res.Audit.NetQueue != 0 {
+			t.Errorf("worker %d ledger not exact: %d unaccounted, %d queued", p, un, res.Audit.NetQueue)
+		}
+		for i, v := range res.Vertices {
+			// Bit-identical, not approximately equal: == also holds for the
+			// +Inf of an unreachable vertex.
+			if res.Dist[i] != mesh.Dist[v] || res.Parent[i] != mesh.Parent[v] {
+				t.Fatalf("vertex %d: worker %d has dist %v parent %d, mesh run dist %v parent %d",
+					v, p, res.Dist[i], res.Parent[i], mesh.Dist[v], mesh.Parent[v])
+			}
+		}
+		covered += len(res.Vertices)
+	}
+	if covered != g.NumVertices() {
+		t.Errorf("workers reported %d vertices, want %d", covered, g.NumVertices())
 	}
 }
 

@@ -21,9 +21,10 @@
 //     column c (because the edge's storage column is colOf(v)), so the
 //     candidate travels down the column only.
 //
-// Both flows are aggregated through tramlib and synchronized with the same
-// reduction-tree barriers as the 1-D baseline, including the RIKEN hybrid
-// switch to Bellman-Ford once the settle rate passes its local maximum.
+// Both flows are aggregated through tramlib and synchronized by the 1-D
+// baseline's own control plane (deltastep.Root and its command set): the
+// same reduction-tree barriers, including the RIKEN hybrid switch to
+// Bellman-Ford once the settle rate passes its local maximum.
 // Compared to `internal/deltastep` (1-D), hub vertices' edge lists spread
 // across a whole row of PEs instead of loading one PE — the property the
 // paper credits for the RIKEN code's RMAT advantage.
@@ -140,42 +141,6 @@ type (
 	batchMsg struct{ items []wire }
 )
 
-// Control plane: identical protocol to the 1-D baseline.
-type command uint8
-
-const (
-	cmdDrainLight command = iota
-	cmdWait
-	cmdHeavy
-	cmdAdvance
-	cmdBellmanFord
-	cmdTerminate
-)
-
-type ctrlMsg struct {
-	cmd    command
-	bucket int32
-}
-
-type status struct {
-	sent, received int64
-	minBucket      int32
-	settled        int64
-	changed        bool
-}
-
-func combineStatus(a, b any) any {
-	av, bv := a.(*status), b.(*status)
-	av.sent += bv.sent
-	av.received += bv.received
-	if bv.minBucket >= 0 && (av.minBucket < 0 || bv.minBucket < av.minBucket) {
-		av.minBucket = bv.minBucket
-	}
-	av.settled += bv.settled
-	av.changed = av.changed || bv.changed
-	return av
-}
-
 // halfEdge is a stored out-edge half: target and weight.
 type halfEdge struct {
 	to int32
@@ -183,16 +148,7 @@ type halfEdge struct {
 }
 
 type sharedState struct {
-	g     *graph.Graph
-	rPart *partition.OneD // row blocks over edge sources
-	cPart *partition.OneD // column blocks over edge targets
-	rows  int
-	cols  int
-	tm    *tram.Manager[wire]
-}
-
-func (sh *sharedState) peAt(r, c int) int { return r*sh.cols + c }
-
-func (sh *sharedState) owner(v int32) int {
-	return sh.peAt(sh.rPart.Owner(v), sh.cPart.Owner(v))
+	g    *graph.Graph
+	grid *partition.TwoD
+	tm   *tram.Manager[wire]
 }

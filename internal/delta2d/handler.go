@@ -3,6 +3,7 @@ package delta2d
 import (
 	"math"
 
+	"acic/internal/deltastep"
 	"acic/internal/runtime"
 )
 
@@ -14,8 +15,6 @@ type peState struct {
 	shared *sharedState
 	params Params
 	delta  float64
-
-	row, col int
 
 	// Stored edges: out-edges (u → v) with rowOf(u) == row, colOf(v) == col.
 	edges map[int32][]halfEdge
@@ -41,55 +40,19 @@ type peState struct {
 	rejected     int64
 	frontierMsgs int64
 
-	root rootState
+	// Root is the 1-D baseline's phase state machine, run by PE 0.
+	deltastep.Root
 }
-
-type rootState struct {
-	supersteps        int64
-	bucketsProcessed  int64
-	bfRounds          int64
-	switched          bool
-	phase             phase
-	epochSettledAccum int64
-	prevSettled       int64
-	rose              bool
-	terminated        bool
-}
-
-type phase uint8
-
-const (
-	phaseLight phase = iota
-	phaseLightDrain
-	phaseHeavy
-	phaseHeavyDrain
-	phaseBF
-)
 
 var _ runtime.Handler = (*peState)(nil)
 
 func newPEState(sh *sharedState, pe *runtime.PE, p Params, delta float64, edges map[int32][]halfEdge) *peState {
-	row := pe.Index() / sh.cols
-	col := pe.Index() % sh.cols
-	rlo, rhi := sh.rPart.Range(row)
-	clo, chi := sh.cPart.Range(col)
-	lo, hi := rlo, rhi
-	if clo > lo {
-		lo = clo
-	}
-	if chi < hi {
-		hi = chi
-	}
-	if hi < lo {
-		hi = lo // empty ownership interval
-	}
+	lo, hi := sh.grid.OwnedRange(pe.Index())
 	n := int(hi - lo)
 	st := &peState{
 		shared:   sh,
 		params:   p,
 		delta:    delta,
-		row:      row,
-		col:      col,
 		edges:    edges,
 		ownerLo:  lo,
 		ownerHi:  hi,
@@ -98,6 +61,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, delta float64, edges 
 		inBucket: make([]int32, n),
 		wasInR:   make([]bool, n),
 		inFront:  make([]bool, n),
+		Root:     deltastep.Root{Hybrid: p.Hybrid},
 	}
 	for i := range st.dist {
 		st.dist[i] = math.Inf(1)
@@ -177,11 +141,13 @@ func (st *peState) send(pe *runtime.PE, dst int, w wire) {
 // announce broadcasts a frontier entry along this vertex's grid row — the
 // row-confined communication pattern of the 2-D layout.
 func (st *peState) announce(pe *runtime.PE, v int32, d float64, kind wireKind) {
-	r := st.shared.rPart.Owner(v)
-	for c := 0; c < st.shared.cols; c++ {
-		st.send(pe, st.shared.peAt(r, c), wire{Vertex: v, Dist: d, Kind: kind})
+	grid := st.shared.grid
+	r := grid.VertexRow(v)
+	_, cols := grid.Grid()
+	for c := 0; c < cols; c++ {
+		st.send(pe, grid.PEAt(r, c), wire{Vertex: v, Dist: d, Kind: kind})
 	}
-	st.frontierMsgs += int64(st.shared.cols)
+	st.frontierMsgs += int64(cols)
 }
 
 func (st *peState) receiveBatch(pe *runtime.PE, items []wire) {
@@ -251,7 +217,7 @@ func (st *peState) relaxStored(pe *runtime.PE, w wire) {
 		if st.params.ComputeCost > 0 {
 			pe.Work(st.params.ComputeCost)
 		}
-		st.send(pe, st.shared.owner(he.to), wire{Vertex: he.to, Dist: w.Dist + he.w, Kind: wireCandidate})
+		st.send(pe, st.shared.grid.Owner(he.to), wire{Vertex: he.to, Dist: w.Dist + he.w, Kind: wireCandidate})
 	}
 }
 
@@ -316,109 +282,40 @@ func (st *peState) contribute(pe *runtime.PE, epoch int64) {
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
 	}
-	s := &status{
-		sent:      st.sent,
-		received:  st.received,
-		minBucket: -1,
-		changed:   st.changed,
-		settled:   st.epochSettled,
+	s := &deltastep.Status{
+		Sent:      st.sent,
+		Received:  st.received,
+		MinBucket: -1,
+		Settled:   st.epochSettled,
+		Active:    int64(len(st.frontier)),
+		Changed:   st.changed,
 	}
 	st.changed = false
 	st.epochSettled = 0
 	if !st.bfMode {
-		s.minBucket = st.localMinBucket()
-	}
-	if st.bfMode && len(st.frontier) > 0 {
-		s.changed = true
+		s.MinBucket = st.localMinBucket()
 	}
 	pe.Contribute(epoch, s)
 }
 
 // OnBroadcast executes the root's command.
 func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
-	ctrl := payload.(ctrlMsg)
-	switch ctrl.cmd {
-	case cmdTerminate:
+	ctrl := payload.(deltastep.Ctrl)
+	switch ctrl.Cmd {
+	case deltastep.CmdTerminate:
 		pe.Exit()
 		return
-	case cmdWait:
-	case cmdDrainLight, cmdAdvance:
-		st.current = ctrl.bucket
+	case deltastep.CmdWait:
+	case deltastep.CmdDrainLight, deltastep.CmdAdvance:
+		st.current = ctrl.Bucket
 		st.drainLight(pe)
-	case cmdHeavy:
+	case deltastep.CmdHeavy:
 		st.relaxHeavyPhase(pe)
-	case cmdBellmanFord:
+	case deltastep.CmdBellmanFord:
 		if !st.bfMode {
 			st.enterBF()
 		}
 		st.bfRound(pe)
 	}
 	st.contribute(pe, epoch+1)
-}
-
-// OnReduction drives the same phase state machine as the 1-D baseline.
-func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
-	if st.root.terminated {
-		return
-	}
-	s := value.(*status)
-	st.root.supersteps++
-	r := &st.root
-	inFlight := s.sent != s.received
-
-	var ctrl ctrlMsg
-	switch r.phase {
-	case phaseLight, phaseLightDrain:
-		r.epochSettledAccum += s.settled
-		if inFlight {
-			ctrl = ctrlMsg{cmd: cmdWait}
-			r.phase = phaseLightDrain
-			break
-		}
-		if s.minBucket >= 0 && s.minBucket <= st.current {
-			ctrl = ctrlMsg{cmd: cmdDrainLight, bucket: st.current}
-			r.phase = phaseLight
-			break
-		}
-		ctrl = ctrlMsg{cmd: cmdHeavy}
-		r.phase = phaseHeavy
-	case phaseHeavy, phaseHeavyDrain:
-		if inFlight {
-			ctrl = ctrlMsg{cmd: cmdWait}
-			r.phase = phaseHeavyDrain
-			break
-		}
-		r.bucketsProcessed++
-		settledNow := r.epochSettledAccum
-		r.epochSettledAccum = 0
-		if settledNow > r.prevSettled {
-			r.rose = true
-		}
-		useBF := st.params.Hybrid && r.rose && settledNow < r.prevSettled
-		r.prevSettled = settledNow
-		if s.minBucket < 0 {
-			ctrl = ctrlMsg{cmd: cmdTerminate}
-			r.terminated = true
-			break
-		}
-		if useBF {
-			r.switched = true
-			r.bfRounds++
-			ctrl = ctrlMsg{cmd: cmdBellmanFord}
-			r.phase = phaseBF
-			break
-		}
-		st.current = s.minBucket
-		ctrl = ctrlMsg{cmd: cmdAdvance, bucket: s.minBucket}
-		r.phase = phaseLight
-	case phaseBF:
-		if inFlight || s.changed {
-			r.bfRounds++
-			ctrl = ctrlMsg{cmd: cmdBellmanFord}
-			break
-		}
-		ctrl = ctrlMsg{cmd: cmdTerminate}
-		r.terminated = true
-	}
-	pe.Broadcast(epoch, ctrl)
 }

@@ -5,22 +5,26 @@ import (
 	"math"
 
 	"acic/internal/deltastep"
-	"acic/internal/netsim"
+	"acic/internal/graph"
+	"acic/internal/machine"
 	"acic/internal/partition"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 	"acic/internal/tram"
-
-	"acic/internal/graph"
 )
 
 // Run executes 2-D Δ-stepping on g from source over the simulated machine.
 func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
-	topo := opts.Topo
-	if topo == (netsim.Topology{}) {
-		topo = netsim.SingleNode(4)
+	cfg := machine.Config{
+		Config: runtime.Config{
+			Topo:    opts.Topo,
+			Latency: opts.Latency,
+			Jitter:  opts.Jitter,
+			Combine: deltastep.CombineStatus,
+		},
+		Clock: opts.Clock,
 	}
-	if err := topo.Validate(); err != nil {
+	topo, err := cfg.Validate()
+	if err != nil {
 		return nil, err
 	}
 	if source < 0 || source >= g.NumVertices() {
@@ -50,14 +54,7 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &sharedState{
-		g:     g,
-		rPart: partition.NewOneD(g.NumVertices(), rows),
-		cPart: partition.NewOneD(g.NumVertices(), cols),
-		rows:  rows,
-		cols:  cols,
-		tm:    tm,
-	}
+	sh := &sharedState{g: g, grid: partition.NewTwoD(g.NumVertices(), rows, cols), tm: tm}
 
 	// Distribute the adjacency matrix: edge (u → v) to PE
 	// (rowOf(u), colOf(v)).
@@ -66,60 +63,42 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		stores[i] = make(map[int32][]halfEdge)
 	}
 	g.EachEdge(func(from, to int32, w float64) {
-		pe := sh.peAt(sh.rPart.Owner(from), sh.cPart.Owner(to))
+		pe := sh.grid.OwnerOfEdge(from, to)
 		stores[pe][from] = append(stores[pe][from], halfEdge{to: to, w: w})
 	})
 
-	rt, err := runtime.New(runtime.Config{
-		Topo:    topo,
-		Latency: opts.Latency,
-		Combine: combineStatus,
-		Jitter:  opts.Jitter,
-	})
+	run, err := machine.Run(cfg,
+		func(pe *runtime.PE) *peState { return newPEState(sh, pe, params, params.Delta, stores[pe.Index()]) },
+		func(rt *runtime.Runtime) {
+			for i := 0; i < pes; i++ {
+				rt.Inject(i, startMsg{source: int32(source)})
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	states := make([]*peState, pes)
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		st := newPEState(sh, pe, params, params.Delta, stores[pe.Index()])
-		states[pe.Index()] = st
-		return st
-	})
 
-	clk := simclock.Default(opts.Clock)
-	start := clk.Now()
-	for i := 0; i < pes; i++ {
-		rt.Inject(i, startMsg{source: int32(source)})
-	}
-	rt.Wait()
-	elapsed := clk.Since(start)
-
+	root := run.Handlers[0]
 	res := &Result{
 		Dist: make([]float64, g.NumVertices()),
 		Stats: Stats{
-			Elapsed:  elapsed,
-			GridRows: rows,
-			GridCols: cols,
+			Elapsed:          run.Elapsed,
+			GridRows:         rows,
+			GridCols:         cols,
+			Supersteps:       root.Supersteps,
+			BucketsProcessed: root.BucketsProcessed,
+			SwitchedToBF:     root.Switched,
+			BFRounds:         root.BFRounds,
+			TramStats:        tm.Stats(),
+			Network:          run.Network,
+			Audit:            run.Audit,
 		},
 	}
-	for i := range res.Dist {
-		res.Dist[i] = math.Inf(1)
-	}
-	root := states[0]
-	res.Stats.Supersteps = root.root.supersteps
-	res.Stats.BucketsProcessed = root.root.bucketsProcessed
-	res.Stats.SwitchedToBF = root.root.switched
-	res.Stats.BFRounds = root.root.bfRounds
-	for _, st := range states {
-		for li, d := range st.dist {
-			res.Dist[st.ownerLo+int32(li)] = d
-		}
+	for _, st := range run.Handlers {
+		copy(res.Dist[st.ownerLo:st.ownerHi], st.dist)
 		res.Stats.Relaxations += st.relaxations
 		res.Stats.Rejected += st.rejected
 		res.Stats.FrontierMsgs += st.frontierMsgs
 	}
-	res.Stats.TramStats = tm.Stats()
-	res.Stats.Network = rt.NetworkStats()
-	res.Stats.Audit = rt.Audit()
 	return res, nil
 }

@@ -16,54 +16,6 @@ type request struct {
 	Dist   float64
 }
 
-// Commands broadcast by the root to drive the bulk-synchronous phases.
-type command uint8
-
-const (
-	// cmdDrainLight: drain the current bucket, relax light edges.
-	cmdDrainLight command = iota
-	// cmdWait: a barrier retry — requests are still in flight; process
-	// arrivals and report again.
-	cmdWait
-	// cmdHeavy: relax heavy edges of the vertices settled from the
-	// current bucket.
-	cmdHeavy
-	// cmdAdvance: move to the given bucket (payload carries it).
-	cmdAdvance
-	// cmdBellmanFord: one Bellman-Ford round over the active frontier.
-	cmdBellmanFord
-	// cmdTerminate: stop.
-	cmdTerminate
-)
-
-// ctrlMsg is the broadcast payload.
-type ctrlMsg struct {
-	cmd    command
-	bucket int32
-}
-
-// status is the per-PE contribution reduced after every command.
-type status struct {
-	sent, received int64 // cumulative request counters
-	minBucket      int32 // lowest non-empty local bucket, or -1
-	settled        int64 // vertices first removed from the current bucket since its light phase began
-	active         int64 // BF-mode frontier size
-	changed        bool  // any distance improved since last contribution
-}
-
-func combineStatus(a, b any) any {
-	av, bv := a.(*status), b.(*status)
-	av.sent += bv.sent
-	av.received += bv.received
-	if bv.minBucket >= 0 && (av.minBucket < 0 || bv.minBucket < av.minBucket) {
-		av.minBucket = bv.minBucket
-	}
-	av.settled += bv.settled
-	av.active += bv.active
-	av.changed = av.changed || bv.changed
-	return av
-}
-
 type (
 	startMsg struct{ source int32 }
 	// batchMsg carries aggregated relaxation requests.
@@ -103,32 +55,9 @@ type peState struct {
 	relaxations int64
 	rejected    int64
 
-	// Root-only.
-	root rootState
+	// Root is the phase state machine; it runs on PE 0 only.
+	Root
 }
-
-type rootState struct {
-	supersteps        int64
-	bucketsProcessed  int64
-	bfRounds          int64
-	switched          bool
-	phase             phase
-	settledPerEpoch   []int64
-	epochSettledAccum int64
-	prevSettled       int64
-	rose              bool
-	terminated        bool
-}
-
-type phase uint8
-
-const (
-	phaseLight phase = iota
-	phaseLightDrain
-	phaseHeavy
-	phaseHeavyDrain
-	phaseBF
-)
 
 type sharedState struct {
 	g    *graph.Graph
@@ -152,6 +81,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, delta float64) *peSta
 		inBucket:  make([]int32, n),
 		wasInR:    make([]bool, n),
 		inFront:   make([]bool, n),
+		Root:      Root{Hybrid: p.Hybrid},
 	}
 	for i := range st.dist {
 		st.dist[i] = math.Inf(1)
@@ -365,118 +295,41 @@ func (st *peState) contribute(pe *runtime.PE, epoch int64) {
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
 	}
-	s := &status{
-		sent:      st.sent,
-		received:  st.received,
-		minBucket: -1,
-		active:    int64(len(st.frontier)),
-		changed:   st.changed,
+	s := &Status{
+		Sent:      st.sent,
+		Received:  st.received,
+		MinBucket: -1,
+		Settled:   st.epochSettled,
+		Active:    int64(len(st.frontier)),
+		Changed:   st.changed,
 	}
 	st.changed = false
-	if !st.bfMode {
-		s.minBucket = st.localMinBucket()
-	}
-	s.settled = st.epochSettled
 	st.epochSettled = 0
+	if !st.bfMode {
+		s.MinBucket = st.localMinBucket()
+	}
 	pe.Contribute(epoch, s)
 }
 
 // OnBroadcast executes the root's command, then reports back.
 func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
-	ctrl := payload.(ctrlMsg)
-	switch ctrl.cmd {
-	case cmdTerminate:
+	ctrl := payload.(Ctrl)
+	switch ctrl.Cmd {
+	case CmdTerminate:
 		pe.Exit()
 		return
-	case cmdWait:
+	case CmdWait:
 		// Barrier retry: arrivals were processed by Deliver already.
-	case cmdAdvance:
-		st.current = ctrl.bucket
+	case CmdAdvance, CmdDrainLight:
+		st.current = ctrl.Bucket
 		st.epochSettled += st.drainLight(pe)
-	case cmdDrainLight:
-		st.current = ctrl.bucket
-		st.epochSettled += st.drainLight(pe)
-	case cmdHeavy:
+	case CmdHeavy:
 		st.relaxHeavy(pe)
-	case cmdBellmanFord:
+	case CmdBellmanFord:
 		if !st.bfMode {
 			st.enterBF()
 		}
 		st.bfRound(pe)
 	}
 	st.contribute(pe, epoch+1)
-}
-
-// OnReduction is the root's phase state machine.
-func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
-	if st.root.terminated {
-		return
-	}
-	s := value.(*status)
-	st.root.supersteps++
-	r := &st.root
-
-	// A barrier is only complete when every sent request was received.
-	inFlight := s.sent != s.received
-
-	var ctrl ctrlMsg
-	switch r.phase {
-	case phaseLight, phaseLightDrain:
-		r.epochSettledAccum += s.settled
-		if inFlight {
-			ctrl = ctrlMsg{cmd: cmdWait}
-			r.phase = phaseLightDrain
-			break
-		}
-		if s.minBucket >= 0 && s.minBucket <= st.current {
-			// Current bucket refilled (or not yet empty): another light
-			// iteration.
-			ctrl = ctrlMsg{cmd: cmdDrainLight, bucket: st.current}
-			r.phase = phaseLight
-			break
-		}
-		// Bucket empty everywhere: heavy phase.
-		ctrl = ctrlMsg{cmd: cmdHeavy}
-		r.phase = phaseHeavy
-	case phaseHeavy, phaseHeavyDrain:
-		if inFlight {
-			ctrl = ctrlMsg{cmd: cmdWait}
-			r.phase = phaseHeavyDrain
-			break
-		}
-		// Epoch (bucket) complete.
-		r.bucketsProcessed++
-		r.settledPerEpoch = append(r.settledPerEpoch, r.epochSettledAccum)
-		settledNow := r.epochSettledAccum
-		r.epochSettledAccum = 0
-		if settledNow > r.prevSettled {
-			r.rose = true
-		}
-		useBF := st.params.Hybrid && r.rose && settledNow < r.prevSettled
-		r.prevSettled = settledNow
-		if s.minBucket < 0 {
-			ctrl = ctrlMsg{cmd: cmdTerminate}
-			r.terminated = true
-			break
-		}
-		if useBF {
-			r.switched = true
-			r.bfRounds++
-			ctrl = ctrlMsg{cmd: cmdBellmanFord}
-			r.phase = phaseBF
-			break
-		}
-		st.current = s.minBucket
-		ctrl = ctrlMsg{cmd: cmdAdvance, bucket: s.minBucket}
-		r.phase = phaseLight
-	case phaseBF:
-		if inFlight || s.changed || s.active > 0 {
-			r.bfRounds++
-			ctrl = ctrlMsg{cmd: cmdBellmanFord}
-			break
-		}
-		ctrl = ctrlMsg{cmd: cmdTerminate}
-		r.terminated = true
-	}
-	pe.Broadcast(epoch, ctrl)
 }

@@ -5,10 +5,9 @@ import (
 	"math"
 
 	"acic/internal/graph"
-	"acic/internal/netsim"
+	"acic/internal/machine"
 	"acic/internal/partition"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 	"acic/internal/tram"
 )
 
@@ -57,11 +56,17 @@ func WorkOptimalDelta(g *graph.Graph) float64 {
 // Run executes Δ-stepping on g from source over the simulated machine and
 // returns distances and statistics.
 func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
-	topo := opts.Topo
-	if topo == (netsim.Topology{}) {
-		topo = netsim.SingleNode(4)
+	cfg := machine.Config{
+		Config: runtime.Config{
+			Topo:    opts.Topo,
+			Latency: opts.Latency,
+			Jitter:  opts.Jitter,
+			Combine: CombineStatus,
+		},
+		Clock: opts.Clock,
 	}
-	if err := topo.Validate(); err != nil {
+	topo, err := cfg.Validate()
+	if err != nil {
 		return nil, err
 	}
 	if source < 0 || source >= g.NumVertices() {
@@ -92,49 +97,37 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		tm:   tm,
 	}
 
-	rt, err := runtime.New(runtime.Config{
-		Topo:    topo,
-		Latency: opts.Latency,
-		Combine: combineStatus,
-		Jitter:  opts.Jitter,
-	})
+	run, err := machine.Run(cfg,
+		func(pe *runtime.PE) *peState { return newPEState(sh, pe, params, params.Delta) },
+		func(rt *runtime.Runtime) {
+			for i := 0; i < topo.TotalPEs(); i++ {
+				rt.Inject(i, startMsg{source: int32(source)})
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	states := make([]*peState, topo.TotalPEs())
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		st := newPEState(sh, pe, params, params.Delta)
-		states[pe.Index()] = st
-		return st
-	})
-
-	clk := simclock.Default(opts.Clock)
-	start := clk.Now()
-	for i := 0; i < topo.TotalPEs(); i++ {
-		rt.Inject(i, startMsg{source: int32(source)})
-	}
-	rt.Wait()
-	elapsed := clk.Since(start)
-
+	root := run.Handlers[0]
 	res := &Result{
-		Dist:  make([]float64, g.NumVertices()),
-		Stats: Stats{Elapsed: elapsed},
+		Dist: make([]float64, g.NumVertices()),
+		Stats: Stats{
+			Elapsed:          run.Elapsed,
+			Supersteps:       root.Supersteps,
+			BucketsProcessed: root.BucketsProcessed,
+			SwitchedToBF:     root.Switched,
+			BFRounds:         root.BFRounds,
+			SettledPerEpoch:  root.SettledPerEpoch,
+			TramStats:        tm.Stats(),
+			Network:          run.Network,
+			Audit:            run.Audit,
+		},
 	}
-	root := states[0]
-	res.Stats.Supersteps = root.root.supersteps
-	res.Stats.BucketsProcessed = root.root.bucketsProcessed
-	res.Stats.SwitchedToBF = root.root.switched
-	res.Stats.BFRounds = root.root.bfRounds
-	res.Stats.SettledPerEpoch = root.root.settledPerEpoch
-	for peIdx, st := range states {
+	for peIdx, st := range run.Handlers {
 		lo, hi := sh.part.Range(peIdx)
 		copy(res.Dist[lo:hi], st.dist)
 		res.Stats.Relaxations += st.relaxations
 		res.Stats.Rejected += st.rejected
 	}
-	res.Stats.TramStats = tm.Stats()
-	res.Stats.Network = rt.NetworkStats()
-	res.Stats.Audit = rt.Audit()
 	return res, nil
 }

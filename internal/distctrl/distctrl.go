@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"acic/internal/graph"
+	"acic/internal/machine"
 	"acic/internal/netsim"
 	"acic/internal/partition"
 	"acic/internal/pq"
@@ -198,23 +199,28 @@ func (st *peState) relaxOutEdges(pe *runtime.PE, v int32, d float64) {
 
 // Run executes distributed control on g from source.
 func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
-	topo := opts.Topo
-	if topo == (netsim.Topology{}) {
-		topo = netsim.SingleNode(4)
-	}
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	if source < 0 || source >= g.NumVertices() {
-		return nil, fmt.Errorf("distctrl: source %d out of range [0,%d)", source, g.NumVertices())
-	}
 	params := opts.Params
 	if params.TramCapacity <= 0 {
 		params.TramCapacity = tram.DefaultCapacity
 	}
-	poll := params.QuiescencePoll
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
+	if params.QuiescencePoll <= 0 {
+		params.QuiescencePoll = 200 * time.Microsecond
+	}
+	cfg := machine.Config{
+		Config: runtime.Config{
+			Topo:           opts.Topo,
+			Latency:        opts.Latency,
+			Jitter:         opts.Jitter,
+			QuiescencePoll: params.QuiescencePoll,
+		},
+		Clock: opts.Clock,
+	}
+	topo, err := cfg.Validate()
+	if err != nil {
+		return nil, err
+	}
+	if source < 0 || source >= g.NumVertices() {
+		return nil, fmt.Errorf("distctrl: source %d out of range [0,%d)", source, g.NumVertices())
 	}
 
 	tm, err := tram.New[update](topo, params.TramMode, params.TramCapacity)
@@ -226,34 +232,27 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		part: partition.NewOneD(g.NumVertices(), topo.TotalPEs()),
 		tm:   tm,
 	}
-	rt, err := runtime.New(runtime.Config{
-		Topo:           topo,
-		Latency:        opts.Latency,
-		QuiescencePoll: poll,
-		Jitter:         opts.Jitter,
-	})
+	run, err := machine.Run(cfg,
+		func(pe *runtime.PE) *peState {
+			lo, hi := sh.part.Range(pe.Index())
+			st := &peState{shared: sh, params: params, base: lo, dist: make([]float64, hi-lo), queue: pq.NewBinaryHeap(64)}
+			for i := range st.dist {
+				st.dist[i] = math.Inf(1)
+			}
+			return st
+		},
+		func(rt *runtime.Runtime) {
+			rt.Inject(sh.part.Owner(int32(source)), seedMsg{source: int32(source)})
+		})
 	if err != nil {
 		return nil, err
 	}
-	states := make([]*peState, topo.TotalPEs())
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		lo, hi := sh.part.Range(pe.Index())
-		st := &peState{shared: sh, params: params, base: lo, dist: make([]float64, hi-lo), queue: pq.NewBinaryHeap(64)}
-		for i := range st.dist {
-			st.dist[i] = math.Inf(1)
-		}
-		states[pe.Index()] = st
-		return st
-	})
 
-	clk := simclock.Default(opts.Clock)
-	start := clk.Now()
-	rt.Inject(sh.part.Owner(int32(source)), seedMsg{source: int32(source)})
-	rt.Wait()
-	elapsed := clk.Since(start)
-
-	res := &Result{Dist: make([]float64, g.NumVertices()), Stats: Stats{Elapsed: elapsed}}
-	for peIdx, st := range states {
+	res := &Result{
+		Dist:  make([]float64, g.NumVertices()),
+		Stats: Stats{Elapsed: run.Elapsed, TramStats: tm.Stats(), Network: run.Network, Audit: run.Audit},
+	}
+	for peIdx, st := range run.Handlers {
 		lo, hi := sh.part.Range(peIdx)
 		copy(res.Dist[lo:hi], st.dist)
 		res.Stats.UpdatesCreated += st.created
@@ -261,8 +260,5 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		res.Stats.UpdatesRejected += st.rejected
 		res.Stats.Relaxations += st.relaxations
 	}
-	res.Stats.TramStats = tm.Stats()
-	res.Stats.Network = rt.NetworkStats()
-	res.Stats.Audit = rt.Audit()
 	return res, nil
 }

@@ -18,6 +18,8 @@
 package gen
 
 import (
+	"fmt"
+
 	"acic/internal/graph"
 	"acic/internal/xrand"
 )
@@ -41,6 +43,26 @@ func (c Config) maxWeight() float64 {
 
 func (c Config) weight(r *xrand.Rand) float64 {
 	return r.Range(1, c.maxWeight())
+}
+
+// ByKind generates the evaluation graph family the commands and the figure
+// harness name on their -kind flags, at 2^scale vertices: "rmat" (RMAT with
+// the default quadrant probabilities), "random" (Uniform) — both with
+// edgeFactor×2^scale edges — or "grid" (the square road-style grid of side
+// 2^(scale/2), which ignores edgeFactor).
+func ByKind(kind string, scale, edgeFactor int, cfg Config) (*graph.Graph, error) {
+	n := 1 << scale
+	switch kind {
+	case "rmat":
+		return RMAT(scale, edgeFactor, DefaultRMAT(), cfg), nil
+	case "random":
+		return Uniform(n, edgeFactor*n, cfg), nil
+	case "grid":
+		side := 1 << (scale / 2)
+		return Grid(side, side, cfg), nil
+	default:
+		return nil, fmt.Errorf("unknown kind %q", kind)
+	}
 }
 
 // Uniform generates the paper's "random, low diameter" graph: numEdges

@@ -2,8 +2,11 @@ package gen
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"acic/internal/graph"
 )
 
 func TestUniformShape(t *testing.T) {
@@ -223,5 +226,31 @@ func BenchmarkUniformScale14(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Uniform(1<<14, 16<<14, Config{Seed: uint64(i)})
+	}
+}
+
+// TestByKind pins the recipe behind every command's -kind flag: the named
+// family at 2^scale vertices, identical to calling the generator directly,
+// and an error for an unknown name.
+func TestByKind(t *testing.T) {
+	cfg := Config{Seed: 3}
+	want := map[string]*graph.Graph{
+		"rmat":   RMAT(7, 4, DefaultRMAT(), cfg),
+		"random": Uniform(128, 512, cfg),
+		"grid":   Grid(8, 8, cfg), // side 2^(7/2): odd scales round the grid down
+	}
+	for kind, w := range want {
+		g, err := ByKind(kind, 7, 4, cfg)
+		if err != nil {
+			t.Errorf("ByKind(%q): %v", kind, err)
+			continue
+		}
+		if g.NumVertices() != w.NumVertices() || !reflect.DeepEqual(g.Edges(), w.Edges()) {
+			t.Errorf("ByKind(%q): %d vertices, %d edges differ from the direct call's %d, %d",
+				kind, g.NumVertices(), g.NumEdges(), w.NumVertices(), w.NumEdges())
+		}
+	}
+	if _, err := ByKind("erdos", 7, 4, cfg); err == nil {
+		t.Error("ByKind accepted a kind outside rmat | random | grid")
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"acic/internal/graph"
+	"acic/internal/machine"
 	"acic/internal/netsim"
 	"acic/internal/partition"
 	"acic/internal/runtime"
@@ -349,11 +350,17 @@ func (st *peState) adaptK(s *status) int32 {
 
 // Run executes KLA on g from source.
 func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
-	topo := opts.Topo
-	if topo == (netsim.Topology{}) {
-		topo = netsim.SingleNode(4)
+	cfg := machine.Config{
+		Config: runtime.Config{
+			Topo:    opts.Topo,
+			Latency: opts.Latency,
+			Jitter:  opts.Jitter,
+			Combine: combineStatus,
+		},
+		Clock: opts.Clock,
 	}
-	if err := topo.Validate(); err != nil {
+	topo, err := cfg.Validate()
+	if err != nil {
 		return nil, err
 	}
 	if source < 0 || source >= g.NumVertices() {
@@ -376,55 +383,50 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		part: partition.NewOneD(g.NumVertices(), topo.TotalPEs()),
 		tm:   tm,
 	}
-	rt, err := runtime.New(runtime.Config{
-		Topo:    topo,
-		Latency: opts.Latency,
-		Combine: combineStatus,
-		Jitter:  opts.Jitter,
-	})
+	run, err := machine.Run(cfg,
+		func(pe *runtime.PE) *peState {
+			lo, hi := sh.part.Range(pe.Index())
+			st := &peState{
+				shared:  sh,
+				params:  params,
+				base:    lo,
+				dist:    make([]float64, hi-lo),
+				k:       params.InitialK,
+				inDefer: make([]bool, hi-lo),
+			}
+			for i := range st.dist {
+				st.dist[i] = math.Inf(1)
+			}
+			return st
+		},
+		func(rt *runtime.Runtime) {
+			for i := 0; i < topo.TotalPEs(); i++ {
+				rt.Inject(i, startMsg{source: int32(source)})
+			}
+		})
 	if err != nil {
 		return nil, err
 	}
-	states := make([]*peState, topo.TotalPEs())
-	rt.Start(func(pe *runtime.PE) runtime.Handler {
-		lo, hi := sh.part.Range(pe.Index())
-		st := &peState{
-			shared:  sh,
-			params:  params,
-			base:    lo,
-			dist:    make([]float64, hi-lo),
-			k:       params.InitialK,
-			inDefer: make([]bool, hi-lo),
-		}
-		for i := range st.dist {
-			st.dist[i] = math.Inf(1)
-		}
-		states[pe.Index()] = st
-		return st
-	})
 
-	clk := simclock.Default(opts.Clock)
-	start := clk.Now()
-	for i := 0; i < topo.TotalPEs(); i++ {
-		rt.Inject(i, startMsg{source: int32(source)})
+	root := run.Handlers[0].root
+	res := &Result{
+		Dist: make([]float64, g.NumVertices()),
+		Stats: Stats{
+			Elapsed:    run.Elapsed,
+			SuperSteps: root.superSteps,
+			Barriers:   root.barriers,
+			KHistory:   root.kHistory,
+			TramStats:  tm.Stats(),
+			Network:    run.Network,
+			Audit:      run.Audit,
+		},
 	}
-	rt.Wait()
-	elapsed := clk.Since(start)
-
-	res := &Result{Dist: make([]float64, g.NumVertices()), Stats: Stats{Elapsed: elapsed}}
-	root := states[0]
-	res.Stats.SuperSteps = root.root.superSteps
-	res.Stats.Barriers = root.root.barriers
-	res.Stats.KHistory = root.root.kHistory
-	for peIdx, st := range states {
+	for peIdx, st := range run.Handlers {
 		lo, hi := sh.part.Range(peIdx)
 		copy(res.Dist[lo:hi], st.dist)
 		res.Stats.Relaxations += st.relaxations
 		res.Stats.Rejected += st.rejected
 		res.Stats.Deferred += st.totalDeferred
 	}
-	res.Stats.TramStats = tm.Stats()
-	res.Stats.Network = rt.NetworkStats()
-	res.Stats.Audit = rt.Audit()
 	return res, nil
 }

@@ -3,10 +3,8 @@
 // ACIC uses a one-dimensional partitioning: each PE owns a contiguous block
 // of vertices and the out-edges of those vertices, and exactly one copy of
 // each vertex object exists (§II-A). The RIKEN Δ-stepping comparator uses a
-// two-dimensional partitioning of the adjacency matrix (§IV-A), and the
-// paper's future-work section discusses the 1.5-D partitioning of Cao et
-// al., which classes vertices by degree (§V). All three are implemented
-// here so the baselines and the future-work benchmarks share one vocabulary.
+// two-dimensional partitioning of the adjacency matrix (§IV-A). Both are
+// implemented here so ACIC and the baselines share one vocabulary.
 package partition
 
 import (
@@ -223,6 +221,28 @@ func (p *TwoD) VertexCol(v int32) int { return p.colPart.Owner(v) }
 // PEAt returns the linear PE id of grid cell (r, c).
 func (p *TwoD) PEAt(r, c int) int { return r*p.cols + c }
 
+// Owner returns the PE holding v's vertex state: the grid cell of v's own
+// row block and column block.
+func (p *TwoD) Owner(v int32) int { return p.OwnerOfEdge(v, v) }
+
+// OwnedRange returns the half-open vertex interval whose state PE pe
+// holds: the intersection of its row block and its column block, a
+// contiguous interval that is empty (lo == hi) for most off-diagonal cells.
+func (p *TwoD) OwnedRange(pe int) (lo, hi int32) {
+	lo, hi = p.rowPart.Range(pe / p.cols)
+	clo, chi := p.colPart.Range(pe % p.cols)
+	if clo > lo {
+		lo = clo
+	}
+	if chi < hi {
+		hi = chi
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
 // EdgeCounts returns the per-PE edge counts for g, used by the imbalance
 // comparison between 1-D and 2-D partitioning.
 func (p *TwoD) EdgeCounts(g *graph.Graph) []int {
@@ -247,111 +267,4 @@ func (p *TwoD) EdgeImbalance(g *graph.Graph) float64 {
 	}
 	mean := float64(g.NumEdges()) / float64(p.NumPEs())
 	return float64(max) / mean
-}
-
-// DegreeClass labels a vertex for the 1.5-D partition of Cao et al. (§V).
-type DegreeClass uint8
-
-// Degree classes, ordered by decreasing degree.
-const (
-	ClassExtreme DegreeClass = iota // extremely high-degree
-	ClassHigh                       // high-degree
-	ClassLow                        // low-degree
-)
-
-// OneAndHalfD implements the degree-classed 1.5-D partitioning sketched in
-// the future-work section: vertices are classed as extremely-high-degree
-// (top extremeFrac), high-degree (next highFrac) or low-degree, and the six
-// class-pair subgraphs get distinct placement policies. Here we model the
-// placement consequence that matters for SSSP: extreme vertices are
-// replicated in spirit by being hashed over all PEs edge-wise, high ones
-// are hashed by source, and low ones keep 1-D block locality.
-type OneAndHalfD struct {
-	oneD    *OneD
-	classes []DegreeClass
-}
-
-// NewOneAndHalfD classes vertices of g by out-degree thresholds: the
-// extremeFrac highest-degree vertices are ClassExtreme, the next highFrac
-// are ClassHigh, the rest ClassLow.
-func NewOneAndHalfD(g *graph.Graph, numPEs int, extremeFrac, highFrac float64) *OneAndHalfD {
-	n := g.NumVertices()
-	p := &OneAndHalfD{oneD: NewOneD(n, numPEs), classes: make([]DegreeClass, n)}
-	if n == 0 {
-		return p
-	}
-	// Rank vertices by degree via counting over the degree histogram to
-	// avoid a full sort for large graphs.
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		if d := g.OutDegree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	hist := make([]int, maxDeg+1)
-	for v := 0; v < n; v++ {
-		hist[g.OutDegree(v)]++
-	}
-	extremeCount := int(extremeFrac * float64(n))
-	highCount := int(highFrac * float64(n))
-	// Find degree cutoffs from the top of the histogram.
-	extremeCut, highCut := maxDeg+1, maxDeg+1
-	cum := 0
-	for d := maxDeg; d >= 0; d-- {
-		cum += hist[d]
-		if extremeCut > maxDeg && cum >= extremeCount && extremeCount > 0 {
-			extremeCut = d
-		}
-		if highCut > maxDeg && cum >= extremeCount+highCount && highCount > 0 {
-			highCut = d
-			break
-		}
-	}
-	for v := 0; v < n; v++ {
-		d := g.OutDegree(v)
-		switch {
-		case extremeCount > 0 && d >= extremeCut:
-			p.classes[v] = ClassExtreme
-		case highCount > 0 && d >= highCut:
-			p.classes[v] = ClassHigh
-		default:
-			p.classes[v] = ClassLow
-		}
-	}
-	return p
-}
-
-// Class returns the degree class of v.
-func (p *OneAndHalfD) Class(v int32) DegreeClass { return p.classes[v] }
-
-// Owner places v's vertex object. Low-degree vertices keep 1-D locality;
-// high and extreme vertices are spread by a multiplicative hash so no PE
-// concentrates hubs.
-func (p *OneAndHalfD) Owner(v int32) int {
-	switch p.classes[v] {
-	case ClassLow:
-		return p.oneD.Owner(v)
-	default:
-		h := uint64(v) * 0x9e3779b97f4a7c15
-		return int(h % uint64(p.oneD.NumPEs()))
-	}
-}
-
-// NumPEs returns the PE count.
-func (p *OneAndHalfD) NumPEs() int { return p.oneD.NumPEs() }
-
-// ClassCounts returns how many vertices fall in each class, for tests and
-// reporting.
-func (p *OneAndHalfD) ClassCounts() (extreme, high, low int) {
-	for _, c := range p.classes {
-		switch c {
-		case ClassExtreme:
-			extreme++
-		case ClassHigh:
-			high++
-		default:
-			low++
-		}
-	}
-	return
 }

@@ -231,63 +231,28 @@ func TestTwoDPanics(t *testing.T) {
 	NewTwoD(10, 0, 2)
 }
 
-func TestOneAndHalfDClasses(t *testing.T) {
-	g := gen.RMAT(10, 16, gen.DefaultRMAT(), gen.Config{Seed: 7})
-	p := NewOneAndHalfD(g, 8, 0.01, 0.10)
-	e, h, l := p.ClassCounts()
-	n := g.NumVertices()
-	if e == 0 {
-		t.Error("no extreme vertices classed")
-	}
-	if e+h+l != n {
-		t.Errorf("class counts %d+%d+%d != %d", e, h, l, n)
-	}
-	if l < n/2 {
-		t.Errorf("low-degree class too small: %d of %d", l, n)
-	}
-	// Extreme vertices must have degree >= every high vertex's... at least
-	// check extreme degrees exceed the low-class median degree.
-	stats := g.OutDegreeStats()
-	for v := 0; v < n; v++ {
-		if p.Class(int32(v)) == ClassExtreme && g.OutDegree(v) < stats.P50 {
-			t.Errorf("extreme vertex %d has sub-median degree %d", v, g.OutDegree(v))
+// TestTwoDVertexOwnership pins the vertex-state layout 2-D Δ-stepping
+// relies on: every vertex is owned by exactly one PE, that PE sits in the
+// vertex's row and column, and its owned interval contains the vertex.
+func TestTwoDVertexOwnership(t *testing.T) {
+	p := NewTwoD(97, 3, 4)
+	covered := 0
+	for pe := 0; pe < p.NumPEs(); pe++ {
+		lo, hi := p.OwnedRange(pe)
+		covered += int(hi - lo)
+		for v := lo; v < hi; v++ {
+			if p.Owner(v) != pe {
+				t.Fatalf("vertex %d in PE %d's range but owned by PE %d", v, pe, p.Owner(v))
+			}
 		}
 	}
-}
-
-func TestOneAndHalfDOwnerInRange(t *testing.T) {
-	g := gen.RMAT(9, 8, gen.DefaultRMAT(), gen.Config{Seed: 8})
-	p := NewOneAndHalfD(g, 6, 0.02, 0.2)
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		o := p.Owner(v)
-		if o < 0 || o >= 6 {
-			t.Fatalf("Owner(%d) = %d out of range", v, o)
-		}
+	if covered != 97 {
+		t.Fatalf("owned ranges cover %d vertices, want 97", covered)
 	}
-	if p.NumPEs() != 6 {
-		t.Fatalf("NumPEs = %d", p.NumPEs())
-	}
-}
-
-func TestOneAndHalfDLowKeepsLocality(t *testing.T) {
-	g := gen.Path(100) // uniform degree 1: everything classes low
-	p := NewOneAndHalfD(g, 4, 0.0, 0.0)
-	oneD := NewOneD(100, 4)
-	for v := int32(0); v < 100; v++ {
-		if p.Class(v) != ClassLow {
-			t.Fatalf("vertex %d not low-degree", v)
+	for v := int32(0); v < 97; v++ {
+		if want := p.PEAt(p.VertexRow(v), p.VertexCol(v)); p.Owner(v) != want {
+			t.Fatalf("vertex %d owner %d, want grid cell %d", v, p.Owner(v), want)
 		}
-		if p.Owner(v) != oneD.Owner(v) {
-			t.Fatalf("low vertex %d moved off its 1-D block", v)
-		}
-	}
-}
-
-func TestOneAndHalfDEmptyGraph(t *testing.T) {
-	g := graph.MustBuild(0, nil)
-	p := NewOneAndHalfD(g, 4, 0.1, 0.1)
-	if e, h, l := p.ClassCounts(); e+h+l != 0 {
-		t.Error("empty graph produced classes")
 	}
 }
 

@@ -1,12 +1,9 @@
 package pq
 
-// Differential tests across the four Queue implementations. Keys are drawn
-// from a small set of non-negative integers with a width-1 BucketQueue, so
-// every distinct key occupies its own bucket and the approximate bucket
-// order coincides with exact key order — any divergence is then a real
-// ordering bug, not bucketing slack. Integer keys are also maximally
-// tie-prone, which is where heap bugs hide (ties may pop in any order, so
-// only the key sequence is compared, never the payloads).
+// Differential tests of BinaryHeap against IndexedHeap, the sequential
+// oracle's queue. Keys are drawn from a small set of non-negative integers:
+// maximally tie-prone, which is where heap bugs hide (ties may pop in any
+// order, so only the key sequence is compared, never the payloads).
 
 import (
 	"sort"
@@ -15,87 +12,57 @@ import (
 	"acic/internal/xrand"
 )
 
-func newQueues() map[string]Queue {
-	return map[string]Queue{
-		"binary":     NewBinaryHeap(16),
-		"quaternary": NewQuaternaryHeap(16),
-		"pairing":    NewPairingHeap(),
-		"bucket":     NewBucketQueue(1),
-	}
-}
-
 // TestQueuesPopIdenticalKeySequences interleaves random pushes and pops and
-// requires all four implementations to emit the same key sequence.
+// requires both implementations to emit the same key sequence.
 func TestQueuesPopIdenticalKeySequences(t *testing.T) {
 	r := xrand.New(0xD1FF)
+	const ops = 400
 	for trial := 0; trial < 50; trial++ {
-		qs := newQueues()
-		maxKey := 1 + r.Intn(16) // small key alphabet: force ties
-		var live int
-		for op := 0; op < 400; op++ {
-			if live > 0 && r.Intn(3) == 0 {
-				var wantKey float64
-				first := true
-				for name, q := range qs {
-					if q.Len() != live {
-						t.Fatalf("trial %d: %s Len = %d, want %d", trial, name, q.Len(), live)
-					}
-					if pk := q.Peek().Key; pk != q.Pop().Key {
-						t.Fatalf("trial %d: %s Peek disagrees with Pop", trial, name)
-					} else if first {
-						wantKey, first = pk, false
-					} else if pk != wantKey {
-						t.Fatalf("trial %d op %d: %s popped key %g, others popped %g",
-							trial, op, name, pk, wantKey)
-					}
+		q := NewBinaryHeap(16)
+		ref := NewIndexedHeap(ops) // one id per op, so no id is pushed twice
+		maxKey := 1 + r.Intn(16)   // small key alphabet: force ties
+		for op := 0; op < ops; op++ {
+			if q.Len() != ref.Len() {
+				t.Fatalf("trial %d op %d: Len = %d, reference %d", trial, op, q.Len(), ref.Len())
+			}
+			if q.Len() > 0 && r.Intn(3) == 0 {
+				pk := q.Peek().Key
+				if pk != q.Pop().Key {
+					t.Fatalf("trial %d: Peek disagrees with Pop", trial)
 				}
-				live--
+				if _, want := ref.PopMin(); pk != want {
+					t.Fatalf("trial %d op %d: popped key %g, reference popped %g", trial, op, pk, want)
+				}
 				continue
 			}
-			it := Item{Key: float64(r.Intn(maxKey)), Value: int64(op)}
-			for _, q := range qs {
-				q.Push(it)
-			}
-			live++
+			key := float64(r.Intn(maxKey))
+			q.Push(Item{Key: key, Value: int64(op)})
+			ref.Push(op, key)
 		}
-		// Drain: the tail must come out in ascending key order everywhere.
-		var prev float64 = -1
-		for ; live > 0; live-- {
-			var wantKey float64
-			first := true
-			for name, q := range qs {
-				k := q.Pop().Key
-				if first {
-					wantKey, first = k, false
-				} else if k != wantKey {
-					t.Fatalf("trial %d drain: %s popped %g, others %g", trial, name, k, wantKey)
-				}
+		// Drain: the tail must come out in the reference's ascending order.
+		for ref.Len() > 0 {
+			_, want := ref.PopMin()
+			if k := q.Pop().Key; k != want {
+				t.Fatalf("trial %d drain: popped %g, reference %g", trial, k, want)
 			}
-			if wantKey < prev {
-				t.Fatalf("trial %d drain: keys not ascending: %g after %g", trial, wantKey, prev)
-			}
-			prev = wantKey
 		}
-		for name, q := range qs {
-			if q.Len() != 0 {
-				t.Fatalf("trial %d: %s not empty after drain", trial, name)
-			}
+		if q.Len() != 0 {
+			t.Fatalf("trial %d: not empty after drain", trial)
 		}
 	}
 }
 
 // TestLazyQueuesMatchIndexedHeapOracle replays a Dijkstra-style
-// decrease-key workload. The IndexedHeap (the sequential oracle's queue)
-// supports DecreaseKey natively; the lazy queues emulate it the way the
-// ACIC core does — push the improved key as a fresh item and skip stale
-// entries on pop. Every implementation must settle each id exactly once,
-// at its best key, in ascending key order.
+// decrease-key workload. The IndexedHeap supports DecreaseKey natively; the
+// BinaryHeap emulates it the way the ACIC core does — push the improved key
+// as a fresh item and skip stale entries on pop. It must settle each id
+// exactly once, at its best key, in ascending key order.
 func TestLazyQueuesMatchIndexedHeapOracle(t *testing.T) {
 	r := xrand.New(0xD1FF2)
 	for trial := 0; trial < 30; trial++ {
 		n := 20 + r.Intn(100)
 		oracle := NewIndexedHeap(n)
-		qs := newQueues()
+		q := NewBinaryHeap(16)
 		best := make(map[int64]float64)
 
 		relaxes := 5 * n
@@ -103,11 +70,9 @@ func TestLazyQueuesMatchIndexedHeapOracle(t *testing.T) {
 			id := r.Intn(n)
 			key := float64(r.Intn(32))
 			if oracle.PushOrDecrease(id, key) {
-				// Improved (or new): the lazy queues get a duplicate entry.
+				// Improved (or new): the lazy queue gets a duplicate entry.
 				best[int64(id)] = key
-				for _, q := range qs {
-					q.Push(Item{Key: key, Value: int64(id)})
-				}
+				q.Push(Item{Key: key, Value: int64(id)})
 			}
 		}
 
@@ -125,39 +90,36 @@ func TestLazyQueuesMatchIndexedHeapOracle(t *testing.T) {
 			}
 		}
 
-		for name, q := range qs {
-			done := make(map[int64]bool)
-			var got []settled
-			for q.Len() > 0 {
-				it := q.Pop()
-				if done[it.Value] || it.Key != best[it.Value] {
-					continue // stale duplicate, superseded by a later improvement
-				}
-				done[it.Value] = true
-				got = append(got, settled{int(it.Value), it.Key})
+		done := make(map[int64]bool)
+		var got []settled
+		for q.Len() > 0 {
+			it := q.Pop()
+			if done[it.Value] || it.Key != best[it.Value] {
+				continue // stale duplicate, superseded by a later improvement
 			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: %s settled %d ids, oracle settled %d", trial, name, len(got), len(want))
+			done[it.Value] = true
+			got = append(got, settled{int(it.Value), it.Key})
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: settled %d ids, oracle settled %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].key != want[i].key {
+				t.Fatalf("trial %d: settle %d popped key %g, oracle %g", trial, i, got[i].key, want[i].key)
 			}
-			for i := range got {
-				if got[i].key != want[i].key {
-					t.Fatalf("trial %d: %s settle %d popped key %g, oracle %g",
-						trial, name, i, got[i].key, want[i].key)
-				}
-			}
-			// Same ids settled, each at its best key (order-free check:
-			// ties between distinct ids may settle in any order).
-			ids := make([]int, len(got))
-			wids := make([]int, len(want))
-			for i := range got {
-				ids[i], wids[i] = got[i].id, want[i].id
-			}
-			sort.Ints(ids)
-			sort.Ints(wids)
-			for i := range ids {
-				if ids[i] != wids[i] {
-					t.Fatalf("trial %d: %s settled id set differs from oracle", trial, name)
-				}
+		}
+		// Same ids settled, each at its best key (order-free check: ties
+		// between distinct ids may settle in any order).
+		ids := make([]int, len(got))
+		wids := make([]int, len(want))
+		for i := range got {
+			ids[i], wids[i] = got[i].id, want[i].id
+		}
+		sort.Ints(ids)
+		sort.Ints(wids)
+		for i := range ids {
+			if ids[i] != wids[i] {
+				t.Fatalf("trial %d: settled id set differs from oracle", trial)
 			}
 		}
 	}

@@ -7,37 +7,21 @@
 // current, relaxed. The sequential Dijkstra oracle additionally needs a
 // decrease-key operation, provided by IndexedHeap.
 //
-// All queues order items by a float64 key (the tentative distance) with ties
-// broken arbitrarily. None of them is safe for concurrent use; in the
+// Both queues order items by a float64 key (the tentative distance) with ties
+// broken arbitrarily. Neither is safe for concurrent use; in the
 // message-driven runtime each PE owns its queues exclusively.
 package pq
 
-// Item is a keyed element stored in the non-indexed queues.
+// Item is a keyed element stored in a BinaryHeap.
 type Item struct {
 	Key   float64 // priority; smaller pops first
 	Value int64   // caller payload (vertex id, update id, ...)
-}
-
-// Queue is the interface shared by the min-queue implementations, allowing
-// the ACIC core to swap queue types for the ablation benchmarks.
-type Queue interface {
-	// Push inserts an item.
-	Push(Item)
-	// Pop removes and returns the minimum-key item. It panics if empty.
-	Pop() Item
-	// Peek returns the minimum-key item without removing it. It panics if
-	// empty.
-	Peek() Item
-	// Len reports the number of stored items.
-	Len() int
 }
 
 // BinaryHeap is a classic array-backed binary min-heap.
 type BinaryHeap struct {
 	items []Item
 }
-
-var _ Queue = (*BinaryHeap)(nil)
 
 // NewBinaryHeap returns an empty heap with the given initial capacity.
 func NewBinaryHeap(capacity int) *BinaryHeap {
@@ -111,83 +95,4 @@ func (h *BinaryHeap) siftDown(i int) {
 		i = least
 	}
 	h.items[i] = it
-}
-
-// QuaternaryHeap is a 4-ary min-heap. Its shallower tree trades more
-// comparisons per level for fewer cache misses, which tends to win for the
-// large queues the RMAT tail produces.
-type QuaternaryHeap struct {
-	items []Item
-}
-
-var _ Queue = (*QuaternaryHeap)(nil)
-
-// NewQuaternaryHeap returns an empty heap with the given initial capacity.
-func NewQuaternaryHeap(capacity int) *QuaternaryHeap {
-	return &QuaternaryHeap{items: make([]Item, 0, capacity)}
-}
-
-// Len reports the number of stored items.
-func (h *QuaternaryHeap) Len() int { return len(h.items) }
-
-// Push inserts an item.
-func (h *QuaternaryHeap) Push(it Item) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if h.items[parent].Key <= it.Key {
-			break
-		}
-		h.items[i] = h.items[parent]
-		i = parent
-	}
-	h.items[i] = it
-}
-
-// Peek returns the minimum item without removing it.
-func (h *QuaternaryHeap) Peek() Item {
-	if len(h.items) == 0 {
-		panic("pq: Peek on empty QuaternaryHeap")
-	}
-	return h.items[0]
-}
-
-// Pop removes and returns the minimum item.
-func (h *QuaternaryHeap) Pop() Item {
-	if len(h.items) == 0 {
-		panic("pq: Pop on empty QuaternaryHeap")
-	}
-	top := h.items[0]
-	last := len(h.items) - 1
-	it := h.items[last]
-	h.items = h.items[:last]
-	if last == 0 {
-		return top
-	}
-	n := last
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		least := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h.items[c].Key < h.items[least].Key {
-				least = c
-			}
-		}
-		if it.Key <= h.items[least].Key {
-			break
-		}
-		h.items[i] = h.items[least]
-		i = least
-	}
-	h.items[i] = it
-	return top
 }

@@ -9,12 +9,10 @@ import (
 	"acic/internal/xrand"
 )
 
-// queueFactories enumerates every Queue implementation so each generic test
-// exercises all of them.
-var queueFactories = map[string]func() Queue{
-	"binary":     func() Queue { return NewBinaryHeap(0) },
-	"quaternary": func() Queue { return NewQuaternaryHeap(0) },
-	"pairing":    func() Queue { return NewPairingHeap() },
+// queueFactories names the lazy (non-indexed) queues the generic tests run
+// over.
+var queueFactories = map[string]func() *BinaryHeap{
+	"binary": func() *BinaryHeap { return NewBinaryHeap(0) },
 }
 
 func TestQueuesSortedDrain(t *testing.T) {
@@ -68,22 +66,13 @@ func TestQueuesInterleavedOps(t *testing.T) {
 	for name, mk := range queueFactories {
 		t.Run(name, func(t *testing.T) {
 			q := mk()
-			ref := NewBinaryHeap(0) // oracle checked against itself elsewhere
-			if name == "binary" {
-				ref = nil
-			}
 			r := xrand.New(3)
-			lastPopped := math.Inf(-1)
-			_ = lastPopped
 			var model []float64
 			for step := 0; step < 5000; step++ {
 				if q.Len() == 0 || r.Float64() < 0.55 {
 					k := r.Float64() * 100
 					q.Push(Item{Key: k})
 					model = append(model, k)
-					if ref != nil {
-						ref.Push(Item{Key: k})
-					}
 				} else {
 					it := q.Pop()
 					// The popped key must be the model minimum.
@@ -313,91 +302,7 @@ func TestIndexedHeapRandomizedAgainstSort(t *testing.T) {
 	}
 }
 
-func TestBucketQueueOrder(t *testing.T) {
-	q := NewBucketQueue(10)
-	q.Push(Item{Key: 35, Value: 1})
-	q.Push(Item{Key: 5, Value: 2})
-	q.Push(Item{Key: 12, Value: 3})
-	q.Push(Item{Key: 7, Value: 4}) // same bucket as 5: FIFO after it
-	wantValues := []int64{2, 4, 3, 1}
-	for i, w := range wantValues {
-		if got := q.Pop(); got.Value != w {
-			t.Fatalf("pop %d: value %d, want %d", i, got.Value, w)
-		}
-	}
-}
-
-func TestBucketQueueMonotoneCursorReset(t *testing.T) {
-	q := NewBucketQueue(1)
-	q.Push(Item{Key: 50})
-	if q.CurrentBucket() != 50 {
-		t.Fatalf("CurrentBucket = %d", q.CurrentBucket())
-	}
-	// Label-correcting re-insertion below the cursor must be visible.
-	q.Push(Item{Key: 3})
-	if q.CurrentBucket() != 3 {
-		t.Fatalf("CurrentBucket after low push = %d", q.CurrentBucket())
-	}
-	if got := q.Pop(); got.Key != 3 {
-		t.Fatalf("Pop = %v, want 3", got.Key)
-	}
-	if got := q.Pop(); got.Key != 50 {
-		t.Fatalf("Pop = %v, want 50", got.Key)
-	}
-}
-
-func TestBucketQueueDrainBucket(t *testing.T) {
-	q := NewBucketQueue(10)
-	for i := 0; i < 5; i++ {
-		q.Push(Item{Key: 15, Value: int64(i)})
-	}
-	q.Push(Item{Key: 25})
-	items := q.DrainBucket(1)
-	if len(items) != 5 {
-		t.Fatalf("drained %d items, want 5", len(items))
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d after drain, want 1", q.Len())
-	}
-	if q.DrainBucket(99) != nil {
-		t.Fatal("DrainBucket past end should return nil")
-	}
-}
-
-func TestBucketQueueNegativeAndZeroKeys(t *testing.T) {
-	q := NewBucketQueue(10)
-	q.Push(Item{Key: 0, Value: 1})
-	if q.BucketOf(-5) != 0 {
-		t.Error("negative keys should clamp to bucket 0")
-	}
-	if got := q.Pop(); got.Value != 1 {
-		t.Fatalf("Pop = %+v", got)
-	}
-	if q.CurrentBucket() != -1 {
-		t.Fatal("CurrentBucket on empty queue should be -1")
-	}
-}
-
-func TestBucketQueuePanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewBucketQueue(0) did not panic")
-		}
-	}()
-	NewBucketQueue(0)
-}
-
-func TestBucketQueueEmptyPanics(t *testing.T) {
-	q := NewBucketQueue(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Pop on empty BucketQueue did not panic")
-		}
-	}()
-	q.Pop()
-}
-
-func benchQueue(b *testing.B, mk func() Queue) {
+func benchQueue(b *testing.B, mk func() *BinaryHeap) {
 	r := xrand.New(7)
 	q := mk()
 	// Push/pop in a pattern resembling the ACIC pq: mostly pushes with
@@ -412,6 +317,4 @@ func benchQueue(b *testing.B, mk func() Queue) {
 	}
 }
 
-func BenchmarkBinaryHeap(b *testing.B)     { benchQueue(b, queueFactories["binary"]) }
-func BenchmarkQuaternaryHeap(b *testing.B) { benchQueue(b, queueFactories["quaternary"]) }
-func BenchmarkPairingHeap(b *testing.B)    { benchQueue(b, queueFactories["pairing"]) }
+func BenchmarkBinaryHeap(b *testing.B) { benchQueue(b, queueFactories["binary"]) }

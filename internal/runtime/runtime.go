@@ -85,9 +85,10 @@ type Config struct {
 	// non-bypass message through the returned fabric (e.g. a sockfab TCP
 	// node or mesh). deliver must be invoked serially per destination, on
 	// one dispatcher goroutine per process — the same contract netsim's
-	// dispatcher honors. With a custom fabric the Jitter/Fault knobs are
-	// rejected (they parameterize the simulation) and the zero-latency
-	// mailbox bypass applies only to intra-process pairs inside Span.
+	// dispatcher honors. With a custom fabric the zero-latency mailbox
+	// bypass applies only to intra-process pairs inside Span, and the
+	// knobs that parameterize the simulation (Latency, Jitter, Fault,
+	// Reliability) are rejected: they have nothing to act on.
 	NewFabric func(deliver func(dst int, payload any)) (fabric.Fabric, error)
 	// Span restricts which PEs this instance hosts; requires NewFabric
 	// (the simulated network delivers every PE in-process). Zero = all.
@@ -243,30 +244,63 @@ type envelope struct {
 	kind  envKind
 }
 
-// New creates a Runtime and starts its fabric (the simulated network, or
-// whatever Config.NewFabric builds). Call Start to launch PEs.
-func New(cfg Config) (*Runtime, error) {
-	rt := &Runtime{cfg: cfg, done: make(chan struct{}), qdStop: make(chan struct{})}
+// hosted resolves Span's "zero means all PEs" default.
+func (cfg *Config) hosted() (lo, hi int) {
+	if cfg.Span == (Span{}) {
+		return 0, cfg.Topo.TotalPEs()
+	}
+	return cfg.Span.Lo, cfg.Span.Hi
+}
+
+// Validate reports the configuration errors that can be found without
+// building anything. New calls it first; internal/machine calls it before
+// a worker binds its listener.
+func (cfg *Config) Validate() error {
 	numPEs := cfg.Topo.TotalPEs()
-	rt.lo, rt.hi = cfg.Span.Lo, cfg.Span.Hi
-	if rt.lo == 0 && rt.hi == 0 {
-		rt.hi = numPEs
-	}
+	lo, hi := cfg.hosted()
+	partial := lo != 0 || hi != numPEs
 	switch {
-	case rt.lo < 0 || rt.hi > numPEs || rt.lo >= rt.hi:
-		return nil, fmt.Errorf("runtime: span [%d, %d) outside topology's %d PEs", rt.lo, rt.hi, numPEs)
-	case (rt.lo != 0 || rt.hi != numPEs) && cfg.NewFabric == nil:
-		return nil, fmt.Errorf("runtime: span [%d, %d) requires a custom fabric; the simulated network hosts every PE in-process", rt.lo, rt.hi)
-	}
-	if cfg.NewFabric != nil && (cfg.Jitter != nil || !cfg.Fault.Empty()) {
-		return nil, fmt.Errorf("runtime: Jitter and Fault parameterize the simulated network and cannot be installed on a custom fabric")
-	}
-	if cfg.QuiescencePoll > 0 && (rt.lo != 0 || rt.hi != numPEs) {
+	case lo < 0 || hi > numPEs || lo >= hi:
+		return fmt.Errorf("runtime: span [%d, %d) outside topology's %d PEs", lo, hi, numPEs)
+	case partial && cfg.NewFabric == nil:
+		return fmt.Errorf("runtime: span [%d, %d) requires a custom fabric; the simulated network hosts every PE in-process", lo, hi)
+	case partial && cfg.QuiescencePoll > 0:
 		// The poll-based detector compares process-local counters; with a
 		// partial span those say nothing about remote PEs, so it could
 		// declare quiescence while work is in flight elsewhere.
-		return nil, fmt.Errorf("runtime: QuiescencePoll requires hosting all PEs; span [%d, %d) of %d is partial", rt.lo, rt.hi, numPEs)
+		return fmt.Errorf("runtime: QuiescencePoll requires hosting all PEs; span [%d, %d) of %d is partial", lo, hi, numPEs)
 	}
+	if cfg.NewFabric == nil {
+		return nil
+	}
+	// A real fabric imposes its own timing and (TCP) already delivers in
+	// order exactly once, so the simulation-only knobs have no meaning on
+	// it; rejecting them beats silently ignoring them.
+	var knob string
+	switch {
+	case cfg.Latency != (netsim.LatencyModel{}):
+		knob = "Latency"
+	case cfg.Jitter != nil:
+		knob = "Jitter"
+	case !cfg.Fault.Empty():
+		knob = "Fault"
+	case cfg.Reliability != nil:
+		knob = "Reliability"
+	default:
+		return nil
+	}
+	return fmt.Errorf("runtime: %s parameterizes the simulated network and must be left zero on a custom fabric (TransportTCP, launched workers)", knob)
+}
+
+// New creates a Runtime and starts its fabric (the simulated network, or
+// whatever Config.NewFabric builds). Call Start to launch PEs.
+func New(cfg Config) (*Runtime, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	rt := &Runtime{cfg: cfg, done: make(chan struct{}), qdStop: make(chan struct{})}
+	numPEs := cfg.Topo.TotalPEs()
+	rt.lo, rt.hi = cfg.hosted()
 	rt.pes = make([]*PE, numPEs)
 	for i := rt.lo; i < rt.hi; i++ {
 		pe := &PE{rt: rt, index: i, mbox: newMailbox(numPEs), reductions: make(map[int64]*redState)}
@@ -387,18 +421,6 @@ func (rt *Runtime) Start(factory func(pe *PE) Handler) {
 	}()
 }
 
-// Run is the convenience entry point: create the runtime, start handlers,
-// wait for an Exit call, release resources.
-func Run(cfg Config, factory func(pe *PE) Handler) error {
-	rt, err := New(cfg)
-	if err != nil {
-		return err
-	}
-	rt.Start(factory)
-	rt.Wait()
-	return nil
-}
-
 // Wait blocks until every PE goroutine has exited (after RequestExit or a
 // PE's Exit call).
 func (rt *Runtime) Wait() {
@@ -443,10 +465,6 @@ func (rt *Runtime) NetworkStats() netsim.Stats {
 // destination mailbox), so a filter only sees messages with non-zero
 // modeled latency.
 func (rt *Runtime) Network() *netsim.Network { return rt.net }
-
-// Fabric exposes the fabric the runtime sends through — the simulated
-// network or the custom one built by Config.NewFabric.
-func (rt *Runtime) Fabric() fabric.Fabric { return rt.fab }
 
 // MessagesSent returns the total number of messages sent so far.
 func (rt *Runtime) MessagesSent() int64 { return rt.sent.Load() }
@@ -543,10 +561,6 @@ func (rt *Runtime) Audit() Audit {
 	}
 	return a
 }
-
-// Handler returns the handler instance hosted on PE i, for post-run result
-// collection.
-func (rt *Runtime) Handler(i int) Handler { return rt.pes[i].handler }
 
 // Inject delivers msg to dst's handler from outside the PE array — the way
 // a driver seeds the initial work (e.g. the source vertex's first

@@ -1,12 +1,16 @@
 package runtime
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"acic/internal/fabric"
 	"acic/internal/netsim"
+	"acic/internal/relnet"
 	"acic/internal/trace"
 )
 
@@ -474,4 +478,30 @@ func BenchmarkSendDeliverZeroLatency(b *testing.B) {
 	b.ResetTimer()
 	rt.send(0, 0, envelope{kind: kindApp, payload: "t"}, 1)
 	rt.Wait()
+}
+
+// TestNewRejectsSimKnobsOnCustomFabric pins the backstop every direct
+// caller of New gets: a knob that only the simulated network can honor is
+// an error on a custom fabric, never silently ignored.
+func TestNewRejectsSimKnobsOnCustomFabric(t *testing.T) {
+	called := false
+	custom := func(func(dst int, payload any)) (fabric.Fabric, error) {
+		called = true
+		return nil, errors.New("fabric built for a rejected config")
+	}
+	for knob, set := range map[string]func(*Config){
+		"Latency":     func(c *Config) { c.Latency = netsim.DefaultLatency() },
+		"Jitter":      func(c *Config) { c.Jitter = func(_, _, _ int, base time.Duration) time.Duration { return base } },
+		"Fault":       func(c *Config) { c.Fault.Drop = func(src, dst, size int) bool { return false } },
+		"Reliability": func(c *Config) { c.Reliability = &relnet.Config{} },
+	} {
+		cfg := Config{Topo: netsim.SingleNode(2), NewFabric: custom}
+		set(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), knob) {
+			t.Errorf("%s on a custom fabric: New error = %v, want one naming the knob", knob, err)
+		}
+	}
+	if called {
+		t.Error("NewFabric ran for a config that should have been rejected first")
+	}
 }

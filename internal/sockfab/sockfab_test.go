@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"acic/internal/fabric"
-	"acic/internal/relnet"
 	"acic/internal/wire"
 )
 
@@ -196,75 +195,5 @@ func TestMeshBoundaryConservation(t *testing.T) {
 	}
 	if q := m.QueueLen(); q != 0 {
 		t.Errorf("QueueLen after close = %d, want 0", q)
-	}
-}
-
-// TestRelnetOverMesh drives the reliability layer over a real TCP mesh:
-// its data and ack frames serialize through the wire codec, cross
-// loopback, and the layer's bookkeeping still balances.
-func TestRelnetOverMesh(t *testing.T) {
-	c := testCodec()
-	relnet.RegisterWire(c)
-
-	var appMu sync.Mutex
-	var appGot []int64
-	appWake := make(chan struct{}, 8)
-	l := relnet.New(relnet.Config{RTO: 50 * time.Millisecond}, 2, func(dst int, payload any) {
-		appMu.Lock()
-		appGot = append(appGot, payload.(msg).n)
-		appMu.Unlock()
-		select {
-		case appWake <- struct{}{}:
-		default:
-		}
-	})
-	m, err := NewMesh(MeshConfig{
-		NumProcs: 2, NumPEs: 2,
-		Owner: func(pe int) int { return pe },
-		Codec: c,
-	}, l.OnFabric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Bind(m)
-
-	const N = 50
-	for i := 0; i < N; i++ {
-		if res := l.Send(0, 1, msg{n: int64(i)}, 1); res != fabric.SendEnqueued {
-			t.Fatalf("send %d: %v", i, res)
-		}
-	}
-	deadline := time.After(5 * time.Second)
-	for {
-		appMu.Lock()
-		n := len(appGot)
-		appMu.Unlock()
-		if n >= N {
-			break
-		}
-		select {
-		case <-appWake:
-		case <-deadline:
-			t.Fatalf("timed out with %d of %d app deliveries", n, N)
-		}
-	}
-	appMu.Lock()
-	for i, v := range appGot {
-		if v != int64(i) {
-			t.Fatalf("app delivery %d = %d, want %d", i, v, i)
-		}
-	}
-	appMu.Unlock()
-
-	// Give the standalone ack a chance to flow back before closing, then
-	// verify the stream-level ledger: everything sent was delivered once.
-	time.Sleep(100 * time.Millisecond)
-	m.Close()
-	st := l.Stats()
-	if st.Stranded != 0 {
-		t.Errorf("stranded %d frames; every send was acked before close", st.Stranded)
-	}
-	if st.DupDiscarded > st.Retransmits {
-		t.Errorf("dedup mismatch: %d discarded exceeds %d retransmits", st.DupDiscarded, st.Retransmits)
 	}
 }

@@ -139,28 +139,22 @@ type bufferSet[T any] struct {
 // New creates a Manager for the given topology, mode and per-buffer
 // capacity. Capacity must be positive; the paper's supported sizes are 512,
 // 1024 and 2048 but any positive value is accepted for experiments.
-// Counters land in a private registry; use NewWithRegistry to aggregate
-// them into a run-wide one.
+// Counters land in a private registry and buffers recycle through a
+// private arena; NewWithArena shares both with the rest of a run.
 func New[T any](topo netsim.Topology, mode Mode, capacity int) (*Manager[T], error) {
-	return NewWithRegistry[T](topo, mode, capacity, nil)
+	return NewWithArena[T](topo, mode, capacity, nil, nil)
 }
 
-// NewWithRegistry is New with the manager's counters registered in reg
-// under the "tram." prefix, sharded by source PE. reg must have been
-// created for at least topo.TotalPEs() shards; a nil reg selects a private
-// registry so the counters (and therefore Stats) always exist. Two
-// managers sharing one registry share the counters — one manager per run
-// is the intended shape.
-func NewWithRegistry[T any](topo netsim.Topology, mode Mode, capacity int, reg *metrics.Registry) (*Manager[T], error) {
-	return NewWithArena[T](topo, mode, capacity, reg, nil)
-}
-
-// NewWithArena is NewWithRegistry with the manager's buffer recycling
+// NewWithArena is New with the manager's counters registered in reg under
+// the "tram." prefix, sharded by source PE, and its buffer recycling
 // backed by a caller-provided arena, so one run's tram buffers, hold
-// chunks and demux forwards all draw from a single chunk pool. The
-// arena's chunk capacity must equal the manager's buffer capacity (the
-// uniform size is what makes cross-subsystem recycling loss-free); a nil
-// arena selects a private one.
+// chunks and demux forwards all draw from a single chunk pool. reg must
+// have been created for at least topo.TotalPEs() shards; a nil reg selects
+// a private registry so the counters (and therefore Stats) always exist.
+// Two managers sharing one registry share the counters — one manager per
+// run is the intended shape. The arena's chunk capacity must equal the
+// manager's buffer capacity (the uniform size is what makes
+// cross-subsystem recycling loss-free); a nil arena selects a private one.
 func NewWithArena[T any](topo netsim.Topology, mode Mode, capacity int, reg *metrics.Registry, ar *arena.Arena[T]) (*Manager[T], error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err

@@ -16,9 +16,9 @@
 //
 // A Codec is an instantiated registry, not global state: each transport
 // endpoint builds one and the packages whose types cross the wire hang
-// their codecs on it (runtime.RegisterWire, relnet.RegisterWire, and the
-// core driver's batch/reduction codecs with their pool hooks). Values can
-// nest — a runtime envelope's payload is itself a tagged value — via
+// their codecs on it (runtime.RegisterWire and the core driver's
+// batch/reduction codecs with their pool hooks). Values can nest — a
+// runtime envelope's payload is itself a tagged value — via
 // AppendValue/ReadValue.
 //
 // Decoding is defensive by construction: every length is validated
@@ -69,8 +69,7 @@ var (
 )
 
 // Well-known tags. Tags are allocated centrally here so independently
-// registered packages cannot collide: 0x0x runtime, 0x1x core driver,
-// 0x2x relnet.
+// registered packages cannot collide: 0x0x runtime, 0x1x core driver.
 const (
 	TagEnvelope  byte = 0x01
 	TagSeed      byte = 0x10
@@ -78,8 +77,6 @@ const (
 	TagBatch     byte = 0x12
 	TagCtrl      byte = 0x13
 	TagReduceVal byte = 0x14
-	TagData      byte = 0x20
-	TagAck       byte = 0x21
 )
 
 // EncodeFunc appends v's body to buf and returns the extended slice.

@@ -8,14 +8,16 @@
 # then taken over the tightest window of RUNS values, which discards
 # machine-noise outliers instead of averaging them in. A benchmark still
 # noisy after the extra runs is reported but flagged. Results land in a
-# JSON file that cmd/benchdiff gates the next PR against.
+# JSON file that cmd/benchdiff gates the next PR against: by default the
+# git-ignored bench_local.json, so a bare run never overwrites a committed
+# BENCH_N.json record — pass the path to write one on purpose.
 #
 # Usage: [RUNS=3] [EXTRA_RUNS=3] [VARIANCE_PCT=10] scripts/bench.sh [output.json]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-bench_results.json}"
+OUT="${1:-bench_local.json}"
 RUNS="${RUNS:-3}"
 EXTRA_RUNS="${EXTRA_RUNS:-3}"
 VARIANCE_PCT="${VARIANCE_PCT:-10}"
