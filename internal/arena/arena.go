@@ -8,9 +8,12 @@
 // all. Chunks that change goroutines mid-flight — a tram batch sent to
 // another PE, a demux forward — come back through PutShared, a
 // mutex-guarded spill list any goroutine may use; owners whose private
-// freelist runs dry refill from the spill in one lock acquisition. The
-// fast path therefore touches no lock and no atomic, and the slow path is
-// one mutex operation per chunk that crossed goroutines.
+// freelist runs dry refill from the spill in one lock acquisition, and a
+// private freelist that outgrows privateCap sheds half of itself there, so
+// an owner that keeps receiving more chunks than it uses feeds the owners
+// that keep using more than they receive. The fast path therefore touches
+// no lock and no atomic, and the slow path is one mutex operation per
+// chunk that crossed goroutines or per batch of chunks rebalanced.
 //
 // Every chunk has the same capacity (Arena.ChunkCap), which is what makes
 // the recycling loss-free: a chunk issued as a tram buffer can be released
@@ -149,10 +152,23 @@ func (a *Arena[T]) GetShared() []T {
 	return make([]T, 0, a.chunkCap)
 }
 
+// privateCap bounds an owner's private freelist. Traffic between owners is
+// not symmetric: a PE that unpacks more batches than it sends puts more
+// chunks than it gets, run after run, and its siblings on the other side of
+// that imbalance find their lists dry and allocate. Left unbounded, the
+// arena's footprint follows the number of runs a Scratch has served (1.7 MB
+// per 2^10-vertex solve, measured) instead of the peak demand of one. Past
+// the cap, Put moves the upper half of the list to the shared spill under
+// one lock acquisition, where Get's refill finds it. Caps from 16 to 1024
+// read the same on small, large and TCP solves (EXPERIMENTS.md, "Spending
+// the floor").
+const privateCap = 4 * refillBatch
+
 // Put returns a chunk to owner's private freelist. It must be called from
 // the goroutine owning that freelist; the chunk must not be touched
 // afterwards. Slices smaller than ChunkCap are dropped (only full-capacity
 // chunks recycle), but still count as puts so the ledger stays balanced.
+// A list that outgrows privateCap sheds half of itself to the shared spill.
 //
 //acic:noalloc
 func (a *Arena[T]) Put(owner int, c []T) {
@@ -162,6 +178,24 @@ func (a *Arena[T]) Put(owner int, c []T) {
 		return
 	}
 	sh.free = append(sh.free, c[:0])
+	if len(sh.free) > privateCap {
+		a.shed(sh)
+	}
+}
+
+// shed moves the upper half of sh's freelist to the shared spill. The
+// chunks were already counted as puts when they arrived and will be counted
+// as gets when an owner takes them, so the ledger is not touched.
+func (a *Arena[T]) shed(sh *shard[T]) {
+	keep := len(sh.free) / 2
+	moved := sh.free[keep:]
+	a.mu.Lock()
+	a.spill = append(a.spill, moved...)
+	a.mu.Unlock()
+	for i := range moved {
+		moved[i] = nil
+	}
+	sh.free = sh.free[:keep]
 }
 
 // PutShared returns a chunk from any goroutine via the mutex-guarded

@@ -63,6 +63,32 @@ func TestSharedSpillRefillsOwner(t *testing.T) {
 	a.Put(1, c)
 }
 
+// TestLopsidedTrafficKeepsFootprint pins the private-list cap: one owner
+// only issues chunks and the other only takes them back — a PE that sends
+// against one that receives — for many rounds. The receiver's surplus must
+// reach the sender through the spill, so the number of chunks ever
+// allocated follows what is in flight at once, not the number of rounds.
+func TestLopsidedTrafficKeepsFootprint(t *testing.T) {
+	a := New[int](2, 4)
+	const inFlight, rounds = 8, 1000
+	for r := 0; r < rounds; r++ {
+		var batch [][]int
+		for i := 0; i < inFlight; i++ {
+			batch = append(batch, a.Get(0))
+		}
+		for _, c := range batch {
+			a.Put(1, c)
+		}
+	}
+	st := a.Stats()
+	if st.Gets != inFlight*rounds || st.Puts != st.Gets {
+		t.Errorf("ledger = %+v, want gets=puts=%d (shedding must not count)", st, inFlight*rounds)
+	}
+	if limit := int64(inFlight + privateCap + 1); st.Allocs > limit {
+		t.Errorf("allocated %d chunks over %d rounds of %d in flight, want <= %d", st.Allocs, rounds, inFlight, limit)
+	}
+}
+
 func TestPutSharedConcurrent(t *testing.T) {
 	a := New[int](4, 16)
 	var wg sync.WaitGroup

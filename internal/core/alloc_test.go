@@ -41,3 +41,36 @@ func TestWarmRunAllocationCeiling(t *testing.T) {
 		t.Errorf("warm run allocates %.0f objects, ceiling %d", avg, ceiling)
 	}
 }
+
+// TestWarmScratchKeepsItsFootprint is the byte-side companion of the
+// ceiling above, which counts objects and so cannot see a 16 KiB chunk
+// leak. Under WP aggregation on a two-process machine some PEs unpack more
+// batches than they send; their surplus chunks must reach their siblings
+// through the arena's spill instead of piling up on a private freelist
+// while the siblings allocate. Before the freelists were capped every solve of
+// this shape left ~100 chunks (1.7 MB) behind in the Scratch.
+func TestWarmScratchKeepsItsFootprint(t *testing.T) {
+	g := gen.Uniform(1<<10, 1<<13, gen.Config{Seed: 1})
+	sc := &Scratch{}
+	opts := Options{
+		Topo:    netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2},
+		Params:  DefaultParams(), // WP aggregation: batches go to a process's demux PE
+		Scratch: sc,
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := Run(g, i%g.NumVertices(), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(5)
+	warm := sc.pools.ar.Stats().Allocs
+	const more = 50
+	run(more)
+	grown := sc.pools.ar.Stats().Allocs - warm
+	t.Logf("%d chunks after warm-up, %d more after %d further runs", warm, grown, more)
+	if grown > warm {
+		t.Errorf("arena grew by %d chunks over %d warm runs (from %d): the footprint follows the run count", grown, more, warm)
+	}
+}

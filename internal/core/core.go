@@ -19,6 +19,16 @@
 // vertex's best known distance. Termination is quiescence detected through
 // the created/processed counters that ride along with every reduction:
 // equal sums in two consecutive reductions end the run (§II-D).
+//
+// The cycle has no timer in it. The root broadcasts as soon as a reduction
+// completes, and each PE joins the next reduction after it has done
+// reportAfterWork units of work since the broadcast (pq pops plus unpacked
+// updates) or as soon as its queue is empty — the delay of the asynchronous
+// iteration counted in computation rather than seconds (Blanco et al.,
+// arXiv:2110.01409). A working machine therefore spends a bounded share of
+// its time on introspection, an idle one cycles at the latency of its own
+// reduction tree as in the paper, and a run under simclock.Fake is paced
+// exactly like a real one.
 package core
 
 import (
@@ -45,7 +55,9 @@ type Update struct {
 	Dist   float64
 }
 
-// Params are ACIC's tunable parameters (§III).
+// Params are ACIC's tunable parameters (§III). The cadence of the
+// introspection cycle is not among them: it follows the work done (see the
+// package comment), so no setting can make the cycle outrun the work.
 type Params struct {
 	// PTram is the percentile fraction p_tram used to derive the tram
 	// threshold. The paper's optimum is 0.999 (§IV-E).
@@ -66,15 +78,6 @@ type Params struct {
 	// TramCapacity is the tramlib buffer size (512, 1024 or 2048 in the
 	// paper; any positive value accepted).
 	TramCapacity int
-	// ReductionDelay throttles the continuous introspection cycle: the
-	// root waits this long after completing a reduction before
-	// broadcasting. In the paper the cycle is continuous because each
-	// round is paced by the physical latency of a machine-wide reduction;
-	// in simulation an unpaced cycle on a zero-latency network floods the
-	// mailboxes with control traffic and starves the idle trigger, so the
-	// zero value selects DefaultReductionDelay. A negative value requests
-	// a truly continuous cycle (sensible only with non-zero latency).
-	ReductionDelay time.Duration
 	// TerminateOnAllFinal additionally enables the experimental
 	// vertex-finalization termination condition the paper tried and
 	// abandoned (§II-D): if every vertex's distance is below the smallest
@@ -124,17 +127,7 @@ func DefaultParams() Params {
 	}
 }
 
-// DefaultReductionDelay paces the reduction-broadcast cycle in simulation.
-// 50µs approximates a small-scale machine-wide reduction round trip and
-// leaves PEs ample idle windows to drain their priority queues.
-const DefaultReductionDelay = 50 * time.Microsecond
-
 func (p Params) withDefaults(numVertices int) (Params, error) {
-	if p.ReductionDelay == 0 {
-		p.ReductionDelay = DefaultReductionDelay
-	} else if p.ReductionDelay < 0 {
-		p.ReductionDelay = 0 // continuous cycle, paced by network latency only
-	}
 	if p.PTram == 0 {
 		p.PTram = 0.999
 	}

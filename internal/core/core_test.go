@@ -172,16 +172,6 @@ func TestSmallBucketCountAndWidth(t *testing.T) {
 	runAndVerify(t, g, 0, Options{Params: p})
 }
 
-func TestReductionDelayThrottling(t *testing.T) {
-	g := gen.Uniform(500, 4000, gen.Config{Seed: 11})
-	p := DefaultParams()
-	p.ReductionDelay = 200 * time.Microsecond
-	res := runAndVerify(t, g, 0, Options{Topo: netsim.SingleNode(4), Params: p})
-	if res.Stats.Reductions == 0 {
-		t.Error("no reductions with delay")
-	}
-}
-
 func TestSinglePE(t *testing.T) {
 	g := gen.Uniform(300, 2400, gen.Config{Seed: 12})
 	runAndVerify(t, g, 0, Options{Topo: netsim.SingleNode(1)})

@@ -25,9 +25,18 @@ type (
 	// batchMsg carries aggregated updates (a tram flush or an
 	// intra-process demux forward).
 	batchMsg struct{ items []Update }
-	// delayedCtrl re-enters the root PE after a ReductionDelay timer.
-	delayedCtrl struct{ ctrl ctrlMsg }
 )
+
+// reportAfterWork is k, the work a PE does between a control broadcast and
+// its next contribution, in units of one pq pop or one unpacked update: the
+// delay of the asynchronous iteration is counted in computation, not in
+// seconds. A PE whose queue runs dry reports at once, so k only paces the
+// busy ones. It bounds the share of a busy PE's time spent on introspection
+// (one histogram snapshot, hold scan and tram flush per k units) from below
+// and the staleness of the thresholds from above. In the sweep recorded in
+// EXPERIMENTS.md ("Spending the floor") 32 costs a large solve a third of
+// its throughput and 64 to 4096 read the same; 256 sits inside that range.
+const reportAfterWork = 256
 
 // ctrlMsg is the broadcast payload closing every reduction cycle.
 type ctrlMsg struct {
@@ -100,6 +109,13 @@ type peState struct {
 	// audit record aggregates machine-wide hold movement.
 	pendingHolds holdStats
 
+	// owedEpoch is the reduction this PE still owes a contribution to, or
+	// -1 when it owes none. OnBroadcast incurs the debt; worked pays it
+	// once workSince, the work done since that broadcast, reaches
+	// reportAfterWork, and Idle pays it as soon as the queue is empty.
+	owedEpoch int64
+	workSince int
+
 	// Root-only state (PE 0).
 	reductions     int64
 	prevEqualSum   int64
@@ -134,7 +150,6 @@ type sharedState struct {
 	g     *graph.Graph
 	part  Partition
 	tm    *tram.Manager[Update]
-	rt    *runtime.Runtime
 	tr    *trace.Recorder
 	met   coreMetrics
 	ar    *arena.Arena[Update]
@@ -236,6 +251,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		tTram:        p.BucketCount - 1, // everything flows until told otherwise
 		tPQ:          p.BucketCount - 1,
 		lowestActive: 0,
+		owedEpoch:    -1,
 		prevEqualSum: -1,
 	}
 	for i := range st.dist {
@@ -270,8 +286,6 @@ func (st *peState) Deliver(pe *runtime.PE, msg any) {
 		st.seed(pe, m.source)
 	case startMsg:
 		st.contribute(pe, 0)
-	case delayedCtrl:
-		pe.Broadcast(st.reductions, m.ctrl)
 	case runtime.Quiescence:
 		// ACIC detects quiescence itself; the runtime-level detector is
 		// not enabled for ACIC runs. Ignore defensively.
@@ -325,6 +339,27 @@ func (st *peState) receiveBatch(pe *runtime.PE, items []Update) {
 	// The batch is fully unpacked (items copied or applied): recycle its
 	// backing array into this PE's freelist, lock-free.
 	st.shared.tm.ReleaseTo(me, items)
+	// Unpacking counts as work: a PE that is flooded with batches and never
+	// reaches its idle trigger still reports.
+	st.worked(pe, len(items))
+}
+
+// worked credits n units of work against the contribution this PE owes and
+// pays it once reportAfterWork units have been done since the broadcast.
+func (st *peState) worked(pe *runtime.PE, n int) {
+	if st.owedEpoch < 0 {
+		return
+	}
+	if st.workSince += n; st.workSince >= reportAfterWork {
+		st.payContribution(pe)
+	}
+}
+
+// payContribution joins the reduction this PE owes.
+func (st *peState) payContribution(pe *runtime.PE) {
+	epoch := st.owedEpoch
+	st.owedEpoch = -1
+	st.contribute(pe, epoch)
 }
 
 // receiveUpdate applies the arrival rules of §II-C: an update that improves
@@ -357,12 +392,23 @@ func (st *peState) receiveUpdate(pe *runtime.PE, u Update) {
 // Idle implements the paper's idle trigger: pop the lowest-distance update
 // and, only if it still carries the vertex's best known distance, relax the
 // out-edges (§II-C). One pop per invocation keeps the PE responsive to
-// arriving messages.
+// arriving messages. A PE with nothing queued has nothing to wait for, so
+// it pays an owed contribution immediately: an idle machine cycles at the
+// speed of its own reduction, which is what ends the run promptly.
+//
+// The noalloc promise covers the pop and the relaxation. Paying a
+// contribution (here, or from worked once per reportAfterWork pops) draws a
+// snapshot from the run's pool, which allocates only when the pool is
+// empty: a few times per Scratch, never per pop.
 //
 //acic:noalloc
 func (st *peState) Idle(pe *runtime.PE) bool {
 	if st.queue.Len() == 0 {
-		return false
+		if st.owedEpoch < 0 {
+			return false
+		}
+		st.payContribution(pe)
+		return true
 	}
 	it := st.queue.Pop()
 	v := int32(it.Value)
@@ -374,6 +420,7 @@ func (st *peState) Idle(pe *runtime.PE) bool {
 	// entries produce no onward updates.
 	st.hist.AddProcessed(d)
 	st.shared.met.processed.Inc(st.me)
+	st.worked(pe, 1)
 	return true
 }
 
@@ -524,20 +571,15 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 		st.histTrace = append(st.histTrace, snap)
 	}
 
-	if st.params.ReductionDelay > 0 && !ctrl.terminate {
-		rt := st.shared.rt
-		time.AfterFunc(st.params.ReductionDelay, func() {
-			rt.Inject(0, delayedCtrl{ctrl: ctrl})
-		})
-		return
-	}
+	// Broadcast at once: what paces the cycle is the work every PE does
+	// before it contributes again (reportAfterWork).
 	pe.Broadcast(epoch, ctrl)
 }
 
 // OnBroadcast applies a control broadcast on every PE: adopt the new
 // thresholds, drain the holds they release (lowest buckets first, §II-C),
-// explicitly flush tramlib (tail progress, §II-D), and join the next
-// reduction cycle.
+// explicitly flush tramlib (tail progress, §II-D), and owe the next
+// reduction a contribution, paid by worked or Idle.
 func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	ctrl := payload.(ctrlMsg)
 	if ctrl.terminate {
@@ -585,5 +627,5 @@ func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
 	}
-	st.contribute(pe, epoch+1)
+	st.owedEpoch, st.workSince = epoch+1, 0
 }

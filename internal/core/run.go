@@ -109,10 +109,6 @@ func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error
 func (s *setup) run() (*machine.Result[*peState], error) {
 	return machine.Run(s.cfg,
 		func(pe *runtime.PE) *peState {
-			// Handlers are built before any PE goroutine starts, so this
-			// is the one point where the runtime exists and nothing reads
-			// sh.rt yet (the root's paced reduction timer does, later).
-			s.sh.rt = pe.Runtime()
 			return newPEState(s.sh, pe, s.params, s.sc.slot(pe.Index()))
 		},
 		func(rt *runtime.Runtime) {

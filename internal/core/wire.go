@@ -22,10 +22,6 @@ import (
 // Each process therefore keeps its own pool ledger balanced: the sender
 // pairs its Borrow with the encode-side Release, the receiver pairs its
 // decode-side BorrowShared with receiveBatch's ReleaseTo.
-//
-// delayedCtrl is deliberately not registered: it re-enters the root PE via
-// Inject, which always delivers process-locally, so a delayedCtrl reaching
-// the codec is a routing bug and fails loudly as an unknown tag.
 func registerCoreWire(c *wire.Codec, sh *sharedState) {
 	c.Register(wire.TagSeed, seedMsg{},
 		func(c *wire.Codec, buf []byte, v any) ([]byte, error) {

@@ -204,15 +204,6 @@ func TestReduceValWireRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestDelayedCtrlIsNotWireEncodable(t *testing.T) {
-	c, _ := newWireHarness(t)
-	// delayedCtrl re-enters the root via Inject, which never crosses a
-	// process boundary; reaching the codec is a routing bug.
-	if _, err := c.EncodeFrame(nil, delayedCtrl{}); !errors.Is(err, wire.ErrUnknownTag) {
-		t.Errorf("delayedCtrl encoded: %v", err)
-	}
-}
-
 // buildFrame wraps a raw tagged body in the frame preamble, for feeding
 // hand-built (malformed) bodies to DecodeFrame.
 func buildFrame(tag byte, body []byte) []byte {

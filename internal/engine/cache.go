@@ -150,13 +150,15 @@ func (c *lruCache) purgeStale(epoch uint64) {
 }
 
 // completed snapshots the completed, non-failed entries at epoch — the
-// resident vectors Mutate repairs across a batch.
+// resident vectors Mutate repairs across a batch — least recent first, so
+// that putting them back in this order keeps their relative recency.
 func (c *lruCache) completed(epoch uint64) []*cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []*cacheEntry
-	for key, ent := range c.items {
-		if key.epoch != epoch {
+	for el := c.order.Back(); el != nil; el = el.Prev() {
+		ent := el.Value.(*cacheEntry)
+		if ent.key.epoch != epoch {
 			continue
 		}
 		select {

@@ -11,7 +11,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"acic/internal/core"
@@ -101,7 +100,6 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	// complete after this point are dropped by purgeStale (or evicted by
 	// their own leader's publish), never served stale.
 	resident := e.cache.completed(old.epoch)
-	sort.Slice(resident, func(i, j int) bool { return resident[i].key.source < resident[j].key.source })
 
 	d, err := e.dg.Apply(batch)
 	if err != nil {
@@ -131,7 +129,9 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	}
 
 	// Publish: swap the version, drop everything stale, re-home the
-	// repaired vectors. Queries admitted from here on see the new epoch.
+	// repaired vectors — oldest first, as harvested, so the sources that
+	// were hot before the batch are still the last to be evicted after it.
+	// Queries admitted from here on see the new epoch.
 	e.version.Store(&graphVersion{epoch: mr.Epoch, g: e.dg.Snapshot()})
 	e.cache.purgeStale(mr.Epoch)
 	for i, ent := range resident {

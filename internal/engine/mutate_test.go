@@ -91,6 +91,46 @@ func TestMutateRepairsResidentVectors(t *testing.T) {
 	}
 }
 
+// TestMutateKeepsRecency: re-homing the repaired vectors under the new epoch
+// must not reorder them. The touched source is the lowest-numbered one, the
+// entry a re-homing in source order would make the oldest.
+func TestMutateKeepsRecency(t *testing.T) {
+	const capacity = 8
+	e, _ := mustDynamicEngine(t, testGraph(), Config{CacheEntries: capacity})
+	ctx := context.Background()
+	query := func(source int) *QueryResult {
+		t.Helper()
+		res, err := e.Query(ctx, source, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for s := 0; s < capacity; s++ {
+		query(s)
+	}
+	if !query(0).CacheHit { // now the most recent entry
+		t.Fatal("source 0 not resident after filling the cache")
+	}
+	mr, err := e.Mutate([]dynamic.Mutation{{Op: dynamic.Insert, From: 1, To: 2, Weight: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mr.RepairedVectors != capacity {
+		t.Fatalf("repaired %d vectors, want %d", mr.RepairedVectors, capacity)
+	}
+	// capacity-1 new sources evict every entry but the most recent one.
+	for s := capacity; s < 2*capacity-1; s++ {
+		if query(s).CacheHit {
+			t.Fatalf("never-seen source %d was a hit", s)
+		}
+	}
+	if res := query(0); !res.CacheHit || res.Epoch != mr.Epoch {
+		t.Fatalf("touched source after mutate and %d admissions: hit=%v epoch=%d, want a hit at epoch %d",
+			capacity-1, res.CacheHit, res.Epoch, mr.Epoch)
+	}
+}
+
 // TestMutateRejectsBadBatch: a rejected batch changes nothing — epoch,
 // graph, and cache all stay put.
 func TestMutateRejectsBadBatch(t *testing.T) {

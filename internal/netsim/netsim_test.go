@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -402,5 +403,36 @@ func BenchmarkNetworkSendZeroLatency(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Send(0, i%4, nil, 1)
+	}
+}
+
+// TestNearDeadlineIsMetWithoutTheTimer pins the dispatcher's wait for
+// deadlines inside timerHorizon: a message modeled at 50µs is never
+// delivered early, and is not delivered a timer tick (about a millisecond)
+// late either. Sends are one at a time, each timed from just before Send to
+// the deliver callback; the median over 50 absorbs the odd preemption.
+func TestNearDeadlineIsMetWithoutTheTimer(t *testing.T) {
+	const delay = 50 * time.Microsecond
+	arrived := make(chan time.Time, 1)
+	n, err := NewNetwork(SingleNode(2), LatencyModel{IntraProcess: delay},
+		func(int, any) { arrived <- time.Now() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	late := make([]time.Duration, 50)
+	for i := range late {
+		sent := time.Now()
+		n.Send(0, 1, i, 0)
+		took := (<-arrived).Sub(sent)
+		if took < delay {
+			t.Fatalf("send %d delivered after %v, before its %v delay", i, took, delay)
+		}
+		late[i] = took - delay
+	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	if med := late[len(late)/2]; med >= 200*time.Microsecond {
+		t.Errorf("median lateness %v over %d sends, want < 200µs (min %v, max %v)",
+			med, len(late), late[0], late[len(late)-1])
 	}
 }

@@ -22,6 +22,11 @@ type relayApp struct {
 	quiesced *atomic.Int64
 }
 
+// relayHopSize is the size every hop travels at. relnet's standalone acks
+// travel at size 1, so a fault filter — which sees only (src, dst, size) —
+// can pick out a data frame whatever the timing of the acks around it.
+const relayHopSize = 2
+
 func (h *relayApp) Deliver(pe *PE, msg any) {
 	if _, ok := msg.(Quiescence); ok {
 		h.quiesced.Add(1)
@@ -31,7 +36,7 @@ func (h *relayApp) Deliver(pe *PE, msg any) {
 	n := msg.(int)
 	h.hops.Add(1)
 	if n > 1 {
-		pe.Send(1-pe.Index(), n-1, 1)
+		pe.Send(1-pe.Index(), n-1, relayHopSize)
 	}
 }
 
@@ -89,11 +94,12 @@ func TestDroppedMessageRecoversWithReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop the 5th data-carrying network message (acks excluded so the
-	// recovery exercises exactly one retransmission).
+	// Drop the 5th hop (acks excluded so the recovery exercises exactly
+	// one retransmission; a dropped ack is healed by the next cumulative
+	// one and retransmits nothing).
 	var count atomic.Int64
 	rt.Network().SetDropFilter(func(src, dst, size int) bool {
-		return size > 0 && count.Add(1) == 5
+		return size == relayHopSize && count.Add(1) == 5
 	})
 	rt.Start(func(pe *PE) Handler { return &relayApp{hops: &hops, quiesced: &quiesced} })
 	rt.send(0, 0, envelope{kind: kindApp, payload: 20}, 1)
@@ -191,9 +197,11 @@ func TestDuplicateDeliverySwallowedWithReliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var count atomic.Int64
+	// Ghost the third hop. Counting every frame instead would sometimes
+	// pick a standalone ack, which the layer consumes rather than discards.
+	var hopFrames atomic.Int64
 	rt.Network().SetDupFilter(func(src, dst, size int) (time.Duration, bool) {
-		return 200 * time.Microsecond, count.Add(1) == 3
+		return 200 * time.Microsecond, size == relayHopSize && hopFrames.Add(1) == 3
 	})
 	rt.Start(func(pe *PE) Handler { return &relayApp{hops: &hops, quiesced: &quiesced} })
 	rt.send(0, 0, envelope{kind: kindApp, payload: 10}, 1)
