@@ -13,7 +13,7 @@
 //
 //	netsim.Network:  Send
 //	runtime.PE:      Send, Broadcast, Contribute
-//	runtime.Runtime: Inject, send, sendFrom
+//	runtime.Runtime: Inject, send
 //	tram.Manager:    Insert, FlushSet
 //
 // The walk is source-order and branch-insensitive: a lock released on only
@@ -51,7 +51,7 @@ var sendMethods = map[string]map[string]map[string]bool{
 	},
 	"runtime": {
 		"PE":      {"Send": true, "Broadcast": true, "Contribute": true},
-		"Runtime": {"Inject": true, "send": true, "sendFrom": true},
+		"Runtime": {"Inject": true, "send": true},
 	},
 	"tram": {
 		"Manager": {"Insert": true, "FlushSet": true},

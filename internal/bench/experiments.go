@@ -66,7 +66,7 @@ func (c Config) runACICWithUpdates(g *graph.Graph, nodes int, p core.Params) (fl
 // Fig1Result carries the histogram snapshot reproducing Fig. 1: the merged
 // global histogram mid-run on a one-node RMAT graph with p_tram = 0.1.
 type Fig1Result struct {
-	Snapshot core.HistSnapshot
+	Snapshot core.ThresholdAudit
 	// PeakActive is the maximum active-update count over the run; the
 	// returned snapshot is the one recorded at that moment.
 	PeakActive int64
@@ -83,7 +83,7 @@ func (c Config) Fig1Histogram() (*Fig1Result, error) {
 	}
 	p := c.acicParams()
 	p.PTram = 0.1 // the figure's caption: p_tram = 0.1
-	p.HistogramTrace = true
+	p.AuditTrace = true
 	res, err := core.Run(g, 0, core.Options{Topo: c.Topo(1), Latency: c.Latency, Params: p})
 	if err != nil {
 		return nil, err
@@ -91,20 +91,20 @@ func (c Config) Fig1Histogram() (*Fig1Result, error) {
 	if err := c.verifyDist(g, 0, res.Dist, "acic"); err != nil {
 		return nil, err
 	}
-	if len(res.Stats.HistTrace) == 0 {
+	if len(res.Stats.AuditTrace) == 0 {
 		return nil, fmt.Errorf("bench: no histogram snapshots recorded")
 	}
 	out := &Fig1Result{}
-	for _, snap := range res.Stats.HistTrace {
+	for _, snap := range res.Stats.AuditTrace {
 		if snap.Active > out.PeakActive {
 			out.PeakActive = snap.Active
 			out.Snapshot = snap
 		}
 	}
 	out.LowestNonEmpty = -1
-	for i, b := range out.Snapshot.Buckets {
+	for j, b := range out.Snapshot.BucketCount {
 		if b > 0 {
-			out.LowestNonEmpty = i
+			out.LowestNonEmpty = out.Snapshot.BucketIdx[j]
 			break
 		}
 	}
@@ -117,8 +117,17 @@ func (r *Fig1Result) Table() *collect.Table {
 		fmt.Sprintf("Fig 1: global update histogram at peak (epoch %d, %d active, t_tram=%d, t_pq=%d, lowest=%d)",
 			r.Snapshot.Epoch, r.Snapshot.Active, r.Snapshot.TTram, r.Snapshot.TPQ, r.LowestNonEmpty),
 		"bucket", "updates")
+	// The audit keeps the histogram sparse; the figure prints every bucket
+	// of the occupied range, empty ones included.
+	var buckets []int64
+	if n := len(r.Snapshot.BucketIdx); n > 0 {
+		buckets = make([]int64, r.Snapshot.BucketIdx[n-1]+1)
+	}
+	for j, idx := range r.Snapshot.BucketIdx {
+		buckets[idx] = r.Snapshot.BucketCount[j]
+	}
 	lo, hi := -1, -1
-	for i, b := range r.Snapshot.Buckets {
+	for i, b := range buckets {
 		if b > 0 {
 			if lo < 0 {
 				lo = i
@@ -127,7 +136,7 @@ func (r *Fig1Result) Table() *collect.Table {
 		}
 	}
 	for i := lo; i >= 0 && i <= hi; i++ {
-		t.AddRow(i, r.Snapshot.Buckets[i])
+		t.AddRow(i, buckets[i])
 	}
 	return t
 }

@@ -69,10 +69,10 @@ func combineReduce(a, b any) any {
 type Params struct {
 	TramMode     tram.Mode
 	TramCapacity int
-	// CycleDelay paces the concurrent reduction cycle; zero or negative
-	// selects 100µs.
-	CycleDelay time.Duration
 }
+
+// cycleDelay paces the concurrent reduction cycle.
+const cycleDelay = 100 * time.Microsecond
 
 // DefaultParams mirrors the SSSP aggregation setup.
 func DefaultParams() Params {
@@ -273,16 +273,12 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 		st.prevEqualSum = -1
 	}
 
-	delay := st.params.CycleDelay
-	if delay <= 0 {
-		delay = 100 * time.Microsecond
-	}
 	if ctrl.terminate {
 		pe.Broadcast(epoch, ctrl)
 		return
 	}
 	rt := pe.Runtime()
-	time.AfterFunc(delay, func() { rt.Inject(0, cycleMsg{epoch: epoch, ctrl: ctrl}) })
+	time.AfterFunc(cycleDelay, func() { rt.Inject(0, cycleMsg{epoch: epoch, ctrl: ctrl}) })
 }
 
 // Run computes weakly connected components of g.
@@ -305,9 +301,10 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		params.TramCapacity = tram.DefaultCapacity
 	}
 
-	// Build the undirected view once: original edges plus reversed.
+	// Build the undirected view once: original edges plus reversed (range
+	// fixes its length before the first append, so it visits the originals).
 	edges := g.Edges()
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		edges = append(edges, graph.Edge{From: e.To, To: e.From, Weight: e.Weight})
 	}
 	und, err := graph.Build(g.NumVertices(), edges)

@@ -85,14 +85,11 @@ type Params struct {
 	// this condition never triggers on its own, which is why it is an
 	// extra condition layered on quiescence rather than a replacement.
 	TerminateOnAllFinal bool
-	// HistogramTrace records the merged global histogram at every
-	// reduction, for the Fig. 1 reproduction. Costs memory per reduction.
-	HistogramTrace bool
 	// AuditTrace records one ThresholdAudit per completed reduction — the
 	// merged histogram, the derived thresholds, the quiescence counters,
 	// and the hold populations before/after the previous broadcast's drain
-	// — exportable as JSONL/CSV (WriteAuditJSONL/WriteAuditCSV). Costs
-	// memory per reduction, like HistogramTrace.
+	// — exportable as JSONL/CSV (WriteAuditJSONL/WriteAuditCSV), and the
+	// raw material of the Fig. 1 reproduction. Costs memory per reduction.
 	AuditTrace bool
 	// SmoothThresholds selects the §V threshold-function refinement: the
 	// root derives thresholds from the whole histogram population via
@@ -240,21 +237,9 @@ type Stats struct {
 	// FinalizedEarly is true if the optional vertex-finalization condition
 	// fired before quiescence.
 	FinalizedEarly bool
-	// HistTrace holds per-reduction merged histograms when
-	// Params.HistogramTrace is set.
-	HistTrace []HistSnapshot
 	// AuditTrace holds one record per completed reduction when
 	// Params.AuditTrace is set (see ThresholdAudit).
 	AuditTrace []ThresholdAudit
-}
-
-// HistSnapshot is one recorded global histogram (Fig. 1 raw material).
-type HistSnapshot struct {
-	Epoch   int64
-	Active  int64
-	Buckets []int64
-	TTram   int
-	TPQ     int
 }
 
 // Result is the output of an ACIC run.

@@ -209,15 +209,15 @@ func TestVertexFinalizationNeverFiresWithUnreachable(t *testing.T) {
 func TestHistogramTrace(t *testing.T) {
 	g := gen.Uniform(1000, 8000, gen.Config{Seed: 15})
 	p := DefaultParams()
-	p.HistogramTrace = true
+	p.AuditTrace = true
 	res := runAndVerify(t, g, 0, Options{Topo: netsim.SingleNode(4), Params: p})
-	if len(res.Stats.HistTrace) == 0 {
+	if len(res.Stats.AuditTrace) == 0 {
 		t.Fatal("no histogram snapshots recorded")
 	}
-	if int64(len(res.Stats.HistTrace)) != res.Stats.Reductions {
-		t.Errorf("trace length %d != reductions %d", len(res.Stats.HistTrace), res.Stats.Reductions)
+	if int64(len(res.Stats.AuditTrace)) != res.Stats.Reductions {
+		t.Errorf("trace length %d != reductions %d", len(res.Stats.AuditTrace), res.Stats.Reductions)
 	}
-	last := res.Stats.HistTrace[len(res.Stats.HistTrace)-1]
+	last := res.Stats.AuditTrace[len(res.Stats.AuditTrace)-1]
 	if last.Active != 0 {
 		t.Errorf("final snapshot has %d active updates, want 0", last.Active)
 	}

@@ -121,7 +121,6 @@ type peState struct {
 	prevEqualSum   int64
 	terminated     bool
 	finalizedEarly bool
-	histTrace      []HistSnapshot
 	auditTrace     []ThresholdAudit
 }
 
@@ -555,20 +554,6 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 	if st.params.AuditTrace {
 		st.auditTrace = append(st.auditTrace,
 			newThresholdAudit(epoch, global, rv.holds, ctrl.thresholds))
-	}
-
-	if st.params.HistogramTrace {
-		snap := HistSnapshot{
-			Epoch:  epoch,
-			Active: global.Active(),
-			TTram:  ctrl.thresholds.Tram,
-			TPQ:    ctrl.thresholds.PQ,
-		}
-		snap.Buckets = make([]int64, global.NumBuckets())
-		for i := range snap.Buckets {
-			snap.Buckets[i] = global.Bucket(i)
-		}
-		st.histTrace = append(st.histTrace, snap)
 	}
 
 	// Broadcast at once: what paces the cycle is the work every PE does

@@ -8,6 +8,7 @@ package core
 // trace.
 
 import (
+	"math"
 	"testing"
 
 	"acic/internal/gen"
@@ -18,7 +19,7 @@ func traceRun(t *testing.T, seed uint64) *Result {
 	t.Helper()
 	g := gen.Uniform(1200, 9600, gen.Config{Seed: seed})
 	p := DefaultParams()
-	p.HistogramTrace = true
+	p.AuditTrace = true
 	return runAndVerify(t, g, 0, Options{Topo: netsim.SingleNode(4), Params: p})
 }
 
@@ -27,7 +28,7 @@ func TestLifecycleActiveCountNeverNegative(t *testing.T) {
 	// be non-negative: an update cannot complete processing before it was
 	// created, in any interleaving.
 	res := traceRun(t, 101)
-	for i, snap := range res.Stats.HistTrace {
+	for i, snap := range res.Stats.AuditTrace {
 		if snap.Active < 0 {
 			t.Fatalf("snapshot %d: negative active count %d", i, snap.Active)
 		}
@@ -39,9 +40,9 @@ func TestLifecycleBucketsSumToActive(t *testing.T) {
 	// difference: increments and decrements balance globally even though
 	// individual PE histograms go negative (§II-B).
 	res := traceRun(t, 102)
-	for i, snap := range res.Stats.HistTrace {
+	for i, snap := range res.Stats.AuditTrace {
 		var sum int64
-		for _, b := range snap.Buckets {
+		for _, b := range snap.BucketCount {
 			sum += b
 		}
 		if sum != snap.Active {
@@ -54,14 +55,13 @@ func TestLifecycleDrainsToZero(t *testing.T) {
 	// The run ends quiescent: the final snapshots show zero active updates
 	// and an empty histogram.
 	res := traceRun(t, 103)
-	last := res.Stats.HistTrace[len(res.Stats.HistTrace)-1]
+	last := res.Stats.AuditTrace[len(res.Stats.AuditTrace)-1]
 	if last.Active != 0 {
 		t.Fatalf("final snapshot active = %d", last.Active)
 	}
-	for b, v := range last.Buckets {
-		if v != 0 {
-			t.Fatalf("final snapshot bucket %d = %d", b, v)
-		}
+	// The audit omits empty buckets, so an empty histogram lists none.
+	if len(last.BucketIdx) != 0 {
+		t.Fatalf("final snapshot buckets %v = %v", last.BucketIdx, last.BucketCount)
 	}
 }
 
@@ -70,15 +70,15 @@ func TestLifecycleLowestBucketAdvances(t *testing.T) {
 	// updates complete first, so the lowest occupied bucket of the global
 	// histogram is (weakly) higher late in the run than at its start.
 	res := traceRun(t, 104)
-	lowest := func(s HistSnapshot) int {
-		for i, b := range s.Buckets {
+	lowest := func(s ThresholdAudit) int {
+		for j, b := range s.BucketCount {
 			if b > 0 {
-				return i
+				return s.BucketIdx[j]
 			}
 		}
-		return len(s.Buckets)
+		return math.MaxInt
 	}
-	trace := res.Stats.HistTrace
+	trace := res.Stats.AuditTrace
 	if len(trace) < 4 {
 		t.Skip("run too short for trend analysis")
 	}

@@ -152,7 +152,6 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 	}
 	root := run.Handlers[0]
 	res.Stats.Reductions = root.reductions
-	res.Stats.HistTrace = root.histTrace
 	res.Stats.AuditTrace = root.auditTrace
 	res.Stats.FinalizedEarly = root.finalizedEarly
 	for peIdx, st := range run.Handlers {

@@ -44,15 +44,15 @@ type (
 	batchMsg struct{ items []update }
 )
 
+// quiescencePoll is the runtime quiescence detector's poll interval.
+const quiescencePoll = 200 * time.Microsecond
+
 // Params configure distributed control.
 type Params struct {
 	// TramMode and TramCapacity configure aggregation; a capacity of 1
 	// effectively disables batching (every update is its own message).
 	TramMode     tram.Mode
 	TramCapacity int
-	// QuiescencePoll is the runtime detector's poll interval; zero means
-	// 200µs.
-	QuiescencePoll time.Duration
 	// ComputeCost is the simulated per-unit compute time charged for each
 	// update received and each edge relaxed; see core.Params.ComputeCost.
 	ComputeCost time.Duration
@@ -203,15 +203,12 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 	if params.TramCapacity <= 0 {
 		params.TramCapacity = tram.DefaultCapacity
 	}
-	if params.QuiescencePoll <= 0 {
-		params.QuiescencePoll = 200 * time.Microsecond
-	}
 	cfg := machine.Config{
 		Config: runtime.Config{
 			Topo:           opts.Topo,
 			Latency:        opts.Latency,
 			Jitter:         opts.Jitter,
-			QuiescencePoll: params.QuiescencePoll,
+			QuiescencePoll: quiescencePoll,
 		},
 		Clock: opts.Clock,
 	}

@@ -2,10 +2,9 @@
 // runtime sends through. Two implementations exist: internal/netsim (the
 // simulated delay-queue network — latency models, jitter, fault
 // injection, virtual time) and internal/sockfab (real OS processes
-// exchanging length-prefixed frames over loopback TCP). The runtime,
-// the relnet reliability layer, and the algorithm drivers program
-// against this interface only, so every algorithm runs unmodified over
-// either fabric.
+// exchanging length-prefixed frames over loopback TCP). The runtime and
+// the algorithm drivers program against this interface only, so an
+// algorithm runs unmodified over either fabric.
 //
 // Contract (what netsim already provided, now named):
 //
@@ -14,18 +13,17 @@
 //     the deliver callback supplied at construction; deliveries to any
 //     one destination are serial, and two sends on the same (src, dst)
 //     pair arrive in send order (per-pair FIFO).
-//   - SendAfter(dst, payload, delay) is the timer facility: payload is
-//     delivered to dst after at least delay, on the same serial
-//     dispatcher. Timers are fabric-local — they never cross a process
-//     boundary.
 //   - QueueLen reports how many accepted-but-undelivered payloads the
 //     fabric currently holds (the ledger's NetQueue column).
 //   - Close is idempotent; it delivers or accounts for everything the
 //     fabric accepted, then returns. After Close (or concurrently with
-//     it) Send/SendAfter return SendClosed.
+//     it) Send returns SendClosed.
+//
+// Timers are not part of the seam. The one consumer of a timer facility,
+// the relnet reliability layer, exists to survive the simulated network's
+// injected faults and declares the extra method it needs itself; a real
+// ordered transport needs no retransmit layer above it.
 package fabric
-
-import "time"
 
 // SendResult reports what the fabric decided to do with a payload.
 // netsim aliases its SendResult to this type so the two packages'
@@ -65,8 +63,6 @@ type Fabric interface {
 	// item count (batch length), used for accounting tiers; it does not
 	// affect delivery.
 	Send(src, dst int, payload any, size int) SendResult
-	// SendAfter delivers payload to dst after at least delay.
-	SendAfter(dst int, payload any, delay time.Duration) SendResult
 	// QueueLen reports accepted-but-undelivered payloads.
 	QueueLen() int
 	// Close delivers or accounts for everything accepted, then returns.

@@ -75,20 +75,23 @@ func combineStatus(a, b any) any {
 	return av
 }
 
+// The double/halve/keep rule compares the change count of the last
+// super-step against the one before: k doubles when the ratio exceeds
+// growThreshold, halves when it falls below shrinkThreshold, and never
+// leaves [1, maxK].
+const (
+	growThreshold   = 1.5
+	shrinkThreshold = 0.5
+	maxK            = 1 << 20
+)
+
 // Params are the KLA tunables.
 type Params struct {
 	// InitialK is the starting propagation depth; zero means 2.
 	InitialK int32
-	// MaxK caps adaptation; zero means 1 << 20.
-	MaxK int32
-	// Adaptive enables the double/halve/keep rule; when false k stays at
-	// InitialK.
+	// Adaptive enables the double/halve/keep rule (see adaptK); when false
+	// k stays at InitialK.
 	Adaptive bool
-	// GrowThreshold and ShrinkThreshold compare the change count of the
-	// last super-step against the one before: grow k when the ratio
-	// exceeds GrowThreshold, shrink when below ShrinkThreshold. Zeros mean
-	// 1.5 and 0.5.
-	GrowThreshold, ShrinkThreshold float64
 	// TramMode and TramCapacity configure aggregation.
 	TramMode     tram.Mode
 	TramCapacity int
@@ -318,25 +321,13 @@ func (st *peState) adaptK(s *status) int32 {
 	if !st.params.Adaptive {
 		return k
 	}
-	grow := st.params.GrowThreshold
-	if grow <= 0 {
-		grow = 1.5
-	}
-	shrink := st.params.ShrinkThreshold
-	if shrink <= 0 {
-		shrink = 0.5
-	}
-	maxK := st.params.MaxK
-	if maxK <= 0 {
-		maxK = 1 << 20
-	}
 	prev := st.root.prevChanged
 	switch {
 	case prev == 0:
 		// First adaptation: nothing to compare against.
-	case float64(s.changed) > grow*float64(prev):
+	case float64(s.changed) > growThreshold*float64(prev):
 		k *= 2
-	case float64(s.changed) < shrink*float64(prev):
+	case float64(s.changed) < shrinkThreshold*float64(prev):
 		k /= 2
 	}
 	if k < 1 {

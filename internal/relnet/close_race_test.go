@@ -1,7 +1,7 @@
 package relnet
 
 // Close-race regressions. Both bugs are races between a Send/deliver and
-// the fabric closing, so they are pinned against scriptable fabric.Fabric
+// the fabric closing, so they are pinned against scriptable Fabric
 // stubs rather than a live netsim network: the stub freezes the exact
 // interleaving (data path open, timer path closed) that a real close only
 // hits in a narrow window.
@@ -21,8 +21,7 @@ type stubMsg struct {
 
 // stubFabric scripts its two paths independently: a fabric whose Send
 // works while SendAfter reports closed is exactly the half-closed state a
-// real close passes through (netsim marks lanes closed one by one; a TCP
-// node can have live conns after its local timer queue shut down).
+// real close passes through (netsim marks lanes closed one by one).
 type stubFabric struct {
 	sendClosed  bool
 	afterClosed bool
@@ -47,7 +46,7 @@ func (s *stubFabric) SendAfter(dst int, payload any, delay time.Duration) fabric
 }
 
 func (s *stubFabric) QueueLen() int { return len(s.sent) + len(s.timers) }
-func (s *stubFabric) Close()       { s.sendClosed, s.afterClosed = true, true }
+func (s *stubFabric) Close()        { s.sendClosed, s.afterClosed = true, true }
 
 // TestSendStrandedOnCloseMidSend pins the close-mid-send race: the data
 // frame reaches the fabric, but the fabric closes before the retransmit

@@ -1,6 +1,8 @@
 // Package relnet is the reliable-delivery layer between the runtime and the
-// message fabric (any fabric.Fabric — the simulated internal/netsim
-// network or the TCP transport in internal/sockfab).
+// simulated message fabric (internal/netsim, the one fabric that can lose,
+// duplicate or reorder a frame, and the one that offers the timer facility
+// the layer's timeouts ride; see Fabric). The TCP transport in
+// internal/sockfab is ordered and reliable already and runs without it.
 //
 // The paper's quiescence rule — created == processed, stable across two
 // consecutive reductions (§II-D) — silently assumes the fabric neither loses
@@ -192,13 +194,21 @@ type pair struct {
 	_ [64]byte
 }
 
+// Fabric is what the layer sends through: a fabric with a timer facility
+// that delivers payload to dst after at least delay, on the same serial
+// dispatcher as Send's deliveries. *netsim.Network provides it.
+type Fabric interface {
+	fabric.Fabric
+	SendAfter(dst int, payload any, delay time.Duration) fabric.SendResult
+}
+
 // Layer is the reliable-delivery endpoint set for one simulated machine.
 // Create it with New, hand OnFabric to the Network as its deliver function
 // (directly or via a closure), then Bind the network before the first Send.
 type Layer struct {
 	cfg     Config
 	n       int
-	net     fabric.Fabric
+	net     Fabric
 	deliver func(dst int, payload any)
 	pairs   []pair // stream (s, d) at index s*n+d
 
@@ -234,11 +244,10 @@ func New(cfg Config, numPEs int, deliver func(dst int, payload any)) *Layer {
 	}
 }
 
-// Bind attaches the fabric the layer sends through — any fabric.Fabric
-// (the simulated netsim network, a sockfab TCP node, or a test stub). The
-// fabric's deliver function must route every payload to OnFabric; Bind
-// must be called before the first Send.
-func (l *Layer) Bind(net fabric.Fabric) { l.net = net }
+// Bind attaches the fabric the layer sends through (the simulated netsim
+// network, or a test stub). The fabric's deliver function must route every
+// payload to OnFabric; Bind must be called before the first Send.
+func (l *Layer) Bind(net Fabric) { l.net = net }
 
 // pair returns the state of stream src→dst.
 func (l *Layer) pair(src, dst int) *pair { return &l.pairs[src*l.n+dst] }

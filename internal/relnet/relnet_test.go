@@ -9,6 +9,9 @@ import (
 	"acic/internal/netsim"
 )
 
+// The one production fabric the layer is bound to (runtime.New).
+var _ Fabric = (*netsim.Network)(nil)
+
 // harness wires a Layer over a raw netsim.Network and collects deliveries.
 type harness struct {
 	l   *Layer

@@ -13,26 +13,12 @@ import (
 // in practice by the quiescence invariant (created == processed drains all
 // queues).
 //
-// Two paths feed the consumer:
-//
-//   - The general path: producers append envelopes to prod under the mutex;
-//     the consumer, when its private cons slice runs dry, swaps the whole
-//     prod slice in under a single lock acquisition and then pops lock-free.
-//     The two backing arrays ping-pong between the roles so steady-state
-//     traffic allocates nothing.
-//
-//   - The SPSC fast path: sends from a PE goroutine over a zero-latency
-//     pair (Runtime.sendFrom) go through a bounded per-source ring buffer
-//     (spscRing), created lazily on first use, so the hottest sends touch
-//     no mutex at all. On overflow the producer spills to the mutex path
-//     and stays there — marking each spilled envelope with its source —
-//     until the consumer has drained every spilled envelope of that pair,
-//     which preserves per-pair FIFO order across the spill. The consumer
-//     drains rings before the swap-drained slices; ring entries of a pair
-//     always predate its spilled entries, so the preference is safe.
-//
-// queued counts items on both paths, so len() (feeding the conservation
-// audit's MailboxBacklog column) is exact from any goroutine.
+// The whole protocol is "append under the mutex, swap once, pop privately":
+// producers append envelopes to prod under the mutex; the consumer, when its
+// private cons slice runs dry, swaps the whole prod slice in under a single
+// lock acquisition and then pops lock-free. The two backing arrays ping-pong
+// between the roles so steady-state traffic allocates nothing. One queue
+// appended in arrival order is what gives per-(src,dst) FIFO.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -41,32 +27,12 @@ type mailbox struct {
 
 	// Consumer-private state: touched only by the single consumer
 	// goroutine, never under mu.
-	cons       []envelope
-	head       int
-	ringCursor int // round-robin scan position over rings
+	cons []envelope
+	head int
 
-	// rings[src] is the SPSC fast path from PE src, nil until that PE
-	// first sends here over a zero-latency pair. Only src's goroutine
-	// stores the pointer (CAS), so each ring has exactly one producer.
-	rings []atomic.Pointer[spscRing]
-
-	// ringItems counts envelopes currently published to rings (ring items
-	// are deliberately NOT in queued; len() sums both, keeping the fast
-	// path at one counter update per push/pop). The consumer checks it to
-	// skip the ring scan, and the sleeping handshake below reads it to
-	// close the lost-wakeup race.
-	ringItems atomic.Int64
-
-	// sleeping is set by the consumer just before it re-checks for work
-	// and blocks in cond.Wait; ring producers only take the mutex to
-	// signal when they observe it set. Sequentially consistent atomics
-	// make the two sides' store/load pairs a Dekker handshake: at least
-	// one side sees the other, so no wakeup is lost.
-	sleeping atomic.Bool
-
-	// queued counts mutex-path items: prod plus un-popped items in cons.
-	// len() adds ringItems, so it is safe from any goroutine without
-	// touching consumer-private state.
+	// queued counts prod plus un-popped items in cons, so len() (feeding
+	// the conservation audit's MailboxBacklog column) is exact from any
+	// goroutine without touching consumer-private state.
 	queued atomic.Int64
 
 	// dropped counts pushes that arrived after close — in-flight messages
@@ -75,8 +41,8 @@ type mailbox struct {
 	dropped atomic.Int64
 }
 
-func newMailbox(numPEs int) *mailbox {
-	m := &mailbox{rings: make([]atomic.Pointer[spscRing], numPEs)}
+func newMailbox() *mailbox {
+	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -97,85 +63,9 @@ func (m *mailbox) push(env envelope) {
 	m.mu.Unlock()
 }
 
-// pushFrom is the SPSC fast path: src's PE goroutine (and nobody else)
-// enqueues env through its dedicated ring, falling back to the mutex path
-// on overflow. The fallback is sticky per pair — once spilling, later
-// envelopes keep spilling until the consumer has popped every spilled
-// envelope — because a ring entry published after a spilled entry would
-// otherwise be consumed first (the consumer prefers rings) and break
-// per-pair FIFO.
-//
-//acic:noalloc
-func (m *mailbox) pushFrom(src int, env envelope) {
-	r := m.rings[src].Load()
-	if r == nil {
-		r = &spscRing{} //acic:allow-alloc one ring per live (src,dst) pair, first envelope only
-		if !m.rings[src].CompareAndSwap(nil, r) {
-			// Only src stores this slot, so a lost CAS is impossible in
-			// practice; reload defensively anyway.
-			r = m.rings[src].Load()
-		}
-	}
-	if r.spilling {
-		if r.spillPending.Load() == 0 && !r.full() {
-			r.spilling = false
-		} else {
-			m.pushSpill(src, r, env)
-			return
-		}
-	}
-	if !r.tryPush(env) {
-		r.spilling = true
-		m.pushSpill(src, r, env)
-		return
-	}
-	m.ringItems.Add(1)
-	if m.sleeping.Load() {
-		m.mu.Lock()
-		m.cond.Signal()
-		m.mu.Unlock()
-	}
-}
-
-// pushSpill diverts an overflowing fast-path envelope to the mutex path,
-// marked with its source so popCons can credit the pair's spillPending.
-func (m *mailbox) pushSpill(src int, r *spscRing, env envelope) {
-	env.spill = int32(src) + 1
-	r.spillPending.Add(1)
-	m.push(env)
-}
-
-// popRing scans the rings round-robin and pops the first available
-// envelope. Consumer goroutine only; callers gate on ringItems to skip
-// the scan when every ring is empty.
-func (m *mailbox) popRing() (envelope, bool) {
-	n := len(m.rings)
-	for i := 0; i < n; i++ {
-		idx := m.ringCursor
-		m.ringCursor++
-		if m.ringCursor == n {
-			m.ringCursor = 0
-		}
-		if r := m.rings[idx].Load(); r != nil {
-			if env, ok := r.tryPop(); ok {
-				m.ringItems.Add(-1)
-				return env, true
-			}
-		}
-	}
-	return envelope{}, false
-}
-
 // tryPop removes the oldest item without blocking. ok is false if empty.
-// Must be called from the consumer goroutine only. Rings drain before the
-// swap-drained slices: a pair's ring entries always predate its spilled
-// entries, so the preference keeps per-pair FIFO.
+// Must be called from the consumer goroutine only.
 func (m *mailbox) tryPop() (envelope, bool) {
-	if m.ringItems.Load() > 0 {
-		if env, ok := m.popRing(); ok {
-			return env, true
-		}
-	}
 	if m.head < len(m.cons) {
 		return m.popCons(), true
 	}
@@ -192,39 +82,20 @@ func (m *mailbox) tryPop() (envelope, bool) {
 // pop blocks until an item is available or the mailbox is closed.
 // ok is false only when closed and drained. Consumer goroutine only.
 func (m *mailbox) pop() (envelope, bool) {
-	for {
-		if env, ok := m.tryPop(); ok {
-			return env, true
-		}
-		m.mu.Lock()
-		m.sleeping.Store(true)
-		// Re-check after announcing sleep: a ring producer that published
-		// before observing sleeping is caught here, one that published
-		// after will observe it and signal under the mutex.
-		if m.ringItems.Load() > 0 {
-			m.sleeping.Store(false)
-			m.mu.Unlock()
-			continue
-		}
-		for len(m.prod) == 0 {
-			if m.closed {
-				m.sleeping.Store(false)
-				m.mu.Unlock()
-				return envelope{}, false
-			}
-			m.cond.Wait()
-			if m.ringItems.Load() > 0 {
-				break
-			}
-		}
-		m.sleeping.Store(false)
-		if len(m.prod) > 0 {
-			m.swapLocked()
-			m.mu.Unlock()
-			return m.popCons(), true
-		}
-		m.mu.Unlock()
+	if m.head < len(m.cons) {
+		return m.popCons(), true
 	}
+	m.mu.Lock()
+	for len(m.prod) == 0 {
+		if m.closed {
+			m.mu.Unlock()
+			return envelope{}, false
+		}
+		m.cond.Wait()
+	}
+	m.swapLocked()
+	m.mu.Unlock()
+	return m.popCons(), true
 }
 
 // swapLocked drains the producer slice into the consumer's private slice —
@@ -237,26 +108,9 @@ func (m *mailbox) swapLocked() {
 }
 
 // popCons returns the next item from the consumer-private slice, which is
-// known to be non-empty. A spill-marked head envelope is the FIFO fence of
-// its pair: every envelope still in that pair's ring predates it (spilling
-// is sticky until the consumer has popped all spilled envelopes), so the
-// ring is served first and the spilled envelope stays at head until the
-// ring is empty. This check — not the ringItems gate in tryPop, which is
-// only a throughput optimization and is racy against an in-flight
-// publish — is what guarantees per-pair FIFO across a spill. Consuming a
-// spilled envelope credits its pair's spillPending so the producer can
-// eventually resume its ring.
+// known to be non-empty.
 func (m *mailbox) popCons() envelope {
 	env := m.cons[m.head]
-	if env.spill != 0 {
-		r := m.rings[env.spill-1].Load()
-		if renv, ok := r.tryPop(); ok {
-			m.ringItems.Add(-1)
-			return renv
-		}
-		r.spillPending.Add(-1)
-		env.spill = 0
-	}
 	m.cons[m.head] = envelope{} // release payload for GC
 	m.head++
 	if m.head == len(m.cons) {
@@ -267,10 +121,9 @@ func (m *mailbox) popCons() envelope {
 	return env
 }
 
-// len reports the number of queued items on both paths. Safe from any
-// goroutine.
+// len reports the number of queued items. Safe from any goroutine.
 func (m *mailbox) len() int {
-	return int(m.queued.Load() + m.ringItems.Load())
+	return int(m.queued.Load())
 }
 
 // close wakes the consumer and makes subsequent pops return ok=false once

@@ -10,7 +10,7 @@ import (
 func env(i int) envelope { return envelope{kind: kindApp, epoch: int64(i)} }
 
 func TestMailboxFIFO(t *testing.T) {
-	m := newMailbox(4)
+	m := newMailbox()
 	for i := 0; i < 100; i++ {
 		m.push(env(i))
 	}
@@ -29,7 +29,7 @@ func TestMailboxFIFO(t *testing.T) {
 }
 
 func TestMailboxBlockingPop(t *testing.T) {
-	m := newMailbox(4)
+	m := newMailbox()
 	done := make(chan envelope, 1)
 	go func() {
 		v, _ := m.pop()
@@ -52,7 +52,7 @@ func TestMailboxBlockingPop(t *testing.T) {
 }
 
 func TestMailboxCloseWakesConsumer(t *testing.T) {
-	m := newMailbox(4)
+	m := newMailbox()
 	done := make(chan bool, 1)
 	go func() {
 		_, ok := m.pop()
@@ -71,7 +71,7 @@ func TestMailboxCloseWakesConsumer(t *testing.T) {
 }
 
 func TestMailboxDrainsBeforeCloseReturnsFalse(t *testing.T) {
-	m := newMailbox(4)
+	m := newMailbox()
 	m.push(env(1))
 	m.push(env(2))
 	m.close()
@@ -87,7 +87,7 @@ func TestMailboxDrainsBeforeCloseReturnsFalse(t *testing.T) {
 }
 
 func TestMailboxPushAfterCloseDropped(t *testing.T) {
-	m := newMailbox(4)
+	m := newMailbox()
 	m.close()
 	m.push(env(1))
 	if m.len() != 0 {
@@ -103,7 +103,7 @@ func TestMailboxPushAfterCloseDropped(t *testing.T) {
 // cycles, must neither lose nor reorder items, and a final drain must
 // return the remainder in order.
 func TestMailboxSwapDrainOrder(t *testing.T) {
-	m := newMailbox(4)
+	m := newMailbox()
 	next := 0
 	pushed := 0
 	for round := 0; round < 200; round++ {
@@ -141,48 +141,88 @@ func TestMailboxSwapDrainOrder(t *testing.T) {
 
 // TestMailboxConcurrentProducersFIFO checks the MPSC contract under the
 // race detector: items from each producer arrive in that producer's send
-// order (per-producer FIFO), with nothing lost or duplicated.
+// order (per-producer FIFO), with nothing lost or duplicated. The consumer
+// starts only once every producer has more than inFlight envelopes queued —
+// a backlog deeper than any bounded side buffer would hold, so ordering
+// must survive it — and then alternates tryPop and pop, the two ways the
+// scheduler loop takes an envelope, while the producers keep pushing.
 func TestMailboxConcurrentProducersFIFO(t *testing.T) {
-	m := newMailbox(4)
-	const producers, per = 8, 1000
-	var wg sync.WaitGroup
+	m := newMailbox()
+	const producers, per, inFlight = 8, 2000, 300
+	var wg, primed sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
+		primed.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				m.push(env(p*per + i))
+				if i == inFlight {
+					primed.Done()
+				}
 			}
 		}(p)
 	}
-	seen := 0
+	primed.Wait()
+	if got := m.len(); got <= producers*inFlight {
+		t.Fatalf("len = %d before the first pop, want > %d", got, producers*inFlight)
+	}
 	lastFrom := make([]int, producers)
 	for i := range lastFrom {
 		lastFrom[i] = -1
 	}
-	for seen < producers*per {
-		v, ok := m.pop()
+	for seen := 0; seen < producers*per; seen++ {
+		var v envelope
+		ok := false
+		if seen%2 == 0 {
+			v, ok = m.tryPop()
+		}
 		if !ok {
-			t.Fatal("mailbox closed unexpectedly")
+			if v, ok = m.pop(); !ok {
+				t.Fatal("mailbox closed unexpectedly")
+			}
 		}
 		p, i := int(v.epoch)/per, int(v.epoch)%per
-		if i <= lastFrom[p] {
+		if i != lastFrom[p]+1 {
 			t.Fatalf("producer %d: item %d arrived after %d", p, i, lastFrom[p])
 		}
-		if i != lastFrom[p]+1 {
-			t.Fatalf("producer %d: item %d skipped %d", p, i, lastFrom[p]+1)
-		}
 		lastFrom[p] = i
-		seen++
 	}
 	wg.Wait()
+	if m.len() != 0 {
+		t.Fatalf("len = %d after consuming everything", m.len())
+	}
+}
+
+// TestMailboxPushPopZeroAlloc is the allocation ceiling of the per-message
+// floor: once both backing arrays exist, a steady push/tryPop cycle must
+// not allocate (the payload is a pre-boxed value, as tram batches are in
+// the real hot path).
+func TestMailboxPushPopZeroAlloc(t *testing.T) {
+	m := newMailbox()
+	payload := any("batch")
+	for i := 0; i < 2; i++ { // one push per backing array
+		m.push(envelope{payload: payload})
+		if _, ok := m.tryPop(); !ok {
+			t.Fatal("warm pop failed")
+		}
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		m.push(envelope{kind: kindApp, payload: payload})
+		if _, ok := m.tryPop(); !ok {
+			t.Fatal("pop failed")
+		}
+	})
+	if avg > 0 {
+		t.Errorf("warm push/tryPop allocates %.2f objects, want 0", avg)
+	}
 }
 
 // TestMailboxCloseRace closes the mailbox while producers are pushing and
 // a consumer is draining; after pop reports closed-and-drained, len must
 // be stable at zero and further pushes must be dropped. Run under -race.
 func TestMailboxCloseRace(t *testing.T) {
-	m := newMailbox(4)
+	m := newMailbox()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {

@@ -8,7 +8,7 @@ import "testing"
 // pushes 64 then drains 64, the arrival pattern a tram flush produces.
 func BenchmarkMailbox(b *testing.B) {
 	b.Run("pingpong", func(b *testing.B) {
-		m := newMailbox(4)
+		m := newMailbox()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -19,40 +19,12 @@ func BenchmarkMailbox(b *testing.B) {
 		}
 	})
 	b.Run("burst64", func(b *testing.B) {
-		m := newMailbox(4)
+		m := newMailbox()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i += 64 {
 			for j := 0; j < 64; j++ {
 				m.push(envelope{kind: kindApp, epoch: int64(j)})
-			}
-			for j := 0; j < 64; j++ {
-				if _, ok := m.tryPop(); !ok {
-					b.Fatal("mailbox unexpectedly empty")
-				}
-			}
-		}
-	})
-	// The SPSC fast-path counterparts of the two cases above: the same
-	// traffic through pushFrom's per-source ring instead of the mutex.
-	b.Run("spsc-pingpong", func(b *testing.B) {
-		m := newMailbox(4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.pushFrom(1, envelope{kind: kindApp, epoch: int64(i)})
-			if _, ok := m.tryPop(); !ok {
-				b.Fatal("mailbox unexpectedly empty")
-			}
-		}
-	})
-	b.Run("spsc-burst64", func(b *testing.B) {
-		m := newMailbox(4)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += 64 {
-			for j := 0; j < 64; j++ {
-				m.pushFrom(1, envelope{kind: kindApp, epoch: int64(j)})
 			}
 			for j := 0; j < 64; j++ {
 				if _, ok := m.tryPop(); !ok {

@@ -5,6 +5,9 @@
 //
 //   - An array of processing elements (PEs), each a goroutine with an
 //     unbounded mailbox, executing message handlers run-to-completion.
+//     A PE has one queue, as in Charm++: every sender — another PE, Inject,
+//     the fabric's dispatcher — appends to it under its mutex, which is
+//     also what orders each (src, dst) pair.
 //   - Message sends routed through a simulated cluster network
 //     (internal/netsim), so inter-process and inter-node messages cost more
 //     than intra-process ones, as on the paper's Delta and Frontier runs.
@@ -96,10 +99,6 @@ type Config struct {
 	// Combine merges two reduction contributions. Required if any handler
 	// calls Contribute.
 	Combine func(a, b any) any
-	// ControlMsgSize is the size, in items, attributed to reduction and
-	// broadcast messages for latency purposes. Defaults to 16 (a histogram
-	// snapshot is small next to a tram batch but not free).
-	ControlMsgSize int
 	// QuiescencePoll enables the runtime-level quiescence detector with the
 	// given poll interval; zero disables it. On detection a Quiescence
 	// message is delivered to PE 0.
@@ -138,12 +137,10 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-func (c Config) controlMsgSize() int {
-	if c.ControlMsgSize <= 0 {
-		return 16
-	}
-	return c.ControlMsgSize
-}
+// controlMsgSize is the size, in items, attributed to reduction and
+// broadcast messages for latency purposes: a histogram snapshot is small
+// next to a tram batch but not free.
+const controlMsgSize = 16
 
 // Runtime hosts the PEs and the message fabric.
 type Runtime struct {
@@ -231,17 +228,12 @@ const (
 	kindQuiesce
 )
 
-// envelope is the unit every mailbox moves; field order packs spill and
-// kind into one word so the struct stays at 32 bytes (copied on every
-// push/pop, and 256 of them sit in each spscRing).
+// envelope is the unit every mailbox moves: 32 bytes, copied on every
+// push and pop.
 type envelope struct {
 	epoch   int64
 	payload any
-	// spill, when non-zero, marks an SPSC-fast-path envelope that
-	// overflowed onto the mutex mailbox: the value is source PE + 1, and
-	// popping it credits that pair's spillPending (see mailbox.pushFrom).
-	spill int32
-	kind  envKind
+	kind    envKind
 }
 
 // hosted resolves Span's "zero means all PEs" default.
@@ -303,7 +295,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt.lo, rt.hi = cfg.hosted()
 	rt.pes = make([]*PE, numPEs)
 	for i := rt.lo; i < rt.hi; i++ {
-		pe := &PE{rt: rt, index: i, mbox: newMailbox(numPEs), reductions: make(map[int64]*redState)}
+		pe := &PE{rt: rt, index: i, mbox: newMailbox(), reductions: make(map[int64]*redState)}
 		c1, c2, nc := treeChildren(i, numPEs)
 		pe.childL, pe.childR, pe.numChildren = -1, -1, nc
 		if c1 < numPEs {
@@ -380,9 +372,11 @@ func New(cfg Config) (*Runtime, error) {
 		net.ApplyFaults(cfg.Fault)
 		rt.net = net
 		rt.fab = net
-	}
-	if rt.rel != nil {
-		rt.rel.Bind(rt.fab)
+		if rt.rel != nil {
+			// Validate rejects Reliability on a custom fabric, so the layer
+			// only ever rides the simulated network and its timer facility.
+			rt.rel.Bind(net)
+		}
 	}
 	return rt, nil
 }
@@ -577,9 +571,7 @@ func (rt *Runtime) Inject(dst int, msg any) {
 // base latency, and noPerItem/size==0 covers the serialization term, so
 // the outcome is identical to evaluating Delay(tier, size) == 0.
 //
-// send is the any-goroutine entry point (Inject, timers); its zero-delay
-// bypass takes the mailbox mutex. Sends originating on a PE goroutine go
-// through sendFrom, whose bypass uses that pair's SPSC ring instead.
+// Safe from any goroutine: PE handlers, Inject, timers.
 //
 //acic:noalloc
 func (rt *Runtime) send(src, dst int, env envelope, size int) {
@@ -590,29 +582,10 @@ func (rt *Runtime) send(src, dst int, env envelope, size int) {
 		return
 	}
 	if rt.rel != nil {
-		rt.rel.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the ring fast path above stays alloc-free
+		rt.rel.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the mailbox bypass above stays alloc-free
 		return
 	}
-	rt.fab.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the ring fast path above stays alloc-free
-}
-
-// sendFrom is send for envelopes originating on src's own PE goroutine —
-// the single-producer requirement of the destination's per-source ring.
-// Every other aspect matches send.
-//
-//acic:noalloc
-func (rt *Runtime) sendFrom(src, dst int, env envelope, size int) {
-	rt.sent.Add(1)
-	idx := src*len(rt.pes) + dst
-	if rt.zeroBase[idx>>6]&(1<<(idx&63)) != 0 && (rt.noPerItem || size == 0) {
-		rt.pes[dst].mbox.pushFrom(src, env)
-		return
-	}
-	if rt.rel != nil {
-		rt.rel.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the ring fast path above stays alloc-free
-		return
-	}
-	rt.fab.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the ring fast path above stays alloc-free
+	rt.fab.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the mailbox bypass above stays alloc-free
 }
 
 // selfPush counts a mailbox self-push in sent before enqueueing it. Every
@@ -645,7 +618,7 @@ func (pe *PE) Topology() netsim.Topology { return pe.rt.cfg.Topo }
 // Send delivers msg to dst's handler after the simulated network delay for
 // a message of the given size (in items).
 func (pe *PE) Send(dst int, msg any, size int) {
-	pe.rt.sendFrom(pe.index, dst, envelope{kind: kindApp, payload: msg}, size)
+	pe.rt.send(pe.index, dst, envelope{kind: kindApp, payload: msg}, size)
 }
 
 // Delivered returns the number of application messages this PE has
@@ -730,13 +703,12 @@ func (pe *PE) absorb(epoch int64, value any) {
 		pe.selfPush(envelope{kind: kindReduceDone, epoch: epoch, payload: st.value})
 		return
 	}
-	pe.rt.sendFrom(pe.index, treeParent(pe.index),
+	pe.rt.send(pe.index, treeParent(pe.index),
 		envelope{kind: kindReducePartial, epoch: epoch, payload: st.value},
-		pe.rt.cfg.controlMsgSize())
+		controlMsgSize)
 }
 
 func (pe *PE) handleBroadcast(env envelope) {
-	size := pe.rt.cfg.controlMsgSize()
 	if pe.rt.cfg.NewFabric != nil {
 		// Over a real transport the relay tree is a shutdown hazard: a
 		// terminate broadcast makes the first PE to process it stop every
@@ -748,15 +720,15 @@ func (pe *PE) handleBroadcast(env envelope) {
 		// so no delivery depends on an intermediate PE staying alive.
 		if pe.index == 0 {
 			for i := 1; i < len(pe.rt.pes); i++ {
-				pe.rt.sendFrom(pe.index, i, env, size)
+				pe.rt.send(pe.index, i, env, controlMsgSize)
 			}
 		}
 	} else {
 		if pe.childL >= 0 {
-			pe.rt.sendFrom(pe.index, pe.childL, env, size)
+			pe.rt.send(pe.index, pe.childL, env, controlMsgSize)
 		}
 		if pe.childR >= 0 {
-			pe.rt.sendFrom(pe.index, pe.childR, env, size)
+			pe.rt.send(pe.index, pe.childR, env, controlMsgSize)
 		}
 	}
 	pe.handler.OnBroadcast(pe, env.epoch, env.payload)

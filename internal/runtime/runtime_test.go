@@ -505,3 +505,64 @@ func TestNewRejectsSimKnobsOnCustomFabric(t *testing.T) {
 		t.Error("NewFabric ran for a config that should have been rejected first")
 	}
 }
+
+// fifoSink checks, on the receiving PE, that every source's messages arrive
+// in that source's send order, and exits once all have.
+type fifoSink struct {
+	NopControl
+	next  map[int]int // source id -> next expected sequence number
+	want  int         // total messages expected
+	got   int
+	fails *atomic.Int64
+}
+
+type fifoMsg struct{ src, seq int }
+
+func (h *fifoSink) Deliver(pe *PE, msg any) {
+	switch m := msg.(type) {
+	case string: // "go": burst from this PE's own goroutine
+		for i := 0; i < h.want/2; i++ {
+			pe.Send(1, fifoMsg{src: pe.Index(), seq: i}, 1)
+		}
+	case fifoMsg:
+		if m.seq != h.next[m.src] {
+			h.fails.Add(1)
+		}
+		h.next[m.src] = m.seq + 1
+		if h.got++; h.got == h.want {
+			pe.Exit()
+		}
+	}
+}
+
+func (h *fifoSink) Idle(pe *PE) bool { return false }
+
+// TestSendKeepsPairOrderFromAnyGoroutine drives the one send function the
+// two ways it is reached — from a PE's handler and from outside the PE
+// array (Inject) — into the same destination at once, in bursts of
+// thousands, and requires per-source order, exactly-once delivery and a
+// balanced ledger. (TestMailboxConcurrentProducersFIFO pins the backlog
+// depth; this pins the runtime's routing on top of it.)
+func TestSendKeepsPairOrderFromAnyGoroutine(t *testing.T) {
+	const per = 4000
+	var fails atomic.Int64
+	rt, err := New(zeroCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start(func(pe *PE) Handler {
+		return &fifoSink{next: map[int]int{}, want: 2 * per, fails: &fails}
+	})
+	rt.Inject(0, "go")
+	for i := 0; i < per; i++ {
+		rt.Inject(1, fifoMsg{src: -1, seq: i})
+	}
+	waitOrFail(t, rt, 10*time.Second)
+	if n := fails.Load(); n != 0 {
+		t.Errorf("%d messages arrived out of their source's order", n)
+	}
+	// 2*per messages to PE 1 plus the "go" token, each delivered once.
+	if a := rt.Audit(); a.Delivered != 2*per+1 || a.Unaccounted() != 0 {
+		t.Errorf("delivered %d (want %d), unaccounted %d: %+v", a.Delivered, 2*per+1, a.Unaccounted(), a)
+	}
+}

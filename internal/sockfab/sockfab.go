@@ -14,8 +14,8 @@
 // dispatcher goroutine per Node performs every deliver callback, so
 // delivery into a given destination is serial, and each (src, dst) pair's
 // messages arrive in send order (writer queues, TCP, and the dispatcher
-// FIFO are all order-preserving). Timers (SendAfter) never cross the
-// wire: they sit in a local heap and fire on the same dispatcher.
+// FIFO are all order-preserving). There is no timer facility: TCP is
+// ordered and reliable, so nothing above this fabric retransmits.
 //
 // Encode and decode buffers recycle through an arena.Arena[byte]: each
 // writer goroutine Gets a chunk per message from its own freelist and
@@ -27,14 +27,13 @@
 // beginClose stops accepting sends, flushes the writer queues, and
 // half-closes every connection (CloseWrite); finishClose drains the
 // readers to EOF — which arrives once the peer has flushed its side —
-// fires any still-pending timers immediately, and joins the dispatcher.
+// and joins the dispatcher.
 // Node.Close runs both phases; Mesh.Close runs beginClose on every node
 // before finishClose on any, which is what breaks the cycle when all
 // nodes live in one process.
 package sockfab
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -76,28 +75,6 @@ type delivery struct {
 	payload any
 }
 
-// timerEntry is a pending SendAfter, ordered by deadline then by arming
-// order so simultaneous deadlines fire FIFO.
-type timerEntry struct {
-	at      time.Time
-	seq     uint64
-	dst     int
-	payload any
-}
-
-type timerHeap []timerEntry
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timerEntry)) }
-func (h *timerHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // peer is one TCP connection to another proc, with its writer queue.
 type peer struct {
 	conn net.Conn
@@ -113,22 +90,18 @@ type peer struct {
 // Node is the per-process endpoint. It satisfies fabric.Fabric and
 // fabric.Boundary.
 type Node struct {
-	cfg   NodeConfig
-	ln    net.Listener
+	cfg NodeConfig
+	ln  net.Listener
 	//acic:allow-unpadded pointer slice: each peer is its own heap allocation, sharing nothing but the pointer array, which is read-only after Connect
 	peers []*peer // indexed by proc; nil at self and before Connect
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signaled when ready grows or dispStop flips
 	ready    []delivery
-	timers   timerHeap
-	tseq     uint64
-	closing  bool // Send/SendAfter reject; set by beginClose
+	closing  bool // Send rejects; set by beginClose
 	dispStop bool
 
-	timerKick chan struct{}
-	timerDone chan struct{}
-	dispDone  chan struct{}
+	dispDone chan struct{}
 
 	deliver func(dst int, payload any)
 	bufs    *arena.Arena[byte]
@@ -156,12 +129,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, fmt.Errorf("sockfab: NumPEs, Owner and Codec are required")
 	}
 	n := &Node{
-		cfg:       cfg,
-		peers:     make([]*peer, cfg.NumProcs), //acic:allow-unpadded pointer slice, see the field's note
-		timerKick: make(chan struct{}, 1),
-		timerDone: make(chan struct{}),
-		dispDone:  make(chan struct{}),
-		bufs:      arena.New[byte](cfg.NumProcs, bufChunk),
+		cfg:      cfg,
+		peers:    make([]*peer, cfg.NumProcs), //acic:allow-unpadded pointer slice, see the field's note
+		dispDone: make(chan struct{}),
+		bufs:     arena.New[byte](cfg.NumProcs, bufChunk),
 	}
 	n.cond = sync.NewCond(&n.mu)
 	return n, nil
@@ -280,8 +251,8 @@ func readHello(conn net.Conn) (int, error) {
 }
 
 // Start installs the delivery callback and launches the node's
-// goroutines: one writer and one reader per peer connection, the timer
-// mover, and the dispatcher. Call after Connect, before any Send.
+// goroutines: one writer and one reader per peer connection, and the
+// dispatcher. Call after Connect, before any Send.
 func (n *Node) Start(deliver func(dst int, payload any)) {
 	n.deliver = deliver
 	for proc, p := range n.peers {
@@ -292,7 +263,6 @@ func (n *Node) Start(deliver func(dst int, payload any)) {
 		n.readerWG.Add(1)
 		go n.readerLoop(p)
 	}
-	go n.timerLoop()
 	go n.dispatchLoop()
 }
 
@@ -333,39 +303,8 @@ func (n *Node) Send(src, dst int, payload any, size int) fabric.SendResult {
 	return fabric.SendEnqueued
 }
 
-// SendAfter arms a local timer delivering payload to dst after delay.
-// Timers never cross processes; arming one for a PE this node does not
-// host is a routing bug and panics.
-func (n *Node) SendAfter(dst int, payload any, delay time.Duration) fabric.SendResult {
-	if dst < 0 || dst >= n.cfg.NumPEs || n.cfg.Owner(dst) != n.cfg.Proc {
-		panic(fmt.Sprintf("sockfab: timer for PE %d not hosted by proc %d", dst, n.cfg.Proc))
-	}
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		return fabric.SendClosed
-	}
-	n.queued.Add(1)
-	n.tseq++
-	e := timerEntry{at: time.Now().Add(delay), seq: n.tseq, dst: dst, payload: payload}
-	heap.Push(&n.timers, e)
-	earliest := n.timers[0].seq == e.seq
-	n.mu.Unlock()
-	if earliest {
-		n.kickTimer()
-	}
-	return fabric.SendEnqueued
-}
-
-func (n *Node) kickTimer() {
-	select {
-	case n.timerKick <- struct{}{}:
-	default:
-	}
-}
-
 // QueueLen counts messages accepted but not yet delivered locally or
-// written to a socket: dispatcher FIFO, timer heap, and writer queues.
+// written to a socket: dispatcher FIFO and writer queues.
 func (n *Node) QueueLen() int { return int(n.queued.Load()) }
 
 // BoundaryCounts returns how many messages left this process over TCP
@@ -375,8 +314,7 @@ func (n *Node) BoundaryCounts() (out, in int64) {
 }
 
 // Close runs both shutdown phases: stop accepting sends, flush and
-// half-close every connection, drain inbound to EOF, fire remaining
-// timers, join the dispatcher. Safe to call more than once. In a
+// half-close every connection, drain inbound to EOF, join the dispatcher. Safe to call more than once. In a
 // single-process mesh use Mesh.Close instead — closing one node at a
 // time would deadlock on the peer drains.
 func (n *Node) Close() {
@@ -393,7 +331,6 @@ func (n *Node) beginClose() {
 	n.mu.Lock()
 	n.closing = true
 	n.mu.Unlock()
-	n.kickTimer() // timerLoop flushes the heap to ready and exits
 	for _, p := range n.peers {
 		if p == nil {
 			continue
@@ -413,7 +350,6 @@ func (n *Node) finishClose() {
 			<-p.writerDone
 		}
 	}
-	<-n.timerDone
 	n.readerWG.Wait()
 	n.mu.Lock()
 	n.dispStop = true
@@ -506,57 +442,6 @@ func (n *Node) readerLoop(p *peer) {
 		n.ready = append(n.ready, delivery{dst: dst, payload: v})
 		n.cond.Signal()
 		n.mu.Unlock()
-	}
-}
-
-// timerLoop moves due timers from the heap onto the dispatcher FIFO. On
-// close it fires everything left immediately — consumers that arm timers
-// (relnet) treat an early firing as a no-op or a strand, never as
-// corruption — and exits.
-func (n *Node) timerLoop() {
-	defer close(n.timerDone)
-	t := time.NewTimer(time.Hour)
-	defer t.Stop()
-	for {
-		n.mu.Lock()
-		if n.closing {
-			for len(n.timers) > 0 {
-				e := heap.Pop(&n.timers).(timerEntry)
-				n.ready = append(n.ready, delivery{dst: e.dst, payload: e.payload})
-			}
-			n.cond.Signal()
-			n.mu.Unlock()
-			return
-		}
-		now := time.Now()
-		fired := false
-		for len(n.timers) > 0 && !n.timers[0].at.After(now) {
-			e := heap.Pop(&n.timers).(timerEntry)
-			n.ready = append(n.ready, delivery{dst: e.dst, payload: e.payload})
-			fired = true
-		}
-		if fired {
-			n.cond.Signal()
-		}
-		wait := time.Hour
-		if len(n.timers) > 0 {
-			wait = time.Until(n.timers[0].at)
-			if wait < 0 {
-				wait = 0
-			}
-		}
-		n.mu.Unlock()
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		t.Reset(wait)
-		select {
-		case <-t.C:
-		case <-n.timerKick:
-		}
 	}
 }
 

@@ -122,39 +122,15 @@ func TestMeshPreservesPairOrder(t *testing.T) {
 	}
 }
 
-func TestMeshTimerFires(t *testing.T) {
+func TestMeshCloseRejectsSends(t *testing.T) {
 	s := newSink()
 	m := twoProcMesh(t, s.deliver)
-	defer m.Close()
-
-	if res := m.SendAfter(1, msg{n: 7}, time.Millisecond); res != fabric.SendEnqueued {
-		t.Fatalf("SendAfter: %v", res)
-	}
-	got := s.waitLen(t, 1)
-	if got[0].dst != 1 || got[0].payload.(msg).n != 7 {
-		t.Fatalf("timer delivery: %+v", got[0])
-	}
-}
-
-func TestMeshCloseFiresPendingTimersAndRejectsSends(t *testing.T) {
-	s := newSink()
-	m := twoProcMesh(t, s.deliver)
-
-	// A timer far in the future must not stall Close; it fires immediately
-	// during the drain instead.
-	if res := m.SendAfter(0, msg{n: 99}, time.Hour); res != fabric.SendEnqueued {
-		t.Fatalf("SendAfter: %v", res)
-	}
 	m.Close()
-	got := s.waitLen(t, 1)
-	if got[0].payload.(msg).n != 99 {
-		t.Fatalf("pending timer not drained: %+v", got)
+	if res := m.Send(0, 0, msg{}, 1); res != fabric.SendClosed {
+		t.Errorf("local Send after close = %v, want SendClosed", res)
 	}
 	if res := m.Send(0, 1, msg{}, 1); res != fabric.SendClosed {
-		t.Errorf("Send after close = %v, want SendClosed", res)
-	}
-	if res := m.SendAfter(0, msg{}, time.Millisecond); res != fabric.SendClosed {
-		t.Errorf("SendAfter after close = %v, want SendClosed", res)
+		t.Errorf("remote Send after close = %v, want SendClosed", res)
 	}
 	if q := m.QueueLen(); q != 0 {
 		t.Errorf("QueueLen after close = %d, want 0", q)
@@ -195,5 +171,80 @@ func TestMeshBoundaryConservation(t *testing.T) {
 	}
 	if q := m.QueueLen(); q != 0 {
 		t.Errorf("QueueLen after close = %d, want 0", q)
+	}
+}
+
+// TestNodesCloseIndependently wires two Nodes by hand, the way two worker
+// OS processes do, and closes each from its own goroutine: Node.Close runs
+// both phases itself, so it must return on both sides (each drains to the
+// EOF the other's half-close sends) with every accepted frame delivered.
+func TestNodesCloseIndependently(t *testing.T) {
+	const msgs = 200
+	s := newSink()
+	nodes := make([]*Node, 2)
+	addrs := make([]string, 2)
+	for p := range nodes {
+		n, err := NewNode(NodeConfig{
+			Proc: p, NumProcs: 2, NumPEs: 2,
+			Owner: func(pe int) int { return pe },
+			Codec: testCodec(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		nodes[p], addrs[p] = n, n.Addr()
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for p, n := range nodes {
+		wg.Add(1)
+		go func(p int, n *Node) {
+			defer wg.Done()
+			errs[p] = n.Connect(addrs)
+		}(p, n)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d connect: %v", p, err)
+		}
+	}
+	for _, n := range nodes {
+		n.Start(s.deliver)
+	}
+	for i := 0; i < msgs; i++ {
+		src := i % 2
+		if res := nodes[src].Send(src, 1-src, msg{n: int64(i)}, 1); res != fabric.SendEnqueued {
+			t.Fatalf("send %d: %v", i, res)
+		}
+	}
+	for _, n := range nodes {
+		wg.Add(1)
+		go func(n *Node) {
+			defer wg.Done()
+			n.Close()
+			n.Close() // idempotent
+		}(n)
+	}
+	wg.Wait()
+	if got := s.waitLen(t, msgs); len(got) != msgs {
+		t.Fatalf("delivered %d of %d", len(got), msgs)
+	}
+	var out, in int64
+	for p, n := range nodes {
+		o, i := n.BoundaryCounts()
+		out, in = out+o, in+i
+		if q := n.QueueLen(); q != 0 {
+			t.Errorf("node %d QueueLen after close = %d, want 0", p, q)
+		}
+		if res := n.Send(p, 1-p, msg{}, 1); res != fabric.SendClosed {
+			t.Errorf("node %d Send after close = %v, want SendClosed", p, res)
+		}
+	}
+	if out != msgs || in != msgs {
+		t.Errorf("boundary out %d in %d, want %d each", out, in, msgs)
 	}
 }

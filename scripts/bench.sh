@@ -26,8 +26,6 @@ VARIANCE_PCT="${VARIANCE_PCT:-10}"
 BENCHES=(
   "BenchmarkMailbox/pingpong|./internal/runtime|"
   "BenchmarkMailbox/burst64|./internal/runtime|"
-  "BenchmarkMailbox/spsc-pingpong|./internal/runtime|"
-  "BenchmarkMailbox/spsc-burst64|./internal/runtime|"
   "BenchmarkNetsimSend|./internal/netsim|"
   "BenchmarkTramInsertFlush|./internal/tram|"
   "BenchmarkWireEncodeBatch|./internal/core|"
@@ -55,10 +53,11 @@ run_pattern() {
 
 # run_once NAME PKG EXTRA >> runs.txt: one benchmark execution, appending
 # exactly one "ns bytes allocs" line. The awk match is exact (modulo the
-# -GOMAXPROCS suffix go test appends), so a sibling like spsc-pingpong can
-# never be mistaken for pingpong. Values are picked by their unit label, not
-# column position: a benchmark using b.SetBytes inserts an MB/s column that
-# would otherwise shift B/op and allocs/op into the wrong fields.
+# -GOMAXPROCS suffix go test appends), so a sibling whose name merely
+# contains the wanted one can never be mistaken for it. Values are picked
+# by their unit label, not column position: a benchmark using b.SetBytes
+# inserts an MB/s column that would otherwise shift B/op and allocs/op into
+# the wrong fields.
 run_once() {
   local name="$1" pkg="$2" extra="$3"
   # shellcheck disable=SC2086
