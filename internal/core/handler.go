@@ -132,6 +132,8 @@ type Partition interface {
 	Owner(v int32) int
 	Size(pe int) int
 	LocalIndex(v int32) int
+	// LocalOn is LocalIndex without the owner lookup, for the owner itself.
+	LocalOn(pe int, v int32) int
 	GlobalOf(pe, local int) int32
 }
 
@@ -271,9 +273,10 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 	return st
 }
 
-func (st *peState) localDist(v int32) float64 { return st.dist[st.shared.part.LocalIndex(v)] }
+// localDist and setDist index this PE's own vertices, local by construction.
+func (st *peState) localDist(v int32) float64 { return st.dist[st.shared.part.LocalOn(st.me, v)] }
 func (st *peState) setDist(v int32, d float64) {
-	st.dist[st.shared.part.LocalIndex(v)] = d
+	st.dist[st.shared.part.LocalOn(st.me, v)] = d
 }
 
 // Deliver implements runtime.Handler.
@@ -370,8 +373,7 @@ func (st *peState) receiveUpdate(pe *runtime.PE, u Update) {
 	if st.params.ComputeCost > 0 {
 		pe.Work(st.params.ComputeCost)
 	}
-	if u.Dist < st.localDist(u.Vertex) {
-		li := st.shared.part.LocalIndex(u.Vertex)
+	if li := st.shared.part.LocalOn(st.me, u.Vertex); u.Dist < st.dist[li] {
 		st.dist[li] = u.Dist
 		st.parent[li] = u.Pred
 		if b := st.hist.BucketOf(u.Dist); b <= st.tPQ {
@@ -444,9 +446,9 @@ func (st *peState) relaxOutEdges(pe *runtime.PE, v int32, d float64) {
 //
 //acic:noalloc
 func (st *peState) createUpdate(pe *runtime.PE, u Update) {
-	st.hist.AddCreated(u.Dist)
+	b := st.hist.AddCreated(u.Dist)
 	st.shared.met.created.Inc(st.me)
-	if b := st.hist.BucketOf(u.Dist); b <= st.tTram {
+	if b <= st.tTram {
 		st.tramInsert(pe, u)
 	} else {
 		st.tramHold[b].Append(st.shared.ar, st.me, u)
@@ -461,7 +463,7 @@ func (st *peState) createUpdate(pe *runtime.PE, u Update) {
 func (st *peState) tramInsert(pe *runtime.PE, u Update) {
 	dst := st.shared.part.Owner(u.Vertex)
 	if batch := st.shared.tm.Insert(pe.Index(), dst, u); batch != nil {
-		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items)) //acic:allow-alloc one batchMsg boxing per flushed batch, amortized over its items
+		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items)) //acic:allow-alloc one batchMsg boxing per flushed batch, amortized over its items; the batch header itself is the manager's per-PE slot
 	}
 }
 

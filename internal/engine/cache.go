@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"errors"
+	"math"
 	"sync"
 
 	"acic/internal/core"
@@ -22,12 +23,32 @@ type cacheKey struct {
 // cacheEntry is one (possibly in-flight) computed vector. ready is closed
 // when res/err are final; waiters hold the entry pointer, so an entry
 // evicted mid-flight still completes for everyone already waiting on it.
+// sum summarizes res.Dist and is set with it, by complete or put.
 type cacheEntry struct {
 	key   cacheKey
 	ready chan struct{}
 	res   *core.Result
+	sum   summary
 	err   error
 	elem  *list.Element
+}
+
+// summary is what /sssp reports of a vector instead of dumping it: the
+// finite distances, counted and summed in vertex order (a float sum taken
+// in another order need not be bit-identical).
+type summary struct {
+	reachable int
+	checksum  float64
+}
+
+func summarize(dist []float64) (s summary) {
+	for _, d := range dist {
+		if !math.IsInf(d, 1) {
+			s.reachable++
+			s.checksum += d
+		}
+	}
+	return s
 }
 
 // lruCache is a mutex-guarded LRU of cacheEntry with single-flight
@@ -85,7 +106,7 @@ func (c *lruCache) getOrCreate(key cacheKey) (*cacheEntry, bool) {
 
 // complete publishes res on ent and wakes every waiter.
 func (c *lruCache) complete(ent *cacheEntry, res *core.Result) {
-	ent.res = res
+	ent.res, ent.sum = res, summarize(res.Dist)
 	close(ent.ready)
 }
 
@@ -102,16 +123,16 @@ func (c *lruCache) fail(ent *cacheEntry, err error) {
 	}
 }
 
-// put inserts an already-completed result under key — the path by which
-// Mutate re-homes repaired vectors at the new epoch. A key that is already
-// present (a query raced ahead and is computing it fresh) is left alone.
-func (c *lruCache) put(key cacheKey, res *core.Result) {
+// put inserts an already-completed result and its summary under key — the
+// path by which Mutate re-homes repaired vectors at the new epoch. A key
+// already present (a query raced ahead, computing it fresh) is left alone.
+func (c *lruCache) put(key cacheKey, res *core.Result, sum summary) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.items[key]; ok {
 		return
 	}
-	ent := &cacheEntry{key: key, ready: make(chan struct{}), res: res}
+	ent := &cacheEntry{key: key, ready: make(chan struct{}), res: res, sum: sum}
 	close(ent.ready)
 	ent.elem = c.order.PushFront(ent)
 	c.items[key] = ent

@@ -264,7 +264,10 @@ type QueryResult struct {
 	CacheHit bool
 	Dist     []float64
 	Parent   []int32
-	Stats    core.Stats
+	// Reachable and Checksum summarize Dist, stored with the cached vector.
+	Reachable int
+	Checksum  float64
+	Stats     core.Stats
 	// Metrics is the per-query registry snapshot when requested and the
 	// query computed (nil on cache hits).
 	Metrics *metrics.Snapshot
@@ -284,10 +287,10 @@ func (e *Engine) Query(ctx context.Context, source int, opts QueryOptions) (*Que
 
 	// Fast path: a resident or in-flight entry answers without admission.
 	if ent, ok := e.cache.get(key); ok {
-		res, err := e.await(ctx, ent)
+		err := e.await(ctx, ent)
 		if err == nil {
 			e.mHits.Inc(0)
-			return e.result(res, key, true, nil), nil
+			return e.result(ent, true, nil), nil
 		}
 		if !errors.Is(err, errEntryFailed) {
 			return nil, err // context cancelled while waiting
@@ -308,14 +311,13 @@ func (e *Engine) Query(ctx context.Context, source int, opts QueryOptions) (*Que
 		// on a slot while following their computation.
 		e.releaseSlot(slot)
 		e.mFollows.Inc(0)
-		res, err := e.await(ctx, ent)
-		if err != nil {
+		if err := e.await(ctx, ent); err != nil {
 			if errors.Is(err, errEntryFailed) {
 				err = ent.err
 			}
 			return nil, err
 		}
-		return e.result(res, key, true, nil), nil
+		return e.result(ent, true, nil), nil
 	}
 
 	defer e.releaseSlot(slot)
@@ -331,7 +333,7 @@ func (e *Engine) Query(ctx context.Context, source int, opts QueryOptions) (*Que
 		return nil, err
 	}
 	e.publish(ent, res)
-	return e.result(res, key, false, snap), nil
+	return e.result(ent, false, snap), nil
 }
 
 // publish completes ent for its waiters, then evicts it if the engine moved
@@ -350,15 +352,18 @@ func (e *Engine) publish(ent *cacheEntry, res *core.Result) {
 	}
 }
 
-func (e *Engine) result(res *core.Result, key cacheKey, hit bool, snap *metrics.Snapshot) *QueryResult {
+// result answers from a completed entry, vector and summary alike.
+func (e *Engine) result(ent *cacheEntry, hit bool, snap *metrics.Snapshot) *QueryResult {
 	return &QueryResult{
-		Source:   int(key.source),
-		Epoch:    key.epoch,
-		CacheHit: hit,
-		Dist:     res.Dist,
-		Parent:   res.Parent,
-		Stats:    res.Stats,
-		Metrics:  snap,
+		Source:    int(ent.key.source),
+		Epoch:     ent.key.epoch,
+		CacheHit:  hit,
+		Dist:      ent.res.Dist,
+		Parent:    ent.res.Parent,
+		Reachable: ent.sum.reachable,
+		Checksum:  ent.sum.checksum,
+		Stats:     ent.res.Stats,
+		Metrics:   snap,
 	}
 }
 
@@ -438,18 +443,18 @@ func (e *Engine) releaseSlot(slot int) {
 	e.inflight.Done()
 }
 
-// await blocks until ent's computation completes (or ctx is cancelled) and
-// returns its result; errEntryFailed signals the leader errored.
-func (e *Engine) await(ctx context.Context, ent *cacheEntry) (*core.Result, error) {
+// await blocks until ent's computation completes (or ctx is cancelled);
+// errEntryFailed signals the leader errored.
+func (e *Engine) await(ctx context.Context, ent *cacheEntry) error {
 	select {
 	case <-ent.ready:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	if ent.err != nil {
-		return nil, errEntryFailed
+		return errEntryFailed
 	}
-	return ent.res, nil
+	return nil
 }
 
 // Draining reports whether Close has begun.

@@ -124,14 +124,10 @@ func (e *Engine) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		Source:    res.Source,
 		Epoch:     res.Epoch,
 		CacheHit:  res.CacheHit,
+		Reachable: res.Reachable,
+		Checksum:  res.Checksum,
 		ElapsedNS: res.Stats.Elapsed.Nanoseconds(),
 		Metrics:   res.Metrics,
-	}
-	for _, d := range res.Dist {
-		if !math.IsInf(d, 1) {
-			resp.Reachable++
-			resp.Checksum += d
-		}
 	}
 	wantVerts, err := vertexList(r, len(res.Dist))
 	if err != nil {

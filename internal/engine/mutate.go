@@ -117,6 +117,7 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	// The cached slices are shared read-only with every response already
 	// handed out, so the repair must not write through them.
 	repaired := make([]*core.Result, len(resident))
+	sums := make([]summary, len(resident))
 	for i, ent := range resident {
 		res := &core.Result{
 			Dist:   append([]float64(nil), ent.res.Dist...),
@@ -126,6 +127,10 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 		st := e.dg.Repair(int(ent.key.source), res.Dist, res.Parent, d)
 		mr.InvalidatedLabels += st.Invalidated
 		repaired[i] = res
+		// Repair writes only by invalidating or seeding: else the sum stands.
+		if sums[i] = ent.sum; st.Invalidated+st.Seeds > 0 {
+			sums[i] = summarize(res.Dist)
+		}
 	}
 
 	// Publish: swap the version, drop everything stale, re-home the
@@ -135,7 +140,7 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	e.version.Store(&graphVersion{epoch: mr.Epoch, g: e.dg.Snapshot()})
 	e.cache.purgeStale(mr.Epoch)
 	for i, ent := range resident {
-		e.cache.put(cacheKey{epoch: mr.Epoch, source: ent.key.source}, repaired[i])
+		e.cache.put(cacheKey{epoch: mr.Epoch, source: ent.key.source}, repaired[i], sums[i])
 	}
 	mr.RepairedVectors = len(repaired)
 	e.gCacheLen.Set(0, int64(e.cache.len()))

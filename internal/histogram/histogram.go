@@ -5,9 +5,12 @@
 // created but not yet processed — bucketed by distance value. The bucket of
 // an update with distance d is
 //
-//	bucket(d) = floor(d / width)
+//	bucket(d) = the b with b·width ≤ d < (b+1)·width
 //
-// where the paper fixes width = log(|V|) and uses 512 buckets (Fig. 1).
+// (products rounded to float64, b clamped to the bucket range), where the
+// paper fixes width = log(|V|) and uses 512 buckets (Fig. 1). Defined by its
+// edges, a bucket can be found with a stored reciprocal instead of d / width,
+// and b·width is an exact lower bound on every distance counted in bucket b.
 // Increments happen on the creating PE and decrements on the processing PE,
 // so an individual local histogram may hold negative bucket counts; only the
 // global sum across all PEs is meaningful, which is why the reduction sums
@@ -34,6 +37,7 @@ const DefaultBuckets = 512
 // The zero value is not usable; construct with New.
 type Histogram struct {
 	width   float64
+	inv     float64 // 1/width, fixed in New so BucketOf never divides
 	buckets []int64
 
 	// Created and Processed mirror the per-PE "updates created locally" and
@@ -57,15 +61,17 @@ func PaperWidth(numVertices int) float64 {
 }
 
 // New returns a Histogram with the given number of buckets of the given
-// width. It panics on a non-positive bucket count or width.
+// width. It panics on a non-positive bucket count, or a width that is not
+// positive and finite or whose reciprocal overflows.
 func New(bucketCount int, width float64) *Histogram {
 	if bucketCount <= 0 {
 		panic("histogram: non-positive bucket count")
 	}
-	if width <= 0 || math.IsNaN(width) || math.IsInf(width, 0) {
+	inv := 1 / width
+	if width <= 0 || math.IsNaN(width) || math.IsInf(width, 0) || math.IsInf(inv, 0) {
 		panic("histogram: invalid bucket width")
 	}
-	return &Histogram{width: width, buckets: make([]int64, bucketCount)}
+	return &Histogram{width: width, inv: inv, buckets: make([]int64, bucketCount)}
 }
 
 // NumBuckets returns the number of buckets.
@@ -84,25 +90,40 @@ func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 // throttling healthy traffic. The top bucket keeps it out of the threshold
 // computation's hot range, consistent with every other not-a-finite-small
 // distance.
+//
+// In range, d·(1/width) is off by less than one bucket, so one step against
+// the bucket's own edges lands on the b with b·width ≤ d < (b+1)·width.
+//
+//acic:noalloc
 func (h *Histogram) BucketOf(d float64) int {
+	last := len(h.buckets) - 1
 	if math.IsNaN(d) {
-		return len(h.buckets) - 1
+		return last
 	}
 	if d <= 0 {
 		return 0
 	}
-	b := d / h.width
-	if b >= float64(len(h.buckets)) {
-		return len(h.buckets) - 1
+	x := d * h.inv
+	if x >= float64(len(h.buckets)) {
+		return last
 	}
-	return int(b)
+	b := int(x)
+	if float64(b)*h.width > d {
+		b--
+	} else if float64(b+1)*h.width <= d && b < last {
+		b++
+	}
+	return b
 }
 
 // AddCreated records the creation of an update with distance d: the bucket
-// is incremented and the created counter advances (§II-B).
-func (h *Histogram) AddCreated(d float64) {
-	h.buckets[h.BucketOf(d)]++
+// is incremented and the created counter advances (§II-B). It returns the
+// bucket, so a caller that routes the update by threshold computes it once.
+func (h *Histogram) AddCreated(d float64) int {
+	b := h.BucketOf(d)
+	h.buckets[b]++
 	h.Created++
+	return b
 }
 
 // AddProcessed records that the processing of an update with distance d
@@ -142,6 +163,7 @@ func (h *Histogram) Sum() int64 {
 func (h *Histogram) Snapshot() *Histogram {
 	c := &Histogram{
 		width:     h.width,
+		inv:       h.inv,
 		buckets:   append([]int64(nil), h.buckets...),
 		Created:   h.Created,
 		Processed: h.Processed,
@@ -156,7 +178,7 @@ func (h *Histogram) SnapshotInto(dst *Histogram) {
 	if len(dst.buckets) != len(h.buckets) {
 		panic(fmt.Sprintf("histogram: snapshot of %d buckets into %d", len(h.buckets), len(dst.buckets)))
 	}
-	dst.width = h.width
+	dst.width, dst.inv = h.width, h.inv
 	copy(dst.buckets, h.buckets)
 	dst.Created = h.Created
 	dst.Processed = h.Processed

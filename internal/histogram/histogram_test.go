@@ -409,6 +409,28 @@ func BenchmarkAddCreated(b *testing.B) {
 	}
 }
 
+// BenchmarkBucketOf is one bucket computation — the unit every lifecycle
+// step of an update (create, arrive, complete) pays once — at the paper's
+// width for 2^15 vertices, over distances spread across all 512 buckets.
+// Each result picks the next distance, as a bucket picks the counter or the
+// threshold branch that follows it, so the row reads latency.
+func BenchmarkBucketOf(b *testing.B) {
+	h := New(DefaultBuckets, PaperWidth(1<<15))
+	r := xrand.New(24)
+	ds := make([]float64, 1<<12)
+	for i := range ds {
+		ds[i] = r.Range(0, float64(DefaultBuckets)*h.Width())
+	}
+	b.ReportAllocs()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += h.BucketOf(ds[(i+sum)&(len(ds)-1)])
+	}
+	bucketSink = sum
+}
+
+var bucketSink int
+
 func BenchmarkMerge512(b *testing.B) {
 	a := New(512, 10)
 	c := New(512, 10)

@@ -124,3 +124,115 @@ func TestBucketOfMonotoneInDistance(t *testing.T) {
 		}
 	}
 }
+
+// refBucketOf is the division the reciprocal replaced, kept as the test's
+// reference: floor(d / width), clamped.
+func refBucketOf(h *Histogram, d float64) int {
+	b := d / h.Width()
+	if b >= float64(h.NumBuckets()) {
+		return h.NumBuckets() - 1
+	}
+	return int(b)
+}
+
+// checkBracket asserts the definition BucketOf now implements — the bucket
+// is the b whose edges bracket d — for a finite d > 0. ctrl.lowestActive
+// (and through it TerminateOnAllFinal) reads b·width as a lower bound on
+// every distance counted in bucket b, which is the left half of this.
+func checkBracket(t *testing.T, h *Histogram, d float64) {
+	b, w, last := h.BucketOf(d), h.Width(), h.NumBuckets()-1
+	if b < 0 || b > last {
+		t.Fatalf("width %v: BucketOf(%v) = %d outside [0,%d]", w, d, b, last)
+	}
+	if float64(b)*w > d {
+		t.Fatalf("width %v: BucketOf(%v) = %d, but its lower edge %v is above d", w, d, b, float64(b)*w)
+	}
+	if b < last && float64(b+1)*w <= d {
+		t.Fatalf("width %v: BucketOf(%v) = %d, but the next bucket starts at %v", w, d, b, float64(b+1)*w)
+	}
+	if ref := refBucketOf(h, d); b-ref > 1 || ref-b > 1 {
+		t.Fatalf("width %v: BucketOf(%v) = %d, floor(d/width) = %d", w, d, b, ref)
+	}
+}
+
+// paperWidths are log(2^10) … log(2^20), the widths real runs use, and the
+// round ones the table tests use.
+func paperWidths() []float64 {
+	ws := []float64{0.25, 1, 2, 10}
+	for scale := 10; scale <= 20; scale++ {
+		ws = append(ws, PaperWidth(1<<scale))
+	}
+	return ws
+}
+
+// bucketEdges returns k·width and its two float64 neighbours for every
+// bucket edge of h, plus the first edges past the last bucket.
+func bucketEdges(h *Histogram) []float64 {
+	var ds []float64
+	for k := 1; k <= h.NumBuckets()+2; k++ {
+		e := float64(k) * h.Width()
+		ds = append(ds, math.Nextafter(e, 0), e, math.Nextafter(e, math.Inf(1)))
+	}
+	return ds
+}
+
+func TestBucketOfBracketsDistance(t *testing.T) {
+	r := xrand.New(0xB0C4E7)
+	for _, w := range paperWidths() {
+		h := New(DefaultBuckets, w)
+		prev := 0
+		for _, d := range bucketEdges(h) { // ascending
+			checkBracket(t, h, d)
+			if b := h.BucketOf(d); b < prev {
+				t.Fatalf("width %v: BucketOf(%v) = %d after %d: not monotone across an edge", w, d, b, prev)
+			} else {
+				prev = b
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			checkBracket(t, h, r.Range(0, 1.01*float64(DefaultBuckets)*w))
+		}
+		// The smallest positive distances stay in bucket 0.
+		for _, d := range []float64{math.SmallestNonzeroFloat64, 1e-300, w / 2} {
+			if b := h.BucketOf(d); b != 0 {
+				t.Errorf("width %v: BucketOf(%v) = %d, want 0", w, d, b)
+			}
+		}
+	}
+}
+
+// FuzzBucketOf seeds the fuzzer with every bucket edge and its neighbours
+// at the paper's widths: the inputs where a reciprocal and a division can
+// disagree.
+func FuzzBucketOf(f *testing.F) {
+	for _, w := range paperWidths() {
+		for _, d := range bucketEdges(New(DefaultBuckets, w)) {
+			f.Add(w, d)
+		}
+	}
+	f.Add(2.0, math.NaN())
+	f.Add(2.0, math.Inf(1))
+	f.Add(2.0, math.MaxFloat64)
+	f.Fuzz(func(t *testing.T, w, d float64) {
+		if !(w >= 1e-3 && w <= 1e6) {
+			return // widths a run can have; New rejects the degenerate ones
+		}
+		h := New(DefaultBuckets, w)
+		b := h.BucketOf(d)
+		switch {
+		case math.IsNaN(d) || math.IsInf(d, 1):
+			if b != DefaultBuckets-1 {
+				t.Fatalf("BucketOf(%v) = %d, want the last bucket", d, b)
+			}
+		case d <= 0:
+			if b != 0 {
+				t.Fatalf("BucketOf(%v) = %d, want 0", d, b)
+			}
+		default:
+			checkBracket(t, h, d)
+			if up := h.BucketOf(math.Nextafter(d, math.Inf(1))); up < b {
+				t.Fatalf("width %v: BucketOf drops from %d to %d one ulp above %v", w, b, up, d)
+			}
+		}
+	})
+}

@@ -1,7 +1,5 @@
 package partition
 
-import "fmt"
-
 // Chunked implements the over-decomposition idea of the paper's
 // future-work section (§V): the graph is divided into many more contiguous
 // chunks than there are PEs, and chunks are dealt round-robin. A scale-free
@@ -16,20 +14,17 @@ type Chunked struct {
 	numPEs      int
 	chunkSize   int32
 	numChunks   int
+
+	byChunk, byPEs divisor // reciprocals of chunkSize and numPEs
 }
 
 // NewChunked builds an over-decomposed partition with chunksPerPE chunks
 // per PE (approximately; the final chunk may be short). chunksPerPE = 1
 // degenerates to a block-cyclic layout with PE-count chunks.
 func NewChunked(numVertices, numPEs, chunksPerPE int) *Chunked {
-	if numPEs <= 0 {
-		panic("partition: numPEs must be positive")
-	}
+	checkShape(numVertices, numPEs)
 	if chunksPerPE <= 0 {
 		panic("partition: chunksPerPE must be positive")
-	}
-	if numVertices < 0 {
-		panic("partition: negative numVertices")
 	}
 	totalChunks := numPEs * chunksPerPE
 	chunkSize := (numVertices + totalChunks - 1) / totalChunks
@@ -45,6 +40,8 @@ func NewChunked(numVertices, numPEs, chunksPerPE int) *Chunked {
 		numPEs:      numPEs,
 		chunkSize:   int32(chunkSize),
 		numChunks:   numChunks,
+		byChunk:     newDivisor(chunkSize),
+		byPEs:       newDivisor(numPEs),
 	}
 }
 
@@ -58,11 +55,14 @@ func (p *Chunked) NumVertices() int { return p.numVertices }
 func (p *Chunked) ChunkSize() int { return int(p.chunkSize) }
 
 // Owner returns the PE owning vertex v: chunks are dealt round-robin.
+//
+//acic:noalloc
 func (p *Chunked) Owner(v int32) int {
 	if v < 0 || int(v) >= p.numVertices {
-		panic(fmt.Sprintf("partition: vertex %d out of range [0,%d)", v, p.numVertices))
+		outOfRange(v, p.numVertices)
 	}
-	return int(v/p.chunkSize) % p.numPEs
+	chunk := p.byChunk.div(uint32(v))
+	return int(chunk - p.byPEs.div(chunk)*uint32(p.numPEs))
 }
 
 // Size returns the number of vertices stored on PE pe.
@@ -82,14 +82,20 @@ func (p *Chunked) Size(pe int) int {
 // LocalIndex maps a global vertex id to its index in the owner's local
 // store: the owner's chunks are concatenated in ascending chunk order.
 func (p *Chunked) LocalIndex(v int32) int {
-	chunk := v / p.chunkSize
-	localChunk := int(chunk) / p.numPEs
-	return localChunk*int(p.chunkSize) + int(v%p.chunkSize)
+	chunk := p.byChunk.div(uint32(v))
+	offset := uint32(v) - chunk*uint32(p.chunkSize)
+	return int(p.byPEs.div(chunk))*int(p.chunkSize) + int(offset)
 }
+
+// LocalOn is LocalIndex: this layout derives the index from v alone.
+//
+//acic:noalloc
+func (p *Chunked) LocalOn(pe int, v int32) int { return p.LocalIndex(v) }
 
 // GlobalOf inverts LocalIndex for PE pe.
 func (p *Chunked) GlobalOf(pe, local int) int32 {
-	localChunk := local / int(p.chunkSize)
-	chunk := localChunk*p.numPEs + pe
-	return int32(chunk)*p.chunkSize + int32(local%int(p.chunkSize))
+	localChunk := p.byChunk.div(uint32(local))
+	offset := uint32(local) - localChunk*uint32(p.chunkSize)
+	chunk := int(localChunk)*p.numPEs + pe
+	return int32(chunk)*p.chunkSize + int32(offset)
 }

@@ -9,9 +9,57 @@ package partition
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"acic/internal/graph"
 )
+
+// divisor divides 32-bit numerators by a d fixed at construction with one
+// multiply-high (Lemire, Kaser, Kurz 2019): m = ⌊(2^64−1)/d⌋ + 1 = ⌈2^64/d⌉
+// gives ⌊n/d⌋ = ⌊m·n / 2^64⌋ for every n < 2^32 and 2 ≤ d < 2^32 (the
+// error m·d − 2^64 < d, scaled by n/2^64 < 2^-32, stays below the 1/d gap
+// to the next quotient; DESIGN.md §5). d = 1 overflows m to 0: the identity.
+type divisor struct{ m uint64 }
+
+func newDivisor(d int) divisor {
+	if d < 1 || d > math.MaxUint32 {
+		panic(fmt.Sprintf("partition: divisor %d out of range [1,2^32)", d))
+	}
+	return divisor{m: math.MaxUint64/uint64(d) + 1}
+}
+
+// div returns n / d.
+//
+//acic:noalloc
+func (x divisor) div(n uint32) uint32 {
+	if x.m == 0 {
+		return n
+	}
+	hi, _ := bits.Mul64(x.m, uint64(n))
+	return uint32(hi)
+}
+
+// outOfRange keeps the panic's formatting out of the lookups.
+//
+//go:noinline
+func outOfRange(v int32, numVertices int) {
+	panic(fmt.Sprintf("partition: vertex %d out of range [0,%d)", v, numVertices))
+}
+
+// checkShape panics unless numVertices can be addressed with int32 vertex
+// ids (a larger count used to wrap the block starts silently).
+func checkShape(numVertices, numPEs int) {
+	if numPEs <= 0 {
+		panic("partition: numPEs must be positive")
+	}
+	if numVertices < 0 {
+		panic("partition: negative numVertices")
+	}
+	if numVertices > math.MaxInt32 {
+		panic(fmt.Sprintf("partition: numVertices %d does not fit int32 vertex ids", numVertices))
+	}
+}
 
 // OneD assigns vertices to numPEs PEs in contiguous blocks of near-equal
 // vertex count. This is ACIC's partition and the source of the load
@@ -25,20 +73,23 @@ type OneD struct {
 	// custom marks non-uniform block boundaries (edge-balanced layout);
 	// Owner then binary-searches starts instead of using block arithmetic.
 	custom bool
+
+	// Uniform layout, fixed at construction: the first extra blocks hold
+	// base+1 vertices (byBase1) and end at boundary, the rest base (byBase).
+	base, boundary  int32
+	extra           int
+	byBase1, byBase divisor
 }
 
-// NewOneD builds a 1-D block partition of numVertices over numPEs PEs.
-// It panics if numPEs <= 0 or numVertices < 0.
+// NewOneD builds a 1-D block partition of numVertices over numPEs PEs. It
+// panics if numPEs <= 0, numVertices < 0, or numVertices exceeds int32.
 func NewOneD(numVertices, numPEs int) *OneD {
-	if numPEs <= 0 {
-		panic("partition: numPEs must be positive")
-	}
-	if numVertices < 0 {
-		panic("partition: negative numVertices")
-	}
+	checkShape(numVertices, numPEs)
 	p := &OneD{numVertices: numVertices, numPEs: numPEs, starts: make([]int32, numPEs+1)}
 	base := numVertices / numPEs
 	extra := numVertices % numPEs
+	p.base, p.extra, p.boundary = int32(base), extra, int32(extra*(base+1))
+	p.byBase1, p.byBase = newDivisor(base+1), newDivisor(max(base, 1))
 	off := 0
 	for i := 0; i < numPEs; i++ {
 		p.starts[i] = int32(off)
@@ -98,11 +149,13 @@ func NewEdgeBalancedOneD(g *graph.Graph, numPEs int) *OneD {
 }
 
 // Owner returns the PE owning vertex v. The block layout allows O(1)
-// arithmetic: the first `extra` blocks have base+1 vertices. Edge-balanced
-// layouts binary-search the block boundaries instead.
+// arithmetic by reciprocal: the first `extra` blocks have base+1 vertices.
+// Edge-balanced layouts binary-search the block boundaries instead.
+//
+//acic:noalloc
 func (p *OneD) Owner(v int32) int {
 	if v < 0 || int(v) >= p.numVertices {
-		panic(fmt.Sprintf("partition: vertex %d out of range [0,%d)", v, p.numVertices))
+		outOfRange(v, p.numVertices)
 	}
 	if p.custom {
 		// Find the last start <= v.
@@ -117,17 +170,14 @@ func (p *OneD) Owner(v int32) int {
 		}
 		return lo
 	}
-	base := p.numVertices / p.numPEs
-	extra := p.numVertices % p.numPEs
-	if base == 0 {
+	if p.base == 0 {
 		// Fewer vertices than PEs: vertex v lives on PE v.
 		return int(v)
 	}
-	boundary := extra * (base + 1)
-	if int(v) < boundary {
-		return int(v) / (base + 1)
+	if v < p.boundary {
+		return int(p.byBase1.div(uint32(v)))
 	}
-	return extra + (int(v)-boundary)/base
+	return p.extra + int(p.byBase.div(uint32(v-p.boundary)))
 }
 
 // Range returns the half-open vertex interval [lo, hi) owned by PE pe.
@@ -136,9 +186,17 @@ func (p *OneD) Range(pe int) (lo, hi int32) {
 }
 
 // LocalIndex converts a global vertex id to its index within the owner's
-// block.
+// block. It costs an Owner lookup; a caller that already knows the owner
+// (a PE indexing its own vertices) should use LocalOn.
 func (p *OneD) LocalIndex(v int32) int {
-	return int(v - p.starts[p.Owner(v)])
+	return p.LocalOn(p.Owner(v), v)
+}
+
+// LocalOn is LocalIndex for a caller that knows pe owns v.
+//
+//acic:noalloc
+func (p *OneD) LocalOn(pe int, v int32) int {
+	return int(v - p.starts[pe])
 }
 
 // Size returns the number of vertices on PE pe.

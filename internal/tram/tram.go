@@ -20,7 +20,8 @@
 //
 // The manager is a pure buffering policy: it never touches the network.
 // Insert and the flush methods return Batches, and the caller (the ACIC
-// core, or a baseline) forwards each batch through the runtime. A batch
+// core, or a baseline) forwards each batch through the runtime, at once:
+// the Batch headers are the manager's, reused per source PE. A batch
 // destined to a process is addressed to one of the process's PEs chosen
 // round-robin, standing in for the per-process communication thread that
 // demultiplexes arrivals in the paper's SMP configuration.
@@ -102,6 +103,12 @@ type Manager[T any] struct {
 
 	sets []bufferSet[T]
 
+	// setOf[pe] is the buffer set PE pe inserts into, destOf[pe] the buffer
+	// of a set that collects items for PE pe (the mode's two letters,
+	// tabulated once), out[pe] the Batch headers last handed to source PE pe.
+	setOf, destOf []int32
+	out           []flushOut[T]
+
 	// pool recycles the backing arrays of flushed batches through a
 	// chunked arena: a receiver calls ReleaseTo (or Release) after
 	// unpacking a batch, and the next buffer that starts filling reuses
@@ -115,7 +122,7 @@ type Manager[T any] struct {
 	// Counters live in a metrics.Registry (the caller's, or a private one
 	// when none is supplied), sharded by source PE so concurrent inserters
 	// never contend on a stats cache line. Stats() sums them into the
-	// legacy view.
+	// legacy view. All advance per batch; Stats adds the buffered items.
 	inserts       *metrics.Counter
 	autoFlushes   *metrics.Counter
 	manualFlushes *metrics.Counter
@@ -123,6 +130,15 @@ type Manager[T any] struct {
 	items         *metrics.Counter
 	poolGets      *metrics.Counter
 	poolPuts      *metrics.Counter
+}
+
+// flushOut is one source PE's return storage: the header Insert hands back
+// and the list FlushSet fills. Only that PE's goroutine touches it, even
+// when the buffer set is shared; padded because its neighbours' do too.
+type flushOut[T any] struct {
+	batch Batch[T]
+	flush []Batch[T]
+	_     [64]byte
 }
 
 type bufferSet[T any] struct {
@@ -201,6 +217,18 @@ func NewWithArena[T any](topo netsim.Topology, mode Mode, capacity int, reg *met
 			m.sets[i].mu = new(sync.Mutex)
 		}
 	}
+	m.setOf = make([]int32, topo.TotalPEs())
+	m.destOf = make([]int32, topo.TotalPEs())
+	m.out = make([]flushOut[T], topo.TotalPEs())
+	for pe := range m.setOf {
+		m.setOf[pe], m.destOf[pe] = int32(pe), int32(pe)
+		if mode == PW || mode == PP {
+			m.setOf[pe] = int32(topo.ProcessOf(pe))
+		}
+		if mode == WP || mode == PP {
+			m.destOf[pe] = int32(topo.ProcessOf(pe))
+		}
+	}
 	return m, nil
 }
 
@@ -219,20 +247,6 @@ func (m *Manager[T]) NumBuffers() int {
 	return len(m.sets) * len(m.sets[0].bufs)
 }
 
-func (m *Manager[T]) setIndex(srcPE int) int {
-	if m.mode == PW || m.mode == PP {
-		return m.topo.ProcessOf(srcPE)
-	}
-	return srcPE
-}
-
-func (m *Manager[T]) destIndex(dstPE int) int {
-	if m.mode == WP || m.mode == PP {
-		return m.topo.ProcessOf(dstPE)
-	}
-	return dstPE
-}
-
 // deliveryPE resolves a destination buffer index back to a concrete PE.
 // For PE-granularity buffers it is the PE itself; for process-granularity
 // buffers one of the process's PEs is picked round-robin per flush,
@@ -249,24 +263,29 @@ func (m *Manager[T]) deliveryPE(set *bufferSet[T], destIdx int) int {
 
 // Insert buffers item for dstPE on behalf of srcPE. If the buffer reaches
 // capacity the filled batch is cut and returned for the caller to send;
-// otherwise the returned batch is nil.
+// otherwise the returned batch is nil. The header is srcPE's own slot in
+// the manager, valid until srcPE's next Insert — callers send it at once —
+// and an insert that cuts nothing touches no counter.
 func (m *Manager[T]) Insert(srcPE, dstPE int, item T) *Batch[T] {
-	m.inserts.Add(srcPE, 1)
-	set := &m.sets[m.setIndex(srcPE)]
-	d := m.destIndex(dstPE)
+	set := &m.sets[m.setOf[srcPE]]
+	d := m.destOf[dstPE]
 	if set.mu != nil {
 		set.mu.Lock()
 		defer set.mu.Unlock()
 	}
-	if set.bufs[d] == nil {
-		set.bufs[d] = m.newBuf(srcPE)
+	buf := set.bufs[d]
+	if buf == nil {
+		buf = m.newBuf(srcPE)
 	}
-	set.bufs[d] = append(set.bufs[d], item)
-	if len(set.bufs[d]) < m.cap {
+	buf = append(buf, item)
+	set.bufs[d] = buf
+	if len(buf) < m.cap {
 		return nil
 	}
 	m.autoFlushes.Add(srcPE, 1)
-	return m.cut(srcPE, set, d)
+	out := &m.out[srcPE].batch
+	*out, _ = m.cut(srcPE, set, int(d))
+	return out
 }
 
 // newBuf returns an empty buffer with full batch capacity, recycled from
@@ -328,17 +347,18 @@ func (m *Manager[T]) ReleaseTo(pe int, items []T) {
 	m.pool.Put(pe, items)
 }
 
-// cut removes and wraps the buffer at destination index d. Caller holds the
-// set lock if the set is shared.
-func (m *Manager[T]) cut(srcPE int, set *bufferSet[T], d int) *Batch[T] {
+// cut removes and wraps the buffer at destination index d, reporting false
+// when it is empty. Caller holds the set lock if the set is shared.
+func (m *Manager[T]) cut(srcPE int, set *bufferSet[T], d int) (Batch[T], bool) {
 	items := set.bufs[d]
 	if len(items) == 0 {
-		return nil
+		return Batch[T]{}, false
 	}
 	set.bufs[d] = nil
 	m.batches.Add(srcPE, 1)
 	m.items.Add(srcPE, int64(len(items)))
-	return &Batch[T]{SrcPE: srcPE, DestPE: m.deliveryPE(set, d), Items: items}
+	m.inserts.Add(srcPE, int64(len(items)))
+	return Batch[T]{SrcPE: srcPE, DestPE: m.deliveryPE(set, d), Items: items}, true
 }
 
 // FlushSet performs an explicit flush of the buffer set srcPE writes to,
@@ -346,19 +366,20 @@ func (m *Manager[T]) cut(srcPE int, set *bufferSet[T], d int) *Batch[T] {
 // PE's broadcast handler; note that under process-owned modes several PEs
 // share a set, so a process's set may be flushed by whichever of its PEs
 // handles the broadcast first — subsequent flushes find it empty, which is
-// harmless.
+// harmless. The returned slice is reused by srcPE's next FlushSet.
 func (m *Manager[T]) FlushSet(srcPE int) []Batch[T] {
-	set := &m.sets[m.setIndex(srcPE)]
+	set := &m.sets[m.setOf[srcPE]]
 	if set.mu != nil {
 		set.mu.Lock()
 		defer set.mu.Unlock()
 	}
-	var out []Batch[T]
+	out := m.out[srcPE].flush[:0]
 	for d := range set.bufs {
-		if b := m.cut(srcPE, set, d); b != nil {
-			out = append(out, *b)
+		if b, ok := m.cut(srcPE, set, d); ok {
+			out = append(out, b)
 		}
 	}
+	m.out[srcPE].flush = out
 	if len(out) > 0 {
 		m.manualFlushes.Add(srcPE, 1)
 	}
@@ -368,7 +389,10 @@ func (m *Manager[T]) FlushSet(srcPE int) []Batch[T] {
 // PendingInSet reports the number of items currently buffered in srcPE's
 // set. Used by tests and by the tail-progress assertions.
 func (m *Manager[T]) PendingInSet(srcPE int) int {
-	set := &m.sets[m.setIndex(srcPE)]
+	return m.sets[m.setOf[srcPE]].pending()
+}
+
+func (set *bufferSet[T]) pending() int {
 	if set.mu != nil {
 		set.mu.Lock()
 		defer set.mu.Unlock()
@@ -382,10 +406,16 @@ func (m *Manager[T]) PendingInSet(srcPE int) int {
 
 // Stats returns a snapshot of the counters. It is a thin view over the
 // registry instruments (summing the per-PE shards); callers wanting per-PE
-// resolution read the "tram." counters from the registry directly.
+// resolution read the "tram." counters from the registry directly. Inserts
+// is items cut plus items still buffered: the number of Insert calls, read
+// while no PE is inserting (after the run, where every caller reads it).
 func (m *Manager[T]) Stats() Stats {
+	pending := 0
+	for i := range m.sets {
+		pending += m.sets[i].pending()
+	}
 	return Stats{
-		Inserts:       m.inserts.Value(),
+		Inserts:       m.inserts.Value() + int64(pending),
 		AutoFlushes:   m.autoFlushes.Value(),
 		ManualFlushes: m.manualFlushes.Value(),
 		Batches:       m.batches.Value(),

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"acic/internal/netsim"
+	"acic/internal/xrand"
 )
 
 type item struct {
@@ -443,5 +444,98 @@ func TestReleaseToSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("Borrow+ReleaseTo allocates %.2f objects per cycle, want 0", avg)
+	}
+}
+
+// TestInsertsCountItemsCutPlusPending pins the batch-granular counter: the
+// registry counter advances only when a batch is cut, and Stats adds what
+// is still buffered, so Inserts equals the number of Insert calls at every
+// point a caller can read it — before, between and after flushes.
+func TestInsertsCountItemsCutPlusPending(t *testing.T) {
+	topo := topo2x2x3()
+	for _, mode := range []Mode{WW, WP, PW, PP} {
+		m, err := New[item](topo, mode, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := int64(0)
+		check := func(when string) {
+			t.Helper()
+			pending := int64(0)
+			counted := map[int]bool{}
+			for pe := 0; pe < topo.TotalPEs(); pe++ {
+				if set := int(m.setOf[pe]); !counted[set] {
+					counted[set] = true
+					pending += int64(m.PendingInSet(pe))
+				}
+			}
+			s := m.Stats()
+			if s.Inserts != s.Items+pending || s.Inserts != calls {
+				t.Errorf("%v %s: Inserts = %d, Items %d + pending %d, Insert calls %d", mode, when, s.Inserts, s.Items, pending, calls)
+			}
+		}
+		check("before any insert")
+		r := xrand.New(uint64(mode) + 1)
+		for round := 0; round < 5; round++ {
+			for i := 0; i < 37; i++ {
+				m.Insert(r.Intn(topo.TotalPEs()), r.Intn(topo.TotalPEs()), item{})
+				calls++
+			}
+			check("between flushes")
+			m.FlushSet(r.Intn(topo.TotalPEs()))
+			check("after one set's flush")
+		}
+		for pe := 0; pe < topo.TotalPEs(); pe++ {
+			m.FlushSet(pe)
+		}
+		check("after flushing every set")
+		if s := m.Stats(); s.Inserts != s.Items {
+			t.Errorf("%v: drained manager reads Inserts %d, Items %d", mode, s.Inserts, s.Items)
+		}
+	}
+}
+
+// TestFlushHeadersAreReused pins what made flushing allocation-free: Insert
+// hands back the source PE's own header slot and FlushSet its own list, and
+// neither is shared between source PEs even when their buffer set is.
+func TestFlushHeadersAreReused(t *testing.T) {
+	m, err := New[int](netsim.SingleNode(2), PP, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutFrom := func(src int) *Batch[int] {
+		m.Insert(src, 0, src)
+		b := m.Insert(src, 0, src)
+		if b == nil || len(b.Items) != 2 || b.SrcPE != src {
+			t.Fatalf("second insert from PE %d cut %+v", src, b)
+		}
+		return b
+	}
+	first := cutFrom(0)
+	items := first.Items
+	other := cutFrom(1) // same process-owned set, another PE's header
+	if first == other || &first.Items[0] != &items[0] {
+		t.Fatal("a cut by PE 1 overwrote the header PE 0 was handed")
+	}
+	if again := cutFrom(0); again != first {
+		t.Error("PE 0's second cut came back in a different header")
+	}
+	m.Release(items)
+	m.Release(other.Items)
+	m.Release(first.Items)
+
+	// Steady state: fill, cut, flush the remainder, release — no objects.
+	avg := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 3; i++ {
+			if b := m.Insert(0, 0, i); b != nil {
+				m.ReleaseTo(0, b.Items)
+			}
+		}
+		for _, b := range m.FlushSet(0) {
+			m.ReleaseTo(0, b.Items)
+		}
+	})
+	if avg > 0 {
+		t.Errorf("insert/cut/flush cycle allocates %.2f objects, want 0", avg)
 	}
 }

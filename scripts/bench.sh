@@ -28,6 +28,10 @@ BENCHES=(
   "BenchmarkMailbox/burst64|./internal/runtime|"
   "BenchmarkNetsimSend|./internal/netsim|"
   "BenchmarkTramInsertFlush|./internal/tram|"
+  "BenchmarkOwner/oned|./internal/partition|"
+  "BenchmarkOwner/chunked|./internal/partition|"
+  "BenchmarkBucketOf|./internal/histogram|"
+  "BenchmarkUpdateKernel|./internal/core|"
   "BenchmarkWireEncodeBatch|./internal/core|"
   "BenchmarkWireDecodeReduce|./internal/core|"
   "BenchmarkHotPathSSSP|./internal/bench|-benchtime=10x"

@@ -51,6 +51,7 @@ go test -race ./...
 echo "== fuzz smoke (10s per target; one target per invocation) =="
 go test -run '^$' -fuzz '^FuzzGraphLoadCSV$' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz '^FuzzHistogramMerge$' -fuzztime 10s ./internal/histogram
+go test -run '^$' -fuzz '^FuzzBucketOf$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/wire
 
 echo "== schedule-stress harness (short matrix, incl. fault sub-matrix) =="
@@ -91,7 +92,8 @@ go run -race ./cmd/acic-run -algo acic -kind random -scale 9 -fault lossy -verif
 
 echo "== bench smoke (every listed hot-path benchmark compiles and runs once) =="
 go test -run '^$' -bench . -benchtime=1x \
-  ./internal/runtime ./internal/netsim ./internal/tram ./internal/bench >/dev/null
+  ./internal/runtime ./internal/netsim ./internal/tram ./internal/partition \
+  ./internal/histogram ./internal/core ./internal/bench >/dev/null
 
 echo "== perf regression gate (scripts/bench.sh vs committed baseline) =="
 # Compare a fresh variance-aware record against the newest committed
