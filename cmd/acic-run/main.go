@@ -150,8 +150,8 @@ func main() {
 		}
 		dist = res.Dist
 		s := res.Stats
-		fmt.Printf("acic: elapsed=%v reductions=%d created=%d processed=%d rejected=%d relaxations=%d\n",
-			s.Elapsed, s.Reductions, s.UpdatesCreated, s.UpdatesProcessed, s.UpdatesRejected, s.Relaxations)
+		fmt.Printf("acic: elapsed=%v reductions=%d created=%d suppressed=%d processed=%d rejected=%d relaxations=%d\n",
+			s.Elapsed, s.Reductions, s.UpdatesCreated, s.UpdatesSuppressed, s.UpdatesProcessed, s.UpdatesRejected, s.Relaxations)
 		fmt.Printf("tram: inserts=%d batches=%d autoflush=%d manualflush=%d\n",
 			s.TramStats.Inserts, s.TramStats.Batches, s.TramStats.AutoFlushes, s.TramStats.ManualFlushes)
 		fmt.Printf("net : messages=%d items=%d\n", s.Network.MessagesSent, s.Network.ItemsSent)

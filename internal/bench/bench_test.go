@@ -230,6 +230,10 @@ func TestCompareACICDelta(t *testing.T) {
 		if p.ACICUpdates.Mean() <= 0 || p.DeltaUpdates.Mean() <= 0 {
 			t.Errorf("%s/%d: missing update counts", p.Kind, p.Nodes)
 		}
+		// The paper-comparable count adds back what the sender suppressed.
+		if c := p.ACICCreated.Mean(); c <= 0 || c >= p.ACICUpdates.Mean() {
+			t.Errorf("%s/%d: created %.0f not in (0, %.0f)", p.Kind, p.Nodes, c, p.ACICUpdates.Mean())
+		}
 		if p.ACICTEPS.Mean() <= 0 || p.DeltaTEPS.Mean() <= 0 {
 			t.Errorf("%s/%d: missing TEPS", p.Kind, p.Nodes)
 		}
@@ -270,6 +274,13 @@ func TestAblations(t *testing.T) {
 	}
 	if AblationsTable(points).NumRows() != 6 {
 		t.Error("ablations table wrong size")
+	}
+	for _, p := range points {
+		// Only ACIC filters at the sender; its created count falls below the
+		// paper-comparable one, everyone else's equals it.
+		if u, c := p.Updates.Mean(), p.Created.Mean(); (p.Algo == "acic") != (c < u) || c > u {
+			t.Errorf("%s/%s: updates %.0f, created %.0f", p.Kind, p.Algo, u, c)
+		}
 	}
 }
 

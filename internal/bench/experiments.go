@@ -42,6 +42,11 @@ func (c Config) deltaParams() deltastep.Params {
 	return p
 }
 
+// paperUpdates is ACIC's update count as the paper's ACIC would report it.
+// That ACIC has no sender-side dominance filter, so every relaxation
+// candidate is an update: the created ones plus those the filter suppressed.
+func paperUpdates(s core.Stats) float64 { return float64(s.UpdatesCreated + s.UpdatesSuppressed) }
+
 // runACIC executes one ACIC trial and returns its runtime in seconds.
 func (c Config) runACIC(g *graph.Graph, nodes int, p core.Params) (float64, error) {
 	sec, _, err := c.runACICWithUpdates(g, nodes, p)
@@ -274,8 +279,10 @@ type ComparePoint struct {
 	DeltaTime      collect.Sample
 	ACICTEPS       collect.Sample
 	DeltaTEPS      collect.Sample
-	ACICUpdates    collect.Sample
-	DeltaUpdates   collect.Sample
+	// ACICUpdates is paperUpdates; ACICCreated is what this ACIC created.
+	ACICUpdates  collect.Sample
+	ACICCreated  collect.Sample
+	DeltaUpdates collect.Sample
 }
 
 // CompareACICDelta runs both algorithms over both graph families and the
@@ -303,7 +310,8 @@ func (c Config) CompareACICDelta() ([]ComparePoint, error) {
 				}
 				pt.ACICTime.Add(ar.Stats.Elapsed.Seconds())
 				pt.ACICTEPS.Add(collect.TEPS(reach, ar.Stats.Elapsed))
-				pt.ACICUpdates.Add(float64(ar.Stats.UpdatesCreated))
+				pt.ACICUpdates.Add(paperUpdates(ar.Stats))
+				pt.ACICCreated.Add(float64(ar.Stats.UpdatesCreated))
 
 				dr, err := deltastep.Run(g, 0, deltastep.Options{Topo: c.Topo(nodes), Latency: c.Latency, Params: c.deltaParams()})
 				if err != nil {
@@ -346,14 +354,14 @@ func Fig8Table(points []ComparePoint) *collect.Table {
 // Fig9Table renders update counts (Fig. 9).
 func Fig9Table(points []ComparePoint) *collect.Table {
 	t := collect.NewTable("Fig 9: updates (edge relaxations) created",
-		"graph", "nodes", "acic_updates", "delta_updates", "acic fewer by")
+		"graph", "nodes", "acic_updates", "acic_created", "delta_updates", "acic fewer by")
 	for _, p := range points {
 		a, d := p.ACICUpdates.Mean(), p.DeltaUpdates.Mean()
 		pct := "n/a"
 		if d > 0 {
 			pct = fmt.Sprintf("%.1f%%", 100*(d-a)/d)
 		}
-		t.AddRow(string(p.Kind), p.Nodes, a, d, pct)
+		t.AddRow(string(p.Kind), p.Nodes, a, p.ACICCreated.Mean(), d, pct)
 	}
 	return t
 }
@@ -406,11 +414,14 @@ func ModesTable(points []ModePoint) *collect.Table {
 // --- Ablations: distributed control and KLA ---
 
 // AblationPoint compares ACIC with one alternative on one graph kind.
+// Updates is the paper-comparable count (paperUpdates for ACIC); Created
+// differs from it only for ACIC, the one algorithm with a sender filter.
 type AblationPoint struct {
 	Kind    GraphKind
 	Algo    string
 	Runtime collect.Sample
 	Updates collect.Sample
+	Created collect.Sample
 }
 
 // Ablations runs ACIC, distributed control (ACIC minus introspection) and
@@ -431,7 +442,8 @@ func (c Config) Ablations(nodes int) ([]AblationPoint, error) {
 				return nil, err
 			}
 			acic.Runtime.Add(ar.Stats.Elapsed.Seconds())
-			acic.Updates.Add(float64(ar.Stats.UpdatesCreated))
+			acic.Updates.Add(paperUpdates(ar.Stats))
+			acic.Created.Add(float64(ar.Stats.UpdatesCreated))
 
 			dp := distctrl.DefaultParams()
 			dp.ComputeCost = c.ComputeCost
@@ -444,6 +456,7 @@ func (c Config) Ablations(nodes int) ([]AblationPoint, error) {
 			}
 			dc.Runtime.Add(dr.Stats.Elapsed.Seconds())
 			dc.Updates.Add(float64(dr.Stats.UpdatesCreated))
+			dc.Created.Add(float64(dr.Stats.UpdatesCreated))
 
 			kp := kla.DefaultParams()
 			kp.ComputeCost = c.ComputeCost
@@ -456,6 +469,7 @@ func (c Config) Ablations(nodes int) ([]AblationPoint, error) {
 			}
 			kl.Runtime.Add(kr.Stats.Elapsed.Seconds())
 			kl.Updates.Add(float64(kr.Stats.Relaxations))
+			kl.Created.Add(float64(kr.Stats.Relaxations))
 		}
 		points = append(points, acic, dc, kl)
 	}
@@ -465,9 +479,9 @@ func (c Config) Ablations(nodes int) ([]AblationPoint, error) {
 // AblationsTable renders the ablation comparison.
 func AblationsTable(points []AblationPoint) *collect.Table {
 	t := collect.NewTable("Ablations: ACIC vs distributed control vs KLA",
-		"graph", "algorithm", "runtime_s(mean)", "updates(mean)")
+		"graph", "algorithm", "runtime_s(mean)", "updates(mean)", "created(mean)")
 	for _, p := range points {
-		t.AddRow(string(p.Kind), p.Algo, p.Runtime.Mean(), p.Updates.Mean())
+		t.AddRow(string(p.Kind), p.Algo, p.Runtime.Mean(), p.Updates.Mean(), p.Created.Mean())
 	}
 	return t
 }

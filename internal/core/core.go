@@ -220,6 +220,12 @@ type Stats struct {
 	// terminating reduction; equality is the quiescence condition.
 	UpdatesCreated   int64
 	UpdatesProcessed int64
+	// UpdatesSuppressed counts relaxation candidates the sender dropped
+	// before creating them, because an update it had already handed on (or
+	// the distance of a vertex it owns) was at least as good. Every
+	// relaxation is either created or suppressed:
+	// Relaxations + 1 (the virtual seed) == UpdatesCreated + UpdatesSuppressed.
+	UpdatesSuppressed int64
 	// UpdatesRejected counts arrivals that did not improve a distance.
 	UpdatesRejected int64
 	// Relaxations counts onward-update generations (edges traversed by an

@@ -235,10 +235,14 @@ func TestStatsConsistency(t *testing.T) {
 	if s.UpdatesRejected > s.UpdatesProcessed {
 		t.Errorf("rejected %d > processed %d", s.UpdatesRejected, s.UpdatesProcessed)
 	}
-	// Relaxations + 1 seed == created (each onward update comes from a
-	// relaxation; the virtual seed adds one created).
-	if s.Relaxations+1 != s.UpdatesCreated {
-		t.Errorf("relaxations %d + 1 != created %d", s.Relaxations, s.UpdatesCreated)
+	// Relaxations + 1 seed == created + suppressed (each relaxation is a
+	// candidate the sender either creates or suppresses; the virtual seed
+	// adds one created).
+	if s.Relaxations+1 != s.UpdatesCreated+s.UpdatesSuppressed {
+		t.Errorf("relaxations %d + 1 != created %d + suppressed %d", s.Relaxations, s.UpdatesCreated, s.UpdatesSuppressed)
+	}
+	if s.UpdatesSuppressed == 0 {
+		t.Error("the sender suppressed no candidate")
 	}
 	if s.TramStats.Items == 0 {
 		t.Error("tram carried no items")

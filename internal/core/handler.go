@@ -79,6 +79,9 @@ type peState struct {
 	me     int       // this PE's index
 	dist   []float64 // tentative distances for the local vertices
 	parent []int32   // predecessor on the best known path, -1 if none
+	// sent is indexed by global vertex: the smallest distance this PE has
+	// handed to tramlib or tram_hold for it, +Inf if none (see createUpdate).
+	sent []float64
 
 	hist     *histogram.Histogram
 	queue    *pq.BinaryHeap       // accepted updates, min-distance first
@@ -103,6 +106,7 @@ type peState struct {
 	// Local measurement counters, summed by the driver after the run.
 	rejected    int64
 	relaxations int64
+	suppressed  int64
 
 	// pendingHolds is this PE's hold accounting from the most recent
 	// broadcast's drain; it rides the next contribution so the root's
@@ -168,6 +172,7 @@ type sharedState struct {
 // batches, the quantity tram's aggregation trades latency for.
 type coreMetrics struct {
 	created     *metrics.Counter
+	suppressed  *metrics.Counter
 	processed   *metrics.Counter
 	rejected    *metrics.Counter
 	relaxations *metrics.Counter
@@ -181,6 +186,7 @@ type coreMetrics struct {
 func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 	return coreMetrics{
 		created:     reg.Counter("core.updates_created"),
+		suppressed:  reg.Counter("core.updates_suppressed"),
 		processed:   reg.Counter("core.updates_processed"),
 		rejected:    reg.Counter("core.updates_rejected"),
 		relaxations: reg.Counter("core.relaxations"),
@@ -205,6 +211,11 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 	} else {
 		slot.dist = make([]float64, n)
 		slot.parent = make([]int32, n)
+	}
+	if nv := sh.g.NumVertices(); cap(slot.sent) >= nv {
+		slot.sent = slot.sent[:nv]
+	} else {
+		slot.sent = make([]float64, nv)
 	}
 	if slot.hist == nil {
 		slot.hist = histogram.New(p.BucketCount, p.BucketWidth)
@@ -243,6 +254,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		me:           me,
 		dist:         slot.dist,
 		parent:       slot.parent,
+		sent:         slot.sent,
 		hist:         slot.hist,
 		queue:        slot.queue,
 		pqHold:       slot.pqHold,
@@ -259,7 +271,19 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		st.dist[i] = math.Inf(1)
 		st.parent[i] = -1
 	}
-	st.tramDrainFn = func(u Update) { st.tramInsert(pe, u) }
+	for i := range st.sent {
+		st.sent[i] = math.Inf(1)
+	}
+	st.tramDrainFn = func(u Update) {
+		// A held update that a later, better one from this PE has
+		// superseded would only be rejected on arrival: complete it here.
+		if u.Dist > st.sent[u.Vertex] {
+			st.hist.AddProcessed(u.Dist)
+			st.shared.met.processed.Inc(st.me)
+			return
+		}
+		st.tramInsert(pe, st.shared.part.Owner(u.Vertex), u)
+	}
 	st.pqDrainFn = func(u Update) {
 		// A held update whose vertex has since improved past it is dead:
 		// complete it here rather than pay a heap push/pop.
@@ -444,24 +468,40 @@ func (st *peState) relaxOutEdges(pe *runtime.PE, v int32, d float64) {
 // createUpdate registers a new update in the histogram and either hands it
 // to tramlib (bucket within t_tram) or parks it in tram_hold.
 //
+// A candidate that cannot win is never created: one no better than an
+// update this PE already handed on for the vertex (sent), or, for a vertex
+// this PE owns, no better than its distance. Either would be rejected on
+// arrival, because dist only falls and the earlier update is delivered on
+// every fabric that terminates. The dropped candidate touches neither the
+// histogram nor the quiescence counters; it is counted suppressed.
+//
 //acic:noalloc
 func (st *peState) createUpdate(pe *runtime.PE, u Update) {
+	dst := -1 // not looked up: sent already dominates u
+	if u.Dist < st.sent[u.Vertex] {
+		dst = st.shared.part.Owner(u.Vertex)
+	}
+	if dst < 0 || dst == st.me && u.Dist >= st.localDist(u.Vertex) {
+		st.suppressed++
+		st.shared.met.suppressed.Inc(st.me)
+		return
+	}
+	st.sent[u.Vertex] = u.Dist
 	b := st.hist.AddCreated(u.Dist)
 	st.shared.met.created.Inc(st.me)
 	if b <= st.tTram {
-		st.tramInsert(pe, u)
+		st.tramInsert(pe, dst, u)
 	} else {
 		st.tramHold[b].Append(st.shared.ar, st.me, u)
 		st.shared.met.tramParked.Inc(st.me)
 	}
 }
 
-// tramInsert feeds tramlib and ships the flushed batch when one comes
-// back.
+// tramInsert feeds tramlib the update for owner dst and ships the flushed
+// batch when one comes back.
 //
 //acic:noalloc
-func (st *peState) tramInsert(pe *runtime.PE, u Update) {
-	dst := st.shared.part.Owner(u.Vertex)
+func (st *peState) tramInsert(pe *runtime.PE, dst int, u Update) {
 	if batch := st.shared.tm.Insert(pe.Index(), dst, u); batch != nil {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items)) //acic:allow-alloc one batchMsg boxing per flushed batch, amortized over its items; the batch header itself is the manager's per-PE slot
 	}

@@ -86,6 +86,7 @@ func TestMetricsRegistryCoherence(t *testing.T) {
 		want int64
 	}{
 		{"core.updates_created", s.UpdatesCreated},
+		{"core.updates_suppressed", s.UpdatesSuppressed},
 		{"core.updates_processed", s.UpdatesProcessed},
 		{"core.updates_rejected", s.UpdatesRejected},
 		{"core.relaxations", s.Relaxations},

@@ -29,23 +29,28 @@ func (u *unpackCounter) Deliver(pe *runtime.PE, msg any) {
 
 // TestFloodedPEReportsByUnpacking pins the receiveBatch trigger: a PE whose
 // mailbox is never empty never reaches Idle, and must report all the same.
-// A chain of hubs each answers the source with `fan` parallel edges, so
-// popping one hub puts fan/TramCapacity batches into the mailbox within a
-// single Idle call. On one PE that schedule is exact: the batches are
-// unpacked back to back, every update in them is rejected (nothing is
-// queued, so no pop happens in between), and the PE is in debt when the
-// burst starts because it went idle with a broadcast behind it. Each hub
-// must therefore cost one contribution paid while unpacking.
+// A chain of hubs each answers with `fan` parallel edges into a sink of its
+// own, so popping one hub puts fan/TramCapacity batches into the mailbox
+// within a single Idle call. The parallel weights strictly decrease, so
+// every candidate improves on the one this PE sent before it and passes
+// the sender's dominance filter. On one PE that schedule is exact: the
+// batches are unpacked back to back, they arrive in the order they were
+// created, so every update in them improves its sink and none is rejected,
+// and the PE is in debt when the burst starts because the broadcast that
+// flushed the hub's own update is behind it. Each hub must therefore cost
+// one contribution paid while unpacking.
 func TestFloodedPEReportsByUnpacking(t *testing.T) {
 	const hubs, fan = 16, 2 * reportAfterWork
 	var edges []graph.Edge
 	for h := int32(1); h <= hubs; h++ {
 		edges = append(edges, graph.Edge{From: h - 1, To: h, Weight: 1})
+		// Sink weights fan+1 down to 2 keep every sink above the next hub,
+		// so the hub is popped before any superseded sink entry.
 		for j := 0; j < fan; j++ {
-			edges = append(edges, graph.Edge{From: h, To: 0, Weight: 1})
+			edges = append(edges, graph.Edge{From: h, To: hubs + h, Weight: float64(fan + 1 - j)})
 		}
 	}
-	g := graph.MustBuild(hubs+1, edges)
+	g := graph.MustBuild(2*hubs+1, edges)
 
 	p := DefaultParams()
 	p.TramCapacity = 32
@@ -71,8 +76,11 @@ func TestFloodedPEReportsByUnpacking(t *testing.T) {
 	if want := seq.Dijkstra(g, 0); !seq.Equal(pe0.dist, want.Dist) {
 		t.Fatalf("dist = %v, want %v", pe0.dist, want.Dist)
 	}
-	if pe0.rejected != hubs*fan {
-		t.Fatalf("rejected %d updates, want %d", pe0.rejected, hubs*fan)
+	if pe0.rejected != 0 || pe0.suppressed != 0 {
+		t.Fatalf("rejected %d, suppressed %d updates, want 0 and 0", pe0.rejected, pe0.suppressed)
+	}
+	if want := int64(1 + hubs + hubs*fan); pe0.hist.Created != want {
+		t.Fatalf("created %d updates, want %d", pe0.hist.Created, want)
 	}
 	if pe0.paidUnpacking < hubs {
 		t.Errorf("%d contributions paid while unpacking %d bursts of %d updates, want one per burst",

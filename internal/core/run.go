@@ -161,6 +161,7 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 			res.Parent[gv] = st.parent[local]
 		}
 		res.Stats.UpdatesCreated += st.hist.Created
+		res.Stats.UpdatesSuppressed += st.suppressed
 		res.Stats.UpdatesProcessed += st.hist.Processed
 		res.Stats.UpdatesRejected += st.rejected
 		res.Stats.Relaxations += st.relaxations

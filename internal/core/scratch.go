@@ -92,6 +92,7 @@ func (p *runPools) putReduceVal(rv *reduceVal) {
 type peSlot struct {
 	dist       []float64
 	parent     []int32
+	sent       []float64
 	hist       *histogram.Histogram
 	queue      *pq.BinaryHeap
 	pqHold     []arena.List[Update]

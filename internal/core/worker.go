@@ -23,13 +23,15 @@ type Worker struct {
 
 // WorkerResult is one process's slice of the run: the distances and
 // parents of the vertices its PEs own, plus the process-local conservation
-// ledger. Reductions is nonzero only on the process hosting the root PE.
+// ledger. Reductions is nonzero only on the process hosting the root PE;
+// Suppressed sums the hosted PEs' Stats.UpdatesSuppressed.
 type WorkerResult struct {
 	Lo, Hi     int
 	Vertices   []int32
 	Dist       []float64
 	Parent     []int32
 	Reductions int64
+	Suppressed int64
 	Audit      runtime.Audit
 }
 
@@ -82,6 +84,7 @@ func (w *Worker) Run(addrs []string) (*WorkerResult, error) {
 	res := &WorkerResult{Lo: span.Lo, Hi: span.Hi, Audit: run.Audit}
 	for pe := span.Lo; pe < span.Hi; pe++ {
 		st := run.Handlers[pe]
+		res.Suppressed += st.suppressed
 		for local, d := range st.dist {
 			res.Vertices = append(res.Vertices, w.sh.part.GlobalOf(pe, local))
 			res.Dist = append(res.Dist, d)

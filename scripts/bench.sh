@@ -32,6 +32,7 @@ BENCHES=(
   "BenchmarkOwner/chunked|./internal/partition|"
   "BenchmarkBucketOf|./internal/histogram|"
   "BenchmarkUpdateKernel|./internal/core|"
+  "BenchmarkUpdateKernelShipped|./internal/core|"
   "BenchmarkWireEncodeBatch|./internal/core|"
   "BenchmarkWireDecodeReduce|./internal/core|"
   "BenchmarkHotPathSSSP|./internal/bench|-benchtime=10x"
