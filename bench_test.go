@@ -188,10 +188,10 @@ func BenchmarkTramAggregationModes(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDistributedControlAndKLA contrasts ACIC with the two
-// asynchronous designs the paper positions itself against (§I):
-// distributed control (no global view) and KLA (depth-bounded supersteps).
-func BenchmarkAblationDistributedControlAndKLA(b *testing.B) {
+// BenchmarkAblationDistributedControl contrasts ACIC with distributed
+// control, the asynchronous design without a global view that the paper
+// positions itself against (§I): ACIC with introspection switched off.
+func BenchmarkAblationDistributedControl(b *testing.B) {
 	c := benchConfig()
 	for i := 0; i < b.N; i++ {
 		points, err := c.Ablations(1)
@@ -258,8 +258,8 @@ func BenchmarkAblationDeltaChoice(b *testing.B) {
 }
 
 // BenchmarkAblationPartitionLayouts contrasts Δ-stepping under
-// vertex-balanced 1-D, edge-balanced 1-D and true 2-D grid partitioning —
-// the load-balance mechanism behind the paper's §IV-F analysis.
+// vertex-balanced and edge-balanced 1-D partitioning — the load-balance
+// mechanism behind the paper's §IV-F analysis.
 func BenchmarkAblationPartitionLayouts(b *testing.B) {
 	c := benchConfig()
 	for i := 0; i < b.N; i++ {

@@ -20,13 +20,11 @@ import (
 	"strings"
 
 	"acic/internal/core"
-	"acic/internal/delta2d"
 	"acic/internal/deltastep"
 	"acic/internal/distctrl"
 	"acic/internal/gctune"
 	"acic/internal/gen"
 	"acic/internal/graph"
-	"acic/internal/kla"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
 	"acic/internal/relnet"
@@ -38,7 +36,7 @@ import (
 
 func main() {
 	var (
-		algo       = flag.String("algo", "acic", "algorithm: acic | delta | delta2d | distctrl | kla | dijkstra | bellmanford")
+		algo       = flag.String("algo", "acic", "algorithm: acic | delta | distctrl | dijkstra | bellmanford")
 		kind       = flag.String("kind", "random", "generated graph kind: rmat | random | grid")
 		scale      = flag.Int("scale", 12, "2^scale vertices for generated graphs")
 		edgeFactor = flag.Int("edgefactor", 16, "edges = edgefactor * 2^scale")
@@ -174,20 +172,6 @@ func main() {
 		s := res.Stats
 		fmt.Printf("delta: elapsed=%v supersteps=%d buckets=%d relaxations=%d rejected=%d switchedBF=%v bfRounds=%d\n",
 			s.Elapsed, s.Supersteps, s.BucketsProcessed, s.Relaxations, s.Rejected, s.SwitchedToBF, s.BFRounds)
-	case "delta2d":
-		p := delta2d.DefaultParams()
-		p.Delta = *delta
-		p.Hybrid = *hybrid
-		p.TramCapacity = *bufSize
-		p.TramMode = tramMode
-		res, err := delta2d.Run(g, *source, delta2d.Options{Topo: topo, Latency: latency, Params: p})
-		if err != nil {
-			fail(err)
-		}
-		dist = res.Dist
-		s := res.Stats
-		fmt.Printf("delta2d: grid=%dx%d elapsed=%v supersteps=%d buckets=%d relaxations=%d frontier=%d switchedBF=%v\n",
-			s.GridRows, s.GridCols, s.Elapsed, s.Supersteps, s.BucketsProcessed, s.Relaxations, s.FrontierMsgs, s.SwitchedToBF)
 	case "distctrl":
 		p := distctrl.DefaultParams()
 		p.TramCapacity = *bufSize
@@ -200,18 +184,6 @@ func main() {
 		s := res.Stats
 		fmt.Printf("distctrl: elapsed=%v created=%d processed=%d rejected=%d relaxations=%d\n",
 			s.Elapsed, s.UpdatesCreated, s.UpdatesProcessed, s.UpdatesRejected, s.Relaxations)
-	case "kla":
-		p := kla.DefaultParams()
-		p.TramCapacity = *bufSize
-		p.TramMode = tramMode
-		res, err := kla.Run(g, *source, kla.Options{Topo: topo, Latency: latency, Params: p})
-		if err != nil {
-			fail(err)
-		}
-		dist = res.Dist
-		s := res.Stats
-		fmt.Printf("kla: elapsed=%v supersteps=%d barriers=%d relaxations=%d deferred=%d kHistory=%v\n",
-			s.Elapsed, s.SuperSteps, s.Barriers, s.Relaxations, s.Deferred, s.KHistory)
 	case "dijkstra":
 		res := seq.Dijkstra(g, *source)
 		dist = res.Dist

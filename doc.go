@@ -10,8 +10,11 @@
 //   - internal/runtime, internal/netsim, internal/tram — the Charm++-style
 //     message-driven substrate, the simulated cluster, and the tramlib
 //     aggregation library.
-//   - internal/deltastep, internal/delta2d, internal/distctrl,
-//     internal/kla, internal/seq — the comparators and oracles.
+//   - internal/deltastep, internal/distctrl, internal/seq — the two
+//     comparators (hybrid Δ-stepping, distributed control) and the
+//     sequential oracles.
+//   - internal/cc — asynchronous connected components, the §V extension
+//     that reuses ACIC's work-paced reduction cycle.
 //   - internal/bench — one experiment per figure of the paper's evaluation.
 //
 // Entry points for users are the binaries under cmd/ and the runnable

@@ -8,9 +8,10 @@
 // to other graph problems, naming connected components on random graphs as
 // the first candidate. internal/cc implements exactly that: asynchronous
 // min-label propagation whose termination is detected by ACIC's
-// equal-counters-twice rule riding on a concurrent reduction cycle. This
-// example runs it over an Erdős–Rényi graph near the percolation threshold,
-// where the component-size distribution is most interesting.
+// equal-counters-twice rule riding on a concurrent reduction cycle, paced
+// by work like ACIC's own. This example runs it over an Erdős–Rényi graph
+// near the percolation threshold, where the component-size distribution is
+// most interesting.
 package main
 
 import (
@@ -78,6 +79,9 @@ func main() {
 	}
 	fmt.Printf("run: %v, %d label updates (%d rejected), %d reduction cycles\n",
 		res.Stats.Elapsed, res.Stats.UpdatesCreated, res.Stats.Rejected, res.Stats.Reductions)
+	if res.Stats.UpdatesCreated != res.Stats.UpdatesProcessed {
+		log.Fatalf("quiescence: created %d != processed %d", res.Stats.UpdatesCreated, res.Stats.UpdatesProcessed)
+	}
 	fmt.Printf("quiescence: created %d == processed %d ✓ (ACIC's termination rule, transferred)\n",
 		res.Stats.UpdatesCreated, res.Stats.UpdatesProcessed)
 }

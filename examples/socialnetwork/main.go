@@ -21,6 +21,7 @@ import (
 	"acic/internal/gen"
 	"acic/internal/netsim"
 	"acic/internal/partition"
+	"acic/internal/seq"
 )
 
 func main() {
@@ -48,6 +49,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if want := seq.Dijkstra(g, hub); !seq.Equal(res.Dist, want.Dist) {
+		log.Fatal("socialnetwork: ACIC disagreed with Dijkstra")
+	}
 
 	// Histogram of "degrees of influence" (path cost bands).
 	reached := 0
@@ -71,7 +75,8 @@ func main() {
 
 	// The paper's §IV-F diagnosis: vertex-balanced 1-D partitioning
 	// concentrates hub edges on single PEs; balanced layouts (the RIKEN
-	// code's 2-D, or this repository's edge-balanced blocks) spread them.
+	// code's 2-D grid, or the edge-balanced blocks this repository's
+	// Δ-stepping uses in its place) spread them.
 	oneD := partition.NewOneD(g.NumVertices(), topo.TotalPEs())
 	balanced := partition.NewEdgeBalancedOneD(g, topo.TotalPEs())
 	fmt.Printf("edge imbalance (max/mean): vertex-balanced 1-D %.2f vs edge-balanced %.2f — why ACIC loses on RMAT\n",

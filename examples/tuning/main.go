@@ -17,6 +17,7 @@ import (
 	"acic/internal/core"
 	"acic/internal/gen"
 	"acic/internal/netsim"
+	"acic/internal/seq"
 	"acic/internal/tram"
 )
 
@@ -24,11 +25,15 @@ func main() {
 	g := gen.Uniform(1<<12, 16<<12, gen.Config{Seed: 11})
 	topo := netsim.SingleNode(4)
 	latency := netsim.DefaultLatency()
+	oracle := seq.Dijkstra(g, 0)
 
 	run := func(p core.Params) (time.Duration, int64) {
 		res, err := core.Run(g, 0, core.Options{Topo: topo, Latency: latency, Params: p})
 		if err != nil {
 			log.Fatal(err)
+		}
+		if !seq.Equal(res.Dist, oracle.Dist) {
+			log.Fatalf("tuning: ACIC disagreed with Dijkstra at %+v", p)
 		}
 		return res.Stats.Elapsed, res.Stats.UpdatesCreated
 	}

@@ -40,9 +40,7 @@ var Packages = map[string]bool{
 	"acic/internal/tram":      true,
 	"acic/internal/core":      true,
 	"acic/internal/deltastep": true,
-	"acic/internal/delta2d":   true,
 	"acic/internal/distctrl":  true,
-	"acic/internal/kla":       true,
 	"acic/internal/cc":        true,
 	"acic/internal/pq":        true,
 	"acic/internal/histogram": true,

@@ -269,10 +269,10 @@ func TestAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 6 { // 2 kinds × 3 algorithms
-		t.Fatalf("points = %d, want 6", len(points))
+	if len(points) != 4 { // 2 kinds × 2 algorithms
+		t.Fatalf("points = %d, want 4", len(points))
 	}
-	if AblationsTable(points).NumRows() != 6 {
+	if AblationsTable(points).NumRows() != 4 {
 		t.Error("ablations table wrong size")
 	}
 	for _, p := range points {
@@ -318,10 +318,10 @@ func TestPartitionLayoutsAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 6 { // 2 kinds × 3 layouts
-		t.Fatalf("points = %d, want 6", len(points))
+	if len(points) != 4 { // 2 kinds × 2 layouts
+		t.Fatalf("points = %d, want 4", len(points))
 	}
-	if PartitionTable(points).NumRows() != 6 {
+	if PartitionTable(points).NumRows() != 4 {
 		t.Error("partition table wrong size")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"acic/internal/deltastep"
 	"acic/internal/distctrl"
 	"acic/internal/graph"
-	"acic/internal/kla"
 	"acic/internal/seq"
 	"acic/internal/tram"
 )
@@ -411,7 +410,7 @@ func ModesTable(points []ModePoint) *collect.Table {
 	return t
 }
 
-// --- Ablations: distributed control and KLA ---
+// --- Ablation: distributed control ---
 
 // AblationPoint compares ACIC with one alternative on one graph kind.
 // Updates is the paper-comparable count (paperUpdates for ACIC); Created
@@ -424,14 +423,13 @@ type AblationPoint struct {
 	Created collect.Sample
 }
 
-// Ablations runs ACIC, distributed control (ACIC minus introspection) and
-// KLA on both graph families at the given node count.
+// Ablations runs ACIC and distributed control (ACIC minus introspection) on
+// both graph families at the given node count.
 func (c Config) Ablations(nodes int) ([]AblationPoint, error) {
 	var points []AblationPoint
 	for _, kind := range []GraphKind{Random, RMAT} {
 		acic := AblationPoint{Kind: kind, Algo: "acic"}
 		dc := AblationPoint{Kind: kind, Algo: "distctrl"}
-		kl := AblationPoint{Kind: kind, Algo: "kla"}
 		for trial := 0; trial < c.Trials; trial++ {
 			g, err := c.MakeGraph(kind, trial)
 			if err != nil {
@@ -457,28 +455,15 @@ func (c Config) Ablations(nodes int) ([]AblationPoint, error) {
 			dc.Runtime.Add(dr.Stats.Elapsed.Seconds())
 			dc.Updates.Add(float64(dr.Stats.UpdatesCreated))
 			dc.Created.Add(float64(dr.Stats.UpdatesCreated))
-
-			kp := kla.DefaultParams()
-			kp.ComputeCost = c.ComputeCost
-			kr, err := kla.Run(g, 0, kla.Options{Topo: c.Topo(nodes), Latency: c.Latency, Params: kp})
-			if err != nil {
-				return nil, err
-			}
-			if err := c.verifyDist(g, 0, kr.Dist, "kla"); err != nil {
-				return nil, err
-			}
-			kl.Runtime.Add(kr.Stats.Elapsed.Seconds())
-			kl.Updates.Add(float64(kr.Stats.Relaxations))
-			kl.Created.Add(float64(kr.Stats.Relaxations))
 		}
-		points = append(points, acic, dc, kl)
+		points = append(points, acic, dc)
 	}
 	return points, nil
 }
 
 // AblationsTable renders the ablation comparison.
 func AblationsTable(points []AblationPoint) *collect.Table {
-	t := collect.NewTable("Ablations: ACIC vs distributed control vs KLA",
+	t := collect.NewTable("Ablation: ACIC vs distributed control",
 		"graph", "algorithm", "runtime_s(mean)", "updates(mean)", "created(mean)")
 	for _, p := range points {
 		t.AddRow(string(p.Kind), p.Algo, p.Runtime.Mean(), p.Updates.Mean(), p.Created.Mean())

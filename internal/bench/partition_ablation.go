@@ -2,7 +2,6 @@ package bench
 
 import (
 	"acic/internal/collect"
-	"acic/internal/delta2d"
 	"acic/internal/deltastep"
 )
 
@@ -14,17 +13,15 @@ type PartitionPoint struct {
 	Updates collect.Sample
 }
 
-// PartitionLayouts contrasts the three Δ-stepping partitionings on both
-// graph families: the naive vertex-balanced 1-D blocks, the edge-balanced
-// 1-D blocks this repository uses as the default baseline, and the true
-// 2-D adjacency-matrix grid of the RIKEN code (§IV-A, §V). On RMAT the
+// PartitionLayouts contrasts the two Δ-stepping partitionings on both graph
+// families: the naive vertex-balanced 1-D blocks and the edge-balanced 1-D
+// blocks this repository uses as the default baseline (§IV-A). On RMAT the
 // vertex-balanced layout concentrates hub edges on one PE and should lose.
 func (c Config) PartitionLayouts(nodes int) ([]PartitionPoint, error) {
 	var points []PartitionPoint
 	for _, kind := range []GraphKind{Random, RMAT} {
 		vertexBal := PartitionPoint{Layout: "1D-vertex", Kind: kind}
 		edgeBal := PartitionPoint{Layout: "1D-edge", Kind: kind}
-		twoD := PartitionPoint{Layout: "2D-grid", Kind: kind}
 		for trial := 0; trial < c.Trials; trial++ {
 			g, err := c.MakeGraph(kind, trial)
 			if err != nil {
@@ -53,27 +50,15 @@ func (c Config) PartitionLayouts(nodes int) ([]PartitionPoint, error) {
 			}
 			edgeBal.Runtime.Add(re.Stats.Elapsed.Seconds())
 			edgeBal.Updates.Add(float64(re.Stats.Relaxations))
-
-			p2 := delta2d.DefaultParams()
-			p2.ComputeCost = c.ComputeCost
-			r2, err := delta2d.Run(g, 0, delta2d.Options{Topo: c.Topo(nodes), Latency: c.Latency, Params: p2})
-			if err != nil {
-				return nil, err
-			}
-			if err := c.verifyDist(g, 0, r2.Dist, "delta2d"); err != nil {
-				return nil, err
-			}
-			twoD.Runtime.Add(r2.Stats.Elapsed.Seconds())
-			twoD.Updates.Add(float64(r2.Stats.Relaxations))
 		}
-		points = append(points, vertexBal, edgeBal, twoD)
+		points = append(points, vertexBal, edgeBal)
 	}
 	return points, nil
 }
 
 // PartitionTable renders the partitioning ablation.
 func PartitionTable(points []PartitionPoint) *collect.Table {
-	t := collect.NewTable("Δ-stepping partitioning: 1-D vertex vs 1-D edge vs 2-D grid (§IV-A/§V)",
+	t := collect.NewTable("Δ-stepping partitioning: 1-D vertex vs 1-D edge (§IV-A)",
 		"graph", "layout", "runtime_s(mean)", "relaxations(mean)")
 	for _, p := range points {
 		t.AddRow(string(p.Kind), p.Layout, p.Runtime.Mean(), p.Updates.Mean())

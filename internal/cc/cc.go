@@ -14,10 +14,14 @@
 // component.
 //
 // Exactly as the paper sketches, the machinery transfers from SSSP intact:
-// a paced reduction/broadcast cycle runs concurrently with propagation,
-// carrying created/processed update counters (ACIC's quiescence condition —
-// equal sums in two consecutive reductions terminate the run) together with
-// a per-cycle label-change count whose trace Stats exposes.
+// a reduction/broadcast cycle runs concurrently with propagation, carrying
+// created/processed update counters (ACIC's quiescence condition — equal
+// sums in two consecutive reductions terminate the run) together with a
+// per-cycle label-change count whose trace Stats exposes. The cycle is
+// paced by work exactly as ACIC's is: the root broadcasts as soon as a
+// reduction completes, and a PE contributes again after
+// runtime.ReportAfterWork frontier pops or unpacked label updates, or at
+// once when its frontier is empty.
 package cc
 
 import (
@@ -41,11 +45,6 @@ type labelUpdate struct {
 type (
 	startMsg struct{}
 	batchMsg struct{ items []labelUpdate }
-	// cycleMsg re-enters the root after the introspection pacing timer.
-	cycleMsg struct {
-		epoch int64
-		ctrl  ctrlMsg
-	}
 )
 
 type ctrlMsg struct{ terminate bool }
@@ -70,9 +69,6 @@ type Params struct {
 	TramMode     tram.Mode
 	TramCapacity int
 }
-
-// cycleDelay paces the concurrent reduction cycle.
-const cycleDelay = 100 * time.Microsecond
 
 // DefaultParams mirrors the SSSP aggregation setup.
 func DefaultParams() Params {
@@ -123,7 +119,6 @@ type sharedState struct {
 
 type peState struct {
 	shared *sharedState
-	params Params
 
 	base   int32
 	labels []int32
@@ -136,6 +131,10 @@ type peState struct {
 	// (created, unprocessed) unit of work.
 	frontier []int32
 	inFront  []bool
+
+	// debt is the contribution this PE owes the next reduction: OnBroadcast
+	// incurs it, work pays it (see runtime.Debt).
+	debt runtime.Debt
 
 	// Root-only.
 	reductions   int64
@@ -159,8 +158,6 @@ func (st *peState) Deliver(pe *runtime.PE, msg any) {
 			st.pushFrontier(v)
 		}
 		st.contribute(pe, 0)
-	case cycleMsg:
-		pe.Broadcast(m.epoch, m.ctrl)
 	}
 }
 
@@ -196,6 +193,8 @@ func (st *peState) receiveBatch(pe *runtime.PE, items []labelUpdate) {
 		pe.Send(owner, batchMsg{items: group}, len(group))
 	}
 	st.shared.tm.Release(items) // batch unpacked: recycle its capacity
+	// Unpacking counts as work, so a PE flooded with batches still reports.
+	st.worked(pe, len(items))
 }
 
 func (st *peState) pushFrontier(v int32) {
@@ -205,12 +204,17 @@ func (st *peState) pushFrontier(v int32) {
 }
 
 // Idle propagates one frontier vertex's label to its (undirected)
-// neighbors, then blocks. Tram flushing happens on every broadcast, like
+// neighbors. With the frontier empty it pays an owed contribution at once,
+// and otherwise blocks. Tram flushing happens on every broadcast, like
 // ACIC, so no idle flush is needed here.
 func (st *peState) Idle(pe *runtime.PE) bool {
 	n := len(st.frontier)
 	if n == 0 {
-		return false
+		epoch, owed := st.debt.Pay()
+		if owed {
+			st.contribute(pe, epoch)
+		}
+		return owed
 	}
 	v := st.frontier[n-1]
 	st.frontier = st.frontier[:n-1]
@@ -224,7 +228,16 @@ func (st *peState) Idle(pe *runtime.PE) bool {
 		}
 	}
 	st.processed++
+	st.worked(pe, 1)
 	return true
+}
+
+// worked credits n units of work against the owed contribution and pays it
+// once it is due.
+func (st *peState) worked(pe *runtime.PE, n int) {
+	if epoch, due := st.debt.Worked(n); due {
+		st.contribute(pe, epoch)
+	}
 }
 
 func (st *peState) sendLabel(pe *runtime.PE, w int32, label int32) {
@@ -252,7 +265,7 @@ func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
 	}
-	st.contribute(pe, epoch+1)
+	st.debt.Owe(epoch + 1)
 }
 
 func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
@@ -273,16 +286,12 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 		st.prevEqualSum = -1
 	}
 
-	if ctrl.terminate {
-		pe.Broadcast(epoch, ctrl)
-		return
-	}
-	rt := pe.Runtime()
-	time.AfterFunc(cycleDelay, func() { rt.Inject(0, cycleMsg{epoch: epoch, ctrl: ctrl}) })
+	pe.Broadcast(epoch, ctrl)
 }
 
-// Run computes weakly connected components of g.
-func Run(g *graph.Graph, opts Options) (*Result, error) {
+// newSetup validates opts and builds the run's machine configuration and
+// the state all PEs share.
+func newSetup(g *graph.Graph, opts Options) (machine.Config, *sharedState, error) {
 	cfg := machine.Config{
 		Config: runtime.Config{
 			Topo:    opts.Topo,
@@ -294,7 +303,7 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	topo, err := cfg.Validate()
 	if err != nil {
-		return nil, err
+		return cfg, nil, err
 	}
 	params := opts.Params
 	if params.TramCapacity <= 0 {
@@ -309,36 +318,47 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	und, err := graph.Build(g.NumVertices(), edges)
 	if err != nil {
-		return nil, err
+		return cfg, nil, err
 	}
 
 	tm, err := tram.New[labelUpdate](topo, params.TramMode, params.TramCapacity)
 	if err != nil {
-		return nil, err
+		return cfg, nil, err
 	}
-	sh := &sharedState{
+	return cfg, &sharedState{
 		und:  und,
 		part: partition.NewOneD(g.NumVertices(), topo.TotalPEs()),
 		tm:   tm,
+	}, nil
+}
+
+// newPEState builds the handler of one PE, every owned vertex labelled
+// with its own id.
+func newPEState(sh *sharedState, pe *runtime.PE) *peState {
+	lo, hi := sh.part.Range(pe.Index())
+	st := &peState{
+		shared:       sh,
+		base:         lo,
+		labels:       make([]int32, hi-lo),
+		inFront:      make([]bool, hi-lo),
+		prevEqualSum: -1,
+	}
+	for i := range st.labels {
+		st.labels[i] = lo + int32(i)
+	}
+	return st
+}
+
+// Run computes weakly connected components of g.
+func Run(g *graph.Graph, opts Options) (*Result, error) {
+	cfg, sh, err := newSetup(g, opts)
+	if err != nil {
+		return nil, err
 	}
 	run, err := machine.Run(cfg,
-		func(pe *runtime.PE) *peState {
-			lo, hi := sh.part.Range(pe.Index())
-			st := &peState{
-				shared:       sh,
-				params:       params,
-				base:         lo,
-				labels:       make([]int32, hi-lo),
-				inFront:      make([]bool, hi-lo),
-				prevEqualSum: -1,
-			}
-			for i := range st.labels {
-				st.labels[i] = lo + int32(i)
-			}
-			return st
-		},
+		func(pe *runtime.PE) *peState { return newPEState(sh, pe) },
 		func(rt *runtime.Runtime) {
-			for i := 0; i < topo.TotalPEs(); i++ {
+			for i := 0; i < rt.NumPEs(); i++ {
 				rt.Inject(i, startMsg{})
 			}
 		})
@@ -353,7 +373,7 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 			Elapsed:     run.Elapsed,
 			Reductions:  root.reductions,
 			ChangeTrace: root.changeTrace,
-			TramStats:   tm.Stats(),
+			TramStats:   sh.tm.Stats(),
 			Network:     run.Network,
 			Audit:       run.Audit,
 		},

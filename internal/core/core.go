@@ -22,13 +22,13 @@
 //
 // The cycle has no timer in it. The root broadcasts as soon as a reduction
 // completes, and each PE joins the next reduction after it has done
-// reportAfterWork units of work since the broadcast (pq pops plus unpacked
-// updates) or as soon as its queue is empty — the delay of the asynchronous
-// iteration counted in computation rather than seconds (Blanco et al.,
-// arXiv:2110.01409). A working machine therefore spends a bounded share of
-// its time on introspection, an idle one cycles at the latency of its own
-// reduction tree as in the paper, and a run under simclock.Fake is paced
-// exactly like a real one.
+// runtime.ReportAfterWork units of work since the broadcast (pq pops plus
+// unpacked updates) or as soon as its queue is empty — the delay of the
+// asynchronous iteration counted in computation rather than seconds
+// (Blanco et al., arXiv:2110.01409). A working machine therefore spends a
+// bounded share of its time on introspection, an idle one cycles at the
+// latency of its own reduction tree as in the paper, and a run under
+// simclock.Fake is paced exactly like a real one.
 package core
 
 import (

@@ -27,17 +27,6 @@ type (
 	batchMsg struct{ items []Update }
 )
 
-// reportAfterWork is k, the work a PE does between a control broadcast and
-// its next contribution, in units of one pq pop or one unpacked update: the
-// delay of the asynchronous iteration is counted in computation, not in
-// seconds. A PE whose queue runs dry reports at once, so k only paces the
-// busy ones. It bounds the share of a busy PE's time spent on introspection
-// (one histogram snapshot, hold scan and tram flush per k units) from below
-// and the staleness of the thresholds from above. In the sweep recorded in
-// EXPERIMENTS.md ("Spending the floor") 32 costs a large solve a third of
-// its throughput and 64 to 4096 read the same; 256 sits inside that range.
-const reportAfterWork = 256
-
 // ctrlMsg is the broadcast payload closing every reduction cycle.
 type ctrlMsg struct {
 	thresholds histogram.Thresholds
@@ -113,12 +102,11 @@ type peState struct {
 	// audit record aggregates machine-wide hold movement.
 	pendingHolds holdStats
 
-	// owedEpoch is the reduction this PE still owes a contribution to, or
-	// -1 when it owes none. OnBroadcast incurs the debt; worked pays it
-	// once workSince, the work done since that broadcast, reaches
-	// reportAfterWork, and Idle pays it as soon as the queue is empty.
-	owedEpoch int64
-	workSince int
+	// debt is the contribution this PE owes the next reduction: OnBroadcast
+	// incurs it, worked pays it after runtime.ReportAfterWork pq pops or
+	// unpacked updates (one histogram snapshot, hold scan and tram flush per
+	// k units of work), and Idle pays it as soon as the queue is empty.
+	debt runtime.Debt
 
 	// Root-only state (PE 0).
 	reductions     int64
@@ -264,7 +252,6 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		tTram:        p.BucketCount - 1, // everything flows until told otherwise
 		tPQ:          p.BucketCount - 1,
 		lowestActive: 0,
-		owedEpoch:    -1,
 		prevEqualSum: -1,
 	}
 	for i := range st.dist {
@@ -371,21 +358,11 @@ func (st *peState) receiveBatch(pe *runtime.PE, items []Update) {
 }
 
 // worked credits n units of work against the contribution this PE owes and
-// pays it once reportAfterWork units have been done since the broadcast.
+// pays it once it is due.
 func (st *peState) worked(pe *runtime.PE, n int) {
-	if st.owedEpoch < 0 {
-		return
+	if epoch, due := st.debt.Worked(n); due {
+		st.contribute(pe, epoch)
 	}
-	if st.workSince += n; st.workSince >= reportAfterWork {
-		st.payContribution(pe)
-	}
-}
-
-// payContribution joins the reduction this PE owes.
-func (st *peState) payContribution(pe *runtime.PE) {
-	epoch := st.owedEpoch
-	st.owedEpoch = -1
-	st.contribute(pe, epoch)
 }
 
 // receiveUpdate applies the arrival rules of §II-C: an update that improves
@@ -422,18 +399,18 @@ func (st *peState) receiveUpdate(pe *runtime.PE, u Update) {
 // speed of its own reduction, which is what ends the run promptly.
 //
 // The noalloc promise covers the pop and the relaxation. Paying a
-// contribution (here, or from worked once per reportAfterWork pops) draws a
-// snapshot from the run's pool, which allocates only when the pool is
-// empty: a few times per Scratch, never per pop.
+// contribution (here, or from worked once per runtime.ReportAfterWork
+// pops) draws a snapshot from the run's pool, which allocates only when
+// the pool is empty: a few times per Scratch, never per pop.
 //
 //acic:noalloc
 func (st *peState) Idle(pe *runtime.PE) bool {
 	if st.queue.Len() == 0 {
-		if st.owedEpoch < 0 {
-			return false
+		epoch, owed := st.debt.Pay()
+		if owed {
+			st.contribute(pe, epoch)
 		}
-		st.payContribution(pe)
-		return true
+		return owed
 	}
 	it := st.queue.Pop()
 	v := int32(it.Value)
@@ -599,7 +576,7 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 	}
 
 	// Broadcast at once: what paces the cycle is the work every PE does
-	// before it contributes again (reportAfterWork).
+	// before it contributes again (runtime.ReportAfterWork).
 	pe.Broadcast(epoch, ctrl)
 }
 
@@ -654,5 +631,5 @@ func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
 	}
-	st.owedEpoch, st.workSince = epoch+1, 0
+	st.debt.Owe(epoch + 1)
 }

@@ -20,9 +20,9 @@ type unpackCounter struct {
 }
 
 func (u *unpackCounter) Deliver(pe *runtime.PE, msg any) {
-	owed := u.owedEpoch >= 0
+	owed := u.debt.Owed()
 	u.peState.Deliver(pe, msg)
-	if owed && u.owedEpoch < 0 {
+	if owed && !u.debt.Owed() {
 		u.paidUnpacking++
 	}
 }
@@ -40,7 +40,7 @@ func (u *unpackCounter) Deliver(pe *runtime.PE, msg any) {
 // flushed the hub's own update is behind it. Each hub must therefore cost
 // one contribution paid while unpacking.
 func TestFloodedPEReportsByUnpacking(t *testing.T) {
-	const hubs, fan = 16, 2 * reportAfterWork
+	const hubs, fan = 16, 2 * runtime.ReportAfterWork
 	var edges []graph.Edge
 	for h := int32(1); h <= hubs; h++ {
 		edges = append(edges, graph.Edge{From: h - 1, To: h, Weight: 1})

@@ -4,38 +4,37 @@ import "acic/internal/runtime"
 
 // The Δ-stepping control plane: the commands the root broadcasts, the
 // status every PE reduces after executing one, and the root's phase state
-// machine. It is independent of how vertices and edges are laid out, so the
-// 1-D handler in this package and the 2-D data plane in internal/delta2d
-// both run on it.
+// machine. It knows nothing of how vertices and edges are laid out; the
+// data plane in handler.go executes its commands.
 
-// Command is one bulk-synchronous step the root orders.
-type Command uint8
+// command is one bulk-synchronous step the root orders.
+type command uint8
 
 const (
-	// CmdDrainLight: drain the current bucket, relax light edges.
-	CmdDrainLight Command = iota
-	// CmdWait: a barrier retry — requests are still in flight; process
+	// cmdDrainLight: drain the current bucket, relax light edges.
+	cmdDrainLight command = iota
+	// cmdWait: a barrier retry — requests are still in flight; process
 	// arrivals and report again.
-	CmdWait
-	// CmdHeavy: relax heavy edges of the vertices settled from the
+	cmdWait
+	// cmdHeavy: relax heavy edges of the vertices settled from the
 	// current bucket.
-	CmdHeavy
-	// CmdAdvance: move to the given bucket and drain it.
-	CmdAdvance
-	// CmdBellmanFord: one Bellman-Ford round over the active frontier.
-	CmdBellmanFord
-	// CmdTerminate: stop.
-	CmdTerminate
+	cmdHeavy
+	// cmdAdvance: move to the given bucket and drain it.
+	cmdAdvance
+	// cmdBellmanFord: one Bellman-Ford round over the active frontier.
+	cmdBellmanFord
+	// cmdTerminate: stop.
+	cmdTerminate
 )
 
-// Ctrl is the broadcast payload.
-type Ctrl struct {
-	Cmd    Command
-	Bucket int32
+// ctrlMsg is the broadcast payload.
+type ctrlMsg struct {
+	cmd    command
+	bucket int32
 }
 
-// Status is the per-PE contribution reduced after every command.
-type Status struct {
+// status is the per-PE contribution reduced after every command.
+type status struct {
 	Sent, Received int64 // cumulative request counters
 	MinBucket      int32 // lowest non-empty local bucket, or -1
 	Settled        int64 // vertices first removed from the current bucket since the last contribution
@@ -43,9 +42,9 @@ type Status struct {
 	Changed        bool  // any distance improved since last contribution
 }
 
-// CombineStatus is the runtime.Config.Combine for Status contributions.
-func CombineStatus(a, b any) any {
-	av, bv := a.(*Status), b.(*Status)
+// combineStatus is the runtime.Config.Combine for status contributions.
+func combineStatus(a, b any) any {
+	av, bv := a.(*status), b.(*status)
 	av.Sent += bv.Sent
 	av.Received += bv.Received
 	if bv.MinBucket >= 0 && (av.MinBucket < 0 || bv.MinBucket < av.MinBucket) {
@@ -57,19 +56,20 @@ func CombineStatus(a, b any) any {
 	return av
 }
 
-// Root is the root PE's phase state machine. A handler embeds it to get
-// runtime.Handler's OnReduction; only PE 0's copy ever runs. The exported
-// counters are the run's synchronization bill, read after termination.
-type Root struct {
-	// Hybrid enables the RIKEN switch to Bellman-Ford once the per-bucket
+// rootState is the root PE's phase state machine. The handler embeds it to
+// get runtime.Handler's OnReduction; only PE 0's copy ever runs. The first
+// block of counters is the run's synchronization bill, read after
+// termination.
+type rootState struct {
+	// hybrid enables the RIKEN switch to Bellman-Ford once the per-bucket
 	// settled count has passed a local maximum (§IV-A).
-	Hybrid bool
+	hybrid bool
 
-	Supersteps       int64
-	BucketsProcessed int64
-	BFRounds         int64
-	Switched         bool
-	SettledPerEpoch  []int64 // newly settled vertices per bucket epoch
+	supersteps       int64
+	bucketsProcessed int64
+	bfRounds         int64
+	switched         bool
+	settledPerEpoch  []int64 // newly settled vertices per bucket epoch
 
 	bucket            int32 // the bucket being drained
 	phase             phase
@@ -89,74 +89,74 @@ const (
 	phaseBF
 )
 
-// OnReduction consumes one combined Status and broadcasts the next command.
-func (r *Root) OnReduction(pe *runtime.PE, epoch int64, value any) {
+// OnReduction consumes one combined status and broadcasts the next command.
+func (r *rootState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 	if r.terminated {
 		return
 	}
-	s := value.(*Status)
-	r.Supersteps++
+	s := value.(*status)
+	r.supersteps++
 
 	// A barrier is only complete when every sent request was received.
 	inFlight := s.Sent != s.Received
 
-	var ctrl Ctrl
+	var ctrl ctrlMsg
 	switch r.phase {
 	case phaseLight, phaseLightDrain:
 		r.epochSettledAccum += s.Settled
 		if inFlight {
-			ctrl = Ctrl{Cmd: CmdWait}
+			ctrl = ctrlMsg{cmd: cmdWait}
 			r.phase = phaseLightDrain
 			break
 		}
 		if s.MinBucket >= 0 && s.MinBucket <= r.bucket {
 			// Current bucket refilled (or not yet empty): another light
 			// iteration.
-			ctrl = Ctrl{Cmd: CmdDrainLight, Bucket: r.bucket}
+			ctrl = ctrlMsg{cmd: cmdDrainLight, bucket: r.bucket}
 			r.phase = phaseLight
 			break
 		}
 		// Bucket empty everywhere: heavy phase.
-		ctrl = Ctrl{Cmd: CmdHeavy}
+		ctrl = ctrlMsg{cmd: cmdHeavy}
 		r.phase = phaseHeavy
 	case phaseHeavy, phaseHeavyDrain:
 		if inFlight {
-			ctrl = Ctrl{Cmd: CmdWait}
+			ctrl = ctrlMsg{cmd: cmdWait}
 			r.phase = phaseHeavyDrain
 			break
 		}
 		// Epoch (bucket) complete.
-		r.BucketsProcessed++
-		r.SettledPerEpoch = append(r.SettledPerEpoch, r.epochSettledAccum)
+		r.bucketsProcessed++
+		r.settledPerEpoch = append(r.settledPerEpoch, r.epochSettledAccum)
 		settledNow := r.epochSettledAccum
 		r.epochSettledAccum = 0
 		if settledNow > r.prevSettled {
 			r.rose = true
 		}
-		useBF := r.Hybrid && r.rose && settledNow < r.prevSettled
+		useBF := r.hybrid && r.rose && settledNow < r.prevSettled
 		r.prevSettled = settledNow
 		if s.MinBucket < 0 {
-			ctrl = Ctrl{Cmd: CmdTerminate}
+			ctrl = ctrlMsg{cmd: cmdTerminate}
 			r.terminated = true
 			break
 		}
 		if useBF {
-			r.Switched = true
-			r.BFRounds++
-			ctrl = Ctrl{Cmd: CmdBellmanFord}
+			r.switched = true
+			r.bfRounds++
+			ctrl = ctrlMsg{cmd: cmdBellmanFord}
 			r.phase = phaseBF
 			break
 		}
 		r.bucket = s.MinBucket
-		ctrl = Ctrl{Cmd: CmdAdvance, Bucket: s.MinBucket}
+		ctrl = ctrlMsg{cmd: cmdAdvance, bucket: s.MinBucket}
 		r.phase = phaseLight
 	case phaseBF:
 		if inFlight || s.Changed || s.Active > 0 {
-			r.BFRounds++
-			ctrl = Ctrl{Cmd: CmdBellmanFord}
+			r.bfRounds++
+			ctrl = ctrlMsg{cmd: cmdBellmanFord}
 			break
 		}
-		ctrl = Ctrl{Cmd: CmdTerminate}
+		ctrl = ctrlMsg{cmd: cmdTerminate}
 		r.terminated = true
 	}
 	pe.Broadcast(epoch, ctrl)

@@ -55,8 +55,8 @@ type peState struct {
 	relaxations int64
 	rejected    int64
 
-	// Root is the phase state machine; it runs on PE 0 only.
-	Root
+	// rootState is the phase state machine; it runs on PE 0 only.
+	rootState
 }
 
 type sharedState struct {
@@ -81,7 +81,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, delta float64) *peSta
 		inBucket:  make([]int32, n),
 		wasInR:    make([]bool, n),
 		inFront:   make([]bool, n),
-		Root:      Root{Hybrid: p.Hybrid},
+		rootState: rootState{hybrid: p.Hybrid},
 	}
 	for i := range st.dist {
 		st.dist[i] = math.Inf(1)
@@ -295,7 +295,7 @@ func (st *peState) contribute(pe *runtime.PE, epoch int64) {
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
 		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
 	}
-	s := &Status{
+	s := &status{
 		Sent:      st.sent,
 		Received:  st.received,
 		MinBucket: -1,
@@ -313,19 +313,19 @@ func (st *peState) contribute(pe *runtime.PE, epoch int64) {
 
 // OnBroadcast executes the root's command, then reports back.
 func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
-	ctrl := payload.(Ctrl)
-	switch ctrl.Cmd {
-	case CmdTerminate:
+	ctrl := payload.(ctrlMsg)
+	switch ctrl.cmd {
+	case cmdTerminate:
 		pe.Exit()
 		return
-	case CmdWait:
+	case cmdWait:
 		// Barrier retry: arrivals were processed by Deliver already.
-	case CmdAdvance, CmdDrainLight:
-		st.current = ctrl.Bucket
+	case cmdAdvance, cmdDrainLight:
+		st.current = ctrl.bucket
 		st.epochSettled += st.drainLight(pe)
-	case CmdHeavy:
+	case cmdHeavy:
 		st.relaxHeavy(pe)
-	case CmdBellmanFord:
+	case cmdBellmanFord:
 		if !st.bfMode {
 			st.enterBF()
 		}

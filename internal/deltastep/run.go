@@ -61,7 +61,7 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 			Topo:    opts.Topo,
 			Latency: opts.Latency,
 			Jitter:  opts.Jitter,
-			Combine: CombineStatus,
+			Combine: combineStatus,
 		},
 		Clock: opts.Clock,
 	}
@@ -113,11 +113,11 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		Dist: make([]float64, g.NumVertices()),
 		Stats: Stats{
 			Elapsed:          run.Elapsed,
-			Supersteps:       root.Supersteps,
-			BucketsProcessed: root.BucketsProcessed,
-			SwitchedToBF:     root.Switched,
-			BFRounds:         root.BFRounds,
-			SettledPerEpoch:  root.SettledPerEpoch,
+			Supersteps:       root.supersteps,
+			BucketsProcessed: root.bucketsProcessed,
+			SwitchedToBF:     root.switched,
+			BFRounds:         root.bfRounds,
+			SettledPerEpoch:  root.settledPerEpoch,
 			TramStats:        tm.Stats(),
 			Network:          run.Network,
 			Audit:            run.Audit,

@@ -139,8 +139,8 @@ func (g *Graph) MaxWeight() float64 {
 	return max
 }
 
-// Reverse returns a new graph with every edge direction flipped. Useful for
-// in-degree analysis and for the 2-D partition's column view.
+// Reverse returns a new graph with every edge direction flipped, for
+// in-degree analysis.
 func (g *Graph) Reverse() *Graph {
 	edges := make([]Edge, 0, g.NumEdges())
 	g.EachEdge(func(from, to int32, w float64) {

@@ -2,9 +2,10 @@
 //
 // ACIC uses a one-dimensional partitioning: each PE owns a contiguous block
 // of vertices and the out-edges of those vertices, and exactly one copy of
-// each vertex object exists (§II-A). The RIKEN Δ-stepping comparator uses a
-// two-dimensional partitioning of the adjacency matrix (§IV-A). Both are
-// implemented here so ACIC and the baselines share one vocabulary.
+// each vertex object exists (§II-A). The Δ-stepping comparator uses an
+// edge-balanced variant of the same blocks in place of the RIKEN code's
+// two-dimensional adjacency-matrix partitioning (§IV-A), so ACIC and the
+// baselines share one vocabulary.
 package partition
 
 import (
@@ -227,102 +228,5 @@ func (p *OneD) EdgeImbalance(g *graph.Graph) float64 {
 		}
 	}
 	mean := float64(g.NumEdges()) / float64(p.numPEs)
-	return float64(max) / mean
-}
-
-// TwoD is a 2-D partition of the adjacency matrix over an R×C grid of PEs:
-// PE (r, c) owns edges whose source falls in row-block r and target in
-// column-block c. Communication is confined to one row (gather relaxation
-// requests) and one column (scatter results), the property the RIKEN code
-// exploits (§IV-A, §V).
-type TwoD struct {
-	numVertices int
-	rows, cols  int
-	rowPart     *OneD // blocks of sources
-	colPart     *OneD // blocks of targets
-}
-
-// NewTwoD builds an R×C grid partition. It panics on non-positive grid
-// dimensions.
-func NewTwoD(numVertices, rows, cols int) *TwoD {
-	if rows <= 0 || cols <= 0 {
-		panic("partition: grid dimensions must be positive")
-	}
-	return &TwoD{
-		numVertices: numVertices,
-		rows:        rows,
-		cols:        cols,
-		rowPart:     NewOneD(numVertices, rows),
-		colPart:     NewOneD(numVertices, cols),
-	}
-}
-
-// Grid returns the (rows, cols) shape.
-func (p *TwoD) Grid() (rows, cols int) { return p.rows, p.cols }
-
-// NumPEs returns rows*cols.
-func (p *TwoD) NumPEs() int { return p.rows * p.cols }
-
-// OwnerOfEdge returns the PE owning edge (from → to).
-func (p *TwoD) OwnerOfEdge(from, to int32) int {
-	r := p.rowPart.Owner(from)
-	c := p.colPart.Owner(to)
-	return r*p.cols + c
-}
-
-// VertexRow returns the grid row responsible for v as an edge source.
-func (p *TwoD) VertexRow(v int32) int { return p.rowPart.Owner(v) }
-
-// VertexCol returns the grid column responsible for v as an edge target.
-func (p *TwoD) VertexCol(v int32) int { return p.colPart.Owner(v) }
-
-// PEAt returns the linear PE id of grid cell (r, c).
-func (p *TwoD) PEAt(r, c int) int { return r*p.cols + c }
-
-// Owner returns the PE holding v's vertex state: the grid cell of v's own
-// row block and column block.
-func (p *TwoD) Owner(v int32) int { return p.OwnerOfEdge(v, v) }
-
-// OwnedRange returns the half-open vertex interval whose state PE pe
-// holds: the intersection of its row block and its column block, a
-// contiguous interval that is empty (lo == hi) for most off-diagonal cells.
-func (p *TwoD) OwnedRange(pe int) (lo, hi int32) {
-	lo, hi = p.rowPart.Range(pe / p.cols)
-	clo, chi := p.colPart.Range(pe % p.cols)
-	if clo > lo {
-		lo = clo
-	}
-	if chi < hi {
-		hi = chi
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-// EdgeCounts returns the per-PE edge counts for g, used by the imbalance
-// comparison between 1-D and 2-D partitioning.
-func (p *TwoD) EdgeCounts(g *graph.Graph) []int {
-	counts := make([]int, p.NumPEs())
-	g.EachEdge(func(from, to int32, _ float64) {
-		counts[p.OwnerOfEdge(from, to)]++
-	})
-	return counts
-}
-
-// EdgeImbalance is max/mean over the per-PE edge counts.
-func (p *TwoD) EdgeImbalance(g *graph.Graph) float64 {
-	if g.NumEdges() == 0 {
-		return 1
-	}
-	counts := p.EdgeCounts(g)
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	mean := float64(g.NumEdges()) / float64(p.NumPEs())
 	return float64(max) / mean
 }

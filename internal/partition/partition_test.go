@@ -169,93 +169,6 @@ func TestEdgeBalancedPanicsOnBadPEs(t *testing.T) {
 	NewEdgeBalancedOneD(gen.Path(5), 0)
 }
 
-func TestTwoDEdgeOwnership(t *testing.T) {
-	p := NewTwoD(100, 2, 3)
-	if p.NumPEs() != 6 {
-		t.Fatalf("NumPEs = %d", p.NumPEs())
-	}
-	r, c := p.Grid()
-	if r != 2 || c != 3 {
-		t.Fatalf("Grid = (%d,%d)", r, c)
-	}
-	// Vertex 0 is in row 0, col 0; vertex 99 in row 1, col 2.
-	if got := p.OwnerOfEdge(0, 99); got != p.PEAt(0, 2) {
-		t.Errorf("OwnerOfEdge(0,99) = %d, want %d", got, p.PEAt(0, 2))
-	}
-	if got := p.OwnerOfEdge(99, 0); got != p.PEAt(1, 0) {
-		t.Errorf("OwnerOfEdge(99,0) = %d, want %d", got, p.PEAt(1, 0))
-	}
-}
-
-func TestTwoDRowColConsistent(t *testing.T) {
-	p := NewTwoD(97, 3, 4)
-	for v := int32(0); v < 97; v++ {
-		r, c := p.VertexRow(v), p.VertexCol(v)
-		if r < 0 || r >= 3 || c < 0 || c >= 4 {
-			t.Fatalf("vertex %d mapped to (%d,%d)", v, r, c)
-		}
-	}
-}
-
-func TestTwoDEdgeCountsSum(t *testing.T) {
-	g := gen.Uniform(256, 2048, gen.Config{Seed: 3})
-	p := NewTwoD(256, 4, 4)
-	counts := p.EdgeCounts(g)
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != g.NumEdges() {
-		t.Errorf("edge counts sum %d != %d", sum, g.NumEdges())
-	}
-}
-
-func TestTwoDBeatsOneDOnRMATImbalance(t *testing.T) {
-	// The motivation for the RIKEN baseline's 2-D layout (§IV-F, §V): on a
-	// power-law graph, 16 PEs arranged 4×4 spread hub edges across a row,
-	// while 1-D concentrates each hub's whole edge list on one PE.
-	g := gen.RMAT(12, 8, gen.DefaultRMAT(), gen.Config{Seed: 5})
-	one := NewOneD(g.NumVertices(), 16).EdgeImbalance(g)
-	two := NewTwoD(g.NumVertices(), 4, 4).EdgeImbalance(g)
-	if two >= one {
-		t.Errorf("2-D imbalance %.2f not better than 1-D %.2f on RMAT", two, one)
-	}
-}
-
-func TestTwoDPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewTwoD with zero rows did not panic")
-		}
-	}()
-	NewTwoD(10, 0, 2)
-}
-
-// TestTwoDVertexOwnership pins the vertex-state layout 2-D Δ-stepping
-// relies on: every vertex is owned by exactly one PE, that PE sits in the
-// vertex's row and column, and its owned interval contains the vertex.
-func TestTwoDVertexOwnership(t *testing.T) {
-	p := NewTwoD(97, 3, 4)
-	covered := 0
-	for pe := 0; pe < p.NumPEs(); pe++ {
-		lo, hi := p.OwnedRange(pe)
-		covered += int(hi - lo)
-		for v := lo; v < hi; v++ {
-			if p.Owner(v) != pe {
-				t.Fatalf("vertex %d in PE %d's range but owned by PE %d", v, pe, p.Owner(v))
-			}
-		}
-	}
-	if covered != 97 {
-		t.Fatalf("owned ranges cover %d vertices, want 97", covered)
-	}
-	for v := int32(0); v < 97; v++ {
-		if want := p.PEAt(p.VertexRow(v), p.VertexCol(v)); p.Owner(v) != want {
-			t.Fatalf("vertex %d owner %d, want grid cell %d", v, p.Owner(v), want)
-		}
-	}
-}
-
 // Property: every vertex is owned by exactly the PE whose range contains it,
 // for arbitrary (n, pes).
 func TestQuickOneDOwnerTotal(t *testing.T) {

@@ -19,7 +19,7 @@
 //     Reductions combine per-PE contributions up a binary tree to PE 0;
 //     broadcasts flow down the same tree. Both travel as ordinary messages
 //     through the simulated network so their overhead is measurable
-//     (Fig. 3).
+//     (Fig. 3). Handlers pace their contributions by work with Debt.
 //   - Runtime-level quiescence detection (after Sinha, Kale and Ramkumar)
 //     for applications that do not roll their own, such as the
 //     distributed-control baseline. ACIC itself detects quiescence through

@@ -1,7 +1,7 @@
 // Package simclock abstracts the wall-clock reads that the run drivers use
 // to time a full execution. Every algorithm driver (core, deltastep,
-// delta2d, distctrl, kla, cc) measures Elapsed the same way: stamp a start
-// time before injecting the seed messages, subtract after Wait returns.
+// distctrl, cc) measures Elapsed the same way: stamp a start time before
+// injecting the seed messages, subtract after Wait returns.
 // Routing those reads through a Clock keeps the simulation packages free of
 // direct time.Now/time.Since calls — the detrand analyzer forbids them — and
 // lets tests substitute a Fake clock for deterministic Elapsed values.

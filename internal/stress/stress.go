@@ -10,12 +10,10 @@ import (
 
 	"acic/internal/cc"
 	"acic/internal/core"
-	"acic/internal/delta2d"
 	"acic/internal/deltastep"
 	"acic/internal/distctrl"
 	"acic/internal/gen"
 	"acic/internal/graph"
-	"acic/internal/kla"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
 	"acic/internal/relnet"
@@ -113,11 +111,12 @@ type Report struct {
 	Failures []Failure
 }
 
-// Algorithms lists the six drivers the matrix exercises, plus the raw
-// fabric hammer that stresses the delay-queue layer beneath them. The
-// churn workload (churn.go) rides the same enumeration under algo "churn".
+// Algorithms lists the four drivers the matrix exercises — ACIC, its two
+// comparators and the cc extension — plus the raw fabric hammer that
+// stresses the delay-queue layer beneath them. The churn workload
+// (churn.go) rides the same enumeration under algo "churn".
 func Algorithms() []string {
-	return []string{"fabric", "acic", "deltastep", "delta2d", "distctrl", "kla", "cc"}
+	return []string{"fabric", "acic", "deltastep", "distctrl", "cc"}
 }
 
 // ChurnMode selects how the churn sub-matrix participates in a run.
@@ -424,21 +423,9 @@ func runSpec(spec Spec, short bool) error {
 		if err == nil {
 			dist, audit, ts = res.Dist, res.Stats.Audit, res.Stats.TramStats
 		}
-	case "delta2d":
-		var res *delta2d.Result
-		res, err = delta2d.Run(g, src, delta2d.Options{Topo: topo, Latency: lat, Jitter: jit})
-		if err == nil {
-			dist, audit, ts = res.Dist, res.Stats.Audit, res.Stats.TramStats
-		}
 	case "distctrl":
 		var res *distctrl.Result
 		res, err = distctrl.Run(g, src, distctrl.Options{Topo: topo, Latency: lat, Jitter: jit})
-		if err == nil {
-			dist, audit, ts = res.Dist, res.Stats.Audit, res.Stats.TramStats
-		}
-	case "kla":
-		var res *kla.Result
-		res, err = kla.Run(g, src, kla.Options{Topo: topo, Latency: lat, Jitter: jit})
 		if err == nil {
 			dist, audit, ts = res.Dist, res.Stats.Audit, res.Stats.TramStats
 		}

@@ -26,6 +26,11 @@ cover_out="$(mktemp)"
 trap 'rm -f "$cover_out"' EXIT
 go test -coverprofile="$cover_out" ./...
 
+echo "== examples (each checks its answer against an oracle and exits non-zero on a mismatch) =="
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null
+done
+
 echo "== coverage gate =="
 # The checked-in baseline is the total statement coverage at the time the
 # observability PR landed; a drop of more than 2pp fails the gate. Raise
