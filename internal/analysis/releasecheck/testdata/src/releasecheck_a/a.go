@@ -128,3 +128,38 @@ func (st *state) deliverBlessed(msg any) {
 		st.receiveBlessed(m.items)
 	}
 }
+
+// ptrMsg is a carrier that travels as a pooled pointer: its items field is
+// assigned from Batch.Items after the header is drawn, which marks it just
+// as a composite literal does.
+type ptrMsg struct{ items []update }
+
+var headers []*ptrMsg
+
+func (st *state) producePtr(b *tram.Batch[update]) {
+	m := headers[len(headers)-1]
+	m.items = b.Items
+	st.pe.Send(b.DestPE, m, len(m.items))
+}
+
+// deliverPtrGood unpacks through the pointer and releases the items
+// before the header goes back.
+func (st *state) deliverPtrGood(msg any) {
+	switch m := msg.(type) {
+	case *ptrMsg:
+		for range m.items {
+		}
+		st.tm.Release(m.items)
+		headers = append(headers, m)
+	}
+}
+
+// deliverPtrBad recycles the header but leaks the items it carried.
+func (st *state) deliverPtrBad(msg any) {
+	switch m := msg.(type) {
+	case *ptrMsg:
+		for range m.items {
+		}
+		headers = append(headers, m) // want "tram batch \"m.items\" may not be released on this path"
+	}
+}

@@ -11,10 +11,11 @@ import (
 // for the reduction/drain hot path: once a Scratch is warm, a complete run
 // must stay under a fixed allocation budget. The budget covers what a run
 // still legitimately allocates (result vectors, runtime/netsim setup,
-// goroutine stacks); the arena-backed holds, pooled contributions and
-// recycled per-PE state must not push it back up. Before the arena rework
-// a run of this shape allocated ~5000 objects; the ceiling holds the
-// improvement.
+// goroutine stacks, netsim's queued envelopes); the arena-backed holds,
+// pooled contributions, batch headers and recycled per-PE and reduction
+// state must not push it back up. A run of this shape allocated ~5000
+// objects before the arena rework, ~980 while every batch boxed its
+// header, and ~720 with pooled headers.
 func TestWarmRunAllocationCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ceiling is a perf regression gate, not a -short test")
@@ -33,10 +34,10 @@ func TestWarmRunAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The ceiling is deliberately loose (runtime setup dominates and varies
-	// a little with scheduling); the pre-arena figure for this graph was
-	// ~3x higher, so real regressions clear it by a wide margin.
-	const ceiling = 2500
+	// The margin covers scheduling: how deep the mailboxes and the
+	// simulated network's queue get varies a little from run to run.
+	const ceiling = 850
+	t.Logf("warm run allocates %.0f objects", avg)
 	if avg > ceiling {
 		t.Errorf("warm run allocates %.0f objects, ceiling %d", avg, ceiling)
 	}
@@ -72,5 +73,43 @@ func TestWarmScratchKeepsItsFootprint(t *testing.T) {
 	t.Logf("%d chunks after warm-up, %d more after %d further runs", warm, grown, more)
 	if grown > warm {
 		t.Errorf("arena grew by %d chunks over %d warm runs (from %d): the footprint follows the run count", grown, more, warm)
+	}
+}
+
+// TestWarmRunAllocationsDoNotScaleWithBatches ships the same solve in
+// batches of 16 and of 1024 updates. A warm run draws every batch header
+// from its Scratch, so 64 times as many batches must not cost more
+// allocations: what a run allocates is its setup, not its traffic.
+func TestWarmRunAllocationsDoNotScaleWithBatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are a perf regression gate, not a -short test")
+	}
+	g := gen.Uniform(1<<10, 1<<13, gen.Config{Seed: 29})
+	allocs := func(capacity int) (float64, int64) {
+		p := DefaultParams()
+		p.TramCapacity = capacity
+		opts := Options{Topo: netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2}, Params: p, Scratch: &Scratch{}}
+		var batches int64
+		run := func() {
+			res, err := Run(g, 0, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches = res.Stats.TramStats.Batches
+		}
+		for i := 0; i < 3; i++ {
+			run()
+		}
+		return testing.AllocsPerRun(5, run), batches
+	}
+	small, smallBatches := allocs(16)
+	large, largeBatches := allocs(1024)
+	t.Logf("capacity 16: %.0f allocs, %d batches; capacity 1024: %.0f allocs, %d batches", small, smallBatches, large, largeBatches)
+	// One allocation per batch must be able to break the ratio.
+	if float64(smallBatches-largeBatches) < 0.2*large {
+		t.Fatalf("capacity 16 cut %d batches against %d: too few more to show a per-batch allocation", smallBatches, largeBatches)
+	}
+	if small > 1.1*large {
+		t.Errorf("%.0f allocs at capacity 16 vs %.0f at 1024: allocations follow the batch count", small, large)
 	}
 }

@@ -14,7 +14,9 @@ import (
 // ThresholdAudit is the introspection cycle's flight recorder: one record
 // per completed reduction when Params.AuditTrace is set. It captures what
 // the root saw (the merged histogram and quiescence counters), what it
-// decided (t_tram/t_pq), and what that decision did to the holds — the
+// decided (t_tram/t_pq, and Growing: whether the active population had
+// grown since the previous reduction, which keeps the low-parallelism
+// release shut), and what that decision did to the holds — the
 // before/after populations and drained counts of tram_hold and pq_hold.
 //
 // Hold fields lag the thresholds by one cycle: the drain they describe was
@@ -29,6 +31,7 @@ type ThresholdAudit struct {
 	Processed int64 `json:"processed"`
 	TTram     int   `json:"t_tram"`
 	TPQ       int   `json:"t_pq"`
+	Growing   bool  `json:"growing"`
 
 	TramHeldBefore int64 `json:"tram_held_before"`
 	TramDrained    int64 `json:"tram_drained"`
@@ -61,7 +64,7 @@ func (h *holdStats) add(o holdStats) {
 }
 
 // newThresholdAudit assembles the root's record for one reduction.
-func newThresholdAudit(epoch int64, global *histogram.Histogram, holds holdStats, th histogram.Thresholds) ThresholdAudit {
+func newThresholdAudit(epoch int64, global *histogram.Histogram, holds holdStats, th histogram.Thresholds, growing bool) ThresholdAudit {
 	a := ThresholdAudit{
 		Epoch:     epoch,
 		Active:    global.Active(),
@@ -69,6 +72,7 @@ func newThresholdAudit(epoch int64, global *histogram.Histogram, holds holdStats
 		Processed: global.Processed,
 		TTram:     th.Tram,
 		TPQ:       th.PQ,
+		Growing:   growing,
 
 		TramHeldBefore: holds.tramHeldBefore,
 		TramDrained:    holds.tramDrained,
@@ -100,7 +104,7 @@ func WriteAuditJSONL(w io.Writer, records []ThresholdAudit) error {
 
 // auditCSVHeader is the column order of WriteAuditCSV.
 var auditCSVHeader = []string{
-	"epoch", "active", "created", "processed", "t_tram", "t_pq",
+	"epoch", "active", "created", "processed", "t_tram", "t_pq", "growing",
 	"tram_held_before", "tram_drained", "tram_held_after",
 	"pq_held_before", "pq_drained", "pq_held_after", "buckets",
 }
@@ -131,6 +135,7 @@ func WriteAuditCSV(w io.Writer, records []ThresholdAudit) error {
 			strconv.FormatInt(a.Processed, 10),
 			strconv.Itoa(a.TTram),
 			strconv.Itoa(a.TPQ),
+			strconv.FormatBool(a.Growing),
 			strconv.FormatInt(a.TramHeldBefore, 10),
 			strconv.FormatInt(a.TramDrained, 10),
 			strconv.FormatInt(a.TramHeldAfter, 10),

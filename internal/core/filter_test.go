@@ -38,41 +38,56 @@ func checkFilteredRun(t *testing.T, g *graph.Graph, source int, dist []float64, 
 
 // TestDominanceFilterKeepsEveryOracle runs the three graph families under
 // both the paper's process-granularity aggregation (WP) and per-PE buffers
-// (WW) over every fabric a run can have: the simulated network, the
-// in-process TCP mesh, and two Workers over real sockets.
+// (WW) over every fabric a run can have: the simulated network at its
+// default latency (every inter-PE message queued in netsim), the
+// in-process TCP mesh, and two Workers over real sockets. Each cell solves
+// 2^10 vertices, and 2^14 outside -short; -v logs every solve's wall time
+// and reduction count.
 func TestDominanceFilterKeepsEveryOracle(t *testing.T) {
 	const source = 3
 	topo := netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2}
+	scales := []int{10, 14}
+	if testing.Short() {
+		scales = scales[:1]
+	}
 	for _, kind := range []string{"random", "rmat", "grid"} {
-		g, err := gen.ByKind(kind, 10, 8, gen.Config{Seed: 27})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, mode := range []tram.Mode{tram.WP, tram.WW} {
 			p := DefaultParams()
 			p.TramMode = mode
 			t.Run(kind+"/"+mode.String(), func(t *testing.T) {
-				for _, tr := range []Transport{TransportSim, TransportTCP} {
-					res := mustRun(t, g, source, Options{Topo: topo, Params: p, Transport: tr})
-					s := res.Stats
-					if s.Relaxations+1 != s.UpdatesCreated+s.UpdatesSuppressed || s.UpdatesCreated != s.UpdatesProcessed {
-						t.Errorf("transport %d: relaxations %d, created %d, suppressed %d, processed %d",
-							tr, s.Relaxations, s.UpdatesCreated, s.UpdatesSuppressed, s.UpdatesProcessed)
+				for _, scale := range scales {
+					g, err := gen.ByKind(kind, scale, 8, gen.Config{Seed: 27})
+					if err != nil {
+						t.Fatal(err)
 					}
-					checkFilteredRun(t, g, source, res.Dist, res.Parent, s.Audit.Unaccounted(), s.UpdatesSuppressed)
-				}
+					for _, o := range []Options{
+						{Topo: topo, Params: p, Latency: netsim.DefaultLatency()},
+						{Topo: topo, Params: p, Transport: TransportTCP},
+					} {
+						res := mustRun(t, g, source, o)
+						s := res.Stats
+						if s.Relaxations+1 != s.UpdatesCreated+s.UpdatesSuppressed || s.UpdatesCreated != s.UpdatesProcessed {
+							t.Errorf("transport %d: relaxations %d, created %d, suppressed %d, processed %d",
+								o.Transport, s.Relaxations, s.UpdatesCreated, s.UpdatesSuppressed, s.UpdatesProcessed)
+						}
+						checkFilteredRun(t, g, source, res.Dist, res.Parent, s.Audit.Unaccounted(), s.UpdatesSuppressed)
+						t.Logf("2^%d, transport %d: %v, %d reductions, %d updates created", scale, o.Transport, s.Elapsed, s.Reductions, s.UpdatesCreated)
+					}
 
-				dist := make([]float64, g.NumVertices())
-				parent := make([]int32, g.NumVertices())
-				var unaccounted, suppressed int64
-				for _, res := range runWorkers(t, g, source, Options{Topo: topo, Params: p}) {
-					for i, v := range res.Vertices {
-						dist[v], parent[v] = res.Dist[i], res.Parent[i]
+					dist := make([]float64, g.NumVertices())
+					parent := make([]int32, g.NumVertices())
+					var unaccounted, suppressed, reductions int64
+					for _, res := range runWorkers(t, g, source, Options{Topo: topo, Params: p}) {
+						for i, v := range res.Vertices {
+							dist[v], parent[v] = res.Dist[i], res.Parent[i]
+						}
+						unaccounted += res.Audit.Unaccounted()
+						suppressed += res.Suppressed
+						reductions += res.Reductions
 					}
-					unaccounted += res.Audit.Unaccounted()
-					suppressed += res.Suppressed
+					checkFilteredRun(t, g, source, dist, parent, unaccounted, suppressed)
+					t.Logf("2^%d, workers: %d reductions", scale, reductions)
 				}
-				checkFilteredRun(t, g, source, dist, parent, unaccounted, suppressed)
 			})
 		}
 	}

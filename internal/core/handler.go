@@ -23,7 +23,9 @@ type (
 	// startMsg makes a PE join the continuous reduction cycle.
 	startMsg struct{}
 	// batchMsg carries aggregated updates (a tram flush or an
-	// intra-process demux forward).
+	// intra-process demux forward). It travels as a pointer drawn from
+	// the run's pools (ship), so a send boxes nothing; receiveBatch or the
+	// wire encoder hands it back.
 	batchMsg struct{ items []Update }
 )
 
@@ -108,9 +110,11 @@ type peState struct {
 	// k units of work), and Idle pays it as soon as the queue is empty.
 	debt runtime.Debt
 
-	// Root-only state (PE 0).
+	// Root-only state (PE 0). prevActive is the previous reduction's
+	// active population, the direction the threshold rule reads.
 	reductions     int64
 	prevEqualSum   int64
+	prevActive     int64
 	terminated     bool
 	finalizedEarly bool
 	auditTrace     []ThresholdAudit
@@ -293,8 +297,8 @@ func (st *peState) setDist(v int32, d float64) {
 // Deliver implements runtime.Handler.
 func (st *peState) Deliver(pe *runtime.PE, msg any) {
 	switch m := msg.(type) {
-	case batchMsg:
-		st.receiveBatch(pe, m.items)
+	case *batchMsg:
+		st.receiveBatch(pe, m)
 	case seedMsg:
 		st.seed(pe, m.source)
 	case startMsg:
@@ -322,10 +326,11 @@ func (st *peState) seed(pe *runtime.PE, source int32) {
 // granularity aggregation the batch may hold updates for sibling PEs; those
 // are re-bundled per owner and forwarded intra-process, the role of the SMP
 // communication thread in the paper's configuration.
-func (st *peState) receiveBatch(pe *runtime.PE, items []Update) {
+func (st *peState) receiveBatch(pe *runtime.PE, m *batchMsg) {
 	me := pe.Index()
-	st.shared.met.batchItems.Observe(me, int64(len(items)))
-	for _, u := range items {
+	n := len(m.items)
+	st.shared.met.batchItems.Observe(me, int64(n))
+	for _, u := range m.items {
 		owner := st.shared.part.Owner(u.Vertex)
 		if owner == me {
 			st.receiveUpdate(pe, u)
@@ -346,15 +351,16 @@ func (st *peState) receiveBatch(pe *runtime.PE, items []Update) {
 		st.fwdBufs[owner] = nil
 		// Ownership of the buffer travels with the message; the receiving
 		// PE's receiveBatch returns it to the pool.
-		pe.Send(int(owner), batchMsg{items: group}, len(group))
+		st.ship(pe, tram.Batch[Update]{DestPE: int(owner), Items: group})
 	}
 	st.fwdTouched = st.fwdTouched[:0]
 	// The batch is fully unpacked (items copied or applied): recycle its
-	// backing array into this PE's freelist, lock-free.
-	st.shared.tm.ReleaseTo(me, items)
+	// backing array into this PE's freelist, lock-free, and its header.
+	st.shared.tm.ReleaseTo(me, m.items)
+	st.shared.pools.putBatch(m)
 	// Unpacking counts as work: a PE that is flooded with batches and never
 	// reaches its idle trigger still reports.
-	st.worked(pe, len(items))
+	st.worked(pe, n)
 }
 
 // worked credits n units of work against the contribution this PE owes and
@@ -480,8 +486,17 @@ func (st *peState) createUpdate(pe *runtime.PE, u Update) {
 //acic:noalloc
 func (st *peState) tramInsert(pe *runtime.PE, dst int, u Update) {
 	if batch := st.shared.tm.Insert(pe.Index(), dst, u); batch != nil {
-		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items)) //acic:allow-alloc one batchMsg boxing per flushed batch, amortized over its items; the batch header itself is the manager's per-PE slot
+		st.ship(pe, *batch)
 	}
+}
+
+// ship sends b's items to b.DestPE in a header from the run's pools.
+//
+//acic:noalloc
+func (st *peState) ship(pe *runtime.PE, b tram.Batch[Update]) {
+	m := st.shared.pools.getBatch()
+	m.items = b.Items
+	pe.Send(b.DestPE, m, len(m.items))
 }
 
 // contribute snapshots the local histogram (and, optionally, the count of
@@ -559,10 +574,13 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 
 	numPEs := pe.NumPEs()
 	hp := histogram.Params{PTram: st.params.PTram, PPQ: st.params.PPQ, LowWatermarkPerPE: st.params.LowWatermarkPerPE}
+	active := global.Positive()
+	growing := active > st.prevActive
+	st.prevActive = active
 	if st.params.SmoothThresholds {
-		ctrl.thresholds = histogram.ComputeSmoothThresholds(global, numPEs, hp)
+		ctrl.thresholds = histogram.ComputeSmoothThresholds(global, numPEs, hp, growing)
 	} else {
-		ctrl.thresholds = histogram.ComputeThresholds(global, numPEs, hp)
+		ctrl.thresholds = histogram.ComputeThresholds(global, numPEs, hp, growing)
 	}
 	if lb := global.LowestNonEmpty(); lb >= 0 {
 		ctrl.lowestActive = float64(lb) * global.Width()
@@ -572,7 +590,7 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 
 	if st.params.AuditTrace {
 		st.auditTrace = append(st.auditTrace,
-			newThresholdAudit(epoch, global, rv.holds, ctrl.thresholds))
+			newThresholdAudit(epoch, global, rv.holds, ctrl.thresholds, growing))
 	}
 
 	// Broadcast at once: what paces the cycle is the work every PE does
@@ -629,7 +647,7 @@ func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	// Explicit tram flush: guarantees buffered updates move even when the
 	// tail of the graph cannot fill a buffer.
 	for _, batch := range st.shared.tm.FlushSet(pe.Index()) {
-		pe.Send(batch.DestPE, batchMsg{items: batch.Items}, len(batch.Items))
+		st.ship(pe, batch)
 	}
 	st.debt.Owe(epoch + 1)
 }

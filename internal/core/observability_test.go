@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -194,9 +196,22 @@ func TestAuditExportFormats(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &back); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v", i, err)
 		}
-		if back.Epoch != records[i].Epoch || back.Created != records[i].Created {
+		if back.Epoch != records[i].Epoch || back.Created != records[i].Created || back.Growing != records[i].Growing {
 			t.Fatalf("line %d did not round-trip: %+v vs %+v", i, back, records[i])
 		}
+	}
+	// The run starts growing and ends draining, so both branches of the
+	// threshold rule show.
+	var growing, draining int
+	for _, a := range records {
+		if a.Growing {
+			growing++
+		} else {
+			draining++
+		}
+	}
+	if growing == 0 || draining == 0 {
+		t.Errorf("%d growing and %d not-growing reductions, want both", growing, draining)
 	}
 
 	var cbuf bytes.Buffer
@@ -213,6 +228,12 @@ func TestAuditExportFormats(t *testing.T) {
 	for i, col := range auditCSVHeader {
 		if rows[0][i] != col {
 			t.Errorf("CSV header[%d] = %q, want %q", i, rows[0][i], col)
+		}
+	}
+	col := slices.Index(auditCSVHeader, "growing")
+	for i, a := range records {
+		if got := rows[i+1][col]; got != strconv.FormatBool(a.Growing) {
+			t.Fatalf("CSV row %d: growing %q, record %v", i, got, a.Growing)
 		}
 	}
 }

@@ -57,34 +57,63 @@ type scratchKey struct {
 
 // runPools holds the cross-PE pools of one run: the chunk arena (shared
 // with tramlib so demux buffers, hold chunks and tram batches recycle
-// through one freelist) and the reduction-contribution pool.
+// through one freelist), the reduction-contribution pool and the pool of
+// batch headers.
 type runPools struct {
 	ar *arena.Arena[Update]
 
-	mu     sync.Mutex
-	rvFree []*reduceVal
+	reduceVals freelist[reduceVal]
+	batches    freelist[batchMsg]
 }
 
-// getReduceVal returns a pooled contribution value, allocating (with its
-// histogram) only when the pool is empty. The caller overwrites every
-// field, so no reset is needed here.
-func (p *runPools) getReduceVal(bucketCount int, width float64) *reduceVal {
-	p.mu.Lock()
-	if n := len(p.rvFree); n > 0 {
-		rv := p.rvFree[n-1]
-		p.rvFree[n-1] = nil
-		p.rvFree = p.rvFree[:n-1]
-		p.mu.Unlock()
-		return rv
+// freelist recycles pointers across the goroutines of one run: PEs, and
+// the transport's reader and writer. get allocates a zero T only on a
+// miss, so a warm Scratch allocates only past its high-water mark.
+type freelist[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+func (f *freelist[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return new(T)
 	}
-	p.mu.Unlock()
-	return &reduceVal{hist: histogram.New(bucketCount, width)}
+	x := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return x
 }
 
-func (p *runPools) putReduceVal(rv *reduceVal) {
-	p.mu.Lock()
-	p.rvFree = append(p.rvFree, rv)
-	p.mu.Unlock()
+func (f *freelist[T]) put(x *T) {
+	f.mu.Lock()
+	f.free = append(f.free, x)
+	f.mu.Unlock()
+}
+
+// getReduceVal returns a pooled contribution value, allocating its
+// histogram only when the pool missed. The caller overwrites every field,
+// so no reset is needed here.
+func (p *runPools) getReduceVal(bucketCount int, width float64) *reduceVal {
+	rv := p.reduceVals.get()
+	if rv.hist == nil {
+		rv.hist = histogram.New(bucketCount, width)
+	}
+	return rv
+}
+
+func (p *runPools) putReduceVal(rv *reduceVal) { p.reduceVals.put(rv) }
+
+// getBatch returns a batch header for one send. The receiver's
+// receiveBatch, or the wire encoder that consumes the batch, hands it back
+// with putBatch together with its items.
+func (p *runPools) getBatch() *batchMsg { return p.batches.get() }
+
+func (p *runPools) putBatch(m *batchMsg) {
+	m.items = nil
+	p.batches.put(m)
 }
 
 // peSlot is one PE's recycled state. Slices keep their backing arrays

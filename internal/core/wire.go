@@ -12,9 +12,10 @@ import (
 // The registrations are tied to one run's sharedState because both bulk
 // payloads round-trip through the run's pools rather than the heap:
 //
-//   - batchMsg items decode into a buffer from the tram pool's shared
-//     shard (BorrowShared) and, symmetrically, an encoded batch returns
-//     its buffer there (Release) via the afterEncode hook — encoding a
+//   - *batchMsg items decode into a buffer from the tram pool's shared
+//     shard (BorrowShared) under a pooled header (getBatch) and,
+//     symmetrically, an encoded batch returns its buffer there (Release)
+//     and its header (putBatch) via the afterEncode hook — encoding a
 //     batch for the socket consumes it, exactly as local delivery would.
 //   - *reduceVal contributions decode into pooled values (getReduceVal)
 //     and are recycled on encode (putReduceVal).
@@ -41,9 +42,9 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 		},
 		nil)
 
-	c.Register(wire.TagBatch, batchMsg{},
+	c.Register(wire.TagBatch, (*batchMsg)(nil),
 		func(c *wire.Codec, buf []byte, v any) ([]byte, error) {
-			items := v.(batchMsg).items
+			items := v.(*batchMsg).items
 			buf = wire.AppendU32(buf, uint32(len(items)))
 			for _, u := range items {
 				buf = wire.AppendI32(buf, u.Vertex)
@@ -68,9 +69,15 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 					Dist:   r.F64(),
 				})
 			}
-			return batchMsg{items: items}, nil
+			m := sh.pools.getBatch()
+			m.items = items
+			return m, nil
 		},
-		func(v any) { sh.tm.Release(v.(batchMsg).items) })
+		func(v any) {
+			m := v.(*batchMsg)
+			sh.tm.Release(m.items)
+			sh.pools.putBatch(m)
+		})
 
 	c.Register(wire.TagCtrl, ctrlMsg{},
 		func(c *wire.Codec, buf []byte, v any) ([]byte, error) {

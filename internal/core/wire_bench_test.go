@@ -5,50 +5,43 @@ import (
 )
 
 // BenchmarkWireEncodeBatch measures serializing one full tram batch into a
-// reused frame buffer. The message value is boxed once outside the loop and
-// every iteration pairs the encode hook's pool put with a BorrowShared, so
+// reused frame buffer. The encode hook returns the items and the header to
+// the pools; every iteration takes both back as the next send would, so
 // the steady state allocates nothing — the ceiling scripts/bench.sh gates.
 func BenchmarkWireEncodeBatch(b *testing.B) {
 	c, sh := newWireHarness(b)
-	items := sh.tm.Borrow(0)
-	for i := 0; cap(items) > len(items); i++ {
-		items = append(items, Update{Vertex: int32(i), Pred: int32(i - 1), Dist: float64(i)})
-	}
-	var v any = batchMsg{items: items}
-	buf := make([]byte, 0, 8+16*len(items))
-	var err error
-	b.SetBytes(int64(16 * len(items)))
+	items := fullBatch(sh)
+	n := len(items)
+	buf := make([]byte, 0, 8+16*n)
+	b.SetBytes(int64(16 * n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = c.EncodeFrame(buf[:0], v)
+		m := sh.pools.getBatch()
+		m.items = items
+		var err error
+		buf, err = c.EncodeFrame(buf[:0], m)
 		if err != nil {
 			b.Fatal(err)
 		}
-		// The encode hook released the batch to the pool; take it back so
-		// the freelist neither grows nor drains across iterations.
-		sh.tm.BorrowShared()
+		// The hook released the buffer; the same array (stale items and
+		// all) is the next one the shared shard hands out.
+		items = sh.tm.BorrowShared()[:n]
 	}
 }
 
 // BenchmarkWireDecodeBatch measures materializing a batch from its frame.
-// The decoded buffer comes from the tram pool and goes straight back, as
-// receiveBatch would after unpacking. The batchMsg return value is boxed
-// into the codec's `any`, so this path pays O(1) boxing allocations per
-// frame — amortized over the batch's items, and not under the zero-alloc
-// gate.
+// The decoded buffer and header come from the pools and go straight back,
+// as receiveBatch would after unpacking: 0 allocs/op.
 func BenchmarkWireDecodeBatch(b *testing.B) {
 	c, sh := newWireHarness(b)
-	items := sh.tm.Borrow(0)
-	for i := 0; cap(items) > len(items); i++ {
-		items = append(items, Update{Vertex: int32(i), Pred: int32(i - 1), Dist: float64(i)})
-	}
-	n := len(items)
-	frame, err := c.EncodeFrame(nil, batchMsg{items: items})
+	m := sh.pools.getBatch()
+	m.items = fullBatch(sh)
+	n := len(m.items)
+	frame, err := c.EncodeFrame(nil, m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sh.tm.BorrowShared() // rebalance the encode hook's put
 	b.SetBytes(int64(16 * n))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,8 +50,19 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sh.tm.Release(v.(batchMsg).items)
+		dec := v.(*batchMsg)
+		sh.tm.Release(dec.items)
+		sh.pools.putBatch(dec)
 	}
+}
+
+// fullBatch borrows a buffer and fills it to the tram capacity.
+func fullBatch(sh *sharedState) []Update {
+	items := sh.tm.Borrow(0)
+	for i := 0; cap(items) > len(items); i++ {
+		items = append(items, Update{Vertex: int32(i), Pred: int32(i - 1), Dist: float64(i)})
+	}
+	return items
 }
 
 // BenchmarkWireDecodeReduce measures decoding a reduction contribution.

@@ -91,9 +91,11 @@ func TestBatchWireRoundTripRecyclesBuffers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		items = append(items, Update{Vertex: int32(i), Pred: int32(i - 1), Dist: float64(i) * 1.5})
 	}
-	// Encoding consumes the batch (afterEncode returns the buffer to the
-	// pool), exactly as handing it to a local PE would.
-	frame, err := c.EncodeFrame(nil, batchMsg{items: items})
+	sent := sh.pools.getBatch()
+	sent.items = items
+	// Encoding consumes the batch (afterEncode returns the buffer and the
+	// header to the pools), exactly as handing it to a local PE would.
+	frame, err := c.EncodeFrame(nil, sent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,10 @@ func TestBatchWireRoundTripRecyclesBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := got.(batchMsg)
+	dec := got.(*batchMsg)
+	if dec != sent {
+		t.Error("decode allocated a header instead of reusing the one the encoder returned")
+	}
 	if len(dec.items) != 5 {
 		t.Fatalf("decoded %d items, want 5", len(dec.items))
 	}
@@ -110,13 +115,17 @@ func TestBatchWireRoundTripRecyclesBuffers(t *testing.T) {
 			t.Errorf("item %d: %+v", i, u)
 		}
 	}
-	// The receiving PE releases the decoded buffer; after that the pool
-	// ledger balances: one Borrow + one BorrowShared (decode) against one
-	// Release (encode hook) + one ReleaseTo (here).
+	// The receiving PE releases the decoded buffer and header; after that
+	// the pool ledger balances: one Borrow + one BorrowShared (decode)
+	// against one Release (encode hook) + one ReleaseTo (here).
 	sh.tm.ReleaseTo(1, dec.items)
+	sh.pools.putBatch(dec)
 	ts := sh.tm.Stats()
 	if ts.PoolGets != ts.PoolPuts {
 		t.Errorf("pool imbalance after round trip: %d gets, %d puts", ts.PoolGets, ts.PoolPuts)
+	}
+	if n := len(sh.pools.batches.free); n != 1 {
+		t.Errorf("%d headers in the pool after the round trip, want the one", n)
 	}
 }
 

@@ -147,6 +147,19 @@ func (h *Histogram) SetBucket(i int, v int64) { h.buckets[i] = v }
 // believes are in flight. Only meaningful on a merged global histogram.
 func (h *Histogram) Active() int64 { return h.Created - h.Processed }
 
+// Positive returns the sum of the positive bucket counts: the active
+// population the threshold rules work with, where a bucket driven negative
+// by a decrement that overtook its increment counts as empty.
+func (h *Histogram) Positive() int64 {
+	var s int64
+	for _, b := range h.buckets {
+		if b > 0 {
+			s += b
+		}
+	}
+	return s
+}
+
 // Sum returns the sum of all bucket counts. On a merged global histogram
 // this equals Active.
 func (h *Histogram) Sum() int64 {
@@ -245,12 +258,7 @@ func (h *Histogram) PercentileBucket(p float64) int {
 	if p <= 0 || p > 1 || math.IsNaN(p) {
 		panic(fmt.Sprintf("histogram: percentile fraction %v out of (0,1]", p))
 	}
-	var total int64
-	for _, b := range h.buckets {
-		if b > 0 {
-			total += b
-		}
-	}
+	total := h.Positive()
 	if total == 0 {
 		return len(h.buckets) - 1
 	}
@@ -280,9 +288,9 @@ type Params struct {
 	PTram float64
 	PPQ   float64
 	// LowWatermarkPerPE is the "low parallelism" limit: when the number of
-	// active updates is at most LowWatermarkPerPE × numPEs, both thresholds
-	// are raised to the highest bucket so every update flows freely. The
-	// paper fixes this at 100 (§III-a).
+	// active updates is at most LowWatermarkPerPE × numPEs and not growing,
+	// both thresholds are raised to the highest bucket so every update flows
+	// freely. The paper fixes this at 100 (§III-a).
 	LowWatermarkPerPE int64
 }
 
@@ -295,16 +303,16 @@ func DefaultParams() Params {
 
 // ComputeThresholds implements the root's side of Algorithm 1 minus the
 // termination check (which belongs to the quiescence machinery): given the
-// merged global histogram, the PE count and the policy parameters, it
+// merged global histogram, the PE count, the policy parameters and whether
+// the active population (Positive) grew since the previous reduction, it
 // returns the thresholds to broadcast.
-func ComputeThresholds(global *Histogram, numPEs int, p Params) Thresholds {
-	var sum int64
-	for i := 0; i < global.NumBuckets(); i++ {
-		if b := global.Bucket(i); b > 0 {
-			sum += b
-		}
-	}
-	if sum <= p.LowWatermarkPerPE*int64(numPEs) {
+//
+// The low-parallelism release is meant for the tail, where the frontier
+// shrinks. A frontier below the watermark that is still growing is the
+// start of a run, not its tail: releasing every bucket there lets it grow
+// in unordered Bellman-Ford fashion, so it gets the percentile thresholds.
+func ComputeThresholds(global *Histogram, numPEs int, p Params, growing bool) Thresholds {
+	if !growing && global.Positive() <= p.LowWatermarkPerPE*int64(numPEs) {
 		// Low parallelism: release everything (§III-a; prose form of
 		// Algorithm 1's low-count branch).
 		last := global.NumBuckets() - 1
@@ -327,20 +335,19 @@ func ComputeThresholds(global *Histogram, numPEs int, p Params) Thresholds {
 //
 // so as the machine approaches the low-parallelism tail the thresholds
 // open smoothly rather than snapping, and under heavy load they converge
-// to the paper's fixed percentiles. The ablation benchmark contrasts this
-// policy with the paper's two-tier rule.
-func ComputeSmoothThresholds(global *Histogram, numPEs int, p Params) Thresholds {
-	var active int64
-	for i := 0; i < global.NumBuckets(); i++ {
-		if b := global.Bucket(i); b > 0 {
-			active += b
-		}
-	}
+// to the paper's fixed percentiles. Like the two-tier rule's release, the
+// boost applies only while the active population is not growing. The
+// ablation benchmark contrasts this policy with the paper's two-tier rule.
+func ComputeSmoothThresholds(global *Histogram, numPEs int, p Params, growing bool) Thresholds {
+	active := global.Positive()
 	last := global.NumBuckets() - 1
 	if active == 0 {
 		return Thresholds{Tram: last, PQ: last}
 	}
-	boost := float64(p.LowWatermarkPerPE*int64(numPEs)) / float64(active)
+	var boost float64
+	if !growing {
+		boost = float64(p.LowWatermarkPerPE*int64(numPEs)) / float64(active)
+	}
 	bucketFor := func(base float64) int {
 		v := base + (1-base)*boost
 		if v >= 1 {

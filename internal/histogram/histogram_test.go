@@ -235,9 +235,52 @@ func TestComputeThresholdsLowWatermark(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		g.AddCreated(float64(i % 60))
 	}
-	th := ComputeThresholds(g, 100, p)
+	th := ComputeThresholds(g, 100, p, false)
 	if th.Tram != 63 || th.PQ != 63 {
 		t.Errorf("low-parallelism thresholds = %+v, want both 63", th)
+	}
+}
+
+// TestComputeThresholdsGateOnDirection pins the low-parallelism release to
+// a frontier that is not growing: below the watermark, a growing population
+// (the start of a run) keeps the percentile thresholds, a steady or
+// shrinking one (the tail) releases every bucket.
+func TestComputeThresholdsGateOnDirection(t *testing.T) {
+	g := New(64, 1)
+	for i := 0; i < 40; i++ {
+		g.AddCreated(float64(i % 20))
+	}
+	p := DefaultParams() // 4 PEs → limit 400, far above the 40 active
+	if th := ComputeThresholds(g, 4, p, true); th.PQ != 0 || th.Tram != 19 {
+		t.Errorf("below the watermark while growing: %+v, want the percentiles {Tram:19 PQ:0}", th)
+	}
+	if th := ComputeThresholds(g, 4, p, false); th.Tram != 63 || th.PQ != 63 {
+		t.Errorf("below the watermark while not growing: %+v, want every bucket", th)
+	}
+	// An empty histogram releases everything either way: there is nothing
+	// to order, and the run must be able to drain.
+	empty := New(64, 1)
+	for _, growing := range []bool{false, true} {
+		if th := ComputeThresholds(empty, 4, p, growing); th.Tram != 63 || th.PQ != 63 {
+			t.Errorf("empty histogram (growing %v): %+v, want every bucket", growing, th)
+		}
+	}
+}
+
+// TestSmoothThresholdsBoostOnlyWhenNotGrowing applies the same gate to the
+// smooth policy: a growing population gets the configured percentiles, the
+// same population not growing is boosted open.
+func TestSmoothThresholdsBoostOnlyWhenNotGrowing(t *testing.T) {
+	g := New(64, 1)
+	for i := 0; i < 40; i++ {
+		g.AddCreated(float64(i % 20))
+	}
+	p := DefaultParams()
+	if th := ComputeSmoothThresholds(g, 4, p, true); th != ComputeThresholds(g, 4, p, true) {
+		t.Errorf("growing smooth thresholds %+v, want the two-tier percentiles", th)
+	}
+	if th := ComputeSmoothThresholds(g, 4, p, false); th.Tram != 63 || th.PQ != 63 {
+		t.Errorf("not-growing smooth thresholds %+v, want every bucket", th)
 	}
 }
 
@@ -248,7 +291,7 @@ func TestComputeThresholdsPercentiles(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		g.AddCreated(float64(i % 50))
 	}
-	th := ComputeThresholds(g, 2, p)
+	th := ComputeThresholds(g, 2, p, false)
 	if th.PQ >= th.Tram {
 		t.Errorf("expected PQ threshold below tram threshold: %+v", th)
 	}
@@ -270,8 +313,8 @@ func TestSmoothThresholdsConvergeToPercentilesUnderLoad(t *testing.T) {
 		g.AddCreated(float64(i % 50))
 	}
 	p := DefaultParams()
-	smooth := ComputeSmoothThresholds(g, 2, p)
-	paper := ComputeThresholds(g, 2, p)
+	smooth := ComputeSmoothThresholds(g, 2, p, false)
+	paper := ComputeThresholds(g, 2, p, false)
 	if smooth.Tram != paper.Tram {
 		t.Errorf("tram: smooth %d vs paper %d under heavy load", smooth.Tram, paper.Tram)
 	}
@@ -287,12 +330,12 @@ func TestSmoothThresholdsOpenWhenDrained(t *testing.T) {
 	}
 	// 50 active ≤ 100×4 watermark: both policies release everything.
 	p := DefaultParams()
-	smooth := ComputeSmoothThresholds(g, 4, p)
+	smooth := ComputeSmoothThresholds(g, 4, p, false)
 	if smooth.Tram != 63 || smooth.PQ != 63 {
 		t.Errorf("drained smooth thresholds = %+v, want max", smooth)
 	}
 	empty := New(64, 1)
-	se := ComputeSmoothThresholds(empty, 4, p)
+	se := ComputeSmoothThresholds(empty, 4, p, false)
 	if se.Tram != 63 || se.PQ != 63 {
 		t.Errorf("empty smooth thresholds = %+v", se)
 	}
@@ -307,7 +350,7 @@ func TestSmoothThresholdsMonotoneInActive(t *testing.T) {
 		for i := 0; i < n; i++ {
 			g.AddCreated(float64(i % 60))
 		}
-		th := ComputeSmoothThresholds(g, 1, p)
+		th := ComputeSmoothThresholds(g, 1, p, false)
 		if th.PQ > prev {
 			t.Errorf("active=%d: PQ threshold %d rose above %d", n, th.PQ, prev)
 		}
@@ -452,6 +495,6 @@ func BenchmarkComputeThresholds(b *testing.B) {
 	p := DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeThresholds(g, 48, p)
+		ComputeThresholds(g, 48, p, false)
 	}
 }

@@ -69,20 +69,22 @@ func TestThresholdsMonotoneInParams(t *testing.T) {
 		hi.PPQ = math.Min(1, hi.PPQ+r.Range(0, 1-hi.PPQ))
 		for _, compute := range []struct {
 			name string
-			fn   func(*Histogram, int, Params) Thresholds
+			fn   func(*Histogram, int, Params, bool) Thresholds
 		}{
 			{"two-tier", ComputeThresholds},
 			{"smooth", ComputeSmoothThresholds},
 		} {
-			a := compute.fn(h, numPEs, lo)
-			b := compute.fn(h, numPEs, hi)
-			if b.Tram < a.Tram {
-				t.Fatalf("trial %d %s: raising p_tram %g→%g lowered t_tram %d→%d",
-					trial, compute.name, lo.PTram, hi.PTram, a.Tram, b.Tram)
-			}
-			if b.PQ < a.PQ {
-				t.Fatalf("trial %d %s: raising p_pq %g→%g lowered t_pq %d→%d",
-					trial, compute.name, lo.PPQ, hi.PPQ, a.PQ, b.PQ)
+			for _, growing := range []bool{false, true} {
+				a := compute.fn(h, numPEs, lo, growing)
+				b := compute.fn(h, numPEs, hi, growing)
+				if b.Tram < a.Tram {
+					t.Fatalf("trial %d %s (growing %v): raising p_tram %g→%g lowered t_tram %d→%d",
+						trial, compute.name, growing, lo.PTram, hi.PTram, a.Tram, b.Tram)
+				}
+				if b.PQ < a.PQ {
+					t.Fatalf("trial %d %s (growing %v): raising p_pq %g→%g lowered t_pq %d→%d",
+						trial, compute.name, growing, lo.PPQ, hi.PPQ, a.PQ, b.PQ)
+				}
 			}
 		}
 	}

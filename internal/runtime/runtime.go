@@ -196,7 +196,7 @@ type PE struct {
 	childL, childR int
 	numChildren    int
 
-	reductions map[int64]*redState
+	reductions map[int64]redState
 
 	deliveredApp int64 // app messages processed; Fig. 3's "work methods"
 
@@ -295,7 +295,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt.lo, rt.hi = cfg.hosted()
 	rt.pes = make([]*PE, numPEs)
 	for i := rt.lo; i < rt.hi; i++ {
-		pe := &PE{rt: rt, index: i, mbox: newMailbox(), reductions: make(map[int64]*redState)}
+		pe := &PE{rt: rt, index: i, mbox: newMailbox(), reductions: make(map[int64]redState)}
 		c1, c2, nc := treeChildren(i, numPEs)
 		pe.childL, pe.childR, pe.numChildren = -1, -1, nc
 		if c1 < numPEs {
@@ -678,13 +678,11 @@ func treeChildren(i, n int) (int, int, int) {
 
 // absorb merges a contribution (local or from a child subtree) into the
 // epoch's reduction state, forwarding the partial up the tree when complete.
+// The state lives in the map by value, so an epoch costs no allocation: the
+// map reuses the slot a completed epoch's delete frees.
 func (pe *PE) absorb(epoch int64, value any) {
 	expected := 1 + pe.numChildren
 	st := pe.reductions[epoch]
-	if st == nil {
-		st = &redState{}
-		pe.reductions[epoch] = st
-	}
 	if st.has {
 		st.value = pe.rt.cfg.Combine(st.value, value)
 	} else {
@@ -693,6 +691,7 @@ func (pe *PE) absorb(epoch int64, value any) {
 	}
 	st.got++
 	if st.got < expected {
+		pe.reductions[epoch] = st
 		return
 	}
 	delete(pe.reductions, epoch)

@@ -34,6 +34,7 @@ BENCHES=(
   "BenchmarkUpdateKernel|./internal/core|"
   "BenchmarkUpdateKernelShipped|./internal/core|"
   "BenchmarkWireEncodeBatch|./internal/core|"
+  "BenchmarkWireDecodeBatch|./internal/core|"
   "BenchmarkWireDecodeReduce|./internal/core|"
   "BenchmarkHotPathSSSP|./internal/bench|-benchtime=10x"
 )

@@ -70,7 +70,7 @@ func sabArena(st *peState) {
 	_ = len(chunk)
 }
 
-func sabRelease(m batchMsg) int {
+func sabRelease(m *batchMsg) int {
 	n := 0
 	for range m.items {
 		n++
