@@ -12,31 +12,23 @@ package main
 
 import (
 	"acic/internal/analysis"
-	"acic/internal/analysis/arenacheck"
-	"acic/internal/analysis/atomiccheck"
-	"acic/internal/analysis/detrand"
 	"acic/internal/analysis/dircheck"
 	"acic/internal/analysis/lockorder"
-	"acic/internal/analysis/locksend"
 	"acic/internal/analysis/multichecker"
 	"acic/internal/analysis/noalloc"
-	"acic/internal/analysis/nogoroutine"
 	"acic/internal/analysis/releasecheck"
 	"acic/internal/analysis/sharedpad"
+	"acic/internal/analysis/simcheck"
 )
 
 func main() {
 	multichecker.Main(multichecker.Options{
 		Analyzers: []*analysis.Analyzer{
-			arenacheck.Analyzer,
-			atomiccheck.Analyzer,
-			detrand.Analyzer,
 			dircheck.Analyzer,
 			lockorder.Analyzer,
-			locksend.Analyzer,
-			nogoroutine.Analyzer,
 			releasecheck.Analyzer,
 			sharedpad.Analyzer,
+			simcheck.Analyzer,
 		},
 		Noalloc: noalloc.Check,
 	})

@@ -22,7 +22,6 @@ import (
 	"acic/internal/core"
 	"acic/internal/deltastep"
 	"acic/internal/distctrl"
-	"acic/internal/gctune"
 	"acic/internal/gen"
 	"acic/internal/graph"
 	"acic/internal/metrics"
@@ -61,16 +60,8 @@ func main() {
 		traceOut   = flag.String("trace-chrome", "", "write the ACIC run's timeline as a Chrome/Perfetto trace to FILE")
 		metricsOut = flag.String("metrics-out", "", "write the ACIC run's metrics registry snapshot (JSON) to FILE")
 		auditOut   = flag.String("audit-out", "", "write per-reduction threshold audit records to FILE (JSONL, or CSV when FILE ends in .csv)")
-
-		gogc       = flag.Int("gogc", 0, "GC shaping: set the GC target percentage (like GOGC; 0 = leave default, negative = off)")
-		gcMemLimit = flag.Int64("gcmemlimit", 0, "GC shaping: soft memory limit in MiB (like GOMEMLIMIT; 0 = leave default)")
-		gcBallast  = flag.Int64("ballast", 0, "GC shaping: allocate a dead-heap ballast of this many MiB")
 	)
 	flag.Parse()
-	gc := gctune.Apply(gctune.Config{GCPercent: *gogc, MemLimitMiB: *gcMemLimit, BallastMiB: *gcBallast})
-	if gc.Active() {
-		fmt.Println(gc)
-	}
 	if *algo != "acic" && (*traceOut != "" || *metricsOut != "" || *auditOut != "") {
 		fail(fmt.Errorf("-trace-chrome/-metrics-out/-audit-out instrument the acic algorithm only (got -algo %s)", *algo))
 	}

@@ -37,7 +37,6 @@ import (
 	"acic/internal/core"
 	"acic/internal/dynamic"
 	"acic/internal/engine"
-	"acic/internal/gctune"
 	"acic/internal/gen"
 	"acic/internal/graph"
 	"acic/internal/netsim"
@@ -63,16 +62,8 @@ func main() {
 		maxQueue     = flag.Int("maxqueue", 0, "queries allowed to wait for a slot (0 = 2×maxinflight)")
 		queueTimeout = flag.Duration("queuetimeout", time.Second, "max wait for a slot before shedding with 429")
 		drainWait    = flag.Duration("drainwait", 30*time.Second, "max wait for in-flight queries on shutdown")
-
-		gogc       = flag.Int("gogc", 0, "GC shaping: set the GC target percentage (like GOGC; 0 = leave default, negative = off)")
-		gcMemLimit = flag.Int64("gcmemlimit", 0, "GC shaping: soft memory limit in MiB (like GOMEMLIMIT; 0 = leave default)")
-		gcBallast  = flag.Int64("ballast", 0, "GC shaping: allocate a dead-heap ballast of this many MiB")
 	)
 	flag.Parse()
-	gc := gctune.Apply(gctune.Config{GCPercent: *gogc, MemLimitMiB: *gcMemLimit, BallastMiB: *gcBallast})
-	if gc.Active() {
-		fmt.Println(gc)
-	}
 
 	g, err := loadGraph(*input, *vertices, *kind, *scale, *edgeFactor, *seed)
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 	"acic/internal/bench"
 	"acic/internal/collect"
 	"acic/internal/core"
-	"acic/internal/gctune"
 )
 
 func main() {
@@ -42,16 +41,8 @@ func main() {
 		traceOut   = flag.String("trace-chrome", "", "capture one instrumented ACIC run and write its Chrome/Perfetto trace to FILE")
 		metricsOut = flag.String("metrics-out", "", "capture one instrumented ACIC run and write its metrics snapshot (JSON) to FILE")
 		auditOut   = flag.String("audit-out", "", "capture one instrumented ACIC run and write its threshold audit to FILE (JSONL, or CSV when FILE ends in .csv)")
-
-		gogc       = flag.Int("gogc", 0, "GC shaping: set the GC target percentage (like GOGC; 0 = leave default, negative = off)")
-		gcMemLimit = flag.Int64("gcmemlimit", 0, "GC shaping: soft memory limit in MiB (like GOMEMLIMIT; 0 = leave default)")
-		gcBallast  = flag.Int64("ballast", 0, "GC shaping: allocate a dead-heap ballast of this many MiB")
 	)
 	flag.Parse()
-	gc := gctune.Apply(gctune.Config{GCPercent: *gogc, MemLimitMiB: *gcMemLimit, BallastMiB: *gcBallast})
-	if gc.Active() {
-		fmt.Fprintln(os.Stderr, gc)
-	}
 
 	cfg := bench.DefaultConfig()
 	if *full {

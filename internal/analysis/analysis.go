@@ -3,12 +3,15 @@
 // Diagnostic contract for ACIC's project-specific linters, built only on the
 // standard library so the module stays dependency-free.
 //
-// The analyzers under this directory enforce invariants the Go compiler
-// cannot see but the runtime's correctness depends on — pool discipline for
-// tram batches, wall-clock and rand hygiene in the deterministic-simulation
-// packages, no sends under locks, no raw goroutines outside the scheduler.
-// They are wired into CI through cmd/acic-lint (see scripts/ci.sh) and the
-// "Codebase invariants" section of DESIGN.md documents each rule.
+// The five analyzers under this directory enforce invariants the Go
+// compiler cannot see but the runtime's correctness depends on:
+// releasecheck (pool discipline for tram batches, arena chunks and borrowed
+// buffers), lockorder (an acyclic lock graph and no sends under a lock),
+// simcheck (no wall clock, ambient rand or raw goroutines in the simulation,
+// no function-style sync/atomic anywhere), sharedpad (padded shards) and
+// dircheck (the directive vocabulary itself). They are wired into CI
+// through cmd/acic-lint (see scripts/ci.sh) and the "Codebase invariants"
+// section of DESIGN.md documents each rule.
 package analysis
 
 import (
@@ -16,6 +19,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Analyzer describes one independent analysis pass, mirroring the x/tools
@@ -41,10 +45,9 @@ type Pass struct {
 	// driver invocation. Packages are analyzed in dependency order, so a
 	// fact exported while analyzing a dependency is visible when its
 	// dependents are analyzed — the mechanism behind the interprocedural
-	// analyzers (arenacheck sink summaries, atomiccheck field sets,
-	// lockorder acquisition graphs, releasecheck carrier fields). May be
-	// nil when a driver has no use for facts; the helpers below are
-	// nil-safe.
+	// analyzers (lockorder acquisition graphs, releasecheck carrier fields
+	// and sink summaries). May be nil when a driver has no use for facts;
+	// the helpers below are nil-safe.
 	Facts *Facts
 
 	// Report publishes one diagnostic.
@@ -54,11 +57,8 @@ type Pass struct {
 // ExportFact records a fact under this pass's analyzer namespace.
 func (p *Pass) ExportFact(key, value string) { p.Facts.Export(p.Analyzer.Name, key, value) }
 
-// ImportFact looks a fact up in this pass's analyzer namespace.
-func (p *Pass) ImportFact(key string) (string, bool) { return p.Facts.Import(p.Analyzer.Name, key) }
-
 // HasFact reports whether a fact exists in this pass's analyzer namespace.
-func (p *Pass) HasFact(key string) bool { _, ok := p.ImportFact(key); return ok }
+func (p *Pass) HasFact(key string) bool { _, ok := p.Facts.Import(p.Analyzer.Name, key); return ok }
 
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -116,8 +116,8 @@ func (f *Facts) WithPrefix(analyzer, prefix string) map[string]string {
 		return out
 	}
 	for k, v := range f.m {
-		if k.analyzer == analyzer && len(k.key) >= len(prefix) && k.key[:len(prefix)] == prefix {
-			out[k.key[len(prefix):]] = v
+		if rest, ok := strings.CutPrefix(k.key, prefix); ok && k.analyzer == analyzer {
+			out[rest] = v
 		}
 	}
 	return out
@@ -143,6 +143,29 @@ func ObjKey(obj types.Object) string {
 		}
 	}
 	return pkg + "." + obj.Name()
+}
+
+// ShortKey is ObjKey with the package path cut to its last element
+// ("tram.Manager.Release"), so a rule names the real package and the
+// test fixture standing in for it alike.
+func ShortKey(obj types.Object) string {
+	k := ObjKey(obj)
+	return k[strings.LastIndexByte(k, '/')+1:]
+}
+
+// Callee resolves a call's static callee, or nil for dynamic calls.
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.TypesInfo.Uses[id].(*types.Func)
+	return fn
 }
 
 // FieldKey returns the identifier of field name on named type t:
@@ -198,7 +221,5 @@ func (p *Pass) File(pos token.Pos) *ast.File {
 // only loads non-test files, but analysistest fixtures may include them and
 // several analyzers exempt test code explicitly.
 func (p *Pass) InTestFile(pos token.Pos) bool {
-	name := p.Fset.Position(pos).Filename
-	const suffix = "_test.go"
-	return len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix
+	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }

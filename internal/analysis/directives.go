@@ -38,16 +38,13 @@ const DirectivePrefix = "//acic:"
 // anything outside it, so a typo cannot silently fail to suppress (or,
 // worse, silently suppress nothing while reading as if it did).
 var KnownDirectives = map[string]bool{
-	"allow-unreleased":   true, // releasecheck: tram batch deliberately kept
-	"allow-retain":       true, // arenacheck: arena chunk deliberately held
-	"allow-plain-atomic": true, // atomiccheck: plain access ordered externally
-	"allow-lock-order":   true, // lockorder: acquisition ordered by other means
-	"allow-locked-send":  true, // locksend: send under lock proven safe
-	"allow-goroutine":    true, // nogoroutine: runtime-owned thread
-	"allow-wallclock":    true, // detrand: sanctioned wall-clock boundary
-	"allow-unpadded":     true, // sharedpad: shard provably uncontended
-	"allow-alloc":        true, // noalloc: intentional allocation on one line
-	"noalloc":            true, // noalloc: function must not heap-allocate
+	"allow-unreleased": true, // releasecheck: pooled batch, chunk or buffer deliberately kept
+	"allow-lock-order": true, // lockorder: acquisition ordered, or send under lock proven safe
+	"allow-goroutine":  true, // simcheck: runtime-owned thread
+	"allow-wallclock":  true, // simcheck: sanctioned wall-clock boundary
+	"allow-unpadded":   true, // sharedpad: shard provably uncontended
+	"allow-alloc":      true, // noalloc gate: intentional allocation on one line
+	"noalloc":          true, // noalloc gate: function must not heap-allocate
 }
 
 // NewDirectives scans file for //acic: directives. Bare allow-* directives

@@ -1,15 +1,23 @@
 // Package lockorder builds the mutex-acquisition-order graph across the
-// analyzed packages and fails on cycles, and on the one pairing that is
-// forbidden outright: acquiring a netsim lane lock while holding a runtime
-// mailbox lock.
+// analyzed packages and fails on cycles, on the one pairing that is
+// forbidden outright — acquiring a netsim lane lock while holding a runtime
+// mailbox lock — and on any call into the send path made while a lock is
+// held.
 //
 // Locks are tracked as classes, not instances: every sync.Mutex/RWMutex
 // reached through a field of a named type is the class
 // "pkgpath.Type.field" (package-level mutex vars are "pkgpath.var";
-// function-local mutexes are ignored — they cannot participate in a
+// function-local mutexes get no class — they cannot participate in a
 // cross-goroutine cycle). Within each function a source-order,
-// branch-insensitive walk (the locksend convention) tracks the held set;
-// acquiring class B while holding class A records the edge A -> B.
+// branch-insensitive walk tracks the held set (a lock released on only one
+// branch counts as held afterwards, and defer mu.Unlock() holds it to the
+// end); acquiring class B while holding class A records the edge A -> B.
+//
+// Sending routes through user-extensible code (DropFilter) and through the
+// fabric's own lane locks, so a send made while holding any lock —
+// function-local ones included — risks the deadlock class the fabric was
+// restructured to remove: acquire, mutate, release, then send. The send
+// path is the sendAPI table below.
 //
 // The analysis is interprocedural through facts: every function exports
 // the set of lock classes it may acquire, directly or transitively
@@ -21,7 +29,7 @@
 // one class acquired together) is reported as a cycle too: without a
 // proven index order, opposite interleavings deadlock.
 //
-// //acic:allow-lock-order suppresses a finding (e.g. an acquisition
+// //acic:allow-lock-order suppresses either finding (e.g. an acquisition
 // ordered by a global index discipline), with a justification comment.
 package lockorder
 
@@ -29,7 +37,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
 	"acic/internal/analysis"
@@ -43,13 +51,26 @@ const (
 	edgePrefix  = "edge:"
 )
 
+// sendAPI is the send path, as analysis.ShortKey names its methods.
+var sendAPI = map[string]bool{
+	"netsim.Network.Send":    true,
+	"runtime.PE.Send":        true,
+	"runtime.PE.Broadcast":   true,
+	"runtime.PE.Contribute":  true,
+	"runtime.Runtime.Inject": true,
+	"runtime.Runtime.send":   true,
+	"tram.Manager.Insert":    true,
+	"tram.Manager.FlushSet":  true,
+}
+
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "forbid mutex-acquisition cycles and lane-lock-under-mailbox-lock\n\n" +
+	Doc: "forbid mutex-acquisition cycles, lane-lock-under-mailbox-lock, and sends under a lock\n\n" +
 		"builds the cross-package lock-order graph (via exported facts) and\n" +
-		"reports any edge that closes a cycle, and any netsim lane lock\n" +
-		"taken while a runtime mailbox lock is held.",
+		"reports any edge that closes a cycle, any netsim lane lock taken\n" +
+		"while a runtime mailbox lock is held, and any netsim/runtime/tram\n" +
+		"send-path call made while a mutex is held.",
 	Run: run,
 }
 
@@ -58,6 +79,18 @@ func run(pass *analysis.Pass) error {
 
 	// Collect per-function acquisition and call events.
 	infos := collect(pass)
+
+	for _, info := range infos {
+		for _, ev := range info.calls {
+			if len(ev.held) == 0 || !sendAPI[analysis.ShortKey(ev.callee)] || dirs.Allowed(Directive, ev.pos) {
+				continue
+			}
+			h := ev.held[len(ev.held)-1]
+			pass.Reportf(ev.pos,
+				"call to %s while holding %s (acquired at %s): release the lock before entering the send path",
+				ev.callee.Name(), h.expr, pass.Fset.Position(h.pos))
+		}
+	}
 
 	// Fixpoint the may-acquire sets over this package's call graph, seeded
 	// with imported facts for external callees.
@@ -98,8 +131,8 @@ func run(pass *analysis.Pass) error {
 	seen := make(map[string]bool)
 	add := func(from, to string, pos token.Pos) {
 		k := from + "|" + to
-		if seen[k] {
-			return
+		if from == "" || seen[k] {
+			return // a function-local lock has no class to order
 		}
 		seen[k] = true
 		edges = append(edges, edge{from, to, pos})
@@ -107,7 +140,7 @@ func run(pass *analysis.Pass) error {
 	for _, info := range infos {
 		for _, ev := range info.acqs {
 			for _, h := range ev.held {
-				add(h, ev.class, ev.pos)
+				add(h.class, ev.class, ev.pos)
 			}
 		}
 		for _, ev := range info.calls {
@@ -116,7 +149,7 @@ func run(pass *analysis.Pass) error {
 			}
 			for _, c := range calleeLocks(pass, infos, locks, ev.callee) {
 				for _, h := range ev.held {
-					add(h, c, ev.pos)
+					add(h.class, c, ev.pos)
 				}
 			}
 		}
@@ -180,7 +213,7 @@ func findPath(adj map[string]map[string]bool, from, to string) []string {
 		for m := range adj[n] {
 			next = append(next, m)
 		}
-		sort.Strings(next)
+		slices.Sort(next)
 		for _, m := range next {
 			if _, ok := parent[m]; !ok {
 				parent[m] = n
@@ -219,7 +252,7 @@ func joinSorted(s map[string]bool) string {
 	for k := range s {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return strings.Join(out, ",")
 }
 
@@ -249,15 +282,22 @@ func keys(s map[string]bool) []string {
 
 // --- event collection ---
 
+// heldLock is one entry of the walker's held set.
+type heldLock struct {
+	class string // "" for a function-local mutex
+	expr  string // source spelling of the mutex, for diagnostics
+	pos   token.Pos
+}
+
 type acqEvent struct {
 	class string
-	held  []string
+	held  []heldLock
 	pos   token.Pos
 }
 
 type callEvent struct {
 	callee *types.Func
-	held   []string
+	held   []heldLock
 	pos    token.Pos
 }
 
@@ -286,15 +326,14 @@ func collect(pass *analysis.Pass) map[*types.Func]*fnInfo {
 			infos[fn] = info
 			w := &walker{pass: pass, info: info}
 			w.stmts(fd.Body.List)
-			// Function literals run at an unknown time: separate held
-			// context, but their acquisitions still belong to the enclosing
-			// function's may-acquire set (calling the function may run the
-			// closure).
+			// Function literals (nested ones included) run at an unknown
+			// time: each gets its own empty held context, but their
+			// acquisitions still belong to the enclosing function's
+			// may-acquire set (calling the function may run the closure).
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
 					inner := &walker{pass: pass, info: info}
 					inner.stmts(lit.Body.List)
-					return false
 				}
 				return true
 			})
@@ -306,7 +345,7 @@ func collect(pass *analysis.Pass) map[*types.Func]*fnInfo {
 type walker struct {
 	pass *analysis.Pass
 	info *fnInfo
-	held []string
+	held []heldLock
 }
 
 func (w *walker) stmts(list []ast.Stmt) {
@@ -421,55 +460,43 @@ const (
 )
 
 func (w *walker) call(call *ast.CallExpr) {
-	op, class := w.classifyLock(call)
+	op, l := w.classifyLock(call)
 	switch op {
 	case opLock:
-		if class != "" {
-			w.info.direct[class] = true
-			w.info.acqs = append(w.info.acqs, acqEvent{class: class, held: snapshot(w.held), pos: call.Pos()})
+		if l.class != "" {
+			w.info.direct[l.class] = true
+			w.info.acqs = append(w.info.acqs, acqEvent{class: l.class, held: slices.Clone(w.held), pos: l.pos})
 		}
-		w.held = append(w.held, class)
+		w.held = append(w.held, l)
 		return
 	case opUnlock:
 		for i := len(w.held) - 1; i >= 0; i-- {
-			if w.held[i] == class {
-				w.held = append(w.held[:i], w.held[i+1:]...)
+			if w.held[i].expr == l.expr {
+				w.held = slices.Delete(w.held, i, i+1)
 				break
 			}
 		}
 		return
 	}
-	fn := calleeOf(w.pass, call)
-	if fn == nil {
-		return
+	if fn := w.pass.Callee(call); fn != nil {
+		w.info.calls = append(w.info.calls, callEvent{callee: fn, held: slices.Clone(w.held), pos: call.Pos()})
 	}
-	w.info.calls = append(w.info.calls, callEvent{callee: fn, held: snapshot(w.held), pos: call.Pos()})
-}
-
-func snapshot(held []string) []string {
-	var out []string
-	for _, h := range held {
-		if h != "" { // unclassified (local) locks carry no ordering class
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // classifyLock recognizes mu.Lock/RLock/Unlock/RUnlock on sync mutexes and
 // resolves the mutex expression to its lock class.
-func (w *walker) classifyLock(call *ast.CallExpr) (lockOp, string) {
+func (w *walker) classifyLock(call *ast.CallExpr) (lockOp, heldLock) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return opNone, ""
+		return opNone, heldLock{}
 	}
 	fn, ok := w.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return opNone, ""
+		return opNone, heldLock{}
 	}
 	recv := analysis.NamedRecvName(fn)
 	if recv != "Mutex" && recv != "RWMutex" {
-		return opNone, ""
+		return opNone, heldLock{}
 	}
 	var op lockOp
 	switch fn.Name() {
@@ -478,9 +505,9 @@ func (w *walker) classifyLock(call *ast.CallExpr) (lockOp, string) {
 	case "Unlock", "RUnlock":
 		op = opUnlock
 	default:
-		return opNone, ""
+		return opNone, heldLock{}
 	}
-	return op, lockClass(w.pass, sel.X)
+	return op, heldLock{class: lockClass(w.pass, sel.X), expr: types.ExprString(sel.X), pos: call.Pos()}
 }
 
 // lockClass resolves the expression denoting a mutex to its class:
@@ -511,18 +538,4 @@ func lockClass(pass *analysis.Pass, e ast.Expr) string {
 		return v.Pkg().Path() + "." + v.Name()
 	}
 	return ""
-}
-
-func calleeOf(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
 }

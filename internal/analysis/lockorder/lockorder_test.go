@@ -23,3 +23,9 @@ func TestLockOrderCrossPackage(t *testing.T) {
 func TestLockOrderMailboxLane(t *testing.T) {
 	analysistest.Run(t, "testdata", lockorder.Analyzer, "lockorder_netsim", "lockorder_runtime")
 }
+
+// TestLockSend exercises the send-path table: netsim and tram stand in for
+// the real packages, matched by their last path element.
+func TestLockSend(t *testing.T) {
+	analysistest.Run(t, "testdata", lockorder.Analyzer, "netsim", "tram", "lockorder_send")
+}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"acic/internal/analysis"
 	"acic/internal/analysis/load"
@@ -77,6 +78,12 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 			}
 		}
 	}
+	Sort(findings)
+	return findings, nil
+}
+
+// Sort orders findings by file position.
+func Sort(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
 		if a.Filename != b.Filename {
@@ -87,7 +94,6 @@ func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]Findi
 		}
 		return a.Column < b.Column
 	})
-	return findings, nil
 }
 
 // Options configures Main beyond the analyzer list.
@@ -119,7 +125,8 @@ func cliMain(args []string, stdout, stderr io.Writer, opts Options) int {
 		fs.PrintDefaults()
 		fmt.Fprintln(stderr, "\nanalyzers:")
 		for _, a := range opts.Analyzers {
-			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, firstLine(a.Doc))
+			summary, _, _ := strings.Cut(a.Doc, "\n")
+			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, summary)
 		}
 		if opts.Noalloc != nil {
 			fmt.Fprintf(stderr, "  %-14s %s\n", "noalloc (-noalloc)", "gate //acic:noalloc functions on the compiler's escape analysis")
@@ -178,13 +185,4 @@ func cliMain(args []string, stdout, stderr io.Writer, opts Options) int {
 		return 1
 	}
 	return 0
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i]
-		}
-	}
-	return s
 }

@@ -30,7 +30,6 @@ import (
 	"go/token"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -58,8 +57,8 @@ func Check(dir string, patterns []string) ([]multichecker.Finding, error) {
 		return nil, err
 	}
 
-	spans := make(map[string][]span)   // abs file -> gated bodies
-	allowed := make(map[string]bool)   // "absfile:line" -> exempt
+	spans := make(map[string][]span) // abs file -> gated bodies
+	allowed := make(map[string]bool) // "absfile:line" -> exempt
 	gated := 0
 	for _, pkg := range res.Packages {
 		for _, file := range pkg.Files {
@@ -125,16 +124,7 @@ func Check(dir string, patterns []string) ([]multichecker.Finding, error) {
 				e.msg, s.fn),
 		})
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Pos, findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
+	multichecker.Sort(findings)
 	return findings, nil
 }
 

@@ -1,9 +1,8 @@
-// Package ownership is the shared obligation-tracking engine behind the
-// pool-discipline analyzers (releasecheck, arenacheck): a path-sensitive
-// walker that verifies a tracked value — a tram batch slice, an arena
-// chunk — is discharged on every control-flow path through a function, plus
-// the cross-package "sink" summaries that make the discipline
-// interprocedural.
+// Package ownership is the obligation-tracking engine behind releasecheck's
+// pool discipline: a path-sensitive walker that verifies a tracked value —
+// a tram batch slice, an arena chunk — is discharged on every control-flow
+// path through a function, plus the cross-package "sink" summaries that
+// make the discipline interprocedural.
 //
 // A value is discharged when ownership demonstrably moves on: it is passed
 // wholesale to a releasing or transferring call, stored into a composite or
@@ -14,12 +13,12 @@
 // Sink summaries close the function-boundary hole: for every function
 // declaration, every slice-typed parameter is classified as a sink
 // (discharged on all paths inside the callee) or a non-sink (some path
-// drops it), and the verdict is exported as a fact. Because the driver
+// drops it), and each non-sink is exported as a fact. Because the driver
 // analyzes packages in dependency order, a caller in a dependent package
 // sees its callee's summary: handing a tracked value to a known non-sink no
-// longer counts as a discharge, which is what lets releasecheck and
-// arenacheck follow batches across package boundaries instead of trusting
-// every call blindly.
+// longer counts as a discharge, which is what lets releasecheck follow
+// pooled values across package boundaries instead of trusting every call
+// blindly.
 package ownership
 
 import (
@@ -32,8 +31,7 @@ import (
 )
 
 // FactNamespace is the analysis.Facts namespace the sink summaries live
-// under. It is shared by every analyzer built on this package, so the
-// summaries are computed identically no matter which analyzer runs first.
+// under.
 const FactNamespace = "ownership"
 
 // Checker verifies one obligation: the tracked value must be discharged on
@@ -62,9 +60,9 @@ func (c *Checker) Check(list []ast.Stmt, end token.Pos) {
 }
 
 // Walk exposes the raw walker for drivers that stitch several statement
-// lists together (arenacheck's outward propagation): it returns the
-// discharge state at the end of the list and whether every path through it
-// terminates, reporting leaks only at return statements.
+// lists together (releasecheck's outward propagation of a borrow): it
+// returns the discharge state at the end of the list and whether every path
+// through it terminates, reporting leaks only at return statements.
 func (c *Checker) Walk(list []ast.Stmt, done bool) (bool, bool) {
 	return c.walk(list, done)
 }
@@ -294,16 +292,13 @@ func isBlank(e ast.Expr) bool {
 
 // --- sink summaries ---
 
-// sinkKey / nonSinkKey name the per-parameter summary facts. Absence of
-// both means "unknown" (a function outside the analyzed universe), which
-// callers treat optimistically.
-func sinkKey(fnKey string, i int) string    { return fmt.Sprintf("sink:%s:%d", fnKey, i) }
+// nonSinkKey names the per-parameter summary fact. Its absence means a
+// sink or "unknown" (a function outside the analyzed universe), both of
+// which callers treat optimistically.
 func nonSinkKey(fnKey string, i int) string { return fmt.Sprintf("nonsink:%s:%d", fnKey, i) }
 
 // ExportSinkFacts classifies every slice-typed parameter of every function
-// declaration in the pass as sink or non-sink and exports the verdicts.
-// Idempotent: both pool-discipline analyzers call it, whichever runs first
-// wins and the second recomputes the same answers.
+// declaration in the pass as sink or non-sink and exports the non-sinks.
 func ExportSinkFacts(pass *analysis.Pass) {
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
@@ -328,9 +323,7 @@ func ExportSinkFacts(pass *analysis.Pass) {
 					if _, isSlice := v.Type().Underlying().(*types.Slice); !isSlice {
 						continue
 					}
-					if known || paramIsSink(pass, decl, v) {
-						pass.Facts.Export(FactNamespace, sinkKey(key, i), "")
-					} else {
+					if !known && !paramIsSink(pass, decl, v) {
 						pass.Facts.Export(FactNamespace, nonSinkKey(key, i), "")
 					}
 				}
@@ -349,27 +342,14 @@ func ExportSinkFacts(pass *analysis.Pass) {
 // stub them with empty bodies), so classifying them from their bodies would
 // wrongly bounce the obligation back to every correct caller.
 func KnownSink(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
+	if fn == nil {
 		return false
 	}
-	path := fn.Pkg().Path()
-	recv := analysis.NamedRecvName(fn)
-	switch {
-	case lastElem(path) == "tram" && recv == "Manager":
-		return fn.Name() == "Release" || fn.Name() == "ReleaseTo"
-	case lastElem(path) == "arena" && recv == "Arena":
-		return fn.Name() == "Put" || fn.Name() == "PutShared"
+	switch analysis.ShortKey(fn) {
+	case "tram.Manager.Release", "tram.Manager.ReleaseTo", "arena.Arena.Put", "arena.Arena.PutShared":
+		return true
 	}
 	return false
-}
-
-func lastElem(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
 }
 
 // paramIsSink reports whether v is discharged on every path through decl.
@@ -393,12 +373,11 @@ func paramIsSink(pass *analysis.Pass, decl *ast.FuncDecl, v *types.Var) bool {
 	return !leaked
 }
 
-// TransferDischarges is the facts-aware transfer rule shared by the
-// pool-discipline analyzers: handing the tracked value to a callee known to
-// be a non-sink for that parameter does NOT discharge the obligation;
-// known sinks and unknown callees do.
+// TransferDischarges is the facts-aware transfer rule: handing the tracked
+// value to a callee known to be a non-sink for that parameter does NOT
+// discharge the obligation; known sinks and unknown callees do.
 func TransferDischarges(pass *analysis.Pass, call *ast.CallExpr, argIndex int) bool {
-	fn := CalleeFunc(pass, call)
+	fn := pass.Callee(call)
 	if fn == nil || KnownSink(fn) {
 		return true // dynamic call or terminal release primitive
 	}
@@ -406,27 +385,6 @@ func TransferDischarges(pass *analysis.Pass, call *ast.CallExpr, argIndex int) b
 		return false
 	}
 	return true
-}
-
-// IsSinkParam reports whether parameter i of fn was summarized as a sink.
-func IsSinkParam(facts *analysis.Facts, fn *types.Func, i int) bool {
-	_, ok := facts.Import(FactNamespace, sinkKey(analysis.ObjKey(fn), i))
-	return ok
-}
-
-// CalleeFunc resolves a call's static callee, or nil for dynamic calls.
-func CalleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		id = f
-	case *ast.SelectorExpr:
-		id = f.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
 }
 
 // ParamObj resolves parameter index i of decl to its variable, skipping

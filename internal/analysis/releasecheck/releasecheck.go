@@ -1,16 +1,23 @@
-// Package releasecheck enforces tram pool discipline: every function that
-// receives an unpacked tram batch slice must release it back to the manager
-// on every path before returning.
+// Package releasecheck enforces pool discipline: every pooled array a
+// function takes ownership of — an unpacked tram batch, an arena chunk, a
+// borrowed tram buffer — must go back to its pool or be handed on along
+// every path before the function returns.
 //
-// The tram manager recycles the backing arrays of flushed batches through a
-// sync.Pool (tram.Manager.Release). A receiver that unpacks a batch and
-// forgets the Release leaks that capacity: the pool drains, every new
-// buffer allocates from scratch, and the steady-state zero-allocation
-// property of the messaging hot path silently disappears. The leak is
-// invisible to tests (nothing breaks — it is only slower), which is exactly
-// what a static check is for.
+// The tram manager and the arena recycle backing arrays through
+// freelists. A function that takes one and forgets to give it back leaks
+// that capacity: the pool drains, every new buffer allocates from scratch,
+// and the steady-state zero-allocation property of the messaging hot path
+// silently disappears. The leak is invisible to tests (nothing breaks — it
+// is only slower), which is exactly what a static check is for.
 //
-// Detection is type-driven, in three steps per package:
+// Obligations come from two sources, both checked on the shared ownership
+// engine:
+//
+//   - Carrier fields and parameters: unpacked tram batches, below.
+//   - Locals bound from arena.Arena.Get or tram.Manager.Borrow, which must
+//     also never be touched after their release (see borrow.go).
+//
+// Batch tracking is type-driven, in three steps per package:
 //
 //  1. Carrier fields. A struct field assigned from a tram Batch's Items
 //     (e.g. batchMsg{items: batch.Items}) marks that field as carrying a
@@ -23,29 +30,28 @@
 //     conventional Deliver -> receiveBatch(pe, m.items) hand-off is
 //     followed.
 //  3. Obligation check. For each function holding a batch value, every
-//     control-flow path to a return must discharge the obligation (the
-//     shared ownership.Checker): call Manager.Release with the value, hand
-//     the value wholesale to another function (ownership transfer — e.g.
-//     re-sending it), store it, or return it. A path that can fall off the
-//     end or return without any of those is reported.
+//     control-flow path to a return must discharge the obligation: call
+//     Manager.Release with the value, hand the value wholesale to another
+//     function (ownership transfer — e.g. re-sending it), store it, or
+//     return it. A path that can fall off the end or return without any of
+//     those is reported.
 //
-// Cross-package hand-offs consult the ownership sink summaries: passing a
-// batch to an imported function whose parameter is known (from its own
-// package's pass) to be dropped on some path does NOT discharge the
-// obligation, so the leak is reported at the caller — the interprocedural
-// upgrade over the original transfer-always-discharges rule.
+// Cross-package hand-offs of either kind consult the ownership sink
+// summaries, exported once per package: passing a tracked value to an
+// imported function whose parameter is known to be dropped on some path
+// does NOT discharge the obligation, so the leak is reported at the
+// caller.
 //
 // Per-element reads (ranging, indexing, len/cap) do not discharge: they are
 // precisely the "unpack" whose completion must be followed by Release.
 // //acic:allow-unreleased suppresses a finding (e.g. a deliberate
-// keep-alive), with a justification comment.
+// keep-alive or a long-lived hold), with a justification comment.
 package releasecheck
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"acic/internal/analysis"
 	"acic/internal/analysis/ownership"
@@ -60,19 +66,23 @@ const carrierPrefix = "carrier:"
 // Analyzer is the releasecheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "releasecheck",
-	Doc: "require tram batches to be released on every path\n\n" +
-		"a receiver that unpacks a tram batch must return its backing array\n" +
-		"to the pool (Manager.Release) or hand it on; leaks silently disable\n" +
-		"buffer recycling. follows batches across package boundaries via\n" +
-		"carrier-field and sink-parameter facts.",
+	Doc: "require tram batches, arena chunks and borrowed buffers to be released on every path\n\n" +
+		"a receiver that unpacks a tram batch, or a local bound from\n" +
+		"Arena.Get / Manager.Borrow, must go back to its pool or be handed on,\n" +
+		"and a released chunk must not be touched again; leaks silently\n" +
+		"disable buffer recycling. follows values across package boundaries\n" +
+		"via carrier-field and sink-parameter facts.",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
 	// Summarize this package's slice parameters for dependents (and for our
-	// own cross-package transfer rule) regardless of whether any batches
-	// are handled locally.
+	// own cross-package transfer rule) regardless of whether any pooled
+	// value is handled locally.
 	ownership.ExportSinkFacts(pass)
+	dirs := analysis.FileDirectives(pass)
+	decls := funcDecls(pass)
+	checkBorrows(pass, dirs, decls)
 
 	carriers := findCarrierFields(pass)
 	exportCarrierFacts(pass, carriers)
@@ -80,9 +90,7 @@ func run(pass *analysis.Pass) error {
 	if len(carriers) == 0 && len(imported) == 0 {
 		return nil
 	}
-	decls := funcDecls(pass)
 	params := markBatchParams(pass, carriers, decls)
-	dirs := analysis.FileDirectives(pass)
 
 	for fn, idxs := range params {
 		decl := decls[fn]
@@ -112,12 +120,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// tramPackage reports whether path is the tram package (or a fixture
-// standing in for it).
-func tramPackage(path string) bool {
-	return path == "tram" || strings.HasSuffix(path, "/tram")
-}
-
 // isBatchItems reports whether sel reads the Items field of a tram Batch.
 func isBatchItems(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	if sel.Sel.Name != "Items" {
@@ -127,15 +129,8 @@ func isBatchItems(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	if !ok {
 		return false
 	}
-	t := tv.Type
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Name() != "Batch" || n.Obj().Pkg() == nil {
-		return false
-	}
-	return tramPackage(n.Obj().Pkg().Path())
+	n := analysis.NamedOf(tv.Type)
+	return n != nil && analysis.ShortKey(n.Obj()) == "tram.Batch"
 }
 
 // findCarrierFields returns the struct fields assigned from a Batch.Items
@@ -270,7 +265,7 @@ func markBatchParams(pass *analysis.Pass, carriers map[*types.Var]*types.Named, 
 				if !ok {
 					return true
 				}
-				fn := ownership.CalleeFunc(pass, call)
+				fn := pass.Callee(call)
 				if fn == nil {
 					return true
 				}
@@ -397,7 +392,7 @@ func (c *checker) check() {
 // callees are judged by their exported sink summaries: a known non-sink
 // parameter bounces the obligation back to this caller.
 func (c *checker) transferDischarges(call *ast.CallExpr, i int) bool {
-	if fn := ownership.CalleeFunc(c.pass, call); fn != nil {
+	if fn := c.pass.Callee(call); fn != nil {
 		if decl, ok := c.decls[fn]; ok && decl.Body != nil {
 			return true
 		}
@@ -452,12 +447,17 @@ func scopeStmts(body *ast.BlockStmt, scope *types.Scope) ([]ast.Stmt, token.Pos)
 }
 
 func (c *checker) report(pos token.Pos) {
-	if c.dirs.Allowed(Directive, pos) || c.dirs.Allowed(Directive, c.fn.Pos()) {
-		return
-	}
-	c.pass.Reportf(pos,
+	report(c.pass, c.dirs, c.fn, pos,
 		"tram batch %q may not be released on this path: call Manager.Release after unpacking (or hand the batch on), or annotate //acic:allow-unreleased",
 		c.name())
+}
+
+// report publishes a finding at pos in fn unless the directive covers pos
+// or fn's declaration.
+func report(pass *analysis.Pass, dirs *analysis.PkgDirectives, fn *ast.FuncDecl, pos token.Pos, format string, args ...any) {
+	if !dirs.Allowed(Directive, pos) && !dirs.Allowed(Directive, fn.Pos()) {
+		pass.Reportf(pos, format, args...)
+	}
 }
 
 // matches reports whether e denotes the tracked batch value.

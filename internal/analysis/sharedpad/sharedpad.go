@@ -13,9 +13,10 @@
 // blank pad field (an `_ [N]byte`-style array of at least 48 bytes, the
 // convention used by arena.shard and metrics.cell).
 //
-// Elements whose type is defined in sync/atomic itself (e.g. a slice of
-// atomic.Pointer) are exempt — std types cannot be padded, and slices of
-// separately-allocated pointees put the contended word elsewhere. The
+// Pointer elements ([]*T) are exempt — each pointee is its own heap
+// allocation, so the contended words never share the slice's lines — and
+// so are elements whose type is defined in sync/atomic itself (e.g. a
+// slice of atomic.Pointer), since std types cannot be padded. The
 // check is purely type-driven, so sharded types defined in a dependency
 // are checked at the use site without needing facts.
 //
@@ -64,6 +65,9 @@ func run(pass *analysis.Pass) error {
 			tv, ok := pass.TypesInfo.Types[at.Elt]
 			if !ok {
 				return true
+			}
+			if _, ptr := tv.Type.Underlying().(*types.Pointer); ptr {
+				return true // each pointee is its own allocation
 			}
 			named := analysis.NamedOf(tv.Type)
 			if named == nil || reported[named.Obj()] {

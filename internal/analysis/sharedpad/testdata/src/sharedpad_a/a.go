@@ -47,6 +47,15 @@ func makePairs(n int) []pairMu { // want "sharded element type pairMu has mutex/
 	return make([]pairMu, n)
 }
 
+// node is contended and unpadded but sharded only by pointer: each node is
+// its own allocation, so neighbors cannot share a cache line. Clean.
+type node struct {
+	mu sync.Mutex
+	n  int
+}
+
+var nodes []*node
+
 // plain has no contended fields: element use is free.
 type plain struct {
 	a, b int

@@ -34,36 +34,40 @@ func TestDiffPairsAndOrders(t *testing.T) {
 	}
 }
 
-func TestGatePassesWithinThreshold(t *testing.T) {
+func TestGatePassesHealthyRecord(t *testing.T) {
 	old := mk(e("Hot", 100, 5, false), e("Zero", 40, 0, false))
 	cur := mk(e("Hot", 109, 4, false), e("Zero", 43, 0, false))
-	if v := Gate(old, cur, 10); len(v) != 0 {
+	if v := Gate(old, cur); len(v) != 0 {
 		t.Errorf("gate flagged a healthy record: %v", v)
 	}
 }
 
-func TestGateFailsOnSlowdown(t *testing.T) {
+// TestGateReportsSlowdownWithoutFailing pins ns/op as reported-only: a
+// cross-session slowdown shows in the table but is not a violation.
+func TestGateReportsSlowdownWithoutFailing(t *testing.T) {
 	old := mk(e("Hot", 100, 5, false))
-	cur := mk(e("Hot", 115, 5, false))
-	v := Gate(old, cur, 10)
-	if len(v) != 1 || !strings.Contains(v[0], "ns/op regressed") {
-		t.Errorf("gate = %v, want one ns/op violation", v)
+	cur := mk(e("Hot", 150, 5, false))
+	if v := Gate(old, cur); len(v) != 0 {
+		t.Errorf("gate = %v, want no violation for an ns/op slowdown", v)
+	}
+	if out := DiffTable(old, cur); !strings.Contains(out, "50.0%") {
+		t.Errorf("DiffTable does not report the slowdown:\n%s", out)
 	}
 }
 
-func TestGateSkipsFlaggedNsButNotAllocs(t *testing.T) {
+func TestGateChecksAllocsOnNoisyRows(t *testing.T) {
 	old := mk(e("Noisy", 100, 0, true))
 	cur := mk(e("Noisy", 200, 3, false))
-	v := Gate(old, cur, 10)
+	v := Gate(old, cur)
 	if len(v) != 1 || !strings.Contains(v[0], "allocs/op regressed 0 -> 3") {
-		t.Errorf("gate = %v, want only the allocs violation (ns skipped: baseline flagged)", v)
+		t.Errorf("gate = %v, want the allocs violation despite the noisy baseline", v)
 	}
 }
 
 func TestGateFailsOnZeroAllocRegression(t *testing.T) {
 	old := mk(e("Zero", 40, 0, false))
 	cur := mk(e("Zero", 40, 1, false))
-	v := Gate(old, cur, 10)
+	v := Gate(old, cur)
 	if len(v) != 1 || !strings.Contains(v[0], "zero-alloc") {
 		t.Errorf("gate = %v, want zero-alloc violation", v)
 	}
@@ -72,7 +76,7 @@ func TestGateFailsOnZeroAllocRegression(t *testing.T) {
 func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	old := mk(e("Kept", 10, 0, false), e("Dropped", 10, 0, false))
 	cur := mk(e("Kept", 10, 0, false))
-	v := Gate(old, cur, 10)
+	v := Gate(old, cur)
 	if len(v) != 1 || !strings.Contains(v[0], "missing") {
 		t.Errorf("gate = %v, want missing-benchmark violation", v)
 	}
@@ -81,7 +85,7 @@ func TestGateFailsOnMissingBenchmark(t *testing.T) {
 func TestGateIgnoresNewBenchmarks(t *testing.T) {
 	old := mk(e("A", 10, 0, false))
 	cur := mk(e("A", 10, 0, false), e("Fresh", 999, 42, false))
-	if v := Gate(old, cur, 10); len(v) != 0 {
+	if v := Gate(old, cur); len(v) != 0 {
 		t.Errorf("gate = %v, want pass (new benchmark has no baseline)", v)
 	}
 }

@@ -127,8 +127,7 @@ type Engine struct {
 	// slots carries the admission-slot ids [0, MaxInFlight); holding an id
 	// is holding the right to run one query. scratch[i] is slot i's
 	// core.Scratch, so the pool needs no locking of its own.
-	slots chan int
-	//acic:allow-unpadded each Scratch is its own heap allocation and its latch sees one CAS per query, not a hot shard
+	slots   chan int
 	scratch []*core.Scratch
 	queued  atomic.Int64
 
@@ -193,9 +192,8 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:   cfg,
-		slots: make(chan int, cfg.MaxInFlight),
-		//acic:allow-unpadded each Scratch is its own heap allocation and its latch sees one CAS per query, not a hot shard
+		cfg:     cfg,
+		slots:   make(chan int, cfg.MaxInFlight),
 		scratch: make([]*core.Scratch, cfg.MaxInFlight),
 		cache:   newLRUCache(cfg.CacheEntries),
 		drained: make(chan struct{}),

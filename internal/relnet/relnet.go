@@ -25,7 +25,7 @@
 //     backoff. Timeouts ride the fabric's own SendAfter timer facility, so
 //     retransmission is event-driven on the same timeline as the traffic
 //     it guards — no second clock, no polling, no wall-time reads (the
-//     package is under detrand enforcement). The injected simclock.Clock
+//     package is under simcheck enforcement). The injected simclock.Clock
 //     is used only to observe ack latency.
 //   - A frame left unacked when the fabric's timer facility closes loses
 //     its retransmit protection. The layer makes that loud instead of
@@ -454,7 +454,7 @@ func (l *Layer) onRetransTimer(t retransTimer) {
 	copy(resend, p.unacked)
 	p.mu.Unlock()
 
-	// Sends happen outside the lock (locksend). An ack racing in between
+	// Sends happen outside the lock (lockorder). An ack racing in between
 	// snapshot and send only makes a resend a dup the receiver discards.
 	ack := l.pair(t.Dst, t.Src).cumAck.Load()
 	for _, pd := range resend {

@@ -3,7 +3,7 @@
 // distctrl, cc) measures Elapsed the same way: stamp a start time before
 // injecting the seed messages, subtract after Wait returns.
 // Routing those reads through a Clock keeps the simulation packages free of
-// direct time.Now/time.Since calls — the detrand analyzer forbids them — and
+// direct time.Now/time.Since calls — the simcheck analyzer forbids them — and
 // lets tests substitute a Fake clock for deterministic Elapsed values.
 package simclock
 
@@ -24,7 +24,7 @@ type Clock interface {
 type Wall struct{}
 
 // Now returns the current wall-clock time. (simclock is deliberately
-// outside detrand's enforced set: Wall is the one sanctioned boundary.)
+// outside simcheck's deterministic set: Wall is the one sanctioned boundary.)
 func (Wall) Now() time.Time { return time.Now() }
 
 // Since returns the wall-clock duration since t.

@@ -25,7 +25,7 @@ type MeshConfig struct {
 // destination PE's node dispatcher, so per-destination serial delivery
 // holds mesh-wide.
 type Mesh struct {
-	nodes []*Node //acic:allow-unpadded pointer slice: each Node is its own heap allocation, sharing nothing but the pointer array, which is read-only after NewMesh
+	nodes []*Node
 	owner func(pe int) int
 
 	closeOnce sync.Once
@@ -42,7 +42,7 @@ func NewMesh(cfg MeshConfig, deliver func(dst int, payload any)) (*Mesh, error) 
 	if cfg.NumProcs <= 0 {
 		return nil, fmt.Errorf("sockfab: mesh needs at least one proc")
 	}
-	m := &Mesh{nodes: make([]*Node, cfg.NumProcs), owner: cfg.Owner} //acic:allow-unpadded pointer slice, see the field's note
+	m := &Mesh{nodes: make([]*Node, cfg.NumProcs), owner: cfg.Owner}
 	addrs := make([]string, cfg.NumProcs)
 	for p := 0; p < cfg.NumProcs; p++ {
 		n, err := NewNode(NodeConfig{

@@ -90,9 +90,8 @@ type peer struct {
 // Node is the per-process endpoint. It satisfies fabric.Fabric and
 // fabric.Boundary.
 type Node struct {
-	cfg NodeConfig
-	ln  net.Listener
-	//acic:allow-unpadded pointer slice: each peer is its own heap allocation, sharing nothing but the pointer array, which is read-only after Connect
+	cfg   NodeConfig
+	ln    net.Listener
 	peers []*peer // indexed by proc; nil at self and before Connect
 
 	mu       sync.Mutex
@@ -130,7 +129,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		cfg:      cfg,
-		peers:    make([]*peer, cfg.NumProcs), //acic:allow-unpadded pointer slice, see the field's note
+		peers:    make([]*peer, cfg.NumProcs),
 		dispDone: make(chan struct{}),
 		bufs:     arena.New[byte](cfg.NumProcs, bufChunk),
 	}

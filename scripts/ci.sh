@@ -17,7 +17,7 @@ go run ./cmd/acic-lint ./...
 echo "== acic-lint -noalloc (static zero-alloc gate over //acic:noalloc hot paths) =="
 go run ./cmd/acic-lint -noalloc ./...
 
-echo "== lint sabotage self-test (every analyzer still bites) =="
+echo "== lint sabotage self-test (every plant reported by its own diagnostic) =="
 scripts/lint_sabotage.sh
 
 echo "== build + test (with coverage) =="
@@ -102,9 +102,10 @@ go test -run '^$' -bench . -benchtime=1x \
 
 echo "== perf regression gate (scripts/bench.sh vs committed baseline) =="
 # Compare a fresh variance-aware record against the newest committed
-# baseline. cmd/benchdiff fails the stage on a >10% hot-path slowdown or
-# any allocs/op regression on a zero-alloc benchmark; noisy (flagged)
-# ns/op numbers are reported but never gated.
+# baseline. cmd/benchdiff fails the stage on any allocs/op regression on a
+# zero-alloc benchmark or a benchmark missing from the record; ns/op
+# deltas are reported only, because the baseline was recorded in another
+# session and cross-session host noise exceeds any useful threshold.
 baseline="$(ls BENCH_*.json | sort -V | tail -1)"
 bench_out="$(mktemp)"
 trap 'rm -f "$cover_out" "$bench_out"' EXIT

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Analyzer-suite self-test: plant one violation per analyzer in a scratch
-# copy of the tree and assert acic-lint reports every one of them, then do
-# the same for the -noalloc escape gate. A lint suite that silently stops
+# Analyzer-suite self-test: plant violations of every rule in a scratch
+# copy of the tree and assert acic-lint reports each one by its own
+# diagnostic, then do the same for the -noalloc escape gate. A lint suite that silently stops
 # firing is worse than none — a refactor of the analysis driver could make
 # every pass vacuously green and nothing else in CI would notice. This
 # script makes "the analyzers still bite" an invariant.
@@ -14,9 +14,8 @@ trap 'rm -rf "$work"' EXIT
 # Copy the module (sans VCS metadata) so the sabotage never touches the tree.
 tar --exclude=.git -cf - . | tar -xf - -C "$work"
 
-# One file, one violation per analyzer. internal/core is in every
-# package-scoped analyzer's enforcement list and has the arena/tram plumbing
-# the ownership analyzers track.
+# One file, ten plants. internal/core is in every package-scoped rule's
+# enforcement list and has the arena/tram plumbing releasecheck tracks.
 cat > "$work/internal/core/zz_lint_sabotage.go" <<'EOF'
 package core
 
@@ -88,13 +87,30 @@ if (cd "$work" && go run ./cmd/acic-lint -json ./internal/core/... > "$out"); th
 	exit 1
 fi
 
-for a in arenacheck atomiccheck detrand dircheck lockorder locksend nogoroutine releasecheck sharedpad; do
-	if ! grep -q "\"analyzer\": \"$a\"" "$out"; then
-		echo "FAIL: planted $a violation was not reported; findings were:" >&2
+# One line per plant: the analyzer that must report it, then the start of
+# its diagnostic as -json prints it. Matching the message, not just the
+# analyzer name, keeps a plant that went silent from hiding behind a
+# sibling reported under the same name.
+plants=(
+	'dircheck|unknown acic directive \"frobnicate\"'
+	'sharedpad|sharded element type sabShard has mutex/atomic fields'
+	'simcheck|call to time.Now in deterministic package'
+	'simcheck|raw go statement in runtime-managed package'
+	'simcheck|call to sync/atomic.AddInt64'
+	'lockorder|lock-order cycle: acquiring acic/internal/core.sabMuB while holding acic/internal/core.sabMuA'
+	'lockorder|lock-order cycle: acquiring acic/internal/core.sabMuA while holding acic/internal/core.sabMuB'
+	'lockorder|call to Send while holding sabMuB'
+	'releasecheck|arena chunk \"chunk\" may not be released'
+	'releasecheck|tram batch \"m.items\" may not be released'
+)
+for p in "${plants[@]}"; do
+	a="${p%%|*}" msg="${p#*|}"
+	if ! grep -A4 "\"analyzer\": \"$a\"" "$out" | grep -qF -- "\"message\": \"$msg"; then
+		echo "FAIL: planted violation not reported by $a: $msg; findings were:" >&2
 		cat "$out" >&2
 		exit 1
 	fi
-	echo "ok: $a fired"
+	echo "ok: $a: $msg"
 done
 
 if (cd "$work" && go run ./cmd/acic-lint -noalloc ./internal/core/... > "$work/noalloc.txt" 2>&1); then
