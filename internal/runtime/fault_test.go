@@ -7,6 +7,8 @@ package runtime
 // manifests as a visible hang, never as silent wrong results.
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,6 +181,92 @@ func TestDuplicateDeliveryLedgerBalancedWithoutReliability(t *testing.T) {
 	}
 	if hops.Load() <= 10 {
 		t.Errorf("hops = %d, want > 10: the duplicate re-runs part of the countdown", hops.Load())
+	}
+}
+
+// ringMsg is a payload only one send ever carries.
+type ringMsg struct{ id, dst int }
+
+// ringSink records every delivery, ghosts included.
+type ringSink struct {
+	NopControl
+	mu  *sync.Mutex
+	got map[int]int // ringMsg id -> deliveries
+	bad *[]string
+}
+
+func (h *ringSink) Deliver(pe *PE, msg any) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	m, ok := msg.(ringMsg)
+	if !ok || m.dst != pe.Index() {
+		*h.bad = append(*h.bad, fmt.Sprintf("PE %d delivered %#v", pe.Index(), msg))
+		return
+	}
+	h.got[m.id]++
+}
+
+func (h *ringSink) Idle(pe *PE) bool { return false }
+
+// TestDuplicateDeliveryNeverShowsARecycledEnvelope sends a ring of
+// distinct payloads through a network whose duplication filter was
+// installed through Network(), without relnet. The fabric hands the same
+// *envelope to the delivery twice, so the first delivery must not return
+// it to the pool: a ghost that read a recycled envelope would carry
+// another send's payload to the wrong PE, or no payload at all. Every
+// delivery must carry the payload its send carried, and the duplicates
+// must be exactly the fabric's.
+func TestDuplicateDeliveryNeverShowsARecycledEnvelope(t *testing.T) {
+	const pes, msgs = 4, 2000
+	rt, err := New(Config{
+		Topo:    netsim.SingleNode(pes),
+		Latency: netsim.LatencyModel{IntraProcess: 20 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var count atomic.Int64
+	rt.Network().SetDupFilter(func(src, dst, size int) (time.Duration, bool) {
+		return 100 * time.Microsecond, count.Add(1)%5 == 0
+	})
+	var mu sync.Mutex
+	var bad []string
+	got := make(map[int]int)
+	rt.Start(func(pe *PE) Handler { return &ringSink{mu: &mu, got: got, bad: &bad} })
+	for i := 0; i < msgs; i++ {
+		src := i % pes
+		dst := (src + 1) % pes
+		rt.send(src, dst, envelope{kind: kindApp, payload: ringMsg{id: i, dst: dst}}, 1)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.MessagesDelivered() != rt.MessagesSent()+rt.NetworkStats().Duplicated {
+		if time.Now().After(deadline) {
+			t.Fatalf("fabric did not drain: queue %d, delivered %d of %d",
+				rt.Network().QueueLen(), rt.MessagesDelivered(), rt.MessagesSent())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rt.RequestExit()
+	rt.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, b := range bad {
+		t.Error(b)
+	}
+	extra := int64(0)
+	for i := 0; i < msgs; i++ {
+		if got[i] == 0 {
+			t.Errorf("message %d never delivered", i)
+		}
+		extra += int64(got[i] - 1)
+	}
+	a := rt.Audit()
+	if a.NetDuplicated == 0 || extra != a.NetDuplicated {
+		t.Errorf("%d extra deliveries, fabric duplicated %d", extra, a.NetDuplicated)
+	}
+	if u := a.Unaccounted(); u != 0 {
+		t.Errorf("Unaccounted = %d, want 0; ledger: %+v", u, a)
 	}
 }
 

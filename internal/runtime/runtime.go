@@ -161,6 +161,14 @@ type Runtime struct {
 	zeroBase  []uint64
 	noPerItem bool
 
+	// recycle says whether a delivery may return its *envelope to the
+	// pool. A netsim duplication filter without relnet delivers the same
+	// pointer twice, so New clears it for Config.Fault.Dup and Network
+	// clears it before handing out the raw network a filter can be
+	// installed on. deliverLocal reads it per delivery: any duplicate made
+	// by a filter stored after the clear is delivered after it too.
+	recycle atomic.Bool
+
 	sent      atomic.Int64 // messages sent (all kinds)
 	delivered atomic.Int64 // messages fully processed (all kinds)
 	idlePEs   atomic.Int64 // PEs currently blocked on an empty mailbox
@@ -229,11 +237,35 @@ const (
 )
 
 // envelope is the unit every mailbox moves: 32 bytes, copied on every
-// push and pop.
+// push and pop. A send that leaves the mailbox bypass hands the fabric a
+// *envelope from envelopes instead of boxing the value into the seam's
+// payload any; the delivery copies it into the mailbox and returns it (see
+// deliverLocal), and a wire encode returns it the moment its bytes are in
+// the buffer (RegisterWire). relnet is the exception: it keeps a payload
+// until it is acknowledged, so it is handed the envelope by value.
 type envelope struct {
 	epoch   int64
 	payload any
 	kind    envKind
+}
+
+// envelopes recycles the *envelope each fabric send carries. It is
+// per-process: sends and wire decodes draw from it, deliveries and wire
+// encodes put back, so every fabric message costs no allocation once the
+// pool holds the in-flight high-water mark.
+var envelopes = sync.Pool{New: func() any { return new(envelope) }}
+
+// getEnvelope returns a pooled envelope holding env.
+func getEnvelope(env envelope) *envelope {
+	p := envelopes.Get().(*envelope)
+	*p = env
+	return p
+}
+
+// putEnvelope returns p to the pool, dropping its payload reference first.
+func putEnvelope(p *envelope) {
+	*p = envelope{}
+	envelopes.Put(p)
 }
 
 // hosted resolves Span's "zero means all PEs" default.
@@ -306,6 +338,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		rt.pes[i] = pe
 	}
+	rt.recycle.Store(cfg.Fault.Dup == nil || cfg.Reliability != nil)
 	rt.noPerItem = cfg.Latency.PerItem == 0
 	rt.zeroBase = make([]uint64, (numPEs*numPEs+63)/64)
 	if cfg.Jitter == nil && cfg.Reliability == nil && cfg.Fault.Empty() {
@@ -382,15 +415,25 @@ func New(cfg Config) (*Runtime, error) {
 }
 
 // deliverLocal pushes a fabric-delivered envelope into its destination
-// mailbox. A delivery outside the hosted span is a routing bug in the
-// fabric — made loud rather than dropped, because a silently lost
-// envelope shows up much later as a quiescence hang.
+// mailbox and returns a pooled one to the pool: the mailbox holds a copy.
+// relnet delivers the envelope value it retained. A delivery outside the
+// hosted span is a routing bug in the fabric — made loud rather than
+// dropped, because a silently lost envelope shows up much later as a
+// quiescence hang.
 func (rt *Runtime) deliverLocal(dst int, payload any) {
 	pe := rt.pes[dst]
 	if pe == nil {
 		panic(fmt.Sprintf("runtime: fabric delivered to PE %d outside hosted span [%d, %d)", dst, rt.lo, rt.hi))
 	}
-	pe.mbox.push(payload.(envelope))
+	env, ok := payload.(*envelope)
+	if !ok {
+		pe.mbox.push(payload.(envelope))
+		return
+	}
+	pe.mbox.push(*env)
+	if rt.recycle.Load() {
+		putEnvelope(env)
+	}
 }
 
 // Start instantiates one handler per hosted PE via factory and launches
@@ -457,8 +500,14 @@ func (rt *Runtime) NetworkStats() netsim.Stats {
 // runtime was built over a custom fabric (Config.NewFabric). Note that
 // zero-delay messages bypass the network (they go straight to the
 // destination mailbox), so a filter only sees messages with non-zero
-// modeled latency.
-func (rt *Runtime) Network() *netsim.Network { return rt.net }
+// modeled latency. A caller may install a duplication filter on what it
+// gets, so from here on deliveries no longer recycle their envelopes.
+func (rt *Runtime) Network() *netsim.Network {
+	if rt.net != nil {
+		rt.recycle.Store(false)
+	}
+	return rt.net
+}
 
 // MessagesSent returns the total number of messages sent so far.
 func (rt *Runtime) MessagesSent() int64 { return rt.sent.Load() }
@@ -582,10 +631,13 @@ func (rt *Runtime) send(src, dst int, env envelope, size int) {
 		return
 	}
 	if rt.rel != nil {
-		rt.rel.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the mailbox bypass above stays alloc-free
+		rt.rel.Send(src, dst, env, size) //acic:allow-alloc relnet retains the envelope by value until it is acknowledged
 		return
 	}
-	rt.fab.Send(src, dst, env, size) //acic:allow-alloc fabric path queues the envelope; the mailbox bypass above stays alloc-free
+	p := getEnvelope(env)
+	if rt.fab.Send(src, dst, p, size) != fabric.SendEnqueued {
+		putEnvelope(p) // dropped or closed: the fabric kept no reference
+	}
 }
 
 // selfPush counts a mailbox self-push in sent before enqueueing it. Every

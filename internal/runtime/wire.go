@@ -8,18 +8,20 @@ import (
 
 // RegisterWire installs the envelope codec on c. The envelope is the
 // outermost application value a fabric carries between processes: its
-// payload is itself a registered wire value, encoded nested.
+// payload is itself a registered wire value, encoded nested. It follows
+// both pool contracts of the codec: decoding draws the *envelope from the
+// process's pool (the delivery returns it), and encoding consumes it —
+// the afterEncode hook puts it back once its bytes are in the buffer.
 func RegisterWire(c *wire.Codec) {
-	c.Register(wire.TagEnvelope, envelope{},
+	c.Register(wire.TagEnvelope, (*envelope)(nil),
 		func(c *wire.Codec, buf []byte, v any) ([]byte, error) {
-			env := v.(envelope)
+			env := v.(*envelope)
 			buf = wire.AppendI64(buf, env.epoch)
 			buf = wire.AppendU8(buf, uint8(env.kind))
 			return c.AppendValue(buf, env.payload)
 		},
 		func(c *wire.Codec, r *wire.Reader) (any, error) {
-			var env envelope
-			env.epoch = r.I64()
+			epoch := r.I64()
 			k := r.U8()
 			if err := r.Err(); err != nil {
 				return nil, err
@@ -27,13 +29,11 @@ func RegisterWire(c *wire.Codec) {
 			if k > uint8(kindQuiesce) {
 				return nil, fmt.Errorf("%w: envelope kind %d", wire.ErrMalformed, k)
 			}
-			env.kind = envKind(k)
 			payload, err := c.ReadValue(r)
 			if err != nil {
 				return nil, err
 			}
-			env.payload = payload
-			return env, nil
+			return getEnvelope(envelope{epoch: epoch, kind: envKind(k), payload: payload}), nil
 		},
-		nil)
+		func(v any) { putEnvelope(v.(*envelope)) })
 }

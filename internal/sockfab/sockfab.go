@@ -17,23 +17,26 @@
 // FIFO are all order-preserving). There is no timer facility: TCP is
 // ordered and reliable, so nothing above this fabric retransmits.
 //
-// Encode and decode buffers recycle through an arena.Arena[byte]: each
-// writer goroutine Gets a chunk per message from its own freelist and
-// Puts it back after the socket write; each reader holds one shared-pool
-// chunk for its lifetime. Steady-state traffic allocates nothing for
-// framing.
+// A message crosses without allocating. Each writer goroutine drains its
+// whole queue at once, encodes every frame of it into one buffer it owns
+// for its lifetime, and writes that buffer with one syscall (cut at
+// writeCut bytes). Each reader reads through one buffered reader and
+// decodes into one frame buffer it also owns. The writer queues and the
+// dispatcher FIFO ping-pong between two backing arrays, as the runtime's
+// mailbox does, so a drain never makes the next enqueue grow a slice from
+// nothing.
 //
 // Close is two-phase so a full mesh can shut down without deadlock:
 // beginClose stops accepting sends, flushes the writer queues, and
 // half-closes every connection (CloseWrite); finishClose drains the
 // readers to EOF — which arrives once the peer has flushed its side —
-// and joins the dispatcher.
-// Node.Close runs both phases; Mesh.Close runs beginClose on every node
-// before finishClose on any, which is what breaks the cycle when all
-// nodes live in one process.
+// and joins the dispatcher. Node.Close runs both phases; Mesh.Close runs
+// beginClose on every node before finishClose on any, which is what
+// breaks the cycle when all nodes live in one process.
 package sockfab
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -42,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"acic/internal/arena"
 	"acic/internal/fabric"
 	"acic/internal/wire"
 )
@@ -55,10 +57,16 @@ const helloMagic uint32 = 0xAC1CFAB0
 // turns into an error, not a hang.
 const connectTimeout = 30 * time.Second
 
-// bufChunk is the arena chunk capacity for frame buffers. Frames larger
-// than a chunk grow the slice once and the grown capacity recycles, so
-// the figure is a starting point, not a ceiling.
-const bufChunk = 4096
+// writeCut is the size at which a writer stops appending frames to its
+// buffer and writes it out. A drained queue of small frames goes out in
+// one write; a backlog of large batches goes out in pieces of about this
+// size, so the buffer stays bounded by writeCut plus one frame.
+const writeCut = 64 << 10
+
+// readBuf is the size of each connection's buffered reader: one read
+// syscall brings in every frame a peer's coalesced write put on the wire,
+// up to this many bytes.
+const readBuf = 64 << 10
 
 // NodeConfig wires a Node into a topology.
 type NodeConfig struct {
@@ -103,7 +111,6 @@ type Node struct {
 	dispDone chan struct{}
 
 	deliver func(dst int, payload any)
-	bufs    *arena.Arena[byte]
 
 	queued      atomic.Int64
 	boundaryOut atomic.Int64
@@ -131,7 +138,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:      cfg,
 		peers:    make([]*peer, cfg.NumProcs),
 		dispDone: make(chan struct{}),
-		bufs:     arena.New[byte](cfg.NumProcs, bufChunk),
 	}
 	n.cond = sync.NewCond(&n.mu)
 	return n, nil
@@ -254,11 +260,11 @@ func readHello(conn net.Conn) (int, error) {
 // dispatcher. Call after Connect, before any Send.
 func (n *Node) Start(deliver func(dst int, payload any)) {
 	n.deliver = deliver
-	for proc, p := range n.peers {
+	for _, p := range n.peers {
 		if p == nil {
 			continue
 		}
-		go n.writerLoop(p, proc)
+		go n.writerLoop(p)
 		n.readerWG.Add(1)
 		go n.readerLoop(p)
 	}
@@ -313,9 +319,10 @@ func (n *Node) BoundaryCounts() (out, in int64) {
 }
 
 // Close runs both shutdown phases: stop accepting sends, flush and
-// half-close every connection, drain inbound to EOF, join the dispatcher. Safe to call more than once. In a
-// single-process mesh use Mesh.Close instead — closing one node at a
-// time would deadlock on the peer drains.
+// half-close every connection, drain inbound to EOF, and join the
+// dispatcher. It is safe to call more than once. In a single-process mesh
+// use Mesh.Close instead: closing one node at a time would deadlock on
+// the peer drains.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.beginClose()
@@ -365,40 +372,56 @@ func (n *Node) finishClose() {
 	}
 }
 
-// writerLoop drains one peer's queue: per message it takes an arena
-// chunk, writes the 4-byte destination prefix plus one encoded frame,
-// and recycles the chunk. An unencodable payload or a failed write is a
-// wiring bug or a dead peer — both panic rather than silently losing a
-// message (which would resurface as a quiescence hang).
-func (n *Node) writerLoop(p *peer, owner int) {
+// writerLoop drains one peer's queue. Each drain encodes the 4-byte
+// destination prefix plus one wire frame per message into the writer's
+// buffer and writes it once writeCut is reached and at the end of the
+// drain; the drained array then becomes the queue's next backing array.
+// An unencodable payload or a failed write is a wiring bug or a dead
+// peer — both panic rather than silently losing a message (which would
+// resurface as a quiescence hang).
+func (n *Node) writerLoop(p *peer) {
 	defer close(p.writerDone)
+	var buf []byte
+	var spare []delivery
+	flush := func(frames int) {
+		_, err := p.conn.Write(buf)
+		buf = buf[:0]
+		n.queued.Add(-int64(frames))
+		if err != nil {
+			panic(fmt.Sprintf("sockfab: write to peer failed: %v", err))
+		}
+		n.boundaryOut.Add(int64(frames))
+	}
 	for {
 		p.mu.Lock()
 		for len(p.q) == 0 && !p.closed {
 			p.cond.Wait()
 		}
 		batch := p.q
-		p.q = nil
+		p.q = spare
 		done := p.closed && len(batch) == 0
 		p.mu.Unlock()
 		if done {
 			break
 		}
+		frames := 0
 		for _, d := range batch {
-			buf := n.bufs.Get(owner)
-			buf = wire.AppendU32(buf[:0], uint32(d.dst))
-			frame, err := n.cfg.Codec.EncodeFrame(buf, d.payload)
+			buf = wire.AppendU32(buf, uint32(d.dst))
+			var err error
+			buf, err = n.cfg.Codec.EncodeFrame(buf, d.payload)
 			if err != nil {
 				panic(fmt.Sprintf("sockfab: payload %T for PE %d cannot cross the process boundary: %v", d.payload, d.dst, err))
 			}
-			_, werr := p.conn.Write(frame)
-			n.bufs.Put(owner, frame[:0])
-			n.queued.Add(-1)
-			if werr != nil {
-				panic(fmt.Sprintf("sockfab: write to peer failed: %v", werr))
+			if frames++; len(buf) >= writeCut {
+				flush(frames)
+				frames = 0
 			}
-			n.boundaryOut.Add(1)
 		}
+		if frames > 0 {
+			flush(frames)
+		}
+		clear(batch)
+		spare = batch[:0]
 	}
 	if tc, ok := p.conn.(*net.TCPConn); ok {
 		tc.CloseWrite()
@@ -412,19 +435,19 @@ func (n *Node) writerLoop(p *peer, owner int) {
 // silently dropped message becomes an undebuggable hang downstream.
 func (n *Node) readerLoop(p *peer) {
 	defer n.readerWG.Done()
-	buf := n.bufs.GetShared()
-	defer func() { n.bufs.PutShared(buf) }()
+	r := bufio.NewReaderSize(p.conn, readBuf)
+	var frame []byte
 	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(p.conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if err == io.EOF {
 				return
 			}
 			panic(fmt.Sprintf("sockfab: read: %v", err))
 		}
 		dst := int(binary.BigEndian.Uint32(hdr[:]))
-		frame, err := wire.ReadFrame(p.conn, buf)
-		buf = frame[:0]
+		var err error
+		frame, err = wire.ReadFrame(r, frame)
 		if err != nil {
 			panic(fmt.Sprintf("sockfab: frame for PE %d: %v", dst, err))
 		}
@@ -445,17 +468,19 @@ func (n *Node) readerLoop(p *peer) {
 }
 
 // dispatchLoop is the node's single delivery thread: it drains the ready
-// FIFO through the deliver callback. It exits when finishClose has
-// guaranteed no producer remains and the FIFO is empty.
+// FIFO through the deliver callback, handing the drained array back as
+// the FIFO's next one. It exits when finishClose has guaranteed no
+// producer remains and the FIFO is empty.
 func (n *Node) dispatchLoop() {
 	defer close(n.dispDone)
+	var spare []delivery
 	for {
 		n.mu.Lock()
 		for len(n.ready) == 0 && !n.dispStop {
 			n.cond.Wait()
 		}
 		batch := n.ready
-		n.ready = nil
+		n.ready = spare
 		stop := n.dispStop && len(batch) == 0
 		n.mu.Unlock()
 		if stop {
@@ -465,5 +490,7 @@ func (n *Node) dispatchLoop() {
 			n.deliver(d.dst, d.payload)
 			n.queued.Add(-1)
 		}
+		clear(batch)
+		spare = batch[:0]
 	}
 }

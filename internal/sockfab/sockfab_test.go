@@ -248,3 +248,48 @@ func TestNodesCloseIndependently(t *testing.T) {
 		t.Errorf("boundary out %d in %d, want %d each", out, in, msgs)
 	}
 }
+
+// ping is an empty payload: boxing and decoding it allocate nothing, so a
+// round trip's allocations are the fabric's own.
+type ping struct{}
+
+// BenchmarkSockfabRoundTrip bounces one message between the two nodes of
+// a warm loopback mesh: PE 0 sends to PE 1 across the socket, PE 1's
+// delivery sends it back. Each round encodes, writes, reads, decodes and
+// dispatches twice, and must allocate nothing.
+func BenchmarkSockfabRoundTrip(b *testing.B) {
+	c := wire.NewCodec()
+	c.Register(0x80, ping{},
+		func(c *wire.Codec, buf []byte, v any) ([]byte, error) { return buf, nil },
+		func(c *wire.Codec, r *wire.Reader) (any, error) { return ping{}, nil },
+		nil)
+	back := make(chan struct{}, 1)
+	var m *Mesh
+	m, err := NewMesh(MeshConfig{
+		NumProcs: 2, NumPEs: 2,
+		Owner: func(pe int) int { return pe },
+		Codec: c,
+	}, func(dst int, payload any) {
+		if dst == 1 {
+			m.Send(1, 0, payload, 1)
+			return
+		}
+		back <- struct{}{}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	round := func() {
+		m.Send(0, 1, ping{}, 1)
+		<-back
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

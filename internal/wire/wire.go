@@ -28,12 +28,13 @@
 // FuzzFrameDecode holds that line.
 //
 // Encode buffers come from whatever []byte the caller appends into;
-// transports recycle them through an arena.Arena[byte] so steady-state
-// encode/decode does not allocate per message. Types that carry pooled
-// resources (a tram batch's backing array, a pooled reduction value)
-// register an afterEncode hook: encoding a value onto the wire consumes
-// it, and the hook returns the resource to its pool on the spot — the
-// serialized copy is now the only live one.
+// sockfab's writers and readers each keep one for their lifetime, so
+// steady-state encode/decode does not allocate per message. Types that
+// carry pooled resources (a tram batch's backing array, a pooled
+// reduction value, a runtime envelope) register an afterEncode hook:
+// encoding a value onto the wire consumes it, and the hook returns the
+// resource to its pool on the spot — the serialized copy is now the only
+// live one.
 package wire
 
 import (

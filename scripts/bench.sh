@@ -26,7 +26,9 @@ VARIANCE_PCT="${VARIANCE_PCT:-10}"
 BENCHES=(
   "BenchmarkMailbox/pingpong|./internal/runtime|"
   "BenchmarkMailbox/burst64|./internal/runtime|"
+  "BenchmarkRuntimeFabricSend|./internal/runtime|"
   "BenchmarkNetsimSend|./internal/netsim|"
+  "BenchmarkSockfabRoundTrip|./internal/sockfab|"
   "BenchmarkTramInsertFlush|./internal/tram|"
   "BenchmarkOwner/oned|./internal/partition|"
   "BenchmarkOwner/chunked|./internal/partition|"

@@ -97,7 +97,7 @@ go run -race ./cmd/acic-run -algo acic -kind random -scale 9 -fault lossy -verif
 
 echo "== bench smoke (every listed hot-path benchmark compiles and runs once) =="
 go test -run '^$' -bench . -benchtime=1x \
-  ./internal/runtime ./internal/netsim ./internal/tram ./internal/partition \
+  ./internal/runtime ./internal/netsim ./internal/sockfab ./internal/tram ./internal/partition \
   ./internal/histogram ./internal/core ./internal/bench >/dev/null
 
 echo "== perf regression gate (scripts/bench.sh vs committed baseline) =="
