@@ -221,4 +221,3 @@ func (a *Arena[T]) Stats() Stats {
 	}
 	return s
 }
-

@@ -30,8 +30,8 @@ func TestGetPutRecycles(t *testing.T) {
 
 func TestUndersizedDropped(t *testing.T) {
 	a := New[int](1, 8)
-	a.Put(0, make([]int, 0, 4))       // undersized: dropped, counted
-	a.PutShared(make([]int, 0, 2))    // undersized: dropped, counted
+	a.Put(0, make([]int, 0, 4))    // undersized: dropped, counted
+	a.PutShared(make([]int, 0, 2)) // undersized: dropped, counted
 	if c := a.Get(0); cap(c) != 8 {
 		t.Errorf("Get after undersized puts returned cap %d, want fresh 8", cap(c))
 	}

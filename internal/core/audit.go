@@ -81,7 +81,7 @@ func newThresholdAudit(epoch int64, global *histogram.Histogram, holds holdStats
 		PQDrained:      holds.pqDrained,
 		PQHeldAfter:    holds.pqHeldAfter,
 	}
-	for i := 0; i < global.NumBuckets(); i++ {
+	for i := 0; i < global.Top(); i++ {
 		if c := global.Bucket(i); c != 0 {
 			a.BucketIdx = append(a.BucketIdx, i)
 			a.BucketCount = append(a.BucketCount, c)

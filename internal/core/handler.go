@@ -75,9 +75,9 @@ type peState struct {
 	sent []float64
 
 	hist     *histogram.Histogram
-	queue    *pq.BinaryHeap       // accepted updates, min-distance first
-	pqHold   []arena.List[Update] // per-bucket holds above t_pq
-	tramHold []arena.List[Update] // per-bucket holds above t_tram
+	queue    *pq.BinaryHeap // accepted updates, min-distance first
+	pqHold   *bucketHold    // per-bucket holds above t_pq
+	tramHold *bucketHold    // per-bucket holds above t_tram
 
 	// tramDrainFn / pqDrainFn are the hold-drain callbacks, built once at
 	// construction so OnBroadcast's drain loop allocates no closures.
@@ -192,6 +192,53 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 
 var _ runtime.Handler = (*peState)(nil)
 
+// bucketHold is one of a PE's holds (tram_hold or pq_hold): a list of
+// parked updates per histogram bucket, with the running population and
+// the occupied prefix kept at every append and drain. A broadcast reads
+// the population without recounting and drains only the buckets below
+// both its threshold and top, so the control cycle costs the buckets in
+// use.
+type bucketHold struct {
+	lists []arena.List[Update]
+	held  int64 // updates parked across all buckets
+	top   int   // one past the highest bucket appended to since held was last 0
+}
+
+// add parks u in bucket b.
+//
+//acic:noalloc
+func (h *bucketHold) add(ar *arena.Arena[Update], pe, b int, u Update) {
+	h.lists[b].Append(ar, pe, u)
+	h.held++
+	if b >= h.top {
+		h.top = b + 1
+	}
+}
+
+// drain releases buckets [0, upTo] in ascending order (lowest distances
+// first, §II-C) through fn and returns how many updates it released. Each
+// emptied chunk goes straight back to pe's freelist.
+func (h *bucketHold) drain(ar *arena.Arena[Update], pe, upTo int, fn func(Update)) int64 {
+	if h.held == 0 {
+		return 0
+	}
+	var n int64
+	for b, end := 0, min(upTo+1, h.top); b < end; b++ {
+		if k := h.lists[b].Len(); k > 0 {
+			n += int64(k)
+			h.lists[b].Drain(ar, pe, fn)
+		}
+	}
+	h.held -= n
+	if h.held == 0 {
+		h.top = 0
+	}
+	return n
+}
+
+// discard drops a leftover held update.
+func discard(Update) {}
+
 // newPEState builds one PE's handler, drawing its large allocations from
 // slot so repeated runs through a Scratch reuse them.
 func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peState {
@@ -219,20 +266,14 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 	} else {
 		slot.queue.Reset()
 	}
-	if slot.pqHold == nil {
-		slot.pqHold = make([]arena.List[Update], p.BucketCount)
-		slot.tramHold = make([]arena.List[Update], p.BucketCount)
+	if slot.pqHold.lists == nil {
+		slot.pqHold.lists = make([]arena.List[Update], p.BucketCount)
+		slot.tramHold.lists = make([]arena.List[Update], p.BucketCount)
 	} else {
 		// An early-terminated previous run (TerminateOnAllFinal) can leave
 		// parked updates behind; hand their chunks back to the arena.
-		for b := range slot.pqHold {
-			if slot.pqHold[b].Len() > 0 {
-				slot.pqHold[b].Drain(sh.ar, me, func(Update) {})
-			}
-			if slot.tramHold[b].Len() > 0 {
-				slot.tramHold[b].Drain(sh.ar, me, func(Update) {})
-			}
-		}
+		slot.pqHold.drain(sh.ar, me, p.BucketCount-1, discard)
+		slot.tramHold.drain(sh.ar, me, p.BucketCount-1, discard)
 	}
 	if slot.fwdBufs == nil {
 		slot.fwdBufs = make([][]Update, sh.part.NumPEs())
@@ -249,8 +290,8 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		sent:         slot.sent,
 		hist:         slot.hist,
 		queue:        slot.queue,
-		pqHold:       slot.pqHold,
-		tramHold:     slot.tramHold,
+		pqHold:       &slot.pqHold,
+		tramHold:     &slot.tramHold,
 		fwdBufs:      slot.fwdBufs,
 		fwdTouched:   slot.fwdTouched[:0],
 		tTram:        p.BucketCount - 1, // everything flows until told otherwise
@@ -386,7 +427,7 @@ func (st *peState) receiveUpdate(pe *runtime.PE, u Update) {
 		if b := st.hist.BucketOf(u.Dist); b <= st.tPQ {
 			st.queue.Push(pq.Item{Key: u.Dist, Value: int64(u.Vertex)})
 		} else {
-			st.pqHold[b].Append(st.shared.ar, st.me, u)
+			st.pqHold.add(st.shared.ar, st.me, b, u)
 			st.shared.met.pqParked.Inc(st.me)
 		}
 		return
@@ -475,7 +516,7 @@ func (st *peState) createUpdate(pe *runtime.PE, u Update) {
 	if b <= st.tTram {
 		st.tramInsert(pe, dst, u)
 	} else {
-		st.tramHold[b].Append(st.shared.ar, st.me, u)
+		st.tramHold.add(st.shared.ar, st.me, b, u)
 		st.shared.met.tramParked.Inc(st.me)
 	}
 }
@@ -512,15 +553,6 @@ func (st *peState) contribute(pe *runtime.PE, epoch int64) {
 		rv.finalized = st.countFinalized()
 	}
 	pe.Contribute(epoch, rv)
-}
-
-// countHeld sums a hold's population across all buckets.
-func countHeld(hold []arena.List[Update]) int64 {
-	var n int64
-	for i := range hold {
-		n += int64(hold[i].Len())
-	}
-	return n
 }
 
 // countFinalized counts local vertices whose distance is already below
@@ -578,9 +610,9 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 	growing := active > st.prevActive
 	st.prevActive = active
 	if st.params.SmoothThresholds {
-		ctrl.thresholds = histogram.ComputeSmoothThresholds(global, numPEs, hp, growing)
+		ctrl.thresholds = histogram.ComputeSmoothThresholds(global, active, numPEs, hp, growing)
 	} else {
-		ctrl.thresholds = histogram.ComputeThresholds(global, numPEs, hp, growing)
+		ctrl.thresholds = histogram.ComputeThresholds(global, active, numPEs, hp, growing)
 	}
 	if lb := global.LowestNonEmpty(); lb >= 0 {
 		ctrl.lowestActive = float64(lb) * global.Width()
@@ -613,30 +645,14 @@ func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	st.tPQ = ctrl.thresholds.PQ
 	st.lowestActive = ctrl.lowestActive
 
-	holds := holdStats{
-		tramHeldBefore: countHeld(st.tramHold),
-		pqHeldBefore:   countHeld(st.pqHold),
-	}
-
-	// Release tram holds within the new threshold, ascending buckets.
-	// Drain hands each emptied chunk straight back to this PE's freelist.
+	// Release the holds within the new thresholds, tram first (dead-update
+	// elision lives in the drain callbacks).
 	ar := st.shared.ar
-	for b := 0; b <= st.tTram; b++ {
-		if n := st.tramHold[b].Len(); n > 0 {
-			holds.tramDrained += int64(n)
-			st.tramHold[b].Drain(ar, st.me, st.tramDrainFn)
-		}
-	}
-	// Release pq holds within the new threshold (dead-update elision lives
-	// in pqDrainFn).
-	for b := 0; b <= st.tPQ; b++ {
-		if n := st.pqHold[b].Len(); n > 0 {
-			holds.pqDrained += int64(n)
-			st.pqHold[b].Drain(ar, st.me, st.pqDrainFn)
-		}
-	}
-	holds.tramHeldAfter = holds.tramHeldBefore - holds.tramDrained
-	holds.pqHeldAfter = holds.pqHeldBefore - holds.pqDrained
+	holds := holdStats{tramHeldBefore: st.tramHold.held, pqHeldBefore: st.pqHold.held}
+	holds.tramDrained = st.tramHold.drain(ar, st.me, st.tTram, st.tramDrainFn)
+	holds.pqDrained = st.pqHold.drain(ar, st.me, st.tPQ, st.pqDrainFn)
+	holds.tramHeldAfter = st.tramHold.held
+	holds.pqHeldAfter = st.pqHold.held
 	st.pendingHolds = holds
 	if drained := holds.tramDrained + holds.pqDrained; drained > 0 {
 		st.shared.met.holdDrained.Add(st.me, drained)

@@ -107,19 +107,24 @@ func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error
 // reductions and broadcasts then flow across the fabric like any other
 // message.
 func (s *setup) run() (*machine.Result[*peState], error) {
-	return machine.Run(s.cfg,
-		func(pe *runtime.PE) *peState {
-			return newPEState(s.sh, pe, s.params, s.sc.slot(pe.Index()))
-		},
-		func(rt *runtime.Runtime) {
-			span := rt.HostedSpan()
-			if owner := s.sh.part.Owner(s.source); owner >= span.Lo && owner < span.Hi {
-				rt.Inject(owner, seedMsg{source: s.source})
-			}
-			for i := span.Lo; i < span.Hi; i++ {
-				rt.Inject(i, startMsg{})
-			}
-		})
+	return machine.Run(s.cfg, s.newHandler, s.seed)
+}
+
+// newHandler builds PE pe's handler on its Scratch slot.
+func (s *setup) newHandler(pe *runtime.PE) *peState {
+	return newPEState(s.sh, pe, s.params, s.sc.slot(pe.Index()))
+}
+
+// seed injects this process's share of the start: the source relaxation
+// and one reduction-cycle start per hosted PE.
+func (s *setup) seed(rt *runtime.Runtime) {
+	span := rt.HostedSpan()
+	if owner := s.sh.part.Owner(s.source); owner >= span.Lo && owner < span.Hi {
+		rt.Inject(owner, seedMsg{source: s.source})
+	}
+	for i := span.Lo; i < span.Hi; i++ {
+		rt.Inject(i, startMsg{})
+	}
 }
 
 // Run executes ACIC on g from source and returns the distance vector and

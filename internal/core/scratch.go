@@ -124,8 +124,8 @@ type peSlot struct {
 	sent       []float64
 	hist       *histogram.Histogram
 	queue      *pq.BinaryHeap
-	pqHold     []arena.List[Update]
-	tramHold   []arena.List[Update]
+	pqHold     bucketHold
+	tramHold   bucketHold
 	fwdBufs    [][]Update
 	fwdTouched []int32
 }

@@ -121,20 +121,20 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 			buf = wire.AppendI64(buf, h.Created)
 			buf = wire.AppendI64(buf, h.Processed)
 			// Sparse bucket encoding: RMAT histograms are overwhelmingly
-			// empty, so (index, count) pairs beat a dense array.
-			nnz := 0
-			for i := 0; i < h.NumBuckets(); i++ {
-				if h.Bucket(i) != 0 {
-					nnz++
-				}
-			}
-			buf = wire.AppendU32(buf, uint32(nnz))
-			for i := 0; i < h.NumBuckets(); i++ {
+			// empty, so (index, count) pairs beat a dense array. One walk
+			// over the touched prefix writes them behind a count that is
+			// patched once the walk knows it.
+			at := len(buf)
+			buf = wire.AppendU32(buf, 0)
+			var nnz uint32
+			for i := 0; i < h.Top(); i++ {
 				if v := h.Bucket(i); v != 0 {
 					buf = wire.AppendU32(buf, uint32(i))
 					buf = wire.AppendI64(buf, v)
+					nnz++
 				}
 			}
+			wire.PutU32(buf[at:], nnz)
 			buf = wire.AppendI64(buf, rv.finalized)
 			buf = wire.AppendI64(buf, rv.holds.tramHeldBefore)
 			buf = wire.AppendI64(buf, rv.holds.tramDrained)

@@ -177,6 +177,80 @@ func TestReduceValWireRoundTrip(t *testing.T) {
 	sh.pools.putReduceVal(got)
 }
 
+// TestReduceValWireNarrowIntoWide encodes a contribution whose histogram
+// touched only its low buckets and decodes it into a pooled value that
+// last carried a wider one: every bucket must come back equal, none of
+// the wider value's counts may survive, and the frame must be the same
+// bytes the sparse format has always had.
+func TestReduceValWireNarrowIntoWide(t *testing.T) {
+	c, sh := newWireHarness(t)
+	narrow := sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
+	narrow.hist.Reset()
+	narrow.hist.AddCreated(0.2) // bucket 0
+	narrow.hist.AddCreated(1.4) // bucket 2
+	narrow.hist.AddCreated(1.4)
+	narrow.hist.AddProcessed(0.7) // bucket 1, negative
+	narrow.finalized = 7
+	narrow.holds = holdStats{tramHeldBefore: 3, tramDrained: 1, tramHeldAfter: 2}
+	if top := narrow.hist.Top(); top != 3 {
+		t.Fatalf("narrow histogram top %d, want 3", top)
+	}
+	want := narrow.hist.Snapshot()
+	wantHolds := narrow.holds
+
+	body := wire.AppendU32(nil, uint32(sh.bucketCount))
+	body = wire.AppendF64(body, sh.bucketWidth)
+	body = wire.AppendI64(body, 3) // created
+	body = wire.AppendI64(body, 1) // processed
+	body = wire.AppendU32(body, 3) // nnz
+	for _, kv := range [][2]int64{{0, 1}, {1, -1}, {2, 2}} {
+		body = wire.AppendU32(body, uint32(kv[0]))
+		body = wire.AppendI64(body, kv[1])
+	}
+	body = wire.AppendI64(body, 7)
+	for _, h := range []int64{3, 1, 2, 0, 0, 0} {
+		body = wire.AppendI64(body, h)
+	}
+	frame, err := c.EncodeFrame(nil, narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp := buildFrame(wire.TagReduceVal, body); string(frame) != string(exp) {
+		t.Fatalf("frame changed:\n got %x\nwant %x", frame, exp)
+	}
+
+	// The encode hook pooled narrow; swap it for a value whose histogram
+	// reaches the last bucket, so the decode draws that one.
+	sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
+	wide := &reduceVal{hist: histogram.New(sh.bucketCount, sh.bucketWidth)}
+	for i := 0; i < sh.bucketCount; i++ {
+		wide.hist.SetBucket(i, int64(100+i))
+	}
+	sh.pools.putReduceVal(wide)
+
+	v, _, err := c.DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(*reduceVal)
+	if got != wide {
+		t.Fatal("decode did not draw the wide pooled value")
+	}
+	for i := 0; i < sh.bucketCount; i++ {
+		if got.hist.Bucket(i) != want.Bucket(i) {
+			t.Errorf("bucket %d: %d, want %d", i, got.hist.Bucket(i), want.Bucket(i))
+		}
+	}
+	if got.hist.Created != 3 || got.hist.Processed != 1 || got.finalized != 7 || got.holds != wantHolds {
+		t.Errorf("counters: created %d processed %d finalized %d holds %+v",
+			got.hist.Created, got.hist.Processed, got.finalized, got.holds)
+	}
+	if got.hist.Sum() != want.Sum() || got.hist.HighestNonEmpty() != 2 {
+		t.Errorf("scans: sum %d highest %d, want %d and 2", got.hist.Sum(), got.hist.HighestNonEmpty(), want.Sum())
+	}
+	sh.pools.putReduceVal(got)
+}
+
 func TestReduceValWireRejectsShapeMismatch(t *testing.T) {
 	c, sh := newWireHarness(t)
 

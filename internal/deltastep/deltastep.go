@@ -100,13 +100,13 @@ type Stats struct {
 	// BucketsProcessed counts Δ-buckets fully drained.
 	BucketsProcessed int64
 	// SwitchedToBF records whether and when the hybrid heuristic fired.
-	SwitchedToBF    bool
-	BFRounds        int64
-	TramStats       tram.Stats
-	Network         netsim.Stats
+	SwitchedToBF bool
+	BFRounds     int64
+	TramStats    tram.Stats
+	Network      netsim.Stats
 	// Audit is the runtime's post-run conservation ledger; the stress
 	// harness requires Audit.Unaccounted() == 0 and Audit.NetQueue == 0.
-	Audit runtime.Audit
+	Audit           runtime.Audit
 	SettledPerEpoch []int64 // newly settled vertices per bucket epoch
 }
 

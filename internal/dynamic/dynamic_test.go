@@ -68,9 +68,9 @@ func TestApplyClassifiesAndCounts(t *testing.T) {
 	d, err := dg.Apply([]Mutation{
 		{Op: Insert, From: 0, To: 3, Weight: 0.5},
 		{Op: Delete, From: 1, To: 2},
-		{Op: SetWeight, From: 0, To: 4, Weight: 2},  // decrease (10 → 2)
-		{Op: SetWeight, From: 3, To: 5, Weight: 7},  // increase (1 → 7)
-		{Op: SetWeight, From: 2, To: 3, Weight: 1},  // no-op reweight
+		{Op: SetWeight, From: 0, To: 4, Weight: 2}, // decrease (10 → 2)
+		{Op: SetWeight, From: 3, To: 5, Weight: 7}, // increase (1 → 7)
+		{Op: SetWeight, From: 2, To: 3, Weight: 1}, // no-op reweight
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -195,7 +195,6 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-
 // TestRetryAfterTracksServiceTime pins the adaptive 429 hint: the floor
 // before any query completes, the rounded-up recent mean once queries have
 // run, and the ceiling when the mean is pathological.

@@ -21,6 +21,13 @@
 // index: the smallest bucket such that the cumulative count of active
 // updates at or below it reaches a caller-provided fraction p of all active
 // updates.
+//
+// Every Histogram records the prefix of buckets it has touched since New or
+// Reset (Top), and every scan, copy, merge and reset walks only that
+// prefix. The introspection cycle does that work once per reduction on
+// every PE, and a run's distances occupy few of the 512 buckets (on the
+// benchmark graphs no merged histogram holds a count above bucket 111), so
+// the cycle costs the buckets in use rather than the paper's full layout.
 package histogram
 
 import (
@@ -39,6 +46,9 @@ type Histogram struct {
 	width   float64
 	inv     float64 // 1/width, fixed in New so BucketOf never divides
 	buckets []int64
+	// top is one past the highest bucket written since New or Reset:
+	// every bucket at or above it is zero, so scans stop there.
+	top int
 
 	// Created and Processed mirror the per-PE "updates created locally" and
 	// "updates processed locally" counters reduced alongside the histogram
@@ -76,6 +86,18 @@ func New(bucketCount int, width float64) *Histogram {
 
 // NumBuckets returns the number of buckets.
 func (h *Histogram) NumBuckets() int { return len(h.buckets) }
+
+// Top returns one past the highest bucket written since New or Reset.
+// Every bucket at or above Top is zero, so a walk over [0, Top) sees every
+// nonzero count.
+func (h *Histogram) Top() int { return h.top }
+
+// raise extends the touched prefix to cover bucket b.
+func (h *Histogram) raise(b int) {
+	if b >= h.top {
+		h.top = b + 1
+	}
+}
 
 // BucketOf maps a distance to its bucket index, clamping to the valid range.
 // Distances beyond the last bucket accumulate in the last bucket, matching
@@ -122,6 +144,7 @@ func (h *Histogram) BucketOf(d float64) int {
 func (h *Histogram) AddCreated(d float64) int {
 	b := h.BucketOf(d)
 	h.buckets[b]++
+	h.raise(b)
 	h.Created++
 	return b
 }
@@ -130,7 +153,9 @@ func (h *Histogram) AddCreated(d float64) int {
 // completed (it was rejected, superseded, or all onward updates were
 // created): the bucket is decremented and the processed counter advances.
 func (h *Histogram) AddProcessed(d float64) {
-	h.buckets[h.BucketOf(d)]--
+	b := h.BucketOf(d)
+	h.buckets[b]--
+	h.raise(b)
 	h.Processed++
 }
 
@@ -141,7 +166,10 @@ func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
 // codec, which rebuilds a histogram from its serialized sparse buckets;
 // algorithm code mutates buckets only through AddCreated/AddProcessed so
 // Created/Processed stay consistent with the bucket contents.
-func (h *Histogram) SetBucket(i int, v int64) { h.buckets[i] = v }
+func (h *Histogram) SetBucket(i int, v int64) {
+	h.buckets[i] = v
+	h.raise(i)
+}
 
 // Active returns Created - Processed, the number of updates this histogram
 // believes are in flight. Only meaningful on a merged global histogram.
@@ -152,7 +180,7 @@ func (h *Histogram) Active() int64 { return h.Created - h.Processed }
 // by a decrement that overtook its increment counts as empty.
 func (h *Histogram) Positive() int64 {
 	var s int64
-	for _, b := range h.buckets {
+	for _, b := range h.buckets[:h.top] {
 		if b > 0 {
 			s += b
 		}
@@ -164,7 +192,7 @@ func (h *Histogram) Positive() int64 {
 // this equals Active.
 func (h *Histogram) Sum() int64 {
 	var s int64
-	for _, b := range h.buckets {
+	for _, b := range h.buckets[:h.top] {
 		s += b
 	}
 	return s
@@ -178,6 +206,7 @@ func (h *Histogram) Snapshot() *Histogram {
 		width:     h.width,
 		inv:       h.inv,
 		buckets:   append([]int64(nil), h.buckets...),
+		top:       h.top,
 		Created:   h.Created,
 		Processed: h.Processed,
 	}
@@ -185,14 +214,20 @@ func (h *Histogram) Snapshot() *Histogram {
 }
 
 // SnapshotInto copies h into dst — Snapshot without the allocation, for
-// callers that recycle contribution histograms through a pool. It panics
-// if shapes differ (a pooled histogram always matches its run's shape).
+// callers that recycle contribution histograms through a pool. It copies
+// h's touched prefix and clears whatever dst held above it, so a pooled
+// dst that last carried a wider histogram ends up equal to h. It panics if
+// shapes differ (a pooled histogram always matches its run's shape).
 func (h *Histogram) SnapshotInto(dst *Histogram) {
 	if len(dst.buckets) != len(h.buckets) {
 		panic(fmt.Sprintf("histogram: snapshot of %d buckets into %d", len(h.buckets), len(dst.buckets)))
 	}
 	dst.width, dst.inv = h.width, h.inv
-	copy(dst.buckets, h.buckets)
+	if dst.top > h.top {
+		clear(dst.buckets[h.top:dst.top])
+	}
+	copy(dst.buckets, h.buckets[:h.top])
+	dst.top = h.top
 	dst.Created = h.Created
 	dst.Processed = h.Processed
 }
@@ -206,18 +241,18 @@ func (h *Histogram) Merge(other *Histogram) {
 	if h.width != other.width {
 		panic("histogram: merging histograms with different widths")
 	}
-	for i, b := range other.buckets {
+	for i, b := range other.buckets[:other.top] {
 		h.buckets[i] += b
 	}
+	h.raise(other.top - 1)
 	h.Created += other.Created
 	h.Processed += other.Processed
 }
 
 // Reset zeroes all buckets and counters.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
+	clear(h.buckets[:h.top])
+	h.top = 0
 	h.Created = 0
 	h.Processed = 0
 }
@@ -226,7 +261,7 @@ func (h *Histogram) Reset() {
 // count, or -1 if none. Fig. 1's "lowest bucket number with remaining
 // updates" is this value on the merged histogram.
 func (h *Histogram) LowestNonEmpty() int {
-	for i, b := range h.buckets {
+	for i, b := range h.buckets[:h.top] {
 		if b > 0 {
 			return i
 		}
@@ -237,7 +272,7 @@ func (h *Histogram) LowestNonEmpty() int {
 // HighestNonEmpty returns the index of the highest bucket with a positive
 // count, or -1 if none.
 func (h *Histogram) HighestNonEmpty() int {
-	for i := len(h.buckets) - 1; i >= 0; i-- {
+	for i := h.top - 1; i >= 0; i-- {
 		if h.buckets[i] > 0 {
 			return i
 		}
@@ -255,16 +290,22 @@ func (h *Histogram) HighestNonEmpty() int {
 // If the histogram is empty, the last bucket index is returned so that every
 // pending update clears the threshold and the algorithm can drain.
 func (h *Histogram) PercentileBucket(p float64) int {
+	return h.percentile(p, h.Positive())
+}
+
+// percentile is PercentileBucket with the clamped total (Positive) already
+// known, so a threshold rule that needs several percentiles of one merged
+// histogram sums it once.
+func (h *Histogram) percentile(p float64, total int64) int {
 	if p <= 0 || p > 1 || math.IsNaN(p) {
 		panic(fmt.Sprintf("histogram: percentile fraction %v out of (0,1]", p))
 	}
-	total := h.Positive()
 	if total == 0 {
 		return len(h.buckets) - 1
 	}
 	target := p * float64(total)
 	var running int64
-	for i, b := range h.buckets {
+	for i, b := range h.buckets[:h.top] {
 		if b > 0 {
 			running += b
 		}
@@ -303,24 +344,25 @@ func DefaultParams() Params {
 
 // ComputeThresholds implements the root's side of Algorithm 1 minus the
 // termination check (which belongs to the quiescence machinery): given the
-// merged global histogram, the PE count, the policy parameters and whether
-// the active population (Positive) grew since the previous reduction, it
-// returns the thresholds to broadcast.
+// merged global histogram, its active population (global.Positive(), which
+// the caller has already summed to decide growing), the PE count, the
+// policy parameters and whether that population grew since the previous
+// reduction, it returns the thresholds to broadcast.
 //
 // The low-parallelism release is meant for the tail, where the frontier
 // shrinks. A frontier below the watermark that is still growing is the
 // start of a run, not its tail: releasing every bucket there lets it grow
 // in unordered Bellman-Ford fashion, so it gets the percentile thresholds.
-func ComputeThresholds(global *Histogram, numPEs int, p Params, growing bool) Thresholds {
-	if !growing && global.Positive() <= p.LowWatermarkPerPE*int64(numPEs) {
+func ComputeThresholds(global *Histogram, active int64, numPEs int, p Params, growing bool) Thresholds {
+	if !growing && active <= p.LowWatermarkPerPE*int64(numPEs) {
 		// Low parallelism: release everything (§III-a; prose form of
 		// Algorithm 1's low-count branch).
 		last := global.NumBuckets() - 1
 		return Thresholds{Tram: last, PQ: last}
 	}
 	return Thresholds{
-		Tram: global.PercentileBucket(p.PTram),
-		PQ:   global.PercentileBucket(p.PPQ),
+		Tram: global.percentile(p.PTram, active),
+		PQ:   global.percentile(p.PPQ, active),
 	}
 }
 
@@ -336,10 +378,10 @@ func ComputeThresholds(global *Histogram, numPEs int, p Params, growing bool) Th
 // so as the machine approaches the low-parallelism tail the thresholds
 // open smoothly rather than snapping, and under heavy load they converge
 // to the paper's fixed percentiles. Like the two-tier rule's release, the
-// boost applies only while the active population is not growing. The
-// ablation benchmark contrasts this policy with the paper's two-tier rule.
-func ComputeSmoothThresholds(global *Histogram, numPEs int, p Params, growing bool) Thresholds {
-	active := global.Positive()
+// boost applies only while the active population is not growing. active is
+// global.Positive(), as for ComputeThresholds. The ablation benchmark
+// contrasts this policy with the paper's two-tier rule.
+func ComputeSmoothThresholds(global *Histogram, active int64, numPEs int, p Params, growing bool) Thresholds {
 	last := global.NumBuckets() - 1
 	if active == 0 {
 		return Thresholds{Tram: last, PQ: last}
@@ -355,7 +397,7 @@ func ComputeSmoothThresholds(global *Histogram, numPEs int, p Params, growing bo
 			// like the two-tier rule's low-parallelism branch.
 			return last
 		}
-		return global.PercentileBucket(v)
+		return global.percentile(v, active)
 	}
 	return Thresholds{Tram: bucketFor(p.PTram), PQ: bucketFor(p.PPQ)}
 }
@@ -364,7 +406,7 @@ func ComputeSmoothThresholds(global *Histogram, numPEs int, p Params, growing bo
 // Fig. 1 reproduction.
 func (h *Histogram) String() string {
 	var max int64
-	for _, b := range h.buckets {
+	for _, b := range h.buckets[:h.top] {
 		if b > max {
 			max = b
 		}

@@ -235,7 +235,7 @@ func TestComputeThresholdsLowWatermark(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		g.AddCreated(float64(i % 60))
 	}
-	th := ComputeThresholds(g, 100, p, false)
+	th := ComputeThresholds(g, g.Positive(), 100, p, false)
 	if th.Tram != 63 || th.PQ != 63 {
 		t.Errorf("low-parallelism thresholds = %+v, want both 63", th)
 	}
@@ -251,17 +251,17 @@ func TestComputeThresholdsGateOnDirection(t *testing.T) {
 		g.AddCreated(float64(i % 20))
 	}
 	p := DefaultParams() // 4 PEs → limit 400, far above the 40 active
-	if th := ComputeThresholds(g, 4, p, true); th.PQ != 0 || th.Tram != 19 {
+	if th := ComputeThresholds(g, g.Positive(), 4, p, true); th.PQ != 0 || th.Tram != 19 {
 		t.Errorf("below the watermark while growing: %+v, want the percentiles {Tram:19 PQ:0}", th)
 	}
-	if th := ComputeThresholds(g, 4, p, false); th.Tram != 63 || th.PQ != 63 {
+	if th := ComputeThresholds(g, g.Positive(), 4, p, false); th.Tram != 63 || th.PQ != 63 {
 		t.Errorf("below the watermark while not growing: %+v, want every bucket", th)
 	}
 	// An empty histogram releases everything either way: there is nothing
 	// to order, and the run must be able to drain.
 	empty := New(64, 1)
 	for _, growing := range []bool{false, true} {
-		if th := ComputeThresholds(empty, 4, p, growing); th.Tram != 63 || th.PQ != 63 {
+		if th := ComputeThresholds(empty, empty.Positive(), 4, p, growing); th.Tram != 63 || th.PQ != 63 {
 			t.Errorf("empty histogram (growing %v): %+v, want every bucket", growing, th)
 		}
 	}
@@ -276,10 +276,10 @@ func TestSmoothThresholdsBoostOnlyWhenNotGrowing(t *testing.T) {
 		g.AddCreated(float64(i % 20))
 	}
 	p := DefaultParams()
-	if th := ComputeSmoothThresholds(g, 4, p, true); th != ComputeThresholds(g, 4, p, true) {
+	if th := ComputeSmoothThresholds(g, g.Positive(), 4, p, true); th != ComputeThresholds(g, g.Positive(), 4, p, true) {
 		t.Errorf("growing smooth thresholds %+v, want the two-tier percentiles", th)
 	}
-	if th := ComputeSmoothThresholds(g, 4, p, false); th.Tram != 63 || th.PQ != 63 {
+	if th := ComputeSmoothThresholds(g, g.Positive(), 4, p, false); th.Tram != 63 || th.PQ != 63 {
 		t.Errorf("not-growing smooth thresholds %+v, want every bucket", th)
 	}
 }
@@ -291,7 +291,7 @@ func TestComputeThresholdsPercentiles(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		g.AddCreated(float64(i % 50))
 	}
-	th := ComputeThresholds(g, 2, p, false)
+	th := ComputeThresholds(g, g.Positive(), 2, p, false)
 	if th.PQ >= th.Tram {
 		t.Errorf("expected PQ threshold below tram threshold: %+v", th)
 	}
@@ -313,8 +313,8 @@ func TestSmoothThresholdsConvergeToPercentilesUnderLoad(t *testing.T) {
 		g.AddCreated(float64(i % 50))
 	}
 	p := DefaultParams()
-	smooth := ComputeSmoothThresholds(g, 2, p, false)
-	paper := ComputeThresholds(g, 2, p, false)
+	smooth := ComputeSmoothThresholds(g, g.Positive(), 2, p, false)
+	paper := ComputeThresholds(g, g.Positive(), 2, p, false)
 	if smooth.Tram != paper.Tram {
 		t.Errorf("tram: smooth %d vs paper %d under heavy load", smooth.Tram, paper.Tram)
 	}
@@ -330,12 +330,12 @@ func TestSmoothThresholdsOpenWhenDrained(t *testing.T) {
 	}
 	// 50 active ≤ 100×4 watermark: both policies release everything.
 	p := DefaultParams()
-	smooth := ComputeSmoothThresholds(g, 4, p, false)
+	smooth := ComputeSmoothThresholds(g, g.Positive(), 4, p, false)
 	if smooth.Tram != 63 || smooth.PQ != 63 {
 		t.Errorf("drained smooth thresholds = %+v, want max", smooth)
 	}
 	empty := New(64, 1)
-	se := ComputeSmoothThresholds(empty, 4, p, false)
+	se := ComputeSmoothThresholds(empty, empty.Positive(), 4, p, false)
 	if se.Tram != 63 || se.PQ != 63 {
 		t.Errorf("empty smooth thresholds = %+v", se)
 	}
@@ -350,7 +350,7 @@ func TestSmoothThresholdsMonotoneInActive(t *testing.T) {
 		for i := 0; i < n; i++ {
 			g.AddCreated(float64(i % 60))
 		}
-		th := ComputeSmoothThresholds(g, 1, p, false)
+		th := ComputeSmoothThresholds(g, g.Positive(), 1, p, false)
 		if th.PQ > prev {
 			t.Errorf("active=%d: PQ threshold %d rose above %d", n, th.PQ, prev)
 		}
@@ -495,6 +495,47 @@ func BenchmarkComputeThresholds(b *testing.B) {
 	p := DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeThresholds(g, 48, p, false)
+		ComputeThresholds(g, g.Positive(), 48, p, false)
+	}
+}
+
+// BenchmarkControlCycle is one reduction's histogram work on a four-PE
+// machine at solve-small's occupancy (2^10 vertices, edge factor 8: merged
+// counts reach bucket ~111 of 512): every PE snapshots its local histogram
+// into a pooled contribution, the tree merges the three others into one,
+// and the root sums the active population once, derives both thresholds
+// and the lowest active bucket. A contribution's pooled histogram keeps
+// its touched prefix from the previous cycle, as in a run. 0 allocs/op.
+func BenchmarkControlCycle(b *testing.B) {
+	const pes, occupied = 4, 112
+	r := xrand.New(34)
+	local := make([]*Histogram, pes)
+	pooled := make([]*Histogram, pes)
+	for pe := range local {
+		local[pe] = New(DefaultBuckets, PaperWidth(1<<10))
+		pooled[pe] = New(DefaultBuckets, PaperWidth(1<<10))
+		for i := 0; i < 2000; i++ {
+			d := r.Float64() * float64(occupied) * local[pe].Width()
+			if i%5 == 0 {
+				local[pe].AddProcessed(d)
+			} else {
+				local[pe].AddCreated(d)
+			}
+		}
+	}
+	p := DefaultParams()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for pe := range local {
+			local[pe].SnapshotInto(pooled[pe])
+		}
+		global := pooled[0]
+		for _, c := range pooled[1:] {
+			global.Merge(c)
+		}
+		active := global.Positive()
+		th := ComputeThresholds(global, active, pes, p, false)
+		bucketSink = th.Tram + th.PQ + global.LowestNonEmpty()
 	}
 }

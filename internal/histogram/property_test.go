@@ -69,14 +69,14 @@ func TestThresholdsMonotoneInParams(t *testing.T) {
 		hi.PPQ = math.Min(1, hi.PPQ+r.Range(0, 1-hi.PPQ))
 		for _, compute := range []struct {
 			name string
-			fn   func(*Histogram, int, Params, bool) Thresholds
+			fn   func(*Histogram, int64, int, Params, bool) Thresholds
 		}{
 			{"two-tier", ComputeThresholds},
 			{"smooth", ComputeSmoothThresholds},
 		} {
 			for _, growing := range []bool{false, true} {
-				a := compute.fn(h, numPEs, lo, growing)
-				b := compute.fn(h, numPEs, hi, growing)
+				a := compute.fn(h, h.Positive(), numPEs, lo, growing)
+				b := compute.fn(h, h.Positive(), numPEs, hi, growing)
 				if b.Tram < a.Tram {
 					t.Fatalf("trial %d %s (growing %v): raising p_tram %g→%g lowered t_tram %d→%d",
 						trial, compute.name, growing, lo.PTram, hi.PTram, a.Tram, b.Tram)

@@ -268,6 +268,10 @@ func AppendU32(buf []byte, v uint32) []byte {
 	return append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
+// PutU32 overwrites buf[:4] with v big-endian: it patches a field an
+// encoder reserved with AppendU32 before it knew the value.
+func PutU32(buf []byte, v uint32) { binary.BigEndian.PutUint32(buf, v) }
+
 // AppendU64 appends v big-endian.
 func AppendU64(buf []byte, v uint64) []byte {
 	return append(buf, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),

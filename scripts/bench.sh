@@ -33,6 +33,7 @@ BENCHES=(
   "BenchmarkOwner/oned|./internal/partition|"
   "BenchmarkOwner/chunked|./internal/partition|"
   "BenchmarkBucketOf|./internal/histogram|"
+  "BenchmarkControlCycle|./internal/histogram|"
   "BenchmarkUpdateKernel|./internal/core|"
   "BenchmarkUpdateKernelShipped|./internal/core|"
   "BenchmarkWireEncodeBatch|./internal/core|"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repository CI gate: vet, the project's own analyzers (acic-lint), build,
-# full test suite with a coverage floor, the separate benchmark/ module,
-# the race detector over every package, a fuzz smoke pass, the
+# Repository CI gate: vet, gofmt, the project's own analyzers (acic-lint),
+# build, full test suite with a coverage floor, the separate benchmark/
+# module, the race detector over every package, a fuzz smoke pass, the
 # schedule-stress harness, and the perf pipeline (benchmark smoke +
 # regression gate against the committed BENCH_N.json baseline).
 set -euo pipefail
@@ -10,6 +10,14 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt (fails when gofmt -l lists any file) =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "FAIL: files need gofmt:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== acic-lint (project analyzers) =="
 go run ./cmd/acic-lint ./...
@@ -56,6 +64,7 @@ go test -race ./...
 echo "== fuzz smoke (10s per target; one target per invocation) =="
 go test -run '^$' -fuzz '^FuzzGraphLoadCSV$' -fuzztime 10s ./internal/graph
 go test -run '^$' -fuzz '^FuzzHistogramMerge$' -fuzztime 10s ./internal/histogram
+go test -run '^$' -fuzz '^FuzzHistogramOps$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzBucketOf$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/wire
 
