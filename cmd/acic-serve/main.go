@@ -16,7 +16,9 @@
 //
 // The daemon always serves a dynamic engine: POST /mutate applies a batch
 // of edge mutations (insert, delete, set_weight), bumps the graph epoch,
-// and incrementally repairs resident cached vectors (see internal/dynamic).
+// and carries resident cached vectors over, repairing the ones the batch
+// alters (see internal/dynamic). A body over 8 MiB is answered 413 and a
+// batch of more than 65,536 mutations 400.
 //
 // Admission control sheds load with 429 + Retry-After once the in-flight
 // and queued query bounds are both full; see internal/engine.
@@ -91,6 +93,21 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and a keep-alive connection is closed after idleTimeout without
+// a request, so stalled or abandoned connections cannot pin the daemon's
+// file descriptors. There is deliberately no write timeout: a cache miss
+// runs a full solve and may legitimately take long to answer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the daemon's HTTP server for h.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serve listens on addr and serves eng's HTTP API until ctx is cancelled,
 // then drains the engine with a drainWait deadline. onReady, if non-nil,
 // receives the bound address once the listener is up (the in-process tests
@@ -100,7 +117,7 @@ func serve(ctx context.Context, eng *engine.Engine, g *graph.Graph, addr string,
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: eng.Handler()}
+	srv := newServer(eng.Handler())
 	h := eng.Health()
 	// The readiness line is part of the interface: the CI smoke stage (and
 	// any launcher) parses the bound address from it.

@@ -44,6 +44,21 @@ func TestLoadGraphGeneratedKinds(t *testing.T) {
 	}
 }
 
+// TestServerTimeouts pins the daemon's connection timeouts: headers and
+// idle keep-alives are bounded, writes are not (a miss may run long).
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v, want none", srv.WriteTimeout, srv.ReadTimeout)
+	}
+}
+
 // TestServeInProcess drives the serve loop without exec'ing a binary: it
 // binds port 0, issues one query of each shape over real HTTP, then cancels
 // the context (standing in for SIGTERM) and requires a clean drain. The

@@ -4,6 +4,13 @@
 // graph epochs, plus the incremental SSSP repair that makes mutations cheap
 // to serve (see repair.go).
 //
+// A batch costs what it changes. Repair's scratch (a lazy heap and the
+// subtree stacks) lives on the Graph and grows with the largest damage
+// seen, never with |V|; Affects tells a caller holding many vectors which
+// ones a batch would write, so the rest can be shared instead of copied;
+// and Snapshot splices the new CSR from the previous one, rewriting only
+// the sources whose out-list a mutation touched.
+//
 // The design follows the incremental/decremental split of the dynamic-SSSP
 // literature (SSSP-Del, Javanrood & Ripeanu, arXiv:2508.14319; Kyng et al.,
 // arXiv:2110.11712): an insert or weight decrease can only create shorter
@@ -17,7 +24,8 @@
 //
 // A Graph is NOT safe for concurrent use: callers (internal/engine) must
 // serialize Apply/Repair/Snapshot. Readers of CSR snapshots are unaffected
-// by later mutations — Snapshot returns a fresh immutable *graph.Graph.
+// by later mutations — a snapshot is an immutable *graph.Graph that shares
+// no storage with the adjacency lists.
 package dynamic
 
 import (
@@ -26,6 +34,7 @@ import (
 	"math"
 
 	"acic/internal/graph"
+	"acic/internal/pq"
 )
 
 // Op is a mutation kind.
@@ -105,11 +114,26 @@ type Graph struct {
 	rev      [][]half
 	numEdges int
 	epoch    uint64
+
+	// snap is the last snapshot; dirty marks the sources whose out-list
+	// changed since it was built (every vertex before the first), and
+	// ndirty counts them. The mutation primitives do the marking.
+	snap   *graph.Graph
+	dirty  []bool
+	ndirty int
+
+	// Repair scratch, reused across calls (see repair.go).
+	heap                  pq.BinaryHeap
+	roots, stack, invalid []int32
 }
 
 // New returns an edgeless dynamic graph with n vertices at epoch 0.
 func New(n int) *Graph {
-	return &Graph{fwd: make([][]half, n), rev: make([][]half, n)}
+	g := &Graph{fwd: make([][]half, n), rev: make([][]half, n), dirty: make([]bool, n), ndirty: n}
+	for v := range g.dirty {
+		g.dirty[v] = true
+	}
+	return g
 }
 
 // FromCSR copies a CSR graph into mutable adjacency form at epoch 0. The
@@ -135,17 +159,64 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // leaves it (and the graph) unchanged.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// Snapshot builds a fresh immutable CSR graph of the current state. The
-// snapshot shares nothing with the dynamic graph, so later mutations never
-// touch it — internal/engine hands snapshots to concurrent queries.
+// Snapshot returns an immutable CSR graph of the current state. It shares
+// nothing with the dynamic graph, so later mutations never touch it —
+// internal/engine hands snapshots to concurrent queries. With no mutation
+// since the last call it returns that same graph; otherwise it builds a new
+// one from the previous snapshot, one copy per run of unchanged sources,
+// and writes only the sources a mutation touched (on the first call, all
+// of them).
 func (g *Graph) Snapshot() *graph.Graph {
-	edges := make([]graph.Edge, 0, g.numEdges)
-	for v, hs := range g.fwd {
-		for _, h := range hs {
-			edges = append(edges, graph.Edge{From: int32(v), To: h.v, Weight: h.w})
-		}
+	if g.snap != nil && g.ndirty == 0 {
+		return g.snap
 	}
-	return graph.MustBuild(len(g.fwd), edges)
+	n := len(g.fwd)
+	offsets := make([]int64, n+1)
+	targets := make([]int32, g.numEdges)
+	weights := make([]float64, g.numEdges)
+	var prevOff []int64
+	var prevT []int32
+	var prevW []float64
+	if g.snap != nil {
+		prevOff, prevT, prevW = g.snap.CSR()
+	}
+	var pos int64
+	for v := 0; v < n; {
+		if !g.dirty[v] {
+			end := v + 1
+			for end < n && !g.dirty[end] {
+				end++
+			}
+			lo, hi := prevOff[v], prevOff[end]
+			for u := v; u < end; u++ {
+				offsets[u] = prevOff[u] - lo + pos
+			}
+			copy(targets[pos:], prevT[lo:hi])
+			copy(weights[pos:], prevW[lo:hi])
+			pos += hi - lo
+			v = end
+			continue
+		}
+		g.dirty[v] = false
+		offsets[v] = pos
+		for _, h := range g.fwd[v] {
+			targets[pos], weights[pos] = h.v, h.w
+			pos++
+		}
+		v++
+	}
+	offsets[n] = pos
+	g.ndirty = 0
+	g.snap = graph.Adopt(offsets, targets, weights)
+	return g.snap
+}
+
+// touch records that from's out-list changed since the last snapshot.
+func (g *Graph) touch(from int32) {
+	if !g.dirty[from] {
+		g.dirty[from] = true
+		g.ndirty++
+	}
 }
 
 // Delta is the classified record of one applied batch, consumed by Repair.
@@ -257,6 +328,7 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 
 // insertEdge appends From→To to both adjacency lists.
 func (g *Graph) insertEdge(from, to int32, w float64) {
+	g.touch(from)
 	g.fwd[from] = append(g.fwd[from], half{v: to, w: w})
 	g.rev[to] = append(g.rev[to], half{v: from, w: w})
 	g.numEdges++
@@ -269,6 +341,7 @@ func (g *Graph) insertEdge(from, to int32, w float64) {
 func (g *Graph) removeEdge(from, to int32) (w float64, ok bool) {
 	for i, h := range g.fwd[from] {
 		if h.v == to {
+			g.touch(from)
 			g.fwd[from] = swapRemove(g.fwd[from], i)
 			if !removeHalf(&g.rev[to], from, h.w) {
 				panic("dynamic: fwd/rev adjacency out of sync")
@@ -285,6 +358,7 @@ func (g *Graph) removeEdge(from, to int32) (w float64, ok bool) {
 func (g *Graph) removeEdgeW(from, to int32, w float64) bool {
 	for i, h := range g.fwd[from] {
 		if h.v == to && h.w == w {
+			g.touch(from)
 			g.fwd[from] = swapRemove(g.fwd[from], i)
 			if !removeHalf(&g.rev[to], from, w) {
 				panic("dynamic: fwd/rev adjacency out of sync")
@@ -301,6 +375,7 @@ func (g *Graph) removeEdgeW(from, to int32, w float64) bool {
 func (g *Graph) setWeight(from, to int32, w float64) (old float64, ok bool) {
 	for i, h := range g.fwd[from] {
 		if h.v == to {
+			g.touch(from)
 			old = h.w
 			g.fwd[from][i].w = w
 			for j := range g.rev[to] {
@@ -323,6 +398,7 @@ func (g *Graph) setWeight(from, to int32, w float64) (old float64, ok bool) {
 func (g *Graph) setWeightW(from, to int32, matchW, w float64) bool {
 	for i, h := range g.fwd[from] {
 		if h.v == to && h.w == matchW {
+			g.touch(from)
 			g.fwd[from][i].w = w
 			for j := range g.rev[to] {
 				if g.rev[to][j].v == from && g.rev[to][j].w == matchW {

@@ -21,11 +21,21 @@ package dynamic
 // skip stale entries, relax out-edges. With non-negative weights every
 // vertex it settles is final, and vertices it never touches were already
 // final — the classical Ramalingam–Reps argument specialized to batches.
+//
+// Both phases start from one rule (severs for increases, improves for
+// decreases), which Affects evaluates without writing: a caller holding
+// vectors that readers share copies only the ones the rule selects.
+//
+// A call costs the damage, not the graph: the heap is lazy (a vertex is
+// pushed again on every improvement and superseded pops are skipped), the
+// subtree walk finds a vertex's tree children among its out-edges, and
+// both keep their storage on the Graph between calls.
 
 import (
 	"fmt"
 	"math"
 
+	"acic/internal/graph"
 	"acic/internal/pq"
 )
 
@@ -44,32 +54,75 @@ type RepairStats struct {
 	Relaxations int64
 }
 
+// Affects reports whether Repair would write to dist or parent for d: some
+// increased edge is a tree edge, or some decreased edge improves its head.
+// It writes nothing. Vectors for which it returns false are exact for the
+// post-batch graph as they stand.
+func (g *Graph) Affects(dist []float64, parent []int32, d *Delta) bool {
+	for _, e := range d.Increased {
+		if severs(dist, parent, e) {
+			return true
+		}
+	}
+	for _, e := range d.Decreased {
+		if _, ok := g.improves(dist, e); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// severs reports whether increased (or deleted) edge e may have cut e.To
+// off the tree: e.To is labeled and its tree parent is e.From. With
+// parallel edges the tree may actually use a surviving parallel edge;
+// severing anyway is conservative and re-derives the same label.
+func severs(dist []float64, parent []int32, e graph.Edge) bool {
+	return parent[e.To] == e.From && !math.IsInf(dist[e.To], 1)
+}
+
+// improves returns the label decreased (or inserted) edge e proposes for
+// its head, and whether it beats the head's current label. The proposal
+// is re-read from the post-batch graph — never from the mutation's
+// recorded weight — because a later mutation in the same batch may have
+// deleted or re-raised the edge; the current cheapest parallel edge is
+// always sound. An unlabeled tail proposes nothing: its out-edges are
+// relaxed if the repair pass ever settles it.
+func (g *Graph) improves(dist []float64, e graph.Edge) (float64, bool) {
+	if math.IsInf(dist[e.From], 1) {
+		return 0, false
+	}
+	w, ok := g.minWeight(e.From, e.To)
+	if !ok {
+		return 0, false // deleted again later in the batch
+	}
+	nd := dist[e.From] + w
+	return nd, nd < dist[e.To]
+}
+
 // Repair updates dist/parent in place from the pre-batch to the post-batch
 // shortest-path solution for source. The vectors must be exact for the
 // graph state immediately before the batch described by d was applied, and
 // g must already be in the post-batch state (Repair is called with the
 // Delta returned by Apply). len(dist) and len(parent) must equal
-// NumVertices.
+// NumVertices. Repair writes nothing when Affects(dist, parent, d) is
+// false.
 func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) RepairStats {
 	var st RepairStats
-	n := len(g.fwd)
-	if d.Empty() || n == 0 {
+	if d.Empty() || len(g.fwd) == 0 {
 		return st
 	}
+	h := &g.heap
+	h.Reset()
 
-	h := pq.NewIndexedHeap(n)
-
-	// Increase phase: collect the roots that may have lost their path —
-	// any v whose tree parent is the source of a deleted or increased
-	// edge. (With parallel edges the tree may actually use a surviving
-	// parallel edge; invalidating anyway is conservative and re-derives
-	// the same label.) Then close over the parent tree and discard.
-	var roots []int32
+	// Increase phase: collect the roots that may have lost their path,
+	// close over the parent tree and discard.
+	roots := g.roots[:0]
 	for _, e := range d.Increased {
-		if parent[e.To] == e.From {
+		if severs(dist, parent, e) {
 			roots = append(roots, e.To)
 		}
 	}
+	g.roots = roots
 	if len(roots) > 0 {
 		invalid := g.invalidateSubtrees(roots, dist, parent)
 		st.Invalidated = len(invalid)
@@ -84,7 +137,7 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 				if nd := dist[u] + in.w; nd < dist[v] {
 					dist[v] = nd
 					parent[v] = u
-					h.PushOrDecrease(int(v), nd)
+					h.Push(pq.Item{Key: nd, Value: int64(v)})
 					st.Seeds++
 				}
 			}
@@ -92,31 +145,23 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 	}
 
 	// Decrease phase: each inserted or lightened edge proposes its head's
-	// label directly. The proposal is re-read from the post-batch graph —
-	// never from the mutation's recorded weight — because a later mutation
-	// in the same batch may have deleted or re-raised the edge; seeding
-	// with the current cheapest parallel edge is always sound. A decrease
-	// whose tail is itself invalidated needs no seed — the tail's
-	// out-edges are relaxed if the pass ever settles it.
+	// label directly. A head invalidated above is unlabeled, so any
+	// labeled tail improves it.
 	for _, e := range d.Decreased {
-		if math.IsInf(dist[e.From], 1) {
-			continue
-		}
-		w, ok := g.minWeight(e.From, e.To)
-		if !ok {
-			continue // deleted again later in the batch
-		}
-		if nd := dist[e.From] + w; nd < dist[e.To] {
+		if nd, ok := g.improves(dist, e); ok {
 			dist[e.To] = nd
 			parent[e.To] = e.From
-			h.PushOrDecrease(int(e.To), nd)
+			h.Push(pq.Item{Key: nd, Value: int64(e.To)})
 			st.Seeds++
 		}
 	}
 
-	// The repair pass: Dijkstra restricted to the affected region.
+	// The repair pass: Dijkstra restricted to the affected region. Every
+	// push carries a strictly smaller label than the last, so each vertex
+	// is settled once, by the pop that matches its final label.
 	for h.Len() > 0 {
-		v, dv := h.PopMin()
+		it := h.Pop()
+		v, dv := int32(it.Value), it.Key
 		if dv > dist[v] {
 			continue // superseded while queued
 		}
@@ -125,8 +170,8 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 			st.Relaxations++
 			if nd := dv + out.w; nd < dist[out.v] {
 				dist[out.v] = nd
-				parent[out.v] = int32(v)
-				h.PushOrDecrease(int(out.v), nd)
+				parent[out.v] = v
+				h.Push(pq.Item{Key: nd, Value: int64(out.v)})
 			}
 		}
 	}
@@ -147,25 +192,14 @@ func (g *Graph) minWeight(from, to int32) (float64, bool) {
 
 // invalidateSubtrees marks every vertex in the parent subtrees rooted at
 // roots as unlabeled (dist +Inf, parent -1) and returns the affected
-// vertices. The children index is rebuilt per call — O(|V|) — which keeps
-// Repair allocation-simple; the subtree walk itself is proportional to the
-// damage.
+// vertices, in scratch the next call reuses. A vertex's tree children are
+// found among its out-edges (parent[c] == v): every tree edge either still
+// exists in the post-batch graph or was increased or deleted by the batch,
+// and then its head is itself a root. The walk costs the subtree and its
+// out-degree, not the graph.
 func (g *Graph) invalidateSubtrees(roots []int32, dist []float64, parent []int32) []int32 {
-	n := len(g.fwd)
-	// Bucketed child index over the parent array: head/next linked lists.
-	head := make([]int32, n)
-	next := make([]int32, n)
-	for i := range head {
-		head[i] = -1
-	}
-	for v := 0; v < n; v++ {
-		if p := parent[v]; p >= 0 {
-			next[v] = head[p]
-			head[p] = int32(v)
-		}
-	}
-	var invalid []int32
-	stack := make([]int32, 0, len(roots))
+	invalid := g.invalid[:0]
+	stack := g.stack[:0]
 	for _, r := range roots {
 		if !math.IsInf(dist[r], 1) {
 			dist[r] = math.Inf(1)
@@ -177,14 +211,15 @@ func (g *Graph) invalidateSubtrees(roots []int32, dist []float64, parent []int32
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		invalid = append(invalid, v)
-		for c := head[v]; c >= 0; c = next[c] {
-			if parent[c] == v && !math.IsInf(dist[c], 1) {
+		for _, out := range g.fwd[v] {
+			if c := out.v; parent[c] == v && !math.IsInf(dist[c], 1) {
 				dist[c] = math.Inf(1)
 				parent[c] = -1
 				stack = append(stack, c)
 			}
 		}
 	}
+	g.invalid, g.stack = invalid, stack
 	return invalid
 }
 

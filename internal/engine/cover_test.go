@@ -10,6 +10,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,6 +160,34 @@ func TestHTTPParameterAndErrorEdges(t *testing.T) {
 		if resp.StatusCode != tc.code {
 			t.Errorf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.code)
 		}
+	}
+
+	// /mutate bounds: a body past the byte limit is 413 and a batch past
+	// the mutation cap 400, and neither reaches the graph; a batch of
+	// exactly the cap is applied.
+	de, _ := mustDynamicEngine(t, g, Config{})
+	dsrv := httptest.NewServer(de.Handler())
+	defer dsrv.Close()
+	one := `{"op":"insert","from":0,"to":1,"weight":1}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"body over limit", `{"mutations":[` + one + strings.Repeat(" ", maxMutateBodyBytes) + `]}`, http.StatusRequestEntityTooLarge},
+		{"batch over cap", `{"mutations":[` + strings.Repeat(one+",", maxMutateBatch) + one + `]}`, http.StatusBadRequest},
+		{"batch at cap", `{"mutations":[` + strings.Repeat(one+",", maxMutateBatch-1) + one + `]}`, http.StatusOK},
+	} {
+		resp, err := http.Post(dsrv.URL+"/mutate", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST /mutate %s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("POST /mutate %s: status %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+	}
+	if got := de.Epoch(); got != 1 {
+		t.Errorf("epoch %d after the bounded batches, want 1 (only the batch at the cap applies)", got)
 	}
 
 	// Unrecognized errors map to 500.

@@ -152,6 +152,7 @@ type Engine struct {
 	mP2PSettled  *metrics.Counter
 	mMutations   *metrics.Counter
 	mRepairedVec *metrics.Counter
+	mCopiedVec   *metrics.Counter
 	gInFlight    *metrics.Gauge
 	gQueued      *metrics.Gauge
 	gCacheLen    *metrics.Gauge
@@ -215,6 +216,7 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	e.mP2PSettled = e.met.Counter("engine.p2p_settled")
 	e.mMutations = e.met.Counter("engine.mutations")
 	e.mRepairedVec = e.met.Counter("engine.repaired_vectors")
+	e.mCopiedVec = e.met.Counter("engine.copied_vectors")
 	e.gInFlight = e.met.Gauge("engine.inflight")
 	e.gQueued = e.met.Gauge("engine.queued")
 	e.gCacheLen = e.met.Gauge("engine.cache_entries")

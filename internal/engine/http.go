@@ -198,18 +198,38 @@ type MutateResponse struct {
 	Reweighted        int    `json:"reweighted"`
 	Edges             int    `json:"edges"`
 	RepairedVectors   int    `json:"repaired_vectors"`
+	CopiedVectors     int    `json:"copied_vectors"`
 	InvalidatedLabels int    `json:"invalidated_labels"`
 	ElapsedNS         int64  `json:"elapsed_ns"`
 }
 
+// Bounds on one POST /mutate: a body past maxMutateBodyBytes is answered
+// 413 without being read further, and a batch of more than
+// maxMutateBatch mutations 400. A batch holds mutMu while it applies and
+// repairs, so an unbounded one would stall every other writer.
+const (
+	maxMutateBodyBytes = 8 << 20
+	maxMutateBatch     = 1 << 16
+)
+
 func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req MutateRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxMutateBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{"mutation body exceeds " + strconv.Itoa(maxMutateBodyBytes) + " bytes"})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{"bad mutation body: " + err.Error()})
 		return
 	}
 	if len(req.Mutations) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"empty mutation batch"})
+		return
+	}
+	if len(req.Mutations) > maxMutateBatch {
+		writeJSON(w, http.StatusBadRequest, errorResponse{"mutation batch of " + strconv.Itoa(len(req.Mutations)) + " exceeds " + strconv.Itoa(maxMutateBatch)})
 		return
 	}
 	batch := make([]dynamic.Mutation, len(req.Mutations))
@@ -233,6 +253,7 @@ func (e *Engine) handleMutate(w http.ResponseWriter, r *http.Request) {
 		Reweighted:        mr.Reweighted,
 		Edges:             mr.Edges,
 		RepairedVectors:   mr.RepairedVectors,
+		CopiedVectors:     mr.CopiedVectors,
 		InvalidatedLabels: mr.InvalidatedLabels,
 		ElapsedNS:         mr.Elapsed.Nanoseconds(),
 	})

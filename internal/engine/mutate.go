@@ -3,9 +3,12 @@ package engine
 // Mutation support: a dynamic engine owns a dynamic.Graph alongside its CSR
 // version and applies batched edge mutations to it, advancing the engine
 // epoch once per batch. Resident cached distance vectors are not discarded —
-// they are repaired incrementally (dynamic.Repair) and re-homed under the
-// new epoch, so the query mix that was hot before a mutation stays hot after
-// it. Everything runs under mutMu; queries are never blocked, they just keep
+// they are carried over to the new epoch, so the query mix that was hot
+// before a mutation stays hot after it. A batch costs what it changes: a
+// vector the batch cannot alter (dynamic.Affects) is re-homed by pointer,
+// only the others are copied and repaired incrementally (dynamic.Repair),
+// and the new CSR is spliced from the old one (dynamic.Snapshot).
+// Everything runs under mutMu; queries are never blocked, they just keep
 // reading the old version until the new one is published.
 
 import (
@@ -56,9 +59,12 @@ type MutateResult struct {
 	Inserted, Deleted, Reweighted int
 	// Edges is the graph's edge count after the batch.
 	Edges int
-	// RepairedVectors counts resident cached vectors repaired in place and
-	// carried over to the new epoch.
+	// RepairedVectors counts resident cached vectors carried over to the
+	// new epoch, whether shared unchanged or copied and repaired.
 	RepairedVectors int
+	// CopiedVectors counts the carried-over vectors the batch could alter,
+	// which were copied and repaired; the rest are shared by pointer.
+	CopiedVectors int
 	// InvalidatedLabels totals the subtree labels discarded across those
 	// repairs (the increase-phase damage).
 	InvalidatedLabels int
@@ -68,11 +74,11 @@ type MutateResult struct {
 
 // Mutate applies one batch of edge mutations atomically: either the whole
 // batch lands, the engine epoch advances by exactly one, stale cache entries
-// are evicted, and every resident completed vector is incrementally repaired
-// and re-cached under the new epoch — or the batch is rejected
-// (ErrBadMutation) and graph, epoch, and cache are all unchanged. An empty
-// batch is rejected too: a no-op that advanced the epoch would purge and
-// re-home the whole cache for nothing.
+// are evicted, and every resident completed vector is re-cached under the
+// new epoch (repaired in a copy if the batch alters it) — or the batch is
+// rejected (ErrBadMutation) and graph, epoch, and cache are all unchanged.
+// An empty batch is rejected too: a no-op that advanced the epoch would
+// purge and re-home the whole cache for nothing.
 //
 // Concurrent queries are linearized at the version swap: a query admitted
 // before the swap reads the old (epoch, graph) pair and its result is exact
@@ -113,12 +119,17 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 		Edges:      e.dg.NumEdges(),
 	}
 
-	// Repair copies of the resident vectors against the post-batch graph.
-	// The cached slices are shared read-only with every response already
-	// handed out, so the repair must not write through them.
-	repaired := make([]*core.Result, len(resident))
+	// Carry the resident vectors over. The cached slices are shared
+	// read-only with every response already handed out, so a vector the
+	// batch alters is repaired in a copy; any other is exact as it stands
+	// and is re-homed by pointer, summary and all.
+	carried := make([]*core.Result, len(resident))
 	sums := make([]summary, len(resident))
 	for i, ent := range resident {
+		carried[i], sums[i] = ent.res, ent.sum
+		if !e.dg.Affects(ent.res.Dist, ent.res.Parent, d) {
+			continue
+		}
 		res := &core.Result{
 			Dist:   append([]float64(nil), ent.res.Dist...),
 			Parent: append([]int32(nil), ent.res.Parent...),
@@ -126,26 +137,24 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 		}
 		st := e.dg.Repair(int(ent.key.source), res.Dist, res.Parent, d)
 		mr.InvalidatedLabels += st.Invalidated
-		repaired[i] = res
-		// Repair writes only by invalidating or seeding: else the sum stands.
-		if sums[i] = ent.sum; st.Invalidated+st.Seeds > 0 {
-			sums[i] = summarize(res.Dist)
-		}
+		mr.CopiedVectors++
+		carried[i], sums[i] = res, summarize(res.Dist)
 	}
 
 	// Publish: swap the version, drop everything stale, re-home the
-	// repaired vectors — oldest first, as harvested, so the sources that
+	// carried vectors — oldest first, as harvested, so the sources that
 	// were hot before the batch are still the last to be evicted after it.
 	// Queries admitted from here on see the new epoch.
 	e.version.Store(&graphVersion{epoch: mr.Epoch, g: e.dg.Snapshot()})
 	e.cache.purgeStale(mr.Epoch)
 	for i, ent := range resident {
-		e.cache.put(cacheKey{epoch: mr.Epoch, source: ent.key.source}, repaired[i], sums[i])
+		e.cache.put(cacheKey{epoch: mr.Epoch, source: ent.key.source}, carried[i], sums[i])
 	}
-	mr.RepairedVectors = len(repaired)
+	mr.RepairedVectors = len(carried)
 	e.gCacheLen.Set(0, int64(e.cache.len()))
 	e.mMutations.Inc(0)
-	e.mRepairedVec.Add(0, int64(len(repaired)))
+	e.mRepairedVec.Add(0, int64(len(carried)))
+	e.mCopiedVec.Add(0, int64(mr.CopiedVectors))
 	mr.Elapsed = time.Since(start)
 	return mr, nil
 }

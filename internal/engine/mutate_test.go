@@ -5,8 +5,11 @@ package engine
 // regression for the single-flight leader that loses a race with Mutate.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"acic/internal/core"
 	"acic/internal/dynamic"
 	"acic/internal/gen"
 	"acic/internal/graph"
@@ -513,4 +517,167 @@ func TestInvalidateCacheKeepsGraph(t *testing.T) {
 	if math.IsInf(res.Dist[11], 1) {
 		t.Fatal("source unreachable from itself")
 	}
+}
+
+// TestMutateCopiesOnlyWhatItChanges is the copy-on-write contract of
+// Mutate, over 200 seeded batches (every seventh one invalid, rolled back
+// after a delete reordered an adjacency list). Every Dist/Parent slice a
+// query handed out, and every /path answer served from a cached vector,
+// must stay bit-identical to a copy taken when it was handed out. A vector
+// the batch provably leaves exact (no mutated edge has a labeled tail that
+// carries the head's tree path or improves its label) must be carried
+// over by pointer; one whose contents changed must have been copied, and
+// the copied count is exactly the number of re-homed vectors with a new
+// pointer. Every carried vector must be exact for its epoch.
+func TestMutateCopiesOnlyWhatItChanges(t *testing.T) {
+	const n, sources, batches = 300, 24, 200
+	g := gen.Uniform(n, 2*n, gen.Config{Seed: 35, MaxWeight: 50})
+	e, _ := mustDynamicEngine(t, g, Config{CacheEntries: 2 * sources})
+	ctx := context.Background()
+	r := xrand.New(35)
+	shadow := dynamic.FromCSR(g) // drives the generator, which must see every batch applied
+	bg := dynamic.NewBatchGen(shadow, r, 50)
+
+	type held struct {
+		what   string
+		dist   []float64
+		parent []int32
+		want   []byte
+	}
+	freeze := func(dist []float64, parent []int32) []byte {
+		b := make([]byte, 0, 12*len(dist))
+		for _, d := range dist {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d))
+		}
+		for _, p := range parent {
+			b = binary.LittleEndian.AppendUint32(b, uint32(p))
+		}
+		return b
+	}
+	var hold []held
+	seen := map[*float64]bool{}
+	var copiedTotal, sharedTotal int
+
+	for b := 0; b < batches; b++ {
+		epoch := e.Epoch()
+		old := make([]*core.Result, sources)
+		for s := 0; s < sources; s++ {
+			res, err := e.Query(ctx, s, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !seen[&res.Dist[0]] {
+				seen[&res.Dist[0]] = true
+				hold = append(hold, held{fmt.Sprintf("epoch %d source %d", epoch, s), res.Dist, res.Parent, freeze(res.Dist, res.Parent)})
+			}
+			ent, ok := e.cache.get(cacheKey{epoch: epoch, source: int32(s)})
+			if !ok || ent.res.Dist == nil || &ent.res.Dist[0] != &res.Dist[0] {
+				t.Fatalf("batch %d: source %d not resident after its query", b, s)
+			}
+			old[s] = ent.res
+		}
+		src, target := r.Intn(sources), r.Intn(n)
+		pr, err := e.Path(ctx, src, target)
+		if err != nil || !pr.CacheHit {
+			t.Fatalf("batch %d: /path %d->%d: hit=%v err=%v", b, src, target, pr != nil && pr.CacheHit, err)
+		}
+		if pr.Path != nil {
+			hold = append(hold, held{what: fmt.Sprintf("path %d->%d at epoch %d", src, target, epoch), parent: pr.Path, want: freeze(nil, pr.Path)})
+		}
+
+		var batch []dynamic.Mutation
+		invalid := b%7 == 6
+		if invalid {
+			ts, _ := e.Graph().Neighbors(0)
+			if len(ts) == 0 {
+				t.Fatal("vertex 0 has no out-edge to delete")
+			}
+			batch = []dynamic.Mutation{
+				{Op: dynamic.Delete, From: 0, To: ts[0]},
+				{Op: dynamic.Insert, From: 1, To: 2, Weight: 3},
+				{Op: dynamic.Delete, From: 0, To: n}, // out of range: the batch rolls back
+			}
+		} else {
+			batch = bg.Next(1 + r.Intn(3))
+			if _, err := shadow.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mr, err := e.Mutate(batch)
+		if invalid {
+			if !errors.Is(err, ErrBadMutation) || e.Epoch() != epoch {
+				t.Fatalf("batch %d: invalid batch: err=%v epoch %d -> %d", b, err, epoch, e.Epoch())
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			copied := 0
+			snap := e.Graph()
+			for s := 0; s < sources; s++ {
+				ent, ok := e.cache.get(cacheKey{epoch: mr.Epoch, source: int32(s)})
+				if !ok {
+					t.Fatalf("batch %d: source %d not carried over", b, s)
+				}
+				cur := ent.res
+				if cur != old[s] {
+					copied++
+				}
+				if untouchedBy(batch, old[s].Dist, old[s].Parent) && cur != old[s] {
+					t.Fatalf("batch %d %v: source %d is untouched but was copied", b, batch, s)
+				}
+				changed := !bytes.Equal(freeze(cur.Dist, cur.Parent), freeze(old[s].Dist, old[s].Parent))
+				if changed && (cur == old[s] || &cur.Dist[0] == &old[s].Dist[0] || &cur.Parent[0] == &old[s].Parent[0]) {
+					t.Fatalf("batch %d: source %d changed in a shared vector", b, s)
+				}
+				if i := seq.FirstMismatch(seq.Dijkstra(snap, s).Dist, cur.Dist); i >= 0 {
+					t.Fatalf("batch %d %v: source %d carried over stale at vertex %d", b, batch, s, i)
+				}
+				if err := dynamic.VerifyTree(shadow, s, cur.Dist, cur.Parent); err != nil {
+					t.Fatalf("batch %d: source %d: %v", b, s, err)
+				}
+				if want := summarize(cur.Dist); ent.sum != want {
+					t.Fatalf("batch %d: source %d summary %+v, want %+v", b, s, ent.sum, want)
+				}
+			}
+			if mr.RepairedVectors != sources || mr.CopiedVectors != copied {
+				t.Fatalf("batch %d: repaired %d copied %d, want %d and %d", b, mr.RepairedVectors, mr.CopiedVectors, sources, copied)
+			}
+			copiedTotal += copied
+			sharedTotal += sources - copied
+		}
+		for _, h := range hold {
+			if !bytes.Equal(freeze(h.dist, h.parent), h.want) {
+				t.Fatalf("batch %d: %s changed after it was handed out", b, h.what)
+			}
+		}
+	}
+	if copiedTotal == 0 || sharedTotal == 0 {
+		t.Fatalf("copied %d and shared %d vectors over the run; the stream must exercise both", copiedTotal, sharedTotal)
+	}
+	t.Logf("%d vectors copied, %d shared by pointer", copiedTotal, sharedTotal)
+	if got := e.MetricsSnapshot().Counter("engine.copied_vectors"); got != int64(copiedTotal) {
+		t.Fatalf("engine.copied_vectors = %d, want %d", got, copiedTotal)
+	}
+}
+
+// untouchedBy is a sufficient condition, derived from the batch rather
+// than its Delta, for the batch to leave an exact (dist, parent) exact as
+// it stands: every mutated edge either has an unlabeled tail, or neither
+// carries its head's tree path nor (with any weight the batch wrote)
+// improves its head's label. Edges the batch did not write already
+// satisfied dist[to] <= dist[from]+w.
+func untouchedBy(batch []dynamic.Mutation, dist []float64, parent []int32) bool {
+	for _, m := range batch {
+		if math.IsInf(dist[m.From], 1) {
+			continue
+		}
+		if parent[m.To] == m.From {
+			return false
+		}
+		if m.Op != dynamic.Delete && dist[m.From]+m.Weight < dist[m.To] {
+			return false
+		}
+	}
+	return true
 }

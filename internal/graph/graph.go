@@ -81,6 +81,27 @@ func Build(numVertices int, edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
+// Adopt wraps already-built CSR arrays as a Graph without copying them:
+// the caller hands over ownership and must not write to them afterwards.
+// offsets must be non-decreasing from 0 with offsets[len-1] equal to
+// len(targets) == len(weights), and every target and weight must be what
+// Build would accept; Adopt checks only the lengths and the end offsets.
+// It is the constructor for builders that already hold an exact CSR
+// layout (the spliced snapshots of internal/dynamic), where Build's edge
+// list and counting sort would be a second copy of the graph.
+func Adopt(offsets []int64, targets []int32, weights []float64) *Graph {
+	if len(offsets) == 0 || offsets[0] != 0 || offsets[len(offsets)-1] != int64(len(targets)) || len(targets) != len(weights) {
+		panic(fmt.Sprintf("graph: Adopt of inconsistent CSR (%d offsets, %d targets, %d weights)", len(offsets), len(targets), len(weights)))
+	}
+	return &Graph{offsets: offsets, targets: targets, weights: weights}
+}
+
+// CSR returns the graph's offsets, targets and weights arrays, aliasing its
+// internal storage; callers must not modify them.
+func (g *Graph) CSR() (offsets []int64, targets []int32, weights []float64) {
+	return g.offsets, g.targets, g.weights
+}
+
 // MustBuild is Build but panics on error, for tests and generators whose
 // inputs are valid by construction.
 func MustBuild(numVertices int, edges []Edge) *Graph {

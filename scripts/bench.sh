@@ -40,6 +40,7 @@ BENCHES=(
   "BenchmarkWireDecodeBatch|./internal/core|"
   "BenchmarkWireDecodeReduce|./internal/core|"
   "BenchmarkHotPathSSSP|./internal/bench|-benchtime=10x"
+  "BenchmarkEngineMutate|./internal/engine|-benchtime=200x"
 )
 
 echo "== fresh build =="

@@ -67,6 +67,7 @@ go test -run '^$' -fuzz '^FuzzHistogramMerge$' -fuzztime 10s ./internal/histogra
 go test -run '^$' -fuzz '^FuzzHistogramOps$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzBucketOf$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzSnapshotSplice$' -fuzztime 10s ./internal/dynamic
 
 echo "== schedule-stress harness (short matrix, incl. fault sub-matrix) =="
 go run ./cmd/acic-stress -short
@@ -107,7 +108,7 @@ go run -race ./cmd/acic-run -algo acic -kind random -scale 9 -fault lossy -verif
 echo "== bench smoke (every listed hot-path benchmark compiles and runs once) =="
 go test -run '^$' -bench . -benchtime=1x \
   ./internal/runtime ./internal/netsim ./internal/sockfab ./internal/tram ./internal/partition \
-  ./internal/histogram ./internal/core ./internal/bench >/dev/null
+  ./internal/histogram ./internal/core ./internal/bench ./internal/engine >/dev/null
 
 echo "== perf regression gate (scripts/bench.sh vs committed baseline) =="
 # Compare a fresh variance-aware record against the newest committed
