@@ -36,8 +36,10 @@ import (
 
 // Params are the Δ-stepping tunables.
 type Params struct {
-	// Delta is the bucket width. Zero derives the Meyer-Sanders heuristic
-	// Δ = max-weight / mean-out-degree from the input graph.
+	// Delta is the bucket width. Zero selects HeuristicDelta: the graph's
+	// maximum edge weight, clamped below at 1. The Meyer-Sanders width
+	// max-weight / mean-out-degree is WorkOptimalDelta; a caller that wants
+	// it passes WorkOptimalDelta(g) here.
 	Delta float64
 	// Hybrid enables the RIKEN switch to Bellman-Ford after the newly-
 	// settled-per-epoch count passes a local maximum (§IV-A).

@@ -9,7 +9,9 @@
 // seen, never with |V|; Affects tells a caller holding many vectors which
 // ones a batch would write, so the rest can be shared instead of copied;
 // and Snapshot splices the new CSR from the previous one, rewriting only
-// the sources whose out-list a mutation touched.
+// the sources whose out-list a mutation touched. ReverseSnapshot does the
+// same for the in-lists, so a point-to-point search can walk the graph
+// backwards from its target without a transpose per batch.
 //
 // The design follows the incremental/decremental split of the dynamic-SSSP
 // literature (SSSP-Del, Javanrood & Ripeanu, arXiv:2508.14319; Kyng et al.,
@@ -23,9 +25,9 @@
 // updates safe to inject at serving time.
 //
 // A Graph is NOT safe for concurrent use: callers (internal/engine) must
-// serialize Apply/Repair/Snapshot. Readers of CSR snapshots are unaffected
-// by later mutations — a snapshot is an immutable *graph.Graph that shares
-// no storage with the adjacency lists.
+// serialize Apply/Repair/Snapshot/ReverseSnapshot. Readers of CSR
+// snapshots are unaffected by later mutations — a snapshot is an immutable
+// *graph.Graph that shares no storage with the adjacency lists.
 package dynamic
 
 import (
@@ -115,12 +117,10 @@ type Graph struct {
 	numEdges int
 	epoch    uint64
 
-	// snap is the last snapshot; dirty marks the sources whose out-list
-	// changed since it was built (every vertex before the first), and
-	// ndirty counts them. The mutation primitives do the marking.
-	snap   *graph.Graph
-	dirty  []bool
-	ndirty int
+	// out and in are the CSR snapshots of fwd and rev, each with the
+	// vertices whose list changed since it was built. The mutation
+	// primitives mark the source of an edge in out and its target in in.
+	out, in spliced
 
 	// Repair scratch, reused across calls (see repair.go).
 	heap                  pq.BinaryHeap
@@ -129,11 +129,7 @@ type Graph struct {
 
 // New returns an edgeless dynamic graph with n vertices at epoch 0.
 func New(n int) *Graph {
-	g := &Graph{fwd: make([][]half, n), rev: make([][]half, n), dirty: make([]bool, n), ndirty: n}
-	for v := range g.dirty {
-		g.dirty[v] = true
-	}
-	return g
+	return &Graph{fwd: make([][]half, n), rev: make([][]half, n), out: newSpliced(n), in: newSpliced(n)}
 }
 
 // FromCSR copies a CSR graph into mutable adjacency form at epoch 0. The
@@ -162,29 +158,64 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 // Snapshot returns an immutable CSR graph of the current state. It shares
 // nothing with the dynamic graph, so later mutations never touch it —
 // internal/engine hands snapshots to concurrent queries. With no mutation
-// since the last call it returns that same graph; otherwise it builds a new
-// one from the previous snapshot, one copy per run of unchanged sources,
-// and writes only the sources a mutation touched (on the first call, all
-// of them).
-func (g *Graph) Snapshot() *graph.Graph {
-	if g.snap != nil && g.ndirty == 0 {
-		return g.snap
+// since the last call it returns that same graph; otherwise it splices a
+// new one from the previous snapshot (see spliced.build).
+func (g *Graph) Snapshot() *graph.Graph { return g.out.build(g.fwd, g.numEdges) }
+
+// ReverseSnapshot is Snapshot for the reverse graph: row v lists the edges
+// into v. Taken between the same mutations as a Snapshot, it holds the
+// same edges flipped. A row keeps the reverse adjacency list's order,
+// which need not be the source order of Snapshot().Reverse().
+func (g *Graph) ReverseSnapshot() *graph.Graph { return g.in.build(g.rev, g.numEdges) }
+
+// spliced is one direction's CSR snapshot together with the vertices whose
+// adjacency list changed since it was built (every vertex before the
+// first build).
+type spliced struct {
+	snap   *graph.Graph
+	dirty  []bool
+	ndirty int
+}
+
+func newSpliced(n int) spliced {
+	s := spliced{dirty: make([]bool, n), ndirty: n}
+	for v := range s.dirty {
+		s.dirty[v] = true
 	}
-	n := len(g.fwd)
+	return s
+}
+
+// touch records that v's list changed since the last build.
+func (s *spliced) touch(v int32) {
+	if !s.dirty[v] {
+		s.dirty[v] = true
+		s.ndirty++
+	}
+}
+
+// build returns the CSR of adj (numEdges half-edges in all). With nothing
+// dirty it is the previous snapshot; otherwise the new arrays are spliced
+// from the previous ones, one copy per run of clean vertices, and only the
+// dirty rows are written from adj (on the first build, all of them).
+func (s *spliced) build(adj [][]half, numEdges int) *graph.Graph {
+	if s.snap != nil && s.ndirty == 0 {
+		return s.snap
+	}
+	n := len(adj)
 	offsets := make([]int64, n+1)
-	targets := make([]int32, g.numEdges)
-	weights := make([]float64, g.numEdges)
+	targets := make([]int32, numEdges)
+	weights := make([]float64, numEdges)
 	var prevOff []int64
 	var prevT []int32
 	var prevW []float64
-	if g.snap != nil {
-		prevOff, prevT, prevW = g.snap.CSR()
+	if s.snap != nil {
+		prevOff, prevT, prevW = s.snap.CSR()
 	}
 	var pos int64
 	for v := 0; v < n; {
-		if !g.dirty[v] {
+		if !s.dirty[v] {
 			end := v + 1
-			for end < n && !g.dirty[end] {
+			for end < n && !s.dirty[end] {
 				end++
 			}
 			lo, hi := prevOff[v], prevOff[end]
@@ -197,26 +228,25 @@ func (g *Graph) Snapshot() *graph.Graph {
 			v = end
 			continue
 		}
-		g.dirty[v] = false
+		s.dirty[v] = false
 		offsets[v] = pos
-		for _, h := range g.fwd[v] {
+		for _, h := range adj[v] {
 			targets[pos], weights[pos] = h.v, h.w
 			pos++
 		}
 		v++
 	}
 	offsets[n] = pos
-	g.ndirty = 0
-	g.snap = graph.Adopt(offsets, targets, weights)
-	return g.snap
+	s.ndirty = 0
+	s.snap = graph.Adopt(offsets, targets, weights)
+	return s.snap
 }
 
-// touch records that from's out-list changed since the last snapshot.
-func (g *Graph) touch(from int32) {
-	if !g.dirty[from] {
-		g.dirty[from] = true
-		g.ndirty++
-	}
+// touch records that the edge from→to changed: from's out-list and to's
+// in-list both differ from their last snapshots.
+func (g *Graph) touch(from, to int32) {
+	g.out.touch(from)
+	g.in.touch(to)
 }
 
 // Delta is the classified record of one applied batch, consumed by Repair.
@@ -328,7 +358,7 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 
 // insertEdge appends From→To to both adjacency lists.
 func (g *Graph) insertEdge(from, to int32, w float64) {
-	g.touch(from)
+	g.touch(from, to)
 	g.fwd[from] = append(g.fwd[from], half{v: to, w: w})
 	g.rev[to] = append(g.rev[to], half{v: from, w: w})
 	g.numEdges++
@@ -341,7 +371,7 @@ func (g *Graph) insertEdge(from, to int32, w float64) {
 func (g *Graph) removeEdge(from, to int32) (w float64, ok bool) {
 	for i, h := range g.fwd[from] {
 		if h.v == to {
-			g.touch(from)
+			g.touch(from, to)
 			g.fwd[from] = swapRemove(g.fwd[from], i)
 			if !removeHalf(&g.rev[to], from, h.w) {
 				panic("dynamic: fwd/rev adjacency out of sync")
@@ -358,7 +388,7 @@ func (g *Graph) removeEdge(from, to int32) (w float64, ok bool) {
 func (g *Graph) removeEdgeW(from, to int32, w float64) bool {
 	for i, h := range g.fwd[from] {
 		if h.v == to && h.w == w {
-			g.touch(from)
+			g.touch(from, to)
 			g.fwd[from] = swapRemove(g.fwd[from], i)
 			if !removeHalf(&g.rev[to], from, w) {
 				panic("dynamic: fwd/rev adjacency out of sync")
@@ -375,7 +405,7 @@ func (g *Graph) removeEdgeW(from, to int32, w float64) bool {
 func (g *Graph) setWeight(from, to int32, w float64) (old float64, ok bool) {
 	for i, h := range g.fwd[from] {
 		if h.v == to {
-			g.touch(from)
+			g.touch(from, to)
 			old = h.w
 			g.fwd[from][i].w = w
 			for j := range g.rev[to] {
@@ -398,7 +428,7 @@ func (g *Graph) setWeight(from, to int32, w float64) (old float64, ok bool) {
 func (g *Graph) setWeightW(from, to int32, matchW, w float64) bool {
 	for i, h := range g.fwd[from] {
 		if h.v == to && h.w == matchW {
-			g.touch(from)
+			g.touch(from, to)
 			g.fwd[from][i].w = w
 			for j := range g.rev[to] {
 				if g.rev[to][j].v == from && g.rev[to][j].w == matchW {

@@ -1,15 +1,17 @@
 package dynamic
 
-// Fuzzing the spliced snapshot: Snapshot copies unchanged runs of the
-// previous CSR and rewrites only the sources the mutation primitives
-// marked, so a primitive that forgets to mark (or a rollback that reorders
-// a list behind the marks' back) shows up as a snapshot that differs from
-// a fresh build of the adjacency lists. The tape mixes valid batches,
-// invalid ones that roll back, parallel edges, insert-then-delete within
-// one batch, and same-weight SetWeight.
+// Fuzzing the spliced snapshots: Snapshot and ReverseSnapshot copy
+// unchanged runs of the previous CSR and rewrite only the vertices the
+// mutation primitives marked, so a primitive that forgets to mark (or a
+// rollback that reorders a list behind the marks' back) shows up as a
+// snapshot that differs from a fresh build of the adjacency lists, or as a
+// reverse snapshot that is not the transpose of the forward one. The tape
+// mixes valid batches, invalid ones that roll back, parallel edges,
+// insert-then-delete within one batch, and same-weight SetWeight.
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"acic/internal/graph"
@@ -48,8 +50,7 @@ func FuzzSnapshotSplice(f *testing.F) {
 			edges = append(edges, graph.Edge{From: int32(r.next()) % int32(n), To: int32(r.next()) % int32(n), Weight: float64(r.next() % 4)})
 		}
 		dg := FromCSR(graph.MustBuild(n, edges))
-		prev := checkSplice(t, dg, nil, nil)
-		prevEdges := prev.Edges()
+		prev := checkSplice(t, dg, spliceState{})
 
 		// existing names the slot-th out-edge of v as it stands now, or a
 		// pair that may not exist when v has none.
@@ -93,56 +94,102 @@ func FuzzSnapshotSplice(f *testing.F) {
 				if _, err := dg.Apply(batch); err != nil && dg.Epoch() != epoch {
 					t.Fatalf("failed batch %v moved the epoch %d -> %d", batch, epoch, dg.Epoch())
 				}
-				prev = checkSplice(t, dg, prev, prevEdges)
-				prevEdges = prev.Edges()
+				prev = checkSplice(t, dg, prev)
 				batch = batch[:0]
 			}
 		}
 	})
 }
 
-// checkSplice takes a snapshot and requires it to equal graph.Build of the
-// current adjacency edge for edge, in order; a second call with nothing
-// dirty must return the same graph, and the previous snapshot must still
-// hold the edges it held when it was taken.
-func checkSplice(t *testing.T, dg *Graph, prev *graph.Graph, prevEdges []graph.Edge) *graph.Graph {
+// spliceState is what checkSplice saw at one epoch: both snapshots and
+// the edges they held then.
+type spliceState struct {
+	fwd, rev           *graph.Graph
+	fwdEdges, revEdges []graph.Edge
+}
+
+// checkSplice takes both snapshots and requires each to equal graph.Build
+// of its adjacency lists edge for edge, in order, and the reverse one to
+// hold, row by row, the edges of the forward one's Reverse(). A second call
+// with nothing dirty must return the same graphs, and the previous
+// snapshots must still hold the edges they held when they were taken.
+func checkSplice(t *testing.T, dg *Graph, prev spliceState) spliceState {
 	t.Helper()
-	snap := dg.Snapshot()
+	cur := spliceState{fwd: dg.Snapshot(), rev: dg.ReverseSnapshot()}
+	checkCSR(t, "snapshot", cur.fwd, dg.fwd)
+	checkCSR(t, "reverse snapshot", cur.rev, dg.rev)
+	transpose := cur.fwd.Reverse()
+	for v := 0; v < dg.NumVertices(); v++ {
+		if got, want := sortedRow(cur.rev, v), sortedRow(transpose, v); !equalEdges(got, want) {
+			t.Fatalf("reverse snapshot row %d = %v, Reverse() of the snapshot has %v", v, got, want)
+		}
+	}
+	if dg.Snapshot() != cur.fwd || dg.ReverseSnapshot() != cur.rev {
+		t.Fatal("a snapshot with nothing dirty built a new graph")
+	}
+	if prev.fwd != nil {
+		if got := prev.fwd.Edges(); !equalEdges(got, prev.fwdEdges) {
+			t.Fatalf("previous snapshot changed %v -> %v", prev.fwdEdges, got)
+		}
+		if got := prev.rev.Edges(); !equalEdges(got, prev.revEdges) {
+			t.Fatalf("previous reverse snapshot changed %v -> %v", prev.revEdges, got)
+		}
+	}
+	cur.fwdEdges, cur.revEdges = cur.fwd.Edges(), cur.rev.Edges()
+	return cur
+}
+
+// checkCSR requires snap to equal graph.Build of adj, slot for slot.
+func checkCSR(t *testing.T, name string, snap *graph.Graph, adj [][]half) {
+	t.Helper()
 	var edges []graph.Edge
-	for v, hs := range dg.fwd {
+	for v, hs := range adj {
 		for _, h := range hs {
 			edges = append(edges, graph.Edge{From: int32(v), To: h.v, Weight: h.w})
 		}
 	}
-	want := graph.MustBuild(dg.NumVertices(), edges)
+	want := graph.MustBuild(len(adj), edges)
 	gotOff, gotT, gotW := snap.CSR()
 	wantOff, wantT, wantW := want.CSR()
 	if len(gotOff) != len(wantOff) || len(gotT) != len(wantT) || len(gotW) != len(wantW) {
-		t.Fatalf("snapshot shape %d/%d/%d, want %d/%d/%d", len(gotOff), len(gotT), len(gotW), len(wantOff), len(wantT), len(wantW))
+		t.Fatalf("%s shape %d/%d/%d, want %d/%d/%d", name, len(gotOff), len(gotT), len(gotW), len(wantOff), len(wantT), len(wantW))
 	}
 	for i := range wantOff {
 		if gotOff[i] != wantOff[i] {
-			t.Fatalf("offsets[%d] = %d, want %d", i, gotOff[i], wantOff[i])
+			t.Fatalf("%s offsets[%d] = %d, want %d", name, i, gotOff[i], wantOff[i])
 		}
 	}
 	for i := range wantT {
 		if gotT[i] != wantT[i] || math.Float64bits(gotW[i]) != math.Float64bits(wantW[i]) {
-			t.Fatalf("edge slot %d = ->%d w=%g, want ->%d w=%g", i, gotT[i], gotW[i], wantT[i], wantW[i])
+			t.Fatalf("%s edge slot %d = ->%d w=%g, want ->%d w=%g", name, i, gotT[i], gotW[i], wantT[i], wantW[i])
 		}
 	}
-	if again := dg.Snapshot(); again != snap {
-		t.Fatal("a snapshot with nothing dirty built a new graph")
+}
+
+// sortedRow returns v's out-edges in g, sorted by target then weight.
+func sortedRow(g *graph.Graph, v int) []graph.Edge {
+	ts, ws := g.Neighbors(v)
+	row := make([]graph.Edge, len(ts))
+	for i := range ts {
+		row[i] = graph.Edge{From: int32(v), To: ts[i], Weight: ws[i]}
 	}
-	if prev != nil {
-		got := prev.Edges()
-		if len(got) != len(prevEdges) {
-			t.Fatalf("previous snapshot changed size %d -> %d", len(prevEdges), len(got))
+	sort.Slice(row, func(i, j int) bool {
+		if row[i].To != row[j].To {
+			return row[i].To < row[j].To
 		}
-		for i := range got {
-			if got[i] != prevEdges[i] {
-				t.Fatalf("previous snapshot edge %d changed %v -> %v", i, prevEdges[i], got[i])
-			}
+		return row[i].Weight < row[j].Weight
+	})
+	return row
+}
+
+func equalEdges(a, b []graph.Edge) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
-	return snap
+	return true
 }

@@ -3,16 +3,20 @@
 // solve one source, tear it down) into a long-lived service answering many
 // queries over one shared graph.
 //
-// One Engine owns one immutable *graph.Graph, loaded once and shared
-// read-only by every concurrent query (the CSR arrays are never written
-// after Build; internal/core's concurrent-runs test pins that contract).
-// Around the graph it maintains:
+// One Engine serves one graph version at a time: an epoch, an immutable
+// *graph.Graph and its reverse, published together behind one atomic
+// pointer and shared read-only by every concurrent query (the CSR arrays
+// are never written after they are built; internal/core's concurrent-runs
+// test pins that contract). A static engine transposes its graph once; a
+// dynamic one (mutate.go) splices both directions from the previous
+// version on every mutation batch. Around the version it maintains:
 //
-//   - A pool of core.Scratch instances, one per admission slot, checked out
-//     for the duration of a query so repeated queries recycle the arena and
-//     per-PE state instead of reallocating the machine. The Scratch
-//     exclusivity latch (core.ErrScratchInUse) backstops the pool: a
-//     bookkeeping bug fails loudly instead of corrupting state.
+//   - Per-admission-slot scratch, checked out for the duration of a query:
+//     a core.Scratch, so repeated misses recycle the arena and per-PE
+//     state instead of reallocating the machine, and the point-to-point
+//     search's labels and heaps. The Scratch exclusivity latch
+//     (core.ErrScratchInUse) backstops the pool: a bookkeeping bug fails
+//     loudly instead of corrupting state.
 //
 //   - An LRU cache of completed distance vectors keyed by (graph epoch,
 //     source), with single-flight deduplication: concurrent identical
@@ -26,11 +30,14 @@
 //     Retry-After. Fan-in beyond PE capacity degrades by rejecting, never
 //     by queueing unboundedly.
 //
-//   - Point-to-point queries with goal-distance pruning (the heuristic-
-//     search playbook of Yu et al., arXiv:2506.19349): a label-setting
-//     search that stops at the target and prunes every relaxation at or
-//     above the incumbent goal distance. A cached full vector for the
-//     source answers the query without any search at all.
+//   - Point-to-point queries by bidirectional Dijkstra (p2p.go): a forward
+//     search on the graph and a backward one on its reverse, expanding the
+//     smaller frontier, stopping once the two heap minima sum to the best
+//     meeting value μ and pruning every relaxation that cannot beat μ (the
+//     bound tightening of Yu et al., arXiv:2506.19349). A search stamps its
+//     labels with a generation instead of clearing them, so it allocates
+//     nothing of size |V|. A cached full vector for the source answers the
+//     query without any search at all.
 //
 // Draining: Close stops admitting, waits for in-flight queries, and leaves
 // cached results readable — the HTTP layer keeps /healthz honest while the
@@ -102,13 +109,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// graphVersion is one immutable (epoch, graph) pair. Queries load the
-// current version exactly once, so the epoch they admit under and the CSR
-// arrays they read always belong together even while a mutation swaps the
-// version underneath them.
+// graphVersion is one immutable (epoch, graph, reverse graph) triple.
+// Queries load the current version exactly once, so the epoch they admit
+// under and the CSR arrays they read always belong together even while a
+// mutation swaps the version underneath them. rev is g with every edge
+// flipped, for the backward half of the point-to-point search.
 type graphVersion struct {
 	epoch uint64
 	g     *graph.Graph
+	rev   *graph.Graph
+}
+
+// slotScratch is what one admission slot reuses from query to query: the
+// solver's core.Scratch for misses and the labels and heaps of the
+// point-to-point search.
+type slotScratch struct {
+	solve *core.Scratch
+	path  pathSearch
 }
 
 // Engine is a resident SSSP query engine over one shared graph version.
@@ -126,9 +143,9 @@ type Engine struct {
 
 	// slots carries the admission-slot ids [0, MaxInFlight); holding an id
 	// is holding the right to run one query. scratch[i] is slot i's
-	// core.Scratch, so the pool needs no locking of its own.
+	// reusable state, so the pool needs no locking of its own.
 	slots   chan int
-	scratch []*core.Scratch
+	scratch []slotScratch
 	queued  atomic.Int64
 
 	cache *lruCache
@@ -181,11 +198,17 @@ func (e *Engine) observeService(d time.Duration) {
 }
 
 // New builds an Engine serving queries over g. The graph must not be
-// mutated afterwards — every query shares it read-only.
+// mutated afterwards — every query shares it read-only. New transposes it
+// once for the point-to-point search.
 func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	if g == nil {
 		return nil, errors.New("engine: nil graph")
 	}
+	return newEngine(g, g.Reverse(), cfg)
+}
+
+// newEngine builds an Engine over g and its reverse rev at epoch 0.
+func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Topo != (netsim.Topology{}) {
 		if err := cfg.Topo.Validate(); err != nil {
@@ -195,14 +218,14 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:     cfg,
 		slots:   make(chan int, cfg.MaxInFlight),
-		scratch: make([]*core.Scratch, cfg.MaxInFlight),
+		scratch: make([]slotScratch, cfg.MaxInFlight),
 		cache:   newLRUCache(cfg.CacheEntries),
 		drained: make(chan struct{}),
 		met:     metrics.New(cfg.MaxInFlight),
 	}
-	e.version.Store(&graphVersion{g: g})
+	e.version.Store(&graphVersion{g: g, rev: rev})
 	for i := 0; i < cfg.MaxInFlight; i++ {
-		e.scratch[i] = &core.Scratch{}
+		e.scratch[i].solve = &core.Scratch{}
 		e.slots <- i
 	}
 	e.mQueries = e.met.Counter("engine.queries")
@@ -240,7 +263,7 @@ func (e *Engine) InvalidateCache() {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
 	old := e.version.Load()
-	e.version.Store(&graphVersion{epoch: old.epoch + 1, g: old.g})
+	e.version.Store(&graphVersion{epoch: old.epoch + 1, g: old.g, rev: old.rev})
 	e.cache.purge()
 	e.gCacheLen.Set(0, int64(e.cache.len()))
 }
@@ -383,7 +406,7 @@ func (e *Engine) compute(g *graph.Graph, source, slot int, collectMetrics bool) 
 		Latency: e.cfg.Latency,
 		Params:  e.cfg.Params,
 		Metrics: reg,
-		Scratch: e.scratch[slot],
+		Scratch: e.scratch[slot].solve,
 	})
 	if err != nil {
 		return nil, nil, err

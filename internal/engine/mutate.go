@@ -7,7 +7,8 @@ package engine
 // before a mutation stays hot after it. A batch costs what it changes: a
 // vector the batch cannot alter (dynamic.Affects) is re-homed by pointer,
 // only the others are copied and repaired incrementally (dynamic.Repair),
-// and the new CSR is spliced from the old one (dynamic.Snapshot).
+// and the new CSR and its reverse are spliced from the old ones
+// (dynamic.Snapshot and ReverseSnapshot).
 // Everything runs under mutMu; queries are never blocked, they just keep
 // reading the old version until the new one is published.
 
@@ -40,7 +41,7 @@ func NewDynamic(dg *dynamic.Graph, cfg Config) (*Engine, error) {
 	if dg == nil {
 		return nil, errors.New("engine: nil dynamic graph")
 	}
-	e, err := New(dg.Snapshot(), cfg)
+	e, err := newEngine(dg.Snapshot(), dg.ReverseSnapshot(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +146,7 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	// carried vectors — oldest first, as harvested, so the sources that
 	// were hot before the batch are still the last to be evicted after it.
 	// Queries admitted from here on see the new epoch.
-	e.version.Store(&graphVersion{epoch: mr.Epoch, g: e.dg.Snapshot()})
+	e.version.Store(&graphVersion{epoch: mr.Epoch, g: e.dg.Snapshot(), rev: e.dg.ReverseSnapshot()})
 	e.cache.purgeStale(mr.Epoch)
 	for i, ent := range resident {
 		e.cache.put(cacheKey{epoch: mr.Epoch, source: ent.key.source}, carried[i], sums[i])

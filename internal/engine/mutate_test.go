@@ -266,6 +266,7 @@ func TestCacheCoherenceUnderMutation(t *testing.T) {
 		res      *QueryResult
 	}
 	observations := make([][]obs, readers)
+	paths := make([][]*PathResult, readers)
 
 	var wg sync.WaitGroup
 	for i := 0; i < readers; i++ {
@@ -281,6 +282,14 @@ func TestCacheCoherenceUnderMutation(t *testing.T) {
 					return
 				}
 				observations[id] = append(observations[id], obs{admitted, res})
+				// A point-to-point search beside every query: the slot's
+				// labels and the version's (g, rev) pair under the race.
+				pr, err := e.Path(ctx, r.Intn(200), r.Intn(200))
+				if err != nil {
+					t.Errorf("reader %d: path: %v", id, err)
+					return
+				}
+				paths[id] = append(paths[id], pr)
 			}
 		}(i)
 	}
@@ -336,6 +345,19 @@ func TestCacheCoherenceUnderMutation(t *testing.T) {
 			if i := seq.FirstMismatch(want, o.res.Dist); i >= 0 {
 				t.Fatalf("reader %d: epoch %d source %d: dist[%d] = %g, want %g (stale vector)",
 					id, o.res.Epoch, o.res.Source, i, o.res.Dist[i], want[i])
+			}
+		}
+		for _, pr := range paths[id] {
+			og, ok := oracle[pr.Epoch]
+			if !ok {
+				t.Fatalf("reader %d: path epoch %d never existed", id, pr.Epoch)
+			}
+			want := seq.Dijkstra(og, pr.Source).Dist[pr.Target]
+			if math.IsInf(want, 1) != !pr.Reachable || (pr.Reachable && math.Abs(pr.Distance-want) > 1e-9*math.Max(1, want)) {
+				t.Fatalf("reader %d: epoch %d path %d->%d: distance %g (reachable %v), want %g", id, pr.Epoch, pr.Source, pr.Target, pr.Distance, pr.Reachable, want)
+			}
+			if pr.Reachable {
+				checkPath(t, og, pr)
 			}
 		}
 	}

@@ -160,14 +160,35 @@ func (g *Graph) MaxWeight() float64 {
 	return max
 }
 
-// Reverse returns a new graph with every edge direction flipped, for
-// in-degree analysis.
+// Reverse returns a new graph with every edge direction flipped: row v of
+// the result lists v's in-edges, in the order of their sources. It is one
+// counting transpose in O(|V|+|E|), adopted without a second copy; the
+// point-to-point search of internal/engine walks it backwards from the
+// target.
 func (g *Graph) Reverse() *Graph {
-	edges := make([]Edge, 0, g.NumEdges())
-	g.EachEdge(func(from, to int32, w float64) {
-		edges = append(edges, Edge{From: to, To: from, Weight: w})
-	})
-	return MustBuild(g.NumVertices(), edges)
+	n := g.NumVertices()
+	offsets := make([]int64, n+1)
+	for _, to := range g.targets {
+		offsets[to+1]++
+	}
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	// cursor[v] is the next free slot in v's row.
+	cursor := make([]int64, n)
+	copy(cursor, offsets[:n])
+	targets := make([]int32, len(g.targets))
+	weights := make([]float64, len(g.weights))
+	for v := 0; v < n; v++ {
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			to := g.targets[i]
+			slot := cursor[to]
+			cursor[to]++
+			targets[slot] = int32(v)
+			weights[slot] = g.weights[i]
+		}
+	}
+	return Adopt(offsets, targets, weights)
 }
 
 // DegreeStats summarizes the out-degree distribution; the power-law check in

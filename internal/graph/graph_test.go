@@ -188,6 +188,74 @@ func TestReverse(t *testing.T) {
 	}
 }
 
+// Property: the counting transpose keeps every edge. Row v of Reverse()
+// holds v's in-edges, so its out-degrees are g's in-degrees, and a second
+// Reverse gives back each source's out-edges as a multiset (self-loops and
+// parallel edges included).
+func TestQuickReverseTransposes(t *testing.T) {
+	f := func(seed uint64, nRaw uint8, mRaw uint16) bool {
+		n := int(nRaw%64) + 1
+		m := int(mRaw % 1000)
+		r := xrand.New(seed)
+		edges := make([]Edge, m)
+		for i := range edges {
+			edges[i] = Edge{From: int32(r.Intn(n)), To: int32(r.Intn(n)), Weight: float64(r.Intn(8))}
+		}
+		g := MustBuild(n, edges)
+		rev := g.Reverse()
+		inDeg := make([]int, n)
+		for _, e := range edges {
+			inDeg[e.To]++
+		}
+		for v := 0; v < n; v++ {
+			if rev.OutDegree(v) != inDeg[v] {
+				return false
+			}
+		}
+		back := rev.Reverse()
+		if back.NumEdges() != g.NumEdges() {
+			return false
+		}
+		for v := 0; v < n; v++ {
+			if !sameRow(g, back, v) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameRow reports whether v's out-edges in a and b are equal as multisets.
+func sameRow(a, b *Graph, v int) bool {
+	row := func(g *Graph) []Edge {
+		ts, ws := g.Neighbors(v)
+		out := make([]Edge, len(ts))
+		for i := range ts {
+			out[i] = Edge{From: int32(v), To: ts[i], Weight: ws[i]}
+		}
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].To != out[j].To {
+				return out[i].To < out[j].To
+			}
+			return out[i].Weight < out[j].Weight
+		})
+		return out
+	}
+	ra, rb := row(a), row(b)
+	if len(ra) != len(rb) {
+		return false
+	}
+	for i := range ra {
+		if ra[i] != rb[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestOutDegreeStats(t *testing.T) {
 	g := diamond()
 	s := g.OutDegreeStats()

@@ -41,6 +41,7 @@ BENCHES=(
   "BenchmarkWireDecodeReduce|./internal/core|"
   "BenchmarkHotPathSSSP|./internal/bench|-benchtime=10x"
   "BenchmarkEngineMutate|./internal/engine|-benchtime=200x"
+  "BenchmarkEnginePath|./internal/engine|"
 )
 
 echo "== fresh build =="

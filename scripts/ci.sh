@@ -68,6 +68,7 @@ go test -run '^$' -fuzz '^FuzzHistogramOps$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzBucketOf$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz '^FuzzSnapshotSplice$' -fuzztime 10s ./internal/dynamic
+go test -run '^$' -fuzz '^FuzzHandlerQueries$' -fuzztime 10s ./internal/engine
 
 echo "== schedule-stress harness (short matrix, incl. fault sub-matrix) =="
 go run ./cmd/acic-stress -short
