@@ -26,7 +26,6 @@ import (
 	"acic/internal/graph"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 	"acic/internal/seq"
 	"acic/internal/stress"
 	"acic/internal/trace"
@@ -54,8 +53,7 @@ func main() {
 		hybrid     = flag.Bool("hybrid", true, "Δ-stepping: enable Bellman-Ford switch")
 		verify     = flag.Bool("verify", false, "check distances against Dijkstra")
 		printDist  = flag.Int("printdist", 0, "print the first N distances")
-		faultName  = flag.String("fault", "none", "fabric fault profile for ACIC runs: none | drop | dup | reorder | lossy (seeded by -seed; enables the reliability layer)")
-		unreliable = flag.Bool("unreliable", false, "with -fault: keep the relnet reliability layer off (drop faults then hang loudly)")
+		faultName  = flag.String("fault", "none", "fabric fault profile for ACIC runs: none | reorder (seeded by -seed)")
 		traceSum   = flag.Bool("tracesummary", false, "print per-PE scheduling summary after an ACIC run")
 		traceOut   = flag.String("trace-chrome", "", "write the ACIC run's timeline as a Chrome/Perfetto trace to FILE")
 		metricsOut = flag.String("metrics-out", "", "write the ACIC run's metrics registry snapshot (JSON) to FILE")
@@ -93,12 +91,7 @@ func main() {
 		p.TramMode = tramMode
 		p.AuditTrace = *auditOut != ""
 		opts := core.Options{Topo: topo, Latency: latency, Params: p}
-		if fault != stress.FaultNone {
-			opts.Fault = stress.NewFaultPlan(fault, *seed, topo)
-			if !*unreliable {
-				opts.Reliability = &relnet.Config{}
-			}
-		}
+		opts.Fault = stress.NewFaultPlan(fault, *seed, topo)
 		var rec *trace.Recorder
 		if *traceSum || *traceOut != "" {
 			rec = trace.New(topo.TotalPEs(), 1<<16)
@@ -145,9 +138,7 @@ func main() {
 			s.TramStats.Inserts, s.TramStats.Batches, s.TramStats.AutoFlushes, s.TramStats.ManualFlushes)
 		fmt.Printf("net : messages=%d items=%d\n", s.Network.MessagesSent, s.Network.ItemsSent)
 		if fault != stress.FaultNone {
-			fmt.Printf("rel : dropped=%d duplicated=%d reordered=%d retransmits=%d dupDiscarded=%d acks=%d unaccounted=%d\n",
-				s.Network.Dropped, s.Network.Duplicated, s.Network.Reordered,
-				s.Audit.Retransmits, s.Audit.DupDiscarded, s.Audit.AcksSent, s.Audit.Unaccounted())
+			fmt.Printf("fault: reordered=%d unaccounted=%d\n", s.Network.Reordered, s.Audit.Unaccounted())
 		}
 	case "delta":
 		p := deltastep.DefaultParams()

@@ -37,7 +37,7 @@ func run(args []string, out *os.File) int {
 		seed     = fs.Uint64("seed", 1, "master seed; determines the whole run matrix")
 		runs     = fs.Int("runs", 1, "full passes over the algorithm × topology × graph × profile matrix")
 		profiles = fs.String("profile", "all", "comma-separated jitter profiles (uniform, stall-tier, reorder, burst) or 'all'")
-		faults   = fs.String("fault", "all", "comma-separated fabric fault profiles for the acic reliability sub-matrix (drop, dup, reorder, lossy), 'all', or 'none' to disable it")
+		faults   = fs.String("fault", "all", "comma-separated fabric fault profiles for the acic fault sub-matrix (reorder), 'all', or 'none' to disable it")
 		churn    = fs.String("churn", "on", "dynamic-graph churn sub-matrix: on, off, or only")
 		short    = fs.Bool("short", false, "CI smoke mode: shrunken matrix and graphs")
 		only     = fs.Int("run", -1, "replay exactly one run index from the matrix")

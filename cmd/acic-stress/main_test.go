@@ -18,7 +18,7 @@ func TestReplayFlags(t *testing.T) {
 		{1, 1, "all", "all", "on", false, "-seed 1 -runs 1"},
 		{7, 3, "all", "all", "on", true, "-seed 7 -runs 3 -short"},
 		{2, 1, "burst,reorder", "all", "on", false, "-seed 2 -runs 1 -profile burst,reorder"},
-		{4, 2, "all", "drop,lossy", "on", false, "-seed 4 -runs 2 -fault drop,lossy"},
+		{4, 2, "all", "reorder", "on", false, "-seed 4 -runs 2 -fault reorder"},
 		{5, 1, "none", "none", "on", true, "-seed 5 -runs 1 -profile none -fault none -short"},
 		{6, 1, "all", "all", "only", true, "-seed 6 -runs 1 -churn only -short"},
 		{8, 1, "all", "all", "off", false, "-seed 8 -runs 1 -churn off"},

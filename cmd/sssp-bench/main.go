@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "all", "experiment: 1 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | modes | ablate | road | od | policy | delta | part | rel | dyn | all")
+		fig    = flag.String("fig", "all", "experiment: 1 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | modes | ablate | road | od | policy | delta | part | dyn | all")
 		scale  = flag.Int("scale", 0, "override graph scale (2^scale vertices)")
 		trials = flag.Int("trials", 0, "override trials per data point")
 		nodes  = flag.String("nodes", "", "override node counts, e.g. 1,2,4,8,16")
@@ -202,14 +202,6 @@ func main() {
 			fail(err)
 		}
 		emit(bench.DeltaTable(points))
-	}
-	if want("rel") {
-		ran = true
-		points, err := cfg.ReliabilityOverhead(lastNode(cfg))
-		if err != nil {
-			fail(err)
-		}
-		emit(bench.RelTable(points))
 	}
 	if want("dyn") {
 		ran = true

@@ -44,7 +44,6 @@ var Deterministic = map[string]bool{
 	"acic/internal/runtime":   true,
 	"acic/internal/machine":   true,
 	"acic/internal/netsim":    true,
-	"acic/internal/relnet":    true,
 	"acic/internal/tram":      true,
 	"acic/internal/core":      true,
 	"acic/internal/deltastep": true,

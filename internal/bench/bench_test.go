@@ -95,41 +95,6 @@ func TestFig1Histogram(t *testing.T) {
 	}
 }
 
-// TestReliabilityOverhead runs the relnet sweep end to end: the layer is
-// bound to the simulated network (the only fabric with the timer facility
-// its retransmits ride), every row is oracle-checked with a balanced
-// ledger inside ReliabilityOverhead, and the rows must show the layer doing
-// its job — nothing to heal without it, retransmits where frames drop.
-func TestReliabilityOverhead(t *testing.T) {
-	c := tinyConfig()
-	points, err := c.ReliabilityOverhead(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLabel := map[string]RelPoint{}
-	for _, p := range points {
-		byLabel[p.Label] = p
-	}
-	if len(points) != 6 {
-		t.Fatalf("got %d rows, want baseline, rel-only and four fault profiles", len(points))
-	}
-	if p := byLabel["baseline"]; p.Retransmits != 0 || p.AcksSent != 0 || p.DupDiscarded != 0 {
-		t.Errorf("baseline without relnet shows layer traffic: %+v", p)
-	}
-	if p := byLabel["rel-only"]; p.Dropped != 0 || p.Duplicated != 0 {
-		t.Errorf("rel-only row ran over a faulty fabric: %+v", p)
-	}
-	if p := byLabel["drop"]; p.Dropped == 0 || p.Retransmits == 0 {
-		t.Errorf("drop profile: %d dropped, %d retransmits; want both > 0", p.Dropped, p.Retransmits)
-	}
-	if p := byLabel["dup"]; p.Duplicated == 0 || p.DupDiscarded == 0 {
-		t.Errorf("dup profile: %d duplicated, %d discarded; want both > 0", p.Duplicated, p.DupDiscarded)
-	}
-	if tb := RelTable(points); tb.NumRows() != len(points) {
-		t.Errorf("table has %d rows, want %d", tb.NumRows(), len(points))
-	}
-}
-
 func TestFig3ReductionOverhead(t *testing.T) {
 	c := tinyConfig()
 	// The loss is divided by the reductions the window held. When other

@@ -39,7 +39,6 @@ import (
 	"acic/internal/histogram"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 	"acic/internal/runtime"
 	"acic/internal/simclock"
 	"acic/internal/trace"
@@ -185,24 +184,18 @@ type Options struct {
 	// Jitter, when non-nil, perturbs every message's delivery delay (see
 	// netsim.JitterFunc) — the schedule-stress harness's hook.
 	Jitter netsim.JitterFunc
-	// Fault installs drop/duplication/reordering filters on the fabric
-	// (see netsim.FaultPlan). A run with a drop filter and no Reliability
-	// hangs loudly at the lost update — set Reliability to survive it.
+	// Fault installs drop/reordering filters on the fabric (see
+	// netsim.FaultPlan). A run with a drop filter hangs loudly at the lost
+	// update; reordering alone leaves the answer exact.
 	Fault netsim.FaultPlan
-	// Reliability, when non-nil, inserts the relnet ack/retransmit layer
-	// under the runtime so injected faults are healed: at-least-once
-	// retransmission plus receiver dedup keeps the quiescence counters
-	// exact (see internal/relnet). The zero relnet.Config is a usable
-	// default.
-	Reliability *relnet.Config
 	// Transport selects how inter-PE messages travel: TransportSim (the
 	// default) routes everything through the simulated network, while
 	// TransportTCP builds one sockfab node per topology process,
 	// loopback-connected, and serializes every inter-process message
 	// through the wire codec over a real TCP socket. TCP runs reject the
-	// simulation-only knobs — Latency, Jitter, Fault and Reliability —
-	// because real sockets impose their own timing and already provide
-	// ordered, reliable delivery.
+	// simulation-only knobs — Latency, Jitter and Fault — because real
+	// sockets impose their own timing and already provide ordered,
+	// reliable delivery.
 	Transport Transport
 	// Scratch, when non-nil, recycles per-run allocations across repeated
 	// Runs of the same shape (see Scratch). Benchmark, stress and query

@@ -31,13 +31,12 @@ type setup struct {
 func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error) {
 	cfg := machine.Config{
 		Config: runtime.Config{
-			Topo:        opts.Topo,
-			Latency:     opts.Latency,
-			Jitter:      opts.Jitter,
-			Fault:       opts.Fault,
-			Reliability: opts.Reliability,
-			Trace:       opts.Trace,
-			Metrics:     opts.Metrics,
+			Topo:    opts.Topo,
+			Latency: opts.Latency,
+			Jitter:  opts.Jitter,
+			Fault:   opts.Fault,
+			Trace:   opts.Trace,
+			Metrics: opts.Metrics,
 		},
 		Clock: opts.Clock,
 	}

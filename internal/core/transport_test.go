@@ -8,7 +8,6 @@ import (
 	"acic/internal/gen"
 	"acic/internal/graph"
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 )
 
 // tcpTopo is the transport tests' machine: 4 processes of 2 PEs each, so
@@ -82,10 +81,9 @@ func TestTransportTCPRepeatedRunsShareScratch(t *testing.T) {
 func TestTransportTCPRejectsSimKnobs(t *testing.T) {
 	g := gen.Path(8)
 	cases := map[string]Options{
-		"latency":     {Transport: TransportTCP, Latency: netsim.DefaultLatency()},
-		"jitter":      {Transport: TransportTCP, Jitter: func(src, dst, size int, base time.Duration) time.Duration { return base }},
-		"fault":       {Transport: TransportTCP, Fault: netsim.FaultPlan{Drop: func(src, dst, size int) bool { return false }}},
-		"reliability": {Transport: TransportTCP, Reliability: &relnet.Config{}},
+		"latency": {Transport: TransportTCP, Latency: netsim.DefaultLatency()},
+		"jitter":  {Transport: TransportTCP, Jitter: func(src, dst, size int, base time.Duration) time.Duration { return base }},
+		"fault":   {Transport: TransportTCP, Fault: netsim.FaultPlan{Drop: func(src, dst, size int) bool { return false }}},
 	}
 	for name, opts := range cases {
 		opts := opts

@@ -9,20 +9,24 @@
 // Contract (what netsim already provided, now named):
 //
 //   - Send(src, dst, payload, size) enqueues payload for PE dst. The
-//     fabric delivers it on the destination's dispatcher goroutine via
-//     the deliver callback supplied at construction; deliveries to any
-//     one destination are serial, and two sends on the same (src, dst)
-//     pair arrive in send order (per-pair FIFO).
+//     fabric delivers it at most once, on the destination's dispatcher
+//     goroutine via the deliver callback supplied at construction;
+//     deliveries to any one destination are serial, and two sends on the
+//     same (src, dst) pair arrive in send order (per-pair FIFO). The
+//     runtime relies on at-most-once: it recycles a payload's envelope
+//     the moment it is delivered.
 //   - QueueLen reports how many accepted-but-undelivered payloads the
 //     fabric currently holds (the ledger's NetQueue column).
 //   - Close is idempotent; it delivers or accounts for everything the
 //     fabric accepted, then returns. After Close (or concurrently with
 //     it) Send returns SendClosed.
 //
-// Timers are not part of the seam. The one consumer of a timer facility,
-// the relnet reliability layer, exists to survive the simulated network's
-// injected faults and declares the extra method it needs itself; a real
-// ordered transport needs no retransmit layer above it.
+// Real transports (sockfab over TCP) deliver every accepted payload
+// exactly once and in order. Only netsim's injected faults break that: a
+// drop filter loses payloads, which ACIC's quiescence counters turn into a
+// loud hang, and a reorder filter lifts the per-pair FIFO clamp, which
+// label-correcting relaxation tolerates. No retransmit layer sits above
+// the seam, and timers are not part of it.
 package fabric
 
 // SendResult reports what the fabric decided to do with a payload.
@@ -35,8 +39,7 @@ const (
 	// as dropped-at-exit if the destination closes first).
 	SendEnqueued SendResult = iota
 	// SendDropped: a fault filter discarded the payload. The fabric
-	// counted the drop; the caller may rely on a reliability layer to
-	// recover it.
+	// counted the drop; nothing recovers it.
 	SendDropped
 	// SendClosed: the fabric (or that destination) is closed; the
 	// payload was not accepted.

@@ -8,7 +8,6 @@ import (
 
 	"acic/internal/fabric"
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 	"acic/internal/runtime"
 	"acic/internal/simclock"
 	"acic/internal/sockfab"
@@ -92,7 +91,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"latency over tcp":       {tcp(runtime.Config{Latency: netsim.DefaultLatency()}), "Latency"},
 		"jitter over tcp":        {tcp(runtime.Config{Jitter: jitter}), "Jitter"},
 		"fault over tcp":         {tcp(runtime.Config{Fault: drop}), "Fault"},
-		"reliability over tcp":   {tcp(runtime.Config{Reliability: &relnet.Config{}}), "Reliability"},
 		"latency on a worker":    {worker(runtime.Config{Span: runtime.Span{Lo: 0, Hi: 2}, Latency: netsim.DefaultLatency()}), "Latency"},
 	}
 	for name, tc := range cases {

@@ -1,7 +1,7 @@
 package netsim
 
-// Tests for the fault-injection surface beyond DropFilter — duplication and
-// adversarial reordering — plus the SendAfter timer facility and the pinned
+// Tests for the fault-injection surface beyond DropFilter — adversarial
+// reordering — plus the SendAfter timer facility and the pinned
 // mid-run DropFilter swap semantics.
 
 import (
@@ -11,39 +11,6 @@ import (
 	"testing"
 	"time"
 )
-
-// TestDupFilterDeliversTwice: a duplicated message is delivered twice, the
-// copy is counted in Stats.Duplicated, and the queued counter drains to
-// zero — the ledger sees the ghost.
-func TestDupFilterDeliversTwice(t *testing.T) {
-	var got atomic.Int64
-	n, err := NewNetwork(SingleNode(2), ZeroLatency(), func(dst int, payload any) {
-		got.Add(int64(payload.(int)))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.SetDupFilter(func(src, dst, size int) (time.Duration, bool) {
-		return 100 * time.Microsecond, true
-	})
-	if res := n.Send(0, 1, 7, 1); res != SendEnqueued {
-		t.Fatalf("Send = %v, want SendEnqueued", res)
-	}
-	n.Close()
-	if got.Load() != 14 {
-		t.Errorf("payload sum = %d, want 14 (original + duplicate)", got.Load())
-	}
-	st := n.Stats()
-	if st.MessagesSent != 1 {
-		t.Errorf("MessagesSent = %d, want 1 (the copy is not traffic)", st.MessagesSent)
-	}
-	if st.Duplicated != 1 {
-		t.Errorf("Duplicated = %d, want 1", st.Duplicated)
-	}
-	if n.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d after Close, want 0", n.QueueLen())
-	}
-}
 
 // TestReorderFilterBreaksFIFO: a reorder-released message scheduled with a
 // large extra delay is overtaken by a later send of the same pair — exactly
@@ -219,5 +186,151 @@ func TestDropFilterMidRunSwap(t *testing.T) {
 	}
 	if n.QueueLen() != 0 {
 		t.Errorf("QueueLen = %d after Close, want 0", n.QueueLen())
+	}
+}
+
+// TestReorderedStreamStillExactlyOnce pins the reordering half of the
+// bare fabric's delivery contract on every tier: a reorder filter changes
+// when a message arrives, never whether, where, or how often. A stream
+// with every 5th send held back past later traffic delivers each payload
+// exactly once to the PE it was addressed to, the held-back sends are
+// overtaken, and the sends the filter left alone keep their FIFO order.
+func TestReorderedStreamStillExactlyOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		topo     Topology
+		src, dst int
+	}{
+		{"self", SingleNode(1), 0, 0},
+		{"intra-process", SingleNode(2), 0, 1},
+		{"intra-node", Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 1}, 0, 1},
+		{"inter-node", Topology{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 1}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const msgs = 1000
+			var mu sync.Mutex
+			var order []int
+			misrouted := 0
+			n, err := NewNetwork(tc.topo, DefaultLatency(), func(dst int, payload any) {
+				mu.Lock()
+				defer mu.Unlock()
+				if dst != tc.dst {
+					misrouted++
+				}
+				order = append(order, payload.(int))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One sender: the k-th filter call is the send of payload k.
+			held := func(id int) bool { return (id+1)%5 == 0 }
+			var calls atomic.Int64
+			n.SetReorderFilter(func(src, dst, size int) (time.Duration, bool) {
+				return 500 * time.Microsecond, held(int(calls.Add(1) - 1))
+			})
+			for i := 0; i < msgs; i++ {
+				if res := n.Send(tc.src, tc.dst, i, 1); res != SendEnqueued {
+					t.Fatalf("Send %d = %v, want SendEnqueued", i, res)
+				}
+			}
+			n.Close()
+
+			mu.Lock()
+			defer mu.Unlock()
+			if misrouted != 0 {
+				t.Errorf("%d deliveries reached a PE other than %d", misrouted, tc.dst)
+			}
+			seen := make([]int, msgs)
+			overtaken, lastFIFO := 0, -1
+			for k, id := range order {
+				seen[id]++
+				if k > 0 && order[k-1] > id {
+					overtaken++
+				}
+				if !held(id) {
+					if id < lastFIFO {
+						t.Errorf("unreleased send %d arrived after unreleased send %d", id, lastFIFO)
+					}
+					lastFIFO = id
+				}
+			}
+			for id, c := range seen {
+				if c != 1 {
+					t.Errorf("payload %d delivered %d times, want 1", id, c)
+				}
+			}
+			if overtaken == 0 {
+				t.Error("no send was overtaken: the filter released nothing out of order")
+			}
+			st := n.Stats()
+			if st.Reordered != msgs/5 {
+				t.Errorf("Reordered = %d, want %d", st.Reordered, msgs/5)
+			}
+			if st.MessagesSent != msgs {
+				t.Errorf("MessagesSent = %d, want %d", st.MessagesSent, msgs)
+			}
+			if q := n.QueueLen(); q != 0 {
+				t.Errorf("QueueLen = %d after Close, want 0", q)
+			}
+		})
+	}
+}
+
+// TestDropAndReorderAtMostOnce runs both remaining filters at once: the
+// drop filter decides first, so a dropped send is never reordered, never
+// delivered and never counted as traffic, while every other send arrives
+// exactly once. Sends split exactly into enqueued and Dropped.
+func TestDropAndReorderAtMostOnce(t *testing.T) {
+	const msgs = 1200
+	var mu sync.Mutex
+	seen := make([]int, msgs)
+	n, err := NewNetwork(SingleNode(2), DefaultLatency(), func(dst int, payload any) {
+		mu.Lock()
+		seen[payload.(int)]++
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drops, reorders atomic.Int64
+	n.SetDropFilter(func(src, dst, size int) bool { return drops.Add(1)%4 == 0 })
+	n.SetReorderFilter(func(src, dst, size int) (time.Duration, bool) {
+		return 300 * time.Microsecond, reorders.Add(1)%3 == 0
+	})
+	enqueued := 0
+	for i := 0; i < msgs; i++ {
+		switch res := n.Send(0, 1, i, 1); res {
+		case SendEnqueued:
+			enqueued++
+		case SendDropped:
+		default:
+			t.Fatalf("Send %d = %v on an open network", i, res)
+		}
+	}
+	n.Close()
+
+	mu.Lock()
+	defer mu.Unlock()
+	for id, c := range seen {
+		want := 1
+		if (id+1)%4 == 0 {
+			want = 0
+		}
+		if c != want {
+			t.Errorf("payload %d delivered %d times, want %d", id, c, want)
+		}
+	}
+	st := n.Stats()
+	if st.Dropped != msgs/4 || int64(enqueued) != msgs-st.Dropped {
+		t.Errorf("enqueued %d, Dropped %d; want %d and %d", enqueued, st.Dropped, msgs-msgs/4, msgs/4)
+	}
+	if st.MessagesSent != int64(enqueued) {
+		t.Errorf("MessagesSent = %d, want %d (dropped sends are not traffic)", st.MessagesSent, enqueued)
+	}
+	if want := int64(enqueued / 3); st.Reordered != want {
+		t.Errorf("Reordered = %d, want %d (the reorder filter sees only surviving sends)", st.Reordered, want)
+	}
+	if q := n.QueueLen(); q != 0 {
+		t.Errorf("QueueLen = %d after Close, want 0", q)
 	}
 }

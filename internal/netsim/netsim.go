@@ -163,15 +163,13 @@ type Stats struct {
 	BytesByTier   [4]int64
 	MaxQueueDepth int64
 	Dropped       int64 // messages discarded by an injected fault filter
-	Duplicated    int64 // extra copies injected by a duplication filter
 	Reordered     int64 // messages released from the per-pair FIFO clamp
 }
 
-// SendResult reports what happened to one Send (or SendAfter) call. Callers
-// that assume a reliable fabric may ignore it; the reliable-delivery layer
-// (internal/relnet) uses it to keep its retransmit and ack ledgers exact.
-// It is an alias of fabric.SendResult so netsim's constants and those of
-// any other fabric.Fabric implementation are interchangeable.
+// SendResult reports what happened to one Send (or SendAfter) call: the
+// runtime uses it to return the pooled envelope of a message the fabric
+// did not keep. It is an alias of fabric.SendResult so netsim's constants
+// and those of any other fabric.Fabric implementation are interchangeable.
 type SendResult = fabric.SendResult
 
 // Send outcomes.
@@ -192,22 +190,10 @@ var _ fabric.Fabric = (*Network)(nil)
 // tests. It is consulted on every Send with the message's endpoints and
 // size; returning true drops the message silently — the failure mode of a
 // lossy fabric. Charm++ (and therefore ACIC's core counters) assume
-// reliable delivery; without the relnet layer a lost update leaves the
-// quiescence counters permanently unequal, so the algorithm visibly hangs
-// rather than silently producing wrong distances. With relnet installed the
-// dropped message is retransmitted until a copy gets through.
+// reliable delivery, so a lost update leaves the quiescence counters
+// permanently unequal and the algorithm visibly hangs rather than silently
+// producing wrong distances.
 type DropFilter func(src, dst, size int) bool
-
-// DupFilter injects duplicate deliveries, the second failure mode of a
-// lossy fabric (a retransmitting transport that loses the ack, a flaky NIC
-// ring). It is consulted on every enqueued Send; returning dup=true makes
-// the fabric enqueue a second copy of the message scheduled extra after the
-// original's deadline (negative extra is clamped to zero). The copy is a
-// ghost: it bypasses the per-pair FIFO clamp and does not advance the
-// pair's deadline floor, so it can land arbitrarily between — or long
-// after — legitimate traffic. Receivers without a dedup layer will process
-// it twice; Stats.Duplicated counts the injected copies.
-type DupFilter func(src, dst, size int) (extra time.Duration, dup bool)
 
 // ReorderFilter breaks the fabric's per-pair FIFO guarantee for selected
 // messages, modeling adversarial reordering (multipath routing, retried
@@ -215,22 +201,20 @@ type DupFilter func(src, dst, size int) (extra time.Duration, dup bool)
 // modeled delay, bypasses the per-pair FIFO clamp, and does not advance the
 // pair's deadline floor — so messages sent after it can overtake it.
 // Stats.Reordered counts the released messages. Only order-insensitive
-// receivers (label-correcting relaxation, the relnet dedup window) should
-// run under a ReorderFilter.
+// receivers (label-correcting relaxation) should run under a ReorderFilter.
 type ReorderFilter func(src, dst, size int) (extra time.Duration, reorder bool)
 
 // FaultPlan bundles the fault filters a run installs on its fabric — the
-// shape run drivers and the stress harness pass around instead of three
-// separate setters. Nil members install nothing.
+// shape run drivers and the stress harness pass around instead of separate
+// setters. Nil members install nothing.
 type FaultPlan struct {
 	Drop    DropFilter
-	Dup     DupFilter
 	Reorder ReorderFilter
 }
 
 // Empty reports whether the plan installs no filter at all.
 func (p FaultPlan) Empty() bool {
-	return p.Drop == nil && p.Dup == nil && p.Reorder == nil
+	return p.Drop == nil && p.Reorder == nil
 }
 
 // ApplyFaults installs the plan's non-nil filters. Like the individual
@@ -238,9 +222,6 @@ func (p FaultPlan) Empty() bool {
 func (n *Network) ApplyFaults(p FaultPlan) {
 	if p.Drop != nil {
 		n.SetDropFilter(p.Drop)
-	}
-	if p.Dup != nil {
-		n.SetDupFilter(p.Dup)
 	}
 	if p.Reorder != nil {
 		n.SetReorderFilter(p.Reorder)
@@ -264,7 +245,6 @@ type Network struct {
 	model   LatencyModel
 	deliver func(dst int, payload any)
 	drop    atomic.Pointer[DropFilter]
-	dup     atomic.Pointer[DupFilter]
 	reorder atomic.Pointer[ReorderFilter]
 	jitter  atomic.Pointer[JitterFunc]
 
@@ -289,7 +269,6 @@ type Network struct {
 	itemsSent    *metrics.Counter
 	bytesByTier  [4]*metrics.Counter
 	dropped      *metrics.Counter
-	duplicated   *metrics.Counter
 	reordered    *metrics.Counter
 	maxDepth     *metrics.Gauge
 }
@@ -425,10 +404,9 @@ func NewNetworkWithRegistry(topo Topology, model LatencyModel, deliver func(dst 
 			reg.Counter("netsim.items_tier_node"),
 			reg.Counter("netsim.items_tier_machine"),
 		},
-		dropped:    reg.Counter("netsim.dropped"),
-		duplicated: reg.Counter("netsim.duplicated"),
-		reordered:  reg.Counter("netsim.reordered"),
-		maxDepth:   reg.Gauge("netsim.max_queue_depth"),
+		dropped:   reg.Counter("netsim.dropped"),
+		reordered: reg.Counter("netsim.reordered"),
+		maxDepth:  reg.Gauge("netsim.max_queue_depth"),
 	}
 	for i := range n.lanes {
 		n.lanes[i].nextAt.Store(laneEmpty)
@@ -460,17 +438,6 @@ func (n *Network) SetDropFilter(f DropFilter) {
 		return
 	}
 	n.drop.Store(&f)
-}
-
-// SetDupFilter installs a duplication fault filter (see DupFilter). The
-// same mid-run swap semantics as SetDropFilter apply. A nil filter (the
-// default) duplicates nothing.
-func (n *Network) SetDupFilter(f DupFilter) {
-	if f == nil {
-		n.dup.Store(nil)
-		return
-	}
-	n.dup.Store(&f)
 }
 
 // SetReorderFilter installs an adversarial-reordering filter (see
@@ -526,16 +493,6 @@ func (n *Network) Send(src, dst int, payload any, size int) SendResult {
 			reorderExtra, reordered = extra, true
 		}
 	}
-	var dupExtra time.Duration
-	duplicated := false
-	if f := n.dup.Load(); f != nil {
-		if extra, ok := (*f)(src, dst, size); ok {
-			if extra < 0 {
-				extra = 0
-			}
-			dupExtra, duplicated = extra, true
-		}
-	}
 	//acic:allow-wallclock latency injection maps simulated delay onto the real timeline by design
 	at := int64(time.Since(n.epoch) + delay)
 
@@ -564,13 +521,6 @@ func (n *Network) Send(src, dst int, payload any, size int) SendResult {
 		la.pairAt[src] = at
 	}
 	newHead := la.pushLocked(n, at, payload)
-	if duplicated {
-		// The copy is a ghost: no clamp, no pairAt update, so it lands
-		// wherever its deadline falls relative to legitimate traffic.
-		if la.pushLocked(n, at+int64(dupExtra), payload) {
-			newHead = true
-		}
-	}
 	depth := n.queued.Load()
 	if newHead {
 		la.nextAt.Store(la.q[0].at)
@@ -582,9 +532,6 @@ func (n *Network) Send(src, dst int, payload any, size int) SendResult {
 	n.bytesByTier[tier].Add(src, int64(size))
 	if reordered {
 		n.reordered.Add(src, 1)
-	}
-	if duplicated {
-		n.duplicated.Add(src, 1)
 	}
 	// Per-src high-water mark of the global depth: the gauge's Max over
 	// shards recovers the machine-wide maximum the old CAS loop tracked.
@@ -617,12 +564,12 @@ func (la *lane) pushLocked(n *Network, at int64, payload any) bool {
 
 // SendAfter schedules payload for delivery to dst exactly delay from now,
 // bypassing the latency model, every fault filter, the per-pair FIFO clamp
-// and the traffic counters. It is the fabric's timer facility: the
-// reliable-delivery layer schedules its retransmit and delayed-ack checks
-// through it, so timeouts ride the same simulated timeline as the traffic
-// they guard — no second clock, no polling. Timer deliveries still count
-// toward QueueLen (a pending timer is a reason not to declare the fabric
-// quiet) and are delivered in deadline order like any message.
+// and the traffic counters. It is the fabric's timer facility: a caller
+// that wants a wake-up on the fabric's own timeline schedules it here —
+// no second clock, no polling (the benchmark measures the dispatcher's
+// wake-up overshoot with it). The runtime never calls it. Timer deliveries
+// still count toward QueueLen (a pending timer is a reason not to declare
+// the fabric quiet) and are delivered in deadline order like any message.
 func (n *Network) SendAfter(dst int, payload any, delay time.Duration) SendResult {
 	if delay < 0 {
 		delay = 0
@@ -655,7 +602,7 @@ func (n *Network) SendAfter(dst int, payload any, delay time.Duration) SendResul
 // (the benchmark's host.sleep_50us_us), twenty times the largest modeled
 // latency — so for deadlines nearer than this the dispatcher yields the
 // processor and looks at the clock again. The wait is bounded by the
-// horizon itself: anything further away (retransmit timers, an idle
+// horizon itself: anything further away (a long modeled delay, an idle
 // fabric) parks as before.
 const timerHorizon = 200 * time.Microsecond
 
@@ -771,7 +718,6 @@ func (n *Network) Stats() Stats {
 		},
 		MaxQueueDepth: n.maxDepth.Max(),
 		Dropped:       n.dropped.Value(),
-		Duplicated:    n.duplicated.Value(),
 		Reordered:     n.reordered.Value(),
 	}
 }

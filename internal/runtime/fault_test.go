@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 )
 
 // relayApp forwards a counter around a two-PE ring n times, then idles.
@@ -23,11 +22,6 @@ type relayApp struct {
 	hops     *atomic.Int64
 	quiesced *atomic.Int64
 }
-
-// relayHopSize is the size every hop travels at. relnet's standalone acks
-// travel at size 1, so a fault filter — which sees only (src, dst, size) —
-// can pick out a data frame whatever the timing of the acks around it.
-const relayHopSize = 2
 
 func (h *relayApp) Deliver(pe *PE, msg any) {
 	if _, ok := msg.(Quiescence); ok {
@@ -38,7 +32,7 @@ func (h *relayApp) Deliver(pe *PE, msg any) {
 	n := msg.(int)
 	h.hops.Add(1)
 	if n > 1 {
-		pe.Send(1-pe.Index(), n-1, relayHopSize)
+		pe.Send(1-pe.Index(), n-1, 1)
 	}
 }
 
@@ -79,115 +73,10 @@ func TestDroppedMessageBlocksQuiescence(t *testing.T) {
 	rt.Wait()
 }
 
-// TestDroppedMessageRecoversWithReliability is the mirror image of
-// TestDroppedMessageBlocksQuiescence: the same drop that hangs a bare
-// runtime is retransmitted by the relnet layer, the chain completes, the
-// runtime-level detector fires, and the extended ledger balances with the
-// retransmit column non-zero.
-func TestDroppedMessageRecoversWithReliability(t *testing.T) {
-	var hops, quiesced atomic.Int64
-	cfg := Config{
-		Topo:           netsim.SingleNode(2),
-		Latency:        netsim.LatencyModel{IntraProcess: 100 * time.Microsecond},
-		QuiescencePoll: 200 * time.Microsecond,
-		Reliability:    &relnet.Config{RTO: 2 * time.Millisecond, AckDelay: 500 * time.Microsecond},
-	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop the 5th hop (acks excluded so the recovery exercises exactly
-	// one retransmission; a dropped ack is healed by the next cumulative
-	// one and retransmits nothing).
-	var count atomic.Int64
-	rt.Network().SetDropFilter(func(src, dst, size int) bool {
-		return size == relayHopSize && count.Add(1) == 5
-	})
-	rt.Start(func(pe *PE) Handler { return &relayApp{hops: &hops, quiesced: &quiesced} })
-	rt.send(0, 0, envelope{kind: kindApp, payload: 20}, 1)
-	waitOrFail(t, rt, 10*time.Second)
-
-	if got := hops.Load(); got != 20 {
-		t.Errorf("hops = %d, want 20 (retransmit must heal the chain)", got)
-	}
-	if got := quiesced.Load(); got != 1 {
-		t.Errorf("quiescence fired %d times, want 1", got)
-	}
-	a := rt.Audit()
-	if a.Retransmits == 0 {
-		t.Error("Audit.Retransmits = 0, want > 0: the drop forced the timeout path")
-	}
-	if a.NetDropped == 0 {
-		t.Error("Audit.NetDropped = 0, want > 0")
-	}
-	if u := a.Unaccounted(); u != 0 {
-		t.Errorf("Unaccounted = %d, want 0; ledger: %+v", u, a)
-	}
-	if a.NetQueue != 0 {
-		t.Errorf("NetQueue = %d after Wait, want 0", a.NetQueue)
-	}
-}
-
-// TestDuplicateDeliveryLedgerBalancedWithoutReliability documents today's
-// at-most-once runtime under fabric duplication: the ghost copy is
-// dispatched twice (Delivered = Sent + NetDuplicated) and the extended
-// ledger still balances — duplication is visible in its own column, never
-// smeared into Unaccounted.
-func TestDuplicateDeliveryLedgerBalancedWithoutReliability(t *testing.T) {
-	var hops, quiesced atomic.Int64
-	cfg := Config{
-		Topo:    netsim.SingleNode(2),
-		Latency: netsim.LatencyModel{IntraProcess: 50 * time.Microsecond},
-	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate the 3rd network message once.
-	var count atomic.Int64
-	rt.Network().SetDupFilter(func(src, dst, size int) (time.Duration, bool) {
-		return 200 * time.Microsecond, count.Add(1) == 3
-	})
-	rt.Start(func(pe *PE) Handler { return &relayApp{hops: &hops, quiesced: &quiesced} })
-	rt.send(0, 0, envelope{kind: kindApp, payload: 10}, 1)
-
-	// The duplicated hop re-runs the remainder of the countdown, so the
-	// ring sees extra hops and sent == delivered never holds again; wait
-	// for the fabric to drain and deliveries to stop moving, then stop.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		before := rt.MessagesDelivered()
-		time.Sleep(2 * time.Millisecond)
-		if rt.Network().QueueLen() == 0 && rt.MessagesDelivered() == before {
-			break
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-	}
-	rt.RequestExit()
-	rt.Wait()
-
-	a := rt.Audit()
-	if a.NetDuplicated != 1 {
-		t.Errorf("NetDuplicated = %d, want 1", a.NetDuplicated)
-	}
-	if a.Delivered != a.Sent+a.NetDuplicated-a.MailboxBacklog-a.DroppedAtExit {
-		t.Errorf("Delivered = %d, want Sent(%d) + NetDuplicated(%d) - backlog(%d) - atExit(%d)",
-			a.Delivered, a.Sent, a.NetDuplicated, a.MailboxBacklog, a.DroppedAtExit)
-	}
-	if u := a.Unaccounted(); u != 0 {
-		t.Errorf("Unaccounted = %d, want 0; ledger: %+v", u, a)
-	}
-	if hops.Load() <= 10 {
-		t.Errorf("hops = %d, want > 10: the duplicate re-runs part of the countdown", hops.Load())
-	}
-}
-
 // ringMsg is a payload only one send ever carries.
 type ringMsg struct{ id, dst int }
 
-// ringSink records every delivery, ghosts included.
+// ringSink records every delivery.
 type ringSink struct {
 	NopControl
 	mu  *sync.Mutex
@@ -208,15 +97,14 @@ func (h *ringSink) Deliver(pe *PE, msg any) {
 
 func (h *ringSink) Idle(pe *PE) bool { return false }
 
-// TestDuplicateDeliveryNeverShowsARecycledEnvelope sends a ring of
-// distinct payloads through a network whose duplication filter was
-// installed through Network(), without relnet. The fabric hands the same
-// *envelope to the delivery twice, so the first delivery must not return
-// it to the pool: a ghost that read a recycled envelope would carry
-// another send's payload to the wrong PE, or no payload at all. Every
-// delivery must carry the payload its send carried, and the duplicates
-// must be exactly the fabric's.
-func TestDuplicateDeliveryNeverShowsARecycledEnvelope(t *testing.T) {
+// TestReorderedDeliveryNeverShowsARecycledEnvelope sends a ring of
+// distinct payloads through a network whose reorder filter holds every
+// 5th message back past later traffic. Every delivery returns its
+// *envelope to the pool while held-back envelopes are still in flight, so
+// a delivery that read a recycled envelope would carry another send's
+// payload to the wrong PE, or no payload at all. Each message must arrive
+// exactly once, carrying its own payload, and the ledger must balance.
+func TestReorderedDeliveryNeverShowsARecycledEnvelope(t *testing.T) {
 	const pes, msgs = 4, 2000
 	rt, err := New(Config{
 		Topo:    netsim.SingleNode(pes),
@@ -226,7 +114,7 @@ func TestDuplicateDeliveryNeverShowsARecycledEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	var count atomic.Int64
-	rt.Network().SetDupFilter(func(src, dst, size int) (time.Duration, bool) {
+	rt.Network().SetReorderFilter(func(src, dst, size int) (time.Duration, bool) {
 		return 100 * time.Microsecond, count.Add(1)%5 == 0
 	})
 	var mu sync.Mutex
@@ -239,7 +127,7 @@ func TestDuplicateDeliveryNeverShowsARecycledEnvelope(t *testing.T) {
 		rt.send(src, dst, envelope{kind: kindApp, payload: ringMsg{id: i, dst: dst}}, 1)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for rt.MessagesDelivered() != rt.MessagesSent()+rt.NetworkStats().Duplicated {
+	for rt.MessagesDelivered() < rt.MessagesSent() || rt.Network().QueueLen() > 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("fabric did not drain: queue %d, delivered %d of %d",
 				rt.Network().QueueLen(), rt.MessagesDelivered(), rt.MessagesSent())
@@ -254,56 +142,16 @@ func TestDuplicateDeliveryNeverShowsARecycledEnvelope(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
-	extra := int64(0)
 	for i := 0; i < msgs; i++ {
-		if got[i] == 0 {
-			t.Errorf("message %d never delivered", i)
+		if got[i] != 1 {
+			t.Errorf("message %d delivered %d times, want 1", i, got[i])
 		}
-		extra += int64(got[i] - 1)
 	}
-	a := rt.Audit()
-	if a.NetDuplicated == 0 || extra != a.NetDuplicated {
-		t.Errorf("%d extra deliveries, fabric duplicated %d", extra, a.NetDuplicated)
+	if r := rt.NetworkStats().Reordered; r == 0 {
+		t.Error("Reordered = 0: the filter never fired, nothing was held back")
 	}
-	if u := a.Unaccounted(); u != 0 {
-		t.Errorf("Unaccounted = %d, want 0; ledger: %+v", u, a)
-	}
-}
-
-// TestDuplicateDeliverySwallowedWithReliability: the same fabric duplicate
-// under the relnet layer never reaches a handler twice — it lands in the
-// DupDiscarded column and the hop count stays exact.
-func TestDuplicateDeliverySwallowedWithReliability(t *testing.T) {
-	var hops, quiesced atomic.Int64
-	cfg := Config{
-		Topo:           netsim.SingleNode(2),
-		Latency:        netsim.LatencyModel{IntraProcess: 50 * time.Microsecond},
-		QuiescencePoll: 200 * time.Microsecond,
-		Reliability:    &relnet.Config{RTO: 5 * time.Millisecond, AckDelay: 500 * time.Microsecond},
-	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ghost the third hop. Counting every frame instead would sometimes
-	// pick a standalone ack, which the layer consumes rather than discards.
-	var hopFrames atomic.Int64
-	rt.Network().SetDupFilter(func(src, dst, size int) (time.Duration, bool) {
-		return 200 * time.Microsecond, size == relayHopSize && hopFrames.Add(1) == 3
-	})
-	rt.Start(func(pe *PE) Handler { return &relayApp{hops: &hops, quiesced: &quiesced} })
-	rt.send(0, 0, envelope{kind: kindApp, payload: 10}, 1)
-	waitOrFail(t, rt, 10*time.Second)
-
-	if got := hops.Load(); got != 10 {
-		t.Errorf("hops = %d, want exactly 10 (duplicate must be swallowed)", got)
-	}
-	a := rt.Audit()
-	if a.DupDiscarded == 0 {
-		t.Error("DupDiscarded = 0, want > 0: the ghost copy must hit the dedup window")
-	}
-	if u := a.Unaccounted(); u != 0 {
-		t.Errorf("Unaccounted = %d, want 0; ledger: %+v", u, a)
+	if u := rt.Audit().Unaccounted(); u != 0 {
+		t.Errorf("Unaccounted = %d, want 0; ledger: %+v", u, rt.Audit())
 	}
 }
 
@@ -328,5 +176,93 @@ func TestNoDropsQuiescesNormally(t *testing.T) {
 	}
 	if quiesced.Load() != 1 {
 		t.Errorf("quiescence fired %d times, want 1", quiesced.Load())
+	}
+}
+
+// TestLedgerBalancesUnderEveryFault checks the conservation identity
+// Sent + BoundaryIn == Delivered + NetQueue + NetDropped + MailboxBacklog +
+// DroppedAtExit + BoundaryOut column by column under each fault the
+// simulated fabric can still inject, alone and together. Every send is a
+// distinct ring payload, so the test also knows which ones must arrive:
+// a dropped send never does, every other send arrives exactly once.
+func TestLedgerBalancesUnderEveryFault(t *testing.T) {
+	const pes, msgs = 4, 1000
+	for _, tc := range []struct {
+		name                    string
+		dropEvery, reorderEvery int
+	}{
+		{"none", 0, 0},
+		{"reorder", 0, 5},
+		{"drop", 7, 0},
+		{"drop+reorder", 7, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := New(Config{
+				Topo:    netsim.SingleNode(pes),
+				Latency: netsim.LatencyModel{IntraProcess: 20 * time.Microsecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropped := func(id int) bool { return tc.dropEvery > 0 && (id+1)%tc.dropEvery == 0 }
+			// One sender: the k-th drop-filter call is the send of payload k.
+			var drops, reorders atomic.Int64
+			if tc.dropEvery > 0 {
+				rt.Network().SetDropFilter(func(src, dst, size int) bool {
+					return dropped(int(drops.Add(1) - 1))
+				})
+			}
+			if tc.reorderEvery > 0 {
+				rt.Network().SetReorderFilter(func(src, dst, size int) (time.Duration, bool) {
+					return 100 * time.Microsecond, reorders.Add(1)%int64(tc.reorderEvery) == 0
+				})
+			}
+			var mu sync.Mutex
+			var bad []string
+			got := make(map[int]int)
+			rt.Start(func(pe *PE) Handler { return &ringSink{mu: &mu, got: got, bad: &bad} })
+			wantDropped := 0
+			for i := 0; i < msgs; i++ {
+				if dropped(i) {
+					wantDropped++
+				}
+				src := i % pes
+				dst := (src + 1) % pes
+				rt.send(src, dst, envelope{kind: kindApp, payload: ringMsg{id: i, dst: dst}}, 1)
+			}
+			wantDelivered := int64(msgs - wantDropped)
+			deadline := time.Now().Add(10 * time.Second)
+			for rt.MessagesDelivered() < wantDelivered || rt.Network().QueueLen() > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("fabric did not drain: queue %d, delivered %d of %d",
+						rt.Network().QueueLen(), rt.MessagesDelivered(), wantDelivered)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			rt.RequestExit()
+			rt.Wait()
+
+			mu.Lock()
+			defer mu.Unlock()
+			for _, b := range bad {
+				t.Error(b)
+			}
+			for i := 0; i < msgs; i++ {
+				want := 1
+				if dropped(i) {
+					want = 0
+				}
+				if got[i] != want {
+					t.Errorf("message %d delivered %d times, want %d", i, got[i], want)
+				}
+			}
+			want := Audit{Sent: msgs, Delivered: wantDelivered, NetDropped: int64(wantDropped)}
+			if a := rt.Audit(); a != want || a.Unaccounted() != 0 {
+				t.Errorf("ledger %+v, want %+v", a, want)
+			}
+			if r := rt.NetworkStats().Reordered; (tc.reorderEvery > 0) != (r > 0) {
+				t.Errorf("Reordered = %d with reorderEvery %d", r, tc.reorderEvery)
+			}
+		})
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"acic/internal/fabric"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 	"acic/internal/trace"
 )
 
@@ -90,8 +89,8 @@ type Config struct {
 	// one dispatcher goroutine per process — the same contract netsim's
 	// dispatcher honors. With a custom fabric the zero-latency mailbox
 	// bypass applies only to intra-process pairs inside Span, and the
-	// knobs that parameterize the simulation (Latency, Jitter, Fault,
-	// Reliability) are rejected: they have nothing to act on.
+	// knobs that parameterize the simulation (Latency, Jitter, Fault) are
+	// rejected: they have nothing to act on.
 	NewFabric func(deliver func(dst int, payload any)) (fabric.Fabric, error)
 	// Span restricts which PEs this instance hosts; requires NewFabric
 	// (the simulated network delivers every PE in-process). Zero = all.
@@ -103,16 +102,6 @@ type Config struct {
 	// given poll interval; zero disables it. On detection a Quiescence
 	// message is delivered to PE 0.
 	QuiescencePoll time.Duration
-	// Reliability, when non-nil, inserts the reliable-delivery layer
-	// (internal/relnet) between the runtime's send path and the fabric:
-	// every envelope is sequence-stamped, retained until acknowledged, and
-	// retransmitted on timeout, while the receive side deduplicates — so
-	// the sent/delivered conservation atomics keep their exactly-once
-	// meaning even under injected drop, duplication and reordering faults.
-	// Installing reliability disables the zero-latency mailbox bypass so
-	// that every envelope crosses the fabric and gets a sequence number.
-	// The layer's Metrics/Trace default to this Config's when left nil.
-	Reliability *relnet.Config
 	// Fault installs the plan's filters on the fabric at construction and,
 	// like Jitter, disables the zero-latency mailbox bypass so every
 	// message is exposed to them. Runs that install filters directly via
@@ -147,7 +136,6 @@ type Runtime struct {
 	cfg Config
 	fab fabric.Fabric
 	net *netsim.Network // the built-in fabric; nil under Config.NewFabric
-	rel *relnet.Layer   // nil unless Config.Reliability is set
 	pes []*PE           // indexed by global PE id; nil outside [lo, hi)
 	lo  int             // hosted span [lo, hi)
 	hi  int
@@ -160,14 +148,6 @@ type Runtime struct {
 	// messages on a zero-base tier are truly free.
 	zeroBase  []uint64
 	noPerItem bool
-
-	// recycle says whether a delivery may return its *envelope to the
-	// pool. A netsim duplication filter without relnet delivers the same
-	// pointer twice, so New clears it for Config.Fault.Dup and Network
-	// clears it before handing out the raw network a filter can be
-	// installed on. deliverLocal reads it per delivery: any duplicate made
-	// by a filter stored after the clear is delivered after it too.
-	recycle atomic.Bool
 
 	sent      atomic.Int64 // messages sent (all kinds)
 	delivered atomic.Int64 // messages fully processed (all kinds)
@@ -241,8 +221,7 @@ const (
 // *envelope from envelopes instead of boxing the value into the seam's
 // payload any; the delivery copies it into the mailbox and returns it (see
 // deliverLocal), and a wire encode returns it the moment its bytes are in
-// the buffer (RegisterWire). relnet is the exception: it keeps a payload
-// until it is acknowledged, so it is handed the envelope by value.
+// the buffer (RegisterWire).
 type envelope struct {
 	epoch   int64
 	payload any
@@ -308,8 +287,6 @@ func (cfg *Config) Validate() error {
 		knob = "Jitter"
 	case !cfg.Fault.Empty():
 		knob = "Fault"
-	case cfg.Reliability != nil:
-		knob = "Reliability"
 	default:
 		return nil
 	}
@@ -338,14 +315,12 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		rt.pes[i] = pe
 	}
-	rt.recycle.Store(cfg.Fault.Dup == nil || cfg.Reliability != nil)
 	rt.noPerItem = cfg.Latency.PerItem == 0
 	rt.zeroBase = make([]uint64, (numPEs*numPEs+63)/64)
-	if cfg.Jitter == nil && cfg.Reliability == nil && cfg.Fault.Empty() {
-		// With jitter installed no pair is reliably zero-delay, with
-		// reliability installed every envelope needs a sequence number, and
-		// with a fault plan every message must face the filters — in each
-		// case the bitmap stays empty and every message crosses the fabric.
+	if cfg.Jitter == nil && cfg.Fault.Empty() {
+		// With jitter installed no pair is reliably zero-delay, and with a
+		// fault plan every message must face the filters — in either case
+		// the bitmap stays empty and every message crosses the fabric.
 		// Under a custom fabric only hosted intra-process pairs may bypass:
 		// everything else must reach the fabric to be routed (and, across
 		// the process boundary, serialized and counted).
@@ -367,35 +342,14 @@ func New(cfg Config) (*Runtime, error) {
 	rt.mIdleWork = cfg.Metrics.Counter("runtime.idle_work")
 	rt.mBlocks = cfg.Metrics.Counter("runtime.blocks")
 	rt.mSleptNs = cfg.Metrics.Counter("runtime.work_slept_ns")
-	if cfg.Reliability != nil {
-		relCfg := *cfg.Reliability
-		if relCfg.Metrics == nil {
-			relCfg.Metrics = cfg.Metrics
-		}
-		if relCfg.Trace == nil {
-			relCfg.Trace = cfg.Trace
-		}
-		rt.rel = relnet.New(relCfg, numPEs, func(dst int, payload any) {
-			rt.deliverLocal(dst, payload)
-		})
-	}
-	deliver := func(dst int, payload any) {
-		if rt.rel != nil {
-			// The layer deduplicates and strips its framing, then hands
-			// application envelopes to deliverLocal.
-			rt.rel.OnFabric(dst, payload)
-			return
-		}
-		rt.deliverLocal(dst, payload)
-	}
 	if cfg.NewFabric != nil {
-		fab, err := cfg.NewFabric(deliver)
+		fab, err := cfg.NewFabric(rt.deliverLocal)
 		if err != nil {
 			return nil, err
 		}
 		rt.fab = fab
 	} else {
-		net, err := netsim.NewNetworkWithRegistry(cfg.Topo, cfg.Latency, deliver, cfg.Metrics)
+		net, err := netsim.NewNetworkWithRegistry(cfg.Topo, cfg.Latency, rt.deliverLocal, cfg.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -405,35 +359,24 @@ func New(cfg Config) (*Runtime, error) {
 		net.ApplyFaults(cfg.Fault)
 		rt.net = net
 		rt.fab = net
-		if rt.rel != nil {
-			// Validate rejects Reliability on a custom fabric, so the layer
-			// only ever rides the simulated network and its timer facility.
-			rt.rel.Bind(net)
-		}
 	}
 	return rt, nil
 }
 
 // deliverLocal pushes a fabric-delivered envelope into its destination
-// mailbox and returns a pooled one to the pool: the mailbox holds a copy.
-// relnet delivers the envelope value it retained. A delivery outside the
-// hosted span is a routing bug in the fabric — made loud rather than
-// dropped, because a silently lost envelope shows up much later as a
-// quiescence hang.
+// mailbox and returns it to the pool: the mailbox holds a copy, and every
+// fabric delivers a message at most once. A delivery outside the hosted
+// span is a routing bug in the fabric — made loud rather than dropped,
+// because a silently lost envelope shows up much later as a quiescence
+// hang.
 func (rt *Runtime) deliverLocal(dst int, payload any) {
 	pe := rt.pes[dst]
 	if pe == nil {
 		panic(fmt.Sprintf("runtime: fabric delivered to PE %d outside hosted span [%d, %d)", dst, rt.lo, rt.hi))
 	}
-	env, ok := payload.(*envelope)
-	if !ok {
-		pe.mbox.push(payload.(envelope))
-		return
-	}
+	env := payload.(*envelope)
 	pe.mbox.push(*env)
-	if rt.recycle.Load() {
-		putEnvelope(env)
-	}
+	putEnvelope(env)
 }
 
 // Start instantiates one handler per hosted PE via factory and launches
@@ -496,18 +439,13 @@ func (rt *Runtime) NetworkStats() netsim.Stats {
 }
 
 // Network exposes the underlying simulated fabric, primarily so
-// fault-injection tests can install a netsim.DropFilter. Nil when the
-// runtime was built over a custom fabric (Config.NewFabric). Note that
-// zero-delay messages bypass the network (they go straight to the
+// fault-injection tests can install a netsim drop or reorder filter. Nil
+// when the runtime was built over a custom fabric (Config.NewFabric). Note
+// that zero-delay messages bypass the network (they go straight to the
 // destination mailbox), so a filter only sees messages with non-zero
-// modeled latency. A caller may install a duplication filter on what it
-// gets, so from here on deliveries no longer recycle their envelopes.
-func (rt *Runtime) Network() *netsim.Network {
-	if rt.net != nil {
-		rt.recycle.Store(false)
-	}
-	return rt.net
-}
+// modeled latency. Neither filter delivers a message twice, so deliveries
+// keep recycling their envelopes.
+func (rt *Runtime) Network() *netsim.Network { return rt.net }
 
 // MessagesSent returns the total number of messages sent so far.
 func (rt *Runtime) MessagesSent() int64 { return rt.sent.Load() }
@@ -516,22 +454,13 @@ func (rt *Runtime) MessagesSent() int64 { return rt.sent.Load() }
 func (rt *Runtime) MessagesDelivered() int64 { return rt.delivered.Load() }
 
 // Audit is a snapshot of the runtime's message-conservation ledger. Every
-// frame put onto the fabric — an original envelope send (Sent), a relnet
-// retransmission (Retransmits), a fabric-injected duplicate
-// (NetDuplicated) or a standalone ack (AcksSent) — is exactly one of:
-// dispatched to a handler (Delivered), still inside the simulated fabric
-// (NetQueue), discarded by an injected fault filter (NetDropped), parked in
-// a PE mailbox (MailboxBacklog), pushed at a mailbox that had already
-// closed during shutdown (DroppedAtExit), swallowed by the relnet dedup
-// window (DupDiscarded), or consumed as an ack by the layer (AcksConsumed).
-// The identity Unaccounted() == 0 is exact once Wait has returned (fabric
-// timer frames, which are uncounted, have all fired by then); mid-run
-// snapshots are only approximate because the counters are read at
-// different instants and pending timers sit in NetQueue.
-//
-// Without Config.Reliability the relnet columns are zero and the identity
-// reduces to the pre-relnet one (with NetDuplicated covering fabric-level
-// duplication, which is then delivered twice).
+// envelope sent (Sent) is exactly one of: dispatched to a handler
+// (Delivered), still inside the simulated fabric (NetQueue), discarded by
+// an injected drop filter (NetDropped), parked in a PE mailbox
+// (MailboxBacklog), or pushed at a mailbox that had already closed during
+// shutdown (DroppedAtExit). The identity Unaccounted() == 0 is exact once
+// Wait has returned; mid-run snapshots are only approximate because the
+// counters are read at different instants.
 type Audit struct {
 	Sent           int64
 	Delivered      int64
@@ -539,22 +468,6 @@ type Audit struct {
 	NetDropped     int64
 	MailboxBacklog int64
 	DroppedAtExit  int64
-
-	// Reliable-delivery columns (zero without Config.Reliability).
-	Retransmits  int64 // data frames re-sent by the timeout machinery
-	DupDiscarded int64 // frames swallowed by the receiver dedup window
-	AcksSent     int64 // standalone ack frames handed to the fabric
-	AcksConsumed int64 // standalone ack frames consumed by the layer
-	// Stranded is relnet's diagnostic for frames whose retransmit
-	// protection lapsed against a closing fabric. It is NOT part of the
-	// conservation identity (the frame's first transmission is already
-	// accounted there); nonzero after a clean run means the close raced
-	// the reliability layer.
-	Stranded int64
-
-	// NetDuplicated counts fabric-injected duplicate copies (netsim
-	// DupFilter ghosts), with or without the reliability layer.
-	NetDuplicated int64
 
 	// Process-boundary columns (zero on a single-process fabric). A frame
 	// written to the transport boundary leaves this process's ledger
@@ -570,9 +483,9 @@ type Audit struct {
 // Unaccounted returns the number of fabric frames the ledger cannot place —
 // nonzero means a message was silently lost or double-counted somewhere.
 func (a Audit) Unaccounted() int64 {
-	return a.Sent + a.Retransmits + a.NetDuplicated + a.AcksSent + a.BoundaryIn -
+	return a.Sent + a.BoundaryIn -
 		a.Delivered - a.NetQueue - a.NetDropped - a.MailboxBacklog - a.DroppedAtExit -
-		a.DupDiscarded - a.AcksConsumed - a.BoundaryOut
+		a.BoundaryOut
 }
 
 // Audit snapshots the conservation ledger. Call after Wait for an exact
@@ -581,19 +494,10 @@ func (a Audit) Unaccounted() int64 {
 func (rt *Runtime) Audit() Audit {
 	ns := rt.NetworkStats()
 	a := Audit{
-		Sent:          rt.sent.Load(),
-		Delivered:     rt.delivered.Load(),
-		NetQueue:      int64(rt.fab.QueueLen()),
-		NetDropped:    ns.Dropped,
-		NetDuplicated: ns.Duplicated,
-	}
-	if rt.rel != nil {
-		rs := rt.rel.Stats()
-		a.Retransmits = rs.Retransmits
-		a.DupDiscarded = rs.DupDiscarded
-		a.AcksSent = rs.AcksSent
-		a.AcksConsumed = rs.AcksConsumed
-		a.Stranded = rs.Stranded
+		Sent:       rt.sent.Load(),
+		Delivered:  rt.delivered.Load(),
+		NetQueue:   int64(rt.fab.QueueLen()),
+		NetDropped: ns.Dropped,
 	}
 	if b, ok := rt.fab.(fabric.Boundary); ok {
 		a.BoundaryOut, a.BoundaryIn = b.BoundaryCounts()
@@ -628,10 +532,6 @@ func (rt *Runtime) send(src, dst int, env envelope, size int) {
 	idx := src*len(rt.pes) + dst
 	if rt.zeroBase[idx>>6]&(1<<(idx&63)) != 0 && (rt.noPerItem || size == 0) {
 		rt.pes[dst].mbox.push(env)
-		return
-	}
-	if rt.rel != nil {
-		rt.rel.Send(src, dst, env, size) //acic:allow-alloc relnet retains the envelope by value until it is acknowledged
 		return
 	}
 	p := getEnvelope(env)

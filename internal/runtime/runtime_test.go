@@ -10,7 +10,6 @@ import (
 
 	"acic/internal/fabric"
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 	"acic/internal/trace"
 )
 
@@ -490,10 +489,9 @@ func TestNewRejectsSimKnobsOnCustomFabric(t *testing.T) {
 		return nil, errors.New("fabric built for a rejected config")
 	}
 	for knob, set := range map[string]func(*Config){
-		"Latency":     func(c *Config) { c.Latency = netsim.DefaultLatency() },
-		"Jitter":      func(c *Config) { c.Jitter = func(_, _, _ int, base time.Duration) time.Duration { return base } },
-		"Fault":       func(c *Config) { c.Fault.Drop = func(src, dst, size int) bool { return false } },
-		"Reliability": func(c *Config) { c.Reliability = &relnet.Config{} },
+		"Latency": func(c *Config) { c.Latency = netsim.DefaultLatency() },
+		"Jitter":  func(c *Config) { c.Jitter = func(_, _, _ int, base time.Duration) time.Duration { return base } },
+		"Fault":   func(c *Config) { c.Fault.Drop = func(src, dst, size int) bool { return false } },
 	} {
 		cfg := Config{Topo: netsim.SingleNode(2), NewFabric: custom}
 		set(&cfg)

@@ -61,7 +61,6 @@ func TestEnvelopeWireRejectsBadKind(t *testing.T) {
 func TestEnvelopeWireReturnsEveryEnvelope(t *testing.T) {
 	c := envCodec()
 	rt := &Runtime{pes: []*PE{{mbox: newMailbox()}}}
-	rt.recycle.Store(true)
 	const msgs = 16
 	var frames [][]byte
 	for i := 0; i < msgs; i++ {

@@ -1,12 +1,12 @@
 package stress
 
-// Fault profiles: seeded, deterministic fabric-level fault injection —
-// probabilistic drop, duplication and adversarial reordering — layered
-// under the reliable-delivery stack (internal/relnet). Where the jitter
-// profiles perturb WHEN a message arrives, fault profiles attack WHETHER
-// and HOW OFTEN it arrives; the harness runs acic over them with
-// reliability enabled and still demands oracle-exact distances and a
-// balanced conservation ledger.
+// Fault profiles: seeded, deterministic fabric-level fault injection.
+// Where the jitter profiles perturb WHEN a message arrives within its
+// pair's FIFO order, the reorder fault breaks that order itself; the
+// harness runs acic over it and still demands oracle-exact distances and a
+// balanced conservation ledger. Message loss is not a profile: a dropped
+// update hangs any run loudly by design (TestDroppedUpdateUnderStressHangsLoudly
+// pins that contract directly).
 
 import (
 	"fmt"
@@ -24,91 +24,49 @@ type Fault string
 const (
 	// FaultNone installs no filters (the default for the classic matrix).
 	FaultNone Fault = "none"
-	// FaultDrop discards ~3% of sends. Without relnet this hangs any run
-	// loudly; with it, every loss is retransmitted until a copy survives.
-	FaultDrop Fault = "drop"
-	// FaultDup delivers an extra ghost copy for ~4% of sends, landing at a
-	// perturbed deadline outside the per-pair FIFO clamp.
-	FaultDup Fault = "dup"
 	// FaultReorder releases ~4% of sends from the per-pair FIFO clamp with
 	// extra delay, so later traffic overtakes them.
 	FaultReorder Fault = "reorder"
-	// FaultLossy combines drop, duplication and reordering at ~2% each —
-	// the full lossy-transport gauntlet.
-	FaultLossy Fault = "lossy"
 )
 
 // Faults returns every fault profile (excluding FaultNone), in the order
 // the stress matrix enumerates them.
 func Faults() []Fault {
-	return []Fault{FaultDrop, FaultDup, FaultReorder, FaultLossy}
+	return []Fault{FaultReorder}
 }
 
 // ParseFault validates a fault profile name.
 func ParseFault(s string) (Fault, error) {
 	switch f := Fault(s); f {
-	case FaultNone, FaultDrop, FaultDup, FaultReorder, FaultLossy:
+	case FaultNone, FaultReorder:
 		return f, nil
 	}
-	return "", fmt.Errorf("stress: unknown fault %q (have none, drop, dup, reorder, lossy)", s)
+	return "", fmt.Errorf("stress: unknown fault %q (have none, reorder)", s)
 }
 
-// Stream-separation constants so the drop, dup and reorder decision
-// streams of one seed are independent.
-const (
-	faultStreamDrop    = 0xd1b54a32d192ed03
-	faultStreamDup     = 0xaef17502108ef2d9
-	faultStreamReorder = 0x94d049bb133111eb
-)
+// faultStreamReorder separates the reorder decision stream of a seed from
+// the jitter stream drawn from the same seed.
+const faultStreamReorder = 0x94d049bb133111eb
+
+// reorderPM is the per-mille share of sends FaultReorder releases.
+const reorderPM = 40
 
 // NewFaultPlan builds the seeded netsim.FaultPlan implementing f over
-// topo. FaultNone returns the empty plan. Retransmitted frames re-enter
-// the filters with fresh per-pair indices, so a retried message faces an
-// independent (still deterministic) fate — under sub-unity drop rates
-// every frame eventually gets through.
+// topo. FaultNone returns the empty plan.
 func NewFaultPlan(f Fault, seed uint64, topo netsim.Topology) netsim.FaultPlan {
-	var dropPM, dupPM, reorderPM uint64 // per-mille rates
 	switch f {
 	case FaultNone:
 		return netsim.FaultPlan{}
-	case FaultDrop:
-		dropPM = 30
-	case FaultDup:
-		dupPM = 40
 	case FaultReorder:
-		reorderPM = 40
-	case FaultLossy:
-		dropPM, dupPM, reorderPM = 20, 20, 20
 	default:
 		panic(fmt.Sprintf("stress: unknown fault %q", f))
 	}
-	var plan netsim.FaultPlan
-	if dropPM > 0 {
-		st := newJitterState(seed^faultStreamDrop, topo)
-		plan.Drop = func(src, dst, size int) bool {
-			w, _ := st.next(src, dst)
-			return w%1000 < dropPM
+	st := newJitterState(seed^faultStreamReorder, topo)
+	return netsim.FaultPlan{Reorder: func(src, dst, size int) (time.Duration, bool) {
+		w, _ := st.next(src, dst)
+		if w%1000 >= reorderPM {
+			return 0, false
 		}
-	}
-	if dupPM > 0 {
-		st := newJitterState(seed^faultStreamDup, topo)
-		plan.Dup = func(src, dst, size int) (time.Duration, bool) {
-			w, _ := st.next(src, dst)
-			if w%1000 >= dupPM {
-				return 0, false
-			}
-			return time.Duration((w >> 10) % uint64(200*time.Microsecond)), true
-		}
-	}
-	if reorderPM > 0 {
-		st := newJitterState(seed^faultStreamReorder, topo)
-		plan.Reorder = func(src, dst, size int) (time.Duration, bool) {
-			w, _ := st.next(src, dst)
-			if w%1000 >= reorderPM {
-				return 0, false
-			}
-			return time.Duration((w >> 10) % uint64(500*time.Microsecond)), true
-		}
-	}
-	return plan
+		return time.Duration((w >> 10) % uint64(500*time.Microsecond)), true
+	}}
 }

@@ -16,7 +16,6 @@ import (
 	"acic/internal/graph"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
-	"acic/internal/relnet"
 	"acic/internal/runtime"
 	"acic/internal/seq"
 	"acic/internal/trace"
@@ -36,9 +35,9 @@ type Options struct {
 	Rounds int
 	// Profiles restricts the jitter profiles; nil means Profiles().
 	Profiles []Profile
-	// Faults restricts the fabric fault profiles exercised by the
-	// acic-with-reliability sub-matrix; nil means Faults(). The literal
-	// element FaultNone disables that sub-matrix entirely.
+	// Faults restricts the fabric fault profiles exercised by the acic
+	// fault sub-matrix; nil means Faults(). The literal element FaultNone
+	// disables that sub-matrix entirely.
 	Faults []Fault
 	// Churn selects the dynamic-graph churn sub-matrix: ChurnOn (the
 	// default, also selected by the zero value) includes it alongside the
@@ -77,7 +76,6 @@ type Spec struct {
 	Topo    string
 	Profile Profile
 	// Fault is the fabric fault profile; FaultNone for the classic matrix.
-	// Fault runs execute acic with the relnet reliability layer enabled.
 	Fault Fault
 	// Fabric selects the transport: "" is the simulated in-process fabric
 	// (netsim), "tcp" is real loopback sockets (sockfab). The TCP sub-matrix
@@ -233,10 +231,9 @@ func enumerate(opts Options) []Spec {
 					add("acic", graphName, topoName, ProfileNone, FaultNone, "tcp")
 				}
 			}
-			// The lossy-fabric sub-matrix: acic over an actively hostile fabric
-			// (drop/dup/reorder filters) with the relnet reliability layer
-			// healing it. Same oracle, same conservation audit — now over the
-			// extended ledger identity with retransmit and dedup columns.
+			// The fault sub-matrix: acic over a fabric whose reorder filter
+			// breaks per-pair FIFO. Same oracle, same conservation audit:
+			// label-correcting relaxation must not care about arrival order.
 			for _, f := range faults {
 				if f == FaultNone {
 					continue
@@ -400,20 +397,8 @@ func runSpec(spec Spec, short bool) error {
 	)
 	switch spec.Algo {
 	case "acic":
-		copts := core.Options{Topo: topo, Latency: lat, Jitter: jit}
-		if spec.Fabric == "tcp" {
-			// Real sockets own their timing: no latency model, no jitter,
-			// no fault plan. The oracle and the conservation checks are
-			// unchanged — the run must balance the extended ledger identity
-			// including the per-process boundary counters.
-			copts = core.Options{Topo: topo, Transport: core.TransportTCP}
-		}
-		if spec.faulted() {
-			copts.Fault = fp
-			copts.Reliability = &relnet.Config{}
-		}
 		var res *core.Result
-		res, err = core.Run(g, src, copts)
+		res, err = core.Run(g, src, acicOptions(spec, topo, jit, fp))
 		if err == nil {
 			dist, audit, ts = res.Dist, res.Stats.Audit, res.Stats.TramStats
 		}
@@ -441,7 +426,7 @@ func runSpec(spec Spec, short bool) error {
 				return fmt.Errorf("oracle: label[%d] = %d, want %d", v, res.Labels[v], want[v])
 			}
 		}
-		return checkInvariants(res.Stats.Audit, res.Stats.TramStats, false)
+		return checkInvariants(res.Stats.Audit, res.Stats.TramStats)
 	default:
 		return fmt.Errorf("stress: unknown algorithm %q", spec.Algo)
 	}
@@ -452,7 +437,18 @@ func runSpec(spec Spec, short bool) error {
 	if i := seq.FirstMismatch(want.Dist, dist); i >= 0 {
 		return fmt.Errorf("oracle: dist[%d] = %g, want %g (source %d)", i, dist[i], want.Dist[i], src)
 	}
-	return checkInvariants(audit, ts, spec.faulted())
+	return checkInvariants(audit, ts)
+}
+
+// acicOptions builds the core.Options an acic spec runs with, for runSpec
+// and for dumpArtifacts' instrumented replay alike. Real sockets own their
+// timing: a TCP spec carries no latency model, jitter or fault plan, and
+// its ledger must balance including the per-process boundary counters.
+func acicOptions(spec Spec, topo netsim.Topology, jit netsim.JitterFunc, fp netsim.FaultPlan) core.Options {
+	if spec.Fabric == "tcp" {
+		return core.Options{Topo: topo, Transport: core.TransportTCP}
+	}
+	return core.Options{Topo: topo, Latency: netsim.DefaultLatency(), Jitter: jit, Fault: fp}
 }
 
 // dumpArtifacts replays one failing acic spec with the full observability
@@ -472,27 +468,10 @@ func dumpArtifacts(spec Spec, short bool, artifactDir string, timeout time.Durat
 	topo, g, src, jit, fp := specInputs(spec, short)
 	reg := metrics.New(topo.TotalPEs())
 	rec := trace.New(topo.TotalPEs(), 1<<16)
-	p := core.DefaultParams()
-	p.AuditTrace = true
-	copts := core.Options{
-		Topo:    topo,
-		Latency: netsim.DefaultLatency(),
-		Jitter:  jit,
-		Params:  p,
-		Trace:   rec,
-		Metrics: reg,
-	}
-	if spec.Fabric == "tcp" {
-		// Mirror runSpec: a TCP replay must not install sim-only knobs,
-		// which core.Run rejects under TransportTCP.
-		copts.Latency = netsim.LatencyModel{}
-		copts.Jitter = nil
-		copts.Transport = core.TransportTCP
-	}
-	if spec.faulted() {
-		copts.Fault = fp
-		copts.Reliability = &relnet.Config{}
-	}
+	copts := acicOptions(spec, topo, jit, fp)
+	copts.Params = core.DefaultParams()
+	copts.Params.AuditTrace = true
+	copts.Trace, copts.Metrics = rec, reg
 	type outcome struct {
 		res *core.Result
 		err error
@@ -537,20 +516,18 @@ func dumpArtifacts(spec Spec, short bool, artifactDir string, timeout time.Durat
 	fmt.Fprintf(log, "artifacts: run %d replayed, wrote %s/{trace-chrome.json,metrics.json,audit.jsonl}\n", spec.Index, dir)
 }
 
-// checkInvariants audits the conservation ledger of a completed run.
-// faulted marks runs over an actively hostile fabric: drops (and dups, and
-// the retransmits healing them) are then expected and legal — the extended
-// identity must still balance exactly, but NetDropped != 0 is no longer a
-// failure.
-func checkInvariants(a runtime.Audit, ts tram.Stats, faulted bool) error {
+// checkInvariants audits the conservation ledger of a completed run. No
+// cell of the matrix installs a drop filter, so a dropped message is a
+// failure everywhere.
+func checkInvariants(a runtime.Audit, ts tram.Stats) error {
 	if u := a.Unaccounted(); u != 0 {
-		return fmt.Errorf("conservation: %d messages unaccounted (sent=%d retrans=%d netdup=%d acksent=%d delivered=%d netq=%d netdrop=%d backlog=%d droppedAtExit=%d dupdiscard=%d ackconsumed=%d)",
-			u, a.Sent, a.Retransmits, a.NetDuplicated, a.AcksSent, a.Delivered, a.NetQueue, a.NetDropped, a.MailboxBacklog, a.DroppedAtExit, a.DupDiscarded, a.AcksConsumed)
+		return fmt.Errorf("conservation: %d messages unaccounted (sent=%d boundaryIn=%d delivered=%d netq=%d netdrop=%d backlog=%d droppedAtExit=%d boundaryOut=%d)",
+			u, a.Sent, a.BoundaryIn, a.Delivered, a.NetQueue, a.NetDropped, a.MailboxBacklog, a.DroppedAtExit, a.BoundaryOut)
 	}
 	if a.NetQueue != 0 {
 		return fmt.Errorf("conservation: fabric not drained, NetQueue=%d after Close", a.NetQueue)
 	}
-	if !faulted && a.NetDropped != 0 {
+	if a.NetDropped != 0 {
 		return fmt.Errorf("conservation: fabric dropped %d messages without an injected filter", a.NetDropped)
 	}
 	if ts.PoolGets != ts.PoolPuts {

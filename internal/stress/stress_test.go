@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"acic/internal/core"
 	"acic/internal/netsim"
 )
 
@@ -122,6 +123,28 @@ func TestParseFault(t *testing.T) {
 	}
 	if _, err := ParseFault("bogus"); err == nil {
 		t.Error("unknown fault accepted")
+	}
+}
+
+// TestParseFaultRejectsRemovedProfiles pins that the profiles of the
+// deleted reliability layer are refused by name, with an error that lists
+// the profiles that remain, rather than parsed into a silent no-op: a
+// replay line or CI stage still passing -fault drop, dup or lossy must
+// fail loudly, and so must a matrix asked to run one.
+func TestParseFaultRejectsRemovedProfiles(t *testing.T) {
+	for _, name := range []string{"drop", "dup", "lossy"} {
+		t.Run(name, func(t *testing.T) {
+			_, err := ParseFault(name)
+			if err == nil {
+				t.Fatalf("ParseFault(%q) accepted a removed profile", name)
+			}
+			if !strings.Contains(err.Error(), "none, reorder") {
+				t.Errorf("ParseFault(%q) error %q does not list the remaining profiles", name, err)
+			}
+			if _, err := Run(Options{Seed: 1, Short: true, Faults: []Fault{Fault(name)}}); err == nil {
+				t.Errorf("Run accepted fault %q", name)
+			}
+		})
 	}
 }
 
@@ -296,20 +319,10 @@ func TestFaultPlanDeterministic(t *testing.T) {
 		probe := func(p netsim.FaultPlan, interleave bool) []bool {
 			var fates []bool
 			for i := 0; i < 400; i++ {
-				var hit bool
-				switch {
-				case p.Drop != nil:
-					hit = p.Drop(0, 1, 1)
-				case p.Dup != nil:
-					_, hit = p.Dup(0, 1, 1)
-				default:
-					_, hit = p.Reorder(0, 1, 1)
-				}
+				_, hit := p.Reorder(0, 1, 1)
 				fates = append(fates, hit)
 				if interleave {
-					if p.Drop != nil {
-						p.Drop(2, 3, 1)
-					}
+					p.Reorder(2, 3, 1)
 				}
 			}
 			return fates
@@ -330,5 +343,65 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	}
 	if !NewFaultPlan(FaultNone, 7, topo).Empty() {
 		t.Error("FaultNone produced a non-empty plan")
+	}
+}
+
+// TestAcicOptionsPerSpecShape checks the one builder runSpec and the
+// artifact replay share for acic's core.Options, on a real spec of each
+// shape the matrix enumerates: a TCP spec carries none of the simulated
+// fabric's knobs (core refuses them over sockets), and a simulated spec
+// carries the default latency model, its profile's jitter hook exactly
+// when it has a profile, and a reorder plan exactly when it is faulted.
+// No spec may carry a drop filter: loss has no cell in the matrix.
+func TestAcicOptionsPerSpecShape(t *testing.T) {
+	specs := enumerate(Options{Seed: 1, Churn: ChurnOff})
+	for _, tc := range []struct {
+		name  string
+		match func(Spec) bool
+	}{
+		{"simulated", func(s Spec) bool { return s.Fabric == "" && s.Profile == ProfileNone && !s.faulted() }},
+		{"simulated/jittered", func(s Spec) bool { return s.Fabric == "" && s.Profile != ProfileNone && !s.faulted() }},
+		{"simulated/reorder", func(s Spec) bool { return s.Fabric == "" && s.Fault == FaultReorder }},
+		{"tcp", func(s Spec) bool { return s.Fabric == "tcp" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			found := 0
+			for _, spec := range specs {
+				if spec.Algo != "acic" || !tc.match(spec) {
+					continue
+				}
+				found++
+				topo, _, _, jit, fp := specInputs(spec, true)
+				opts := acicOptions(spec, topo, jit, fp)
+				if opts.Topo != topo {
+					t.Errorf("%v: Topo = %+v, want %+v", spec, opts.Topo, topo)
+				}
+				if opts.Fault.Drop != nil {
+					t.Errorf("%v: a drop filter is installed", spec)
+				}
+				if spec.Fabric == "tcp" {
+					if opts.Transport != core.TransportTCP || opts.Latency != (netsim.LatencyModel{}) ||
+						opts.Jitter != nil || !opts.Fault.Empty() {
+						t.Errorf("%v: TCP options carry simulated-fabric knobs: %+v", spec, opts)
+					}
+					continue
+				}
+				if opts.Transport != core.TransportSim {
+					t.Errorf("%v: Transport = %v, want TransportSim", spec, opts.Transport)
+				}
+				if opts.Latency != netsim.DefaultLatency() {
+					t.Errorf("%v: Latency = %+v, want the default model", spec, opts.Latency)
+				}
+				if (opts.Jitter != nil) != (spec.Profile != ProfileNone) {
+					t.Errorf("%v: jitter hook installed = %v", spec, opts.Jitter != nil)
+				}
+				if (opts.Fault.Reorder != nil) != spec.faulted() {
+					t.Errorf("%v: reorder filter installed = %v", spec, opts.Fault.Reorder != nil)
+				}
+			}
+			if found == 0 {
+				t.Fatal("the matrix enumerates no acic spec of this shape")
+			}
+		})
 	}
 }

@@ -45,9 +45,6 @@ const (
 	// KindHoldDrain: a threshold broadcast released held updates back into
 	// circulation (Arg: number of updates drained from tram_hold + pq_hold).
 	KindHoldDrain
-	// KindRetransmit: the reliable-delivery layer re-sent an unacked frame
-	// (Arg: the frame's stream sequence number).
-	KindRetransmit
 	numKinds
 )
 
@@ -70,8 +67,6 @@ func (k Kind) String() string {
 		return "work-sleep"
 	case KindHoldDrain:
 		return "hold-drain"
-	case KindRetransmit:
-		return "retransmit"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -102,9 +102,9 @@ go build -o "$launch_bin" ./cmd/acic-launch
 go run -race ./cmd/acic-launch -kind random -scale 9 -ppn 4 -pepp 2
 rm -rf "$(dirname "$launch_bin")"
 
-echo "== lossy-fabric stage (drop+dup+reorder healed by the relnet layer) =="
-go run ./cmd/acic-run -algo acic -kind random -scale 10 -fault lossy -verify
-go run -race ./cmd/acic-run -algo acic -kind random -scale 9 -fault lossy -verify
+echo "== reorder-fabric stage (per-pair FIFO broken; distances and ledger must stay exact) =="
+go run ./cmd/acic-run -algo acic -kind random -scale 10 -fault reorder -verify
+go run -race ./cmd/acic-run -algo acic -kind random -scale 9 -fault reorder -verify
 
 echo "== bench smoke (every listed hot-path benchmark compiles and runs once) =="
 go test -run '^$' -bench . -benchtime=1x \
