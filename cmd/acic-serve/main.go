@@ -20,8 +20,10 @@
 // alters (see internal/dynamic). A body over 8 MiB is answered 413 and a
 // batch of more than 65,536 mutations 400.
 //
-// Admission control sheds load with 429 + Retry-After once the in-flight
-// and queued query bounds are both full; see internal/engine.
+// A miss is filled by a sequential Dijkstra on one core and stops when its
+// client goes away; -maxinflight sets how many run at once. Admission
+// control sheds load with 429 + Retry-After once the in-flight and queued
+// query bounds are both full; see internal/engine.
 package main
 
 import (
@@ -36,12 +38,10 @@ import (
 	"syscall"
 	"time"
 
-	"acic/internal/core"
 	"acic/internal/dynamic"
 	"acic/internal/engine"
 	"acic/internal/gen"
 	"acic/internal/graph"
-	"acic/internal/netsim"
 )
 
 func main() {
@@ -53,14 +53,9 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "random seed")
 		input      = flag.String("input", "", "edge-list CSV to load instead of generating")
 		vertices   = flag.Int("vertices", 0, "vertex count for -input graphs")
-		nodes      = flag.Int("nodes", 1, "simulated cluster nodes")
-		ppn        = flag.Int("ppn", 2, "processes per node")
-		pepp       = flag.Int("pepp", 2, "PEs per process")
-		ptram      = flag.Float64("ptram", 0.999, "ACIC p_tram percentile fraction")
-		ppq        = flag.Float64("ppq", 0.05, "ACIC p_pq percentile fraction")
 
 		cacheSize    = flag.Int("cache", 64, "LRU distance-vector cache entries")
-		maxInFlight  = flag.Int("maxinflight", 4, "concurrently executing queries (sizes the Scratch pool)")
+		maxInFlight  = flag.Int("maxinflight", 4, "concurrently executing queries, one core each")
 		maxQueue     = flag.Int("maxqueue", 0, "queries allowed to wait for a slot (0 = 2×maxinflight)")
 		queueTimeout = flag.Duration("queuetimeout", time.Second, "max wait for a slot before shedding with 429")
 		drainWait    = flag.Duration("drainwait", 30*time.Second, "max wait for in-flight queries on shutdown")
@@ -71,12 +66,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	params := core.DefaultParams()
-	params.PTram = *ptram
-	params.PPQ = *ppq
 	eng, err := engine.NewDynamic(dynamic.FromCSR(g), engine.Config{
-		Topo:         netsim.Topology{Nodes: *nodes, ProcsPerNode: *ppn, PEsPerProc: *pepp},
-		Params:       params,
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,
 		QueueTimeout: *queueTimeout,
@@ -121,8 +111,8 @@ func serve(ctx context.Context, eng *engine.Engine, g *graph.Graph, addr string,
 	h := eng.Health()
 	// The readiness line is part of the interface: the CI smoke stage (and
 	// any launcher) parses the bound address from it.
-	fmt.Fprintf(out, "acic-serve: listening on %s (|V|=%d |E|=%d, %d PEs, %d in-flight / %d queued)\n",
-		ln.Addr(), g.NumVertices(), g.NumEdges(), h.PEs, h.MaxInFlight, h.MaxQueue)
+	fmt.Fprintf(out, "acic-serve: listening on %s (|V|=%d |E|=%d, %d in-flight / %d queued)\n",
+		ln.Addr(), g.NumVertices(), g.NumEdges(), h.MaxInFlight, h.MaxQueue)
 	if onReady != nil {
 		onReady(ln.Addr())
 	}

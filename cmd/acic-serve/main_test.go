@@ -18,11 +18,9 @@ import (
 	"testing"
 	"time"
 
-	"acic/internal/core"
 	"acic/internal/engine"
 	"acic/internal/gen"
 	"acic/internal/graph"
-	"acic/internal/netsim"
 	"acic/internal/seq"
 )
 
@@ -69,11 +67,7 @@ func TestServeInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(g, engine.Config{
-		Topo:        netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2},
-		Params:      core.DefaultParams(),
-		MaxInFlight: 2,
-	})
+	eng, err := engine.New(g, engine.Config{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

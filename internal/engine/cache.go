@@ -5,8 +5,6 @@ import (
 	"errors"
 	"math"
 	"sync"
-
-	"acic/internal/core"
 )
 
 // errEntryFailed is the internal signal that a cache entry's computation
@@ -23,11 +21,11 @@ type cacheKey struct {
 // cacheEntry is one (possibly in-flight) computed vector. ready is closed
 // when res/err are final; waiters hold the entry pointer, so an entry
 // evicted mid-flight still completes for everyone already waiting on it.
-// sum summarizes res.Dist and is set with it, by complete or put.
+// sum summarizes res.dist and is set with it, by complete or put.
 type cacheEntry struct {
 	key   cacheKey
 	ready chan struct{}
-	res   *core.Result
+	res   solution
 	sum   summary
 	err   error
 	elem  *list.Element
@@ -105,8 +103,8 @@ func (c *lruCache) getOrCreate(key cacheKey) (*cacheEntry, bool) {
 }
 
 // complete publishes res on ent and wakes every waiter.
-func (c *lruCache) complete(ent *cacheEntry, res *core.Result) {
-	ent.res, ent.sum = res, summarize(res.Dist)
+func (c *lruCache) complete(ent *cacheEntry, res solution) {
+	ent.res, ent.sum = res, summarize(res.dist)
 	close(ent.ready)
 }
 
@@ -126,7 +124,7 @@ func (c *lruCache) fail(ent *cacheEntry, err error) {
 // put inserts an already-completed result and its summary under key — the
 // path by which Mutate re-homes repaired vectors at the new epoch. A key
 // already present (a query raced ahead, computing it fresh) is left alone.
-func (c *lruCache) put(key cacheKey, res *core.Result, sum summary) {
+func (c *lruCache) put(key cacheKey, res solution, sum summary) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.items[key]; ok {

@@ -1,34 +1,40 @@
 // Package engine is the resident SSSP query engine behind cmd/acic-serve:
-// the piece that turns the batch reproduction (build the simulated machine,
-// solve one source, tear it down) into a long-lived service answering many
+// a long-lived service answering many single-source and point-to-point
 // queries over one shared graph.
 //
 // One Engine serves one graph version at a time: an epoch, an immutable
 // *graph.Graph and its reverse, published together behind one atomic
 // pointer and shared read-only by every concurrent query (the CSR arrays
-// are never written after they are built; internal/core's concurrent-runs
-// test pins that contract). A static engine transposes its graph once; a
-// dynamic one (mutate.go) splices both directions from the previous
-// version on every mutation batch. Around the version it maintains:
+// are never written after they are built). A static engine transposes its
+// graph once; a dynamic one (mutate.go) splices both directions from the
+// previous version on every mutation batch. Around the version it
+// maintains:
+//
+//   - Misses filled on one core (solve.go): a decrease-key Dijkstra that
+//     writes straight into the two vectors the cache keeps and reads the
+//     query's context every 1,024 settled vertices, so a client that goes
+//     away frees its slot within a fraction of a millisecond. The
+//     simulated ACIC cluster is not the served solver: one query on a few
+//     cores cannot buy back the redundant updates its asynchrony spends on
+//     parallelism (DESIGN.md §8).
 //
 //   - Per-admission-slot scratch, checked out for the duration of a query:
-//     a core.Scratch, so repeated misses recycle the arena and per-PE
-//     state instead of reallocating the machine, and the point-to-point
-//     search's labels and heaps. The Scratch exclusivity latch
-//     (core.ErrScratchInUse) backstops the pool: a bookkeeping bug fails
-//     loudly instead of corrupting state.
+//     the miss's indexed heap over |V|, and the point-to-point search's
+//     labels and heaps. Holding a slot id is holding its scratch, so the
+//     pool needs no lock of its own.
 //
 //   - An LRU cache of completed distance vectors keyed by (graph epoch,
 //     source), with single-flight deduplication: concurrent identical
 //     queries ride one computation, and followers do not consume admission
-//     slots while they wait.
+//     slots while they wait. A follower whose leader was cancelled
+//     computes the vector itself if its own context is still live.
 //
-//   - Admission control: a bounded in-flight-slot semaphore sized to the
-//     simulated machine's capacity, plus a bounded wait queue. A query that
-//     finds the queue full — or waits longer than the queue timeout — is
-//     shed with ErrSaturated, which the HTTP layer maps to 429 +
-//     Retry-After. Fan-in beyond PE capacity degrades by rejecting, never
-//     by queueing unboundedly.
+//   - Admission control: a bounded in-flight-slot semaphore, each slot one
+//     query on one core, plus a bounded wait queue. A query that finds the
+//     queue full — or waits longer than the queue timeout — is shed with
+//     ErrSaturated, which the HTTP layer maps to 429 + Retry-After.
+//     Fan-in beyond capacity degrades by rejecting, never by queueing
+//     unboundedly.
 //
 //   - Point-to-point queries by bidirectional Dijkstra (p2p.go): a forward
 //     search on the graph and a backward one on its reverse, expanding the
@@ -52,11 +58,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"acic/internal/core"
 	"acic/internal/dynamic"
 	"acic/internal/graph"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
+	"acic/internal/pq"
 )
 
 // Sentinel errors; the HTTP layer maps each to a status code.
@@ -73,15 +79,12 @@ var (
 
 // Config sizes one Engine. The zero value of every field selects a default.
 type Config struct {
-	// Topo is the simulated machine each query runs on; zero means the
-	// core default (a single node with 4 PEs).
+	// Topo was the simulated machine each miss ran on.
+	//
+	// Deprecated: ignored. Misses run a sequential Dijkstra on one core.
 	Topo netsim.Topology
-	// Latency is the network model for query runs.
-	Latency netsim.LatencyModel
-	// Params are the ACIC algorithm parameters; zero means DefaultParams.
-	Params core.Params
 	// MaxInFlight bounds concurrently executing queries (and sizes the
-	// Scratch pool and the metrics shards). Default 4.
+	// per-slot scratch and the metrics shards). Default 4.
 	MaxInFlight int
 	// MaxQueue bounds queries waiting for a slot; a query arriving to a
 	// full queue is shed immediately. Default 2 × MaxInFlight.
@@ -121,10 +124,11 @@ type graphVersion struct {
 }
 
 // slotScratch is what one admission slot reuses from query to query: the
-// solver's core.Scratch for misses and the labels and heaps of the
-// point-to-point search.
+// indexed heap a miss searches with, allocated by the slot's first miss
+// (|V| never changes over an engine's life), and the labels and heaps of
+// the point-to-point search.
 type slotScratch struct {
-	solve *core.Scratch
+	solve *pq.IndexedHeap
 	path  pathSearch
 }
 
@@ -134,6 +138,10 @@ type slotScratch struct {
 type Engine struct {
 	version atomic.Pointer[graphVersion]
 	cfg     Config
+
+	// solve fills a miss; dijkstra unless a test wraps it to hold a miss
+	// in flight.
+	solve solveFunc
 
 	// dg is the mutable graph behind a dynamic engine; nil for static
 	// engines. mutMu serializes Mutate and InvalidateCache — the only
@@ -157,26 +165,36 @@ type Engine struct {
 
 	// Engine-level telemetry, sharded by admission slot (shard 0 doubles
 	// as the slot-less shard for cache hits and sheds).
-	met          *metrics.Registry
-	mQueries     *metrics.Counter
-	mHits        *metrics.Counter
-	mMisses      *metrics.Counter
-	mFollows     *metrics.Counter
-	mShed        *metrics.Counter
-	mErrors      *metrics.Counter
-	mP2P         *metrics.Counter
-	mP2PPruned   *metrics.Counter
-	mP2PSettled  *metrics.Counter
-	mMutations   *metrics.Counter
-	mRepairedVec *metrics.Counter
-	mCopiedVec   *metrics.Counter
-	gInFlight    *metrics.Gauge
-	gQueued      *metrics.Gauge
-	gCacheLen    *metrics.Gauge
-	hQueryMicros *metrics.Histogram
+	met           *metrics.Registry
+	mQueries      *metrics.Counter
+	mHits         *metrics.Counter
+	mMisses       *metrics.Counter
+	mFollows      *metrics.Counter
+	mShed         *metrics.Counter
+	mErrors       *metrics.Counter
+	mCancelled    *metrics.Counter
+	mSolveSettled *metrics.Counter
+	mSolveRelax   *metrics.Counter
+	mP2P          *metrics.Counter
+	mP2PPruned    *metrics.Counter
+	mP2PSettled   *metrics.Counter
+	mMutations    *metrics.Counter
+	mRepairedVec  *metrics.Counter
+	mCopiedVec    *metrics.Counter
+	gInFlight     *metrics.Gauge
+	gQueued       *metrics.Gauge
+	gCacheLen     *metrics.Gauge
 
-	// svcNanos is an EWMA of recent query service time in nanoseconds
-	// (α = 1/8), fed by every completed computation. The HTTP layer
+	// Query latency inside the engine by outcome, from the call to its
+	// return: answered from the cache (sssp and path alike, followers
+	// included), a miss filled, a path searched, a miss cancelled.
+	hHitMicros       *metrics.Histogram
+	hMissMicros      *metrics.Histogram
+	hPathMicros      *metrics.Histogram
+	hCancelledMicros *metrics.Histogram
+
+	// svcNanos is an EWMA of recent miss solve time in nanoseconds
+	// (α = 1/8), fed by every completed miss. The HTTP layer
 	// derives the 429 Retry-After hint from it, so the backoff a shed
 	// client is told tracks how long queries actually take on this graph
 	// instead of a hardcoded guess. Zero until the first query completes.
@@ -210,13 +228,9 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 // newEngine builds an Engine over g and its reverse rev at epoch 0.
 func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Topo != (netsim.Topology{}) {
-		if err := cfg.Topo.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	e := &Engine{
 		cfg:     cfg,
+		solve:   dijkstra,
 		slots:   make(chan int, cfg.MaxInFlight),
 		scratch: make([]slotScratch, cfg.MaxInFlight),
 		cache:   newLRUCache(cfg.CacheEntries),
@@ -225,7 +239,6 @@ func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 	}
 	e.version.Store(&graphVersion{g: g, rev: rev})
 	for i := 0; i < cfg.MaxInFlight; i++ {
-		e.scratch[i].solve = &core.Scratch{}
 		e.slots <- i
 	}
 	e.mQueries = e.met.Counter("engine.queries")
@@ -234,6 +247,9 @@ func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 	e.mFollows = e.met.Counter("engine.singleflight_follows")
 	e.mShed = e.met.Counter("engine.shed")
 	e.mErrors = e.met.Counter("engine.errors")
+	e.mCancelled = e.met.Counter("engine.cancelled")
+	e.mSolveSettled = e.met.Counter("engine.solve_settled")
+	e.mSolveRelax = e.met.Counter("engine.solve_relaxations")
 	e.mP2P = e.met.Counter("engine.p2p_queries")
 	e.mP2PPruned = e.met.Counter("engine.p2p_pruned_relaxations")
 	e.mP2PSettled = e.met.Counter("engine.p2p_settled")
@@ -243,7 +259,10 @@ func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 	e.gInFlight = e.met.Gauge("engine.inflight")
 	e.gQueued = e.met.Gauge("engine.queued")
 	e.gCacheLen = e.met.Gauge("engine.cache_entries")
-	e.hQueryMicros = e.met.Histogram("engine.query_us")
+	e.hHitMicros = e.met.Histogram("engine.hit_us")
+	e.hMissMicros = e.met.Histogram("engine.miss_us")
+	e.hPathMicros = e.met.Histogram("engine.path_us")
+	e.hCancelledMicros = e.met.Histogram("engine.cancelled_us")
 	return e, nil
 }
 
@@ -273,9 +292,10 @@ func (e *Engine) MetricsSnapshot() metrics.Snapshot { return e.met.Snapshot() }
 
 // QueryOptions tune one query.
 type QueryOptions struct {
-	// CollectMetrics attaches a per-query metrics registry to the
-	// underlying core.Run and returns its snapshot. Snapshots come only
-	// from queries that actually compute — a cache hit returns nil.
+	// CollectMetrics returns a per-query snapshot of the solve's work
+	// counters, engine.solve_settled and engine.solve_relaxations.
+	// Snapshots come only from queries that actually compute — a cache
+	// hit returns nil.
 	CollectMetrics bool
 }
 
@@ -290,7 +310,13 @@ type QueryResult struct {
 	// Reachable and Checksum summarize Dist, stored with the cached vector.
 	Reachable int
 	Checksum  float64
-	Stats     core.Stats
+	// Elapsed, Settled and Relaxations describe the solve that produced
+	// the vector, on a hit too: its wall time, the vertices it settled and
+	// the out-edges of those vertices it scanned. A vector a mutation
+	// repaired keeps the figures of its original solve.
+	Elapsed     time.Duration
+	Settled     int64
+	Relaxations int64
 	// Metrics is the per-query registry snapshot when requested and the
 	// query computed (nil on cache hits).
 	Metrics *metrics.Snapshot
@@ -298,8 +324,10 @@ type QueryResult struct {
 
 // Query answers a single-source query, serving from the cache when the
 // (epoch, source) vector is resident and computing (under admission
-// control, with single-flight dedup) otherwise.
+// control, with single-flight dedup) otherwise. A query whose ctx ends
+// while it computes stops, frees its slot and returns ctx's error.
 func (e *Engine) Query(ctx context.Context, source int, opts QueryOptions) (*QueryResult, error) {
+	start := time.Now()
 	e.mQueries.Inc(0)
 	v := e.version.Load() // one load: epoch and graph stay a consistent pair
 	if source < 0 || source >= v.g.NumVertices() {
@@ -307,55 +335,89 @@ func (e *Engine) Query(ctx context.Context, source int, opts QueryOptions) (*Que
 		return nil, fmt.Errorf("%w: source %d not in [0,%d)", ErrBadVertex, source, v.g.NumVertices())
 	}
 	key := cacheKey{epoch: v.epoch, source: int32(source)}
-
-	// Fast path: a resident or in-flight entry answers without admission.
-	if ent, ok := e.cache.get(key); ok {
-		err := e.await(ctx, ent)
-		if err == nil {
-			e.mHits.Inc(0)
-			return e.result(ent, true, nil), nil
+	for {
+		// Fast path: a resident or in-flight entry answers without admission.
+		if ent, ok := e.cache.get(key); ok {
+			if res, err := e.follow(ctx, ent, start); !errors.Is(err, errEntryFailed) {
+				return res, err
+			}
 		}
-		if !errors.Is(err, errEntryFailed) {
-			return nil, err // context cancelled while waiting
+
+		slot, err := e.admit(ctx)
+		if err != nil {
+			return nil, err
 		}
-		// The computation this entry tracked failed; fall through and
-		// compute it ourselves.
-	}
-
-	slot, err := e.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-
-	ent, leader := e.cache.getOrCreate(key)
-	e.gCacheLen.Set(0, int64(e.cache.len()))
-	if !leader {
+		ent, leader := e.cache.getOrCreate(key)
+		e.gCacheLen.Set(0, int64(e.cache.len()))
+		if leader {
+			return e.lead(ctx, v.g, ent, slot, opts, start)
+		}
 		// Someone beat us to it between the fast path and here; don't sit
 		// on a slot while following their computation.
 		e.releaseSlot(slot)
 		e.mFollows.Inc(0)
-		if err := e.await(ctx, ent); err != nil {
-			if errors.Is(err, errEntryFailed) {
-				err = ent.err
-			}
+		if res, err := e.follow(ctx, ent, start); !errors.Is(err, errEntryFailed) {
+			return res, err
+		}
+	}
+}
+
+// follow waits for ent's computation and answers from it as a hit. When
+// that computation failed — its leader was cancelled, say — it drops ent
+// and returns errEntryFailed if ctx is still live, so that the caller
+// computes the vector itself instead of inheriting the leader's error.
+func (e *Engine) follow(ctx context.Context, ent *cacheEntry, start time.Time) (*QueryResult, error) {
+	select {
+	case <-ent.ready:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if ent.err != nil {
+		e.cache.remove(ent)
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return e.result(ent, true, nil), nil
+		return nil, errEntryFailed
 	}
+	e.mHits.Inc(0)
+	e.hHitMicros.Observe(0, time.Since(start).Microseconds())
+	return e.result(ent, true, nil), nil
+}
 
+// lead fills ent, the miss this query leads, on slot against g, the graph
+// version it was admitted under, then publishes or fails it for its
+// followers and frees the slot.
+func (e *Engine) lead(ctx context.Context, g *graph.Graph, ent *cacheEntry, slot int, opts QueryOptions, start time.Time) (*QueryResult, error) {
 	defer e.releaseSlot(slot)
 	e.mMisses.Inc(slot)
-	start := time.Now()
-	res, snap, err := e.compute(v.g, source, slot, opts.CollectMetrics)
-	svc := time.Since(start)
-	e.hQueryMicros.Observe(slot, svc.Microseconds())
-	e.observeService(svc)
+	sc := &e.scratch[slot]
+	if sc.solve == nil {
+		sc.solve = pq.NewIndexedHeap(g.NumVertices())
+	}
+	res, err := e.solve(ctx, g, int(ent.key.source), sc.solve)
 	if err != nil {
-		e.mErrors.Inc(slot)
 		e.cache.fail(ent, err)
+		if ctx.Err() != nil {
+			e.mCancelled.Inc(slot)
+			e.hCancelledMicros.Observe(slot, time.Since(start).Microseconds())
+		} else {
+			e.mErrors.Inc(slot)
+		}
 		return nil, err
 	}
+	e.mSolveSettled.Add(slot, res.settled)
+	e.mSolveRelax.Add(slot, res.relaxations)
+	e.observeService(res.elapsed)
 	e.publish(ent, res)
+	var snap *metrics.Snapshot
+	if opts.CollectMetrics {
+		reg := metrics.New(1)
+		reg.Counter("engine.solve_settled").Add(0, res.settled)
+		reg.Counter("engine.solve_relaxations").Add(0, res.relaxations)
+		s := reg.Snapshot()
+		snap = &s
+	}
+	e.hMissMicros.Observe(slot, time.Since(start).Microseconds())
 	return e.result(ent, false, snap), nil
 }
 
@@ -367,7 +429,7 @@ func (e *Engine) Query(ctx context.Context, source int, opts QueryOptions) (*Que
 // InvalidateCache-then-rollback pattern could resurface it. Waiters are
 // unaffected — they hold the entry pointer and their admission epoch equals
 // the entry's key epoch, so the result is exact for what they asked.
-func (e *Engine) publish(ent *cacheEntry, res *core.Result) {
+func (e *Engine) publish(ent *cacheEntry, res solution) {
 	e.cache.complete(ent, res)
 	if ent.key.epoch != e.version.Load().epoch {
 		e.cache.remove(ent)
@@ -378,45 +440,18 @@ func (e *Engine) publish(ent *cacheEntry, res *core.Result) {
 // result answers from a completed entry, vector and summary alike.
 func (e *Engine) result(ent *cacheEntry, hit bool, snap *metrics.Snapshot) *QueryResult {
 	return &QueryResult{
-		Source:    int(ent.key.source),
-		Epoch:     ent.key.epoch,
-		CacheHit:  hit,
-		Dist:      ent.res.Dist,
-		Parent:    ent.res.Parent,
-		Reachable: ent.sum.reachable,
-		Checksum:  ent.sum.checksum,
-		Stats:     ent.res.Stats,
-		Metrics:   snap,
+		Source:      int(ent.key.source),
+		Epoch:       ent.key.epoch,
+		CacheHit:    hit,
+		Dist:        ent.res.dist,
+		Parent:      ent.res.parent,
+		Reachable:   ent.sum.reachable,
+		Checksum:    ent.sum.checksum,
+		Elapsed:     ent.res.elapsed,
+		Settled:     ent.res.settled,
+		Relaxations: ent.res.relaxations,
+		Metrics:     snap,
 	}
-}
-
-// compute runs the full ACIC machine for one source on slot's Scratch,
-// against the graph version the caller admitted under.
-func (e *Engine) compute(g *graph.Graph, source, slot int, collectMetrics bool) (*core.Result, *metrics.Snapshot, error) {
-	var reg *metrics.Registry
-	if collectMetrics {
-		topo := e.cfg.Topo
-		if topo == (netsim.Topology{}) {
-			topo = netsim.SingleNode(4)
-		}
-		reg = metrics.New(topo.TotalPEs())
-	}
-	res, err := core.Run(g, source, core.Options{
-		Topo:    e.cfg.Topo,
-		Latency: e.cfg.Latency,
-		Params:  e.cfg.Params,
-		Metrics: reg,
-		Scratch: e.scratch[slot].solve,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var snap *metrics.Snapshot
-	if reg != nil {
-		s := reg.Snapshot()
-		snap = &s
-	}
-	return res, snap, nil
 }
 
 // admit claims an in-flight slot, waiting in the bounded queue if all are
@@ -466,20 +501,6 @@ func (e *Engine) releaseSlot(slot int) {
 	e.inflight.Done()
 }
 
-// await blocks until ent's computation completes (or ctx is cancelled);
-// errEntryFailed signals the leader errored.
-func (e *Engine) await(ctx context.Context, ent *cacheEntry) error {
-	select {
-	case <-ent.ready:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	if ent.err != nil {
-		return errEntryFailed
-	}
-	return nil
-}
-
 // Draining reports whether Close has begun.
 func (e *Engine) Draining() bool { return e.draining.Load() }
 
@@ -519,7 +540,6 @@ type Health struct {
 	Epoch        uint64 `json:"epoch"`
 	Vertices     int    `json:"vertices"`
 	Edges        int    `json:"edges"`
-	PEs          int    `json:"pes"`
 	InFlight     int64  `json:"inflight"`
 	Queued       int64  `json:"queued"`
 	CacheEntries int    `json:"cache_entries"`
@@ -539,7 +559,6 @@ func (e *Engine) Health() Health {
 		Epoch:        v.epoch,
 		Vertices:     v.g.NumVertices(),
 		Edges:        v.g.NumEdges(),
-		PEs:          e.cfg.Topo.TotalPEs(),
 		InFlight:     e.InFlight(),
 		Queued:       e.queued.Load(),
 		CacheEntries: e.cache.len(),

@@ -9,10 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"acic/internal/core"
 	"acic/internal/gen"
 	"acic/internal/graph"
-	"acic/internal/netsim"
+	"acic/internal/pq"
 	"acic/internal/seq"
 )
 
@@ -29,9 +28,43 @@ func mustEngine(t *testing.T, g *graph.Graph, cfg Config) *Engine {
 	return e
 }
 
+// missGate holds e's misses in flight: every miss announces its source on
+// entered and waits for release to close before it runs.
+type missGate struct {
+	entered chan int
+	release chan struct{}
+}
+
+// holdMisses wraps e's solver in a gate. entered is buffered for more
+// misses than any test makes, so announcing one never blocks it.
+func holdMisses(e *Engine) *missGate {
+	gate := &missGate{entered: make(chan int, 64), release: make(chan struct{})}
+	inner := e.solve
+	e.solve = func(ctx context.Context, g *graph.Graph, source int, h *pq.IndexedHeap) (solution, error) {
+		gate.entered <- source
+		<-gate.release
+		return inner(ctx, g, source, h)
+	}
+	return gate
+}
+
+// waitingCtx is a live context that reports on waiting, once, when a query
+// first selects on its Done channel: from then on the query is parked on
+// an in-flight entry (or in the admission queue), not racing towards one.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan<- struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { c.waiting <- struct{}{} })
+	return c.Context.Done()
+}
+
 // TestQueryMatchesOracle: the engine's answer for a fresh source must match
-// both the sequential oracle and a fresh batch core.Run (the acceptance
-// check for serving correct distances out of the resident machine).
+// both the sequential oracle and Bellman-Ford, which shares no code with
+// the served kernel.
 func TestQueryMatchesOracle(t *testing.T) {
 	g := testGraph()
 	e := mustEngine(t, g, Config{})
@@ -46,12 +79,9 @@ func TestQueryMatchesOracle(t *testing.T) {
 	if !seq.Equal(res.Dist, oracle.Dist) {
 		t.Fatalf("engine vs Dijkstra mismatch at vertex %d", seq.FirstMismatch(res.Dist, oracle.Dist))
 	}
-	batch, err := core.Run(g, 3, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Equal(res.Dist, batch.Dist) {
-		t.Fatalf("engine vs batch core.Run mismatch at vertex %d", seq.FirstMismatch(res.Dist, batch.Dist))
+	bf := seq.BellmanFord(g, 3)
+	if !seq.Equal(res.Dist, bf.Dist) {
+		t.Fatalf("engine vs Bellman-Ford mismatch at vertex %d", seq.FirstMismatch(res.Dist, bf.Dist))
 	}
 }
 
@@ -93,10 +123,11 @@ func TestConcurrentQueriesDistinctSources(t *testing.T) {
 // once; a later repeat must hit the cache.
 func TestCacheHitAndSingleFlight(t *testing.T) {
 	g := testGraph()
-	// Injected latency keeps the first computation in flight long enough
-	// for the followers to pile onto it.
-	e := mustEngine(t, g, Config{Latency: netsim.DefaultLatency(), MaxInFlight: 4, MaxQueue: 16, QueueTimeout: time.Minute})
+	e := mustEngine(t, g, Config{MaxInFlight: 4, MaxQueue: 16, QueueTimeout: time.Minute})
+	// The first computation is held until every other query waits on it.
+	gate := holdMisses(e)
 	const k = 8
+	waiting := make(chan struct{}, k)
 	var wg sync.WaitGroup
 	results := make([]*QueryResult, k)
 	errs := make([]error, k)
@@ -104,9 +135,15 @@ func TestCacheHitAndSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.Query(context.Background(), 5, QueryOptions{})
+			ctx := &waitingCtx{Context: context.Background(), waiting: waiting}
+			results[i], errs[i] = e.Query(ctx, 5, QueryOptions{})
 		}(i)
 	}
+	<-gate.entered
+	for i := 0; i < k-1; i++ {
+		<-waiting
+	}
+	close(gate.release)
 	wg.Wait()
 	misses := 0
 	for i := 0; i < k; i++ {
@@ -235,7 +272,7 @@ func TestBadSource(t *testing.T) {
 	}
 }
 
-// TestScratchPoolRecycles: sequential queries reuse pooled Scratches and
+// TestScratchPoolRecycles: sequential queries reuse the one slot's heap and
 // stay correct after recycling (distinct sources defeat the cache).
 func TestScratchPoolRecycles(t *testing.T) {
 	g := testGraph()
@@ -252,27 +289,137 @@ func TestScratchPoolRecycles(t *testing.T) {
 	}
 }
 
-// TestPerQueryMetricsSnapshot: CollectMetrics returns a per-query snapshot
-// with core counters, and cache hits return none.
+// TestPerQueryMetricsSnapshot: on every graph shape, a computing query's
+// snapshot, its result and the engine's /metrics counters all carry
+// exactly seq.Dijkstra's settled and relaxation counts (both are
+// work-minimal, so any other count is wasted or missing work), the
+// distances match Bellman-Ford as well, and a cache hit returns no
+// snapshot.
 func TestPerQueryMetricsSnapshot(t *testing.T) {
+	for _, kind := range []string{"random", "rmat", "grid"} {
+		g, err := gen.ByKind(kind, 9, 8, gen.Config{Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := mustEngine(t, g, Config{})
+		const src = 6
+		res, err := e.Query(context.Background(), src, QueryOptions{CollectMetrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics == nil {
+			t.Fatalf("%s: no metrics snapshot on computing query", kind)
+		}
+		want := seq.Dijkstra(g, src)
+		engine := e.MetricsSnapshot()
+		for _, c := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"snapshot engine.solve_settled", res.Metrics.Counter("engine.solve_settled"), int64(want.Settled)},
+			{"snapshot engine.solve_relaxations", res.Metrics.Counter("engine.solve_relaxations"), want.Relaxations},
+			{"Settled", res.Settled, int64(want.Settled)},
+			{"Relaxations", res.Relaxations, want.Relaxations},
+			{"/metrics engine.solve_settled", engine.Counter("engine.solve_settled"), int64(want.Settled)},
+			{"/metrics engine.solve_relaxations", engine.Counter("engine.solve_relaxations"), want.Relaxations},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: %s = %d, seq.Dijkstra %d", kind, c.name, c.got, c.want)
+			}
+		}
+		bf := seq.BellmanFord(g, src)
+		if !seq.Equal(res.Dist, bf.Dist) || res.Reachable != bf.Settled {
+			t.Errorf("%s: engine vs Bellman-Ford: mismatch at vertex %d, reachable %d vs %d",
+				kind, seq.FirstMismatch(res.Dist, bf.Dist), res.Reachable, bf.Settled)
+		}
+		res, err = e.Query(context.Background(), src, QueryOptions{CollectMetrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit || res.Metrics != nil {
+			t.Errorf("%s: cache hit: hit=%v metrics=%v, want hit with nil metrics", kind, res.CacheHit, res.Metrics)
+		}
+	}
+}
+
+// TestCancelledMissFreesSlotAndFollowerRecomputes: a miss whose context is
+// cancelled while it computes returns context.Canceled, frees its slot,
+// caches nothing and counts as cancelled rather than as an error; a
+// follower of that miss whose own context is live gets the oracle's
+// answer by computing it itself.
+func TestCancelledMissFreesSlotAndFollowerRecomputes(t *testing.T) {
 	g := testGraph()
-	e := mustEngine(t, g, Config{})
-	res, err := e.Query(context.Background(), 6, QueryOptions{CollectMetrics: true})
-	if err != nil {
-		t.Fatal(err)
+	oracle := seq.Dijkstra(g, 5).Dist
+	lead := func(e *Engine, ctx context.Context) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.Query(ctx, 5, QueryOptions{})
+			done <- err
+		}()
+		return done
 	}
-	if res.Metrics == nil {
-		t.Fatal("no metrics snapshot on computing query")
+	counters := func(e *Engine) (cancelled, errs, misses int64) {
+		s := e.MetricsSnapshot()
+		return s.Counter("engine.cancelled"), s.Counter("engine.errors"), s.Counter("engine.cache_misses")
 	}
-	if got := res.Metrics.Counter("core.updates_processed"); got == 0 {
-		t.Error("per-query snapshot has zero core.updates_processed")
+
+	// The leader alone, on the only slot.
+	e := mustEngine(t, g, Config{MaxInFlight: 1})
+	gate := holdMisses(e)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := lead(e, ctx)
+	<-gate.entered
+	cancel()
+	close(gate.release)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
 	}
-	res, err = e.Query(context.Background(), 6, QueryOptions{CollectMetrics: true})
-	if err != nil {
-		t.Fatal(err)
+	if n := e.InFlight(); n != 0 {
+		t.Errorf("InFlight = %d after the cancelled miss, want 0", n)
 	}
-	if !res.CacheHit || res.Metrics != nil {
-		t.Errorf("cache hit: hit=%v metrics=%v, want hit with nil metrics", res.CacheHit, res.Metrics)
+	if n := e.cache.len(); n != 0 {
+		t.Errorf("%d cache entries after the cancelled miss, want 0", n)
+	}
+	if c, errs, _ := counters(e); c != 1 || errs != 0 {
+		t.Errorf("engine.cancelled = %d, engine.errors = %d, want 1 and 0", c, errs)
+	}
+	res, err := e.Query(context.Background(), 5, QueryOptions{})
+	if err != nil || !seq.Equal(res.Dist, oracle) {
+		t.Fatalf("query on the freed slot: err %v", err)
+	}
+
+	// A follower parked on the leader's entry when the leader is cancelled.
+	e = mustEngine(t, g, Config{MaxInFlight: 2})
+	gate = holdMisses(e)
+	ctx, cancel = context.WithCancel(context.Background())
+	done = lead(e, ctx)
+	<-gate.entered
+	waiting := make(chan struct{}, 1)
+	var follower *QueryResult
+	followerErr := make(chan error, 1)
+	go func() {
+		var err error
+		follower, err = e.Query(&waitingCtx{Context: context.Background(), waiting: waiting}, 5, QueryOptions{})
+		followerErr <- err
+	}()
+	<-waiting
+	cancel()
+	close(gate.release)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+	}
+	if err := <-followerErr; err != nil {
+		t.Fatalf("follower with a live context returned %v, want the leader's source computed", err)
+	}
+	if follower.CacheHit || !seq.Equal(follower.Dist, oracle) {
+		t.Errorf("follower: cache hit %v, mismatch at vertex %d; want its own computation matching the oracle",
+			follower.CacheHit, seq.FirstMismatch(follower.Dist, oracle))
+	}
+	if n := e.InFlight(); n != 0 {
+		t.Errorf("InFlight = %d after both returned, want 0", n)
+	}
+	if c, errs, misses := counters(e); c != 1 || errs != 0 || misses != 2 {
+		t.Errorf("engine.cancelled = %d, engine.errors = %d, engine.cache_misses = %d, want 1, 0 and 2", c, errs, misses)
 	}
 }
 
@@ -311,7 +458,7 @@ func TestUnreachableDistances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mustEngine(t, g, Config{Topo: netsim.SingleNode(2)})
+	e := mustEngine(t, g, Config{})
 	res, err := e.Query(context.Background(), 0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -14,10 +14,11 @@ package engine
 //	GET /metrics                  engine-level metrics registry snapshot
 //
 // Error mapping: ErrBadVertex and malformed parameters → 400, ErrSaturated
-// → 429 with a Retry-After header, ErrDraining → 503, context cancellation
-// (client went away) → 499-style 503.
+// → 429 with a Retry-After header, ErrDraining and context cancellation
+// (the client went away or its deadline passed) → 503.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -126,7 +127,7 @@ func (e *Engine) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		CacheHit:  res.CacheHit,
 		Reachable: res.Reachable,
 		Checksum:  res.Checksum,
-		ElapsedNS: res.Stats.Elapsed.Nanoseconds(),
+		ElapsedNS: res.Elapsed.Nanoseconds(),
 		Metrics:   res.Metrics,
 	}
 	wantVerts, err := vertexList(r, len(res.Dist))
@@ -285,7 +286,7 @@ func (e *Engine) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrSaturated):
 		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfterSeconds()))
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"acic/internal/graph"
+	"acic/internal/pq"
 	"acic/internal/seq"
 )
 
@@ -66,6 +69,53 @@ func TestHTTPSSSPAndCacheHit(t *testing.T) {
 	getJSON(t, srv.Client(), srv.URL+"/sssp?source=7", &second)
 	if !second.CacheHit {
 		t.Error("repeat query did not report cache_hit")
+	}
+}
+
+// TestHTTPCancelledRequestFreesSlot: a client that goes away while its
+// /sssp miss computes cancels the miss through the request's context, so
+// the slot comes back, nothing is cached and the miss counts as cancelled.
+func TestHTTPCancelledRequestFreesSlot(t *testing.T) {
+	e := mustEngine(t, testGraph(), Config{MaxInFlight: 1})
+	inner := e.solve
+	entered := make(chan struct{})
+	e.solve = func(ctx context.Context, g *graph.Graph, source int, h *pq.IndexedHeap) (solution, error) {
+		close(entered)
+		<-ctx.Done() // held until the request's context ends
+		return inner(ctx, g, source, h)
+	}
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/sssp?source=5", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientErr := make(chan error, 1)
+	go func() {
+		resp, err := srv.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		clientErr <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-clientErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client request returned %v, want context.Canceled", err)
+	}
+	// Close returns once the held miss has seen the client go and freed
+	// its slot; the deadline only bounds a failure.
+	drainCtx, stop := context.WithTimeout(context.Background(), time.Minute)
+	defer stop()
+	if err := e.Close(drainCtx); err != nil {
+		t.Fatalf("the cancelled miss never freed its slot: %v", err)
+	}
+	snap := e.MetricsSnapshot()
+	if n, c, errs := e.cache.len(), snap.Counter("engine.cancelled"), snap.Counter("engine.errors"); e.InFlight() != 0 || n != 0 || c != 1 || errs != 0 {
+		t.Errorf("after the disconnect: inflight %d, %d cached, engine.cancelled %d, engine.errors %d; want 0, 0, 1, 0",
+			e.InFlight(), n, c, errs)
 	}
 }
 
@@ -174,12 +224,18 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 		t.Errorf("healthz = %+v", h)
 	}
 
-	getJSON(t, srv.Client(), srv.URL+"/sssp?source=0", nil)
+	getJSON(t, srv.Client(), srv.URL+"/sssp?source=0", nil) // a miss
+	getJSON(t, srv.Client(), srv.URL+"/sssp?source=0", nil) // a hit
+	getJSON(t, srv.Client(), srv.URL+"/path?source=1&target=2", nil)
 	var snap struct {
 		Counters []struct {
 			Name  string `json:"name"`
 			Total int64  `json:"total"`
 		} `json:"counters"`
+		Histograms []struct {
+			Name  string `json:"name"`
+			Count int64  `json:"count"`
+		} `json:"histograms"`
 	}
 	if resp := getJSON(t, srv.Client(), srv.URL+"/metrics", &snap); resp.StatusCode != 200 {
 		t.Fatalf("metrics status %d", resp.StatusCode)
@@ -192,6 +248,20 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	}
 	if !found {
 		t.Error("metrics snapshot missing engine.queries")
+	}
+	// Latency by outcome: one histogram each, observed once by the three
+	// requests above; nothing was cancelled.
+	want := map[string]int64{"engine.hit_us": 1, "engine.miss_us": 1, "engine.path_us": 1, "engine.cancelled_us": 0}
+	for _, h := range snap.Histograms {
+		if n, ok := want[h.Name]; ok {
+			if h.Count != n {
+				t.Errorf("%s counted %d, want %d", h.Name, h.Count, n)
+			}
+			delete(want, h.Name)
+		}
+	}
+	for name := range want {
+		t.Errorf("metrics snapshot missing histogram %s", name)
 	}
 }
 

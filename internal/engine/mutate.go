@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"acic/internal/core"
 	"acic/internal/dynamic"
 )
 
@@ -124,22 +123,20 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	// read-only with every response already handed out, so a vector the
 	// batch alters is repaired in a copy; any other is exact as it stands
 	// and is re-homed by pointer, summary and all.
-	carried := make([]*core.Result, len(resident))
+	carried := make([]solution, len(resident))
 	sums := make([]summary, len(resident))
 	for i, ent := range resident {
 		carried[i], sums[i] = ent.res, ent.sum
-		if !e.dg.Affects(ent.res.Dist, ent.res.Parent, d) {
+		if !e.dg.Affects(ent.res.dist, ent.res.parent, d) {
 			continue
 		}
-		res := &core.Result{
-			Dist:   append([]float64(nil), ent.res.Dist...),
-			Parent: append([]int32(nil), ent.res.Parent...),
-			Stats:  ent.res.Stats,
-		}
-		st := e.dg.Repair(int(ent.key.source), res.Dist, res.Parent, d)
+		res := ent.res
+		res.dist = append([]float64(nil), res.dist...)
+		res.parent = append([]int32(nil), res.parent...)
+		st := e.dg.Repair(int(ent.key.source), res.dist, res.parent, d)
 		mr.InvalidatedLabels += st.Invalidated
 		mr.CopiedVectors++
-		carried[i], sums[i] = res, summarize(res.Dist)
+		carried[i], sums[i] = res, summarize(res.dist)
 	}
 
 	// Publish: swap the version, drop everything stale, re-home the

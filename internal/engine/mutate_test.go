@@ -17,10 +17,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"acic/internal/core"
 	"acic/internal/dynamic"
 	"acic/internal/gen"
 	"acic/internal/graph"
+	"acic/internal/pq"
 	"acic/internal/seq"
 	"acic/internal/xrand"
 )
@@ -382,7 +382,7 @@ func TestPublishEvictsStaleLeader(t *testing.T) {
 	if !leader {
 		t.Fatal("setup: not the leader")
 	}
-	res, _, err := e.compute(e.Graph(), 5, slot, false)
+	res, err := dijkstra(ctx, e.Graph(), 5, pq.NewIndexedHeap(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestPublishEvictsStaleLeader(t *testing.T) {
 
 	select {
 	case <-ent.ready:
-		if ent.err != nil || ent.res == nil {
+		if ent.err != nil || ent.res.dist == nil {
 			t.Fatal("waiters lost the leader's result")
 		}
 	default:
@@ -417,7 +417,7 @@ func TestPublishEvictsStaleLeader(t *testing.T) {
 	if !leader {
 		t.Fatal("setup: not the leader for control key")
 	}
-	res2, _, err := e.compute(e.Graph(), 6, slot, false)
+	res2, err := dijkstra(ctx, e.Graph(), 6, pq.NewIndexedHeap(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func TestMutateCopiesOnlyWhatItChanges(t *testing.T) {
 
 	for b := 0; b < batches; b++ {
 		epoch := e.Epoch()
-		old := make([]*core.Result, sources)
+		old := make([]solution, sources)
 		for s := 0; s < sources; s++ {
 			res, err := e.Query(ctx, s, QueryOptions{})
 			if err != nil {
@@ -593,7 +593,7 @@ func TestMutateCopiesOnlyWhatItChanges(t *testing.T) {
 				hold = append(hold, held{fmt.Sprintf("epoch %d source %d", epoch, s), res.Dist, res.Parent, freeze(res.Dist, res.Parent)})
 			}
 			ent, ok := e.cache.get(cacheKey{epoch: epoch, source: int32(s)})
-			if !ok || ent.res.Dist == nil || &ent.res.Dist[0] != &res.Dist[0] {
+			if !ok || ent.res.dist == nil || &ent.res.dist[0] != &res.Dist[0] {
 				t.Fatalf("batch %d: source %d not resident after its query", b, s)
 			}
 			old[s] = ent.res
@@ -642,23 +642,24 @@ func TestMutateCopiesOnlyWhatItChanges(t *testing.T) {
 					t.Fatalf("batch %d: source %d not carried over", b, s)
 				}
 				cur := ent.res
-				if cur != old[s] {
+				shared := &cur.dist[0] == &old[s].dist[0] && &cur.parent[0] == &old[s].parent[0]
+				if !shared {
 					copied++
 				}
-				if untouchedBy(batch, old[s].Dist, old[s].Parent) && cur != old[s] {
+				if untouchedBy(batch, old[s].dist, old[s].parent) && !shared {
 					t.Fatalf("batch %d %v: source %d is untouched but was copied", b, batch, s)
 				}
-				changed := !bytes.Equal(freeze(cur.Dist, cur.Parent), freeze(old[s].Dist, old[s].Parent))
-				if changed && (cur == old[s] || &cur.Dist[0] == &old[s].Dist[0] || &cur.Parent[0] == &old[s].Parent[0]) {
+				changed := !bytes.Equal(freeze(cur.dist, cur.parent), freeze(old[s].dist, old[s].parent))
+				if changed && (&cur.dist[0] == &old[s].dist[0] || &cur.parent[0] == &old[s].parent[0]) {
 					t.Fatalf("batch %d: source %d changed in a shared vector", b, s)
 				}
-				if i := seq.FirstMismatch(seq.Dijkstra(snap, s).Dist, cur.Dist); i >= 0 {
+				if i := seq.FirstMismatch(seq.Dijkstra(snap, s).Dist, cur.dist); i >= 0 {
 					t.Fatalf("batch %d %v: source %d carried over stale at vertex %d", b, batch, s, i)
 				}
-				if err := dynamic.VerifyTree(shadow, s, cur.Dist, cur.Parent); err != nil {
+				if err := dynamic.VerifyTree(shadow, s, cur.dist, cur.parent); err != nil {
 					t.Fatalf("batch %d: source %d: %v", b, s, err)
 				}
-				if want := summarize(cur.Dist); ent.sum != want {
+				if want := summarize(cur.dist); ent.sum != want {
 					t.Fatalf("batch %d: source %d summary %+v, want %+v", b, s, ent.sum, want)
 				}
 			}

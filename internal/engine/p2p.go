@@ -1,13 +1,13 @@
 package engine
 
 // Point-to-point queries. A /path query needs one distance, not |V| of
-// them; running the full ACIC machine would compute (and cache) everything
-// reachable. When the source's full vector is already resident the answer
-// is a tree walk; otherwise the engine runs a bidirectional Dijkstra: a
-// forward search from the source on the version's CSR and a backward
-// search from the target on its reverse CSR, each step expanding the side
-// with the smaller frontier. The two meet in the middle, so a query
-// settles two small balls instead of one ball of the target's radius.
+// them; filling a miss would compute (and cache) everything reachable.
+// When the source's full vector is already resident the answer is a tree
+// walk; otherwise the engine runs a bidirectional Dijkstra: a forward
+// search from the source on the version's CSR and a backward search from
+// the target on its reverse CSR, each step expanding the side with the
+// smaller frontier. The two meet in the middle, so a query settles two
+// small balls instead of one ball of the target's radius.
 //
 // The search keeps μ, the shortest source→target path seen where the two
 // sides' labels meet, and stops once topF + topB ≥ μ. It also discards
@@ -56,6 +56,7 @@ type PathResult struct {
 // short-circuits it; otherwise the search runs under the same admission
 // control as full queries, on the admitted slot's pathSearch.
 func (e *Engine) Path(ctx context.Context, source, target int) (*PathResult, error) {
+	start := time.Now()
 	e.mQueries.Inc(0)
 	e.mP2P.Inc(0)
 	ver := e.version.Load() // one load: epoch, graph and reverse stay a consistent triple
@@ -78,16 +79,12 @@ func (e *Engine) Path(ctx context.Context, source, target int) (*PathResult, err
 		select {
 		case <-ent.ready:
 			if ent.err == nil {
-				e.mHits.Inc(0)
-				res := ent.res
-				pr := &PathResult{Source: source, Target: target, Epoch: epoch, CacheHit: true}
-				pr.Distance = res.Dist[target]
-				if path := res.PathTo(target); path != nil {
-					pr.Reachable = true
-					pr.Path = path
-				} else {
-					pr.Distance = math.Inf(1)
+				pr := &PathResult{Source: source, Target: target, Epoch: epoch, CacheHit: true, Distance: math.Inf(1)}
+				if path := ent.res.pathTo(target); path != nil {
+					pr.Reachable, pr.Distance, pr.Path = true, ent.res.dist[target], path
 				}
+				e.mHits.Inc(0)
+				e.hHitMicros.Observe(0, time.Since(start).Microseconds())
 				return pr, nil
 			}
 		default:
@@ -99,9 +96,8 @@ func (e *Engine) Path(ctx context.Context, source, target int) (*PathResult, err
 		return nil, err
 	}
 	defer e.releaseSlot(slot)
-	start := time.Now()
 	pr := e.scratch[slot].path.run(ver.g, ver.rev, source, target)
-	e.hQueryMicros.Observe(slot, time.Since(start).Microseconds())
+	e.hPathMicros.Observe(slot, time.Since(start).Microseconds())
 	pr.Epoch = epoch
 	e.mP2PPruned.Add(slot, pr.Pruned)
 	e.mP2PSettled.Add(slot, pr.Settled)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"acic/internal/gen"
@@ -73,11 +72,7 @@ func TestPathSearchAllocatesNothingPerVertex(t *testing.T) {
 			}
 		}
 		query() // warm: the slot's labels and heaps reach their size
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		query()
-		runtime.ReadMemStats(&after)
-		perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(pairs))
+		perQuery := perRunBytes(1, query) / float64(len(pairs))
 		t.Logf("n=%d: %.0f B per path search", n, perQuery)
 		if perQuery > maxPathBytesPerQuery {
 			t.Errorf("n=%d: %.0f B per path search, bound %d", n, perQuery, maxPathBytesPerQuery)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"acic/internal/dynamic"
-	"acic/internal/netsim"
 )
 
 // checkSummary recomputes /sssp's summary the way handleSSSP used to on
@@ -37,9 +36,7 @@ func checkSummary(t *testing.T, when string, res *QueryResult) {
 // Mutate (put), and read by the followers of a single-flight leader.
 func TestSummaryIsStoredWithTheVector(t *testing.T) {
 	ctx := context.Background()
-	e, _ := mustDynamicEngine(t, testGraph(), Config{
-		Latency: netsim.DefaultLatency(), MaxInFlight: 4, MaxQueue: 16, QueueTimeout: time.Minute,
-	})
+	e, _ := mustDynamicEngine(t, testGraph(), Config{MaxInFlight: 4, MaxQueue: 16, QueueTimeout: time.Minute})
 
 	miss, err := e.Query(ctx, 3, QueryOptions{})
 	if err != nil {
@@ -89,9 +86,11 @@ func TestSummaryIsStoredWithTheVector(t *testing.T) {
 		}
 	}
 
-	// Followers: the network latency keeps the leader in flight while the
-	// rest pile onto its entry.
+	// Followers: the leader is held in flight until the rest wait on its
+	// entry.
+	gate := holdMisses(e)
 	const k = 8
+	waiting := make(chan struct{}, k)
 	results := make([]*QueryResult, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
@@ -99,9 +98,14 @@ func TestSummaryIsStoredWithTheVector(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.Query(ctx, 7, QueryOptions{})
+			results[i], errs[i] = e.Query(&waitingCtx{Context: ctx, waiting: waiting}, 7, QueryOptions{})
 		}(i)
 	}
+	<-gate.entered
+	for i := 0; i < k-1; i++ {
+		<-waiting
+	}
+	close(gate.release)
 	wg.Wait()
 	followers := 0
 	for i, res := range results {

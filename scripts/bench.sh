@@ -42,6 +42,7 @@ BENCHES=(
   "BenchmarkHotPathSSSP|./internal/bench|-benchtime=10x"
   "BenchmarkEngineMutate|./internal/engine|-benchtime=200x"
   "BenchmarkEnginePath|./internal/engine|"
+  "BenchmarkEngineMiss|./internal/engine|"
 )
 
 echo "== fresh build =="
