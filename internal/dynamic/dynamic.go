@@ -1,17 +1,22 @@
 // Package dynamic turns the repository's immutable CSR graphs into living
 // networks: a batched mutation API (edge inserts, deletes, weight changes)
-// over a mutable adjacency representation, with monotonically increasing
-// graph epochs, plus the incremental SSSP repair that makes mutations cheap
-// to serve (see repair.go).
+// with monotonically increasing graph epochs, plus the incremental SSSP
+// repair that makes mutations cheap to serve (see repair.go).
+//
+// A Graph is one immutable CSR and its transpose per epoch, nothing else.
+// Apply edits copies of the rows a batch touches and, once every mutation
+// has validated, splices each direction's new CSR from the previous one:
+// one copy per run of untouched rows, and the edited rows written in their
+// place. A rejected batch drops its copies, so the graph it leaves is the
+// one it found. Snapshot and ReverseSnapshot hand out the current pair;
+// the reverse one lets a point-to-point search walk the graph backwards
+// from its target, and lets Repair re-relax an invalidated subtree from
+// its in-edges.
 //
 // A batch costs what it changes. Repair's scratch (a lazy heap and the
 // subtree stacks) lives on the Graph and grows with the largest damage
 // seen, never with |V|; Affects tells a caller holding many vectors which
-// ones a batch would write, so the rest can be shared instead of copied;
-// and Snapshot splices the new CSR from the previous one, rewriting only
-// the sources whose out-list a mutation touched. ReverseSnapshot does the
-// same for the in-lists, so a point-to-point search can walk the graph
-// backwards from its target without a transpose per batch.
+// ones a batch would write, so the rest can be shared instead of copied.
 //
 // The design follows the incremental/decremental split of the dynamic-SSSP
 // literature (SSSP-Del, Javanrood & Ripeanu, arXiv:2508.14319; Kyng et al.,
@@ -25,15 +30,16 @@
 // updates safe to inject at serving time.
 //
 // A Graph is NOT safe for concurrent use: callers (internal/engine) must
-// serialize Apply/Repair/Snapshot/ReverseSnapshot. Readers of CSR
-// snapshots are unaffected by later mutations — a snapshot is an immutable
-// *graph.Graph that shares no storage with the adjacency lists.
+// serialize Apply and Repair. The graphs Snapshot and ReverseSnapshot
+// return are immutable and are never written by a later batch, so readers
+// may keep them across mutations.
 package dynamic
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"acic/internal/graph"
 	"acic/internal/pq"
@@ -47,11 +53,13 @@ const (
 	// edges are allowed, matching graph.Build.
 	Insert Op = iota
 	// Delete removes one existing edge From→To. With parallel edges the
-	// first (lowest-slot) occurrence is removed. Deleting a missing edge
+	// first occurrence in insertion order (Snapshot's row order) is
+	// removed, and the rest keep their order. Deleting a missing edge
 	// fails the batch.
 	Delete
-	// SetWeight changes the weight of one existing edge From→To (first
-	// occurrence) to Weight. Reweighting a missing edge fails the batch.
+	// SetWeight changes the weight of one existing edge From→To (the
+	// first occurrence, as for Delete) to Weight. Reweighting a missing
+	// edge fails the batch.
 	SetWeight
 )
 
@@ -100,154 +108,45 @@ func (m Mutation) String() string {
 // edge the graph does not contain.
 var ErrEdgeNotFound = errors.New("dynamic: edge not found")
 
-// half is one directed half-edge as stored in an adjacency list.
-type half struct {
-	v int32
-	w float64
-}
-
-// Graph is a mutable directed weighted graph with dense vertex ids and a
-// batch epoch counter. Construct with FromCSR (or New for an edgeless
-// graph); mutate with Apply. Forward and reverse adjacency are both
-// maintained — the delete repair needs in-edges to re-relax an invalidated
-// subtree from its frontier.
+// Graph is a directed weighted graph with dense vertex ids that changes in
+// batches, each advancing its epoch by one. It is the graph's CSR at the
+// current epoch and that CSR's transpose; no other copy of the graph
+// survives a batch. Construct with FromCSR; mutate with Apply.
 type Graph struct {
-	fwd      [][]half
-	rev      [][]half
-	numEdges int
-	epoch    uint64
-
-	// out and in are the CSR snapshots of fwd and rev, each with the
-	// vertices whose list changed since it was built. The mutation
-	// primitives mark the source of an edge in out and its target in in.
-	out, in spliced
+	// out is the graph; in holds, in row v, the edges into v.
+	out, in *graph.Graph
+	epoch   uint64
 
 	// Repair scratch, reused across calls (see repair.go).
 	heap                  pq.BinaryHeap
 	roots, stack, invalid []int32
 }
 
-// New returns an edgeless dynamic graph with n vertices at epoch 0.
-func New(n int) *Graph {
-	return &Graph{fwd: make([][]half, n), rev: make([][]half, n), out: newSpliced(n), in: newSpliced(n)}
-}
-
-// FromCSR copies a CSR graph into mutable adjacency form at epoch 0. The
-// CSR graph is not retained.
-func FromCSR(g *graph.Graph) *Graph {
-	dg := New(g.NumVertices())
-	g.EachEdge(func(from, to int32, w float64) {
-		dg.fwd[from] = append(dg.fwd[from], half{v: to, w: w})
-		dg.rev[to] = append(dg.rev[to], half{v: from, w: w})
-	})
-	dg.numEdges = g.NumEdges()
-	return dg
-}
+// FromCSR returns the dynamic graph of g at epoch 0. It keeps g, which is
+// immutable, and transposes it once for the in-edges.
+func FromCSR(g *graph.Graph) *Graph { return &Graph{out: g, in: g.Reverse()} }
 
 // NumVertices returns |V|.
-func (g *Graph) NumVertices() int { return len(g.fwd) }
+func (g *Graph) NumVertices() int { return g.out.NumVertices() }
 
 // NumEdges returns |E| under the current epoch.
-func (g *Graph) NumEdges() int { return g.numEdges }
+func (g *Graph) NumEdges() int { return g.out.NumEdges() }
 
 // Epoch returns the number of successfully applied mutation batches.
 // Every successful Apply increments it by exactly one; a failed Apply
 // leaves it (and the graph) unchanged.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// Snapshot returns an immutable CSR graph of the current state. It shares
-// nothing with the dynamic graph, so later mutations never touch it —
-// internal/engine hands snapshots to concurrent queries. With no mutation
-// since the last call it returns that same graph; otherwise it splices a
-// new one from the previous snapshot (see spliced.build).
-func (g *Graph) Snapshot() *graph.Graph { return g.out.build(g.fwd, g.numEdges) }
+// Snapshot returns the CSR graph of the current epoch. Later batches
+// build new graphs and never write this one — internal/engine hands
+// snapshots to concurrent queries.
+func (g *Graph) Snapshot() *graph.Graph { return g.out }
 
 // ReverseSnapshot is Snapshot for the reverse graph: row v lists the edges
-// into v. Taken between the same mutations as a Snapshot, it holds the
-// same edges flipped. A row keeps the reverse adjacency list's order,
-// which need not be the source order of Snapshot().Reverse().
-func (g *Graph) ReverseSnapshot() *graph.Graph { return g.in.build(g.rev, g.numEdges) }
-
-// spliced is one direction's CSR snapshot together with the vertices whose
-// adjacency list changed since it was built (every vertex before the
-// first build).
-type spliced struct {
-	snap   *graph.Graph
-	dirty  []bool
-	ndirty int
-}
-
-func newSpliced(n int) spliced {
-	s := spliced{dirty: make([]bool, n), ndirty: n}
-	for v := range s.dirty {
-		s.dirty[v] = true
-	}
-	return s
-}
-
-// touch records that v's list changed since the last build.
-func (s *spliced) touch(v int32) {
-	if !s.dirty[v] {
-		s.dirty[v] = true
-		s.ndirty++
-	}
-}
-
-// build returns the CSR of adj (numEdges half-edges in all). With nothing
-// dirty it is the previous snapshot; otherwise the new arrays are spliced
-// from the previous ones, one copy per run of clean vertices, and only the
-// dirty rows are written from adj (on the first build, all of them).
-func (s *spliced) build(adj [][]half, numEdges int) *graph.Graph {
-	if s.snap != nil && s.ndirty == 0 {
-		return s.snap
-	}
-	n := len(adj)
-	offsets := make([]int64, n+1)
-	targets := make([]int32, numEdges)
-	weights := make([]float64, numEdges)
-	var prevOff []int64
-	var prevT []int32
-	var prevW []float64
-	if s.snap != nil {
-		prevOff, prevT, prevW = s.snap.CSR()
-	}
-	var pos int64
-	for v := 0; v < n; {
-		if !s.dirty[v] {
-			end := v + 1
-			for end < n && !s.dirty[end] {
-				end++
-			}
-			lo, hi := prevOff[v], prevOff[end]
-			for u := v; u < end; u++ {
-				offsets[u] = prevOff[u] - lo + pos
-			}
-			copy(targets[pos:], prevT[lo:hi])
-			copy(weights[pos:], prevW[lo:hi])
-			pos += hi - lo
-			v = end
-			continue
-		}
-		s.dirty[v] = false
-		offsets[v] = pos
-		for _, h := range adj[v] {
-			targets[pos], weights[pos] = h.v, h.w
-			pos++
-		}
-		v++
-	}
-	offsets[n] = pos
-	s.ndirty = 0
-	s.snap = graph.Adopt(offsets, targets, weights)
-	return s.snap
-}
-
-// touch records that the edge from→to changed: from's out-list and to's
-// in-list both differ from their last snapshots.
-func (g *Graph) touch(from, to int32) {
-	g.out.touch(from)
-	g.in.touch(to)
-}
+// into v, the same edges as Snapshot flipped. An edited row keeps the
+// order its edits left it in, which need not be the source order of
+// Snapshot().Reverse().
+func (g *Graph) ReverseSnapshot() *graph.Graph { return g.in }
 
 // Delta is the classified record of one applied batch, consumed by Repair.
 // Decreased lists edges that were inserted or whose weight decreased
@@ -266,80 +165,54 @@ type Delta struct {
 // Empty reports whether the delta requires no repair work.
 func (d *Delta) Empty() bool { return len(d.Decreased) == 0 && len(d.Increased) == 0 }
 
-// inverse is one rollback record for Apply. Every inverse identifies its
-// edge by weight, never by slot: an intervening Delete's swapRemove reorders
-// adjacency lists, so "first from→to occurrence" can point at a different
-// parallel edge by rollback time. For a SetWeight inverse, matchW is the
-// weight the mutation wrote (what the edge holds now) and w is the weight to
-// restore; for Insert/Delete inverses, w alone identifies the edge.
-type inverse struct {
-	op       Op
-	from, to int32
-	w        float64
-	matchW   float64
-}
-
 // Apply executes one mutation batch atomically: either every mutation is
 // applied, the epoch advances by exactly one, and the classified Delta is
-// returned — or the first invalid mutation rolls the already-applied prefix
-// back and the graph (and epoch) are unchanged. Mutations within a batch
-// apply in order, so a batch may insert an edge and then delete it.
+// returned — or the first invalid mutation fails the batch and the graph
+// (and epoch) are unchanged. Mutations within a batch apply in order, so a
+// batch may insert an edge and then delete it.
+//
+// Each direction's edits go to copies of the rows they touch; a failed
+// batch drops the copies, and a successful one splices them into new CSRs.
+// A delete or reweight finds the reverse half of the forward edge it hit
+// by weight as well as endpoints, since parallel edges may differ only in
+// weight.
 func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 	d := &Delta{}
-	applied := make([]inverse, 0, len(batch)) // inverse ops, for rollback
-	rollback := func() {
-		for i := len(applied) - 1; i >= 0; i-- {
-			inv := applied[i]
-			switch inv.op {
-			case Insert:
-				g.insertEdge(inv.from, inv.to, inv.w)
-			case Delete:
-				if !g.removeEdgeW(inv.from, inv.to, inv.w) {
-					panic("dynamic: rollback lost an edge") // unreachable: inverses are weight-exact
-				}
-			case SetWeight:
-				if !g.setWeightW(inv.from, inv.to, inv.matchW, inv.w) {
-					panic("dynamic: rollback lost an edge")
-				}
-			}
-		}
-	}
-	n := len(g.fwd)
+	out, in := edits{g.out, map[int32][]half{}}, edits{g.in, map[int32][]half{}}
+	n := g.NumVertices()
 	for i, m := range batch {
 		if m.From < 0 || int(m.From) >= n || m.To < 0 || int(m.To) >= n {
-			rollback()
 			return nil, fmt.Errorf("dynamic: batch[%d] %s: vertex out of range [0,%d)", i, m, n)
+		}
+		if (m.Op == Insert || m.Op == SetWeight) && (m.Weight < 0 || math.IsNaN(m.Weight) || math.IsInf(m.Weight, 0)) {
+			return nil, fmt.Errorf("dynamic: batch[%d] %s: bad weight", i, m)
 		}
 		switch m.Op {
 		case Insert:
-			if m.Weight < 0 || math.IsNaN(m.Weight) || math.IsInf(m.Weight, 0) {
-				rollback()
-				return nil, fmt.Errorf("dynamic: batch[%d] %s: bad weight", i, m)
-			}
-			g.insertEdge(m.From, m.To, m.Weight)
-			applied = append(applied, inverse{op: Delete, from: m.From, to: m.To, w: m.Weight})
+			out.rows[m.From] = append(out.row(m.From), half{v: m.To, w: m.Weight})
+			in.rows[m.To] = append(in.row(m.To), half{v: m.From, w: m.Weight})
 			d.Inserted++
 			d.Decreased = append(d.Decreased, graph.Edge{From: m.From, To: m.To, Weight: m.Weight})
 		case Delete:
-			w, ok := g.removeEdge(m.From, m.To)
-			if !ok {
-				rollback()
+			row, j := out.find(m.From, m.To, 0, false)
+			if j < 0 {
 				return nil, fmt.Errorf("%w: batch[%d] %s", ErrEdgeNotFound, i, m)
 			}
-			applied = append(applied, inverse{op: Insert, from: m.From, to: m.To, w: w})
+			w := row[j].w
+			out.rows[m.From] = slices.Delete(row, j, j+1)
+			row, j = in.find(m.To, m.From, w, true)
+			in.rows[m.To] = slices.Delete(row, j, j+1)
 			d.Deleted++
 			d.Increased = append(d.Increased, graph.Edge{From: m.From, To: m.To, Weight: w})
 		case SetWeight:
-			if m.Weight < 0 || math.IsNaN(m.Weight) || math.IsInf(m.Weight, 0) {
-				rollback()
-				return nil, fmt.Errorf("dynamic: batch[%d] %s: bad weight", i, m)
-			}
-			old, ok := g.setWeight(m.From, m.To, m.Weight)
-			if !ok {
-				rollback()
+			row, j := out.find(m.From, m.To, 0, false)
+			if j < 0 {
 				return nil, fmt.Errorf("%w: batch[%d] %s", ErrEdgeNotFound, i, m)
 			}
-			applied = append(applied, inverse{op: SetWeight, from: m.From, to: m.To, w: old, matchW: m.Weight})
+			old := row[j].w
+			row[j].w = m.Weight
+			row, j = in.find(m.To, m.From, old, true)
+			row[j].w = m.Weight
 			d.Reweighted++
 			if m.Weight < old {
 				d.Decreased = append(d.Decreased, graph.Edge{From: m.From, To: m.To, Weight: m.Weight})
@@ -347,112 +220,97 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 				d.Increased = append(d.Increased, graph.Edge{From: m.From, To: m.To, Weight: old})
 			}
 		default:
-			rollback()
 			return nil, fmt.Errorf("dynamic: batch[%d]: unknown op %d", i, m.Op)
 		}
 	}
+	g.out, g.in = splice(g.out, out.rows), splice(g.in, in.rows)
 	g.epoch++
 	d.Epoch = g.epoch
 	return d, nil
 }
 
-// insertEdge appends From→To to both adjacency lists.
-func (g *Graph) insertEdge(from, to int32, w float64) {
-	g.touch(from, to)
-	g.fwd[from] = append(g.fwd[from], half{v: to, w: w})
-	g.rev[to] = append(g.rev[to], half{v: from, w: w})
-	g.numEdges++
+// half is one directed half-edge in an edited row: the far endpoint and
+// the weight.
+type half struct {
+	v int32
+	w float64
 }
 
-// removeEdge removes the first from→to occurrence from the forward list and
-// its weight-matched partner from the reverse list (parallel edges may
-// differ only by weight, so the reverse removal must match the weight of
-// the forward edge actually removed).
-func (g *Graph) removeEdge(from, to int32) (w float64, ok bool) {
-	for i, h := range g.fwd[from] {
-		if h.v == to {
-			g.touch(from, to)
-			g.fwd[from] = swapRemove(g.fwd[from], i)
-			if !removeHalf(&g.rev[to], from, h.w) {
-				panic("dynamic: fwd/rev adjacency out of sync")
-			}
-			g.numEdges--
-			return h.w, true
+// edits is one direction's rows that a batch has edited so far, each
+// copied from csr on first touch and kept in row order.
+type edits struct {
+	csr  *graph.Graph
+	rows map[int32][]half
+}
+
+// row returns u's edited row, copying it from the CSR on first touch.
+func (e *edits) row(u int32) []half {
+	if r, ok := e.rows[u]; ok {
+		return r
+	}
+	ts, ws := e.csr.Neighbors(int(u))
+	r := make([]half, len(ts), len(ts)+1)
+	for i, t := range ts {
+		r[i] = half{v: t, w: ws[i]}
+	}
+	e.rows[u] = r
+	return r
+}
+
+// find returns u's edited row and the slot in it of the first half to v
+// (of weight w, if weighted), or -1 when there is none.
+func (e *edits) find(u, v int32, w float64, weighted bool) ([]half, int) {
+	r := e.row(u)
+	for i, h := range r {
+		if h.v == v && (!weighted || h.w == w) {
+			return r, i
 		}
 	}
-	return 0, false
+	return r, -1
 }
 
-// removeEdgeW removes one from→to occurrence with exactly weight w (the
-// rollback inverse of Insert).
-func (g *Graph) removeEdgeW(from, to int32, w float64) bool {
-	for i, h := range g.fwd[from] {
-		if h.v == to && h.w == w {
-			g.touch(from, to)
-			g.fwd[from] = swapRemove(g.fwd[from], i)
-			if !removeHalf(&g.rev[to], from, w) {
-				panic("dynamic: fwd/rev adjacency out of sync")
-			}
-			g.numEdges--
-			return true
-		}
+// splice returns old with the given rows replaced. The new arrays are
+// copied from old one run of unedited rows at a time, the run's offsets
+// shifted, and each edited row is written in its place; graph.Adopt takes
+// them without a second copy. With no edited row it returns old.
+func splice(old *graph.Graph, rows map[int32][]half) *graph.Graph {
+	if len(rows) == 0 {
+		return old
 	}
-	return false
-}
-
-// setWeight rewrites the weight of the first from→to occurrence (and its
-// weight-matched reverse partner), returning the old weight.
-func (g *Graph) setWeight(from, to int32, w float64) (old float64, ok bool) {
-	for i, h := range g.fwd[from] {
-		if h.v == to {
-			g.touch(from, to)
-			old = h.w
-			g.fwd[from][i].w = w
-			for j := range g.rev[to] {
-				if g.rev[to][j].v == from && g.rev[to][j].w == old {
-					g.rev[to][j].w = w
-					return old, true
-				}
-			}
-			panic("dynamic: fwd/rev adjacency out of sync")
-		}
+	edited := make([]int32, 0, len(rows)+1)
+	m := old.NumEdges()
+	for u, r := range rows {
+		edited = append(edited, u)
+		m += len(r) - old.OutDegree(int(u))
 	}
-	return 0, false
-}
+	slices.Sort(edited)
+	n := old.NumVertices()
+	edited = append(edited, int32(n)) // the last run ends at n
 
-// setWeightW rewrites the weight of the first from→to occurrence whose
-// current weight is exactly matchW (and its weight-matched reverse partner)
-// to w. This is the rollback inverse of SetWeight: matching the edge by the
-// weight the forward mutation wrote keeps rollback correct for parallel
-// edges even after an intervening Delete's swapRemove reordered the list.
-func (g *Graph) setWeightW(from, to int32, matchW, w float64) bool {
-	for i, h := range g.fwd[from] {
-		if h.v == to && h.w == matchW {
-			g.touch(from, to)
-			g.fwd[from][i].w = w
-			for j := range g.rev[to] {
-				if g.rev[to][j].v == from && g.rev[to][j].w == matchW {
-					g.rev[to][j].w = w
-					return true
-				}
-			}
-			panic("dynamic: fwd/rev adjacency out of sync")
+	oldOff, oldT, oldW := old.CSR()
+	offsets := make([]int64, n+1)
+	targets := make([]int32, m)
+	weights := make([]float64, m)
+	var pos int64
+	v := 0 // first row of the next unedited run
+	for _, e := range edited {
+		lo, hi := oldOff[v], oldOff[e]
+		for u := v; u < int(e); u++ {
+			offsets[u] = oldOff[u] - lo + pos
 		}
-	}
-	return false
-}
-
-func removeHalf(hs *[]half, v int32, w float64) bool {
-	for i, h := range *hs {
-		if h.v == v && h.w == w {
-			*hs = swapRemove(*hs, i)
-			return true
+		copy(targets[pos:], oldT[lo:hi])
+		copy(weights[pos:], oldW[lo:hi])
+		pos += hi - lo
+		if int(e) == n {
+			break
 		}
+		offsets[e] = pos
+		for _, h := range rows[e] {
+			targets[pos], weights[pos] = h.v, h.w
+			pos++
+		}
+		v = int(e) + 1
 	}
-	return false
-}
-
-func swapRemove(hs []half, i int) []half {
-	hs[i] = hs[len(hs)-1]
-	return hs[:len(hs)-1]
+	offsets[n] = pos
+	return graph.Adopt(offsets, targets, weights)
 }

@@ -1,16 +1,18 @@
 package dynamic
 
-// Fuzzing the spliced snapshots: Snapshot and ReverseSnapshot copy
-// unchanged runs of the previous CSR and rewrite only the vertices the
-// mutation primitives marked, so a primitive that forgets to mark (or a
-// rollback that reorders a list behind the marks' back) shows up as a
-// snapshot that differs from a fresh build of the adjacency lists, or as a
-// reverse snapshot that is not the transpose of the forward one. The tape
-// mixes valid batches, invalid ones that roll back, parallel edges,
-// insert-then-delete within one batch, and same-weight SetWeight.
+// Fuzzing the spliced CSRs: Apply edits copies of the rows a batch touches
+// and splices them into new forward and reverse CSRs, copying the untouched
+// runs of the old ones. A splice that misplaces a run, or an edit that hits
+// the wrong edge or reorders a row, shows up as a snapshot that differs
+// from a plain list model of the same batches (applyModel), or as a reverse
+// snapshot that is not the transpose of the forward one. The tape mixes
+// valid batches, invalid ones that must leave the graph as it was,
+// parallel edges, insert-then-delete within one batch, and same-weight
+// SetWeight.
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -37,11 +39,12 @@ func (r *tapeReader) done() bool { return r.pos >= len(r.data) }
 func FuzzSnapshotSplice(f *testing.F) {
 	// Header: vertex count, initial edge count, then (from, to, weight)
 	// per edge; then 4-byte ops (code, a, b, w) — see the switch below.
-	f.Add([]byte{1, 3, 0, 1, 1, 0, 2, 2, 0, 0, 3, 3, 0, 0, 0, 2, 1, 2, 0, 7, 0, 0, 0})       // delete, then a missing delete rolls back
+	f.Add([]byte{1, 3, 0, 1, 1, 0, 2, 2, 0, 0, 3, 3, 0, 0, 0, 2, 1, 2, 0, 7, 0, 0, 0})       // delete, then a missing delete fails
 	f.Add([]byte{0, 2, 0, 1, 1, 0, 1, 1, 0, 0, 1, 1, 7, 0, 0, 0, 6, 1, 0, 2, 7, 0, 0, 0})    // parallel edges, insert-then-delete
 	f.Add([]byte{2, 4, 0, 1, 1, 0, 2, 2, 1, 2, 3, 3, 0, 1, 5, 3, 0, 1, 0, 4, 1, 0, 2, 7, 0}) // same-weight and changed SetWeight
-	f.Add([]byte{5, 0, 0, 1, 2, 3, 1, 3, 4, 2, 2, 4, 4, 255, 7, 0, 0, 0, 3, 0, 0, 0})        // out-of-range vertex rolls back
+	f.Add([]byte{5, 0, 0, 1, 2, 3, 1, 3, 4, 2, 2, 4, 4, 255, 7, 0, 0, 0, 3, 0, 0, 0})        // out-of-range vertex fails
 	f.Add([]byte{3, 5, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 0, 1, 0, 2, 1, 3, 1, 0, 0, 3, 2, 0, 0, 2, 0, 3, 1, 7, 0, 0, 0, 3, 1, 0, 0, 3, 1, 0, 0, 2, 1, 1, 1, 7})
+	f.Add([]byte{0, 3, 0, 1, 1, 0, 1, 2, 0, 1, 3, 2, 0, 1, 0, 7, 0, 0, 0}) // three parallel weights: a delete keeps the rest in order
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &tapeReader{data: data}
 		n := 2 + int(r.next()%6)
@@ -50,25 +53,29 @@ func FuzzSnapshotSplice(f *testing.F) {
 			edges = append(edges, graph.Edge{From: int32(r.next()) % int32(n), To: int32(r.next()) % int32(n), Weight: float64(r.next() % 4)})
 		}
 		dg := FromCSR(graph.MustBuild(n, edges))
-		prev := checkSplice(t, dg, spliceState{})
+		model := make([][]half, n)
+		for _, e := range edges {
+			model[e.From] = append(model[e.From], half{v: e.To, w: e.Weight})
+		}
+		prev := checkSplice(t, dg, model, spliceState{})
 
 		// existing names the slot-th out-edge of v as it stands now, or a
 		// pair that may not exist when v has none.
 		existing := func(v, slot byte) (int32, int32, float64) {
 			from := int32(v) % int32(n)
-			hs := dg.fwd[from]
-			if len(hs) == 0 {
+			ts, ws := dg.Snapshot().Neighbors(int(from))
+			if len(ts) == 0 {
 				return from, int32(slot) % int32(n), 1
 			}
-			h := hs[int(slot)%len(hs)]
-			return from, h.v, h.w
+			i := int(slot) % len(ts)
+			return from, ts[i], ws[i]
 		}
 		var batch []Mutation
 		for !r.done() {
 			code, a, b, w := r.next(), r.next(), r.next(), r.next()
 			to := int32(b) % int32(n)
 			if w == 255 {
-				to = int32(n) // out of range: the batch rolls back at this op
+				to = int32(n) // out of range: the batch fails at this op
 			}
 			switch code % 8 {
 			case 0, 1:
@@ -90,57 +97,89 @@ func FuzzSnapshotSplice(f *testing.F) {
 					Mutation{Op: Insert, From: from, To: to, Weight: float64(w % 4)},
 					Mutation{Op: Delete, From: from, To: to})
 			case 7:
-				epoch := dg.Epoch()
-				if _, err := dg.Apply(batch); err != nil && dg.Epoch() != epoch {
-					t.Fatalf("failed batch %v moved the epoch %d -> %d", batch, epoch, dg.Epoch())
+				want, ok := applyModel(model, batch)
+				epoch, out, in := dg.Epoch(), dg.Snapshot(), dg.ReverseSnapshot()
+				_, err := dg.Apply(batch)
+				if (err == nil) != ok {
+					t.Fatalf("Apply(%v) = %v, the model says ok=%v", batch, err, ok)
 				}
-				prev = checkSplice(t, dg, prev)
+				if err != nil && (dg.Epoch() != epoch || dg.Snapshot() != out || dg.ReverseSnapshot() != in) {
+					t.Fatalf("failed batch %v moved the graph (epoch %d -> %d)", batch, epoch, dg.Epoch())
+				}
+				model = want
+				prev = checkSplice(t, dg, model, prev)
 				batch = batch[:0]
 			}
 		}
 	})
 }
 
+// applyModel is Apply on plain lists: the batch's ops in order on a copy
+// of adj, Delete and SetWeight on the first From→To edge in row order, a
+// delete keeping the order of the rest. It returns the new lists, or adj
+// and false when an op names a vertex out of range or a missing edge (the
+// only failures the tape makes).
+func applyModel(adj [][]half, batch []Mutation) ([][]half, bool) {
+	next := make([][]half, len(adj))
+	for v := range adj {
+		next[v] = slices.Clone(adj[v])
+	}
+	n := int32(len(adj))
+	for _, m := range batch {
+		if m.From < 0 || m.From >= n || m.To < 0 || m.To >= n {
+			return adj, false
+		}
+		row := next[m.From]
+		i := slices.IndexFunc(row, func(h half) bool { return h.v == m.To })
+		switch {
+		case m.Op == Insert:
+			next[m.From] = append(row, half{v: m.To, w: m.Weight})
+		case i < 0:
+			return adj, false
+		case m.Op == Delete:
+			next[m.From] = slices.Delete(row, i, i+1)
+		default:
+			row[i].w = m.Weight
+		}
+	}
+	return next, true
+}
+
 // spliceState is what checkSplice saw at one epoch: both snapshots and
 // the edges they held then.
 type spliceState struct {
-	fwd, rev           *graph.Graph
-	fwdEdges, revEdges []graph.Edge
+	out, in           *graph.Graph
+	outEdges, inEdges []graph.Edge
 }
 
-// checkSplice takes both snapshots and requires each to equal graph.Build
-// of its adjacency lists edge for edge, in order, and the reverse one to
-// hold, row by row, the edges of the forward one's Reverse(). A second call
-// with nothing dirty must return the same graphs, and the previous
-// snapshots must still hold the edges they held when they were taken.
-func checkSplice(t *testing.T, dg *Graph, prev spliceState) spliceState {
+// checkSplice requires the forward snapshot to equal graph.Build of the
+// model, slot for slot, and the reverse one to hold, row by row, the edges
+// of the forward one's Reverse(). The previous snapshots must still hold
+// the edges they held when they were taken.
+func checkSplice(t *testing.T, dg *Graph, model [][]half, prev spliceState) spliceState {
 	t.Helper()
-	cur := spliceState{fwd: dg.Snapshot(), rev: dg.ReverseSnapshot()}
-	checkCSR(t, "snapshot", cur.fwd, dg.fwd)
-	checkCSR(t, "reverse snapshot", cur.rev, dg.rev)
-	transpose := cur.fwd.Reverse()
+	cur := spliceState{out: dg.Snapshot(), in: dg.ReverseSnapshot()}
+	checkCSR(t, cur.out, model)
+	transpose := cur.out.Reverse()
 	for v := 0; v < dg.NumVertices(); v++ {
-		if got, want := sortedRow(cur.rev, v), sortedRow(transpose, v); !equalEdges(got, want) {
+		if got, want := sortedRow(cur.in, v), sortedRow(transpose, v); !equalEdges(got, want) {
 			t.Fatalf("reverse snapshot row %d = %v, Reverse() of the snapshot has %v", v, got, want)
 		}
 	}
-	if dg.Snapshot() != cur.fwd || dg.ReverseSnapshot() != cur.rev {
-		t.Fatal("a snapshot with nothing dirty built a new graph")
-	}
-	if prev.fwd != nil {
-		if got := prev.fwd.Edges(); !equalEdges(got, prev.fwdEdges) {
-			t.Fatalf("previous snapshot changed %v -> %v", prev.fwdEdges, got)
+	if prev.out != nil {
+		if got := prev.out.Edges(); !equalEdges(got, prev.outEdges) {
+			t.Fatalf("previous snapshot changed %v -> %v", prev.outEdges, got)
 		}
-		if got := prev.rev.Edges(); !equalEdges(got, prev.revEdges) {
-			t.Fatalf("previous reverse snapshot changed %v -> %v", prev.revEdges, got)
+		if got := prev.in.Edges(); !equalEdges(got, prev.inEdges) {
+			t.Fatalf("previous reverse snapshot changed %v -> %v", prev.inEdges, got)
 		}
 	}
-	cur.fwdEdges, cur.revEdges = cur.fwd.Edges(), cur.rev.Edges()
+	cur.outEdges, cur.inEdges = cur.out.Edges(), cur.in.Edges()
 	return cur
 }
 
 // checkCSR requires snap to equal graph.Build of adj, slot for slot.
-func checkCSR(t *testing.T, name string, snap *graph.Graph, adj [][]half) {
+func checkCSR(t *testing.T, snap *graph.Graph, adj [][]half) {
 	t.Helper()
 	var edges []graph.Edge
 	for v, hs := range adj {
@@ -152,16 +191,16 @@ func checkCSR(t *testing.T, name string, snap *graph.Graph, adj [][]half) {
 	gotOff, gotT, gotW := snap.CSR()
 	wantOff, wantT, wantW := want.CSR()
 	if len(gotOff) != len(wantOff) || len(gotT) != len(wantT) || len(gotW) != len(wantW) {
-		t.Fatalf("%s shape %d/%d/%d, want %d/%d/%d", name, len(gotOff), len(gotT), len(gotW), len(wantOff), len(wantT), len(wantW))
+		t.Fatalf("snapshot shape %d/%d/%d, want %d/%d/%d", len(gotOff), len(gotT), len(gotW), len(wantOff), len(wantT), len(wantW))
 	}
 	for i := range wantOff {
 		if gotOff[i] != wantOff[i] {
-			t.Fatalf("%s offsets[%d] = %d, want %d", name, i, gotOff[i], wantOff[i])
+			t.Fatalf("snapshot offsets[%d] = %d, want %d", i, gotOff[i], wantOff[i])
 		}
 	}
 	for i := range wantT {
 		if gotT[i] != wantT[i] || math.Float64bits(gotW[i]) != math.Float64bits(wantW[i]) {
-			t.Fatalf("%s edge slot %d = ->%d w=%g, want ->%d w=%g", name, i, gotT[i], gotW[i], wantT[i], wantW[i])
+			t.Fatalf("snapshot edge slot %d = ->%d w=%g, want ->%d w=%g", i, gotT[i], gotW[i], wantT[i], wantW[i])
 		}
 	}
 }

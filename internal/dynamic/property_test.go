@@ -179,9 +179,9 @@ func TestPropertySplitEqualsCombined(t *testing.T) {
 }
 
 // TestPropertyFailedBatchIsNoop: any valid batch with an invalid tail must
-// roll back to exactly the pre-Apply graph — same edge multiset, same epoch.
+// leave exactly the pre-Apply graph — same edge multiset, same epoch.
 // Random graphs from gen.Uniform contain parallel edges, so this sweeps the
-// reorder-under-rollback space the deterministic regression test pins.
+// space the deterministic parallel-edge regression test pins.
 func TestPropertyFailedBatchIsNoop(t *testing.T) {
 	for _, seed := range propSeeds(t) {
 		dg, r, _ := propGraph(seed)

@@ -37,6 +37,7 @@ import (
 
 	"acic/internal/graph"
 	"acic/internal/pq"
+	"acic/internal/seq"
 )
 
 // RepairStats describes one Repair call's work, the incremental-vs-full
@@ -108,7 +109,7 @@ func (g *Graph) improves(dist []float64, e graph.Edge) (float64, bool) {
 // false.
 func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) RepairStats {
 	var st RepairStats
-	if d.Empty() || len(g.fwd) == 0 {
+	if d.Empty() || g.NumVertices() == 0 {
 		return st
 	}
 	h := &g.heap
@@ -129,12 +130,12 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 		// Frontier seeding: every in-edge of an invalidated vertex from an
 		// intact, reachable vertex proposes a label.
 		for _, v := range invalid {
-			for _, in := range g.rev[v] {
-				u := in.v
+			ts, ws := g.in.Neighbors(int(v))
+			for i, u := range ts {
 				if math.IsInf(dist[u], 1) {
 					continue // invalidated or unreachable
 				}
-				if nd := dist[u] + in.w; nd < dist[v] {
+				if nd := dist[u] + ws[i]; nd < dist[v] {
 					dist[v] = nd
 					parent[v] = u
 					h.Push(pq.Item{Key: nd, Value: int64(v)})
@@ -166,12 +167,13 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 			continue // superseded while queued
 		}
 		st.Settled++
-		for _, out := range g.fwd[v] {
+		ts, ws := g.out.Neighbors(int(v))
+		for i, c := range ts {
 			st.Relaxations++
-			if nd := dv + out.w; nd < dist[out.v] {
-				dist[out.v] = nd
-				parent[out.v] = v
-				h.Push(pq.Item{Key: nd, Value: int64(out.v)})
+			if nd := dv + ws[i]; nd < dist[c] {
+				dist[c] = nd
+				parent[c] = v
+				h.Push(pq.Item{Key: nd, Value: int64(c)})
 			}
 		}
 	}
@@ -182,9 +184,10 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 // edges, and whether any exists.
 func (g *Graph) minWeight(from, to int32) (float64, bool) {
 	w, ok := math.Inf(1), false
-	for _, h := range g.fwd[from] {
-		if h.v == to && h.w < w {
-			w, ok = h.w, true
+	ts, ws := g.out.Neighbors(int(from))
+	for i, t := range ts {
+		if t == to && ws[i] < w {
+			w, ok = ws[i], true
 		}
 	}
 	return w, ok
@@ -211,8 +214,9 @@ func (g *Graph) invalidateSubtrees(roots []int32, dist []float64, parent []int32
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		invalid = append(invalid, v)
-		for _, out := range g.fwd[v] {
-			if c := out.v; parent[c] == v && !math.IsInf(dist[c], 1) {
+		ts, _ := g.out.Neighbors(int(v))
+		for _, c := range ts {
+			if parent[c] == v && !math.IsInf(dist[c], 1) {
 				dist[c] = math.Inf(1)
 				parent[c] = -1
 				stack = append(stack, c)
@@ -223,38 +227,21 @@ func (g *Graph) invalidateSubtrees(roots []int32, dist []float64, parent []int32
 	return invalid
 }
 
-// SSSP computes the full single-source solution over the current adjacency
-// by plain Dijkstra — the from-scratch baseline the churn bench compares
-// Repair against, and the seed vector for freshly tracked sources. It is
-// equivalent to seq.Dijkstra over Snapshot() without building the CSR.
+// SSSP computes the full single-source solution over the current graph —
+// seq.Dijkstra over Snapshot(), the from-scratch baseline the churn bench
+// compares Repair against and the seed vector for freshly tracked sources.
+// A source out of range reaches nothing.
 func (g *Graph) SSSP(source int) (dist []float64, parent []int32) {
-	n := len(g.fwd)
-	dist = make([]float64, n)
-	parent = make([]int32, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
+	n := g.NumVertices()
 	if source < 0 || source >= n {
+		dist, parent = make([]float64, n), make([]int32, n)
+		for i := range dist {
+			dist[i], parent[i] = math.Inf(1), -1
+		}
 		return dist, parent
 	}
-	dist[source] = 0
-	h := pq.NewIndexedHeap(n)
-	h.Push(source, 0)
-	for h.Len() > 0 {
-		v, dv := h.PopMin()
-		if dv > dist[v] {
-			continue
-		}
-		for _, out := range g.fwd[v] {
-			if nd := dv + out.w; nd < dist[out.v] {
-				dist[out.v] = nd
-				parent[out.v] = int32(v)
-				h.PushOrDecrease(int(out.v), nd)
-			}
-		}
-	}
-	return dist, parent
+	res := seq.Dijkstra(g.out, source)
+	return res.Dist, res.Parent
 }
 
 // VerifyTree checks that (dist, parent) is a valid shortest-path certificate
@@ -267,7 +254,7 @@ func (g *Graph) SSSP(source int) (dist []float64, parent []int32) {
 // values, VerifyTree pins that the repaired tree actually witnesses them
 // (parents may legitimately differ from the oracle's on ties).
 func VerifyTree(g *Graph, source int, dist []float64, parent []int32) error {
-	n := len(g.fwd)
+	n := g.NumVertices()
 	if len(dist) != n || len(parent) != n {
 		return fmt.Errorf("dynamic: verify: vector length %d/%d, want %d", len(dist), len(parent), n)
 	}
@@ -304,11 +291,12 @@ func VerifyTree(g *Graph, source int, dist []float64, parent []int32) error {
 // hasTightEdge reports whether some from→to edge satisfies
 // dfrom + w == dto within relative float tolerance.
 func (g *Graph) hasTightEdge(from, to int32, dfrom, dto float64) bool {
-	for _, h := range g.fwd[from] {
-		if h.v != to {
+	ts, ws := g.out.Neighbors(int(from))
+	for i, t := range ts {
+		if t != to {
 			continue
 		}
-		sum := dfrom + h.w
+		sum := dfrom + ws[i]
 		diff := math.Abs(sum - dto)
 		scale := math.Max(1, math.Max(math.Abs(sum), math.Abs(dto)))
 		if diff/scale <= 1e-9 {

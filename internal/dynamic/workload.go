@@ -31,11 +31,9 @@ func NewBatchGen(g *Graph, r *xrand.Rand, maxW float64) *BatchGen {
 		maxW = 100
 	}
 	b := &BatchGen{r: r, n: g.NumVertices(), maxW: maxW, pairs: make([]pair, 0, g.NumEdges())}
-	for v, hs := range g.fwd {
-		for _, h := range hs {
-			b.pairs = append(b.pairs, pair{from: int32(v), to: h.v})
-		}
-	}
+	g.out.EachEdge(func(from, to int32, _ float64) {
+		b.pairs = append(b.pairs, pair{from: from, to: to})
+	})
 	return b
 }
 

@@ -1,14 +1,17 @@
 package engine
 
-// Mutation support: a dynamic engine owns a dynamic.Graph alongside its CSR
-// version and applies batched edge mutations to it, advancing the engine
-// epoch once per batch. Resident cached distance vectors are not discarded —
-// they are carried over to the new epoch, so the query mix that was hot
-// before a mutation stays hot after it. A batch costs what it changes: a
-// vector the batch cannot alter (dynamic.Affects) is re-homed by pointer,
-// only the others are copied and repaired incrementally (dynamic.Repair),
-// and the new CSR and its reverse are spliced from the old ones
-// (dynamic.Snapshot and ReverseSnapshot).
+// Mutation support: a dynamic engine owns a dynamic.Graph — the CSR of its
+// current version and that CSR's transpose — and applies batched edge
+// mutations to it, advancing the engine epoch once per batch. Apply
+// splices both directions' new CSRs from the old ones, rewriting only the
+// rows the batch edited, and the engine publishes the pair as its next
+// version (dynamic.Snapshot and ReverseSnapshot). Resident cached distance
+// vectors are not discarded — they are carried over to the new epoch, so
+// the query mix that was hot before a mutation stays hot after it. A batch
+// costs what it changes: a vector the batch cannot alter (dynamic.Affects)
+// is re-homed by pointer, only the others are copied and repaired
+// incrementally (dynamic.Repair). A rejected batch leaves the graph, the
+// version and the cache as they were.
 // Everything runs under mutMu; queries are never blocked, they just keep
 // reading the old version until the new one is published.
 

@@ -35,6 +35,33 @@ func mustDynamicEngine(t *testing.T, g *graph.Graph, cfg Config) (*Engine, *dyna
 	return e, dg
 }
 
+// TestFromCSRAllocatesNothingPerVertex: a dynamic engine keeps the CSR it
+// is given and one transpose of it, so building one costs a fixed number
+// of allocations whatever |V| is. Adjacency lists beside the CSRs cost at
+// least one per vertex (about 140 K at 2^14 × 8).
+func TestFromCSRAllocatesNothingPerVertex(t *testing.T) {
+	var allocs []float64
+	for _, scale := range []int{10, 14} {
+		n := 1 << scale
+		g := gen.Uniform(n, 8*n, gen.Config{Seed: 1})
+		a := testing.AllocsPerRun(10, func() {
+			if _, err := NewDynamic(dynamic.FromCSR(g), Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if a >= 100 {
+			t.Fatalf("FromCSR + NewDynamic at 2^%d: %.0f allocations, want < 100", scale, a)
+		}
+		allocs = append(allocs, a)
+	}
+	// One allocation per vertex would add 15,360 between the two sizes. The
+	// slack is for the few that other goroutines make during the count
+	// (under -race, 2^14 has read one more than 2^10).
+	if allocs[1] > allocs[0]+8 {
+		t.Fatalf("FromCSR + NewDynamic allocations grow with |V|: %.0f at 2^10, %.0f at 2^14", allocs[0], allocs[1])
+	}
+}
+
 // TestMutateRepairsResidentVectors: a cached vector must survive a mutation
 // batch as a cache hit at the new epoch, with distances exact for the
 // post-mutation graph.
