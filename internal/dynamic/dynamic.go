@@ -173,9 +173,11 @@ func (d *Delta) Empty() bool { return len(d.Decreased) == 0 && len(d.Increased) 
 //
 // Each direction's edits go to copies of the rows they touch; a failed
 // batch drops the copies, and a successful one splices them into new CSRs.
-// A delete or reweight finds the reverse half of the forward edge it hit
-// by weight as well as endpoints, since parallel edges may differ only in
-// weight.
+// Both directions keep their rows in order and take the same edits, so
+// the k-th from→to edge of a forward row is the k-th half to from in the
+// reverse row of to. A delete or reweight hits the first of its parallel
+// edges in each direction, matched by endpoints alone, and the two are one
+// edge.
 func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 	d := &Delta{}
 	out, in := edits{g.out, map[int32][]half{}}, edits{g.in, map[int32][]half{}}
@@ -194,24 +196,24 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 			d.Inserted++
 			d.Decreased = append(d.Decreased, graph.Edge{From: m.From, To: m.To, Weight: m.Weight})
 		case Delete:
-			row, j := out.find(m.From, m.To, 0, false)
+			row, j := out.find(m.From, m.To)
 			if j < 0 {
 				return nil, fmt.Errorf("%w: batch[%d] %s", ErrEdgeNotFound, i, m)
 			}
 			w := row[j].w
 			out.rows[m.From] = slices.Delete(row, j, j+1)
-			row, j = in.find(m.To, m.From, w, true)
+			row, j = in.find(m.To, m.From)
 			in.rows[m.To] = slices.Delete(row, j, j+1)
 			d.Deleted++
 			d.Increased = append(d.Increased, graph.Edge{From: m.From, To: m.To, Weight: w})
 		case SetWeight:
-			row, j := out.find(m.From, m.To, 0, false)
+			row, j := out.find(m.From, m.To)
 			if j < 0 {
 				return nil, fmt.Errorf("%w: batch[%d] %s", ErrEdgeNotFound, i, m)
 			}
 			old := row[j].w
 			row[j].w = m.Weight
-			row, j = in.find(m.To, m.From, old, true)
+			row, j = in.find(m.To, m.From)
 			row[j].w = m.Weight
 			d.Reweighted++
 			if m.Weight < old {
@@ -257,12 +259,12 @@ func (e *edits) row(u int32) []half {
 	return r
 }
 
-// find returns u's edited row and the slot in it of the first half to v
-// (of weight w, if weighted), or -1 when there is none.
-func (e *edits) find(u, v int32, w float64, weighted bool) ([]half, int) {
+// find returns u's edited row and the slot in it of the first half to v,
+// or -1 when there is none.
+func (e *edits) find(u, v int32) ([]half, int) {
 	r := e.row(u)
 	for i, h := range r {
-		if h.v == v && (!weighted || h.w == w) {
+		if h.v == v {
 			return r, i
 		}
 	}

@@ -33,7 +33,9 @@ type cacheEntry struct {
 
 // summary is what /sssp reports of a vector instead of dumping it: the
 // finite distances, counted and summed in vertex order (a float sum taken
-// in another order need not be bit-identical).
+// in another order need not be bit-identical). A sum past the largest
+// float64 is reported as math.MaxFloat64: JSON has no +Inf, and an /sssp
+// reply must stay encodable on a graph with weights near that limit.
 type summary struct {
 	reachable int
 	checksum  float64
@@ -46,6 +48,7 @@ func summarize(dist []float64) (s summary) {
 			s.checksum += d
 		}
 	}
+	s.checksum = math.Min(s.checksum, math.MaxFloat64)
 	return s
 }
 

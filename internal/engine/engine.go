@@ -10,16 +10,17 @@
 // previous version on every mutation batch. Around the version it
 // maintains:
 //
-//   - Misses filled on one core (solve.go): a decrease-key Dijkstra that
-//     writes straight into the two vectors the cache keeps and reads the
-//     query's context every 1,024 settled vertices, so a client that goes
-//     away frees its slot within a fraction of a millisecond. The
-//     simulated ACIC cluster is not the served solver: one query on a few
-//     cores cannot buy back the redundant updates its asynchrony spends on
-//     parallelism (DESIGN.md §8).
+//   - Misses filled on one core (solve.go): Dial's algorithm, Dijkstra on
+//     a monotone bucket queue whose width each graph version takes from
+//     its own weights, writing straight into the two vectors the cache
+//     keeps and reading the query's context every 1,024 settled vertices,
+//     so a client that goes away frees its slot within a fraction of a
+//     millisecond. The simulated ACIC cluster is not the served solver:
+//     one query on a few cores cannot buy back the redundant updates its
+//     asynchrony spends on parallelism (DESIGN.md §8).
 //
 //   - Per-admission-slot scratch, checked out for the duration of a query:
-//     the miss's indexed heap over |V|, and the point-to-point search's
+//     the miss's bucket queue over |V|, and the point-to-point search's
 //     labels and heaps. Holding a slot id is holding its scratch, so the
 //     pool needs no lock of its own.
 //
@@ -112,23 +113,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// graphVersion is one immutable (epoch, graph, reverse graph) triple.
+// graphVersion is one immutable version of the served graph: its epoch,
+// the graph, its reverse and the bucket width and span of a miss on it.
 // Queries load the current version exactly once, so the epoch they admit
 // under and the CSR arrays they read always belong together even while a
 // mutation swaps the version underneath them. rev is g with every edge
 // flipped, for the backward half of the point-to-point search.
 type graphVersion struct {
-	epoch uint64
-	g     *graph.Graph
-	rev   *graph.Graph
+	epoch       uint64
+	g           *graph.Graph
+	rev         *graph.Graph
+	width, span float64
+}
+
+// newVersion makes the version of g and rev at epoch, reading g's weights
+// once for its bucket rule (solve.go).
+func newVersion(epoch uint64, g, rev *graph.Graph) *graphVersion {
+	v := &graphVersion{epoch: epoch, g: g, rev: rev}
+	v.width, v.span = bucketRule(g)
+	return v
 }
 
 // slotScratch is what one admission slot reuses from query to query: the
-// indexed heap a miss searches with, allocated by the slot's first miss
+// bucket queue a miss searches with, allocated by the slot's first miss
 // (|V| never changes over an engine's life), and the labels and heaps of
 // the point-to-point search.
 type slotScratch struct {
-	solve *pq.IndexedHeap
+	solve *pq.BucketQueue
 	path  pathSearch
 }
 
@@ -237,7 +248,7 @@ func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 		drained: make(chan struct{}),
 		met:     metrics.New(cfg.MaxInFlight),
 	}
-	e.version.Store(&graphVersion{g: g, rev: rev})
+	e.version.Store(newVersion(0, g, rev))
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		e.slots <- i
 	}
@@ -281,8 +292,9 @@ func (e *Engine) Epoch() uint64 { return e.version.Load().epoch }
 func (e *Engine) InvalidateCache() {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
-	old := e.version.Load()
-	e.version.Store(&graphVersion{epoch: old.epoch + 1, g: old.g, rev: old.rev})
+	next := *e.version.Load()
+	next.epoch++
+	e.version.Store(&next)
 	e.cache.purge()
 	e.gCacheLen.Set(0, int64(e.cache.len()))
 }
@@ -307,7 +319,9 @@ type QueryResult struct {
 	CacheHit bool
 	Dist     []float64
 	Parent   []int32
-	// Reachable and Checksum summarize Dist, stored with the cached vector.
+	// Reachable and Checksum summarize Dist, stored with the cached vector:
+	// the count and sum of its finite entries, the sum capped at
+	// math.MaxFloat64.
 	Reachable int
 	Checksum  float64
 	// Elapsed, Settled and Relaxations describe the solve that produced
@@ -350,7 +364,7 @@ func (e *Engine) Query(ctx context.Context, source int, opts QueryOptions) (*Que
 		ent, leader := e.cache.getOrCreate(key)
 		e.gCacheLen.Set(0, int64(e.cache.len()))
 		if leader {
-			return e.lead(ctx, v.g, ent, slot, opts, start)
+			return e.lead(ctx, v, ent, slot, opts, start)
 		}
 		// Someone beat us to it between the fast path and here; don't sit
 		// on a slot while following their computation.
@@ -384,17 +398,17 @@ func (e *Engine) follow(ctx context.Context, ent *cacheEntry, start time.Time) (
 	return e.result(ent, true, nil), nil
 }
 
-// lead fills ent, the miss this query leads, on slot against g, the graph
+// lead fills ent, the miss this query leads, on slot against v, the graph
 // version it was admitted under, then publishes or fails it for its
 // followers and frees the slot.
-func (e *Engine) lead(ctx context.Context, g *graph.Graph, ent *cacheEntry, slot int, opts QueryOptions, start time.Time) (*QueryResult, error) {
+func (e *Engine) lead(ctx context.Context, v *graphVersion, ent *cacheEntry, slot int, opts QueryOptions, start time.Time) (*QueryResult, error) {
 	defer e.releaseSlot(slot)
 	e.mMisses.Inc(slot)
 	sc := &e.scratch[slot]
 	if sc.solve == nil {
-		sc.solve = pq.NewIndexedHeap(g.NumVertices())
+		sc.solve = pq.NewBucketQueue(v.g.NumVertices())
 	}
-	res, err := e.solve(ctx, g, int(ent.key.source), sc.solve)
+	res, err := e.solve(ctx, v, int(ent.key.source), sc.solve)
 	if err != nil {
 		e.cache.fail(ent, err)
 		if ctx.Err() != nil {

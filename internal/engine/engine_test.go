@@ -40,10 +40,10 @@ type missGate struct {
 func holdMisses(e *Engine) *missGate {
 	gate := &missGate{entered: make(chan int, 64), release: make(chan struct{})}
 	inner := e.solve
-	e.solve = func(ctx context.Context, g *graph.Graph, source int, h *pq.IndexedHeap) (solution, error) {
+	e.solve = func(ctx context.Context, v *graphVersion, source int, q *pq.BucketQueue) (solution, error) {
 		gate.entered <- source
 		<-gate.release
-		return inner(ctx, g, source, h)
+		return inner(ctx, v, source, q)
 	}
 	return gate
 }

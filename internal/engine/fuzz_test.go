@@ -18,9 +18,12 @@ import (
 // query strings to GET /sssp and GET /path, through Handler(), on a fresh
 // 16-vertex dynamic engine. No request may panic; every status must be one
 // the handler documents for a request that is neither shed nor draining;
-// and a 200 /path reply must carry seq.Dijkstra's distance on the graph of
-// the reply's epoch, along a path of that graph's edges. /path runs before
-// and after the mutation, so both epochs are checked.
+// a 200 /sssp reply must carry the reachable count and checksum of
+// seq.Dijkstra on the graph of the reply's epoch; and a 200 /path reply
+// must carry seq.Dijkstra's distance on that graph, along a path of its
+// edges. /path runs before and after the mutation, so both epochs are
+// checked. The mutations reach zero and extreme weights, where a miss's
+// bucket width is least like the rest of the graph's.
 func FuzzHandlerQueries(f *testing.F) {
 	f.Add(`{"mutations":[{"op":"insert","from":0,"to":5,"weight":1}]}`, "source=0&vertices=0,5,15", "source=0&target=5")
 	f.Add(`{"mutations":[{"op":"delete","from":0,"to":1},{"op":"set_weight","from":2,"to":3,"weight":0}]}`, "source=3&limit=99", "source=15&target=0")
@@ -30,6 +33,8 @@ func FuzzHandlerQueries(f *testing.F) {
 	f.Add(`{"mutations":[{"op":"teleport","from":1,"to":2}]}`, "source=2&vertices=a,b", "target=3")
 	f.Add(`not json`, "source=1&limit=-3", "source=7&target=9&target=2")
 	f.Add(`{"mutations":[{"op":"set_weight","from":4,"to":4,"weight":1e308},{"op":"insert","from":4,"to":4,"weight":1e308}]}`, "source=4&metrics=1", "source=4&target=12")
+	f.Add(`{"mutations":[{"op":"insert","from":0,"to":7,"weight":0},{"op":"insert","from":7,"to":3,"weight":0},{"op":"insert","from":3,"to":9,"weight":1e-300}]}`, "source=0", "source=0&target=9")
+	f.Add(`{"mutations":[{"op":"insert","from":2,"to":11,"weight":1e300},{"op":"insert","from":2,"to":5,"weight":5e-324}]}`, "source=2&limit=16", "source=2&target=11")
 	g := gen.Uniform(16, 64, gen.Config{Seed: 1})
 	f.Fuzz(func(t *testing.T, body, ssspQuery, pathQuery string) {
 		e, err := NewDynamic(dynamic.FromCSR(g), Config{MaxInFlight: 1})
@@ -84,7 +89,20 @@ func FuzzHandlerQueries(f *testing.F) {
 		if rec := serve(http.MethodPost, "/mutate", "", body, http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge); rec.Code == http.StatusOK {
 			graphs[e.Epoch()] = e.Graph()
 		}
-		serve(http.MethodGet, "/sssp", ssspQuery, "", http.StatusOK, http.StatusBadRequest)
+		if rec := serve(http.MethodGet, "/sssp", ssspQuery, "", http.StatusOK, http.StatusBadRequest); rec.Code == http.StatusOK {
+			var resp SSSPResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("/sssp?%q: undecodable 200 reply %q: %v", ssspQuery, rec.Body, err)
+			}
+			gv := graphs[resp.Epoch]
+			if gv == nil {
+				t.Fatalf("/sssp?%q: reply epoch %d was never published", ssspQuery, resp.Epoch)
+			}
+			want := summarize(seq.Dijkstra(gv, resp.Source).Dist)
+			if resp.Reachable != want.reachable || !seq.Equal([]float64{resp.Checksum}, []float64{want.checksum}) {
+				t.Fatalf("/sssp?%q: reachable %d, checksum %g; Dijkstra %d and %g", ssspQuery, resp.Reachable, resp.Checksum, want.reachable, want.checksum)
+			}
+		}
 		checkPathReply()
 	})
 }

@@ -72,6 +72,24 @@ func TestHTTPSSSPAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestHTTPSSSPChecksumPastMaxFloat: two distances of 1e308 sum past the
+// largest float64, which JSON cannot carry as +Inf; the reply is still a
+// decodable 200 whose checksum is capped at math.MaxFloat64 (before the
+// cap the handler sent a 200 with an empty body).
+func TestHTTPSSSPChecksumPastMaxFloat(t *testing.T) {
+	g := graph.MustBuild(3, []graph.Edge{{From: 0, To: 1, Weight: 1e308}, {From: 0, To: 2, Weight: 1e308}})
+	e := mustEngine(t, g, Config{})
+	srv := httptest.NewServer(e.Handler())
+	defer srv.Close()
+	var resp SSSPResponse
+	if r := getJSON(t, srv.Client(), srv.URL+"/sssp?source=0", &resp); r.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", r.StatusCode)
+	}
+	if resp.Reachable != 3 || resp.Checksum != math.MaxFloat64 {
+		t.Errorf("reachable %d, checksum %g; want 3 and %g", resp.Reachable, resp.Checksum, math.MaxFloat64)
+	}
+}
+
 // TestHTTPCancelledRequestFreesSlot: a client that goes away while its
 // /sssp miss computes cancels the miss through the request's context, so
 // the slot comes back, nothing is cached and the miss counts as cancelled.
@@ -79,10 +97,10 @@ func TestHTTPCancelledRequestFreesSlot(t *testing.T) {
 	e := mustEngine(t, testGraph(), Config{MaxInFlight: 1})
 	inner := e.solve
 	entered := make(chan struct{})
-	e.solve = func(ctx context.Context, g *graph.Graph, source int, h *pq.IndexedHeap) (solution, error) {
+	e.solve = func(ctx context.Context, v *graphVersion, source int, q *pq.BucketQueue) (solution, error) {
 		close(entered)
 		<-ctx.Done() // held until the request's context ends
-		return inner(ctx, g, source, h)
+		return inner(ctx, v, source, q)
 	}
 	srv := httptest.NewServer(e.Handler())
 	defer srv.Close()

@@ -146,7 +146,7 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	// carried vectors — oldest first, as harvested, so the sources that
 	// were hot before the batch are still the last to be evicted after it.
 	// Queries admitted from here on see the new epoch.
-	e.version.Store(&graphVersion{epoch: mr.Epoch, g: e.dg.Snapshot(), rev: e.dg.ReverseSnapshot()})
+	e.version.Store(newVersion(mr.Epoch, e.dg.Snapshot(), e.dg.ReverseSnapshot()))
 	e.cache.purgeStale(mr.Epoch)
 	for i, ent := range resident {
 		e.cache.put(cacheKey{epoch: mr.Epoch, source: ent.key.source}, carried[i], sums[i])

@@ -122,6 +122,45 @@ func TestMutateRepairsResidentVectors(t *testing.T) {
 	}
 }
 
+// TestMissAfterMutationBeyondTheOldWeights: a batch inserting one edge
+// lighter than the graph's smallest weight and one heavier than its
+// largest gives the next version a narrower bucket and a wider span, and
+// the next misses are exact with seq.Dijkstra's settled and relaxation
+// counts: no vertex popped before its label was final.
+func TestMissAfterMutationBeyondTheOldWeights(t *testing.T) {
+	g := testGraph() // weights in [1, 256)
+	e, _ := mustDynamicEngine(t, g, Config{})
+	ctx := context.Background()
+	if _, err := e.Query(ctx, 0, QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	old := e.version.Load()
+	if _, err := e.Mutate([]dynamic.Mutation{
+		{Op: dynamic.Insert, From: 0, To: 17, Weight: 0.25},
+		{Op: dynamic.Insert, From: 0, To: 42, Weight: 1024},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	v := e.version.Load()
+	if v.width != 0.125 || v.span != 1024 {
+		t.Fatalf("bucket width %g and span %g after the batch (before: %g and %g), want 0.125 and 1024", v.width, v.span, old.width, old.span)
+	}
+	e.InvalidateCache() // source 0's repaired vector would answer as a hit
+	for _, src := range []int{0, 17, 42, 5} {
+		res, err := e.Query(ctx, src, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := seq.Dijkstra(v.g, src)
+		if !seq.Equal(res.Dist, want.Dist) {
+			t.Fatalf("source %d: mismatch at vertex %d", src, seq.FirstMismatch(res.Dist, want.Dist))
+		}
+		if res.Settled != int64(want.Settled) || res.Relaxations != want.Relaxations {
+			t.Errorf("source %d: settled %d, relaxations %d; seq.Dijkstra %d and %d", src, res.Settled, res.Relaxations, want.Settled, want.Relaxations)
+		}
+	}
+}
+
 // TestMutateKeepsRecency: re-homing the repaired vectors under the new epoch
 // must not reorder them. The touched source is the lowest-numbered one, the
 // entry a re-homing in source order would make the oldest.
@@ -409,7 +448,7 @@ func TestPublishEvictsStaleLeader(t *testing.T) {
 	if !leader {
 		t.Fatal("setup: not the leader")
 	}
-	res, err := dijkstra(ctx, e.Graph(), 5, pq.NewIndexedHeap(g.NumVertices()))
+	res, err := dijkstra(ctx, e.version.Load(), 5, pq.NewBucketQueue(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +483,7 @@ func TestPublishEvictsStaleLeader(t *testing.T) {
 	if !leader {
 		t.Fatal("setup: not the leader for control key")
 	}
-	res2, err := dijkstra(ctx, e.Graph(), 6, pq.NewIndexedHeap(g.NumVertices()))
+	res2, err := dijkstra(ctx, e.version.Load(), 6, pq.NewBucketQueue(g.NumVertices()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"acic/internal/gen"
+	"acic/internal/graph"
 	"acic/internal/pq"
 	"acic/internal/seq"
+	"acic/internal/xrand"
 )
 
 // cancelAfter is a context whose Err reads as live for its first polls
@@ -27,32 +29,39 @@ func (c *cancelAfter) Err() error {
 
 // TestDijkstraStopsOnCancelAndReusesItsHeap: the kernel reads its context
 // before the first settled vertex and then every 1,024, stops with the
-// context's error at the first read that reports one, and the heap it
-// abandons mid-search serves the next search exactly.
+// context's error at the first read that reports one, and the bucket queue
+// it abandons mid-search serves the next search exactly, on the same
+// version and on one whose weights need a larger ring.
 func TestDijkstraStopsOnCancelAndReusesItsHeap(t *testing.T) {
 	const n = 1 << 12
 	g := gen.Uniform(n, 8*n, gen.Config{Seed: 3})
-	h := pq.NewIndexedHeap(n)
+	wide := gen.Uniform(n, 8*n, gen.Config{Seed: 4, MaxWeight: 4096})
+	q := pq.NewBucketQueue(n)
 	ctx := &cancelAfter{Context: context.Background(), polls: 2}
-	if _, err := dijkstra(ctx, g, 0, h); !errors.Is(err, context.Canceled) {
+	if _, err := dijkstra(ctx, newVersion(0, g, nil), 0, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
 	}
 	if ctx.polls != -1 {
 		t.Errorf("search made %d context reads, want 3 (at 0, 1,024 and 2,048 settled)", 2-ctx.polls)
 	}
-	if h.Len() == 0 {
-		t.Fatal("the cancelled search left an empty heap; the reuse case is not exercised")
+	if q.Len() == 0 {
+		t.Fatal("the cancelled search left an empty queue; the reuse case is not exercised")
 	}
-	sol, err := dijkstra(context.Background(), g, 7, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seq.Dijkstra(g, 7)
-	if !seq.Equal(sol.dist, want.Dist) {
-		t.Fatalf("search on the reused heap: mismatch at vertex %d", seq.FirstMismatch(sol.dist, want.Dist))
-	}
-	if sol.settled != int64(want.Settled) || sol.relaxations != want.Relaxations {
-		t.Errorf("settled %d, relaxations %d; seq.Dijkstra %d and %d", sol.settled, sol.relaxations, want.Settled, want.Relaxations)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"same version", g}, {"wider weights", wide}} {
+		sol, err := dijkstra(context.Background(), newVersion(0, c.g, nil), 7, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := seq.Dijkstra(c.g, 7)
+		if !seq.Equal(sol.dist, want.Dist) {
+			t.Fatalf("%s: search on the reused queue: mismatch at vertex %d", c.name, seq.FirstMismatch(sol.dist, want.Dist))
+		}
+		if sol.settled != int64(want.Settled) || sol.relaxations != want.Relaxations {
+			t.Errorf("%s: settled %d, relaxations %d; seq.Dijkstra %d and %d", c.name, sol.settled, sol.relaxations, want.Settled, want.Relaxations)
+		}
 	}
 }
 
@@ -123,4 +132,49 @@ func BenchmarkEngineMiss(b *testing.B) {
 		settled += res.Settled
 	}
 	b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+}
+
+// BenchmarkEngineMissShapes times the same miss as BenchmarkEngineMiss on
+// each graph shape at 2^14 vertices: random and rmat at edge factor 8, the
+// 128 × 128 grid, and a directed path with weights in [1, 256), whose
+// frontier is a single vertex, so a queue pays per pop for scanning empty
+// buckets that a heap never has.
+func BenchmarkEngineMissShapes(b *testing.B) {
+	const scale, n = 14, 1 << 14
+	path := make([]graph.Edge, n-1)
+	r := xrand.New(1)
+	for i := range path {
+		path[i] = graph.Edge{From: int32(i), To: int32(i + 1), Weight: r.Range(1, 256)}
+	}
+	for _, kind := range []string{"random", "rmat", "grid", "path"} {
+		b.Run(kind, func(b *testing.B) {
+			g := graph.MustBuild(n, path)
+			if kind != "path" {
+				var err error
+				if g, err = gen.ByKind(kind, scale, 8, gen.Config{Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			e, err := New(g, Config{MaxInFlight: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			if _, err := e.Query(ctx, 0, QueryOptions{}); err != nil { // warm the slot's queue
+				b.Fatal(err)
+			}
+			var settled int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.InvalidateCache()
+				res, err := e.Query(ctx, i%n, QueryOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				settled += res.Settled
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+		})
+	}
 }

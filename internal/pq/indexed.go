@@ -25,15 +25,6 @@ func NewIndexedHeap(n int) *IndexedHeap {
 // Len reports the number of stored ids.
 func (h *IndexedHeap) Len() int { return len(h.heap) }
 
-// Reset empties the heap, in time proportional to the ids it still holds,
-// so a search abandoned part-way leaves the heap ready for the next one.
-func (h *IndexedHeap) Reset() {
-	for _, id := range h.heap {
-		h.pos[id] = -1
-	}
-	h.heap = h.heap[:0]
-}
-
 // Contains reports whether id is currently in the heap.
 func (h *IndexedHeap) Contains(id int) bool { return h.pos[id] >= 0 }
 

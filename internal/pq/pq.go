@@ -5,10 +5,12 @@
 // paper): only updates that improved a vertex distance enter the queue, and
 // when the PE goes idle the lowest-distance update is popped and, if still
 // current, relaxed. The sequential Dijkstra oracle additionally needs a
-// decrease-key operation, provided by IndexedHeap.
+// decrease-key operation, provided by IndexedHeap. BucketQueue offers the
+// same decrease-key contract for monotone keys, ordered to a bucket width
+// instead of exactly; the query engine's miss kernel runs on it.
 //
-// Both queues order items by a float64 key (the tentative distance) with ties
-// broken arbitrarily. Neither is safe for concurrent use; in the
+// All three order items by a float64 key (the tentative distance) with ties
+// broken arbitrarily. None is safe for concurrent use; in the
 // message-driven runtime each PE owns its queues exclusively.
 package pq
 

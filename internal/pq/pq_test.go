@@ -234,28 +234,6 @@ func TestIndexedHeapPushOrDecrease(t *testing.T) {
 	}
 }
 
-// TestIndexedHeapReset: a heap reset while it still holds ids accepts
-// every id again and pops only what was pushed after the reset.
-func TestIndexedHeapReset(t *testing.T) {
-	h := NewIndexedHeap(4)
-	for i := 0; i < 4; i++ {
-		h.Push(i, float64(i))
-	}
-	h.PopMin()
-	h.Reset()
-	if h.Len() != 0 || h.Contains(2) {
-		t.Fatalf("after Reset: Len %d, Contains(2) %v", h.Len(), h.Contains(2))
-	}
-	h.Push(2, 5)
-	h.Push(3, 1)
-	if id, key := h.PopMin(); id != 3 || key != 1 {
-		t.Fatalf("PopMin = (%d,%v), want (3,1)", id, key)
-	}
-	if id, _ := h.PopMin(); id != 2 || h.Len() != 0 {
-		t.Fatalf("PopMin = %d with %d left, want 2 and none", id, h.Len())
-	}
-}
-
 func TestIndexedHeapPanics(t *testing.T) {
 	t.Run("double push", func(t *testing.T) {
 		h := NewIndexedHeap(2)

@@ -43,6 +43,10 @@ BENCHES=(
   "BenchmarkEngineMutate|./internal/engine|-benchtime=200x"
   "BenchmarkEnginePath|./internal/engine|"
   "BenchmarkEngineMiss|./internal/engine|"
+  "BenchmarkEngineMissShapes/random|./internal/engine|"
+  "BenchmarkEngineMissShapes/rmat|./internal/engine|"
+  "BenchmarkEngineMissShapes/grid|./internal/engine|"
+  "BenchmarkEngineMissShapes/path|./internal/engine|"
 )
 
 echo "== fresh build =="

@@ -67,6 +67,7 @@ go test -run '^$' -fuzz '^FuzzHistogramMerge$' -fuzztime 10s ./internal/histogra
 go test -run '^$' -fuzz '^FuzzHistogramOps$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzBucketOf$' -fuzztime 10s ./internal/histogram
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz '^FuzzBucketQueue$' -fuzztime 10s ./internal/pq
 go test -run '^$' -fuzz '^FuzzSnapshotSplice$' -fuzztime 10s ./internal/dynamic
 go test -run '^$' -fuzz '^FuzzHandlerQueries$' -fuzztime 10s ./internal/engine
 
