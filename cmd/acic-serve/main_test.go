@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"acic/internal/dynamic"
 	"acic/internal/engine"
 	"acic/internal/gen"
 	"acic/internal/graph"
@@ -67,7 +68,7 @@ func TestServeInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.New(g, engine.Config{MaxInFlight: 2})
+	eng, err := engine.NewDynamic(dynamic.FromCSR(g), engine.Config{MaxInFlight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +117,7 @@ func TestServeInProcess(t *testing.T) {
 		}
 	}
 
-	// This in-process engine is static; the daemon proper always serves a
-	// dynamic one (see main). /mutate must map that to 501, not a panic.
+	// A mutation batch lands and advances the epoch, as in the daemon.
 	resp, err := http.Post(base+"/mutate", "application/json",
 		strings.NewReader(`{"mutations":[{"op":"insert","from":0,"to":1,"weight":1}]}`))
 	if err != nil {
@@ -125,8 +125,8 @@ func TestServeInProcess(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("mutate on static engine: status %d, want 501", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || eng.Epoch() != 1 {
+		t.Errorf("mutate: status %d, epoch %d; want 200 and epoch 1", resp.StatusCode, eng.Epoch())
 	}
 
 	cancel()

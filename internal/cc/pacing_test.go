@@ -2,13 +2,11 @@ package cc
 
 import (
 	"testing"
-	"time"
 
 	"acic/internal/graph"
 	"acic/internal/machine"
 	"acic/internal/netsim"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 )
 
 // unpackCounter counts the contributions its PE pays from inside Deliver,
@@ -87,14 +85,10 @@ func TestFloodedPEReportsByUnpacking(t *testing.T) {
 // TestTwoVerticesTerminateInAHandfulOfReductions pins the idle trigger and
 // the two-equal-sums rule: with an empty frontier every PE reports at once,
 // so a one-edge run ends a few cycles after its only label update is
-// processed — on a clock that never advances, because nothing in the cycle
-// waits on time.
+// processed, because nothing in the cycle waits on time.
 func TestTwoVerticesTerminateInAHandfulOfReductions(t *testing.T) {
 	g := graph.MustBuild(2, []graph.Edge{{From: 0, To: 1, Weight: 3}})
-	res := runAndVerify(t, g, Options{
-		Topo:  netsim.SingleNode(2),
-		Clock: simclock.NewFake(time.Unix(0, 0)),
-	})
+	res := runAndVerify(t, g, Options{Topo: netsim.SingleNode(2)})
 	// At least two reductions must agree on equal sums; the rest is the
 	// broadcast that flushes the update out of tramlib and the cycle in
 	// which it is applied.

@@ -18,7 +18,10 @@
 // distance order, relaxing out-edges only for updates that still carry the
 // vertex's best known distance. Termination is quiescence detected through
 // the created/processed counters that ride along with every reduction:
-// equal sums in two consecutive reductions end the run (§II-D).
+// equal sums in two consecutive reductions end the run (§II-D). That is
+// the only condition: the vertex-finalization condition the paper tried
+// and dropped never fires while a vertex is unreachable, and is not
+// implemented.
 //
 // The cycle has no timer in it. The root broadcasts as soon as a reduction
 // completes, and each PE joins the next reduction after it has done
@@ -26,9 +29,8 @@
 // unpacked updates) or as soon as its queue is empty — the delay of the
 // asynchronous iteration counted in computation rather than seconds
 // (Blanco et al., arXiv:2110.01409). A working machine therefore spends a
-// bounded share of its time on introspection, an idle one cycles at the
-// latency of its own reduction tree as in the paper, and a run under
-// simclock.Fake is paced exactly like a real one.
+// bounded share of its time on introspection and an idle one cycles at the
+// latency of its own reduction tree, as in the paper.
 package core
 
 import (
@@ -40,7 +42,6 @@ import (
 	"acic/internal/metrics"
 	"acic/internal/netsim"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 	"acic/internal/trace"
 	"acic/internal/tram"
 )
@@ -67,23 +68,15 @@ type Params struct {
 	// LowWatermarkPerPE: when active updates <= this × numPEs, both
 	// thresholds are raised to the top bucket (the paper uses 100).
 	LowWatermarkPerPE int64
-	// BucketCount is the histogram size; the paper uses 512.
-	BucketCount int
 	// BucketWidth is the histogram bucket width; zero means the paper's
-	// log(|V|).
+	// log(|V|). The histogram always has histogram.DefaultBuckets (512,
+	// Fig. 1) buckets.
 	BucketWidth float64
 	// TramMode is the aggregation organization; the paper uses WP.
 	TramMode tram.Mode
 	// TramCapacity is the tramlib buffer size (512, 1024 or 2048 in the
 	// paper; any positive value accepted).
 	TramCapacity int
-	// TerminateOnAllFinal additionally enables the experimental
-	// vertex-finalization termination condition the paper tried and
-	// abandoned (§II-D): if every vertex's distance is below the smallest
-	// active update distance, stop immediately. With unreachable vertices
-	// this condition never triggers on its own, which is why it is an
-	// extra condition layered on quiescence rather than a replacement.
-	TerminateOnAllFinal bool
 	// AuditTrace records one ThresholdAudit per completed reduction — the
 	// merged histogram, the derived thresholds, the quiescence counters,
 	// and the hold populations before/after the previous broadcast's drain
@@ -117,7 +110,6 @@ func DefaultParams() Params {
 		PTram:             0.999,
 		PPQ:               0.05,
 		LowWatermarkPerPE: 100,
-		BucketCount:       histogram.DefaultBuckets,
 		TramMode:          tram.WP,
 		TramCapacity:      tram.DefaultCapacity,
 	}
@@ -135,9 +127,6 @@ func (p Params) withDefaults(numVertices int) (Params, error) {
 	}
 	if p.LowWatermarkPerPE <= 0 {
 		p.LowWatermarkPerPE = 100
-	}
-	if p.BucketCount <= 0 {
-		p.BucketCount = histogram.DefaultBuckets
 	}
 	if p.BucketWidth <= 0 {
 		p.BucketWidth = histogram.PaperWidth(numVertices)
@@ -179,8 +168,6 @@ type Options struct {
 	// core/runtime telemetry; tram and netsim then fall back to private
 	// registries so their Stats views keep working.
 	Metrics *metrics.Registry
-	// Clock times the run for Stats.Elapsed; nil means the wall clock.
-	Clock simclock.Clock
 	// Jitter, when non-nil, perturbs every message's delivery delay (see
 	// netsim.JitterFunc) — the schedule-stress harness's hook.
 	Jitter netsim.JitterFunc
@@ -233,9 +220,6 @@ type Stats struct {
 	// Audit is the runtime's post-run conservation ledger; the stress
 	// harness requires Audit.Unaccounted() == 0 and Audit.NetQueue == 0.
 	Audit runtime.Audit
-	// FinalizedEarly is true if the optional vertex-finalization condition
-	// fired before quiescence.
-	FinalizedEarly bool
 	// AuditTrace holds one record per completed reduction when
 	// Params.AuditTrace is set (see ThresholdAudit).
 	AuditTrace []ThresholdAudit

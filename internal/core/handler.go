@@ -32,11 +32,7 @@ type (
 // ctrlMsg is the broadcast payload closing every reduction cycle.
 type ctrlMsg struct {
 	thresholds histogram.Thresholds
-	// lowestActive is a lower bound on the smallest distance of any active
-	// update, used by the optional vertex-finalization condition.
-	lowestActive float64
-	terminate    bool
-	finalizedAll bool
+	terminate  bool
 }
 
 // reduceVal is the per-PE contribution combined up the reduction tree.
@@ -45,9 +41,8 @@ type ctrlMsg struct {
 // Values (with their histograms) recycle through runPools: combineReduce
 // frees the absorbed side, OnReduction frees the merged result.
 type reduceVal struct {
-	hist      *histogram.Histogram
-	finalized int64
-	holds     holdStats
+	hist  *histogram.Histogram
+	holds holdStats
 }
 
 // combineReduce merges b into a and recycles b. It may run concurrently on
@@ -55,7 +50,6 @@ type reduceVal struct {
 func (sh *sharedState) combineReduce(a, b any) any {
 	av, bv := a.(*reduceVal), b.(*reduceVal)
 	av.hist.Merge(bv.hist)
-	av.finalized += bv.finalized
 	av.holds.add(bv.holds)
 	sh.pools.putReduceVal(bv)
 	return av
@@ -91,8 +85,7 @@ type peState struct {
 	fwdBufs    [][]Update
 	fwdTouched []int32
 
-	tTram, tPQ   int
-	lowestActive float64
+	tTram, tPQ int
 
 	// Local measurement counters, summed by the driver after the run.
 	rejected    int64
@@ -112,12 +105,11 @@ type peState struct {
 
 	// Root-only state (PE 0). prevActive is the previous reduction's
 	// active population, the direction the threshold rule reads.
-	reductions     int64
-	prevEqualSum   int64
-	prevActive     int64
-	terminated     bool
-	finalizedEarly bool
-	auditTrace     []ThresholdAudit
+	reductions   int64
+	prevEqualSum int64
+	prevActive   int64
+	terminated   bool
+	auditTrace   []ThresholdAudit
 }
 
 // Partition abstracts vertex-to-PE placement so ACIC can run on the
@@ -152,8 +144,8 @@ type sharedState struct {
 	ar    *arena.Arena[Update]
 	pools *runPools
 
-	// Histogram shape, for allocating pooled contributions.
-	bucketCount int
+	// bucketWidth is the histogram's bucket width, for allocating pooled
+	// contributions.
 	bucketWidth float64
 }
 
@@ -236,9 +228,6 @@ func (h *bucketHold) drain(ar *arena.Arena[Update], pe, upTo int, fn func(Update
 	return n
 }
 
-// discard drops a leftover held update.
-func discard(Update) {}
-
 // newPEState builds one PE's handler, drawing its large allocations from
 // slot so repeated runs through a Scratch reuse them.
 func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peState {
@@ -257,7 +246,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		slot.sent = make([]float64, nv)
 	}
 	if slot.hist == nil {
-		slot.hist = histogram.New(p.BucketCount, p.BucketWidth)
+		slot.hist = histogram.New(histogram.DefaultBuckets, p.BucketWidth)
 	} else {
 		slot.hist.Reset()
 	}
@@ -267,13 +256,8 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		slot.queue.Reset()
 	}
 	if slot.pqHold.lists == nil {
-		slot.pqHold.lists = make([]arena.List[Update], p.BucketCount)
-		slot.tramHold.lists = make([]arena.List[Update], p.BucketCount)
-	} else {
-		// An early-terminated previous run (TerminateOnAllFinal) can leave
-		// parked updates behind; hand their chunks back to the arena.
-		slot.pqHold.drain(sh.ar, me, p.BucketCount-1, discard)
-		slot.tramHold.drain(sh.ar, me, p.BucketCount-1, discard)
+		slot.pqHold.lists = make([]arena.List[Update], histogram.DefaultBuckets)
+		slot.tramHold.lists = make([]arena.List[Update], histogram.DefaultBuckets)
 	}
 	if slot.fwdBufs == nil {
 		slot.fwdBufs = make([][]Update, sh.part.NumPEs())
@@ -294,9 +278,8 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		tramHold:     &slot.tramHold,
 		fwdBufs:      slot.fwdBufs,
 		fwdTouched:   slot.fwdTouched[:0],
-		tTram:        p.BucketCount - 1, // everything flows until told otherwise
-		tPQ:          p.BucketCount - 1,
-		lowestActive: 0,
+		tTram:        histogram.DefaultBuckets - 1, // everything flows until told otherwise
+		tPQ:          histogram.DefaultBuckets - 1,
 		prevEqualSum: -1,
 	}
 	for i := range st.dist {
@@ -344,9 +327,6 @@ func (st *peState) Deliver(pe *runtime.PE, msg any) {
 		st.seed(pe, m.source)
 	case startMsg:
 		st.contribute(pe, 0)
-	case runtime.Quiescence:
-		// ACIC detects quiescence itself; the runtime-level detector is
-		// not enabled for ACIC runs. Ignore defensively.
 	}
 }
 
@@ -540,33 +520,15 @@ func (st *peState) ship(pe *runtime.PE, b tram.Batch[Update]) {
 	pe.Send(b.DestPE, m, len(m.items))
 }
 
-// contribute snapshots the local histogram (and, optionally, the count of
-// locally finalized vertices) into reduction epoch.
+// contribute snapshots the local histogram and the last drain's hold
+// accounting into reduction epoch.
 func (st *peState) contribute(pe *runtime.PE, epoch int64) {
 	sh := st.shared
-	rv := sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
+	rv := sh.pools.getReduceVal(sh.bucketWidth)
 	st.hist.SnapshotInto(rv.hist)
-	rv.finalized = 0
 	rv.holds = st.pendingHolds
 	st.pendingHolds = holdStats{}
-	if st.params.TerminateOnAllFinal {
-		rv.finalized = st.countFinalized()
-	}
 	pe.Contribute(epoch, rv)
-}
-
-// countFinalized counts local vertices whose distance is already below
-// every active update's distance — they can never improve (non-negative
-// weights). Unreachable vertices (Inf) never qualify, the flaw that made
-// the paper abandon this as the sole termination condition.
-func (st *peState) countFinalized() int64 {
-	var n int64
-	for _, d := range st.dist {
-		if d < st.lowestActive {
-			n++
-		}
-	}
-	return n
 }
 
 // OnReduction runs at the root: Algorithm 1 plus the quiescence check.
@@ -597,13 +559,6 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 		st.prevEqualSum = -1
 	}
 
-	// Experimental early termination: all vertices finalized (§II-D).
-	if st.params.TerminateOnAllFinal && rv.finalized == int64(st.shared.g.NumVertices()) {
-		ctrl.terminate = true
-		ctrl.finalizedAll = true
-		st.finalizedEarly = true
-	}
-
 	numPEs := pe.NumPEs()
 	hp := histogram.Params{PTram: st.params.PTram, PPQ: st.params.PPQ, LowWatermarkPerPE: st.params.LowWatermarkPerPE}
 	active := global.Positive()
@@ -613,11 +568,6 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 		ctrl.thresholds = histogram.ComputeSmoothThresholds(global, active, numPEs, hp, growing)
 	} else {
 		ctrl.thresholds = histogram.ComputeThresholds(global, active, numPEs, hp, growing)
-	}
-	if lb := global.LowestNonEmpty(); lb >= 0 {
-		ctrl.lowestActive = float64(lb) * global.Width()
-	} else {
-		ctrl.lowestActive = math.Inf(1)
 	}
 
 	if st.params.AuditTrace {
@@ -643,7 +593,6 @@ func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
 	}
 	st.tTram = ctrl.thresholds.Tram
 	st.tPQ = ctrl.thresholds.PQ
-	st.lowestActive = ctrl.lowestActive
 
 	// Release the holds within the new thresholds, tram first (dead-update
 	// elision lives in the drain callbacks).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"acic/internal/gen"
@@ -98,7 +97,7 @@ func runHeldChecked(t *testing.T, g *graph.Graph, source int, opts Options) int6
 		maxHeld = max(maxHeld, c.maxHeld)
 	}
 	root := run.Handlers[0]
-	if want := seq.Dijkstra(g, source); !root.finalizedEarly && !seq.Equal(dist, want.Dist) {
+	if want := seq.Dijkstra(g, source); !seq.Equal(dist, want.Dist) {
 		i := seq.FirstMismatch(dist, want.Dist)
 		t.Fatalf("distance mismatch at vertex %d: acic=%v dijkstra=%v", i, dist[i], want.Dist[i])
 	}
@@ -137,33 +136,48 @@ func TestHoldCountsStayExact(t *testing.T) {
 	}
 }
 
-// TestHoldCountsSurviveEarlyTermination reuses one Scratch after a
-// TerminateOnAllFinal run, whose early exit can leave updates parked in
-// the slots' holds. The next run must start from empty holds whose
-// running counts agree with a recount. Leftovers are planted on top of
-// whatever the early run left, so the bounded drain in newPEState always
-// has something to hand back.
-func TestHoldCountsSurviveEarlyTermination(t *testing.T) {
-	g := gen.Grid(16, 16, gen.Config{Seed: 42})
-	sc := &Scratch{}
-	early := Options{Topo: netsim.SingleNode(4), Scratch: sc, Params: DefaultParams()}
-	early.Params.TerminateOnAllFinal = true
-	runHeldChecked(t, g, 0, early)
-
-	ar := sc.pools.ar
-	for pe, slot := range sc.slots {
-		for i, b := range []int{3, 200, len(slot.pqHold.lists) - 1} {
-			u := Update{Vertex: int32(i), Pred: -1, Dist: math.Inf(1)}
-			slot.pqHold.add(ar, pe, b, u)
-			slot.tramHold.add(ar, pe, b, u)
-		}
+// TestHoldsEmptyAfterEveryRunOnAReusedScratch runs several sources over
+// graph kinds and fabrics on one Scratch and requires both holds of every
+// slot to be empty, by running count and by recount, after each run.
+// Quiescence means created == processed and a parked update is created but
+// not yet processed, so a run that ends with anything parked ended early:
+// newPEState does not drain leftovers, and the next run would inherit them.
+func TestHoldsEmptyAfterEveryRunOnAReusedScratch(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		// One vertex count, so one bucket width: the Scratch keeps its
+		// slots across graphs as well as sources.
+		{"grid", gen.Grid(32, 64, gen.Config{Seed: 42})},
+		{"uniform", gen.Uniform(1<<11, 1<<14, gen.Config{Seed: 43})},
+		{"rmat", gen.RMAT(11, 8, gen.DefaultRMAT(), gen.Config{Seed: 44})},
 	}
-	runHeldChecked(t, g, 5, Options{Topo: netsim.SingleNode(4), Scratch: sc})
-	for pe, slot := range sc.slots {
-		for name, h := range map[string]*bucketHold{"tram_hold": &slot.tramHold, "pq_hold": &slot.pqHold} {
-			if n := countHeld(h); n != 0 || h.held != 0 {
-				t.Errorf("PE %d %s after a full run: %d parked (running count %d), want 0", pe, name, n, h.held)
+	fabrics := []struct {
+		name string
+		opts Options
+	}{
+		{"zero-latency", Options{Topo: netsim.SingleNode(4)}},
+		{"default-latency", Options{Topo: netsim.Topology{Nodes: 2, ProcsPerNode: 1, PEsPerProc: 2}, Latency: netsim.DefaultLatency()}},
+		{"tcp", Options{Topo: tcpTopo(), Transport: TransportTCP}},
+	}
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			opts := f.opts
+			opts.Scratch = &Scratch{}
+			for _, gc := range graphs {
+				for _, source := range []int{0, 5, 77} {
+					runHeldChecked(t, gc.g, source, opts)
+					for pe, slot := range opts.Scratch.slots {
+						for name, h := range map[string]*bucketHold{"tram_hold": &slot.tramHold, "pq_hold": &slot.pqHold} {
+							if n := countHeld(h); n != 0 || h.held != 0 {
+								t.Errorf("%s from %d: PE %d %s: %d parked (running count %d), want 0",
+									gc.name, source, pe, name, n, h.held)
+							}
+						}
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -2,14 +2,12 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"acic/internal/graph"
 	"acic/internal/machine"
 	"acic/internal/netsim"
 	"acic/internal/runtime"
 	"acic/internal/seq"
-	"acic/internal/simclock"
 )
 
 // unpackCounter counts the contributions its PE pays from inside Deliver,
@@ -93,14 +91,11 @@ func TestFloodedPEReportsByUnpacking(t *testing.T) {
 
 // TestTwoVerticesTerminateInAHandfulOfReductions pins the idle trigger and
 // the two-equal-sums rule: with nothing queued every PE reports at once, so
-// a one-edge run ends a few cycles after its only update is processed — on
-// a clock that never advances, because nothing in the cycle waits on time.
+// a one-edge run ends a few cycles after its only update is processed,
+// because nothing in the cycle waits on time.
 func TestTwoVerticesTerminateInAHandfulOfReductions(t *testing.T) {
 	g := graph.MustBuild(2, []graph.Edge{{From: 0, To: 1, Weight: 3}})
-	res := runAndVerify(t, g, 0, Options{
-		Topo:  netsim.SingleNode(2),
-		Clock: simclock.NewFake(time.Unix(0, 0)),
-	})
+	res := runAndVerify(t, g, 0, Options{Topo: netsim.SingleNode(2)})
 	// At least two reductions must agree on equal sums; the rest is the
 	// broadcast that flushes the update out of tramlib and the cycle in
 	// which it is popped.

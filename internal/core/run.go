@@ -38,7 +38,6 @@ func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error
 			Trace:   opts.Trace,
 			Metrics: opts.Metrics,
 		},
-		Clock: opts.Clock,
 	}
 	if tcp {
 		cfg.Codec = wire.NewCodec()
@@ -66,10 +65,9 @@ func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error
 		return nil, err
 	}
 	sc.prepare(scratchKey{
-		pes:         topo.TotalPEs(),
-		bucketCount: params.BucketCount,
-		tramCap:     params.TramCapacity,
-		width:       params.BucketWidth,
+		pes:     topo.TotalPEs(),
+		tramCap: params.TramCapacity,
+		width:   params.BucketWidth,
 	})
 
 	tm, err := tram.NewWithArena[Update](topo, params.TramMode, params.TramCapacity, opts.Metrics, sc.pools.ar)
@@ -89,7 +87,6 @@ func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error
 		met:         newCoreMetrics(opts.Metrics),
 		ar:          sc.pools.ar,
 		pools:       sc.pools,
-		bucketCount: params.BucketCount,
 		bucketWidth: params.BucketWidth,
 	}
 	cfg.Combine = sh.combineReduce
@@ -157,7 +154,6 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 	root := run.Handlers[0]
 	res.Stats.Reductions = root.reductions
 	res.Stats.AuditTrace = root.auditTrace
-	res.Stats.FinalizedEarly = root.finalizedEarly
 	for peIdx, st := range run.Handlers {
 		for local, d := range st.dist {
 			gv := s.sh.part.GlobalOf(peIdx, local)

@@ -23,8 +23,8 @@ var ErrScratchInUse = errors.New("core: Scratch is already in use by a concurren
 // that execute many runs back to back pass one Scratch through
 // Options.Scratch so the steady-state run performs no large allocations.
 //
-// A Scratch is keyed by the run shape (PE count, bucket count and width,
-// tram capacity). Passing it to a run with a different shape silently
+// A Scratch is keyed by the run shape (PE count, bucket width, tram
+// capacity). Passing it to a run with a different shape silently
 // discards the cached state and rebuilds it. A Scratch must not be shared
 // by concurrent Runs — it hands out exclusive state. Run enforces that
 // contract with an atomic in-use latch: the second of two overlapping Runs
@@ -49,10 +49,9 @@ func (sc *Scratch) acquire() error {
 func (sc *Scratch) release() { sc.inUse.Store(false) }
 
 type scratchKey struct {
-	pes         int
-	bucketCount int
-	tramCap     int
-	width       float64
+	pes     int
+	tramCap int
+	width   float64
 }
 
 // runPools holds the cross-PE pools of one run: the chunk arena (shared
@@ -96,10 +95,10 @@ func (f *freelist[T]) put(x *T) {
 // getReduceVal returns a pooled contribution value, allocating its
 // histogram only when the pool missed. The caller overwrites every field,
 // so no reset is needed here.
-func (p *runPools) getReduceVal(bucketCount int, width float64) *reduceVal {
+func (p *runPools) getReduceVal(width float64) *reduceVal {
 	rv := p.reduceVals.get()
 	if rv.hist == nil {
-		rv.hist = histogram.New(bucketCount, width)
+		rv.hist = histogram.New(histogram.DefaultBuckets, width)
 	}
 	return rv
 }

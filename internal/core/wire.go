@@ -84,13 +84,9 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 			m := v.(ctrlMsg)
 			buf = wire.AppendI32(buf, int32(m.thresholds.Tram))
 			buf = wire.AppendI32(buf, int32(m.thresholds.PQ))
-			buf = wire.AppendF64(buf, m.lowestActive)
 			var flags byte
 			if m.terminate {
 				flags |= 1
-			}
-			if m.finalizedAll {
-				flags |= 2
 			}
 			return wire.AppendU8(buf, flags), nil
 		},
@@ -100,14 +96,12 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 					Tram: int(r.I32()),
 					PQ:   int(r.I32()),
 				},
-				lowestActive: r.F64(),
 			}
 			flags := r.U8()
-			if flags&^byte(3) != 0 {
+			if flags&^byte(1) != 0 {
 				return nil, fmt.Errorf("%w: ctrl flags 0x%02x", wire.ErrMalformed, flags)
 			}
 			m.terminate = flags&1 != 0
-			m.finalizedAll = flags&2 != 0
 			return m, nil
 		},
 		nil)
@@ -135,7 +129,6 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 				}
 			}
 			wire.PutU32(buf[at:], nnz)
-			buf = wire.AppendI64(buf, rv.finalized)
 			buf = wire.AppendI64(buf, rv.holds.tramHeldBefore)
 			buf = wire.AppendI64(buf, rv.holds.tramDrained)
 			buf = wire.AppendI64(buf, rv.holds.tramHeldAfter)
@@ -149,11 +142,11 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 			// A contribution of a different histogram shape cannot be
 			// merged with local ones: that is a mis-wired mesh, not a
 			// recoverable condition.
-			if bucketCount != sh.bucketCount || width != sh.bucketWidth {
+			if bucketCount != histogram.DefaultBuckets || width != sh.bucketWidth {
 				return nil, fmt.Errorf("%w: histogram shape %d×%g, want %d×%g",
-					wire.ErrMalformed, bucketCount, width, sh.bucketCount, sh.bucketWidth)
+					wire.ErrMalformed, bucketCount, width, histogram.DefaultBuckets, sh.bucketWidth)
 			}
-			rv := sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
+			rv := sh.pools.getReduceVal(sh.bucketWidth)
 			rv.hist.Reset()
 			rv.hist.Created = r.I64()
 			rv.hist.Processed = r.I64()
@@ -171,7 +164,6 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 				}
 				rv.hist.SetBucket(idx, val)
 			}
-			rv.finalized = r.I64()
 			rv.holds = holdStats{
 				tramHeldBefore: r.I64(),
 				tramDrained:    r.I64(),

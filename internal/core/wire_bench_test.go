@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"acic/internal/histogram"
 )
 
 // BenchmarkWireEncodeBatch measures serializing one full tram batch into a
@@ -71,12 +73,11 @@ func fullBatch(sh *sharedState) []Update {
 // second ceiling scripts/bench.sh gates.
 func BenchmarkWireDecodeReduce(b *testing.B) {
 	c, sh := newWireHarness(b)
-	rv := sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
+	rv := sh.pools.getReduceVal(sh.bucketWidth)
 	rv.hist.Reset()
-	for i := 0; i < sh.bucketCount; i += 2 {
+	for i := 0; i < histogram.DefaultBuckets; i += 2 {
 		rv.hist.AddCreated(float64(i) * sh.bucketWidth)
 	}
-	rv.finalized = 99
 	frame, err := c.EncodeFrame(nil, rv)
 	if err != nil {
 		b.Fatal(err)

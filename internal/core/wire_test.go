@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"acic/internal/arena"
@@ -25,7 +24,6 @@ func newWireHarness(t testing.TB) (*wire.Codec, *sharedState) {
 	sh := &sharedState{
 		tm:          tm,
 		pools:       &runPools{ar: ar},
-		bucketCount: 16,
 		bucketWidth: 0.5,
 	}
 	c := wire.NewCodec()
@@ -61,15 +59,45 @@ func TestSeedAndStartWireRoundTrip(t *testing.T) {
 
 func TestCtrlWireRoundTrip(t *testing.T) {
 	c, _ := newWireHarness(t)
-	want := ctrlMsg{
-		thresholds:   histogram.Thresholds{Tram: 7, PQ: 3},
-		lowestActive: math.Inf(1),
-		terminate:    true,
-		finalizedAll: true,
+	for _, want := range []ctrlMsg{
+		{thresholds: histogram.Thresholds{Tram: 7, PQ: 3}, terminate: true},
+		{thresholds: histogram.Thresholds{Tram: histogram.DefaultBuckets - 1, PQ: 0}},
+	} {
+		got := roundTrip(t, c, want).(ctrlMsg)
+		if got != want {
+			t.Errorf("ctrl round trip: got %+v, want %+v", got, want)
+		}
 	}
-	got := roundTrip(t, c, want).(ctrlMsg)
-	if got != want {
-		t.Errorf("ctrl round trip: got %+v, want %+v", got, want)
+}
+
+// TestCtrlWireFrameLength pins the broadcast's size: the 6-byte frame
+// preamble, two int32 thresholds and one flags byte.
+func TestCtrlWireFrameLength(t *testing.T) {
+	c, _ := newWireHarness(t)
+	for _, m := range []ctrlMsg{{}, {thresholds: histogram.Thresholds{Tram: 511, PQ: 20}, terminate: true}} {
+		frame, err := c.EncodeFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != 6+4+4+1 {
+			t.Errorf("ctrl frame %+v is %d bytes, want 15", m, len(frame))
+		}
+	}
+}
+
+// TestCtrlWireRejectsRetiredFinalizedBit: 0x02 once flagged an all-final
+// termination; terminate (0x01) is the only flag a ctrl frame may carry.
+func TestCtrlWireRejectsRetiredFinalizedBit(t *testing.T) {
+	c, _ := newWireHarness(t)
+	frame, err := c.EncodeFrame(nil, ctrlMsg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flags := range []byte{0x02, 0x03} {
+		frame[len(frame)-1] = flags // flags byte is last on the wire
+		if _, _, err := c.DecodeFrame(frame); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("flags 0x%02x decoded: %v", flags, err)
+		}
 	}
 }
 
@@ -149,12 +177,11 @@ func TestBatchWireRejectsOversizedCount(t *testing.T) {
 
 func TestReduceValWireRoundTrip(t *testing.T) {
 	c, sh := newWireHarness(t)
-	rv := sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
+	rv := sh.pools.getReduceVal(sh.bucketWidth)
 	rv.hist.Reset()
 	rv.hist.AddCreated(0.6) // bucket 1
 	rv.hist.AddCreated(7.9) // bucket 15
 	rv.hist.AddProcessed(0.6)
-	rv.finalized = 42
 	rv.holds = holdStats{tramHeldBefore: 1, tramDrained: 2, tramHeldAfter: 3, pqHeldBefore: 4, pqDrained: 5, pqHeldAfter: 6}
 
 	// The encode hook recycles rv into the pool and the decode draws from
@@ -169,12 +196,41 @@ func TestReduceValWireRoundTrip(t *testing.T) {
 	if got.hist.Bucket(1) != 0 || got.hist.Bucket(15) != 1 {
 		t.Errorf("buckets did not survive: %d %d", got.hist.Bucket(1), got.hist.Bucket(15))
 	}
-	if got.finalized != 42 || got.holds != rv.holds {
+	if got.holds != rv.holds {
 		// rv was recycled by the encode hook but its fields are still
 		// readable here; the pool does not clear them.
-		t.Errorf("finalized/holds: %d %+v", got.finalized, got.holds)
+		t.Errorf("holds: %+v", got.holds)
 	}
 	sh.pools.putReduceVal(got)
+}
+
+// TestReduceValWireFrameLength pins a contribution's size: the 6-byte
+// frame preamble, the histogram's shape (count and width), its two
+// counters, the nonzero-bucket count, 12 bytes per nonzero bucket, and
+// six int64 hold counts.
+func TestReduceValWireFrameLength(t *testing.T) {
+	c, sh := newWireHarness(t)
+	for _, dists := range [][]float64{nil, {0.2, 7.9}, {0.2, 0.3, 1.4, 1e9}} {
+		rv := sh.pools.getReduceVal(sh.bucketWidth)
+		rv.hist.Reset()
+		for _, d := range dists {
+			rv.hist.AddCreated(d)
+		}
+		rv.holds = holdStats{tramHeldBefore: 1, pqHeldAfter: 2}
+		nnz := 0
+		for i := 0; i < histogram.DefaultBuckets; i++ {
+			if rv.hist.Bucket(i) != 0 {
+				nnz++
+			}
+		}
+		frame, err := c.EncodeFrame(nil, rv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 6 + 4 + 8 + 8 + 8 + 4 + 12*nnz + 6*8; len(frame) != want {
+			t.Errorf("%d nonzero buckets: frame is %d bytes, want %d", nnz, len(frame), want)
+		}
+	}
 }
 
 // TestReduceValWireNarrowIntoWide encodes a contribution whose histogram
@@ -184,13 +240,12 @@ func TestReduceValWireRoundTrip(t *testing.T) {
 // bytes the sparse format has always had.
 func TestReduceValWireNarrowIntoWide(t *testing.T) {
 	c, sh := newWireHarness(t)
-	narrow := sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
+	narrow := sh.pools.getReduceVal(sh.bucketWidth)
 	narrow.hist.Reset()
 	narrow.hist.AddCreated(0.2) // bucket 0
 	narrow.hist.AddCreated(1.4) // bucket 2
 	narrow.hist.AddCreated(1.4)
 	narrow.hist.AddProcessed(0.7) // bucket 1, negative
-	narrow.finalized = 7
 	narrow.holds = holdStats{tramHeldBefore: 3, tramDrained: 1, tramHeldAfter: 2}
 	if top := narrow.hist.Top(); top != 3 {
 		t.Fatalf("narrow histogram top %d, want 3", top)
@@ -198,7 +253,7 @@ func TestReduceValWireNarrowIntoWide(t *testing.T) {
 	want := narrow.hist.Snapshot()
 	wantHolds := narrow.holds
 
-	body := wire.AppendU32(nil, uint32(sh.bucketCount))
+	body := wire.AppendU32(nil, histogram.DefaultBuckets)
 	body = wire.AppendF64(body, sh.bucketWidth)
 	body = wire.AppendI64(body, 3) // created
 	body = wire.AppendI64(body, 1) // processed
@@ -207,7 +262,6 @@ func TestReduceValWireNarrowIntoWide(t *testing.T) {
 		body = wire.AppendU32(body, uint32(kv[0]))
 		body = wire.AppendI64(body, kv[1])
 	}
-	body = wire.AppendI64(body, 7)
 	for _, h := range []int64{3, 1, 2, 0, 0, 0} {
 		body = wire.AppendI64(body, h)
 	}
@@ -221,9 +275,9 @@ func TestReduceValWireNarrowIntoWide(t *testing.T) {
 
 	// The encode hook pooled narrow; swap it for a value whose histogram
 	// reaches the last bucket, so the decode draws that one.
-	sh.pools.getReduceVal(sh.bucketCount, sh.bucketWidth)
-	wide := &reduceVal{hist: histogram.New(sh.bucketCount, sh.bucketWidth)}
-	for i := 0; i < sh.bucketCount; i++ {
+	sh.pools.getReduceVal(sh.bucketWidth)
+	wide := &reduceVal{hist: histogram.New(histogram.DefaultBuckets, sh.bucketWidth)}
+	for i := 0; i < histogram.DefaultBuckets; i++ {
 		wide.hist.SetBucket(i, int64(100+i))
 	}
 	sh.pools.putReduceVal(wide)
@@ -236,14 +290,14 @@ func TestReduceValWireNarrowIntoWide(t *testing.T) {
 	if got != wide {
 		t.Fatal("decode did not draw the wide pooled value")
 	}
-	for i := 0; i < sh.bucketCount; i++ {
+	for i := 0; i < histogram.DefaultBuckets; i++ {
 		if got.hist.Bucket(i) != want.Bucket(i) {
 			t.Errorf("bucket %d: %d, want %d", i, got.hist.Bucket(i), want.Bucket(i))
 		}
 	}
-	if got.hist.Created != 3 || got.hist.Processed != 1 || got.finalized != 7 || got.holds != wantHolds {
-		t.Errorf("counters: created %d processed %d finalized %d holds %+v",
-			got.hist.Created, got.hist.Processed, got.finalized, got.holds)
+	if got.hist.Created != 3 || got.hist.Processed != 1 || got.holds != wantHolds {
+		t.Errorf("counters: created %d processed %d holds %+v",
+			got.hist.Created, got.hist.Processed, got.holds)
 	}
 	if got.hist.Sum() != want.Sum() || got.hist.HighestNonEmpty() != 2 {
 		t.Errorf("scans: sum %d highest %d, want %d and 2", got.hist.Sum(), got.hist.HighestNonEmpty(), want.Sum())
@@ -255,7 +309,7 @@ func TestReduceValWireRejectsShapeMismatch(t *testing.T) {
 	c, sh := newWireHarness(t)
 
 	// Wrong bucket count.
-	body := wire.AppendU32(nil, uint32(sh.bucketCount+1))
+	body := wire.AppendU32(nil, histogram.DefaultBuckets+1)
 	body = wire.AppendF64(body, sh.bucketWidth)
 	frame := buildFrame(wire.TagReduceVal, body)
 	if _, _, err := c.DecodeFrame(frame); !errors.Is(err, wire.ErrMalformed) {
@@ -263,12 +317,12 @@ func TestReduceValWireRejectsShapeMismatch(t *testing.T) {
 	}
 
 	// Right shape, bucket index out of range.
-	body = wire.AppendU32(nil, uint32(sh.bucketCount))
+	body = wire.AppendU32(nil, histogram.DefaultBuckets)
 	body = wire.AppendF64(body, sh.bucketWidth)
 	body = wire.AppendI64(body, 0) // created
 	body = wire.AppendI64(body, 0) // processed
 	body = wire.AppendU32(body, 1) // nnz
-	body = wire.AppendU32(body, uint32(sh.bucketCount))
+	body = wire.AppendU32(body, histogram.DefaultBuckets)
 	body = wire.AppendI64(body, 9)
 	frame = buildFrame(wire.TagReduceVal, body)
 	if _, _, err := c.DecodeFrame(frame); !errors.Is(err, wire.ErrMalformed) {
@@ -276,7 +330,7 @@ func TestReduceValWireRejectsShapeMismatch(t *testing.T) {
 	}
 
 	// nnz larger than the remaining body.
-	body = wire.AppendU32(nil, uint32(sh.bucketCount))
+	body = wire.AppendU32(nil, histogram.DefaultBuckets)
 	body = wire.AppendF64(body, sh.bucketWidth)
 	body = wire.AppendI64(body, 0)
 	body = wire.AppendI64(body, 0)

@@ -30,7 +30,6 @@ import (
 
 	"acic/internal/netsim"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 	"acic/internal/tram"
 )
 
@@ -48,10 +47,6 @@ type Params struct {
 	// matching the ACIC run being compared against.
 	TramMode     tram.Mode
 	TramCapacity int
-	// MaxBuckets bounds the bucket array; distances beyond
-	// MaxBuckets×Delta clamp into the last bucket (processed together).
-	// Zero means 1 << 16.
-	MaxBuckets int
 	// EdgeBalanced partitions vertices so each PE owns roughly equal edge
 	// counts — the repository's stand-in for the RIKEN code's 2-D
 	// partitioning, which spreads hub edges instead of concentrating them
@@ -79,8 +74,6 @@ type Options struct {
 	Topo    netsim.Topology
 	Latency netsim.LatencyModel
 	Params  Params
-	// Clock times the run for Stats.Elapsed; nil means the wall clock.
-	Clock simclock.Clock
 	// Jitter, when non-nil, perturbs every message's delivery delay (see
 	// netsim.JitterFunc) — the schedule-stress harness's hook.
 	Jitter netsim.JitterFunc

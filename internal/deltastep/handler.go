@@ -90,17 +90,14 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, delta float64) *peSta
 	return st
 }
 
-func (st *peState) maxBuckets() int {
-	if st.params.MaxBuckets > 0 {
-		return st.params.MaxBuckets
-	}
-	return 1 << 16
-}
+// maxBuckets bounds the bucket index: distances beyond maxBuckets×Δ clamp
+// into the last bucket and are processed together.
+const maxBuckets = 1 << 16
 
 func (st *peState) bucketOf(d float64) int32 {
 	b := int32(d / st.delta)
-	if int(b) >= st.maxBuckets() {
-		b = int32(st.maxBuckets() - 1)
+	if b >= maxBuckets {
+		b = maxBuckets - 1
 	}
 	if b < 0 {
 		b = 0

@@ -63,7 +63,6 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 			Jitter:  opts.Jitter,
 			Combine: combineStatus,
 		},
-		Clock: opts.Clock,
 	}
 	topo, err := cfg.Validate()
 	if err != nil {

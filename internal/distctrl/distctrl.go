@@ -29,7 +29,6 @@ import (
 	"acic/internal/partition"
 	"acic/internal/pq"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 	"acic/internal/tram"
 )
 
@@ -69,8 +68,6 @@ type Options struct {
 	Topo    netsim.Topology
 	Latency netsim.LatencyModel
 	Params  Params
-	// Clock times the run for Stats.Elapsed; nil means the wall clock.
-	Clock simclock.Clock
 	// Jitter, when non-nil, perturbs every message's delivery delay (see
 	// netsim.JitterFunc) — the schedule-stress harness's hook.
 	Jitter netsim.JitterFunc
@@ -210,7 +207,6 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 			Jitter:         opts.Jitter,
 			QuiescencePoll: quiescencePoll,
 		},
-		Clock: opts.Clock,
 	}
 	topo, err := cfg.Validate()
 	if err != nil {

@@ -158,8 +158,8 @@ func (c *lruCache) remove(ent *cacheEntry) {
 }
 
 // purgeStale drops every entry whose epoch differs from epoch — Mutate's
-// eviction, which unlike purge leaves current-epoch entries (including
-// in-flight leaders that raced ahead of the purge) intact.
+// eviction. It leaves current-epoch entries (including in-flight leaders
+// that raced ahead of the purge) intact.
 func (c *lruCache) purgeStale(epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -192,15 +192,6 @@ func (c *lruCache) completed(epoch uint64) []*cacheEntry {
 		}
 	}
 	return out
-}
-
-// purge drops every entry (in-flight leaders still complete their entries;
-// waiters holding pointers are unaffected).
-func (c *lruCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.items = make(map[cacheKey]*cacheEntry, c.capacity)
-	c.order.Init()
 }
 
 // len returns the current entry count.

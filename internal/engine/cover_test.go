@@ -25,10 +25,6 @@ func TestAccessorsAndHealth(t *testing.T) {
 	if e.Epoch() != 0 {
 		t.Errorf("fresh engine epoch %d, want 0", e.Epoch())
 	}
-	e.InvalidateCache()
-	if e.Epoch() != 1 {
-		t.Errorf("epoch %d after InvalidateCache, want 1", e.Epoch())
-	}
 	if e.Draining() {
 		t.Error("Draining() true before Close")
 	}

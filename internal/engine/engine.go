@@ -5,10 +5,9 @@
 // One Engine serves one graph version at a time: an epoch, an immutable
 // *graph.Graph and its reverse, published together behind one atomic
 // pointer and shared read-only by every concurrent query (the CSR arrays
-// are never written after they are built). A static engine transposes its
-// graph once; a dynamic one (mutate.go) splices both directions from the
-// previous version on every mutation batch. Around the version it
-// maintains:
+// are never written after they are built). The engine owns a
+// dynamic.Graph, and every mutation batch (mutate.go) splices both
+// directions from the previous version. Around the version it maintains:
 //
 //   - Misses filled on one core (solve.go): Dial's algorithm, Dijkstra on
 //     a monotone bucket queue whose width each graph version takes from
@@ -144,8 +143,7 @@ type slotScratch struct {
 }
 
 // Engine is a resident SSSP query engine over one shared graph version.
-// Construct with New (static graph) or NewDynamic (mutable graph, see
-// mutate.go); all methods are safe for concurrent use.
+// Construct with NewDynamic; all methods are safe for concurrent use.
 type Engine struct {
 	version atomic.Pointer[graphVersion]
 	cfg     Config
@@ -154,9 +152,8 @@ type Engine struct {
 	// in flight.
 	solve solveFunc
 
-	// dg is the mutable graph behind a dynamic engine; nil for static
-	// engines. mutMu serializes Mutate and InvalidateCache — the only
-	// operations that swap the version pointer.
+	// dg is the mutable graph behind the served versions. mutMu serializes
+	// Mutate, the only operation that swaps the version pointer.
 	dg    *dynamic.Graph
 	mutMu sync.Mutex
 
@@ -226,29 +223,27 @@ func (e *Engine) observeService(d time.Duration) {
 	}
 }
 
-// New builds an Engine serving queries over g. The graph must not be
-// mutated afterwards — every query shares it read-only. New transposes it
-// once for the point-to-point search.
-func New(g *graph.Graph, cfg Config) (*Engine, error) {
-	if g == nil {
-		return nil, errors.New("engine: nil graph")
+// NewDynamic builds an engine serving queries over dg's current CSR, whose
+// graph can be mutated with Mutate. The engine takes ownership of dg:
+// callers must not Apply to it directly afterwards. The engine epoch
+// starts at 0 regardless of dg's own epoch (the two counters advance in
+// lockstep from here but are independent).
+func NewDynamic(dg *dynamic.Graph, cfg Config) (*Engine, error) {
+	if dg == nil {
+		return nil, errors.New("engine: nil dynamic graph")
 	}
-	return newEngine(g, g.Reverse(), cfg)
-}
-
-// newEngine builds an Engine over g and its reverse rev at epoch 0.
-func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:     cfg,
 		solve:   dijkstra,
+		dg:      dg,
 		slots:   make(chan int, cfg.MaxInFlight),
 		scratch: make([]slotScratch, cfg.MaxInFlight),
 		cache:   newLRUCache(cfg.CacheEntries),
 		drained: make(chan struct{}),
 		met:     metrics.New(cfg.MaxInFlight),
 	}
-	e.version.Store(newVersion(0, g, rev))
+	e.version.Store(newVersion(0, dg.Snapshot(), dg.ReverseSnapshot()))
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		e.slots <- i
 	}
@@ -277,27 +272,13 @@ func newEngine(g, rev *graph.Graph, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Graph returns the engine's current graph snapshot. For a dynamic engine
-// this is the CSR of the latest applied epoch; mutations never touch a
-// returned snapshot.
+// Graph returns the engine's current graph snapshot: the CSR of the latest
+// applied epoch. Mutations never touch a returned snapshot.
 func (e *Engine) Graph() *graph.Graph { return e.version.Load().g }
 
 // Epoch returns the current graph epoch. Epochs key the cache; every
-// Mutate batch (and every InvalidateCache call) advances it by one, making
-// stale vectors unreachable.
+// Mutate batch advances it by one, making stale vectors unreachable.
 func (e *Engine) Epoch() uint64 { return e.version.Load().epoch }
-
-// InvalidateCache advances the graph epoch (same graph, new version) and
-// drops every cached vector.
-func (e *Engine) InvalidateCache() {
-	e.mutMu.Lock()
-	defer e.mutMu.Unlock()
-	next := *e.version.Load()
-	next.epoch++
-	e.version.Store(&next)
-	e.cache.purge()
-	e.gCacheLen.Set(0, int64(e.cache.len()))
-}
 
 // MetricsSnapshot captures the engine-level instrument registry.
 func (e *Engine) MetricsSnapshot() metrics.Snapshot { return e.met.Snapshot() }
@@ -439,8 +420,7 @@ func (e *Engine) lead(ctx context.Context, v *graphVersion, ent *cacheEntry, slo
 // past the entry's epoch while the computation ran. Without the eviction a
 // single-flight leader that loses a race with Mutate parks a stale vector
 // under an old epoch key: Mutate's purge ran before the leader completed, so
-// nothing would ever remove it, yet the LRU still counts it and a later
-// InvalidateCache-then-rollback pattern could resurface it. Waiters are
+// nothing would ever remove it, yet the LRU would still count it. Waiters are
 // unaffected — they hold the entry pointer and their admission epoch equals
 // the entry's key epoch, so the result is exact for what they asked.
 func (e *Engine) publish(ent *cacheEntry, res solution) {

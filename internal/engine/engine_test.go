@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"acic/internal/dynamic"
 	"acic/internal/gen"
 	"acic/internal/graph"
 	"acic/internal/pq"
@@ -21,11 +22,24 @@ func testGraph() *graph.Graph {
 
 func mustEngine(t *testing.T, g *graph.Graph, cfg Config) *Engine {
 	t.Helper()
-	e, err := New(g, cfg)
+	e, err := NewDynamic(dynamic.FromCSR(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// invalidateCache empties e's cache the way a mutation batch would, but
+// over the same graph: the epoch advances, so the next query on any source
+// is a miss.
+func invalidateCache(e *Engine) {
+	e.mutMu.Lock()
+	defer e.mutMu.Unlock()
+	next := *e.version.Load()
+	next.epoch++
+	e.version.Store(&next)
+	e.cache.purgeStale(next.epoch)
+	e.gCacheLen.Set(0, int64(e.cache.len()))
 }
 
 // missGate holds e's misses in flight: every miss announces its source on
@@ -245,13 +259,13 @@ func TestEpochInvalidation(t *testing.T) {
 	if err != nil || !res.CacheHit {
 		t.Fatalf("pre-invalidate repeat: hit=%v err=%v", res != nil && res.CacheHit, err)
 	}
-	e.InvalidateCache()
+	invalidateCache(e)
 	res, err = e.Query(context.Background(), 4, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CacheHit {
-		t.Error("query after InvalidateCache still hit the cache")
+		t.Error("query after invalidateCache still hit the cache")
 	}
 	if res.Epoch != 1 {
 		t.Errorf("epoch = %d, want 1", res.Epoch)

@@ -5,7 +5,7 @@ package engine
 // httptest and reusable by future transports.
 //
 //	GET /sssp?source=S            single-source query
-//	POST /mutate                  apply a mutation batch (dynamic engines)
+//	POST /mutate                  apply a mutation batch
 //	GET /sssp?source=S&vertices=a,b,c   ...returning only those distances
 //	GET /sssp?source=S&limit=N    ...returning the first N distances
 //	GET /sssp?source=S&metrics=1  ...attaching a per-query metrics snapshot
@@ -281,8 +281,6 @@ func (e *Engine) writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBadVertex), errors.Is(err, ErrBadMutation):
 		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-	case errors.Is(err, ErrStaticGraph):
-		writeJSON(w, http.StatusNotImplemented, errorResponse{err.Error()})
 	case errors.Is(err, ErrSaturated):
 		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfterSeconds()))
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{err.Error()})

@@ -1,6 +1,6 @@
 package engine
 
-// Mutation support: a dynamic engine owns a dynamic.Graph — the CSR of its
+// Mutation support: the engine owns a dynamic.Graph — the CSR of its
 // current version and that CSR's transpose — and applies batched edge
 // mutations to it, advancing the engine epoch once per batch. Apply
 // splices both directions' new CSRs from the old ones, rewriting only the
@@ -25,34 +25,11 @@ import (
 
 // Mutation-path sentinels; the HTTP layer maps each to a status code.
 var (
-	// ErrStaticGraph is returned by Mutate on an engine built with New —
-	// there is no mutable graph to mutate. Maps to 501.
-	ErrStaticGraph = errors.New("engine: static graph, mutations unsupported")
 	// ErrBadMutation wraps a rejected mutation batch (out-of-range vertex,
 	// bad weight, missing edge). The graph and epoch are unchanged. Maps
 	// to 400.
 	ErrBadMutation = errors.New("engine: bad mutation batch")
 )
-
-// NewDynamic builds an engine whose graph can be mutated with Mutate. The
-// engine takes ownership of dg: callers must not Apply to it directly
-// afterwards. The engine epoch starts at 0 regardless of dg's own epoch
-// (the two counters advance in lockstep from here but are independent —
-// InvalidateCache advances only the engine's).
-func NewDynamic(dg *dynamic.Graph, cfg Config) (*Engine, error) {
-	if dg == nil {
-		return nil, errors.New("engine: nil dynamic graph")
-	}
-	e, err := newEngine(dg.Snapshot(), dg.ReverseSnapshot(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.dg = dg
-	return e, nil
-}
-
-// Dynamic reports whether the engine accepts mutations.
-func (e *Engine) Dynamic() bool { return e.dg != nil }
 
 // MutateResult describes one applied batch.
 type MutateResult struct {
@@ -88,9 +65,6 @@ type MutateResult struct {
 // for that epoch; a query admitted after reads the new pair. No query ever
 // observes a vector from a different epoch than the one in its response.
 func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
-	if e.dg == nil {
-		return nil, ErrStaticGraph
-	}
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("%w: empty batch", ErrBadMutation)
 	}

@@ -70,9 +70,6 @@ func TestMutateRepairsResidentVectors(t *testing.T) {
 	e, _ := mustDynamicEngine(t, g, Config{})
 	ctx := context.Background()
 
-	if !e.Dynamic() {
-		t.Fatal("NewDynamic engine reports static")
-	}
 	first, err := e.Query(ctx, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +142,7 @@ func TestMissAfterMutationBeyondTheOldWeights(t *testing.T) {
 	if v.width != 0.125 || v.span != 1024 {
 		t.Fatalf("bucket width %g and span %g after the batch (before: %g and %g), want 0.125 and 1024", v.width, v.span, old.width, old.span)
 	}
-	e.InvalidateCache() // source 0's repaired vector would answer as a hit
+	invalidateCache(e) // source 0's repaired vector would answer as a hit
 	for _, src := range []int{0, 17, 42, 5} {
 		res, err := e.Query(ctx, src, QueryOptions{})
 		if err != nil {
@@ -294,17 +291,6 @@ func TestMutateCloseRace(t *testing.T) {
 		if _, err := e.Mutate([]dynamic.Mutation{{Op: dynamic.Insert, From: 0, To: 1, Weight: 1}}); !errors.Is(err, ErrDraining) {
 			t.Fatalf("trial %d: post-drain mutate err = %v, want ErrDraining", trial, err)
 		}
-	}
-}
-
-// TestMutateStaticEngine: engines built with New have no mutation path.
-func TestMutateStaticEngine(t *testing.T) {
-	e := mustEngine(t, testGraph(), Config{})
-	if e.Dynamic() {
-		t.Fatal("static engine reports dynamic")
-	}
-	if _, err := e.Mutate([]dynamic.Mutation{{Op: dynamic.Insert, From: 0, To: 1, Weight: 1}}); !errors.Is(err, ErrStaticGraph) {
-		t.Fatalf("err = %v, want ErrStaticGraph", err)
 	}
 }
 
@@ -495,8 +481,7 @@ func TestPublishEvictsStaleLeader(t *testing.T) {
 }
 
 // TestMutateHTTPRoundTrip drives POST /mutate through the handler: a good
-// batch bumps the epoch and reroutes /path answers; bad batches and static
-// engines map to 400/501.
+// batch bumps the epoch and reroutes /path answers; bad batches map to 400.
 func TestMutateHTTPRoundTrip(t *testing.T) {
 	g := graph.MustBuild(4, []graph.Edge{
 		{From: 0, To: 1, Weight: 1},
@@ -553,19 +538,6 @@ func TestMutateHTTPRoundTrip(t *testing.T) {
 	if e.Epoch() != 1 {
 		t.Fatalf("rejected batches moved the epoch to %d", e.Epoch())
 	}
-
-	static := mustEngine(t, g, Config{})
-	srv2 := httptest.NewServer(static.Handler())
-	defer srv2.Close()
-	resp, err := srv2.Client().Post(srv2.URL+"/mutate", "application/json",
-		strings.NewReader(`{"mutations":[{"op":"insert","from":0,"to":1,"weight":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 501 {
-		t.Fatalf("static engine mutate: code %d, want 501", resp.StatusCode)
-	}
 }
 
 // TestMutateWhileDraining: mutations are rejected once Close has begun.
@@ -576,34 +548,6 @@ func TestMutateWhileDraining(t *testing.T) {
 	}
 	if _, err := e.Mutate([]dynamic.Mutation{{Op: dynamic.Insert, From: 0, To: 1, Weight: 1}}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("err = %v, want ErrDraining", err)
-	}
-}
-
-// TestInvalidateCacheKeepsGraph: the epoch advances, the cache empties, and
-// the same graph keeps serving (now recomputed).
-func TestInvalidateCacheKeepsGraph(t *testing.T) {
-	e, _ := mustDynamicEngine(t, testGraph(), Config{})
-	ctx := context.Background()
-	if _, err := e.Query(ctx, 11, QueryOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	gBefore := e.Graph()
-	e.InvalidateCache()
-	if e.Epoch() != 1 {
-		t.Fatalf("epoch %d after invalidate", e.Epoch())
-	}
-	if e.Graph() != gBefore {
-		t.Fatal("invalidate swapped the graph")
-	}
-	res, err := e.Query(ctx, 11, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Fatal("cache survived invalidation")
-	}
-	if math.IsInf(res.Dist[11], 1) {
-		t.Fatal("source unreachable from itself")
 	}
 }
 

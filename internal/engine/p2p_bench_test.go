@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"acic/internal/dynamic"
 	"acic/internal/gen"
 	"acic/internal/xrand"
 )
@@ -24,7 +25,7 @@ func pathPairs(n, count int, seed uint64) [][2]int {
 // expands.
 func BenchmarkEnginePath(b *testing.B) {
 	const n = 1 << 14
-	e, err := New(gen.Uniform(n, 8*n, gen.Config{Seed: 1}), Config{})
+	e, err := NewDynamic(dynamic.FromCSR(gen.Uniform(n, 8*n, gen.Config{Seed: 1})), Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"acic/internal/dynamic"
 	"acic/internal/gen"
 	"acic/internal/graph"
 	"acic/internal/pq"
@@ -77,7 +78,7 @@ func TestMissAllocatesOnlyTheCachedVectors(t *testing.T) {
 		e := mustEngine(t, gen.Uniform(n, 8*n, gen.Config{Seed: 1}), Config{MaxInFlight: 1})
 		src := 0
 		miss := func() {
-			e.InvalidateCache()
+			invalidateCache(e)
 			if _, err := e.Query(ctx, src%n, QueryOptions{}); err != nil {
 				t.Fatal(err)
 			}
@@ -108,11 +109,11 @@ func perRunBytes(runs int, f func()) float64 {
 }
 
 // BenchmarkEngineMiss times one /sssp miss on a 2^14-vertex, edge-factor-8
-// uniform graph: InvalidateCache between queries, so every op is a
+// uniform graph: invalidateCache between queries, so every op is a
 // Dijkstra on one warm slot plus the two vectors it hands the cache.
 func BenchmarkEngineMiss(b *testing.B) {
 	const n = 1 << 14
-	e, err := New(gen.Uniform(n, 8*n, gen.Config{Seed: 1}), Config{MaxInFlight: 1})
+	e, err := NewDynamic(dynamic.FromCSR(gen.Uniform(n, 8*n, gen.Config{Seed: 1})), Config{MaxInFlight: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func BenchmarkEngineMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.InvalidateCache()
+		invalidateCache(e)
 		res, err := e.Query(ctx, i%n, QueryOptions{})
 		if err != nil {
 			b.Fatal(err)
@@ -155,7 +156,7 @@ func BenchmarkEngineMissShapes(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			e, err := New(g, Config{MaxInFlight: 1})
+			e, err := NewDynamic(dynamic.FromCSR(g), Config{MaxInFlight: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,7 +168,7 @@ func BenchmarkEngineMissShapes(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.InvalidateCache()
+				invalidateCache(e)
 				res, err := e.Query(ctx, i%n, QueryOptions{})
 				if err != nil {
 					b.Fatal(err)

@@ -48,8 +48,9 @@ func (c Config) weight(r *xrand.Rand) float64 {
 // ByKind generates the evaluation graph family the commands and the figure
 // harness name on their -kind flags, at 2^scale vertices: "rmat" (RMAT with
 // the default quadrant probabilities), "random" (Uniform) — both with
-// edgeFactor×2^scale edges — or "grid" (the square road-style grid of side
-// 2^(scale/2), which ignores edgeFactor).
+// edgeFactor×2^scale edges — or "grid" (the road-style grid of
+// 2^⌈scale/2⌉ rows and 2^⌊scale/2⌋ columns, square at an even scale, which
+// ignores edgeFactor).
 func ByKind(kind string, scale, edgeFactor int, cfg Config) (*graph.Graph, error) {
 	n := 1 << scale
 	switch kind {
@@ -58,8 +59,7 @@ func ByKind(kind string, scale, edgeFactor int, cfg Config) (*graph.Graph, error
 	case "random":
 		return Uniform(n, edgeFactor*n, cfg), nil
 	case "grid":
-		side := 1 << (scale / 2)
-		return Grid(side, side, cfg), nil
+		return Grid(1<<((scale+1)/2), 1<<(scale/2), cfg), nil
 	default:
 		return nil, fmt.Errorf("unknown kind %q", kind)
 	}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -237,7 +238,7 @@ func TestByKind(t *testing.T) {
 	want := map[string]*graph.Graph{
 		"rmat":   RMAT(7, 4, DefaultRMAT(), cfg),
 		"random": Uniform(128, 512, cfg),
-		"grid":   Grid(8, 8, cfg), // side 2^(7/2): odd scales round the grid down
+		"grid":   Grid(16, 8, cfg), // 2^⌈7/2⌉ rows, 2^⌊7/2⌋ columns
 	}
 	for kind, w := range want {
 		g, err := ByKind(kind, 7, 4, cfg)
@@ -252,5 +253,39 @@ func TestByKind(t *testing.T) {
 	}
 	if _, err := ByKind("erdos", 7, 4, cfg); err == nil {
 		t.Error("ByKind accepted a kind outside rmat | random | grid")
+	}
+}
+
+// TestByKindHasTwoToTheScaleVertices holds every kind to its doc at every
+// scale the commands take in practice, odd and even.
+func TestByKindHasTwoToTheScaleVertices(t *testing.T) {
+	for _, kind := range []string{"rmat", "random", "grid"} {
+		for scale := 1; scale <= 14; scale++ {
+			t.Run(fmt.Sprintf("%s/%d", kind, scale), func(t *testing.T) {
+				g, err := ByKind(kind, scale, 1, Config{Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.NumVertices() != 1<<scale {
+					t.Errorf("%d vertices, want 2^%d = %d", g.NumVertices(), scale, 1<<scale)
+				}
+			})
+		}
+	}
+}
+
+// TestByKindGridEvenScaleIsSquare: at an even scale the grid is the square
+// of side 2^(scale/2) it always was, edge for edge.
+func TestByKindGridEvenScaleIsSquare(t *testing.T) {
+	cfg := Config{Seed: 6}
+	for scale := 2; scale <= 12; scale += 2 {
+		side := 1 << (scale / 2)
+		g, err := ByKind("grid", scale, 8, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := Grid(side, side, cfg); !reflect.DeepEqual(g.Edges(), w.Edges()) {
+			t.Errorf("scale %d: grid differs from the %d×%d square", scale, side, side)
+		}
 	}
 }

@@ -201,7 +201,7 @@ func (r *refHist) check(t *testing.T, step, which int, h *Histogram) {
 		fail("Top", h.Top(), "in [0, NumBuckets]")
 	}
 	var sum, pos int64
-	lo, hi := -1, -1
+	hi := -1
 	for k, v := range r.b {
 		if got := h.Bucket(k); got != v {
 			fail(fmt.Sprintf("Bucket(%d)", k), got, v)
@@ -212,9 +212,6 @@ func (r *refHist) check(t *testing.T, step, which int, h *Histogram) {
 		sum += v
 		if v > 0 {
 			pos += v
-			if lo < 0 {
-				lo = k
-			}
 			hi = k
 		}
 	}
@@ -226,9 +223,6 @@ func (r *refHist) check(t *testing.T, step, which int, h *Histogram) {
 	}
 	if got := h.Positive(); got != pos {
 		fail("Positive", got, pos)
-	}
-	if got := h.LowestNonEmpty(); got != lo {
-		fail("LowestNonEmpty", got, lo)
 	}
 	if got := h.HighestNonEmpty(); got != hi {
 		fail("HighestNonEmpty", got, hi)

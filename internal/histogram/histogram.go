@@ -257,18 +257,6 @@ func (h *Histogram) Reset() {
 	h.Processed = 0
 }
 
-// LowestNonEmpty returns the index of the lowest bucket with a positive
-// count, or -1 if none. Fig. 1's "lowest bucket number with remaining
-// updates" is this value on the merged histogram.
-func (h *Histogram) LowestNonEmpty() int {
-	for i, b := range h.buckets[:h.top] {
-		if b > 0 {
-			return i
-		}
-	}
-	return -1
-}
-
 // HighestNonEmpty returns the index of the highest bucket with a positive
 // count, or -1 if none.
 func (h *Histogram) HighestNonEmpty() int {

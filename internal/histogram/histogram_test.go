@@ -150,16 +150,13 @@ func TestResetClears(t *testing.T) {
 	}
 }
 
-func TestLowestHighestNonEmpty(t *testing.T) {
+func TestHighestNonEmpty(t *testing.T) {
 	h := New(16, 1)
-	if h.LowestNonEmpty() != -1 || h.HighestNonEmpty() != -1 {
+	if h.HighestNonEmpty() != -1 {
 		t.Fatal("empty histogram should report -1")
 	}
 	h.AddCreated(4.2)
 	h.AddCreated(11.9)
-	if got := h.LowestNonEmpty(); got != 4 {
-		t.Errorf("LowestNonEmpty = %d, want 4", got)
-	}
 	if got := h.HighestNonEmpty(); got != 11 {
 		t.Errorf("HighestNonEmpty = %d, want 11", got)
 	}
@@ -503,8 +500,8 @@ func BenchmarkComputeThresholds(b *testing.B) {
 // machine at solve-small's occupancy (2^10 vertices, edge factor 8: merged
 // counts reach bucket ~111 of 512): every PE snapshots its local histogram
 // into a pooled contribution, the tree merges the three others into one,
-// and the root sums the active population once, derives both thresholds
-// and the lowest active bucket. A contribution's pooled histogram keeps
+// and the root sums the active population once and derives both
+// thresholds. A contribution's pooled histogram keeps
 // its touched prefix from the previous cycle, as in a run. 0 allocs/op.
 func BenchmarkControlCycle(b *testing.B) {
 	const pes, occupied = 4, 112
@@ -536,6 +533,6 @@ func BenchmarkControlCycle(b *testing.B) {
 		}
 		active := global.Positive()
 		th := ComputeThresholds(global, active, pes, p, false)
-		bucketSink = th.Tram + th.PQ + global.LowestNonEmpty()
+		bucketSink = th.Tram + th.PQ
 	}
 }

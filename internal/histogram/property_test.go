@@ -138,9 +138,7 @@ func refBucketOf(h *Histogram, d float64) int {
 }
 
 // checkBracket asserts the definition BucketOf now implements — the bucket
-// is the b whose edges bracket d — for a finite d > 0. ctrl.lowestActive
-// (and through it TerminateOnAllFinal) reads b·width as a lower bound on
-// every distance counted in bucket b, which is the left half of this.
+// is the b whose edges bracket d — for a finite d > 0.
 func checkBracket(t *testing.T, h *Histogram, d float64) {
 	b, w, last := h.BucketOf(d), h.Width(), h.NumBuckets()-1
 	if b < 0 || b > last {

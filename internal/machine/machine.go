@@ -8,7 +8,7 @@
 // check that needs no machine; Run picks the fabric (the simulated network,
 // an in-process loopback TCP mesh, or one launched worker's node), starts
 // one handler per hosted PE and keeps them indexed by PE, times the
-// seed → Wait interval on the configured clock, and harvests the network
+// seed → Wait interval on the wall clock, and harvests the network
 // counters and the conservation ledger once the fabric has drained.
 // Algorithms supply only what differs between them: their handler, their
 // seed messages, and how they read results out of the handler states.
@@ -44,9 +44,6 @@ type Config struct {
 	// the already-connected node is the fabric, and the machine hosts only
 	// the PEs in Span (the node's topology process).
 	Node *sockfab.Node
-
-	// Clock times the run for Result.Elapsed; nil means the wall clock.
-	Clock simclock.Clock
 }
 
 // Validate applies the topology default in place, reports every
@@ -99,7 +96,7 @@ type Result[H runtime.Handler] struct {
 	// Handlers holds the handler of every hosted PE, indexed by global PE
 	// id; entries outside the hosted span are H's zero value.
 	Handlers []H
-	// Elapsed is the seed → termination interval on Config.Clock.
+	// Elapsed is the seed → termination interval on the wall clock.
 	Elapsed time.Duration
 	// Network is the simulated network's counters (zero over TCP) and
 	// Audit the conservation ledger, both read after the fabric drained.
@@ -124,7 +121,7 @@ func Run[H runtime.Handler](cfg Config, newHandler func(pe *runtime.PE) H, seed 
 		res.Handlers[pe.Index()] = h
 		return h
 	})
-	clk := simclock.Default(cfg.Clock)
+	clk := simclock.Wall{}
 	start := clk.Now()
 	seed(rt)
 	rt.Wait()

@@ -9,7 +9,6 @@ import (
 	"acic/internal/fabric"
 	"acic/internal/netsim"
 	"acic/internal/runtime"
-	"acic/internal/simclock"
 	"acic/internal/sockfab"
 	"acic/internal/wire"
 )
@@ -31,8 +30,7 @@ func stopLowest(rt *runtime.Runtime) { rt.Inject(rt.HostedSpan().Lo, struct{}{})
 
 // TestRunDefaultsAndHarvest pins what every caller relies on, over both
 // single-process fabrics: the zero topology is SingleNode(4), handlers come
-// back indexed by PE, Elapsed is read off the configured clock around
-// seed → Wait, and the ledger closes.
+// back indexed by PE, and the ledger closes.
 func TestRunDefaultsAndHarvest(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"sim":  {},
@@ -40,13 +38,10 @@ func TestRunDefaultsAndHarvest(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
-			clk := simclock.NewFake(time.Unix(0, 0))
-			cfg.Clock = clk
 			res, err := Run(cfg, newProbe, func(rt *runtime.Runtime) {
 				if got := rt.Topology(); got != netsim.SingleNode(4) {
 					t.Errorf("topology = %+v, want SingleNode(4)", got)
 				}
-				clk.Advance(5 * time.Millisecond)
 				stopLowest(rt)
 			})
 			if err != nil {
@@ -60,11 +55,33 @@ func TestRunDefaultsAndHarvest(t *testing.T) {
 					t.Errorf("Handlers[%d] = %+v, want the handler built for PE %d", i, h, i)
 				}
 			}
-			if res.Elapsed != 5*time.Millisecond {
-				t.Errorf("Elapsed = %v, want the 5ms the fake clock advanced", res.Elapsed)
-			}
 			if un := res.Audit.Unaccounted(); un != 0 || res.Audit.NetQueue != 0 {
 				t.Errorf("ledger not closed: %d unaccounted, %d queued", un, res.Audit.NetQueue)
+			}
+		})
+	}
+}
+
+// TestRunElapsedCoversSeedToWait pins what Elapsed measures, over both
+// single-process fabrics: the wall time from before seed runs until Wait
+// returns, so a seed that sleeps 5 ms reads at least 5 ms.
+func TestRunElapsedCoversSeedToWait(t *testing.T) {
+	const nap = 5 * time.Millisecond
+	for name, cfg := range map[string]Config{
+		"sim":  {},
+		"mesh": {Codec: wire.NewCodec()},
+	} {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			res, err := Run(cfg, newProbe, func(rt *runtime.Runtime) {
+				time.Sleep(nap)
+				stopLowest(rt)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Elapsed < nap {
+				t.Errorf("Elapsed = %v after a seed that slept %v", res.Elapsed, nap)
 			}
 		})
 	}

@@ -7,9 +7,9 @@ package runtime
 // with nothing left to do pays at once, so k only paces the busy ones. It
 // bounds the share of a busy PE's time spent on the control cycle from
 // below and the staleness of what the cycle broadcasts from above. In the
-// sweep recorded in EXPERIMENTS.md ("Spending the floor") 32 costs a large
-// ACIC solve a third of its throughput and 64 to 4096 read the same; 256
-// sits inside that range.
+// sweep recorded in experiments/pr19/README.md ("The k sweep") 32 costs a
+// large ACIC solve a third of its throughput and 64 to 4096 read the same;
+// 256 sits inside that range.
 const ReportAfterWork = 256
 
 // Debt is a PE's owed contribution under work pacing. A handler incurs it

@@ -1,10 +1,10 @@
-// Package simclock abstracts the wall-clock reads that the run drivers use
-// to time a full execution. Every algorithm driver (core, deltastep,
-// distctrl, cc) measures Elapsed the same way: stamp a start time before
-// injecting the seed messages, subtract after Wait returns.
-// Routing those reads through a Clock keeps the simulation packages free of
-// direct time.Now/time.Since calls — the simcheck analyzer forbids them — and
-// lets tests substitute a Fake clock for deterministic Elapsed values.
+// Package simclock abstracts wall-clock reads for the simulation packages.
+// machine.Run times every algorithm's run (core, deltastep, distctrl, cc)
+// on Wall: it stamps a start time before injecting the seed messages and
+// subtracts after Wait returns. trace.Recorder takes a Clock, so tests
+// substitute a Fake for deterministic timelines. Routing those reads
+// through this package keeps the simulation packages free of direct
+// time.Now/time.Since calls, which the simcheck analyzer forbids.
 package simclock
 
 import (
@@ -18,8 +18,8 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// Wall reads the real wall clock. It is the default used when an Options
-// struct leaves Clock nil, and the single sanctioned boundary through which
+// Wall reads the real wall clock. It is what machine.Run times runs on, the
+// default for a nil Clock, and the single sanctioned boundary through which
 // simulation code may observe real time.
 type Wall struct{}
 
@@ -30,8 +30,8 @@ func (Wall) Now() time.Time { return time.Now() }
 // Since returns the wall-clock duration since t.
 func (Wall) Since(t time.Time) time.Duration { return time.Since(t) }
 
-// Default returns clk, or Wall if clk is nil. Run drivers call this on
-// Options.Clock so that zero-value Options keep their wall-clock behaviour.
+// Default returns clk, or Wall if clk is nil. trace.NewWithClock calls it
+// so that a nil clock keeps the wall-clock behaviour.
 func Default(clk Clock) Clock {
 	if clk == nil {
 		return Wall{}

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repository CI gate: vet, gofmt, the project's own analyzers (acic-lint),
-# build, full test suite with a coverage floor, the separate benchmark/
-# module, the race detector over every package, a fuzz smoke pass, the
-# schedule-stress harness, and the perf pipeline (benchmark smoke +
-# regression gate against the committed BENCH_N.json baseline).
+# build, full test suite with a coverage floor, the examples, a smoke pass
+# of every paper figure, the separate benchmark/ module, the race detector
+# over every package, a fuzz smoke pass, the schedule-stress harness, and
+# the perf pipeline (benchmark smoke + regression gate against the
+# committed BENCH_N.json baseline).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,6 +39,9 @@ echo "== examples (each checks its answer against an oracle and exits non-zero o
 for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
+
+echo "== paper figures smoke (every figure at scale 8, every run checked against Dijkstra) =="
+go run ./cmd/sssp-bench -fig all -scale 8 -trials 1 -nodes 1,2 -verify -fig3window 50ms >/dev/null
 
 echo "== coverage gate =="
 # The checked-in baseline is the total statement coverage at the time the
