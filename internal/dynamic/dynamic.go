@@ -3,20 +3,24 @@
 // with monotonically increasing graph epochs, plus the incremental SSSP
 // repair that makes mutations cheap to serve (see repair.go).
 //
-// A Graph is one immutable CSR and its transpose per epoch, nothing else.
-// Apply edits copies of the rows a batch touches and, once every mutation
-// has validated, splices each direction's new CSR from the previous one:
-// one copy per run of untouched rows, and the edited rows written in their
-// place. A rejected batch drops its copies, so the graph it leaves is the
-// one it found. Snapshot and ReverseSnapshot hand out the current pair;
-// the reverse one lets a point-to-point search walk the graph backwards
-// from its target, and lets Repair re-relax an invalidated subtree from
-// its in-edges.
+// A Graph is one Version per epoch, nothing else: the graph and its
+// transpose, each a page table over immutable 256-row pages (pages.go),
+// and a widen-only range of its weights. Apply edits copies of the rows a
+// batch touches and, once every mutation has validated, rebuilds only the
+// pages holding them; the next Version copies the page table and shares
+// every other page with the last one by pointer. A rejected batch drops
+// its copies, so the graph it leaves is the one it found. The reverse
+// direction lets a point-to-point search walk the graph backwards from its
+// target, and lets Repair re-relax an invalidated subtree from its
+// in-edges. Snapshot and ReverseSnapshot copy the current version into
+// flat CSRs for callers that need a graph.Graph.
 //
-// A batch costs what it changes. Repair's scratch (a lazy heap and the
-// subtree stacks) lives on the Graph and grows with the largest damage
-// seen, never with |V|; Affects tells a caller holding many vectors which
-// ones a batch would write, so the rest can be shared instead of copied.
+// A batch costs what it changes: the pages it edits, one table of |V|/256
+// pointers per direction, and O(batch) for the weight range. Repair's
+// scratch (a lazy heap and the subtree stacks) lives on the Graph and
+// grows with the largest damage seen, never with |V|; Affects tells a
+// caller holding many vectors which ones a batch would write, so the rest
+// can be shared instead of copied.
 //
 // The design follows the incremental/decremental split of the dynamic-SSSP
 // literature (SSSP-Del, Javanrood & Ripeanu, arXiv:2508.14319; Kyng et al.,
@@ -30,9 +34,9 @@
 // updates safe to inject at serving time.
 //
 // A Graph is NOT safe for concurrent use: callers (internal/engine) must
-// serialize Apply and Repair. The graphs Snapshot and ReverseSnapshot
-// return are immutable and are never written by a later batch, so readers
-// may keep them across mutations.
+// serialize Apply and Repair. The Versions Current returns are immutable
+// and are never written by a later batch, so readers may keep them across
+// mutations.
 package dynamic
 
 import (
@@ -109,44 +113,81 @@ func (m Mutation) String() string {
 var ErrEdgeNotFound = errors.New("dynamic: edge not found")
 
 // Graph is a directed weighted graph with dense vertex ids that changes in
-// batches, each advancing its epoch by one. It is the graph's CSR at the
-// current epoch and that CSR's transpose; no other copy of the graph
-// survives a batch. Construct with FromCSR; mutate with Apply.
+// batches, each advancing its epoch by one. It is the Version of the
+// current epoch and nothing else: no other copy of the graph survives a
+// batch. Construct with FromCSR; mutate with Apply.
 type Graph struct {
-	// out is the graph; in holds, in row v, the edges into v.
-	out, in *graph.Graph
-	epoch   uint64
+	cur   Version
+	epoch uint64
 
 	// Repair scratch, reused across calls (see repair.go).
 	heap                  pq.BinaryHeap
 	roots, stack, invalid []int32
 }
 
-// FromCSR returns the dynamic graph of g at epoch 0. It keeps g, which is
-// immutable, and transposes it once for the in-edges.
-func FromCSR(g *graph.Graph) *Graph { return &Graph{out: g, in: g.Reverse()} }
+// Version is the graph at one epoch: both directions as page tables, and a
+// range holding every positive weight. Nothing a Version reaches is
+// written after Apply returns it, so readers may keep it across batches.
+type Version struct {
+	// Out is the graph; In holds, in row v, the edges into v.
+	Out, In *Pages
+	// MinWeight is at most the smallest positive weight and MaxWeight at
+	// least the largest weight. The range only widens: inserts and
+	// reweights widen it with their new weights, deletes leave it as it
+	// is, so a batch keeps it in O(batch). With no positive weight ever
+	// seen, MinWeight is +Inf and MaxWeight 0.
+	MinWeight, MaxWeight float64
+}
+
+// widen returns v's range widened to hold w.
+func (v Version) widen(w float64) Version {
+	if w > 0 && w < v.MinWeight {
+		v.MinWeight = w
+	}
+	if w > v.MaxWeight {
+		v.MaxWeight = w
+	}
+	return v
+}
+
+// FromCSR returns the dynamic graph of g at epoch 0. Its pages alias g,
+// which is immutable, and one transpose of g for the in-edges, so it
+// copies only page offsets; it reads g's weights once for the range.
+func FromCSR(g *graph.Graph) *Graph {
+	v := Version{Out: pagesOf(g), In: pagesOf(g.Reverse()), MinWeight: math.Inf(1)}
+	_, _, ws := g.CSR()
+	for _, w := range ws {
+		v = v.widen(w)
+	}
+	return &Graph{cur: v}
+}
 
 // NumVertices returns |V|.
-func (g *Graph) NumVertices() int { return g.out.NumVertices() }
+func (g *Graph) NumVertices() int { return g.cur.Out.NumVertices() }
 
 // NumEdges returns |E| under the current epoch.
-func (g *Graph) NumEdges() int { return g.out.NumEdges() }
+func (g *Graph) NumEdges() int { return g.cur.Out.NumEdges() }
 
 // Epoch returns the number of successfully applied mutation batches.
 // Every successful Apply increments it by exactly one; a failed Apply
 // leaves it (and the graph) unchanged.
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// Snapshot returns the CSR graph of the current epoch. Later batches
-// build new graphs and never write this one — internal/engine hands
-// snapshots to concurrent queries.
-func (g *Graph) Snapshot() *graph.Graph { return g.out }
+// Current returns the Version of the current epoch. Later batches make new
+// versions and never write this one — internal/engine serves it to
+// concurrent queries.
+func (g *Graph) Current() Version { return g.cur }
+
+// Snapshot returns a flat CSR copy of the current epoch's graph, made in
+// O(|V| + |E|) per call, for callers that need a graph.Graph (oracles,
+// SSSP).
+func (g *Graph) Snapshot() *graph.Graph { return g.cur.Out.Graph() }
 
 // ReverseSnapshot is Snapshot for the reverse graph: row v lists the edges
 // into v, the same edges as Snapshot flipped. An edited row keeps the
 // order its edits left it in, which need not be the source order of
 // Snapshot().Reverse().
-func (g *Graph) ReverseSnapshot() *graph.Graph { return g.in }
+func (g *Graph) ReverseSnapshot() *graph.Graph { return g.cur.In.Graph() }
 
 // Delta is the classified record of one applied batch, consumed by Repair.
 // Decreased lists edges that were inserted or whose weight decreased
@@ -172,15 +213,16 @@ func (d *Delta) Empty() bool { return len(d.Decreased) == 0 && len(d.Increased) 
 // batch may insert an edge and then delete it.
 //
 // Each direction's edits go to copies of the rows they touch; a failed
-// batch drops the copies, and a successful one splices them into new CSRs.
-// Both directions keep their rows in order and take the same edits, so
-// the k-th from→to edge of a forward row is the k-th half to from in the
-// reverse row of to. A delete or reweight hits the first of its parallel
-// edges in each direction, matched by endpoints alone, and the two are one
-// edge.
+// batch drops the copies, and a successful one rebuilds the pages holding
+// them into the next Version (pages.go). Both directions keep their rows
+// in order and take the same edits, so the k-th from→to edge of a forward
+// row is the k-th half to from in the reverse row of to. A delete or
+// reweight hits the first of its parallel edges in each direction, matched
+// by endpoints alone, and the two are one edge.
 func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 	d := &Delta{}
-	out, in := edits{g.out, map[int32][]half{}}, edits{g.in, map[int32][]half{}}
+	out, in := edits{g.cur.Out, map[int32][]half{}}, edits{g.cur.In, map[int32][]half{}}
+	next := g.cur
 	n := g.NumVertices()
 	for i, m := range batch {
 		if m.From < 0 || int(m.From) >= n || m.To < 0 || int(m.To) >= n {
@@ -193,6 +235,7 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 		case Insert:
 			out.rows[m.From] = append(out.row(m.From), half{v: m.To, w: m.Weight})
 			in.rows[m.To] = append(in.row(m.To), half{v: m.From, w: m.Weight})
+			next = next.widen(m.Weight)
 			d.Inserted++
 			d.Decreased = append(d.Decreased, graph.Edge{From: m.From, To: m.To, Weight: m.Weight})
 		case Delete:
@@ -215,6 +258,7 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 			row[j].w = m.Weight
 			row, j = in.find(m.To, m.From)
 			row[j].w = m.Weight
+			next = next.widen(m.Weight)
 			d.Reweighted++
 			if m.Weight < old {
 				d.Decreased = append(d.Decreased, graph.Edge{From: m.From, To: m.To, Weight: m.Weight})
@@ -225,7 +269,8 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 			return nil, fmt.Errorf("dynamic: batch[%d]: unknown op %d", i, m.Op)
 		}
 	}
-	g.out, g.in = splice(g.out, out.rows), splice(g.in, in.rows)
+	next.Out, next.In = next.Out.with(out.rows), next.In.with(in.rows)
+	g.cur = next
 	g.epoch++
 	d.Epoch = g.epoch
 	return d, nil
@@ -239,18 +284,18 @@ type half struct {
 }
 
 // edits is one direction's rows that a batch has edited so far, each
-// copied from csr on first touch and kept in row order.
+// copied from pages on first touch and kept in row order.
 type edits struct {
-	csr  *graph.Graph
-	rows map[int32][]half
+	pages *Pages
+	rows  map[int32][]half
 }
 
-// row returns u's edited row, copying it from the CSR on first touch.
+// row returns u's edited row, copying it from the pages on first touch.
 func (e *edits) row(u int32) []half {
 	if r, ok := e.rows[u]; ok {
 		return r
 	}
-	ts, ws := e.csr.Neighbors(int(u))
+	ts, ws := e.pages.Neighbors(int(u))
 	r := make([]half, len(ts), len(ts)+1)
 	for i, t := range ts {
 		r[i] = half{v: t, w: ws[i]}
@@ -269,50 +314,4 @@ func (e *edits) find(u, v int32) ([]half, int) {
 		}
 	}
 	return r, -1
-}
-
-// splice returns old with the given rows replaced. The new arrays are
-// copied from old one run of unedited rows at a time, the run's offsets
-// shifted, and each edited row is written in its place; graph.Adopt takes
-// them without a second copy. With no edited row it returns old.
-func splice(old *graph.Graph, rows map[int32][]half) *graph.Graph {
-	if len(rows) == 0 {
-		return old
-	}
-	edited := make([]int32, 0, len(rows)+1)
-	m := old.NumEdges()
-	for u, r := range rows {
-		edited = append(edited, u)
-		m += len(r) - old.OutDegree(int(u))
-	}
-	slices.Sort(edited)
-	n := old.NumVertices()
-	edited = append(edited, int32(n)) // the last run ends at n
-
-	oldOff, oldT, oldW := old.CSR()
-	offsets := make([]int64, n+1)
-	targets := make([]int32, m)
-	weights := make([]float64, m)
-	var pos int64
-	v := 0 // first row of the next unedited run
-	for _, e := range edited {
-		lo, hi := oldOff[v], oldOff[e]
-		for u := v; u < int(e); u++ {
-			offsets[u] = oldOff[u] - lo + pos
-		}
-		copy(targets[pos:], oldT[lo:hi])
-		copy(weights[pos:], oldW[lo:hi])
-		pos += hi - lo
-		if int(e) == n {
-			break
-		}
-		offsets[e] = pos
-		for _, h := range rows[e] {
-			targets[pos], weights[pos] = h.v, h.w
-			pos++
-		}
-		v = int(e) + 1
-	}
-	offsets[n] = pos
-	return graph.Adopt(offsets, targets, weights)
 }

@@ -130,7 +130,7 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 		// Frontier seeding: every in-edge of an invalidated vertex from an
 		// intact, reachable vertex proposes a label.
 		for _, v := range invalid {
-			ts, ws := g.in.Neighbors(int(v))
+			ts, ws := g.cur.In.Neighbors(int(v))
 			for i, u := range ts {
 				if math.IsInf(dist[u], 1) {
 					continue // invalidated or unreachable
@@ -167,7 +167,7 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 			continue // superseded while queued
 		}
 		st.Settled++
-		ts, ws := g.out.Neighbors(int(v))
+		ts, ws := g.cur.Out.Neighbors(int(v))
 		for i, c := range ts {
 			st.Relaxations++
 			if nd := dv + ws[i]; nd < dist[c] {
@@ -184,7 +184,7 @@ func (g *Graph) Repair(source int, dist []float64, parent []int32, d *Delta) Rep
 // edges, and whether any exists.
 func (g *Graph) minWeight(from, to int32) (float64, bool) {
 	w, ok := math.Inf(1), false
-	ts, ws := g.out.Neighbors(int(from))
+	ts, ws := g.cur.Out.Neighbors(int(from))
 	for i, t := range ts {
 		if t == to && ws[i] < w {
 			w, ok = ws[i], true
@@ -214,7 +214,7 @@ func (g *Graph) invalidateSubtrees(roots []int32, dist []float64, parent []int32
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		invalid = append(invalid, v)
-		ts, _ := g.out.Neighbors(int(v))
+		ts, _ := g.cur.Out.Neighbors(int(v))
 		for _, c := range ts {
 			if parent[c] == v && !math.IsInf(dist[c], 1) {
 				dist[c] = math.Inf(1)
@@ -228,9 +228,9 @@ func (g *Graph) invalidateSubtrees(roots []int32, dist []float64, parent []int32
 }
 
 // SSSP computes the full single-source solution over the current graph —
-// seq.Dijkstra over Snapshot(), the from-scratch baseline the churn bench
-// compares Repair against and the seed vector for freshly tracked sources.
-// A source out of range reaches nothing.
+// seq.Dijkstra over a Snapshot() made for the call, the from-scratch
+// baseline the churn bench compares Repair against and the seed vector for
+// freshly tracked sources. A source out of range reaches nothing.
 func (g *Graph) SSSP(source int) (dist []float64, parent []int32) {
 	n := g.NumVertices()
 	if source < 0 || source >= n {
@@ -240,7 +240,7 @@ func (g *Graph) SSSP(source int) (dist []float64, parent []int32) {
 		}
 		return dist, parent
 	}
-	res := seq.Dijkstra(g.out, source)
+	res := seq.Dijkstra(g.Snapshot(), source)
 	return res.Dist, res.Parent
 }
 
@@ -291,7 +291,7 @@ func VerifyTree(g *Graph, source int, dist []float64, parent []int32) error {
 // hasTightEdge reports whether some from→to edge satisfies
 // dfrom + w == dto within relative float tolerance.
 func (g *Graph) hasTightEdge(from, to int32, dfrom, dto float64) bool {
-	ts, ws := g.out.Neighbors(int(from))
+	ts, ws := g.cur.Out.Neighbors(int(from))
 	for i, t := range ts {
 		if t != to {
 			continue

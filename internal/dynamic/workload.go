@@ -31,9 +31,12 @@ func NewBatchGen(g *Graph, r *xrand.Rand, maxW float64) *BatchGen {
 		maxW = 100
 	}
 	b := &BatchGen{r: r, n: g.NumVertices(), maxW: maxW, pairs: make([]pair, 0, g.NumEdges())}
-	g.out.EachEdge(func(from, to int32, _ float64) {
-		b.pairs = append(b.pairs, pair{from: from, to: to})
-	})
+	for u := 0; u < b.n; u++ {
+		ts, _ := g.cur.Out.Neighbors(u)
+		for _, v := range ts {
+			b.pairs = append(b.pairs, pair{from: int32(u), to: v})
+		}
+	}
 	return b
 }
 

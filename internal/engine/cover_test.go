@@ -11,6 +11,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ import (
 func TestAccessorsAndHealth(t *testing.T) {
 	g := testGraph()
 	e := mustEngine(t, g, Config{})
-	if e.Graph() != g {
-		t.Error("Graph() did not return the shared graph")
+	if !slices.Equal(snapshot(e).Edges(), g.Edges()) {
+		t.Error("the engine's graph differs from the one it was built over")
 	}
 	if e.Epoch() != 0 {
 		t.Errorf("fresh engine epoch %d, want 0", e.Epoch())

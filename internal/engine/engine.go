@@ -2,16 +2,17 @@
 // a long-lived service answering many single-source and point-to-point
 // queries over one shared graph.
 //
-// One Engine serves one graph version at a time: an epoch, an immutable
-// *graph.Graph and its reverse, published together behind one atomic
-// pointer and shared read-only by every concurrent query (the CSR arrays
-// are never written after they are built). The engine owns a
-// dynamic.Graph, and every mutation batch (mutate.go) splices both
-// directions from the previous version. Around the version it maintains:
+// One Engine serves one graph version at a time: an epoch, the graph and
+// its reverse as dynamic.Pages (page tables over immutable 256-row pages),
+// published together behind one atomic pointer and shared read-only by
+// every concurrent query (no page is written after it is built). The
+// engine owns a dynamic.Graph, and every mutation batch (mutate.go)
+// rebuilds only the pages it edits, sharing the rest with the previous
+// version. Around the version it maintains:
 //
 //   - Misses filled on one core (solve.go): Dial's algorithm, Dijkstra on
 //     a monotone bucket queue whose width each graph version takes from
-//     its own weights, writing straight into the two vectors the cache
+//     its weight range, writing straight into the two vectors the cache
 //     keeps and reading the query's context every 1,024 settled vertices,
 //     so a client that goes away frees its slot within a fraction of a
 //     millisecond. The simulated ACIC cluster is not the served solver:
@@ -59,7 +60,6 @@ import (
 	"time"
 
 	"acic/internal/dynamic"
-	"acic/internal/graph"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
 	"acic/internal/pq"
@@ -115,21 +115,21 @@ func (c Config) withDefaults() Config {
 // graphVersion is one immutable version of the served graph: its epoch,
 // the graph, its reverse and the bucket width and span of a miss on it.
 // Queries load the current version exactly once, so the epoch they admit
-// under and the CSR arrays they read always belong together even while a
+// under and the pages they read always belong together even while a
 // mutation swaps the version underneath them. rev is g with every edge
 // flipped, for the backward half of the point-to-point search.
 type graphVersion struct {
 	epoch       uint64
-	g           *graph.Graph
-	rev         *graph.Graph
+	g           *dynamic.Pages
+	rev         *dynamic.Pages
 	width, span float64
 }
 
-// newVersion makes the version of g and rev at epoch, reading g's weights
-// once for its bucket rule (solve.go).
-func newVersion(epoch uint64, g, rev *graph.Graph) *graphVersion {
-	v := &graphVersion{epoch: epoch, g: g, rev: rev}
-	v.width, v.span = bucketRule(g)
+// newVersion makes the version of dv at epoch, its bucket rule (solve.go)
+// taken from dv's weight range in O(1).
+func newVersion(epoch uint64, dv dynamic.Version) *graphVersion {
+	v := &graphVersion{epoch: epoch, g: dv.Out, rev: dv.In}
+	v.width, v.span = bucketRule(dv.MinWeight, dv.MaxWeight)
 	return v
 }
 
@@ -243,7 +243,7 @@ func NewDynamic(dg *dynamic.Graph, cfg Config) (*Engine, error) {
 		drained: make(chan struct{}),
 		met:     metrics.New(cfg.MaxInFlight),
 	}
-	e.version.Store(newVersion(0, dg.Snapshot(), dg.ReverseSnapshot()))
+	e.version.Store(newVersion(0, dg.Current()))
 	for i := 0; i < cfg.MaxInFlight; i++ {
 		e.slots <- i
 	}
@@ -271,10 +271,6 @@ func NewDynamic(dg *dynamic.Graph, cfg Config) (*Engine, error) {
 	e.hCancelledMicros = e.met.Histogram("engine.cancelled_us")
 	return e, nil
 }
-
-// Graph returns the engine's current graph snapshot: the CSR of the latest
-// applied epoch. Mutations never touch a returned snapshot.
-func (e *Engine) Graph() *graph.Graph { return e.version.Load().g }
 
 // Epoch returns the current graph epoch. Epochs key the cache; every
 // Mutate batch advances it by one, making stale vectors unreachable.

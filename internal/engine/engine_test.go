@@ -29,6 +29,14 @@ func mustEngine(t *testing.T, g *graph.Graph, cfg Config) *Engine {
 	return e
 }
 
+// snapshot returns a flat CSR copy of e's current graph, read from its
+// dynamic graph under the mutation lock.
+func snapshot(e *Engine) *graph.Graph {
+	e.mutMu.Lock()
+	defer e.mutMu.Unlock()
+	return e.dg.Snapshot()
+}
+
 // invalidateCache empties e's cache the way a mutation batch would, but
 // over the same graph: the epoch advances, so the next query on any source
 // is a miss.

@@ -42,7 +42,7 @@ func FuzzHandlerQueries(f *testing.F) {
 			t.Fatal(err)
 		}
 		h := e.Handler()
-		graphs := map[uint64]*graph.Graph{e.Epoch(): e.Graph()}
+		graphs := map[uint64]*graph.Graph{e.Epoch(): snapshot(e)}
 		serve := func(method, path, query, body string, allowed ...int) *httptest.ResponseRecorder {
 			req := httptest.NewRequest(method, path, bytes.NewReader([]byte(body)))
 			req.URL.RawQuery = query
@@ -87,7 +87,7 @@ func FuzzHandlerQueries(f *testing.F) {
 
 		checkPathReply()
 		if rec := serve(http.MethodPost, "/mutate", "", body, http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge); rec.Code == http.StatusOK {
-			graphs[e.Epoch()] = e.Graph()
+			graphs[e.Epoch()] = snapshot(e)
 		}
 		if rec := serve(http.MethodGet, "/sssp", ssspQuery, "", http.StatusOK, http.StatusBadRequest); rec.Code == http.StatusOK {
 			var resp SSSPResponse

@@ -1,11 +1,12 @@
 package engine
 
-// Mutation support: the engine owns a dynamic.Graph — the CSR of its
-// current version and that CSR's transpose — and applies batched edge
-// mutations to it, advancing the engine epoch once per batch. Apply
-// splices both directions' new CSRs from the old ones, rewriting only the
-// rows the batch edited, and the engine publishes the pair as its next
-// version (dynamic.Snapshot and ReverseSnapshot). Resident cached distance
+// Mutation support: the engine owns a dynamic.Graph — its current version
+// and that version's transpose, each a page table over immutable pages —
+// and applies batched edge mutations to it, advancing the engine epoch
+// once per batch. Apply rebuilds only the pages holding the rows the batch
+// edited, shares every other page with the old version, and widens the
+// weight range by the batch's new weights; the engine publishes the result
+// (dynamic.Current) as its next version. Resident cached distance
 // vectors are not discarded — they are carried over to the new epoch, so
 // the query mix that was hot before a mutation stays hot after it. A batch
 // costs what it changes: a vector the batch cannot alter (dynamic.Affects)
@@ -120,7 +121,7 @@ func (e *Engine) Mutate(batch []dynamic.Mutation) (*MutateResult, error) {
 	// carried vectors — oldest first, as harvested, so the sources that
 	// were hot before the batch are still the last to be evicted after it.
 	// Queries admitted from here on see the new epoch.
-	e.version.Store(newVersion(mr.Epoch, e.dg.Snapshot(), e.dg.ReverseSnapshot()))
+	e.version.Store(newVersion(mr.Epoch, e.dg.Current()))
 	e.cache.purgeStale(mr.Epoch)
 	for i, ent := range resident {
 		e.cache.put(cacheKey{epoch: mr.Epoch, source: ent.key.source}, carried[i], sums[i])

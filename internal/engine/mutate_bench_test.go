@@ -13,9 +13,17 @@ import (
 // edge-factor-8 uniform graph with 60 resident vectors, weights drawn in
 // the graph's own range. Each op applies the batch, carries the 60
 // vectors over (copying and repairing only the ones it alters) and
-// publishes a new snapshot.
-func BenchmarkEngineMutate(b *testing.B) {
-	const n, resident = 1 << 14, 60
+// publishes a new version.
+func BenchmarkEngineMutate(b *testing.B) { benchMutate(b, 14) }
+
+// BenchmarkEngineMutate16 is BenchmarkEngineMutate at 2^16 vertices, with
+// the same 60 resident vectors: the pages a batch rebuilds do not grow
+// with |V|, the page tables and each copied vector do.
+func BenchmarkEngineMutate16(b *testing.B) { benchMutate(b, 16) }
+
+func benchMutate(b *testing.B, scale int) {
+	const resident = 60
+	n := 1 << scale
 	g := gen.Uniform(n, 8*n, gen.Config{Seed: 1})
 	dg := dynamic.FromCSR(g)
 	batches := dynamic.NewBatchGen(dg, xrand.New(2), g.MaxWeight())

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,8 +93,8 @@ func TestMutateRepairsResidentVectors(t *testing.T) {
 	if mr.Inserted != 2 || mr.RepairedVectors != 1 {
 		t.Fatalf("unexpected mutate result %+v", mr)
 	}
-	if mr.Edges != g.NumEdges()+2 || e.Graph().NumEdges() != g.NumEdges()+2 {
-		t.Fatalf("edge count %d / %d, want %d", mr.Edges, e.Graph().NumEdges(), g.NumEdges()+2)
+	if mr.Edges != g.NumEdges()+2 || snapshot(e).NumEdges() != g.NumEdges()+2 {
+		t.Fatalf("edge count %d / %d, want %d", mr.Edges, snapshot(e).NumEdges(), g.NumEdges()+2)
 	}
 
 	second, err := e.Query(ctx, 3, QueryOptions{})
@@ -106,7 +107,7 @@ func TestMutateRepairsResidentVectors(t *testing.T) {
 	if second.Epoch != 1 {
 		t.Fatalf("post-mutation query at epoch %d", second.Epoch)
 	}
-	oracle := seq.Dijkstra(e.Graph(), 3)
+	oracle := seq.Dijkstra(snapshot(e), 3)
 	if i := seq.FirstMismatch(second.Dist, oracle.Dist); i >= 0 {
 		t.Fatalf("repaired vector wrong at %d: %g want %g", i, second.Dist[i], oracle.Dist[i])
 	}
@@ -148,7 +149,7 @@ func TestMissAfterMutationBeyondTheOldWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := seq.Dijkstra(v.g, src)
+		want := seq.Dijkstra(v.g.Graph(), src)
 		if !seq.Equal(res.Dist, want.Dist) {
 			t.Fatalf("source %d: mismatch at vertex %d", src, seq.FirstMismatch(res.Dist, want.Dist))
 		}
@@ -156,6 +157,134 @@ func TestMissAfterMutationBeyondTheOldWeights(t *testing.T) {
 			t.Errorf("source %d: settled %d, relaxations %d; seq.Dijkstra %d and %d", src, res.Settled, res.Relaxations, want.Settled, want.Relaxations)
 		}
 	}
+}
+
+// TestDeleteOfTheLightestEdgeKeepsTheWidth: a version's weight range only
+// widens, so deleting the graph's lightest edge leaves the bucket width
+// where it was, narrower than a scan of the new graph would set it. That
+// costs speed, never exactness: the next misses match seq.Dijkstra's
+// distances and its settled and relaxation counts, because every weight is
+// still at least twice the width.
+func TestDeleteOfTheLightestEdgeKeepsTheWidth(t *testing.T) {
+	g := testGraph()
+	_, _, ws := g.CSR()
+	lightest := slices.Min(ws)
+	// Every edge of that weight goes, with the edges parallel to it: a
+	// delete removes the first of them in row order.
+	var batch []dynamic.Mutation
+	g.EachEdge(func(from, to int32, w float64) {
+		if w != lightest {
+			return
+		}
+		ts, _ := g.Neighbors(int(from))
+		for _, v := range ts {
+			if v == to {
+				batch = append(batch, dynamic.Mutation{Op: dynamic.Delete, From: from, To: to})
+			}
+		}
+	})
+	e, _ := mustDynamicEngine(t, g, Config{})
+	old := e.version.Load()
+	if lightest <= 0 || old.width != lightest/2 {
+		t.Fatalf("width %g before the batch, want half the lightest weight %g", old.width, lightest)
+	}
+	if _, err := e.Mutate(batch); err != nil {
+		t.Fatal(err)
+	}
+	v := e.version.Load()
+	if v.width != old.width || v.span != old.span {
+		t.Fatalf("bucket width %g and span %g after the delete, want %g and %g kept", v.width, v.span, old.width, old.span)
+	}
+	snap := v.g.Graph()
+	if _, _, ws := snap.CSR(); slices.Min(ws)/2 <= v.width {
+		t.Fatalf("the new graph's lightest weight %g would not widen the buckets past %g; the delete tests nothing", slices.Min(ws), v.width)
+	}
+	ctx := context.Background()
+	for _, src := range []int{int(batch[0].From), int(batch[0].To), 0, 5} {
+		res, err := e.Query(ctx, src, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := seq.Dijkstra(snap, src)
+		if !seq.Equal(res.Dist, want.Dist) {
+			t.Fatalf("source %d: mismatch at vertex %d", src, seq.FirstMismatch(res.Dist, want.Dist))
+		}
+		if res.Settled != int64(want.Settled) || res.Relaxations != want.Relaxations {
+			t.Errorf("source %d: settled %d, relaxations %d; seq.Dijkstra %d and %d", src, res.Settled, res.Relaxations, want.Settled, want.Relaxations)
+		}
+	}
+}
+
+// TestHeldVersionIsImmutable: a reader holding one version runs misses,
+// point-to-point searches and full scans of both directions' rows on it
+// while 200 batches land concurrently, and sees the same rows, bit for
+// bit, and the same answers throughout. Every batch rebuilds the pages it
+// edits into new ones; none writes a page a published version reaches.
+// Run under -race in CI.
+func TestHeldVersionIsImmutable(t *testing.T) {
+	const n, batches = 1 << 10, 200
+	g := gen.Uniform(n, 8*n, gen.Config{Seed: 42, MaxWeight: 50})
+	e, dg := mustDynamicEngine(t, g, Config{})
+	r := xrand.New(42)
+	bg := dynamic.NewBatchGen(dg, r, 100) // built before the writer starts; it tracks edges itself
+	held := e.version.Load()
+	rows := freezeRows(held)
+	flat := held.g.Graph()
+	want := seq.Dijkstra(flat, 0)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			if _, err := e.Mutate(bg.Next(1 + r.Intn(4))); err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+		}
+	}()
+	q := pq.NewBucketQueue(n)
+	var ps pathSearch
+	ctx := context.Background()
+	for round, finished := 0, false; !finished; round++ {
+		select {
+		case <-done:
+			finished = true // one more round after the last batch landed
+		default:
+		}
+		sol, err := dijkstra(ctx, held, 0, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !seq.Equal(sol.dist, want.Dist) || sol.settled != int64(want.Settled) {
+			t.Fatalf("round %d: a miss on the held version differs from its oracle", round)
+		}
+		target := (round*97 + 1) % n
+		if pr := ps.run(held.g, held.rev, 0, target); pr.Distance != want.Dist[target] && math.Abs(pr.Distance-want.Dist[target]) > 1e-9*want.Dist[target] {
+			t.Fatalf("round %d: path 0->%d on the held version = %g, oracle %g", round, target, pr.Distance, want.Dist[target])
+		}
+		if !bytes.Equal(freezeRows(held), rows) {
+			t.Fatalf("round %d: the held version's rows changed under a batch", round)
+		}
+	}
+	if e.Epoch() != batches {
+		t.Fatalf("epoch %d after the writer, want %d", e.Epoch(), batches)
+	}
+}
+
+// freezeRows encodes every row of v, both directions, as bytes.
+func freezeRows(v *graphVersion) []byte {
+	var b []byte
+	for _, p := range []*dynamic.Pages{v.g, v.rev} {
+		for u := 0; u < p.NumVertices(); u++ {
+			ts, ws := p.Neighbors(u)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))
+			for i, t := range ts {
+				b = binary.LittleEndian.AppendUint32(b, uint32(t))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ws[i]))
+			}
+		}
+	}
+	return b
 }
 
 // TestMutateKeepsRecency: re-homing the repaired vectors under the new epoch
@@ -216,7 +345,7 @@ func TestMutateRejectsBadBatch(t *testing.T) {
 	if e.Epoch() != 0 {
 		t.Fatalf("failed batch advanced epoch to %d", e.Epoch())
 	}
-	if e.Graph().NumEdges() != g.NumEdges() {
+	if snapshot(e).NumEdges() != g.NumEdges() {
 		t.Fatal("failed batch left edges behind")
 	}
 	res, err := e.Query(context.Background(), 7, QueryOptions{})
@@ -307,7 +436,7 @@ func TestCacheCoherenceUnderMutation(t *testing.T) {
 	// Oracle graphs per epoch, recorded as mutations land. Engine snapshots
 	// are immutable, so retaining them is safe.
 	var oracleMu sync.Mutex
-	oracle := map[uint64]*graph.Graph{0: e.Graph()}
+	oracle := map[uint64]*graph.Graph{0: snapshot(e)}
 
 	const readers = 8
 	const queriesPerReader = 40
@@ -364,7 +493,7 @@ func TestCacheCoherenceUnderMutation(t *testing.T) {
 				return
 			}
 			oracleMu.Lock()
-			oracle[mr.Epoch] = e.Graph()
+			oracle[mr.Epoch] = snapshot(e)
 			oracleMu.Unlock()
 		}
 	}()
@@ -620,7 +749,7 @@ func TestMutateCopiesOnlyWhatItChanges(t *testing.T) {
 		var batch []dynamic.Mutation
 		invalid := b%7 == 6
 		if invalid {
-			ts, _ := e.Graph().Neighbors(0)
+			ts, _ := e.version.Load().g.Neighbors(0)
 			if len(ts) == 0 {
 				t.Fatal("vertex 0 has no out-edge to delete")
 			}
@@ -645,7 +774,7 @@ func TestMutateCopiesOnlyWhatItChanges(t *testing.T) {
 				t.Fatalf("batch %d: %v", b, err)
 			}
 			copied := 0
-			snap := e.Graph()
+			snap := snapshot(e)
 			for s := 0; s < sources; s++ {
 				ent, ok := e.cache.get(cacheKey{epoch: mr.Epoch, source: int32(s)})
 				if !ok {

@@ -4,8 +4,8 @@ package engine
 // them; filling a miss would compute (and cache) everything reachable.
 // When the source's full vector is already resident the answer is a tree
 // walk; otherwise the engine runs a bidirectional Dijkstra: a forward
-// search from the source on the version's CSR and a backward search from
-// the target on its reverse CSR, each step expanding the side with the
+// search from the source on the version's pages and a backward search from
+// the target on its reverse pages, each step expanding the side with the
 // smaller frontier. The two meet in the middle, so a query settles two
 // small balls instead of one ball of the target's radius.
 //
@@ -25,7 +25,7 @@ import (
 	"math"
 	"time"
 
-	"acic/internal/graph"
+	"acic/internal/dynamic"
 	"acic/internal/pq"
 )
 
@@ -158,7 +158,7 @@ func (ps *pathSearch) begin(n int, root [2]int) {
 }
 
 // run answers source→target on g, whose reverse is rev.
-func (ps *pathSearch) run(g, rev *graph.Graph, source, target int) *PathResult {
+func (ps *pathSearch) run(g, rev *dynamic.Pages, source, target int) *PathResult {
 	pr := &PathResult{Source: source, Target: target, Distance: math.Inf(1)}
 	if source == target {
 		pr.Reachable, pr.Distance, pr.Path = true, 0, []int32{int32(source)}
@@ -166,7 +166,7 @@ func (ps *pathSearch) run(g, rev *graph.Graph, source, target int) *PathResult {
 	}
 	ps.begin(g.NumVertices(), [2]int{source, target})
 	gen := ps.gen
-	dirs := [2]*graph.Graph{g, rev}
+	dirs := [2]*dynamic.Pages{g, rev}
 	mu := math.Inf(1)
 	// The best path found is source ⇝ meetFrom → meetTo ⇝ target, with
 	// meetFrom → meetTo an edge of g: forward labels lead back from

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"acic/internal/dynamic"
 	"acic/internal/gen"
 	"acic/internal/graph"
 	"acic/internal/seq"
@@ -94,7 +95,7 @@ func oracleGraphs() map[string]*graph.Graph {
 func TestBidirectionalMatchesOracle(t *testing.T) {
 	for name, g := range oracleGraphs() {
 		n := g.NumVertices()
-		rev := g.Reverse()
+		dv := dynamic.FromCSR(g).Current()
 		r := xrand.New(11)
 		pairs := [][2]int{{0, 0}, {0, 1}, {0, n / 2}, {0, n - 1}}
 		for i := 0; i < 40; i++ {
@@ -112,7 +113,7 @@ func TestBidirectionalMatchesOracle(t *testing.T) {
 			if i == 2 { // after the first search, pairs[1]
 				ps.gen = math.MaxUint32 - 2
 			}
-			pr := ps.run(g, rev, source, target)
+			pr := ps.run(dv.Out, dv.In, source, target)
 			if oracles[source] == nil {
 				oracles[source] = seq.Dijkstra(g, source).Dist
 			}
@@ -161,7 +162,8 @@ func TestBidirectionalPrunes(t *testing.T) {
 	// The forward side, still the smaller, expands 2 and prunes both of
 	// its detours; then topF + topB = +Inf >= μ stops the search.
 	var ps pathSearch
-	pr := ps.run(g, g.Reverse(), 0, 1)
+	dv := dynamic.FromCSR(g).Current()
+	pr := ps.run(dv.Out, dv.In, 0, 1)
 	if !pr.Reachable || pr.Distance != 1 {
 		t.Fatalf("distance = %v (reachable=%v), want 1", pr.Distance, pr.Reachable)
 	}

@@ -9,18 +9,17 @@ package engine
 // lowest non-empty bucket is final, and the queue pops it without a single
 // key comparison. This is Meyer–Sanders Δ-stepping run on one core at a Δ
 // small enough that it never settles a vertex twice. Each graph version
-// carries its bucket width and span, set by bucketRule when the version is
-// made, never per miss. The kernel is not seq.Dijkstra: that keeps its
-// heap and stays the independent reference the tests and the benchmark
-// compare every answer with, while this kernel polls its caller's context
-// and reports its work.
+// carries its bucket width and span, set by bucketRule from the version's
+// widen-only weight range when the version is made, never per miss. The
+// kernel is not seq.Dijkstra: that keeps its heap and stays the
+// independent reference the tests and the benchmark compare every answer
+// with, while this kernel polls its caller's context and reports its work.
 
 import (
 	"context"
 	"math"
 	"time"
 
-	"acic/internal/graph"
 	"acic/internal/pq"
 )
 
@@ -36,27 +35,19 @@ const cancelPollMask = 1<<10 - 1
 // rounding of key/width within pq.MaxBuckets.
 const spanBuckets = pq.MaxBuckets - 2
 
-// bucketRule returns the bucket width and key span of a miss's queue on g.
-// The span is the largest weight: every key in the queue is within it of
-// the last key popped. The width is half the smallest positive weight,
-// unless the span would then cover more than spanBuckets widths; past that
-// cap the width is span/spanBuckets. A graph with no positive weight gets
-// width 1 and span 0: every key is 0, in one bucket.
-func bucketRule(g *graph.Graph) (width, span float64) {
-	_, _, ws := g.CSR()
-	wmin := math.Inf(1)
-	for _, w := range ws {
-		if w > 0 && w < wmin {
-			wmin = w
-		}
-		if w > span {
-			span = w
-		}
-	}
-	if span == 0 {
+// bucketRule returns the bucket width and key span of a miss's queue on a
+// graph whose positive weights lie in [wmin, wmax]. The span is wmax:
+// every key in the queue is within it of the last key popped. The width is
+// wmin/2, unless the span would then cover more than spanBuckets widths;
+// past that cap the width is span/spanBuckets. A range wider than the
+// graph's weights (dynamic.Version's only widens) costs speed, never
+// exactness. A graph with no positive weight (wmax 0) gets width 1 and
+// span 0: every key is 0, in one bucket.
+func bucketRule(wmin, wmax float64) (width, span float64) {
+	if wmax == 0 {
 		return 1, 0
 	}
-	width = wmin / 2
+	width, span = wmin/2, wmax
 	if span > width*spanBuckets {
 		width = span / spanBuckets
 	}

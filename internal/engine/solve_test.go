@@ -39,7 +39,7 @@ func TestDijkstraStopsOnCancelAndReusesItsHeap(t *testing.T) {
 	wide := gen.Uniform(n, 8*n, gen.Config{Seed: 4, MaxWeight: 4096})
 	q := pq.NewBucketQueue(n)
 	ctx := &cancelAfter{Context: context.Background(), polls: 2}
-	if _, err := dijkstra(ctx, newVersion(0, g, nil), 0, q); !errors.Is(err, context.Canceled) {
+	if _, err := dijkstra(ctx, newVersion(0, dynamic.FromCSR(g).Current()), 0, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
 	}
 	if ctx.polls != -1 {
@@ -52,7 +52,7 @@ func TestDijkstraStopsOnCancelAndReusesItsHeap(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{{"same version", g}, {"wider weights", wide}} {
-		sol, err := dijkstra(context.Background(), newVersion(0, c.g, nil), 7, q)
+		sol, err := dijkstra(context.Background(), newVersion(0, dynamic.FromCSR(c.g).Current()), 7, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,8 +87,9 @@ func Build(numVertices int, edges []Edge) (*Graph, error) {
 // len(targets) == len(weights), and every target and weight must be what
 // Build would accept; Adopt checks only the lengths and the end offsets.
 // It is the constructor for builders that already hold an exact CSR
-// layout (the spliced snapshots of internal/dynamic), where Build's edge
-// list and counting sort would be a second copy of the graph.
+// layout (Reverse's transpose, the flat copies internal/dynamic makes of
+// its paged versions), where Build's edge list and counting sort would be
+// a second copy of the graph.
 func Adopt(offsets []int64, targets []int32, weights []float64) *Graph {
 	if len(offsets) == 0 || offsets[0] != 0 || offsets[len(offsets)-1] != int64(len(targets)) || len(targets) != len(weights) {
 		panic(fmt.Sprintf("graph: Adopt of inconsistent CSR (%d offsets, %d targets, %d weights)", len(offsets), len(targets), len(weights)))

@@ -18,6 +18,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-bench_local.json}"
+# The code measured is the tree as it stands now: a record made before its
+# commit names the parent with "+dirty" appended. Read before OUT is
+# written, so a new record does not count itself.
+COMMIT="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+  COMMIT+="+dirty"
+fi
 RUNS="${RUNS:-3}"
 EXTRA_RUNS="${EXTRA_RUNS:-3}"
 VARIANCE_PCT="${VARIANCE_PCT:-10}"
@@ -41,6 +48,7 @@ BENCHES=(
   "BenchmarkWireDecodeReduce|./internal/core|"
   "BenchmarkHotPathSSSP|./internal/bench|-benchtime=10x"
   "BenchmarkEngineMutate|./internal/engine|-benchtime=200x"
+  "BenchmarkEngineMutate16|./internal/engine|-benchtime=200x"
   "BenchmarkEnginePath|./internal/engine|"
   "BenchmarkEngineMiss|./internal/engine|"
   "BenchmarkEngineMissShapes/random|./internal/engine|"
@@ -156,7 +164,7 @@ done
 {
   echo '{'
   printf '  "go": "%s",\n' "$(go env GOVERSION)"
-  printf '  "commit": "%s",\n' "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+  printf '  "commit": "%s",\n' "$COMMIT"
   printf '  "runs_per_bench": %d,\n' "$RUNS"
   printf '  "variance_threshold_pct": %d,\n' "$VARIANCE_PCT"
   echo '  "benchmarks": ['
