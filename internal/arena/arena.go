@@ -31,10 +31,6 @@ package arena
 
 import "sync"
 
-// DefaultChunkCap matches tram.DefaultCapacity so tram buffers, hold
-// chunks and demux forwards all recycle through one arena.
-const DefaultChunkCap = 1024
-
 // shard is one owner's private freelist, padded so neighboring owners'
 // hot fields never share a cache line.
 type shard[T any] struct {
@@ -82,9 +78,6 @@ func New[T any](owners, chunkCap int) *Arena[T] {
 
 // ChunkCap returns the uniform chunk capacity.
 func (a *Arena[T]) ChunkCap() int { return a.chunkCap }
-
-// Owners returns the number of private freelists.
-func (a *Arena[T]) Owners() int { return len(a.shards) }
 
 // refillBatch bounds how many spilled chunks an owner pulls back under one
 // lock acquisition: enough to amortize the mutex, few enough not to starve

@@ -39,12 +39,11 @@ func BenchmarkWireDecodeBatch(b *testing.B) {
 	c, sh := newWireHarness(b)
 	m := sh.pools.getBatch()
 	m.items = fullBatch(sh)
-	n := len(m.items)
 	frame, err := c.EncodeFrame(nil, m)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(16 * n))
+	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +66,9 @@ func fullBatch(sh *sharedState) []Update {
 	return items
 }
 
-// BenchmarkWireDecodeReduce measures decoding a reduction contribution.
+// BenchmarkWireDecodeReduce measures decoding a reduction contribution
+// with every second of the histogram's buckets nonzero: 256 of 512, so its
+// ns/op scales with the bucket count and bytes/s is the figure to compare.
 // The value lands in a pooled *reduceVal (pointer boxing is free) and is
 // recycled every iteration, so the steady state allocates nothing — the
 // second ceiling scripts/bench.sh gates.
@@ -82,6 +83,7 @@ func BenchmarkWireDecodeReduce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

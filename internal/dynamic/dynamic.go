@@ -4,16 +4,16 @@
 // repair that makes mutations cheap to serve (see repair.go).
 //
 // A Graph is one Version per epoch, nothing else: the graph and its
-// transpose, each a page table over immutable 256-row pages (pages.go),
-// and a widen-only range of its weights. Apply edits copies of the rows a
-// batch touches and, once every mutation has validated, rebuilds only the
-// pages holding them; the next Version copies the page table and shares
-// every other page with the last one by pointer. A rejected batch drops
-// its copies, so the graph it leaves is the one it found. The reverse
-// direction lets a point-to-point search walk the graph backwards from its
-// target, and lets Repair re-relax an invalidated subtree from its
-// in-edges. Snapshot and ReverseSnapshot copy the current version into
-// flat CSRs for callers that need a graph.Graph.
+// transpose, each a graph.Graph (a paged CSR: a table of immutable
+// 256-row pages), and a widen-only range of its weights. Apply edits
+// copies of the rows a batch touches and, once every mutation has
+// validated, hands them to graph.Graph.With, which rebuilds only the pages
+// holding them; the next Version shares every other page with the last
+// one by pointer. A rejected batch drops its copies, so the graph it
+// leaves is the one it found. The reverse direction lets a point-to-point
+// search walk the graph backwards from its target, and lets Repair
+// re-relax an invalidated subtree from its in-edges. Snapshot is the
+// current version's forward graph itself, in O(1).
 //
 // A batch costs what it changes: the pages it edits, one table of |V|/256
 // pointers per direction, and O(batch) for the weight range. Repair's
@@ -125,12 +125,12 @@ type Graph struct {
 	roots, stack, invalid []int32
 }
 
-// Version is the graph at one epoch: both directions as page tables, and a
-// range holding every positive weight. Nothing a Version reaches is
-// written after Apply returns it, so readers may keep it across batches.
+// Version is the graph at one epoch: both directions, and a range holding
+// every positive weight. Nothing a Version reaches is written after Apply
+// returns it, so readers may keep it across batches.
 type Version struct {
 	// Out is the graph; In holds, in row v, the edges into v.
-	Out, In *Pages
+	Out, In *graph.Graph
 	// MinWeight is at most the smallest positive weight and MaxWeight at
 	// least the largest weight. The range only widens: inserts and
 	// reweights widen it with their new weights, deletes leave it as it
@@ -150,14 +150,16 @@ func (v Version) widen(w float64) Version {
 	return v
 }
 
-// FromCSR returns the dynamic graph of g at epoch 0. Its pages alias g,
-// which is immutable, and one transpose of g for the in-edges, so it
-// copies only page offsets; it reads g's weights once for the range.
+// FromCSR returns the dynamic graph of g at epoch 0. Its forward
+// direction is g itself, which is immutable, and its reverse one transpose
+// of g; it reads g's weights once for the range.
 func FromCSR(g *graph.Graph) *Graph {
-	v := Version{Out: pagesOf(g), In: pagesOf(g.Reverse()), MinWeight: math.Inf(1)}
-	_, _, ws := g.CSR()
-	for _, w := range ws {
-		v = v.widen(w)
+	v := Version{Out: g, In: g.Reverse(), MinWeight: math.Inf(1)}
+	for u := range g.NumVertices() {
+		_, ws := g.Neighbors(u)
+		for _, w := range ws {
+			v = v.widen(w)
+		}
 	}
 	return &Graph{cur: v}
 }
@@ -178,16 +180,9 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 // concurrent queries.
 func (g *Graph) Current() Version { return g.cur }
 
-// Snapshot returns a flat CSR copy of the current epoch's graph, made in
-// O(|V| + |E|) per call, for callers that need a graph.Graph (oracles,
-// SSSP).
-func (g *Graph) Snapshot() *graph.Graph { return g.cur.Out.Graph() }
-
-// ReverseSnapshot is Snapshot for the reverse graph: row v lists the edges
-// into v, the same edges as Snapshot flipped. An edited row keeps the
-// order its edits left it in, which need not be the source order of
-// Snapshot().Reverse().
-func (g *Graph) ReverseSnapshot() *graph.Graph { return g.cur.In.Graph() }
+// Snapshot returns the current epoch's graph, Current().Out, in O(1). A
+// later batch never writes it.
+func (g *Graph) Snapshot() *graph.Graph { return g.cur.Out }
 
 // Delta is the classified record of one applied batch, consumed by Repair.
 // Decreased lists edges that were inserted or whose weight decreased
@@ -213,15 +208,16 @@ func (d *Delta) Empty() bool { return len(d.Decreased) == 0 && len(d.Increased) 
 // batch may insert an edge and then delete it.
 //
 // Each direction's edits go to copies of the rows they touch; a failed
-// batch drops the copies, and a successful one rebuilds the pages holding
-// them into the next Version (pages.go). Both directions keep their rows
-// in order and take the same edits, so the k-th from→to edge of a forward
-// row is the k-th half to from in the reverse row of to. A delete or
-// reweight hits the first of its parallel edges in each direction, matched
-// by endpoints alone, and the two are one edge.
+// batch drops the copies, and a successful one hands them to
+// graph.Graph.With, which rebuilds the pages holding them into the next
+// Version. Both directions keep their rows in order and take the same
+// edits, so the k-th from→to edge of a forward row is the k-th arc to from
+// in the reverse row of to. A delete or reweight hits the first of its
+// parallel edges in each direction, matched by endpoints alone, and the
+// two are one edge.
 func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 	d := &Delta{}
-	out, in := edits{g.cur.Out, map[int32][]half{}}, edits{g.cur.In, map[int32][]half{}}
+	out, in := edits{g.cur.Out, map[int32][]graph.Arc{}}, edits{g.cur.In, map[int32][]graph.Arc{}}
 	next := g.cur
 	n := g.NumVertices()
 	for i, m := range batch {
@@ -233,8 +229,8 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 		}
 		switch m.Op {
 		case Insert:
-			out.rows[m.From] = append(out.row(m.From), half{v: m.To, w: m.Weight})
-			in.rows[m.To] = append(in.row(m.To), half{v: m.From, w: m.Weight})
+			out.rows[m.From] = append(out.row(m.From), graph.Arc{To: m.To, Weight: m.Weight})
+			in.rows[m.To] = append(in.row(m.To), graph.Arc{To: m.From, Weight: m.Weight})
 			next = next.widen(m.Weight)
 			d.Inserted++
 			d.Decreased = append(d.Decreased, graph.Edge{From: m.From, To: m.To, Weight: m.Weight})
@@ -243,7 +239,7 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 			if j < 0 {
 				return nil, fmt.Errorf("%w: batch[%d] %s", ErrEdgeNotFound, i, m)
 			}
-			w := row[j].w
+			w := row[j].Weight
 			out.rows[m.From] = slices.Delete(row, j, j+1)
 			row, j = in.find(m.To, m.From)
 			in.rows[m.To] = slices.Delete(row, j, j+1)
@@ -254,10 +250,10 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 			if j < 0 {
 				return nil, fmt.Errorf("%w: batch[%d] %s", ErrEdgeNotFound, i, m)
 			}
-			old := row[j].w
-			row[j].w = m.Weight
+			old := row[j].Weight
+			row[j].Weight = m.Weight
 			row, j = in.find(m.To, m.From)
-			row[j].w = m.Weight
+			row[j].Weight = m.Weight
 			next = next.widen(m.Weight)
 			d.Reweighted++
 			if m.Weight < old {
@@ -269,47 +265,40 @@ func (g *Graph) Apply(batch []Mutation) (*Delta, error) {
 			return nil, fmt.Errorf("dynamic: batch[%d]: unknown op %d", i, m.Op)
 		}
 	}
-	next.Out, next.In = next.Out.with(out.rows), next.In.with(in.rows)
+	next.Out, next.In = next.Out.With(out.rows), next.In.With(in.rows)
 	g.cur = next
 	g.epoch++
 	d.Epoch = g.epoch
 	return d, nil
 }
 
-// half is one directed half-edge in an edited row: the far endpoint and
-// the weight.
-type half struct {
-	v int32
-	w float64
-}
-
 // edits is one direction's rows that a batch has edited so far, each
-// copied from pages on first touch and kept in row order.
+// copied from the graph on first touch and kept in row order.
 type edits struct {
-	pages *Pages
-	rows  map[int32][]half
+	g    *graph.Graph
+	rows map[int32][]graph.Arc
 }
 
-// row returns u's edited row, copying it from the pages on first touch.
-func (e *edits) row(u int32) []half {
+// row returns u's edited row, copying it from the graph on first touch.
+func (e *edits) row(u int32) []graph.Arc {
 	if r, ok := e.rows[u]; ok {
 		return r
 	}
-	ts, ws := e.pages.Neighbors(int(u))
-	r := make([]half, len(ts), len(ts)+1)
+	ts, ws := e.g.Neighbors(int(u))
+	r := make([]graph.Arc, len(ts), len(ts)+1)
 	for i, t := range ts {
-		r[i] = half{v: t, w: ws[i]}
+		r[i] = graph.Arc{To: t, Weight: ws[i]}
 	}
 	e.rows[u] = r
 	return r
 }
 
-// find returns u's edited row and the slot in it of the first half to v,
+// find returns u's edited row and the slot in it of the first arc to v,
 // or -1 when there is none.
-func (e *edits) find(u, v int32) ([]half, int) {
+func (e *edits) find(u, v int32) ([]graph.Arc, int) {
 	r := e.row(u)
-	for i, h := range r {
-		if h.v == v {
+	for i, a := range r {
+		if a.To == v {
 			return r, i
 		}
 	}

@@ -63,6 +63,28 @@ func TestFromCSRSnapshotRoundTrip(t *testing.T) {
 	edgesEqual(t, g, dg.Snapshot())
 }
 
+// TestSnapshotIsTheCurrentGraph: Snapshot is an accessor — it returns the
+// current version's forward graph itself, before and after a batch, and
+// allocates nothing.
+func TestSnapshotIsTheCurrentGraph(t *testing.T) {
+	g := diamond()
+	dg := FromCSR(g)
+	if dg.Snapshot() != g {
+		t.Fatal("Snapshot at epoch 0 is not the graph FromCSR was given")
+	}
+	if _, err := dg.Apply([]Mutation{{Op: Insert, From: 5, To: 0, Weight: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if dg.Snapshot() != dg.Current().Out {
+		t.Fatal("Snapshot is not Current().Out")
+	}
+	var sink *graph.Graph
+	if allocs := testing.AllocsPerRun(100, func() { sink = dg.Snapshot() }); allocs != 0 {
+		t.Fatalf("Snapshot made %v allocations, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestApplyClassifiesAndCounts(t *testing.T) {
 	dg := FromCSR(diamond())
 	d, err := dg.Apply([]Mutation{
@@ -149,8 +171,8 @@ func TestApplyRollbackParallelEdges(t *testing.T) {
 		t.Fatalf("epoch advanced to %d on failed batch", dg.Epoch())
 	}
 	edgesEqual(t, base, dg.Snapshot())
-	// The reverse CSR must hold the same multiset too.
-	froms, ws := dg.ReverseSnapshot().Neighbors(1)
+	// The reverse graph must hold the same multiset too.
+	froms, ws := dg.Current().In.Neighbors(1)
 	revW := append([]float64(nil), ws...)
 	sort.Float64s(revW)
 	if len(froms) != 2 || revW[0] != 5 || revW[1] != 7 {
@@ -187,7 +209,7 @@ func TestDeleteMatchesParallelEdgeWeights(t *testing.T) {
 	if es := snap.Edges(); es[0].Weight != 3 {
 		t.Fatalf("surviving weight %g, want 3", es[0].Weight)
 	}
-	if froms, ws := dg.ReverseSnapshot().Neighbors(1); len(froms) != 1 || ws[0] != 3 {
+	if froms, ws := dg.Current().In.Neighbors(1); len(froms) != 1 || ws[0] != 3 {
 		t.Fatalf("reverse row out of step: %v %v", froms, ws)
 	}
 }

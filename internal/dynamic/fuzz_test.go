@@ -1,15 +1,15 @@
 package dynamic
 
-// Fuzzing the paged versions: Apply edits copies of the rows a batch
-// touches and rebuilds the pages holding them, sharing every other page
-// with the previous version. A rebuild that misplaces a run of rows, or an
-// edit that hits the wrong edge or reorders a row, shows up as a Snapshot
-// that differs from graph.Build of a plain list model of the same batches
-// (applyModel), or as a ReverseSnapshot row that is not the multiset of
-// the model's edges into that vertex. A page written after it was
-// published shows up as an earlier version whose rows changed; a page
-// rebuilt without an edit in it, as one no longer shared by pointer. The
-// tape mixes valid batches, invalid ones that must leave the version as it
+// Fuzzing the versions: Apply edits copies of the rows a batch touches and
+// hands them to graph.Graph.With, which rebuilds the pages holding them. A
+// rebuild that misplaces a run of rows, or an edit that hits the wrong
+// edge or reorders a row, shows up as a Snapshot that differs from
+// graph.Build of a plain list model of the same batches (applyModel), or
+// as a reverse row that is not the multiset of the model's edges into that
+// vertex. A page written after it was published shows up as an earlier
+// version whose rows changed. (That With shares every page without an
+// edited row is checked in internal/graph, which sees the pages.) The tape
+// mixes valid batches, invalid ones that must leave the version as it
 // was, parallel edges, insert-then-delete within one batch, and
 // same-weight SetWeight; a header byte of 128 or more spreads the vertices
 // over several pages.
@@ -58,11 +58,12 @@ func FuzzSnapshotSplice(f *testing.F) {
 		r := &tapeReader{data: data}
 		h := r.next()
 		logical := 2 + int(h%6)
-		// With the spread, logical vertex i is vertex i·(pageSize/2+1): the
-		// rows between are empty and the edited ones land on several pages.
+		// With the spread, logical vertex i is vertex 129·i, half a
+		// 256-row graph page and one: the rows between are empty and the
+		// edited ones land on several pages.
 		stride := int32(1)
 		if h >= 128 {
-			stride = pageSize/2 + 1
+			stride = 129
 		}
 		vertex := func(b byte) int32 { return int32(b) % int32(logical) * stride }
 		n := (logical-1)*int(stride) + 1
@@ -71,11 +72,11 @@ func FuzzSnapshotSplice(f *testing.F) {
 			edges = append(edges, graph.Edge{From: vertex(r.next()), To: vertex(r.next()), Weight: float64(r.next() % 4)})
 		}
 		dg := FromCSR(graph.MustBuild(n, edges))
-		model := make([][]half, n)
+		model := make([][]graph.Arc, n)
 		for _, e := range edges {
-			model[e.From] = append(model[e.From], half{v: e.To, w: e.Weight})
+			model[e.From] = append(model[e.From], graph.Arc{To: e.To, Weight: e.Weight})
 		}
-		prev := checkVersion(t, dg, model, versionState{}, nil)
+		prev := checkVersion(t, dg, model, versionState{})
 
 		// existing names the slot-th out-edge of v as it stands now, or a
 		// pair that may not exist when v has none.
@@ -126,7 +127,7 @@ func FuzzSnapshotSplice(f *testing.F) {
 				}
 				if err == nil {
 					model = want
-					prev = checkVersion(t, dg, model, prev, batch)
+					prev = checkVersion(t, dg, model, prev)
 				}
 				batch = batch[:0]
 			}
@@ -139,8 +140,8 @@ func FuzzSnapshotSplice(f *testing.F) {
 // delete keeping the order of the rest. It returns the new lists, or adj
 // and false when an op names a vertex out of range or a missing edge (the
 // only failures the tape makes).
-func applyModel(adj [][]half, batch []Mutation) ([][]half, bool) {
-	next := make([][]half, len(adj))
+func applyModel(adj [][]graph.Arc, batch []Mutation) ([][]graph.Arc, bool) {
+	next := make([][]graph.Arc, len(adj))
 	for v := range adj {
 		next[v] = slices.Clone(adj[v])
 	}
@@ -150,16 +151,16 @@ func applyModel(adj [][]half, batch []Mutation) ([][]half, bool) {
 			return adj, false
 		}
 		row := next[m.From]
-		i := slices.IndexFunc(row, func(h half) bool { return h.v == m.To })
+		i := slices.IndexFunc(row, func(a graph.Arc) bool { return a.To == m.To })
 		switch {
 		case m.Op == Insert:
-			next[m.From] = append(row, half{v: m.To, w: m.Weight})
+			next[m.From] = append(row, graph.Arc{To: m.To, Weight: m.Weight})
 		case i < 0:
 			return adj, false
 		case m.Op == Delete:
 			next[m.From] = slices.Delete(row, i, i+1)
 		default:
-			row[i].w = m.Weight
+			row[i].Weight = m.Weight
 		}
 	}
 	return next, true
@@ -173,83 +174,59 @@ type versionState struct {
 }
 
 // checkVersion requires dg's current version to hold the model: Snapshot
-// equal to graph.Build of the model slot for slot, ReverseSnapshot row v
-// the multiset of the model's edges into v, and the weight range around
-// every positive weight. The previous version must still hold the edges it
-// held, and every page without a row the batch edited must be the previous
-// version's, by pointer.
-func checkVersion(t *testing.T, dg *Graph, model [][]half, prev versionState, batch []Mutation) versionState {
+// equal to graph.Build of the model slot for slot, reverse row v the
+// multiset of the model's edges into v, and the weight range around every
+// positive weight. The previous version must still hold the edges it held.
+func checkVersion(t *testing.T, dg *Graph, model [][]graph.Arc, prev versionState) versionState {
 	t.Helper()
 	cur := versionState{v: dg.Current()}
-	checkCSR(t, dg.Snapshot(), model)
+	checkRows(t, dg.Snapshot(), model)
 	into := make([][]graph.Edge, len(model))
-	for u, hs := range model {
-		for _, h := range hs {
-			into[h.v] = append(into[h.v], graph.Edge{From: h.v, To: int32(u), Weight: h.w})
-			if h.w > 0 && (h.w < cur.v.MinWeight || h.w > cur.v.MaxWeight) {
-				t.Fatalf("weight %g of %d->%d outside the version's range [%g, %g]", h.w, u, h.v, cur.v.MinWeight, cur.v.MaxWeight)
+	for u, row := range model {
+		for _, a := range row {
+			into[a.To] = append(into[a.To], graph.Edge{From: a.To, To: int32(u), Weight: a.Weight})
+			if a.Weight > 0 && (a.Weight < cur.v.MinWeight || a.Weight > cur.v.MaxWeight) {
+				t.Fatalf("weight %g of %d->%d outside the version's range [%g, %g]", a.Weight, u, a.To, cur.v.MinWeight, cur.v.MaxWeight)
 			}
 		}
 	}
-	rev := dg.ReverseSnapshot()
 	for v := range into {
 		sortEdges(into[v])
-		if got := sortedRow(rev, v); !slices.Equal(got, into[v]) {
-			t.Fatalf("reverse snapshot row %d = %v, the model's edges into %d are %v", v, got, v, into[v])
+		if got := sortedRow(cur.v.In, v); !slices.Equal(got, into[v]) {
+			t.Fatalf("reverse row %d = %v, the model's edges into %d are %v", v, got, v, into[v])
 		}
 	}
 	if prev.v.Out != nil {
-		if got := prev.v.Out.Graph().Edges(); !slices.Equal(got, prev.outEdges) {
+		if got := prev.v.Out.Edges(); !slices.Equal(got, prev.outEdges) {
 			t.Fatalf("previous version changed %v -> %v", prev.outEdges, got)
 		}
-		if got := prev.v.In.Graph().Edges(); !slices.Equal(got, prev.inEdges) {
+		if got := prev.v.In.Edges(); !slices.Equal(got, prev.inEdges) {
 			t.Fatalf("previous reverse version changed %v -> %v", prev.inEdges, got)
 		}
-		checkShared(t, "out", prev.v.Out, cur.v.Out, batch, func(m Mutation) int32 { return m.From })
-		checkShared(t, "in", prev.v.In, cur.v.In, batch, func(m Mutation) int32 { return m.To })
 	}
-	cur.outEdges, cur.inEdges = cur.v.Out.Graph().Edges(), cur.v.In.Graph().Edges()
+	cur.outEdges, cur.inEdges = cur.v.Out.Edges(), cur.v.In.Edges()
 	return cur
 }
 
-// checkShared requires every page of next that holds no row the batch
-// edited (row(m) for each mutation m) to be prev's page, by pointer.
-func checkShared(t *testing.T, dir string, prev, next *Pages, batch []Mutation, row func(Mutation) int32) {
-	t.Helper()
-	edited := map[int]bool{}
-	for _, m := range batch {
-		edited[int(row(m)>>pageShift)] = true
-	}
-	for k := range next.table {
-		if !edited[k] && next.table[k] != prev.table[k] {
-			t.Fatalf("%s page %d was rebuilt, but batch %v edits no row in it", dir, k, batch)
-		}
-	}
-}
-
-// checkCSR requires snap to equal graph.Build of adj, slot for slot.
-func checkCSR(t *testing.T, snap *graph.Graph, adj [][]half) {
+// checkRows requires g to equal graph.Build of adj, slot for slot: the
+// same row lengths, targets and weight bits.
+func checkRows(t *testing.T, g *graph.Graph, adj [][]graph.Arc) {
 	t.Helper()
 	var edges []graph.Edge
-	for v, hs := range adj {
-		for _, h := range hs {
-			edges = append(edges, graph.Edge{From: int32(v), To: h.v, Weight: h.w})
+	for v, row := range adj {
+		for _, a := range row {
+			edges = append(edges, graph.Edge{From: int32(v), To: a.To, Weight: a.Weight})
 		}
 	}
 	want := graph.MustBuild(len(adj), edges)
-	gotOff, gotT, gotW := snap.CSR()
-	wantOff, wantT, wantW := want.CSR()
-	if len(gotOff) != len(wantOff) || len(gotT) != len(wantT) || len(gotW) != len(wantW) {
-		t.Fatalf("snapshot shape %d/%d/%d, want %d/%d/%d", len(gotOff), len(gotT), len(gotW), len(wantOff), len(wantT), len(wantW))
+	if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() {
+		t.Fatalf("snapshot |V|=%d |E|=%d, want %d and %d", g.NumVertices(), g.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
-	for i := range wantOff {
-		if gotOff[i] != wantOff[i] {
-			t.Fatalf("snapshot offsets[%d] = %d, want %d", i, gotOff[i], wantOff[i])
-		}
-	}
-	for i := range wantT {
-		if gotT[i] != wantT[i] || math.Float64bits(gotW[i]) != math.Float64bits(wantW[i]) {
-			t.Fatalf("snapshot edge slot %d = ->%d w=%g, want ->%d w=%g", i, gotT[i], gotW[i], wantT[i], wantW[i])
+	for v := range want.NumVertices() {
+		gotT, gotW := g.Neighbors(v)
+		wantT, wantW := want.Neighbors(v)
+		if !slices.Equal(gotT, wantT) || !slices.EqualFunc(gotW, wantW, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("snapshot row %d = %v %v, want %v %v", v, gotT, gotW, wantT, wantW)
 		}
 	}
 }

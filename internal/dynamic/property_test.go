@@ -223,38 +223,3 @@ func TestBatchGenValidStream(t *testing.T) {
 		}
 	}
 }
-
-// TestOneEdgeBatchSharesAllButOnePage: a one-edge batch edits one row in
-// each direction, so its version rebuilds exactly the page holding that
-// row in each and shares every other page with its predecessor, by
-// pointer; the two page tables differ in that one slot.
-func TestOneEdgeBatchSharesAllButOnePage(t *testing.T) {
-	const n = 1 << 12 // 16 pages a direction
-	g := gen.Uniform(n, 8*n, gen.Config{Seed: 12})
-	dg := FromCSR(g)
-	bg := NewBatchGen(dg, xrand.New(12), 100)
-	for b := 0; b < 100; b++ {
-		before := dg.Current()
-		batch := bg.Next(1)
-		if _, err := dg.Apply(batch); err != nil {
-			t.Fatal(err)
-		}
-		after := dg.Current()
-		m := batch[0]
-		for _, dir := range []struct {
-			name      string
-			old, next *Pages
-			row       int32
-		}{{"out", before.Out, after.Out, m.From}, {"in", before.In, after.In, m.To}} {
-			if len(dir.next.table) != len(dir.old.table) {
-				t.Fatalf("batch %d %v: %s table of %d pages, was %d", b, m, dir.name, len(dir.next.table), len(dir.old.table))
-			}
-			for k := range dir.next.table {
-				rebuilt := dir.next.table[k] != dir.old.table[k]
-				if want := k == int(dir.row>>pageShift); rebuilt != want {
-					t.Fatalf("batch %d %v: %s page %d rebuilt=%v, want %v", b, m, dir.name, k, rebuilt, want)
-				}
-			}
-		}
-	}
-}

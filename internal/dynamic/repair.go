@@ -228,7 +228,7 @@ func (g *Graph) invalidateSubtrees(roots []int32, dist []float64, parent []int32
 }
 
 // SSSP computes the full single-source solution over the current graph —
-// seq.Dijkstra over a Snapshot() made for the call, the from-scratch
+// seq.Dijkstra on Snapshot(), with no copy of the graph — the from-scratch
 // baseline the churn bench compares Repair against and the seed vector for
 // freshly tracked sources. A source out of range reaches nothing.
 func (g *Graph) SSSP(source int) (dist []float64, parent []int32) {

@@ -3,7 +3,7 @@
 // queries over one shared graph.
 //
 // One Engine serves one graph version at a time: an epoch, the graph and
-// its reverse as dynamic.Pages (page tables over immutable 256-row pages),
+// its reverse (each a graph.Graph, a table of immutable 256-row pages),
 // published together behind one atomic pointer and shared read-only by
 // every concurrent query (no page is written after it is built). The
 // engine owns a dynamic.Graph, and every mutation batch (mutate.go)
@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"acic/internal/dynamic"
+	"acic/internal/graph"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
 	"acic/internal/pq"
@@ -120,8 +121,8 @@ func (c Config) withDefaults() Config {
 // flipped, for the backward half of the point-to-point search.
 type graphVersion struct {
 	epoch       uint64
-	g           *dynamic.Pages
-	rev         *dynamic.Pages
+	g           *graph.Graph
+	rev         *graph.Graph
 	width, span float64
 }
 
@@ -223,8 +224,8 @@ func (e *Engine) observeService(d time.Duration) {
 	}
 }
 
-// NewDynamic builds an engine serving queries over dg's current CSR, whose
-// graph can be mutated with Mutate. The engine takes ownership of dg:
+// NewDynamic builds an engine serving queries over dg's current version,
+// whose graph can be mutated with Mutate. The engine takes ownership of dg:
 // callers must not Apply to it directly afterwards. The engine epoch
 // starts at 0 regardless of dg's own epoch (the two counters advance in
 // lockstep from here but are independent).

@@ -29,8 +29,8 @@ func mustEngine(t *testing.T, g *graph.Graph, cfg Config) *Engine {
 	return e
 }
 
-// snapshot returns a flat CSR copy of e's current graph, read from its
-// dynamic graph under the mutation lock.
+// snapshot returns e's current graph, read from its dynamic graph under
+// the mutation lock.
 func snapshot(e *Engine) *graph.Graph {
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()

@@ -1,7 +1,7 @@
 package engine
 
 // Mutation support: the engine owns a dynamic.Graph — its current version
-// and that version's transpose, each a page table over immutable pages —
+// and that version's transpose, each a graph.Graph over immutable pages —
 // and applies batched edge mutations to it, advancing the engine epoch
 // once per batch. Apply rebuilds only the pages holding the rows the batch
 // edited, shares every other page with the old version, and widens the

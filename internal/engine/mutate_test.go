@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,10 +35,10 @@ func mustDynamicEngine(t *testing.T, g *graph.Graph, cfg Config) (*Engine, *dyna
 	return e, dg
 }
 
-// TestFromCSRAllocatesNothingPerVertex: a dynamic engine keeps the CSR it
-// is given and one transpose of it, so building one costs a fixed number
-// of allocations whatever |V| is. Adjacency lists beside the CSRs cost at
-// least one per vertex (about 140 K at 2^14 × 8).
+// TestFromCSRAllocatesNothingPerVertex: a dynamic engine keeps the graph
+// it is given and one transpose of it, so building one costs a fixed
+// number of allocations whatever |V| is. Adjacency lists beside the graphs
+// cost at least one per vertex (about 140 K at 2^14 × 8).
 func TestFromCSRAllocatesNothingPerVertex(t *testing.T) {
 	var allocs []float64
 	for _, scale := range []int{10, 14} {
@@ -149,7 +148,7 @@ func TestMissAfterMutationBeyondTheOldWeights(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := seq.Dijkstra(v.g.Graph(), src)
+		want := seq.Dijkstra(v.g, src)
 		if !seq.Equal(res.Dist, want.Dist) {
 			t.Fatalf("source %d: mismatch at vertex %d", src, seq.FirstMismatch(res.Dist, want.Dist))
 		}
@@ -167,8 +166,7 @@ func TestMissAfterMutationBeyondTheOldWeights(t *testing.T) {
 // still at least twice the width.
 func TestDeleteOfTheLightestEdgeKeepsTheWidth(t *testing.T) {
 	g := testGraph()
-	_, _, ws := g.CSR()
-	lightest := slices.Min(ws)
+	lightest := minWeight(g)
 	// Every edge of that weight goes, with the edges parallel to it: a
 	// delete removes the first of them in row order.
 	var batch []dynamic.Mutation
@@ -195,9 +193,9 @@ func TestDeleteOfTheLightestEdgeKeepsTheWidth(t *testing.T) {
 	if v.width != old.width || v.span != old.span {
 		t.Fatalf("bucket width %g and span %g after the delete, want %g and %g kept", v.width, v.span, old.width, old.span)
 	}
-	snap := v.g.Graph()
-	if _, _, ws := snap.CSR(); slices.Min(ws)/2 <= v.width {
-		t.Fatalf("the new graph's lightest weight %g would not widen the buckets past %g; the delete tests nothing", slices.Min(ws), v.width)
+	snap := v.g
+	if w := minWeight(snap); w/2 <= v.width {
+		t.Fatalf("the new graph's lightest weight %g would not widen the buckets past %g; the delete tests nothing", w, v.width)
 	}
 	ctx := context.Background()
 	for _, src := range []int{int(batch[0].From), int(batch[0].To), 0, 5} {
@@ -215,6 +213,13 @@ func TestDeleteOfTheLightestEdgeKeepsTheWidth(t *testing.T) {
 	}
 }
 
+// minWeight returns g's smallest edge weight.
+func minWeight(g *graph.Graph) float64 {
+	w := math.Inf(1)
+	g.EachEdge(func(_, _ int32, x float64) { w = min(w, x) })
+	return w
+}
+
 // TestHeldVersionIsImmutable: a reader holding one version runs misses,
 // point-to-point searches and full scans of both directions' rows on it
 // while 200 batches land concurrently, and sees the same rows, bit for
@@ -229,8 +234,7 @@ func TestHeldVersionIsImmutable(t *testing.T) {
 	bg := dynamic.NewBatchGen(dg, r, 100) // built before the writer starts; it tracks edges itself
 	held := e.version.Load()
 	rows := freezeRows(held)
-	flat := held.g.Graph()
-	want := seq.Dijkstra(flat, 0)
+	want := seq.Dijkstra(held.g, 0)
 
 	done := make(chan struct{})
 	go func() {
@@ -274,7 +278,7 @@ func TestHeldVersionIsImmutable(t *testing.T) {
 // freezeRows encodes every row of v, both directions, as bytes.
 func freezeRows(v *graphVersion) []byte {
 	var b []byte
-	for _, p := range []*dynamic.Pages{v.g, v.rev} {
+	for _, p := range []*graph.Graph{v.g, v.rev} {
 		for u := 0; u < p.NumVertices(); u++ {
 			ts, ws := p.Neighbors(u)
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(ts)))

@@ -1,12 +1,21 @@
 // Package graph provides the weighted directed graph representation shared
 // by every SSSP algorithm in this repository.
 //
-// Graphs are stored in compressed sparse row (CSR) form: one offsets array
-// of length |V|+1 and parallel targets/weights arrays of length |E|. This
-// matches the paper's vertex object layout — each vertex owns a list of
-// out-edges, each with a destination and a weight (§II-A) — while keeping
-// the memory contiguous enough to hold scale-18+ graphs in a laptop-sized
-// address space.
+// A Graph is a paged CSR. Its rows — each vertex's list of out-edges, each
+// edge a destination and a weight, the paper's vertex object (§II-A) — are
+// cut into pages of 256 consecutive rows, and the graph is a table of
+// pointers to them. A page holds its rows' edges in CSR order as targets
+// and weights arrays, with 257 int32 offsets local to the page.
+//
+// What aliases what: Build and Reverse lay every edge out once in two flat
+// arrays and cut them into pages whose targets and weights are subslices
+// of those arrays, so a scan of consecutive rows (ACIC's relaxation loop,
+// the oracles) walks one contiguous array. With returns a new graph that
+// differs in a few rows: its table is a copy, each page holding an edited
+// row is a new page with arrays of its own, and every other page is the
+// old graph's, shared by pointer. No page is written after the graph that
+// first holds it is returned, so every Graph is immutable and a reader may
+// keep one across any number of later edits.
 //
 // Vertex ids are dense integers in [0, NumVertices). Edge weights are
 // positive float64 values; all of the paper's termination reasoning assumes
@@ -17,7 +26,17 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+)
+
+// pageShift sets the page size: 256 rows a page. An edit of one row
+// rebuilds one page, about 2,000 edges at edge factor 8, and copies a
+// table of |V|/256 pointers.
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
 )
 
 // Edge is one directed weighted edge in edge-list form, the interchange
@@ -28,11 +47,25 @@ type Edge struct {
 	Weight float64
 }
 
-// Graph is an immutable CSR-encoded directed weighted graph.
+// Arc is one entry of a row handed to With: the edge's target and weight.
+type Arc struct {
+	To     int32
+	Weight float64
+}
+
+// page is pageSize consecutive rows. Row i's edges are
+// targets[off[i]:off[i+1]] and the weights beside them. Rows past the
+// graph's last vertex (in its last page) are empty.
+type page struct {
+	off     [pageSize + 1]int32
+	targets []int32
+	weights []float64
+}
+
+// Graph is an immutable directed weighted graph: a table of pages.
 type Graph struct {
-	offsets []int64   // len NumVertices+1
-	targets []int32   // len NumEdges
-	weights []float64 // len NumEdges
+	table []*page
+	n, m  int
 }
 
 // ErrNegativeWeight is returned by Build when an edge has negative weight.
@@ -41,17 +74,18 @@ var ErrNegativeWeight = errors.New("graph: negative edge weight")
 // Build constructs a Graph with numVertices vertices from an edge list.
 // Edges may arrive in any order; Build counting-sorts them by source. Edges
 // referencing vertices outside [0, numVertices) or carrying negative or
-// non-finite weights are rejected with an error. Self-loops and duplicate
-// edges are preserved (generators decide whether to emit them).
+// non-finite weights are rejected with an error, and so is a list of more
+// than math.MaxInt32 edges: no page, in either direction, could then
+// overflow its int32 offsets. Self-loops and duplicate edges are preserved
+// (generators decide whether to emit them).
 func Build(numVertices int, edges []Edge) (*Graph, error) {
 	if numVertices < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", numVertices)
 	}
-	g := &Graph{
-		offsets: make([]int64, numVertices+1),
-		targets: make([]int32, len(edges)),
-		weights: make([]float64, len(edges)),
+	if len(edges) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges, more than the %d int32 page offsets address", len(edges), math.MaxInt32)
 	}
+	offsets := make([]int, numVertices+1)
 	for _, e := range edges {
 		if e.From < 0 || int(e.From) >= numVertices {
 			return nil, fmt.Errorf("graph: edge source %d out of range [0,%d)", e.From, numVertices)
@@ -65,42 +99,43 @@ func Build(numVertices int, edges []Edge) (*Graph, error) {
 		if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
 			return nil, fmt.Errorf("graph: non-finite weight %v on edge %d->%d", e.Weight, e.From, e.To)
 		}
-		g.offsets[e.From+1]++
+		offsets[e.From+1]++
 	}
 	for v := 0; v < numVertices; v++ {
-		g.offsets[v+1] += g.offsets[v]
+		offsets[v+1] += offsets[v]
 	}
 	// Second pass: place edges. cursor tracks the next free slot per source.
-	cursor := make([]int64, numVertices)
+	cursor := make([]int, numVertices)
+	targets := make([]int32, len(edges))
+	weights := make([]float64, len(edges))
 	for _, e := range edges {
-		slot := g.offsets[e.From] + cursor[e.From]
+		slot := offsets[e.From] + cursor[e.From]
 		cursor[e.From]++
-		g.targets[slot] = e.To
-		g.weights[slot] = e.Weight
+		targets[slot] = e.To
+		weights[slot] = e.Weight
 	}
-	return g, nil
+	return cut(offsets, targets, weights), nil
 }
 
-// Adopt wraps already-built CSR arrays as a Graph without copying them:
-// the caller hands over ownership and must not write to them afterwards.
-// offsets must be non-decreasing from 0 with offsets[len-1] equal to
-// len(targets) == len(weights), and every target and weight must be what
-// Build would accept; Adopt checks only the lengths and the end offsets.
-// It is the constructor for builders that already hold an exact CSR
-// layout (Reverse's transpose, the flat copies internal/dynamic makes of
-// its paged versions), where Build's edge list and counting sort would be
-// a second copy of the graph.
-func Adopt(offsets []int64, targets []int32, weights []float64) *Graph {
-	if len(offsets) == 0 || offsets[0] != 0 || offsets[len(offsets)-1] != int64(len(targets)) || len(targets) != len(weights) {
-		panic(fmt.Sprintf("graph: Adopt of inconsistent CSR (%d offsets, %d targets, %d weights)", len(offsets), len(targets), len(weights)))
+// cut returns the graph whose rows are the flat CSR offsets, targets and
+// weights, as pages that alias targets and weights: it copies only each
+// page's offsets, in three allocations whatever |V| is. Every page must
+// hold at most math.MaxInt32 edges.
+func cut(offsets []int, targets []int32, weights []float64) *Graph {
+	n := len(offsets) - 1
+	pages := make([]page, (n+pageMask)>>pageShift)
+	g := &Graph{table: make([]*page, len(pages)), n: n, m: len(targets)}
+	for k := range pages {
+		pg := &pages[k]
+		base := k << pageShift
+		lo, hi := offsets[base], offsets[min(base+pageSize, n)]
+		for i := range pg.off {
+			pg.off[i] = int32(offsets[min(base+i, n)] - lo)
+		}
+		pg.targets, pg.weights = targets[lo:hi:hi], weights[lo:hi:hi]
+		g.table[k] = pg
 	}
-	return &Graph{offsets: offsets, targets: targets, weights: weights}
-}
-
-// CSR returns the graph's offsets, targets and weights arrays, aliasing its
-// internal storage; callers must not modify them.
-func (g *Graph) CSR() (offsets []int64, targets []int32, weights []float64) {
-	return g.offsets, g.targets, g.weights
+	return g
 }
 
 // MustBuild is Build but panics on error, for tests and generators whose
@@ -114,26 +149,30 @@ func MustBuild(numVertices int, edges []Edge) *Graph {
 }
 
 // NumVertices returns |V|.
-func (g *Graph) NumVertices() int { return len(g.offsets) - 1 }
+func (g *Graph) NumVertices() int { return g.n }
 
 // NumEdges returns |E|.
-func (g *Graph) NumEdges() int { return len(g.targets) }
+func (g *Graph) NumEdges() int { return g.m }
 
 // OutDegree returns the out-degree of v.
 func (g *Graph) OutDegree(v int) int {
-	return int(g.offsets[v+1] - g.offsets[v])
+	pg := g.table[v>>pageShift]
+	i := v & pageMask
+	return int(pg.off[i+1] - pg.off[i])
 }
 
 // Neighbors returns the out-edge targets and weights of v as slices aliasing
 // the graph's internal storage; callers must not modify them.
 func (g *Graph) Neighbors(v int) (targets []int32, weights []float64) {
-	lo, hi := g.offsets[v], g.offsets[v+1]
-	return g.targets[lo:hi], g.weights[lo:hi]
+	pg := g.table[v>>pageShift]
+	i := v & pageMask
+	lo, hi := pg.off[i], pg.off[i+1]
+	return pg.targets[lo:hi], pg.weights[lo:hi]
 }
 
 // EachEdge calls fn for every edge (from, to, weight) in source order.
 func (g *Graph) EachEdge(fn func(from, to int32, w float64)) {
-	for v := 0; v < g.NumVertices(); v++ {
+	for v := 0; v < g.n; v++ {
 		ts, ws := g.Neighbors(v)
 		for i, to := range ts {
 			fn(int32(v), to, ws[i])
@@ -143,7 +182,7 @@ func (g *Graph) EachEdge(fn func(from, to int32, w float64)) {
 
 // Edges returns the graph's edge list (a fresh copy).
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
+	out := make([]Edge, 0, g.m)
 	g.EachEdge(func(from, to int32, w float64) {
 		out = append(out, Edge{From: from, To: to, Weight: w})
 	})
@@ -153,9 +192,11 @@ func (g *Graph) Edges() []Edge {
 // MaxWeight returns the largest edge weight, or 0 for an edgeless graph.
 func (g *Graph) MaxWeight() float64 {
 	var max float64
-	for _, w := range g.weights {
-		if w > max {
-			max = w
+	for _, pg := range g.table {
+		for _, w := range pg.weights {
+			if w > max {
+				max = w
+			}
 		}
 	}
 	return max
@@ -163,33 +204,100 @@ func (g *Graph) MaxWeight() float64 {
 
 // Reverse returns a new graph with every edge direction flipped: row v of
 // the result lists v's in-edges, in the order of their sources. It is one
-// counting transpose in O(|V|+|E|), adopted without a second copy; the
-// point-to-point search of internal/engine walks it backwards from the
-// target.
+// counting transpose in O(|V|+|E|) into flat arrays, cut into pages like
+// Build's; the point-to-point search of internal/engine walks it backwards
+// from the target.
 func (g *Graph) Reverse() *Graph {
-	n := g.NumVertices()
-	offsets := make([]int64, n+1)
-	for _, to := range g.targets {
-		offsets[to+1]++
+	offsets := make([]int, g.n+1)
+	for _, pg := range g.table {
+		for _, to := range pg.targets {
+			offsets[to+1]++
+		}
 	}
-	for v := 0; v < n; v++ {
+	for v := 0; v < g.n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	// cursor[v] is the next free slot in v's row.
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	targets := make([]int32, len(g.targets))
-	weights := make([]float64, len(g.weights))
-	for v := 0; v < n; v++ {
-		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-			to := g.targets[i]
+	cursor := slices.Clone(offsets[:g.n])
+	targets := make([]int32, g.m)
+	weights := make([]float64, g.m)
+	for v := 0; v < g.n; v++ {
+		ts, ws := g.Neighbors(v)
+		for i, to := range ts {
 			slot := cursor[to]
 			cursor[to]++
 			targets[slot] = int32(v)
-			weights[slot] = g.weights[i]
+			weights[slot] = ws[i]
 		}
 	}
-	return Adopt(offsets, targets, weights)
+	return cut(offsets, targets, weights)
+}
+
+// With returns g with the given rows replaced: row u of the result is
+// rows[u], in the order given, for each u in rows, and g's row u for every
+// other u. Each page holding an edited row is rebuilt with arrays of its
+// own; the table is copied and every other page is g's, shared by pointer.
+// g is left as it was, and with no rows With returns g. Every u, target
+// and weight must be what Build accepts, and the result may hold at most
+// math.MaxInt32 edges, as Build's may; With does not check them.
+func (g *Graph) With(rows map[int32][]Arc) *Graph {
+	if len(rows) == 0 {
+		return g
+	}
+	edited := make([]int32, 0, len(rows))
+	for u := range rows {
+		edited = append(edited, u)
+	}
+	slices.Sort(edited)
+	next := &Graph{table: slices.Clone(g.table), n: g.n, m: g.m}
+	for len(edited) > 0 {
+		k := edited[0] >> pageShift
+		j := 1
+		for j < len(edited) && edited[j]>>pageShift == k {
+			j++
+		}
+		old := g.table[k]
+		next.table[k] = old.with(k<<pageShift, edited[:j], rows)
+		next.m += len(next.table[k].targets) - len(old.targets)
+		edited = edited[j:]
+	}
+	return next
+}
+
+// with returns a new page for rows [base, base+pageSize): pg's rows, with
+// each row u in edited (ascending, all in this page) replaced by rows[u].
+// Each run of unedited rows is copied at once, its offsets shifted.
+func (pg *page) with(base int32, edited []int32, rows map[int32][]Arc) *page {
+	size := len(pg.targets)
+	for _, u := range edited {
+		i := u - base
+		size += len(rows[u]) - int(pg.off[i+1]-pg.off[i])
+	}
+	np := &page{targets: make([]int32, size), weights: make([]float64, size)}
+	var pos int32
+	next := int32(0) // first row of the next unedited run
+	run := func(end int32) {
+		lo, hi := pg.off[next], pg.off[end]
+		for i := next; i < end; i++ {
+			np.off[i] = pg.off[i] - lo + pos
+		}
+		copy(np.targets[pos:], pg.targets[lo:hi])
+		copy(np.weights[pos:], pg.weights[lo:hi])
+		pos += hi - lo
+	}
+	for _, u := range edited {
+		i := u - base
+		run(i)
+		np.off[i] = pos
+		for _, a := range rows[u] {
+			np.targets[pos], np.weights[pos] = a.To, a.Weight
+			pos++
+		}
+		next = i + 1
+	}
+	run(pageSize)
+	np.off[pageSize] = pos
+	return np
 }
 
 // DegreeStats summarizes the out-degree distribution; the power-law check in

@@ -125,44 +125,6 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdoptCSRRoundTrip: Adopt of a graph's own arrays is the same graph,
-// and inconsistent arrays are refused.
-func TestAdoptCSRRoundTrip(t *testing.T) {
-	g := diamond()
-	g2 := Adopt(g.CSR())
-	if g2.NumVertices() != 4 || g2.NumEdges() != 5 {
-		t.Fatalf("adopted graph |V|=%d |E|=%d", g2.NumVertices(), g2.NumEdges())
-	}
-	a, b := g.Edges(), g2.Edges()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("edge %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	if e := Adopt([]int64{0}, nil, nil); e.NumVertices() != 0 || e.NumEdges() != 0 {
-		t.Fatal("empty adopt not empty")
-	}
-	for _, bad := range []struct {
-		off []int64
-		ts  []int32
-		ws  []float64
-	}{
-		{nil, nil, nil},
-		{[]int64{0, 2}, []int32{1}, []float64{1}},
-		{[]int64{0, 1}, []int32{1}, nil},
-		{[]int64{1, 1}, []int32{1}, []float64{1}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Adopt(%v, %v, %v) did not panic", bad.off, bad.ts, bad.ws)
-				}
-			}()
-			Adopt(bad.off, bad.ts, bad.ws)
-		}()
-	}
-}
-
 func TestMaxWeight(t *testing.T) {
 	if w := diamond().MaxWeight(); w != 6 {
 		t.Fatalf("MaxWeight = %v, want 6", w)

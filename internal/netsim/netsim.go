@@ -451,9 +451,6 @@ func (n *Network) SetReorderFilter(f ReorderFilter) {
 	n.reorder.Store(&f)
 }
 
-// Model returns the latency model.
-func (n *Network) Model() LatencyModel { return n.model }
-
 // SetJitter installs a per-message delay perturbation. Call before any
 // Send; a nil func (the default) leaves the model's delays untouched.
 func (n *Network) SetJitter(j JitterFunc) {

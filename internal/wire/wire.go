@@ -128,12 +128,6 @@ func (c *Codec) Register(tag byte, prototype any, enc EncodeFunc, dec DecodeFunc
 	c.frames++
 }
 
-// Registered reports whether v's type has a codec.
-func (c *Codec) Registered(v any) bool {
-	_, ok := c.tagOf[reflect.TypeOf(v)]
-	return ok
-}
-
 // AppendValue appends v as a tagged value ([tag][body]) — the nesting
 // unit. EncodeFrame wraps exactly one of these in the frame preamble.
 func (c *Codec) AppendValue(buf []byte, v any) ([]byte, error) {

@@ -102,11 +102,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Uint64n returns a uniform value in [0, n) using Lemire's nearly-divisionless
 // method. It panics if n == 0.
 func (r *Rand) Uint64n(n uint64) uint64 {

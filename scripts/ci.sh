@@ -111,10 +111,8 @@ echo "== reorder-fabric stage (per-pair FIFO broken; distances and ledger must s
 go run ./cmd/acic-run -algo acic -kind random -scale 10 -fault reorder -verify
 go run -race ./cmd/acic-run -algo acic -kind random -scale 9 -fault reorder -verify
 
-echo "== bench smoke (every listed hot-path benchmark compiles and runs once) =="
-go test -run '^$' -bench . -benchtime=1x \
-  ./internal/runtime ./internal/netsim ./internal/sockfab ./internal/tram ./internal/partition \
-  ./internal/histogram ./internal/core ./internal/bench ./internal/engine >/dev/null
+echo "== bench smoke (every internal package's benchmarks compile and run once) =="
+go test -run '^$' -bench . -benchtime=1x ./internal/... >/dev/null
 
 echo "== perf regression gate (scripts/bench.sh vs committed baseline) =="
 # Compare a fresh variance-aware record against the newest committed
