@@ -32,11 +32,22 @@ func BenchmarkHotPathSSSP(b *testing.B) {
 	topo := c.Topo(1)
 	// One Scratch for all iterations: steady-state runs recycle the chunk
 	// arena, contribution pool and per-PE state instead of reallocating.
+	// Warm-up solves before the timer fill it, so allocs/op counts warm
+	// solves and not a share of the first ones' set-up: at -benchtime=10x
+	// that share was a tenth of the first solve's ≈ 820 allocations, and
+	// the second and third solve still make ≈ 40 and ≈ 25 more than a
+	// warm one's ≈ 205 as the pools reach their steady size.
 	sc := &core.Scratch{}
+	opts := core.Options{Topo: topo, Latency: c.Latency, Params: p, Scratch: sc}
+	for range 3 {
+		if _, err := core.Run(g, 0, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(g, 0, core.Options{Topo: topo, Latency: c.Latency, Params: p, Scratch: sc}); err != nil {
+		if _, err := core.Run(g, 0, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

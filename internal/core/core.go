@@ -2,8 +2,10 @@
 // Control — the paper's SSSP algorithm (§II, §III).
 //
 // A weighted directed graph is 1-D partitioned over the PEs of a simulated
-// machine (internal/runtime + internal/netsim). Edge relaxations travel as
-// updates u = (v, d). Concurrently with that work, an endless cycle of
+// machine (internal/runtime + internal/netsim): each PE owns one contiguous
+// block of vertex ids, every layout included (Params.OverDecomposition).
+// Edge relaxations travel as updates u = (v, d). Concurrently with that
+// work, an endless cycle of
 // asynchronous reductions gathers a histogram of active update distances at
 // PE 0, which derives two bucket thresholds and broadcasts them:
 //
@@ -90,8 +92,10 @@ type Params struct {
 	SmoothThresholds bool
 	// OverDecomposition selects the §V over-decomposition extension: the
 	// graph is split into OverDecomposition × numPEs contiguous chunks
-	// dealt round-robin, spreading scale-free hubs across PEs. Values <= 1
-	// keep the paper's plain 1-D block partition.
+	// dealt round-robin, spreading scale-free hubs across PEs. Set-up
+	// relabels the graph so each PE's chunks form one block, outside
+	// Stats.Elapsed; Dist, Parent and a Worker's Vertices come back in the
+	// input ids. Values <= 1 keep the paper's plain 1-D block partition.
 	OverDecomposition int
 	// ComputeCost is the simulated per-unit compute time charged to a PE
 	// for each update received and each edge relaxed. Zero disables the

@@ -62,10 +62,12 @@ type peState struct {
 	params Params
 
 	me     int       // this PE's index
+	lo     int32     // v is this PE's local vertex v-lo iff uint32(v-lo) < uint32(len(dist))
 	dist   []float64 // tentative distances for the local vertices
 	parent []int32   // predecessor on the best known path, -1 if none
-	// sent is indexed by global vertex: the smallest distance this PE has
-	// handed to tramlib or tram_hold for it, +Inf if none (see createUpdate).
+	// sent is indexed by vertex id, over the whole graph: the smallest
+	// distance this PE has handed to tramlib or tram_hold for the vertex,
+	// +Inf if none (see createUpdate).
 	sent []float64
 
 	hist     *histogram.Histogram
@@ -112,32 +114,15 @@ type peState struct {
 	auditTrace   []ThresholdAudit
 }
 
-// Partition abstracts vertex-to-PE placement so ACIC can run on the
-// paper's vertex-balanced 1-D blocks (partition.OneD) or the future-work
-// over-decomposed chunked layout (partition.Chunked, §V).
-type Partition interface {
-	NumPEs() int
-	Owner(v int32) int
-	Size(pe int) int
-	LocalIndex(v int32) int
-	// LocalOn is LocalIndex without the owner lookup, for the owner itself.
-	LocalOn(pe int, v int32) int
-	GlobalOf(pe, local int) int32
-}
-
-var (
-	_ Partition = (*partition.OneD)(nil)
-	_ Partition = (*partition.Chunked)(nil)
-)
-
 // sharedState is read-mostly state shared by all PEs of one run. ar is the
 // update-chunk arena shared with tramlib (see DESIGN.md, "Arena
 // ownership"): hold chunks and demux buffers recycle through the same
 // per-PE freelists as tram batches. pools additionally recycles reduction
-// contributions.
+// contributions. g is the graph the PEs run on, relabelled for an
+// over-decomposed layout, and part its block partition.
 type sharedState struct {
 	g     *graph.Graph
-	part  Partition
+	part  *partition.OneD
 	tm    *tram.Manager[Update]
 	tr    *trace.Recorder
 	met   coreMetrics
@@ -232,7 +217,8 @@ func (h *bucketHold) drain(ar *arena.Arena[Update], pe, upTo int, fn func(Update
 // slot so repeated runs through a Scratch reuse them.
 func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peState {
 	me := pe.Index()
-	n := sh.part.Size(me)
+	lo, hi := sh.part.Range(me)
+	n := int(hi - lo)
 	if cap(slot.dist) >= n {
 		slot.dist = slot.dist[:n]
 		slot.parent = slot.parent[:n]
@@ -269,6 +255,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		shared:       sh,
 		params:       p,
 		me:           me,
+		lo:           lo,
 		dist:         slot.dist,
 		parent:       slot.parent,
 		sent:         slot.sent,
@@ -312,11 +299,8 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 	return st
 }
 
-// localDist and setDist index this PE's own vertices, local by construction.
-func (st *peState) localDist(v int32) float64 { return st.dist[st.shared.part.LocalOn(st.me, v)] }
-func (st *peState) setDist(v int32, d float64) {
-	st.dist[st.shared.part.LocalOn(st.me, v)] = d
-}
+// localDist reads the distance of a vertex this PE owns.
+func (st *peState) localDist(v int32) float64 { return st.dist[v-st.lo] }
 
 // Deliver implements runtime.Handler.
 func (st *peState) Deliver(pe *runtime.PE, msg any) {
@@ -337,7 +321,7 @@ func (st *peState) Deliver(pe *runtime.PE, msg any) {
 func (st *peState) seed(pe *runtime.PE, source int32) {
 	st.hist.AddCreated(0)
 	st.shared.met.created.Inc(st.me)
-	st.setDist(source, 0)
+	st.dist[source-st.lo] = 0
 	st.relaxOutEdges(pe, source, 0)
 	st.hist.AddProcessed(0)
 	st.shared.met.processed.Inc(st.me)
@@ -351,12 +335,13 @@ func (st *peState) receiveBatch(pe *runtime.PE, m *batchMsg) {
 	me := pe.Index()
 	n := len(m.items)
 	st.shared.met.batchItems.Observe(me, int64(n))
+	lo, size := st.lo, uint32(len(st.dist))
 	for _, u := range m.items {
-		owner := st.shared.part.Owner(u.Vertex)
-		if owner == me {
-			st.receiveUpdate(pe, u)
+		if li := uint32(u.Vertex - lo); li < size {
+			st.receiveUpdate(pe, li, u)
 			continue
 		}
+		owner := st.shared.part.Owner(u.Vertex)
 		// Per-owner groups go into buffers borrowed from the tram pool.
 		// A batch never exceeds the tram capacity, so a group always fits
 		// one full-capacity buffer.
@@ -392,16 +377,17 @@ func (st *peState) worked(pe *runtime.PE, n int) {
 	}
 }
 
-// receiveUpdate applies the arrival rules of §II-C: an update that improves
-// the vertex distance is applied immediately and parked in pq or pq_hold by
-// the pq threshold; anything else is rejected and counted processed.
+// receiveUpdate applies the arrival rules of §II-C to u, whose vertex is
+// this PE's local vertex li: an update that improves the vertex distance is
+// applied immediately and parked in pq or pq_hold by the pq threshold;
+// anything else is rejected and counted processed.
 //
 //acic:noalloc
-func (st *peState) receiveUpdate(pe *runtime.PE, u Update) {
+func (st *peState) receiveUpdate(pe *runtime.PE, li uint32, u Update) {
 	if st.params.ComputeCost > 0 {
 		pe.Work(st.params.ComputeCost)
 	}
-	if li := st.shared.part.LocalOn(st.me, u.Vertex); u.Dist < st.dist[li] {
+	if u.Dist < st.dist[li] {
 		st.dist[li] = u.Dist
 		st.parent[li] = u.Pred
 		if b := st.hist.BucketOf(u.Dist); b <= st.tPQ {
@@ -454,19 +440,62 @@ func (st *peState) Idle(pe *runtime.PE) bool {
 }
 
 // relaxOutEdges creates one onward update per out-edge of v (§II-A) and
-// routes each through the tram threshold.
+// routes each through the tram threshold. Each chunk of the row takes two
+// passes: filterChunk drops, without a branch per candidate, every one no
+// better than sent (counted suppressed at once), and createUpdate takes the
+// survivors, checking sent again. sent only falls, so the outcome is the
+// one-at-a-time loop's exactly (DESIGN.md, "The update kernel").
 //
 //acic:noalloc
 func (st *peState) relaxOutEdges(pe *runtime.PE, v int32, d float64) {
 	ts, ws := st.shared.g.Neighbors(int(v))
-	for i, w := range ts {
-		st.createUpdate(pe, Update{Vertex: w, Pred: v, Dist: d + ws[i]})
+	deg := len(ts)
+	var keep [rowChunk]uint8
+	dropped := 0
+	for len(ts) > 0 {
+		ct := ts[:min(len(ts), rowChunk)]
+		cw := ws[:len(ct)]
+		k := filterChunk(&keep, ct, cw, d, st.sent)
+		dropped += len(ct) - k
+		for _, i := range keep[:k] {
+			st.createUpdate(pe, Update{Vertex: ct[i], Pred: v, Dist: d + cw[i]})
+		}
+		ts, ws = ts[len(ct):], ws[len(ct):]
 	}
-	st.relaxations += int64(len(ts))
-	st.shared.met.relaxations.Add(st.me, int64(len(ts)))
+	st.suppressed += int64(dropped)
+	st.shared.met.suppressed.Add(st.me, int64(dropped))
+	st.relaxations += int64(deg)
+	st.shared.met.relaxations.Add(st.me, int64(deg))
 	if st.params.ComputeCost > 0 {
-		pe.Work(time.Duration(len(ts)) * st.params.ComputeCost)
+		pe.Work(time.Duration(deg) * st.params.ComputeCost)
 	}
+}
+
+// rowChunk is the edges filterChunk takes at a time; keep indexes them in uint8.
+const rowChunk = 64
+
+// filterChunk lists in keep the index of every edge of a chunk whose
+// candidate d + w is below sent[target], and returns how many. The loads of
+// sent are independent, so their misses overlap; inlined, k would spill.
+//
+//go:noinline
+//acic:noalloc
+func filterChunk(keep *[rowChunk]uint8, ts []int32, ws []float64, d float64, sent []float64) int {
+	ws = ws[:len(ts)]
+	k := 0
+	for i, t := range ts {
+		keep[k&(rowChunk-1)] = uint8(i)
+		k += b2i(d+ws[i] < sent[t])
+	}
+	return k
+}
+
+// b2i is 1 for true and 0 for false: a SETcc, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // createUpdate registers a new update in the histogram and either hands it
@@ -481,14 +510,16 @@ func (st *peState) relaxOutEdges(pe *runtime.PE, v int32, d float64) {
 //
 //acic:noalloc
 func (st *peState) createUpdate(pe *runtime.PE, u Update) {
-	dst := -1 // not looked up: sent already dominates u
-	if u.Dist < st.sent[u.Vertex] {
-		dst = st.shared.part.Owner(u.Vertex)
-	}
-	if dst < 0 || dst == st.me && u.Dist >= st.localDist(u.Vertex) {
+	li := uint32(u.Vertex - st.lo)
+	local := li < uint32(len(st.dist))
+	if !(u.Dist < st.sent[u.Vertex]) || local && u.Dist >= st.dist[li] {
 		st.suppressed++
 		st.shared.met.suppressed.Inc(st.me)
 		return
+	}
+	dst := st.me
+	if !local {
+		dst = st.shared.part.Owner(u.Vertex)
 	}
 	st.sent[u.Vertex] = u.Dist
 	b := st.hist.AddCreated(u.Dist)

@@ -90,9 +90,9 @@ func runHeldChecked(t *testing.T, g *graph.Graph, source int, opts Options) int6
 	}
 	dist := make([]float64, g.NumVertices())
 	var maxHeld int64
-	for pe, c := range run.Handlers {
+	for _, c := range run.Handlers {
 		for local, d := range c.dist {
-			dist[s.sh.part.GlobalOf(pe, local)] = d
+			dist[s.inputID(c.lo+int32(local))] = d
 		}
 		maxHeld = max(maxHeld, c.maxHeld)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"acic/internal/gen"
@@ -12,78 +11,8 @@ import (
 	"acic/internal/machine"
 	"acic/internal/netsim"
 	"acic/internal/runtime"
-	"acic/internal/tram"
 	"acic/internal/xrand"
 )
-
-// countingPartition counts the lookups the handlers make through the
-// Partition seam.
-type countingPartition struct {
-	Partition
-	owner, localIndex atomic.Int64
-}
-
-func (c *countingPartition) Owner(v int32) int {
-	c.owner.Add(1)
-	return c.Partition.Owner(v)
-}
-
-func (c *countingPartition) LocalIndex(v int32) int {
-	c.localIndex.Add(1)
-	return c.Partition.LocalIndex(v)
-}
-
-// TestOwnerLookupsPerUpdate pins the update path's lookup budget: one
-// Owner per relaxation candidate (createUpdate's, skipped when the sender
-// already dominates it), then one per hop of a created update — the
-// receiver's receiveBatch and, under process-granularity aggregation only,
-// the sibling a batch is demuxed to — and no LocalIndex at all, because a
-// handler only ever indexes vertices it owns (LocalOn). An update drained
-// from tram_hold looks its owner up again; the candidates the filter drops
-// before any lookup pay for that. Before the budget the same run made
-// about five Owner calls per update, two of them inside LocalIndex.
-func TestOwnerLookupsPerUpdate(t *testing.T) {
-	g := gen.Uniform(1<<12, 1<<15, gen.Config{Seed: 3})
-	for _, tc := range []struct {
-		mode tram.Mode
-		hops int64
-	}{{tram.WP, 2}, {tram.WW, 1}} {
-		p := DefaultParams()
-		p.TramMode = tc.mode
-		s, err := newSetup(g, 0, Options{
-			Topo:   netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2},
-			Params: p,
-		}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part := &countingPartition{Partition: s.sh.part}
-		s.sh.part = part
-		run, err := s.run()
-		s.sc.release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var created, processed, relaxations int64
-		for _, st := range run.Handlers {
-			created += st.hist.Created
-			processed += st.hist.Processed
-			relaxations += st.relaxations
-		}
-		if created != processed || created < int64(g.NumVertices()) {
-			t.Fatalf("%v: created %d, processed %d on %d vertices", tc.mode, created, processed, g.NumVertices())
-		}
-		owner := part.owner.Load()
-		budget := relaxations + tc.hops*created
-		t.Logf("%v: %d candidates, %d updates, %d Owner calls (budget %d)", tc.mode, relaxations, created, owner, budget)
-		if owner > budget {
-			t.Errorf("%v: %d Owner calls for %d candidates and %d updates, budget %d", tc.mode, owner, relaxations, created, budget)
-		}
-		if n := part.localIndex.Load(); n != 0 {
-			t.Errorf("%v: %d LocalIndex calls on the update path, want 0 (LocalOn)", tc.mode, n)
-		}
-	}
-}
 
 // kernelDriver feeds one PE a fixed stream of updates through the real
 // handler: each burst is created (histogram, threshold, tramlib), comes
@@ -205,4 +134,43 @@ func runUpdateKernel(b *testing.B, stream []Update) {
 	}
 	b.ReportMetric(float64(k.rejected)/float64(b.N), "rejected/op")
 	b.ReportMetric(float64(k.suppressed)/float64(b.N), "suppressed/op")
+}
+
+// BenchmarkACICSolveLarge is one whole solve at the benchmark's solve-large
+// shape: a uniform 2^15-vertex graph at the paper's edge factor 16 (seed
+// 1), 1 node × 2 processes × 2 PEs, DefaultParams, zero latency, and one
+// Scratch warmed by 3 solves before the timer starts. Each iteration
+// solves from the next of 16 seeded sources. Unlike BenchmarkUpdateKernel
+// it has a graph behind it, larger than the cache, so it sees what a
+// relaxation pays for its random loads of sent and dist.
+func BenchmarkACICSolveLarge(b *testing.B) {
+	const n = 1 << 15
+	g := gen.Uniform(n, 16*n, gen.Config{Seed: 1})
+	r := xrand.New(1)
+	sources := make([]int, 16)
+	for i := range sources {
+		sources[i] = r.Intn(n)
+	}
+	opts := Options{
+		Topo:    netsim.Topology{Nodes: 1, ProcsPerNode: 2, PEsPerProc: 2},
+		Params:  DefaultParams(),
+		Scratch: &Scratch{},
+	}
+	solve := func(i int) *Result {
+		res, err := Run(g, sources[i%len(sources)], opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	for i := range 3 {
+		solve(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var relaxations int64
+	for i := 0; i < b.N; i++ {
+		relaxations += solve(i).Stats.Relaxations
+	}
+	b.ReportMetric(float64(relaxations)/float64(b.N), "relaxations/op")
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"acic/internal/graph"
 	"acic/internal/machine"
@@ -19,9 +19,10 @@ import (
 type setup struct {
 	cfg    machine.Config
 	params Params
-	source int32
+	source int32 // in the ids the PEs run on
 	sc     *Scratch
 	sh     *sharedState
+	order  []int32 // new id → caller's id for an over-decomposed layout, else nil
 }
 
 // newSetup validates the run and builds everything up to, but not
@@ -75,9 +76,13 @@ func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error
 		sc.release()
 		return nil, err
 	}
-	var part Partition = partition.NewOneD(g.NumVertices(), topo.TotalPEs())
+	// An over-decomposed layout is a block layout on a relabelled graph.
+	part := partition.NewOneD(g.NumVertices(), topo.TotalPEs())
+	var order []int32
 	if params.OverDecomposition > 1 {
-		part = partition.NewChunked(g.NumVertices(), topo.TotalPEs(), params.OverDecomposition)
+		order, part = partition.NewChunked(g.NumVertices(), topo.TotalPEs(), params.OverDecomposition)
+		g = g.Relabel(order)
+		source = slices.Index(order, int32(source))
 	}
 	sh := &sharedState{
 		g:           g,
@@ -94,7 +99,16 @@ func newSetup(g *graph.Graph, source int, opts Options, tcp bool) (*setup, error
 		runtime.RegisterWire(cfg.Codec)
 		registerCoreWire(cfg.Codec, sh)
 	}
-	return &setup{cfg: cfg, params: params, source: int32(source), sc: sc, sh: sh}, nil
+	return &setup{cfg: cfg, params: params, source: int32(source), sc: sc, sh: sh, order: order}, nil
+}
+
+// inputID maps a vertex id the PEs ran on back to the caller's; -1 (no
+// parent) stays -1.
+func (s *setup) inputID(v int32) int32 {
+	if s.order == nil || v < 0 {
+		return v
+	}
+	return s.order[v]
 }
 
 // run executes the machine to termination. Each process seeds only what it
@@ -136,10 +150,16 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.result(run), nil
+}
 
+// result gathers every PE's slice of the run into a Result in the caller's
+// vertex ids.
+func (s *setup) result(run *machine.Result[*peState]) *Result {
+	n := s.sh.g.NumVertices()
 	res := &Result{
-		Dist:   make([]float64, g.NumVertices()),
-		Parent: make([]int32, g.NumVertices()),
+		Dist:   make([]float64, n),
+		Parent: make([]int32, n),
 		Stats: Stats{
 			Elapsed:   run.Elapsed,
 			TramStats: s.sh.tm.Stats(),
@@ -147,18 +167,14 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 			Audit:     run.Audit,
 		},
 	}
-	for i := range res.Dist {
-		res.Dist[i] = math.Inf(1)
-		res.Parent[i] = -1
-	}
 	root := run.Handlers[0]
 	res.Stats.Reductions = root.reductions
 	res.Stats.AuditTrace = root.auditTrace
-	for peIdx, st := range run.Handlers {
+	for _, st := range run.Handlers {
 		for local, d := range st.dist {
-			gv := s.sh.part.GlobalOf(peIdx, local)
-			res.Dist[gv] = d
-			res.Parent[gv] = st.parent[local]
+			v := s.inputID(st.lo + int32(local))
+			res.Dist[v] = d
+			res.Parent[v] = s.inputID(st.parent[local])
 		}
 		res.Stats.UpdatesCreated += st.hist.Created
 		res.Stats.UpdatesSuppressed += st.suppressed
@@ -166,5 +182,5 @@ func Run(g *graph.Graph, source int, opts Options) (*Result, error) {
 		res.Stats.UpdatesRejected += st.rejected
 		res.Stats.Relaxations += st.relaxations
 	}
-	return res, nil
+	return res
 }

@@ -22,7 +22,8 @@ type Worker struct {
 }
 
 // WorkerResult is one process's slice of the run: the distances and
-// parents of the vertices its PEs own, plus the process-local conservation
+// parents of the vertices its PEs own, in the caller's vertex ids (an
+// over-decomposed run is mapped back), plus the process-local conservation
 // ledger. Reductions is nonzero only on the process hosting the root PE;
 // Suppressed sums the hosted PEs' Stats.UpdatesSuppressed.
 type WorkerResult struct {
@@ -86,9 +87,9 @@ func (w *Worker) Run(addrs []string) (*WorkerResult, error) {
 		st := run.Handlers[pe]
 		res.Suppressed += st.suppressed
 		for local, d := range st.dist {
-			res.Vertices = append(res.Vertices, w.sh.part.GlobalOf(pe, local))
+			res.Vertices = append(res.Vertices, w.inputID(st.lo+int32(local)))
 			res.Dist = append(res.Dist, d)
-			res.Parent = append(res.Parent, st.parent[local])
+			res.Parent = append(res.Parent, w.inputID(st.parent[local]))
 		}
 	}
 	if span.Lo == 0 {

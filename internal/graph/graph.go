@@ -233,6 +233,36 @@ func (g *Graph) Reverse() *Graph {
 	return cut(offsets, targets, weights)
 }
 
+// Relabel returns g with its vertices renumbered: vertex order[i] of g is
+// vertex i of the result, with its row in the same edge order and every
+// target renumbered the same way. order must be a permutation of
+// [0, NumVertices). Like Reverse it is O(|V|+|E|) into flat arrays, cut
+// into pages; core runs an over-decomposed layout on the relabelled graph.
+func (g *Graph) Relabel(order []int32) *Graph {
+	if len(order) != g.n {
+		panic(fmt.Sprintf("graph: relabelling of %d vertices on a graph of %d", len(order), g.n))
+	}
+	newID := make([]int32, g.n) // one more than the new id, 0 while unseen
+	for i, v := range order {
+		if v < 0 || int(v) >= g.n || newID[v] != 0 {
+			panic(fmt.Sprintf("graph: relabelling is not a permutation: vertex %d at %d", v, i))
+		}
+		newID[v] = int32(i) + 1
+	}
+	offsets := make([]int, g.n+1)
+	targets := make([]int32, 0, g.m)
+	weights := make([]float64, 0, g.m)
+	for i, v := range order {
+		ts, ws := g.Neighbors(int(v))
+		for _, t := range ts {
+			targets = append(targets, newID[t]-1)
+		}
+		weights = append(weights, ws...)
+		offsets[i+1] = len(targets)
+	}
+	return cut(offsets, targets, weights)
+}
+
 // With returns g with the given rows replaced: row u of the result is
 // rows[u], in the order given, for each u in rows, and g's row u for every
 // other u. Each page holding an edited row is rebuilt with arrays of its

@@ -190,6 +190,59 @@ func TestQuickReverseTransposes(t *testing.T) {
 	}
 }
 
+// Relabel keeps every row, in its edge order, under the new ids, spans
+// pages (n up to 700), and refuses anything but a permutation.
+func TestQuickRelabel(t *testing.T) {
+	f := func(seed uint64, nRaw uint16, mRaw uint16) bool {
+		n := int(nRaw%700) + 1
+		m := int(mRaw % 4000)
+		r := xrand.New(seed)
+		edges := make([]Edge, m)
+		for i := range edges {
+			edges[i] = Edge{From: int32(r.Intn(n)), To: int32(r.Intn(n)), Weight: float64(r.Intn(8))}
+		}
+		g := MustBuild(n, edges)
+		order := make([]int32, n)
+		for i, v := range r.Perm(n) {
+			order[i] = int32(v)
+		}
+		newID := make([]int32, n)
+		for i, v := range order {
+			newID[v] = int32(i)
+		}
+		h := g.Relabel(order)
+		if h.NumVertices() != n || h.NumEdges() != m {
+			return false
+		}
+		for i, v := range order {
+			ts, ws := g.Neighbors(int(v))
+			hts, hws := h.Neighbors(i)
+			if len(ts) != len(hts) {
+				return false
+			}
+			for j := range ts {
+				if hts[j] != newID[ts[j]] || hws[j] != ws[j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+	for _, order := range [][]int32{{0, 1, 2}, {0, 1, 1, 3}, {0, 1, 2, 4}, {0, 1, -1, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Relabel(%v) on 4 vertices did not panic", order)
+				}
+			}()
+			diamond().Relabel(order)
+		}()
+	}
+}
+
 // sameRow reports whether v's out-edges in a and b are equal as multisets.
 func sameRow(a, b *Graph, v int) bool {
 	row := func(g *Graph) []Edge {

@@ -30,45 +30,40 @@ func refChunked(chunkSize, pes int, v int32) (owner, local int) {
 	return chunk % pes, chunk/pes*chunkSize + int(v)%chunkSize
 }
 
-// lookups is what OneD and Chunked both answer.
-type lookups interface {
-	NumVertices() int
-	NumPEs() int
-	Owner(v int32) int
-	LocalIndex(v int32) int
-	LocalOn(pe int, v int32) int
-	GlobalOf(pe, local int) int32
-}
-
-// check compares all four lookups of v with the reference's answer. It runs
-// tens of millions of times, so it skips t.Helper (a lock and a stack walk
-// per call).
-func check(t *testing.T, p lookups, v int32, owner, local int) {
-	fail := func(what string, got, want int) {
-		t.Fatalf("%T n=%d pes=%d: %s of vertex %d = %d, want %d", p, p.NumVertices(), p.NumPEs(), what, v, got, want)
-	}
-	if got := p.Owner(v); got != owner {
-		fail("Owner", got, owner)
-	}
-	if got := p.LocalIndex(v); got != local {
-		fail("LocalIndex", got, local)
-	}
-	if got := p.LocalOn(owner, v); got != local {
-		fail("LocalOn", got, local)
-	}
-	if got := p.GlobalOf(owner, local); got != v {
-		fail("GlobalOf", int(got), int(v))
-	}
-}
-
+// checkOneD compares v's owner and local index (its offset in the owner's
+// block) with the reference's answer. It runs tens of millions of times,
+// so it skips t.Helper (a lock and a stack walk per call).
 func checkOneD(t *testing.T, p *OneD, n, pes int, v int32) {
 	owner, local := refOneD(n, pes, v)
-	check(t, p, v, owner, local)
+	if got := p.Owner(v); got != owner {
+		t.Fatalf("n=%d pes=%d: Owner of vertex %d = %d, want %d", n, pes, v, got, owner)
+	}
+	if lo, _ := p.Range(owner); int(v-lo) != local {
+		t.Fatalf("n=%d pes=%d: local index of vertex %d = %d, want %d", n, pes, v, v-lo, local)
+	}
 }
 
-func checkChunked(t *testing.T, p *Chunked, pes int, v int32) {
-	owner, local := refChunked(p.ChunkSize(), pes, v)
-	check(t, p, v, owner, local)
+// checkChunked compares NewChunked's permutation with the reference deal:
+// every vertex takes the id its owner's block start plus its reference
+// local index, and the block partition's Owner finds that id's PE.
+func checkChunked(t *testing.T, n, pes, cpp int) {
+	order, p := NewChunked(n, pes, cpp)
+	if len(order) != n {
+		t.Fatalf("n=%d pes=%d cpp=%d: %d ids", n, pes, cpp, len(order))
+	}
+	totalChunks := pes * cpp
+	chunkSize := max((n+totalChunks-1)/totalChunks, 1)
+	for v := int32(0); int(v) < n; v++ {
+		owner, local := refChunked(chunkSize, pes, v)
+		lo, hi := p.Range(owner)
+		id := lo + int32(local)
+		if id >= hi || order[id] != v {
+			t.Fatalf("n=%d pes=%d cpp=%d: vertex %d is not at id %d of PE %d's block [%d,%d)", n, pes, cpp, v, id, owner, lo, hi)
+		}
+		if got := p.Owner(id); got != owner {
+			t.Fatalf("n=%d pes=%d cpp=%d: Owner(%d) = %d, want %d", n, pes, cpp, id, got, owner)
+		}
+	}
 }
 
 // largeSizes are the benchmark's 2^15, a prime, and 2^20.
@@ -110,22 +105,16 @@ func TestChunkedMatchesDivisionReference(t *testing.T) {
 	for pes := 1; pes <= 17; pes++ {
 		for cpp := 1; cpp <= 8; cpp++ {
 			// Every n to 400, then every seventh to 2000: the chunk size,
-			// not n itself, is what the reciprocals depend on.
+			// not n itself, is what the deal depends on.
 			for n := 0; n <= 2000; n++ {
 				if n > 400 && n%7 != 0 {
 					continue
 				}
-				p := NewChunked(n, pes, cpp)
-				for v := int32(0); int(v) < n; v++ {
-					checkChunked(t, p, pes, v)
-				}
+				checkChunked(t, n, pes, cpp)
 			}
 		}
 		for _, n := range largeSizes {
-			p := NewChunked(n, pes, 1+pes%8)
-			for v := int32(0); int(v) < n; v++ {
-				checkChunked(t, p, pes, v)
-			}
+			checkChunked(t, n, pes, 1+pes%8)
 		}
 	}
 }
@@ -176,8 +165,10 @@ func TestConstructorsRejectSizesBeyondInt32(t *testing.T) {
 }
 
 // BenchmarkOwner is one owner lookup on a random vertex — the unit the
-// update path pays once per hop — on the benchmark's 2^15 vertices over 4
-// PEs (block layout) and on the over-decomposed layout. Each lookup's
+// update path pays once per hop to a remote vertex — on the benchmark's
+// 2^15 vertices over 4 PEs: the block layout, and the block partition of an
+// over-decomposed layout's relabelled ids (blocks of unequal size, found by
+// binary search). Each lookup's
 // result picks the next vertex, as an owner picks the buffer or the branch
 // that follows it: the row reads the lookup's latency, which independent
 // lookups in a loop would hide.
@@ -192,7 +183,7 @@ func BenchmarkOwner(b *testing.B) {
 		owner func(int32) int
 	}{
 		{"oned", NewOneD(n, pes).Owner},
-		{"chunked", NewChunked(n, pes, 8).Owner},
+		{"chunked", chunkedBlocks(n, pes, 8).Owner},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -206,3 +197,8 @@ func BenchmarkOwner(b *testing.B) {
 }
 
 var ownerSink int
+
+func chunkedBlocks(n, pes, cpp int) *OneD {
+	_, p := NewChunked(n, pes, cpp)
+	return p
+}

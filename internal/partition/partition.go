@@ -71,8 +71,9 @@ type OneD struct {
 	numPEs      int
 	// starts[p] is the first vertex of PE p; starts[numPEs] = numVertices.
 	starts []int32
-	// custom marks non-uniform block boundaries (edge-balanced layout);
-	// Owner then binary-searches starts instead of using block arithmetic.
+	// custom marks non-uniform block boundaries (the edge-balanced and the
+	// over-decomposed layouts); Owner then binary-searches starts instead
+	// of using block arithmetic.
 	custom bool
 
 	// Uniform layout, fixed at construction: the first extra blocks hold
@@ -105,9 +106,6 @@ func NewOneD(numVertices, numPEs int) *OneD {
 
 // NumPEs returns the PE count.
 func (p *OneD) NumPEs() int { return p.numPEs }
-
-// NumVertices returns the vertex count.
-func (p *OneD) NumVertices() int { return p.numVertices }
 
 // NewEdgeBalancedOneD builds a 1-D block partition whose boundaries are
 // chosen so each PE owns approximately equal *edge* counts rather than
@@ -151,7 +149,8 @@ func NewEdgeBalancedOneD(g *graph.Graph, numPEs int) *OneD {
 
 // Owner returns the PE owning vertex v. The block layout allows O(1)
 // arithmetic by reciprocal: the first `extra` blocks have base+1 vertices.
-// Edge-balanced layouts binary-search the block boundaries instead.
+// Edge-balanced and over-decomposed layouts binary-search the block
+// boundaries instead.
 //
 //acic:noalloc
 func (p *OneD) Owner(v int32) int {
@@ -184,30 +183,6 @@ func (p *OneD) Owner(v int32) int {
 // Range returns the half-open vertex interval [lo, hi) owned by PE pe.
 func (p *OneD) Range(pe int) (lo, hi int32) {
 	return p.starts[pe], p.starts[pe+1]
-}
-
-// LocalIndex converts a global vertex id to its index within the owner's
-// block. It costs an Owner lookup; a caller that already knows the owner
-// (a PE indexing its own vertices) should use LocalOn.
-func (p *OneD) LocalIndex(v int32) int {
-	return p.LocalOn(p.Owner(v), v)
-}
-
-// LocalOn is LocalIndex for a caller that knows pe owns v.
-//
-//acic:noalloc
-func (p *OneD) LocalOn(pe int, v int32) int {
-	return int(v - p.starts[pe])
-}
-
-// Size returns the number of vertices on PE pe.
-func (p *OneD) Size(pe int) int {
-	return int(p.starts[pe+1] - p.starts[pe])
-}
-
-// GlobalOf inverts LocalIndex for PE pe.
-func (p *OneD) GlobalOf(pe, local int) int32 {
-	return p.starts[pe] + int32(local)
 }
 
 // EdgeImbalance computes max-over-PEs(edges)/mean(edges), the load-imbalance

@@ -44,7 +44,8 @@ func TestOneDBalance(t *testing.T) {
 	// Sizes may differ by at most one.
 	min, max := 1<<30, 0
 	for pe := 0; pe < 7; pe++ {
-		s := p.Size(pe)
+		lo, hi := p.Range(pe)
+		s := int(hi - lo)
 		if s < min {
 			min = s
 		}
@@ -57,16 +58,13 @@ func TestOneDBalance(t *testing.T) {
 	}
 }
 
+// A PE's local index of a vertex is its offset from the block start.
 func TestOneDLocalIndex(t *testing.T) {
 	p := NewOneD(10, 3) // blocks: [0,4) [4,7) [7,10)
-	if p.LocalIndex(0) != 0 || p.LocalIndex(3) != 3 {
-		t.Error("block 0 local index wrong")
-	}
-	if p.LocalIndex(4) != 0 || p.LocalIndex(6) != 2 {
-		t.Error("block 1 local index wrong")
-	}
-	if p.LocalIndex(9) != 2 {
-		t.Error("block 2 local index wrong")
+	for pe, want := range [][2]int32{{0, 4}, {4, 7}, {7, 10}} {
+		if lo, hi := p.Range(pe); lo != want[0] || hi != want[1] {
+			t.Errorf("block %d = [%d,%d), want [%d,%d)", pe, lo, hi, want[0], want[1])
+		}
 	}
 }
 
@@ -141,7 +139,8 @@ func TestEdgeBalancedFallbacks(t *testing.T) {
 	// Edgeless graphs fall back to vertex balance.
 	total := 0
 	for pe := 0; pe < 4; pe++ {
-		total += p.Size(pe)
+		lo, hi := p.Range(pe)
+		total += int(hi - lo)
 	}
 	if total != 10 {
 		t.Errorf("edgeless fallback covers %d vertices", total)

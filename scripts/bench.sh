@@ -43,6 +43,7 @@ BENCHES=(
   "BenchmarkControlCycle|./internal/histogram|"
   "BenchmarkUpdateKernel|./internal/core|"
   "BenchmarkUpdateKernelShipped|./internal/core|"
+  "BenchmarkACICSolveLarge|./internal/core|-benchtime=40x"
   "BenchmarkWireEncodeBatch|./internal/core|"
   "BenchmarkWireDecodeBatch|./internal/core|"
   "BenchmarkWireDecodeReduce|./internal/core|"
