@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"acic/internal/gen"
@@ -85,7 +86,12 @@ func TestWarmScratchKeepsItsFootprint(t *testing.T) {
 
 // warmAllocs warms a Scratch with three solves of g at the given tram
 // capacity and returns the allocations of one further warm solve, with
-// that solve's result.
+// that solve's result. The warm-up runs at GOMAXPROCS 1, as
+// testing.AllocsPerRun measures: on one thread a PE or a transport reader
+// can run far ahead of its receivers, so the batches a run holds in flight,
+// and with them the pools' high-water marks, are much larger than on two.
+// A Scratch warmed on two threads would pay that growth inside the
+// measured runs, where it reads as a cost per batch or frame.
 func warmAllocs(t *testing.T, g *graph.Graph, opts Options, capacity int) (float64, *Result) {
 	t.Helper()
 	opts.Params = DefaultParams()
@@ -98,6 +104,7 @@ func warmAllocs(t *testing.T, g *graph.Graph, opts Options, capacity int) (float
 			t.Fatal(err)
 		}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < 3; i++ {
 		run()
 	}

@@ -17,7 +17,10 @@ import (
 // decided (t_tram/t_pq, and Growing: whether the active population had
 // grown since the previous reduction, which keeps the low-parallelism
 // release shut), and what that decision did to the holds — the
-// before/after populations and drained counts of tram_hold and pq_hold.
+// before/after populations and drained counts of tram_hold and of the
+// queue's updates above t_pq (pq_hold), and how many queued updates a
+// falling t_pq re-held (PQReheld): PQHeldBefore − PQDrained + PQReheld ==
+// PQHeldAfter, with one of PQDrained and PQReheld zero on each PE.
 //
 // Hold fields lag the thresholds by one cycle: the drain they describe was
 // triggered by the broadcast of epoch-1, because each PE measures its
@@ -39,6 +42,7 @@ type ThresholdAudit struct {
 	PQHeldBefore   int64 `json:"pq_held_before"`
 	PQDrained      int64 `json:"pq_drained"`
 	PQHeldAfter    int64 `json:"pq_held_after"`
+	PQReheld       int64 `json:"pq_reheld"`
 
 	// BucketIdx/BucketCount are the merged histogram in sparse parallel-
 	// array form: BucketCount[i] active updates in bucket BucketIdx[i].
@@ -52,6 +56,7 @@ type ThresholdAudit struct {
 type holdStats struct {
 	tramHeldBefore, tramDrained, tramHeldAfter int64
 	pqHeldBefore, pqDrained, pqHeldAfter       int64
+	pqReheld                                   int64
 }
 
 func (h *holdStats) add(o holdStats) {
@@ -61,6 +66,7 @@ func (h *holdStats) add(o holdStats) {
 	h.pqHeldBefore += o.pqHeldBefore
 	h.pqDrained += o.pqDrained
 	h.pqHeldAfter += o.pqHeldAfter
+	h.pqReheld += o.pqReheld
 }
 
 // newThresholdAudit assembles the root's record for one reduction.
@@ -80,6 +86,7 @@ func newThresholdAudit(epoch int64, global *histogram.Histogram, holds holdStats
 		PQHeldBefore:   holds.pqHeldBefore,
 		PQDrained:      holds.pqDrained,
 		PQHeldAfter:    holds.pqHeldAfter,
+		PQReheld:       holds.pqReheld,
 	}
 	for i := 0; i < global.Top(); i++ {
 		if c := global.Bucket(i); c != 0 {
@@ -106,7 +113,7 @@ func WriteAuditJSONL(w io.Writer, records []ThresholdAudit) error {
 var auditCSVHeader = []string{
 	"epoch", "active", "created", "processed", "t_tram", "t_pq", "growing",
 	"tram_held_before", "tram_drained", "tram_held_after",
-	"pq_held_before", "pq_drained", "pq_held_after", "buckets",
+	"pq_held_before", "pq_drained", "pq_held_after", "pq_reheld", "buckets",
 }
 
 // WriteAuditCSV writes the audit as CSV for spreadsheet analysis. The
@@ -142,6 +149,7 @@ func WriteAuditCSV(w io.Writer, records []ThresholdAudit) error {
 			strconv.FormatInt(a.PQHeldBefore, 10),
 			strconv.FormatInt(a.PQDrained, 10),
 			strconv.FormatInt(a.PQHeldAfter, 10),
+			strconv.FormatInt(a.PQReheld, 10),
 			sb.String(),
 		}
 		if err := cw.Write(row); err != nil {

@@ -12,15 +12,20 @@
 //   - t_tram gates the *sending* side: an update whose bucket exceeds it
 //     waits in tram_hold instead of entering the tramlib send buffers.
 //   - t_pq gates the *receiving* side: an accepted update whose bucket
-//     exceeds it waits in pq_hold instead of the min-priority queue.
+//     exceeds it waits (pq_hold) instead of being popped (pq).
 //
-// Both holds drain in ascending bucket order when a broadcast raises the
-// thresholds, tramlib buffers are explicitly flushed on every broadcast
-// (guaranteeing tail progress), and idle PEs pop the priority queue in
-// distance order, relaxing out-edges only for updates that still carry the
-// vertex's best known distance. Termination is quiescence detected through
-// the created/processed counters that ride along with every reduction:
-// equal sums in two consecutive reductions end the run (§II-D). That is
+// tram_hold drains in ascending bucket order when a broadcast raises
+// t_tram, and tramlib buffers are explicitly flushed on every broadcast
+// (guaranteeing tail progress). pq and pq_hold are one bucketed queue per
+// PE, indexed by vertex, with t_pq as a cursor: idle PEs pop the oldest
+// vertex of the lowest non-empty bucket while that bucket is within t_pq,
+// and relax its out-edges. A better update for a queued vertex moves it
+// and completes the one it supersedes, so every pop relaxes, and order
+// within a bucket is FIFO rather than exact (distances stay exact). A
+// broadcast moves nothing in the queue. Termination is quiescence
+// detected through the created/processed counters that ride along with
+// every reduction: equal sums in two consecutive reductions end the run
+// (§II-D). That is
 // the only condition: the vertex-finalization condition the paper tried
 // and dropped never fires while a vertex is unreachable, and is not
 // implemented.
@@ -28,7 +33,7 @@
 // The cycle has no timer in it. The root broadcasts as soon as a reduction
 // completes, and each PE joins the next reduction after it has done
 // runtime.ReportAfterWork units of work since the broadcast (pq pops plus
-// unpacked updates) or as soon as its queue is empty — the delay of the
+// unpacked updates) or as soon as it has nothing it may pop — the delay of the
 // asynchronous iteration counted in computation rather than seconds
 // (Blanco et al., arXiv:2110.01409). A working machine therefore spends a
 // bounded share of its time on introspection and an idle one cycles at the

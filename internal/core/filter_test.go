@@ -123,11 +123,11 @@ func (h *heldTram) Deliver(pe *runtime.PE, msg any) {
 }
 
 func (h *heldTram) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
-	ctrl := payload.(ctrlMsg)
+	ctrl := *payload.(*ctrlMsg)
 	if !ctrl.terminate && h.sent[h.v] == h.held {
 		ctrl.thresholds.Tram = 0
 	}
-	h.peState.OnBroadcast(pe, epoch, ctrl)
+	h.peState.OnBroadcast(pe, epoch, &ctrl)
 }
 
 // TestDeadUpdateLeavesTramHoldAsProcessed pins tram_hold's drain elision.

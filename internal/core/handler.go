@@ -9,7 +9,6 @@ import (
 	"acic/internal/histogram"
 	"acic/internal/metrics"
 	"acic/internal/partition"
-	"acic/internal/pq"
 	"acic/internal/runtime"
 	"acic/internal/trace"
 	"acic/internal/tram"
@@ -29,10 +28,16 @@ type (
 	batchMsg struct{ items []Update }
 )
 
-// ctrlMsg is the broadcast payload closing every reduction cycle.
+// ctrlMsg is the broadcast payload closing every reduction cycle. It
+// travels as a pointer, so a broadcast boxes nothing: the root sends its
+// own ctrl (only one broadcast is live at a time, because a PE contributes
+// to epoch e+1 only after it handled broadcast e), and the wire decoder
+// draws one from the run's pools and marks it pooled, for OnBroadcast to
+// hand back.
 type ctrlMsg struct {
 	thresholds histogram.Thresholds
 	terminate  bool
+	pooled     bool
 }
 
 // reduceVal is the per-PE contribution combined up the reduction tree.
@@ -71,14 +76,12 @@ type peState struct {
 	sent []float64
 
 	hist     *histogram.Histogram
-	queue    *pq.BinaryHeap // accepted updates, min-distance first
-	pqHold   *bucketHold    // per-bucket holds above t_pq
-	tramHold *bucketHold    // per-bucket holds above t_tram
+	queue    *vertexQueue // accepted updates by bucket; t_pq is its cursor
+	tramHold *bucketHold  // per-bucket holds above t_tram
 
-	// tramDrainFn / pqDrainFn are the hold-drain callbacks, built once at
-	// construction so OnBroadcast's drain loop allocates no closures.
+	// tramDrainFn is tram_hold's drain callback, built once at construction
+	// so OnBroadcast's drain loop allocates no closure.
 	tramDrainFn func(Update)
-	pqDrainFn   func(Update)
 
 	// fwdBufs / fwdTouched are receiveBatch's demux scratch: one slot per
 	// PE, buffers borrowed from the tram pool only for owners that appear
@@ -102,11 +105,13 @@ type peState struct {
 	// debt is the contribution this PE owes the next reduction: OnBroadcast
 	// incurs it, worked pays it after runtime.ReportAfterWork pq pops or
 	// unpacked updates (one histogram snapshot, hold scan and tram flush per
-	// k units of work), and Idle pays it as soon as the queue is empty.
+	// k units of work), and Idle pays it as soon as it has nothing it may pop.
 	debt runtime.Debt
 
 	// Root-only state (PE 0). prevActive is the previous reduction's
-	// active population, the direction the threshold rule reads.
+	// active population, the direction the threshold rule reads; ctrl is
+	// the payload every broadcast carries.
+	ctrl         ctrlMsg
 	reductions   int64
 	prevEqualSum int64
 	prevActive   int64
@@ -169,12 +174,11 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 
 var _ runtime.Handler = (*peState)(nil)
 
-// bucketHold is one of a PE's holds (tram_hold or pq_hold): a list of
-// parked updates per histogram bucket, with the running population and
-// the occupied prefix kept at every append and drain. A broadcast reads
-// the population without recounting and drains only the buckets below
-// both its threshold and top, so the control cycle costs the buckets in
-// use.
+// bucketHold is tram_hold: a list of parked updates per histogram bucket,
+// with the running population and the occupied prefix kept at every
+// append and drain. A broadcast reads the population without recounting
+// and drains only the buckets below both its threshold and top, so the
+// control cycle costs the buckets in use.
 type bucketHold struct {
 	lists []arena.List[Update]
 	held  int64 // updates parked across all buckets
@@ -236,13 +240,8 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 	} else {
 		slot.hist.Reset()
 	}
-	if slot.queue == nil {
-		slot.queue = pq.NewBinaryHeap(64)
-	} else {
-		slot.queue.Reset()
-	}
-	if slot.pqHold.lists == nil {
-		slot.pqHold.lists = make([]arena.List[Update], histogram.DefaultBuckets)
+	slot.queue.reset(n, p.BucketWidth)
+	if slot.tramHold.lists == nil {
 		slot.tramHold.lists = make([]arena.List[Update], histogram.DefaultBuckets)
 	}
 	if slot.fwdBufs == nil {
@@ -260,8 +259,7 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		parent:       slot.parent,
 		sent:         slot.sent,
 		hist:         slot.hist,
-		queue:        slot.queue,
-		pqHold:       &slot.pqHold,
+		queue:        &slot.queue,
 		tramHold:     &slot.tramHold,
 		fwdBufs:      slot.fwdBufs,
 		fwdTouched:   slot.fwdTouched[:0],
@@ -286,21 +284,8 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		}
 		st.tramInsert(pe, st.shared.part.Owner(u.Vertex), u)
 	}
-	st.pqDrainFn = func(u Update) {
-		// A held update whose vertex has since improved past it is dead:
-		// complete it here rather than pay a heap push/pop.
-		if st.localDist(u.Vertex) < u.Dist {
-			st.hist.AddProcessed(u.Dist)
-			st.shared.met.processed.Inc(st.me)
-			return
-		}
-		st.queue.Push(pq.Item{Key: u.Dist, Value: int64(u.Vertex)})
-	}
 	return st
 }
-
-// localDist reads the distance of a vertex this PE owns.
-func (st *peState) localDist(v int32) float64 { return st.dist[v-st.lo] }
 
 // Deliver implements runtime.Handler.
 func (st *peState) Deliver(pe *runtime.PE, msg any) {
@@ -379,35 +364,40 @@ func (st *peState) worked(pe *runtime.PE, n int) {
 
 // receiveUpdate applies the arrival rules of §II-C to u, whose vertex is
 // this PE's local vertex li: an update that improves the vertex distance is
-// applied immediately and parked in pq or pq_hold by the pq threshold;
-// anything else is rejected and counted processed.
+// applied immediately and files the vertex in the queue by its bucket
+// (parked when that is above t_pq); anything else is rejected and counted
+// processed. A queued update the new one supersedes is complete: it would
+// produce no onward updates.
 //
 //acic:noalloc
 func (st *peState) receiveUpdate(pe *runtime.PE, li uint32, u Update) {
 	if st.params.ComputeCost > 0 {
 		pe.Work(st.params.ComputeCost)
 	}
+	b := st.hist.BucketOf(u.Dist)
 	if u.Dist < st.dist[li] {
 		st.dist[li] = u.Dist
 		st.parent[li] = u.Pred
-		if b := st.hist.BucketOf(u.Dist); b <= st.tPQ {
-			st.queue.Push(pq.Item{Key: u.Dist, Value: int64(u.Vertex)})
-		} else {
-			st.pqHold.add(st.shared.ar, st.me, b, u)
+		if old, superseded := st.queue.push(int32(li), b, u.Dist); superseded {
+			st.hist.AddProcessedIn(old)
+			st.shared.met.processed.Inc(st.me)
+		}
+		if b > st.tPQ {
 			st.shared.met.pqParked.Inc(st.me)
 		}
 		return
 	}
 	st.rejected++
-	st.hist.AddProcessed(u.Dist)
+	st.hist.AddProcessedIn(b)
 	st.shared.met.rejected.Inc(st.me)
 	st.shared.met.processed.Inc(st.me)
 }
 
-// Idle implements the paper's idle trigger: pop the lowest-distance update
-// and, only if it still carries the vertex's best known distance, relax the
-// out-edges (§II-C). One pop per invocation keeps the PE responsive to
-// arriving messages. A PE with nothing queued has nothing to wait for, so
+// Idle implements the paper's idle trigger: pop a vertex from the lowest
+// non-empty bucket within t_pq and relax its out-edges at its distance
+// (§II-C); the queue holds no superseded entries, so every pop relaxes.
+// One pop per invocation keeps the PE responsive to arriving messages. A
+// PE with nothing it may pop has nothing to do until a message arrives, so
 // it pays an owed contribution immediately: an idle machine cycles at the
 // speed of its own reduction, which is what ends the run promptly.
 //
@@ -418,22 +408,16 @@ func (st *peState) receiveUpdate(pe *runtime.PE, li uint32, u Update) {
 //
 //acic:noalloc
 func (st *peState) Idle(pe *runtime.PE) bool {
-	if st.queue.Len() == 0 {
+	li, b, ok := st.queue.pop(st.tPQ)
+	if !ok {
 		epoch, owed := st.debt.Pay()
 		if owed {
 			st.contribute(pe, epoch)
 		}
 		return owed
 	}
-	it := st.queue.Pop()
-	v := int32(it.Value)
-	d := it.Key
-	if st.localDist(v) == d {
-		st.relaxOutEdges(pe, v, d)
-	}
-	// Either way the update's processing is now complete: superseded
-	// entries produce no onward updates.
-	st.hist.AddProcessed(d)
+	st.relaxOutEdges(pe, st.lo+li, st.dist[li])
+	st.hist.AddProcessedIn(b)
 	st.shared.met.processed.Inc(st.me)
 	st.worked(pe, 1)
 	return true
@@ -575,7 +559,8 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 	st.reductions++
 	st.shared.met.reductions.Inc(st.me)
 
-	ctrl := ctrlMsg{}
+	ctrl := &st.ctrl
+	*ctrl = ctrlMsg{}
 
 	// Quiescence: equal created/processed sums in two consecutive
 	// reductions (§II-D). The paper requires two to close the race where
@@ -612,27 +597,40 @@ func (st *peState) OnReduction(pe *runtime.PE, epoch int64, value any) {
 }
 
 // OnBroadcast applies a control broadcast on every PE: adopt the new
-// thresholds, drain the holds they release (lowest buckets first, §II-C),
-// explicitly flush tramlib (tail progress, §II-D), and owe the next
-// reduction a contribution, paid by worked or Idle.
+// thresholds, drain what the tram threshold releases (lowest buckets
+// first, §II-C), explicitly flush tramlib (tail progress, §II-D), and owe
+// the next reduction a contribution, paid by worked or Idle. The pq
+// threshold moves nothing: it is the cursor Idle pops up to, and the
+// accounting reports how many queued updates it released or re-held.
 func (st *peState) OnBroadcast(pe *runtime.PE, epoch int64, payload any) {
-	ctrl := payload.(ctrlMsg)
+	m := payload.(*ctrlMsg)
+	ctrl := *m
+	if ctrl.pooled {
+		st.shared.pools.putCtrl(m)
+	}
 	if ctrl.terminate {
 		st.terminated = true
 		pe.Exit()
 		return
 	}
+	oldPQ := st.tPQ
 	st.tTram = ctrl.thresholds.Tram
 	st.tPQ = ctrl.thresholds.PQ
 
-	// Release the holds within the new thresholds, tram first (dead-update
-	// elision lives in the drain callbacks).
-	ar := st.shared.ar
-	holds := holdStats{tramHeldBefore: st.tramHold.held, pqHeldBefore: st.pqHold.held}
-	holds.tramDrained = st.tramHold.drain(ar, st.me, st.tTram, st.tramDrainFn)
-	holds.pqDrained = st.pqHold.drain(ar, st.me, st.tPQ, st.pqDrainFn)
+	// Release tram_hold within the new threshold (dead-update elision
+	// lives in the drain callback).
+	holds := holdStats{
+		tramHeldBefore: st.tramHold.held,
+		pqHeldBefore:   st.queue.heldAbove(oldPQ),
+		pqHeldAfter:    st.queue.heldAbove(st.tPQ),
+	}
+	holds.tramDrained = st.tramHold.drain(st.shared.ar, st.me, st.tTram, st.tramDrainFn)
 	holds.tramHeldAfter = st.tramHold.held
-	holds.pqHeldAfter = st.pqHold.held
+	if d := holds.pqHeldBefore - holds.pqHeldAfter; d > 0 {
+		holds.pqDrained = d
+	} else {
+		holds.pqReheld = -d
+	}
 	st.pendingHolds = holds
 	if drained := holds.tramDrained + holds.pqDrained; drained > 0 {
 		st.shared.met.holdDrained.Add(st.me, drained)

@@ -7,7 +7,6 @@ import (
 
 	"acic/internal/arena"
 	"acic/internal/histogram"
-	"acic/internal/pq"
 )
 
 // ErrScratchInUse is returned by Run when the Options.Scratch it was handed
@@ -18,10 +17,11 @@ var ErrScratchInUse = errors.New("core: Scratch is already in use by a concurren
 
 // Scratch recycles the per-run allocations of repeated Runs on the same
 // machine shape: the update-chunk arena shared by tramlib and the hold
-// buffers, the pooled reduction contributions, and every PE's distance /
-// parent / histogram / queue / hold state. Benchmark and stress drivers
-// that execute many runs back to back pass one Scratch through
-// Options.Scratch so the steady-state run performs no large allocations.
+// buffers, the pooled reduction contributions and decoded broadcasts, and
+// every PE's distance / parent / histogram / queue / hold state.
+// Benchmark and stress drivers that execute many runs back to back pass
+// one Scratch through Options.Scratch so the steady-state run performs no
+// large allocations.
 //
 // A Scratch is keyed by the run shape (PE count, bucket width, tram
 // capacity). Passing it to a run with a different shape silently
@@ -56,13 +56,14 @@ type scratchKey struct {
 
 // runPools holds the cross-PE pools of one run: the chunk arena (shared
 // with tramlib so demux buffers, hold chunks and tram batches recycle
-// through one freelist), the reduction-contribution pool and the pool of
-// batch headers.
+// through one freelist), the reduction-contribution pool, the pool of
+// batch headers and the pool of broadcasts the wire decoder fills.
 type runPools struct {
 	ar *arena.Arena[Update]
 
 	reduceVals freelist[reduceVal]
 	batches    freelist[batchMsg]
+	ctrls      freelist[ctrlMsg]
 }
 
 // freelist recycles pointers across the goroutines of one run: PEs, and
@@ -115,6 +116,12 @@ func (p *runPools) putBatch(m *batchMsg) {
 	p.batches.put(m)
 }
 
+// getCtrl returns a broadcast for the wire decoder to fill; the receiving
+// PE's OnBroadcast hands it back with putCtrl once it has read it.
+func (p *runPools) getCtrl() *ctrlMsg { return p.ctrls.get() }
+
+func (p *runPools) putCtrl(m *ctrlMsg) { p.ctrls.put(m) }
+
 // peSlot is one PE's recycled state. Slices keep their backing arrays
 // across runs; newPEState re-lengths and re-initializes them.
 type peSlot struct {
@@ -122,8 +129,7 @@ type peSlot struct {
 	parent     []int32
 	sent       []float64
 	hist       *histogram.Histogram
-	queue      *pq.BinaryHeap
-	pqHold     bucketHold
+	queue      vertexQueue
 	tramHold   bucketHold
 	fwdBufs    [][]Update
 	fwdTouched []int32

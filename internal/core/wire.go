@@ -19,6 +19,9 @@ import (
 //     batch for the socket consumes it, exactly as local delivery would.
 //   - *reduceVal contributions decode into pooled values (getReduceVal)
 //     and are recycled on encode (putReduceVal).
+//   - *ctrlMsg broadcasts decode into pooled values (getCtrl) marked
+//     pooled, which the receiving PE's OnBroadcast hands back. Encoding
+//     leaves the root's own payload alone: it is the root's, not the pool's.
 //
 // Each process therefore keeps its own pool ledger balanced: the sender
 // pairs its Borrow with the encode-side Release, the receiver pairs its
@@ -79,9 +82,9 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 			sh.pools.putBatch(m)
 		})
 
-	c.Register(wire.TagCtrl, ctrlMsg{},
+	c.Register(wire.TagCtrl, (*ctrlMsg)(nil),
 		func(c *wire.Codec, buf []byte, v any) ([]byte, error) {
-			m := v.(ctrlMsg)
+			m := v.(*ctrlMsg)
 			buf = wire.AppendI32(buf, int32(m.thresholds.Tram))
 			buf = wire.AppendI32(buf, int32(m.thresholds.PQ))
 			var flags byte
@@ -91,17 +94,16 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 			return wire.AppendU8(buf, flags), nil
 		},
 		func(c *wire.Codec, r *wire.Reader) (any, error) {
-			m := ctrlMsg{
-				thresholds: histogram.Thresholds{
-					Tram: int(r.I32()),
-					PQ:   int(r.I32()),
-				},
-			}
+			th := histogram.Thresholds{Tram: int(r.I32()), PQ: int(r.I32())}
 			flags := r.U8()
 			if flags&^byte(1) != 0 {
 				return nil, fmt.Errorf("%w: ctrl flags 0x%02x", wire.ErrMalformed, flags)
 			}
-			m.terminate = flags&1 != 0
+			if err := r.Err(); err != nil {
+				return nil, err
+			}
+			m := sh.pools.getCtrl()
+			*m = ctrlMsg{thresholds: th, terminate: flags&1 != 0, pooled: true}
 			return m, nil
 		},
 		nil)
@@ -134,7 +136,8 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 			buf = wire.AppendI64(buf, rv.holds.tramHeldAfter)
 			buf = wire.AppendI64(buf, rv.holds.pqHeldBefore)
 			buf = wire.AppendI64(buf, rv.holds.pqDrained)
-			return wire.AppendI64(buf, rv.holds.pqHeldAfter), nil
+			buf = wire.AppendI64(buf, rv.holds.pqHeldAfter)
+			return wire.AppendI64(buf, rv.holds.pqReheld), nil
 		},
 		func(c *wire.Codec, r *wire.Reader) (any, error) {
 			bucketCount := int(r.U32())
@@ -171,6 +174,7 @@ func registerCoreWire(c *wire.Codec, sh *sharedState) {
 				pqHeldBefore:   r.I64(),
 				pqDrained:      r.I64(),
 				pqHeldAfter:    r.I64(),
+				pqReheld:       r.I64(),
 			}
 			if r.Err() != nil {
 				sh.pools.putReduceVal(rv)

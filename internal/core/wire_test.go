@@ -63,10 +63,38 @@ func TestCtrlWireRoundTrip(t *testing.T) {
 		{thresholds: histogram.Thresholds{Tram: 7, PQ: 3}, terminate: true},
 		{thresholds: histogram.Thresholds{Tram: histogram.DefaultBuckets - 1, PQ: 0}},
 	} {
-		got := roundTrip(t, c, want).(ctrlMsg)
-		if got != want {
-			t.Errorf("ctrl round trip: got %+v, want %+v", got, want)
+		got := roundTrip(t, c, &want).(*ctrlMsg)
+		// The decoded copy comes from the run's pools, for OnBroadcast to
+		// hand back; the root's own payload is not the pool's.
+		if want.pooled = true; *got != want {
+			t.Errorf("ctrl round trip: got %+v, want %+v", *got, want)
 		}
+	}
+}
+
+// TestCtrlWireDecodeRecycles: a broadcast decoded and handed back, as
+// OnBroadcast does, costs no allocation once the pool is warm, and the
+// encoder leaves the root's payload where it was.
+func TestCtrlWireDecodeRecycles(t *testing.T) {
+	c, sh := newWireHarness(t)
+	root := &ctrlMsg{thresholds: histogram.Thresholds{Tram: 9, PQ: 4}}
+	frame, err := c.EncodeFrame(nil, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.pooled || root.thresholds.PQ != 4 {
+		t.Fatalf("encoding changed the root's payload: %+v", *root)
+	}
+	cycle := func() {
+		v, _, err := c.DecodeFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.pools.putCtrl(v.(*ctrlMsg))
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("decode + hand back: %.1f allocs, want 0", n)
 	}
 }
 
@@ -74,13 +102,13 @@ func TestCtrlWireRoundTrip(t *testing.T) {
 // preamble, two int32 thresholds and one flags byte.
 func TestCtrlWireFrameLength(t *testing.T) {
 	c, _ := newWireHarness(t)
-	for _, m := range []ctrlMsg{{}, {thresholds: histogram.Thresholds{Tram: 511, PQ: 20}, terminate: true}} {
+	for _, m := range []*ctrlMsg{{}, {thresholds: histogram.Thresholds{Tram: 511, PQ: 20}, terminate: true}} {
 		frame, err := c.EncodeFrame(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(frame) != 6+4+4+1 {
-			t.Errorf("ctrl frame %+v is %d bytes, want 15", m, len(frame))
+			t.Errorf("ctrl frame %+v is %d bytes, want 15", *m, len(frame))
 		}
 	}
 }
@@ -89,7 +117,7 @@ func TestCtrlWireFrameLength(t *testing.T) {
 // termination; terminate (0x01) is the only flag a ctrl frame may carry.
 func TestCtrlWireRejectsRetiredFinalizedBit(t *testing.T) {
 	c, _ := newWireHarness(t)
-	frame, err := c.EncodeFrame(nil, ctrlMsg{})
+	frame, err := c.EncodeFrame(nil, &ctrlMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +131,7 @@ func TestCtrlWireRejectsRetiredFinalizedBit(t *testing.T) {
 
 func TestCtrlWireRejectsUnknownFlags(t *testing.T) {
 	c, _ := newWireHarness(t)
-	frame, err := c.EncodeFrame(nil, ctrlMsg{})
+	frame, err := c.EncodeFrame(nil, &ctrlMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +210,7 @@ func TestReduceValWireRoundTrip(t *testing.T) {
 	rv.hist.AddCreated(0.6) // bucket 1
 	rv.hist.AddCreated(7.9) // bucket 15
 	rv.hist.AddProcessed(0.6)
-	rv.holds = holdStats{tramHeldBefore: 1, tramDrained: 2, tramHeldAfter: 3, pqHeldBefore: 4, pqDrained: 5, pqHeldAfter: 6}
+	rv.holds = holdStats{tramHeldBefore: 1, tramDrained: 2, tramHeldAfter: 3, pqHeldBefore: 4, pqDrained: 5, pqHeldAfter: 6, pqReheld: 7}
 
 	// The encode hook recycles rv into the pool and the decode draws from
 	// it, so got may be the very same object — that round trip through the
@@ -207,7 +235,7 @@ func TestReduceValWireRoundTrip(t *testing.T) {
 // TestReduceValWireFrameLength pins a contribution's size: the 6-byte
 // frame preamble, the histogram's shape (count and width), its two
 // counters, the nonzero-bucket count, 12 bytes per nonzero bucket, and
-// six int64 hold counts.
+// seven int64 hold counts.
 func TestReduceValWireFrameLength(t *testing.T) {
 	c, sh := newWireHarness(t)
 	for _, dists := range [][]float64{nil, {0.2, 7.9}, {0.2, 0.3, 1.4, 1e9}} {
@@ -216,7 +244,7 @@ func TestReduceValWireFrameLength(t *testing.T) {
 		for _, d := range dists {
 			rv.hist.AddCreated(d)
 		}
-		rv.holds = holdStats{tramHeldBefore: 1, pqHeldAfter: 2}
+		rv.holds = holdStats{tramHeldBefore: 1, pqHeldAfter: 2, pqReheld: 3}
 		nnz := 0
 		for i := 0; i < histogram.DefaultBuckets; i++ {
 			if rv.hist.Bucket(i) != 0 {
@@ -227,7 +255,7 @@ func TestReduceValWireFrameLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 6 + 4 + 8 + 8 + 8 + 4 + 12*nnz + 6*8; len(frame) != want {
+		if want := 6 + 4 + 8 + 8 + 8 + 4 + 12*nnz + 7*8; len(frame) != want {
 			t.Errorf("%d nonzero buckets: frame is %d bytes, want %d", nnz, len(frame), want)
 		}
 	}
@@ -262,7 +290,7 @@ func TestReduceValWireNarrowIntoWide(t *testing.T) {
 		body = wire.AppendU32(body, uint32(kv[0]))
 		body = wire.AppendI64(body, kv[1])
 	}
-	for _, h := range []int64{3, 1, 2, 0, 0, 0} {
+	for _, h := range []int64{3, 1, 2, 0, 0, 0, 0} {
 		body = wire.AppendI64(body, h)
 	}
 	frame, err := c.EncodeFrame(nil, narrow)

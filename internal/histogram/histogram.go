@@ -152,8 +152,11 @@ func (h *Histogram) AddCreated(d float64) int {
 // AddProcessed records that the processing of an update with distance d
 // completed (it was rejected, superseded, or all onward updates were
 // created): the bucket is decremented and the processed counter advances.
-func (h *Histogram) AddProcessed(d float64) {
-	b := h.BucketOf(d)
+func (h *Histogram) AddProcessed(d float64) { h.AddProcessedIn(h.BucketOf(d)) }
+
+// AddProcessedIn is AddProcessed for a caller that already knows the
+// update's bucket b (BucketOf of its distance), so it is not computed twice.
+func (h *Histogram) AddProcessedIn(b int) {
 	h.buckets[b]--
 	h.raise(b)
 	h.Processed++

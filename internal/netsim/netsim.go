@@ -273,6 +273,11 @@ type Network struct {
 	maxDepth     *metrics.Gauge
 }
 
+// laneInitCap is each lane's starting heap capacity. A network lives for
+// one run, so a lane that grew its heap from empty would pay an
+// allocation per doubling in every run.
+const laneInitCap = 64
+
 // laneEmpty is the nextAt sentinel for a lane with nothing queued.
 const laneEmpty = math.MaxInt64
 
@@ -409,6 +414,7 @@ func NewNetworkWithRegistry(topo Topology, model LatencyModel, deliver func(dst 
 		maxDepth:  reg.Gauge("netsim.max_queue_depth"),
 	}
 	for i := range n.lanes {
+		n.lanes[i].q = make(deliveryQueue, 0, laneInitCap)
 		n.lanes[i].nextAt.Store(laneEmpty)
 	}
 	//acic:allow-goroutine the dispatcher is the fabric's own delivery thread, joined by Close

@@ -41,8 +41,14 @@ type mailbox struct {
 	dropped atomic.Int64
 }
 
+// mailboxInitCap is the starting capacity of each of a mailbox's two
+// backing arrays. A mailbox lives for one run, so one that grew from empty
+// would pay an allocation per doubling in every run, more the deeper that
+// run's traffic queued up.
+const mailboxInitCap = 64
+
 func newMailbox() *mailbox {
-	m := &mailbox{}
+	m := &mailbox{prod: make([]envelope, 0, mailboxInitCap), cons: make([]envelope, 0, mailboxInitCap)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
