@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"acic/internal/gen"
@@ -85,13 +86,14 @@ func TestWarmScratchKeepsItsFootprint(t *testing.T) {
 }
 
 // warmAllocs warms a Scratch with three solves of g at the given tram
-// capacity and returns the allocations of one further warm solve, with
-// that solve's result. The warm-up runs at GOMAXPROCS 1, as
-// testing.AllocsPerRun measures: on one thread a PE or a transport reader
-// can run far ahead of its receivers, so the batches a run holds in flight,
-// and with them the pools' high-water marks, are much larger than on two.
-// A Scratch warmed on two threads would pay that growth inside the
-// measured runs, where it reads as a cost per batch or frame.
+// capacity and returns the allocations of a further warm solve, the median
+// of five (medianAllocs), with the last solve's result. Everything runs at
+// GOMAXPROCS 1, as testing.AllocsPerRun measures: on one thread a PE or a
+// transport reader can run far ahead of its receivers, so the batches a
+// run holds in flight, and with them the pools' high-water marks, are much
+// larger than on two. A Scratch warmed on two threads would pay that
+// growth inside the measured runs, where it reads as a cost per batch or
+// frame.
 func warmAllocs(t *testing.T, g *graph.Graph, opts Options, capacity int) (float64, *Result) {
 	t.Helper()
 	opts.Params = DefaultParams()
@@ -108,7 +110,31 @@ func warmAllocs(t *testing.T, g *graph.Graph, opts Options, capacity int) (float
 	for i := 0; i < 3; i++ {
 		run()
 	}
-	return testing.AllocsPerRun(5, run), res
+	return medianAllocs(5, run), res
+}
+
+// medianAllocs calls f once to warm it, then runs more times, and returns
+// the median of the objects each of those calls allocated. A cost per
+// batch or per frame shows in every call. A pool's one-time growth does
+// not: a run whose pile of batches in flight outgrows every earlier one
+// (a transport reader that decodes a socket's whole backlog before the
+// PEs it feeds get the one thread), or the first run after a collection
+// empties the runtime's envelope sync.Pool, allocates hundreds to
+// thousands of objects once, and a mean over the calls (what
+// testing.AllocsPerRun reports) spreads them over the rest.
+func medianAllocs(runs int, f func()) float64 {
+	f()
+	counts := make([]uint64, runs)
+	var ms runtime.MemStats
+	for i := range counts {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		counts[i] = ms.Mallocs - before
+	}
+	slices.Sort(counts)
+	return float64(counts[runs/2])
 }
 
 // TestWarmRunAllocationsDoNotScaleWithBatches ships the same solve in

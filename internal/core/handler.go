@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"acic/internal/arena"
+	"acic/internal/cacheline"
 	"acic/internal/graph"
 	"acic/internal/histogram"
 	"acic/internal/metrics"
@@ -245,12 +246,18 @@ func newPEState(sh *sharedState, pe *runtime.PE, p Params, slot *peSlot) *peStat
 		slot.tramHold.lists = make([]arena.List[Update], histogram.DefaultBuckets)
 	}
 	if slot.fwdBufs == nil {
-		slot.fwdBufs = make([][]Update, sh.part.NumPEs())
-		// Each distinct owner appears at most once per batch, so the
-		// touched list can never outgrow this.
-		slot.fwdTouched = make([]int32, 0, sh.part.NumPEs())
+		// receiveBatch rewrites both for every forwarded update; on lines
+		// of their own, the small arrays of neighbouring PEs do not
+		// contend (a plain make packs them side by side). Each distinct
+		// owner appears at most once per batch, so the touched list can
+		// never outgrow its capacity and reallocate.
+		slot.fwdBufs = cacheline.Make[[]Update](sh.part.NumPEs())
+		slot.fwdTouched = cacheline.Make[int32](sh.part.NumPEs())[:0]
 	}
-	st := &peState{
+	// The state every update rewrites (counters, debt, fwdTouched's
+	// header) on lines no other PE's state shares, whatever its size.
+	st := cacheline.New[peState]()
+	*st = peState{
 		shared:       sh,
 		params:       p,
 		me:           me,

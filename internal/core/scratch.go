@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"acic/internal/arena"
+	"acic/internal/cacheline"
 	"acic/internal/histogram"
 )
 
@@ -154,7 +155,8 @@ func (sc *Scratch) prepare(key scratchKey) {
 // slot returns PE pe's recycled state, creating the slot on first use.
 func (sc *Scratch) slot(pe int) *peSlot {
 	if sc.slots[pe] == nil {
-		sc.slots[pe] = &peSlot{}
+		// The queue's cursor and counts change with every update.
+		sc.slots[pe] = cacheline.New[peSlot]()
 	}
 	return sc.slots[pe]
 }

@@ -3,6 +3,8 @@ package runtime
 import (
 	"sync"
 	"sync/atomic"
+
+	"acic/internal/cacheline"
 )
 
 // mailbox is an unbounded MPSC queue feeding one PE's scheduler loop.
@@ -47,8 +49,12 @@ type mailbox struct {
 // run's traffic queued up.
 const mailboxInitCap = 64
 
+// newMailbox returns an empty mailbox on cache lines of its own: its
+// producers write it on every push, so it must not share a line with
+// another PE's mailbox or PE (allocated back to back, they would).
 func newMailbox() *mailbox {
-	m := &mailbox{prod: make([]envelope, 0, mailboxInitCap), cons: make([]envelope, 0, mailboxInitCap)}
+	m := cacheline.New[mailbox]()
+	m.prod, m.cons = make([]envelope, 0, mailboxInitCap), make([]envelope, 0, mailboxInitCap)
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -71,9 +77,18 @@ func (m *mailbox) push(env envelope) {
 
 // tryPop removes the oldest item without blocking. ok is false if empty.
 // Must be called from the consumer goroutine only.
+//
+// An empty mailbox is answered from queued, without the producers' mutex:
+// the scheduler polls before every idle step, and most polls find nothing.
+// With cons drained, queued is the length of prod, so a zero misses at
+// most a push still inside its critical section, which the blocking pop
+// finds under the mutex.
 func (m *mailbox) tryPop() (envelope, bool) {
 	if m.head < len(m.cons) {
 		return m.popCons(), true
+	}
+	if m.queued.Load() == 0 {
+		return envelope{}, false
 	}
 	m.mu.Lock()
 	if len(m.prod) == 0 {

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"acic/internal/cacheline"
 	"acic/internal/fabric"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
@@ -304,7 +305,10 @@ func New(cfg Config) (*Runtime, error) {
 	rt.lo, rt.hi = cfg.hosted()
 	rt.pes = make([]*PE, numPEs)
 	for i := rt.lo; i < rt.hi; i++ {
-		pe := &PE{rt: rt, index: i, mbox: newMailbox(), reductions: make(map[int64]redState)}
+		// Each PE writes its own struct per message: on lines of its own,
+		// it shares none with a neighbour's PE or mailbox.
+		pe := cacheline.New[PE]()
+		*pe = PE{rt: rt, index: i, mbox: newMailbox(), reductions: make(map[int64]redState)}
 		c1, c2, nc := treeChildren(i, numPEs)
 		pe.childL, pe.childR, pe.numChildren = -1, -1, nc
 		if c1 < numPEs {

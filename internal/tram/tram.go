@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"acic/internal/arena"
+	"acic/internal/cacheline"
 	"acic/internal/metrics"
 	"acic/internal/netsim"
 )
@@ -142,9 +143,14 @@ type flushOut[T any] struct {
 }
 
 type bufferSet[T any] struct {
-	mu   *sync.Mutex // non-nil for process-owned (shared) sets
-	bufs [][]T       // indexed by destination PE or process
-	rr   int         // round-robin offset for process-granularity delivery
+	mu *sync.Mutex // non-nil for process-owned (shared) sets
+	// bufs is indexed by destination PE or process. Every Insert rewrites
+	// one of its slice headers, so the array sits on cache lines of its
+	// own (cacheline.Make): a plain make packs the small arrays of
+	// neighbouring sets into one line, and their PEs then contend on every
+	// insert.
+	bufs [][]T
+	rr   int // round-robin offset for process-granularity delivery
 
 	// Manager stores sets contiguously ([]bufferSet, one per source PE in
 	// the worker-granularity modes), so adjacent inserters would otherwise
@@ -212,7 +218,7 @@ func NewWithArena[T any](topo netsim.Topology, mode Mode, capacity int, reg *met
 	}
 	m.sets = make([]bufferSet[T], numSets)
 	for i := range m.sets {
-		m.sets[i].bufs = make([][]T, numDests)
+		m.sets[i].bufs = cacheline.Make[[]T](numDests)
 		if mode == PW || mode == PP {
 			m.sets[i].mu = new(sync.Mutex)
 		}

@@ -37,6 +37,7 @@ BENCHES=(
   "BenchmarkNetsimSend|./internal/netsim|"
   "BenchmarkSockfabRoundTrip|./internal/sockfab|"
   "BenchmarkTramInsertFlush|./internal/tram|"
+  "BenchmarkTramInsertParallel|./internal/tram|"
   "BenchmarkOwner/oned|./internal/partition|"
   "BenchmarkOwner/chunked|./internal/partition|"
   "BenchmarkBucketOf|./internal/histogram|"

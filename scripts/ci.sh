@@ -29,11 +29,19 @@ go run ./cmd/acic-lint -noalloc ./...
 echo "== lint sabotage self-test (every plant reported by its own diagnostic) =="
 scripts/lint_sabotage.sh
 
+# The tier-1 test stages keep their whole output in ci-logs/ as well as on
+# the console (CI uploads the directory). -timeout makes a hung test binary
+# panic with every goroutine's stack well before the job is killed, and the
+# log keeps that dump whole, however long it is. The slowest binary takes
+# about 6 s plain and 40 s under -race on a 2-core host.
+logs=ci-logs
+mkdir -p "$logs"
+
 echo "== build + test (with coverage) =="
 go build ./...
 cover_out="$(mktemp)"
 trap 'rm -f "$cover_out"' EXIT
-go test -coverprofile="$cover_out" ./...
+go test -timeout 5m -coverprofile="$cover_out" ./... 2>&1 | tee "$logs/test.log"
 
 echo "== examples (each checks its answer against an oracle and exits non-zero on a mismatch) =="
 for ex in examples/*/; do
@@ -63,7 +71,7 @@ echo "== benchmark module (own go.mod: vet, 3 s -quick smoke of every pass, name
 (cd benchmark && go vet ./... && go test ./...)
 
 echo "== race detector (all packages) =="
-go test -race ./...
+go test -race -timeout 8m ./... 2>&1 | tee "$logs/test-race.log"
 
 echo "== fuzz smoke (10s per target; one target per invocation) =="
 go test -run '^$' -fuzz '^FuzzGraphLoadCSV$' -fuzztime 10s ./internal/graph
